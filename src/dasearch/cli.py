@@ -18,7 +18,7 @@ import random
 import sys
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from dasearch import corpus as corpus_mod
@@ -236,7 +236,7 @@ def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
                 "text": " ".join(corpus.vocab.decode(content)),
                 "s_gen": h.s_gen,
                 "s_dis": h.s_dis,
-                "s_das": h.s_das if h.s_das is not None else h.s_gen,
+                "s_das": h.s_das,
                 "steps": len(h.tokens) - 1,
                 "truncated": h.truncated,
             }
@@ -379,14 +379,10 @@ def cmd_self_train(cfg: RunConfig, args) -> int:
 
     state = bootstrap(corpus, generator, hparams, search)
     snapshot(state)
-    tau_delta = cfg.tau_delta if cfg.tau_delta >= 0 else None
-    for _ in range(cfg.max_iters):
-        state = run_until_convergence(state, generator, corpus, search, hparams,
-                                      max_iters=1, tau_acc=cfg.tau_acc,
-                                      tau_delta=tau_delta)
-        snapshot(state)
-        if state.stopped_reason in ("accuracy_floor", "delta_plateau"):
-            break
+    state = run_until_convergence(
+        state, generator, corpus, search, hparams, max_iters=cfg.max_iters,
+        tau_acc=cfg.tau_acc, tau_delta=cfg.tau_delta if cfg.tau_delta >= 0 else None,
+        on_iteration=snapshot)
     write_manifest(out_dir, "self-train", cfg,
                    [cfg.train_path, cfg.vocab_path, cfg.generator_model],
                    [out_dir / f"iter_{state.iteration}" / "generations.jsonl"], started)
@@ -449,11 +445,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         sub = Corpus(sub_pairs, vocab, corpus.split)
         for k in k_values:
             for alpha in alphas:
-                search = SearchConfig(
-                    beam_size=min(cfg.beam_size, k), k_rerank=k, alpha=alpha,
-                    t_max=cfg.t_max,
-                    length_penalty_beta=cfg.length_penalty_beta,
-                    block_repeated_trigrams=cfg.block_repeated_trigrams)
+                search = replace(cfg.search_config("plain"),
+                                 beam_size=min(cfg.beam_size, k), k_rerank=k, alpha=alpha)
                 gens = {p.id: hypothesis_content(
                     das_beam_search(generator, disc if alpha > 0 else None,
                                     p.source, search)[0]) for p in sub.pairs}

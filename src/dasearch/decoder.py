@@ -1,9 +1,12 @@
 """Beam search with per-step discriminator re-ranking.
 
-Each step expands the live hypotheses by one token, carries ended hypotheses
-unchanged, pre-filters the K_rerank best by generator score, re-scores that
-pool with the discriminator (fused score = s_gen + alpha * log D) and keeps
-the best B. Ties break on higher s_gen, then lexicographic token ids.
+Each step expands every live hypothesis by its K_rerank best tokens, carries
+ended hypotheses unchanged, pre-filters the K_rerank best candidates by
+generator score, re-scores that pool with the discriminator (fused score =
+s_gen + alpha * log D) and keeps the best B. Ties break on higher s_gen, then
+lexicographic token ids. Plain beam search is the same search with no
+discriminator and K_rerank = B: the pool is then never re-scored and every
+result has s_das == s_gen.
 """
 
 from __future__ import annotations
@@ -111,11 +114,11 @@ def _rank_das(h: Hypothesis):
     return (-h.s_das, -h.s_gen, h.tokens)
 
 
-def _final_sort(pool, config: SearchConfig, use_das: bool):
+def _final_sort(pool, config: SearchConfig):
     beta = config.length_penalty_beta
 
     def key(h: Hypothesis):
-        score = h.s_das if use_das and not config.final_by_s_gen else h.s_gen
+        score = h.s_gen if config.final_by_s_gen else h.s_das
         if beta != 0.0:
             score = score / length_penalty(max(len(h.tokens) - 1, 1), beta)
         return (-score, -h.s_gen, h.tokens)
@@ -123,41 +126,27 @@ def _final_sort(pool, config: SearchConfig, use_das: bool):
     return sorted(pool, key=key)
 
 
-def _search(generator, discriminator, source, config: SearchConfig, use_das: bool):
+def _search(generator, discriminator, source, config: SearchConfig):
     source = tuple(source)
     if not source:
         raise DecoderError("empty source")
-    if use_das and discriminator is None and config.alpha != 0.0:
+    if discriminator is None and config.alpha != 0.0:
         raise DecoderError("discriminator required unless alpha == 0")
-    alpha = config.alpha if use_das else 0.0
-    score_with_disc = use_das and alpha > 0.0 and discriminator is not None
-
-    dis_cache: dict[tuple[int, ...], float] = {}
-
-    def dis_prob(h: Hypothesis) -> float:
-        prefix = h.tokens[1:]  # exclude SOS, include EOS if present
-        p = dis_cache.get(h.tokens)
-        if p is None:
-            p = discriminator.score(source, prefix)
-            dis_cache[h.tokens] = p
-        return p
+    rerank = discriminator is not None and config.alpha > 0.0
 
     def score(h: Hypothesis) -> Hypothesis:
         if h.s_das is not None:
             return h  # frozen (ended hypotheses keep their scores)
-        if score_with_disc:
-            return apply_das_score(h, alpha, dis_prob(h))
+        if rerank:
+            return apply_das_score(h, config.alpha,
+                                   discriminator.score(source, h.tokens[1:]))
         return replace(h, s_das=h.s_gen)
 
     pool = [Hypothesis(tokens=(Vocabulary.sos,), s_gen=0.0)]
-    per_hyp = config.k_rerank if use_das else config.beam_size
-    steps = 0
-
-    for t in range(1, config.t_max + 1):
+    for _ in range(config.t_max):
         live = [h for h in pool if not h.ended]
         if not live:
             break
-        steps = t
         candidates = [h for h in pool if h.ended]
         for h in live:
             lp = generator.next_logprobs(source, h.tokens)
@@ -166,20 +155,16 @@ def _search(generator, discriminator, source, config: SearchConfig, use_das: boo
                 if blocked:
                     lp = lp.copy()
                     lp[list(blocked)] = -np.inf
-            k = min(per_hyp, lp.size)
-            top = np.argpartition(-lp, k - 1)[:k] if k < lp.size else np.arange(lp.size)
-            for tok in top:
+            for tok in np.argsort(-lp, kind="stable")[: config.k_rerank]:
                 val = float(lp[tok])
                 if not math.isfinite(val):
                     continue  # zero-probability or blocked: never enters the pool
                 candidates.append(s_gen_extend(h, int(tok), val))
         candidates.sort(key=_rank_gen)
-        if use_das:
-            pool = [score(h) for h in candidates[: config.k_rerank]]
-            pool.sort(key=_rank_das)
-            pool = pool[: config.beam_size]
-        else:
-            pool = candidates[: config.beam_size]
+        pool = candidates[: config.k_rerank]
+        if rerank:
+            pool = sorted(map(score, pool), key=_rank_das)
+        pool = pool[: config.beam_size]
         if all(h.ended for h in pool):
             break
 
@@ -188,21 +173,20 @@ def _search(generator, discriminator, source, config: SearchConfig, use_das: boo
         if not h.ended:
             lp_eos = float(generator.next_logprobs(source, h.tokens)[Vocabulary.eos])
             h = replace(s_gen_extend(h, Vocabulary.eos, lp_eos), truncated=True)
-            steps += 1
-        if use_das:
-            h = score(h)
-        final.append(h)
-    return _final_sort(final, config, use_das), steps
+        final.append(score(h))
+    return _final_sort(final, config)
 
 
 def das_beam_search(generator, discriminator, source, config: SearchConfig):
     """Discriminator-reranked beam search; returns ended hypotheses, best first."""
-    return _search(generator, discriminator, source, config, use_das=True)[0]
+    return _search(generator, discriminator, source, config)
 
 
 def plain_beam_search(generator, source, config: SearchConfig):
-    """Standard beam search on generator score alone (plus optional rules)."""
-    return _search(generator, None, source, config, use_das=False)[0]
+    """Standard beam search on generator score alone (plus optional rules): the
+    fused search with no discriminator and a rerank pool of beam_size."""
+    return _search(generator, None, source,
+                   replace(config, k_rerank=config.beam_size, alpha=0.0))
 
 
 def exhaustive_oracle(generator, discriminator, source, alpha: float, t_max: int,

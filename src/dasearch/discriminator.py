@@ -152,17 +152,23 @@ class DiscriminatorModel:
         with open(path, encoding="utf-8") as f:
             if f.readline().strip() != "discriminator v1":
                 raise DiscriminatorError(f"not a discriminator model file: {path}")
-            d_hash = int(f.readline().split()[1])
-            use_source = bool(int(f.readline().split()[1]))
-            t_max = int(f.readline().split()[1])
-            final_objective = float(f.readline().split()[1])
-            logfreq = tuple(float(v) for v in f.readline().split()[1:])
-            bias = float(f.readline().split()[1])
-            dense = np.array([float(v) for v in f.readline().split()[1:]])
-            sparse = np.zeros(d_hash)
-            for line in f:
-                i, w = line.split()
-                sparse[int(i)] = float(w)
+            try:
+                d_hash = int(f.readline().split()[1])
+                use_source = bool(int(f.readline().split()[1]))
+                t_max = int(f.readline().split()[1])
+                final_objective = float(f.readline().split()[1])
+                logfreq = tuple(float(v) for v in f.readline().split()[1:])
+                bias = float(f.readline().split()[1])
+                dense = np.array([float(v) for v in f.readline().split()[1:]])
+                if dense.size != N_DENSE:
+                    raise ValueError("dense weights cut short")
+                sparse = np.zeros(d_hash)
+                for line in f:
+                    i, w = line.split()
+                    sparse[int(i)] = float(w)
+            except (IndexError, ValueError):
+                raise DiscriminatorError(
+                    f"truncated or malformed discriminator model file: {path}") from None
         config = FeatureConfig(d_hash=d_hash, use_source=use_source, t_max=t_max,
                                logfreq=logfreq)
         return cls(config, dense, sparse, bias, final_objective=final_objective)

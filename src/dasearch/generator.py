@@ -164,19 +164,19 @@ class NGramCopyModel:
             header = f.readline().strip()
             if header != "ngram-copy v1":
                 raise GeneratorError(f"not a generator model file: {path}")
-            order = int(f.readline().split()[1])
-            kappa = float(f.readline().split()[1])
-            lambda_copy = float(f.readline().split()[1])
-            vhash = f.readline().split()[1]
-            model = cls(vocab, order=order, kappa=kappa, lambda_copy=lambda_copy)
-            if model.vocab_hash() != vhash:
-                raise GeneratorError("vocabulary does not match the model file")
-            for line in f:
-                *ids, count = line.split()
-                ids = [int(i) for i in ids]
-                k = len(ids)
-                ctx, tok = tuple(ids[:-1]), ids[-1]
-                model.counts[k].setdefault(ctx, {})[tok] = int(count)
+            try:
+                order, kappa, lambda_copy, vhash = (f.readline().split()[1]
+                                                    for _ in range(4))
+                model = cls(vocab, order=int(order), kappa=float(kappa),
+                            lambda_copy=float(lambda_copy))
+                for line in f:
+                    *ids, count = map(int, line.split())
+                    model.counts[len(ids)].setdefault(tuple(ids[:-1]), {})[ids[-1]] = count
+            except (IndexError, ValueError):
+                raise GeneratorError(
+                    f"truncated or malformed generator model file: {path}") from None
+        if model.vocab_hash() != vhash:
+            raise GeneratorError("vocabulary does not match the model file")
         return model
 
 

@@ -161,9 +161,11 @@ def run_until_convergence(state: SelfTrainState, generator, corpus: Corpus,
                           search_config: SearchConfig,
                           disc_hparams: DiscriminatorHparams,
                           max_iters: int, tau_acc: float = 0.55,
-                          tau_delta: float | None = None) -> SelfTrainState:
+                          tau_delta: float | None = None,
+                          on_iteration=None) -> SelfTrainState:
     """Iterate until the discriminator stops separating fresh generations
-    (accuracy < tau_acc), the metric-delta sum plateaus, or max_iters."""
+    (accuracy < tau_acc), the metric-delta sum plateaus, or max_iters.
+    on_iteration, if given, is called with the new state after each round."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if tau_delta is None:
@@ -171,6 +173,8 @@ def run_until_convergence(state: SelfTrainState, generator, corpus: Corpus,
     for _ in range(max_iters):
         prev_delta = _delta_sum(state.history[-1])
         state = self_train_step(state, generator, corpus, search_config, disc_hparams)
+        if on_iteration is not None:
+            on_iteration(state)
         entry = state.history[-1]
         if entry["val_accuracy"] < tau_acc:
             state.stopped_reason = "accuracy_floor"

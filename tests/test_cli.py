@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from dasearch import cli
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
 
 
@@ -24,6 +25,17 @@ def write_config(directory: Path, **overrides) -> Path:
         epochs=2,
         max_iters=1,
     )
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    path = directory / "cfg.ini"
+    path.write_text(cfg.to_ini())
+    return path
+
+
+def derive_config(cfg_path: Path, directory: Path, **overrides) -> Path:
+    """A copy of a config that writes to `directory`, with some fields changed."""
+    cfg = RunConfig.from_file(cfg_path)
+    cfg.output_dir = str(directory)
     for key, value in overrides.items():
         setattr(cfg, key, value)
     path = directory / "cfg.ini"
@@ -145,6 +157,43 @@ def test_sweep_grid_one_by_one_emits_row_per_subset_repetition(pipeline):
                  "--split", "validation"]) == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2  # header plus one row per repetition
+
+
+def test_sweep_cells_keep_the_configured_search_rules(pipeline, tmp_path, monkeypatch):
+    _, cfg = pipeline
+    seen = []
+
+    def recording_search(generator, disc, source, search, inner=cli.das_beam_search):
+        seen.append(search)
+        return inner(generator, disc, source, search)
+
+    monkeypatch.setattr(cli, "das_beam_search", recording_search)
+    path = derive_config(cfg, tmp_path, final_by_s_gen=True, block_repeated_trigrams=True)
+    assert main(["sweep", "--config", str(path), "--k-rerank", "1,5", "--alphas", "0,1",
+                 "--subset-size", "2", "--repetitions", "1"]) == 0
+    assert {(s.beam_size, s.k_rerank, s.alpha) for s in seen} == {
+        (1, 1, 0.0), (1, 1, 1.0), (2, 5, 0.0), (2, 5, 1.0)}
+    assert all(s.final_by_s_gen and s.block_repeated_trigrams for s in seen)
+
+
+@pytest.mark.parametrize("kind, keep", [("discriminator", 60), ("generator", 2)])
+def test_truncated_model_file_exits_one(pipeline, tmp_path, capsys, kind, keep):
+    root, cfg = pipeline
+    data = (root / "out" / f"{kind}.model").read_bytes()
+    cut = tmp_path / f"{kind}.model"
+    # discriminator: the first `keep` bytes; generator: the first `keep` lines
+    cut.write_bytes(data[:keep] if kind == "discriminator"
+                    else b"".join(data.splitlines(keepends=True)[:keep]))
+    path = derive_config(cfg, tmp_path, **{f"{kind}_model": str(cut)})
+    assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
+    assert f"truncated or malformed {kind} model file: {cut}" in capsys.readouterr().err
+
+
+def test_self_train_rejects_zero_iterations(pipeline, tmp_path, capsys):
+    _, cfg = pipeline
+    path = derive_config(cfg, tmp_path)
+    assert main(["self-train", "--config", str(path), "--max-iters", "0"]) == 1
+    assert "max_iters must be >= 1" in capsys.readouterr().err
 
 
 def test_self_train_writes_iteration_directories(pipeline):

@@ -2,8 +2,11 @@ import logging
 import math
 import random
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dasearch.corpus import Vocabulary, generate_synthetic_corpus
 from dasearch.decoder import (
@@ -202,6 +205,25 @@ def test_alpha_zero_matches_plain_search(synth_corpus, synth_generator):
         fused = das_beam_search(synth_generator, None, p.source, das_cfg)[0]
         assert fused.tokens == plain.tokens
         assert fused.s_gen == plain.s_gen
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_plain_search_is_fused_search_without_discriminator(synth_corpus,
+                                                            synth_generator, data):
+    k_rerank = data.draw(st.integers(1, 8), label="k_rerank")
+    config = SearchConfig(
+        beam_size=data.draw(st.integers(1, k_rerank), label="beam_size"),
+        k_rerank=k_rerank,
+        t_max=data.draw(st.integers(1, 30), label="t_max"),
+        length_penalty_beta=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                      label="length_penalty_beta"),
+        block_repeated_trigrams=data.draw(st.booleans(), label="block_repeated_trigrams"))
+    source = data.draw(st.sampled_from(synth_corpus.pairs), label="pair").source
+    plain = plain_beam_search(synth_generator, source, config)
+    fused = das_beam_search(synth_generator, None, source, replace(config, alpha=0.0))
+    assert [h.tokens for h in fused] == [h.tokens for h in plain]
+    assert [h.s_gen for h in fused] == [h.s_gen for h in plain]
 
 
 def test_k_rerank_one_is_greedy(synth_corpus, synth_generator, trained_disc):
