@@ -1,7 +1,8 @@
 """Command-line front end: training, decoding, self-training, evaluation and
 the K_rerank x alpha ablation sweep.
 
-Configuration is an INI file; command-line flags override file values. Every
+Configuration is an INI file whose sections and keys are RunConfig's fields
+(each field declares its section); command-line flags override file values. Every
 command writes a manifest (config snapshot, input/output hashes, seed, wall
 time) next to its outputs. One master seed fans out to per-component seeds
 via crc32(component name) so components are independently reproducible.
@@ -11,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
+import io
 import json
 import os
 import random
 import sys
 import time
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from dasearch import corpus as corpus_mod
@@ -32,7 +35,7 @@ from dasearch.corpus import (
     load_corpus,
     save_corpus,
 )
-from dasearch.decoder import SearchConfig, das_beam_search, plain_beam_search
+from dasearch.decoder import SearchConfig, das_beam_search
 from dasearch.discriminator import (
     DiscriminatorModel,
     accuracy_by_length,
@@ -43,6 +46,7 @@ from dasearch.generator import NGramCopyModel, train_generator
 from dasearch.metrics import evaluate_system, write_reports
 from dasearch.selftrain import (
     DiscriminatorHparams,
+    _subcorpus,
     bootstrap,
     hypothesis_content,
     run_until_convergence,
@@ -53,125 +57,114 @@ class ConfigError(ValueError):
     pass
 
 
+def _parse_bool(text: str) -> bool:
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return value
+
+
+# text -> value, by the type name a RunConfig field declares
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+
+
+def _setting(section: str, default):
+    """A RunConfig field that lives in INI section `section`."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class RunConfig:
-    # paths
-    train_path: str = ""
-    validation_path: str = ""
-    test_path: str = ""
-    output_dir: str = "runs"
-    vocab_path: str = ""
-    generator_model: str = ""
-    discriminator_model: str = ""
-    # synthetic corpus
-    synth_seed: int = 0
-    synth_n_pairs: int = 500
-    # generator
-    order: int = 3
-    kappa: float = 1.0
-    lambda_copy: float = 0.75
-    min_count: int = 1
-    # discriminator
-    d_hash: int = 2 ** 16
-    epochs: int = 10
-    learning_rate: float = 2.0
-    use_source: bool = True
-    ratio: float = 1.0  # class weight of generated vs. human prefixes
-    # search
-    beam_size: int = 5
-    k_rerank: int = 10
-    alpha: float = 1.0
-    t_max: int = 140
-    length_penalty_beta: float = 0.0
-    block_repeated_trigrams: bool = False
-    final_by_s_gen: bool = False
-    # selftrain
-    max_iters: int = 3
-    tau_acc: float = 0.55
-    tau_delta: float = -1.0  # <0: use 0.01 * t_max
-    warm_start: bool = False
-    replay: bool = False
-    # metrics
-    zipf_k: int = 100
-    hist_buckets: int = 10
-    bleu_micro: bool = False
-    pooled: bool = False
-    # run
-    master_seed: int = 0
-    jobs: int = 1
-
-    _SECTIONS = {
-        "paths": ["train_path", "validation_path", "test_path", "output_dir",
-                  "vocab_path", "generator_model", "discriminator_model"],
-        "synthetic": ["synth_seed", "synth_n_pairs"],
-        "generator": ["order", "kappa", "lambda_copy", "min_count"],
-        "discriminator": ["d_hash", "epochs", "learning_rate", "use_source", "ratio"],
-        "search": ["beam_size", "k_rerank", "alpha", "t_max",
-                   "length_penalty_beta", "block_repeated_trigrams",
-                   "final_by_s_gen"],
-        "selftrain": ["max_iters", "tau_acc", "tau_delta", "warm_start", "replay"],
-        "metrics": ["zipf_k", "hist_buckets", "bleu_micro", "pooled"],
-        "run": ["master_seed", "jobs"],
-    }
+    train_path: str = _setting("paths", "")
+    validation_path: str = _setting("paths", "")
+    test_path: str = _setting("paths", "")
+    output_dir: str = _setting("paths", "runs")
+    vocab_path: str = _setting("paths", "")
+    generator_model: str = _setting("paths", "")
+    discriminator_model: str = _setting("paths", "")
+    synth_seed: int = _setting("synthetic", 0)
+    synth_n_pairs: int = _setting("synthetic", 500)
+    order: int = _setting("generator", 3)
+    kappa: float = _setting("generator", 1.0)
+    lambda_copy: float = _setting("generator", 0.75)
+    min_count: int = _setting("generator", 1)
+    d_hash: int = _setting("discriminator", 2 ** 16)
+    epochs: int = _setting("discriminator", 10)
+    learning_rate: float = _setting("discriminator", 2.0)
+    use_source: bool = _setting("discriminator", True)
+    ratio: float = _setting("discriminator", 1.0)  # weight of generated vs. human prefixes
+    beam_size: int = _setting("search", 5)
+    k_rerank: int = _setting("search", 10)
+    alpha: float = _setting("search", 1.0)
+    t_max: int = _setting("search", 140)
+    length_penalty_beta: float = _setting("search", 0.0)
+    block_repeated_trigrams: bool = _setting("search", False)
+    final_by_s_gen: bool = _setting("search", False)
+    max_iters: int = _setting("selftrain", 3)
+    tau_acc: float = _setting("selftrain", 0.55)
+    tau_delta: float = _setting("selftrain", -1.0)  # <0: use 0.01 * t_max
+    warm_start: bool = _setting("selftrain", False)
+    replay: bool = _setting("selftrain", False)
+    zipf_k: int = _setting("metrics", 100)
+    hist_buckets: int = _setting("metrics", 10)
+    bleu_micro: bool = _setting("metrics", False)
+    pooled: bool = _setting("metrics", False)
+    master_seed: int = _setting("run", 0)
+    jobs: int = _setting("run", 1)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise ConfigError(f"cannot read config file: {path}")
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file: {path}")
+        except configparser.Error as e:
+            raise ConfigError(f"malformed config file {path}: {e}") from None
+        schema = {f.name: f for f in fields(cls)}
+        sections = {f.metadata["section"] for f in schema.values()}
         cfg = cls()
-        types = {f.name: f.type for f in fields(cls)}
-        for section, keys in cls._SECTIONS.items():
-            if not parser.has_section(section):
-                continue
-            for key in parser[section]:
-                if key not in keys:
+        if parser.defaults():
+            raise ConfigError(f"unknown section [{parser.default_section}]")
+        for section in parser.sections():
+            if section not in sections:
+                raise ConfigError(f"unknown section [{section}]")
+            for key, raw in parser[section].items():
+                f = schema.get(key)
+                if f is None or f.metadata["section"] != section:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                raw = parser[section][key]
-                kind = types[key]
-                if kind == "bool":
-                    value = raw.strip().lower() in ("1", "true", "yes", "on")
-                elif kind == "int":
-                    value = int(raw)
-                elif kind == "float":
-                    value = float(raw)
-                else:
-                    value = raw
-                setattr(cfg, key, value)
+                try:
+                    setattr(cfg, key, _PARSERS[f.type](raw))
+                except ValueError as e:
+                    raise ConfigError(f"[{section}] {key}: {e}") from None
         return cfg
 
     def to_ini(self) -> str:
-        parser = configparser.ConfigParser()
-        for section, keys in self._SECTIONS.items():
-            parser[section] = {k: str(getattr(self, k)) for k in keys}
-        import io
-
+        sections: dict[str, dict[str, str]] = {}
+        for f in fields(self):
+            section = sections.setdefault(f.metadata["section"], {})
+            section[f.name] = str(getattr(self, f.name))
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_dict(sections)
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
 
+    def _view(self, cls, **given):
+        """An instance of dataclass `cls` built from the same-named fields of
+        this config, except the fields named in `given`, which it sets."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)
+                      if f.name not in given}, **given)
+
     def search_config(self, mode: str = "das") -> SearchConfig:
-        return SearchConfig(
-            beam_size=self.beam_size,
-            k_rerank=self.k_rerank if mode == "das" else max(self.k_rerank, self.beam_size),
-            alpha=self.alpha,
-            t_max=self.t_max,
-            length_penalty_beta=self.length_penalty_beta,
-            block_repeated_trigrams=self.block_repeated_trigrams,
-            final_by_s_gen=self.final_by_s_gen,
-        )
+        """The search `dasearch decode --mode <mode>` runs: plain search is the
+        fused search with a rerank pool of beam_size and alpha = 0."""
+        if mode == "das":
+            return self._view(SearchConfig)
+        return self._view(SearchConfig, k_rerank=self.beam_size, alpha=0.0)
 
     def disc_hparams(self) -> DiscriminatorHparams:
-        return DiscriminatorHparams(
-            d_hash=self.d_hash,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            use_source=self.use_source,
-            seed=component_seed(self.master_seed, "discriminator"),
-            warm_start=self.warm_start,
-            replay=self.replay,
-            ratio=self.ratio,
-        )
+        return self._view(DiscriminatorHparams,
+                          seed=component_seed(self.master_seed, "discriminator"))
 
 
 def component_seed(master: int, name: str) -> int:
@@ -209,20 +202,17 @@ def _load_models(cfg: RunConfig, need_disc: bool = False):
     return vocab, generator, disc
 
 
-def _decode_pair(generator, disc, search, mode, pair):
-    if mode == "das":
-        return das_beam_search(generator, disc, pair.source, search)[0]
-    return plain_beam_search(generator, pair.source, search)[0]
-
-
-def _decode_corpus(corpus: Corpus, decode_one, jobs: int = 1) -> dict:
+def _decode_corpus(corpus: Corpus, search_one, jobs: int = 1) -> dict:
+    """The best hypothesis per pair id; `search_one(source)` returns a beam."""
+    sources = [p.source for p in corpus.pairs]
     if jobs <= 1:
-        return {p.id: decode_one(p) for p in corpus.pairs}
-    from concurrent.futures import ProcessPoolExecutor
+        beams = map(search_one, sources)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(decode_one, corpus.pairs, chunksize=8))
-    return {p.id: r for p, r in zip(corpus.pairs, results)}
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            beams = list(pool.map(search_one, sources, chunksize=8))
+    return {p.id: beam[0] for p, beam in zip(corpus.pairs, beams)}
 
 
 def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
@@ -254,12 +244,11 @@ def load_generations(path) -> dict:
 
 
 # --- commands ----------------------------------------------------------------
+# Each command writes under out_dir and returns (manifest name, inputs, outputs);
+# main creates out_dir, times the command and writes its manifest.
 
 
-def cmd_make_corpus(cfg: RunConfig, args) -> int:
-    started = time.time()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_make_corpus(cfg: RunConfig, args, out_dir: Path):
     outputs = []
     for split, n in (("train", cfg.synth_n_pairs),
                      ("validation", max(1, cfg.synth_n_pairs // 10)),
@@ -269,15 +258,11 @@ def cmd_make_corpus(cfg: RunConfig, args) -> int:
         path = out_dir / f"{split}.jsonl"
         save_corpus(corpus, path)
         outputs.append(path)
-    write_manifest(out_dir, "make-corpus", cfg, [], outputs, started)
     print(f"wrote {len(outputs)} corpus files to {out_dir}")
-    return 0
+    return "make-corpus", [], outputs
 
 
-def cmd_train_generator(cfg: RunConfig, args) -> int:
-    started = time.time()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_train_generator(cfg: RunConfig, args, out_dir: Path):
     raw = load_corpus(cfg.train_path)
     vocab = build_vocabulary(raw, min_count=cfg.min_count)
     corpus = load_corpus(cfg.train_path, vocab)
@@ -287,25 +272,17 @@ def cmd_train_generator(cfg: RunConfig, args) -> int:
     model_path = Path(cfg.generator_model or out_dir / "generator.model")
     vocab.save(vocab_path)
     model.save(model_path)
-    write_manifest(out_dir, "train-generator", cfg, [cfg.train_path],
-                   [vocab_path, model_path], started)
     print(f"generator model: {model_path} (|V|={len(vocab)})")
-    return 0
+    return "train-generator", [cfg.train_path], [vocab_path, model_path]
 
 
-def cmd_train_discriminator(cfg: RunConfig, args) -> int:
-    started = time.time()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
     vocab, generator, _ = _load_models(cfg)
     corpus = load_corpus(cfg.train_path, vocab)
-    search = cfg.search_config("plain")
-    state = bootstrap(corpus, generator, cfg.disc_hparams(), search)
+    state = bootstrap(corpus, generator, cfg.disc_hparams(), cfg.search_config("plain"))
     model_path = Path(cfg.discriminator_model or out_dir / "discriminator.model")
     state.discriminator.save(model_path)
     # accuracy curve on the held-out pairs
-    from dasearch.selftrain import _subcorpus
-
     H_val, G_val = build_prefix_sets(_subcorpus(corpus, state.val_ids),
                                      state.last_generations, t_max=cfg.t_max)
     buckets = sorted({1, 5, 10, 20, 30, 40, 60, 80, 100, 120, cfg.t_max})
@@ -313,12 +290,10 @@ def cmd_train_discriminator(cfg: RunConfig, args) -> int:
     rows = accuracy_by_length(state.discriminator, H_val, G_val, buckets)
     csv_path = out_dir / "accuracy_by_length.csv"
     write_accuracy_csv(rows, csv_path)
-    write_manifest(out_dir, "train-discriminator", cfg,
-                   [cfg.train_path, cfg.vocab_path, cfg.generator_model],
-                   [model_path, csv_path], started)
     print(f"discriminator model: {model_path} "
           f"(val accuracy {state.history[0]['val_accuracy']:.3f})")
-    return 0
+    return ("train-discriminator", [cfg.train_path, cfg.vocab_path, cfg.generator_model],
+            [model_path, csv_path])
 
 
 def _split_path(cfg: RunConfig, split: str) -> str:
@@ -329,31 +304,20 @@ def _split_path(cfg: RunConfig, split: str) -> str:
     return path
 
 
-def cmd_decode(cfg: RunConfig, args) -> int:
-    started = time.time()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    need_disc = args.mode == "das" and cfg.alpha > 0
-    vocab, generator, disc = _load_models(cfg, need_disc=need_disc)
-    corpus = load_corpus(_split_path(cfg, args.split), vocab)
+def cmd_decode(cfg: RunConfig, args, out_dir: Path):
     search = cfg.search_config(args.mode)
-
-    import functools
-
-    decode_one = functools.partial(_decode_pair, generator, disc, search, args.mode)
-    hyps = _decode_corpus(corpus, decode_one, jobs=cfg.jobs)
+    vocab, generator, disc = _load_models(cfg, need_disc=search.alpha > 0)
+    corpus = load_corpus(_split_path(cfg, args.split), vocab)
+    search_one = functools.partial(das_beam_search, generator, disc, config=search)
+    hyps = _decode_corpus(corpus, search_one, jobs=cfg.jobs)
     out_path = out_dir / f"generations-{args.mode}-{args.split}.jsonl"
     _write_generations(out_path, corpus, hyps)
-    write_manifest(out_dir, f"decode-{args.mode}-{args.split}", cfg,
-                   [cfg.vocab_path, cfg.generator_model], [out_path], started)
     print(f"generations: {out_path}")
-    return 0
+    return (f"decode-{args.mode}-{args.split}", [cfg.vocab_path, cfg.generator_model],
+            [out_path])
 
 
-def cmd_self_train(cfg: RunConfig, args) -> int:
-    started = time.time()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
     vocab, generator, _ = _load_models(cfg)
     corpus = load_corpus(cfg.train_path, vocab)
     search = cfg.search_config("das")
@@ -383,22 +347,16 @@ def cmd_self_train(cfg: RunConfig, args) -> int:
         state, generator, corpus, search, hparams, max_iters=cfg.max_iters,
         tau_acc=cfg.tau_acc, tau_delta=cfg.tau_delta if cfg.tau_delta >= 0 else None,
         on_iteration=snapshot)
-    write_manifest(out_dir, "self-train", cfg,
-                   [cfg.train_path, cfg.vocab_path, cfg.generator_model],
-                   [out_dir / f"iter_{state.iteration}" / "generations.jsonl"], started)
     print(f"self-training stopped after iteration {state.iteration} "
           f"({state.stopped_reason})")
-    return 0
+    return ("self-train", [cfg.train_path, cfg.vocab_path, cfg.generator_model],
+            [out_dir / f"iter_{state.iteration}" / "generations.jsonl"])
 
 
-def cmd_evaluate(cfg: RunConfig, args) -> int:
-    started = time.time()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
     vocab = Vocabulary.load(cfg.vocab_path)
     corpus = load_corpus(_split_path(cfg, args.split), vocab)
     reports = []
-    zipf_rows = [("human", p.reference) for p in corpus.pairs]
     systems = {"human": [p.reference for p in corpus.pairs]}
     for path in args.systems:
         name = Path(path).stem
@@ -407,30 +365,25 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
                                        bleu_micro=cfg.bleu_micro, pooled=cfg.pooled))
         systems[name] = [gens[p.id] for p in corpus.pairs]
     csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
+    zipf_path, rep3_path = out_dir / "zipf.csv", out_dir / "rep3_positions.csv"
     write_reports(reports, csv_path, json_path)
-    outputs = [csv_path, json_path]
-    with open(out_dir / "zipf.csv", "w", encoding="utf-8") as f:
+    with open(zipf_path, "w", encoding="utf-8") as f:
         f.write("system,rank,token,frequency\n")
         for name, texts in systems.items():
             for rank, tok, freq in metrics_mod.zipf_report(texts, cfg.zipf_k):
                 f.write(f"{name},{rank},{vocab.token_of(tok)},{freq}\n")
-    with open(out_dir / "rep3_positions.csv", "w", encoding="utf-8") as f:
+    with open(rep3_path, "w", encoding="utf-8") as f:
         f.write("system,bucket_low,bucket_high,density\n")
         for name, texts in systems.items():
             edges, dens = metrics_mod.repetition_position_hist(
                 texts, n=3, buckets=cfg.hist_buckets)
             for lo, hi, d in zip(edges, edges[1:], dens):
                 f.write(f"{name},{lo},{hi},{d}\n")
-    outputs += [out_dir / "zipf.csv", out_dir / "rep3_positions.csv"]
-    write_manifest(out_dir, "evaluate", cfg, list(args.systems), outputs, started)
     print(f"report: {csv_path}")
-    return 0
+    return "evaluate", list(args.systems), [csv_path, json_path, zipf_path, rep3_path]
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
-    started = time.time()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
     vocab, generator, disc = _load_models(cfg, need_disc=True)
     corpus = load_corpus(_split_path(cfg, args.split), vocab)
     k_values = [int(v) for v in args.k_rerank.split(",")]
@@ -460,9 +413,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         f.write(",".join(cols) + "\n")
         for row in rows:
             f.write(",".join(str(row[c]) for c in cols) + "\n")
-    write_manifest(out_dir, "sweep", cfg, [], [sweep_path], started)
     print(f"sweep results: {sweep_path} ({len(rows)} rows)")
-    return 0
+    return "sweep", [], [sweep_path]
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -475,20 +427,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# flag -> RunConfig field; each flag parses its value as the field's type
 _OVERRIDES = {
-    "--alpha": ("alpha", float),
-    "--k-rerank-value": ("k_rerank", int),
-    "--beam-size": ("beam_size", int),
-    "--t-max": ("t_max", int),
-    "--output-dir": ("output_dir", str),
-    "--master-seed": ("master_seed", int),
-    "--jobs": ("jobs", int),
-    "--lambda-copy": ("lambda_copy", float),
-    "--epochs": ("epochs", int),
-    "--max-iters": ("max_iters", int),
-    "--seed": ("synth_seed", int),
-    "--n-pairs": ("synth_n_pairs", int),
+    "--alpha": "alpha",
+    "--k-rerank-value": "k_rerank",
+    "--beam-size": "beam_size",
+    "--t-max": "t_max",
+    "--output-dir": "output_dir",
+    "--master-seed": "master_seed",
+    "--jobs": "jobs",
+    "--lambda-copy": "lambda_copy",
+    "--epochs": "epochs",
+    "--max-iters": "max_iters",
+    "--seed": "synth_seed",
+    "--n-pairs": "synth_n_pairs",
 }
+_ENV_OVERRIDES = {"DASEARCH_OUTPUT_DIR": "output_dir", "DASEARCH_JOBS": "jobs"}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -499,8 +464,8 @@ def build_parser() -> _Parser:
     def add(name, func, **extra):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        for flag, (dest, kind) in _OVERRIDES.items():
-            p.add_argument(flag, dest=f"ov_{dest}", type=kind, default=None)
+        for flag, dest in _OVERRIDES.items():
+            p.add_argument(flag, dest=f"ov_{dest}", type=_FIELD_PARSERS[dest], default=None)
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
@@ -521,8 +486,8 @@ def build_parser() -> _Parser:
     add("sweep", cmd_sweep, **{
         "--k-rerank": {"default": "1,5,10"},
         "--alphas": {"default": "0,0.5,1,5"},
-        "--subset-size": {"type": int, "default": 100},
-        "--repetitions": {"type": int, "default": 3},
+        "--subset-size": {"type": _positive_int, "default": 100},
+        "--repetitions": {"type": _positive_int, "default": 3},
         "--split": {"choices": ["train", "validation", "test"], "default": "validation"},
     })
     return parser
@@ -536,15 +501,19 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         cfg = RunConfig.from_file(args.config)
-        for dest, _ in _OVERRIDES.values():
-            value = getattr(args, f"ov_{dest}", None)
+        for dest in _OVERRIDES.values():
+            value = getattr(args, f"ov_{dest}")
             if value is not None:
                 setattr(cfg, dest, value)
-        if env_dir := os.environ.get("DASEARCH_OUTPUT_DIR"):
-            cfg.output_dir = env_dir
-        if env_jobs := os.environ.get("DASEARCH_JOBS"):
-            cfg.jobs = int(env_jobs)
-        return args.func(cfg, args)
+        for name, dest in _ENV_OVERRIDES.items():
+            if text := os.environ.get(name):
+                setattr(cfg, dest, _FIELD_PARSERS[dest](text))
+        started = time.time()
+        out_dir = Path(cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        command, inputs, outputs = args.func(cfg, args, out_dir)
+        write_manifest(out_dir, command, cfg, inputs, outputs, started)
+        return 0
     except (ConfigError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -273,22 +273,25 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     return model
 
 
+def accuracy(model: DiscriminatorModel, examples) -> float:
+    """Share of non-empty `examples` classified right at threshold 0.5
+    (human = positive)."""
+    examples = list(examples)
+    hits = sum(int(model.score(ex.source, ex.prefix) > 0.5) == ex.label for ex in examples)
+    return hits / len(examples)
+
+
 def accuracy_by_length(model: DiscriminatorModel, H_eval, G_eval, buckets):
     """Per-prefix-length accuracy at threshold 0.5 (human = positive).
 
     Returns a list of (t, accuracy_or_None, n_examples).
     """
-    by_t: dict[int, list[int]] = {t: [] for t in buckets}
+    by_t: dict[int, list[PrefixExample]] = {t: [] for t in buckets}
     for ex in list(H_eval) + list(G_eval):
         if ex.t in by_t:
-            pred = 1 if model.score(ex.source, ex.prefix) > 0.5 else 0
-            by_t[ex.t].append(1 if pred == ex.label else 0)
-    out = []
-    for t in buckets:
-        hits = by_t[t]
-        acc = sum(hits) / len(hits) if hits else None
-        out.append((t, acc, len(hits)))
-    return out
+            by_t[ex.t].append(ex)
+    return [(t, accuracy(model, by_t[t]) if by_t[t] else None, len(by_t[t]))
+            for t in buckets]
 
 
 def write_accuracy_csv(rows, path) -> None:

@@ -16,10 +16,13 @@ from dasearch.decoder import SearchConfig, das_beam_search, plain_beam_search
 from dasearch.discriminator import (
     DiscriminatorModel,
     FeatureConfig,
+    accuracy,
     build_prefix_sets,
     train_discriminator,
 )
 from dasearch.metrics import evaluate_system
+
+VAL_FRACTION = 0.1  # share of the pairs held out to validate each discriminator
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,6 @@ class DiscriminatorHparams:
     learning_rate: float = 2.0
     use_source: bool = True
     seed: int = 0
-    val_fraction: float = 0.1
     warm_start: bool = False
     replay: bool = False  # also train on generated sets from past iterations
     ratio: float = 1.0    # class weight of generated vs. human prefixes
@@ -42,7 +44,6 @@ class SelfTrainState:
     last_generations: dict
     history: list = field(default_factory=list)
     val_ids: frozenset = frozenset()
-    feature_config: FeatureConfig | None = None
     stopped_reason: str | None = None
     past_generations: list = field(default_factory=list)
 
@@ -72,19 +73,14 @@ def _train_and_validate(corpus, generations, config, hparams, seed, val_ids,
                                 seed=seed, init=init, ratio=hparams.ratio)
     H_val, G_val = build_prefix_sets(_subcorpus(corpus, val_ids), generations,
                                      t_max=config.t_max)
-    hits = 0
-    for ex in H_val + G_val:
-        pred = 1 if model.score(ex.source, ex.prefix) > 0.5 else 0
-        hits += int(pred == ex.label)
-    accuracy = hits / (len(H_val) + len(G_val))
-    return model, accuracy
+    return model, accuracy(model, H_val + G_val)
 
 
-def _history_entry(iteration, accuracy, generations, corpus):
+def _history_entry(iteration, val_accuracy, generations, corpus):
     report = evaluate_system(generations, corpus)
     return {
         "iteration": iteration,
-        "val_accuracy": accuracy,
+        "val_accuracy": val_accuracy,
         "d_len": report.d_len,
         "d_nov1": report.d_nov1,
         "d_nov3": report.d_nov3,
@@ -109,14 +105,13 @@ def bootstrap(corpus: Corpus, generator, disc_hparams: DiscriminatorHparams,
     ids = sorted(p.id for p in corpus.pairs)
     rng = random.Random(disc_hparams.seed)
     rng.shuffle(ids)
-    n_val = max(1, int(len(ids) * disc_hparams.val_fraction))
+    n_val = max(1, int(len(ids) * VAL_FRACTION))
     val_ids = frozenset(ids[:n_val])
-    model, accuracy = _train_and_validate(corpus, generations, feature_config,
-                                          disc_hparams, disc_hparams.seed, val_ids)
+    model, val_accuracy = _train_and_validate(corpus, generations, feature_config,
+                                              disc_hparams, disc_hparams.seed, val_ids)
     state = SelfTrainState(iteration=0, discriminator=model,
-                           last_generations=generations, val_ids=val_ids,
-                           feature_config=feature_config)
-    state.history.append(_history_entry(0, accuracy, generations, corpus))
+                           last_generations=generations, val_ids=val_ids)
+    state.history.append(_history_entry(0, val_accuracy, generations, corpus))
     return state
 
 
@@ -135,8 +130,8 @@ def self_train_step(state: SelfTrainState, generator, corpus: Corpus,
     # fine-tuning rounds use a gentler step than the from-scratch bootstrap
     lr_scale = 1.0 / (state.iteration + 1) if disc_hparams.warm_start else 1.0
     replay = tuple(state.past_generations) + (state.last_generations,)
-    model, accuracy = _train_and_validate(
-        corpus, generations, state.feature_config, disc_hparams, seed,
+    model, val_accuracy = _train_and_validate(
+        corpus, generations, state.discriminator.config, disc_hparams, seed,
         state.val_ids, init=init, lr_scale=lr_scale,
         replay_generations=replay if disc_hparams.replay else ())
     new_state = SelfTrainState(
@@ -145,11 +140,10 @@ def self_train_step(state: SelfTrainState, generator, corpus: Corpus,
         last_generations=generations,
         history=list(state.history),
         val_ids=state.val_ids,
-        feature_config=state.feature_config,
         past_generations=list(replay),
     )
     new_state.history.append(
-        _history_entry(new_state.iteration, accuracy, generations, corpus))
+        _history_entry(new_state.iteration, val_accuracy, generations, corpus))
     return new_state
 
 

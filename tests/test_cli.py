@@ -1,11 +1,13 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 from dasearch import cli
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
+from dasearch.decoder import SearchConfig
+from dasearch.selftrain import DiscriminatorHparams
 
 
 def write_config(directory: Path, **overrides) -> Path:
@@ -57,8 +59,16 @@ def pipeline(tmp_path_factory):
 # --- config handling ---------------------------------------------------------------
 
 
+def non_default_config() -> RunConfig:
+    """Every field off its default: paths carry a '%', bools are flipped."""
+    change = {"str": lambda f: f"{f.name}/50%/x", "int": lambda f: f.default + 3,
+              "float": lambda f: f.default + 0.25, "bool": lambda f: not f.default}
+    return RunConfig(**{f.name: change[f.type](f) for f in fields(RunConfig)})
+
+
 def test_config_roundtrip(tmp_path):
-    cfg = RunConfig(alpha=0.5, k_rerank=7, warm_start=True, output_dir="x")
+    cfg = non_default_config()
+    assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
     path = tmp_path / "cfg.ini"
     path.write_text(cfg.to_ini())
     assert asdict(RunConfig.from_file(path)) == asdict(cfg)
@@ -69,6 +79,52 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("[search]\nbogus = 1\n")
     with pytest.raises(ConfigError, match="bogus"):
         RunConfig.from_file(path)
+
+
+def test_config_reads_percent_in_paths(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[paths]\noutput_dir = out/50%\n")
+    assert RunConfig.from_file(path).output_dir == "out/50%"
+
+
+@pytest.mark.parametrize("section", ["serach", "DEFAULT"])
+def test_config_rejects_unknown_section(tmp_path, section):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\nalpha = 5\n")
+    with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+        RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("selftrain", "warm_start", "ture"),
+    ("search", "beam_size", "five"),
+    ("search", "alpha", "1,0"),
+])
+def test_config_malformed_value_names_section_and_key(tmp_path, capsys, section, key, text):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*{text}"):
+        RunConfig.from_file(path)
+    assert main(["decode", "--config", str(path)]) == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+def test_config_views_carry_every_same_named_field():
+    cfg = non_default_config()
+    cfg.k_rerank = cfg.beam_size + 2  # keep the search config valid
+    views = {SearchConfig: cfg.search_config("das"), DiscriminatorHparams: cfg.disc_hparams()}
+    for cls, view in views.items():
+        shared = [f.name for f in fields(cls) if hasattr(cfg, f.name)]
+        assert shared == [f.name for f in fields(cls) if f.name != "seed"]
+        assert {n: getattr(view, n) for n in shared} == {n: getattr(cfg, n) for n in shared}
+    assert cfg.disc_hparams().seed == component_seed(cfg.master_seed, "discriminator")
+
+
+def test_plain_search_config_is_a_beam_size_pool_without_discriminator():
+    cfg = RunConfig(beam_size=5, k_rerank=3, alpha=2.0, final_by_s_gen=True)
+    plain = cfg.search_config("plain")
+    assert (plain.beam_size, plain.k_rerank, plain.alpha) == (5, 5, 0.0)
+    assert plain.final_by_s_gen
 
 
 def test_missing_config_file_exits_one(tmp_path):
@@ -157,6 +213,16 @@ def test_sweep_grid_one_by_one_emits_row_per_subset_repetition(pipeline):
                  "--split", "validation"]) == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2  # header plus one row per repetition
+
+
+@pytest.mark.parametrize("flag", ["--repetitions", "--subset-size"])
+def test_sweep_rejects_counts_below_one(pipeline, tmp_path, capsys, flag):
+    _, cfg = pipeline
+    path = derive_config(cfg, tmp_path)
+    assert main(["sweep", "--config", str(path), "--k-rerank", "1", "--alphas", "0",
+                 flag, "0"]) == 1
+    assert f"{flag}: must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_cells_keep_the_configured_search_rules(pipeline, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from dasearch.discriminator import (
     N_DENSE,
     PrefixExample,
     _sigmoid,
+    accuracy,
     accuracy_by_length,
     build_prefix_sets,
     eq2_gradient,
@@ -270,6 +271,14 @@ def test_gradient_matches_central_differences(config):
 
 
 # --- accuracy by length -----------------------------------------------------------
+
+
+def test_accuracy_is_hits_over_examples(config):
+    model = DiscriminatorModel.zeros(config)  # scores exactly 0.5 -> predicts 0
+    H, G = _separable_sets(n=30, seed=8)
+    assert accuracy(model, H + G) == len(G) / (len(H) + len(G))
+    assert accuracy(model, iter(G)) == 1.0
+    assert accuracy(model, H) == 0.0
 
 
 def test_accuracy_by_length_perfect_model_and_empty_bucket(config):
