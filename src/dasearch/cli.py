@@ -24,18 +24,17 @@ import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from dasearch import corpus as corpus_mod
 from dasearch import metrics as metrics_mod
 from dasearch.corpus import (
     Corpus,
-    SynthProfile,
+    CorpusError,
     Vocabulary,
     build_vocabulary,
     generate_synthetic_corpus,
     load_corpus,
     save_corpus,
 )
-from dasearch.decoder import SearchConfig, das_beam_search
+from dasearch.decoder import SearchConfig, das_beam_search, decode_corpus, hypothesis_content
 from dasearch.discriminator import (
     DiscriminatorModel,
     accuracy_by_length,
@@ -44,13 +43,7 @@ from dasearch.discriminator import (
 )
 from dasearch.generator import NGramCopyModel, train_generator
 from dasearch.metrics import evaluate_system, write_reports
-from dasearch.selftrain import (
-    DiscriminatorHparams,
-    _subcorpus,
-    bootstrap,
-    hypothesis_content,
-    run_until_convergence,
-)
+from dasearch.selftrain import DiscriminatorHparams, bootstrap, run_until_convergence
 
 
 class ConfigError(ValueError):
@@ -195,24 +188,20 @@ def write_manifest(out_dir, command: str, cfg: RunConfig, inputs, outputs,
         f.write("\n")
 
 
+def _required_path(cfg: RunConfig, key: str) -> str:
+    """The [paths] setting `key`, which the command cannot run without."""
+    path = getattr(cfg, key)
+    if not path:
+        raise ConfigError(f"[paths] {key} is not set")
+    return path
+
+
 def _load_models(cfg: RunConfig, need_disc: bool = False):
-    vocab = Vocabulary.load(cfg.vocab_path)
-    generator = NGramCopyModel.load(cfg.generator_model, vocab)
-    disc = DiscriminatorModel.load(cfg.discriminator_model) if need_disc else None
+    vocab = Vocabulary.load(_required_path(cfg, "vocab_path"))
+    generator = NGramCopyModel.load(_required_path(cfg, "generator_model"), vocab)
+    disc = (DiscriminatorModel.load(_required_path(cfg, "discriminator_model"))
+            if need_disc else None)
     return vocab, generator, disc
-
-
-def _decode_corpus(corpus: Corpus, search_one, jobs: int = 1) -> dict:
-    """The best hypothesis per pair id; `search_one(source)` returns a beam."""
-    sources = [p.source for p in corpus.pairs]
-    if jobs <= 1:
-        beams = map(search_one, sources)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            beams = list(pool.map(search_one, sources, chunksize=8))
-    return {p.id: beam[0] for p, beam in zip(corpus.pairs, beams)}
 
 
 def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
@@ -233,14 +222,27 @@ def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def load_generations(path) -> dict:
+def load_generations(path, vocab: Vocabulary) -> dict:
     out = {}
     with open(path, encoding="utf-8") as f:
         for line in f:
             if line.strip():
                 rec = json.loads(line)
-                out[rec["id"]] = tuple(rec["tokens"])
+                tokens = out[rec["id"]] = tuple(rec["tokens"])
+                for tok in tokens:
+                    if not 0 <= tok < len(vocab):
+                        raise CorpusError(f"{path}: token id {tok} in pair {rec['id']!r} "
+                                          f"is not in the {len(vocab)}-token vocabulary")
     return out
+
+
+def _write_rows(path, rows: list[dict]) -> None:
+    """CSV: a header of the first row's keys, then one line per row."""
+    with open(path, "w", encoding="utf-8") as f:
+        cols = list(rows[0].keys())
+        f.write(",".join(cols) + "\n")
+        for row in rows:
+            f.write(",".join(str(row[c]) for c in cols) + "\n")
 
 
 # --- commands ----------------------------------------------------------------
@@ -263,9 +265,9 @@ def cmd_make_corpus(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_train_generator(cfg: RunConfig, args, out_dir: Path):
-    raw = load_corpus(cfg.train_path)
-    vocab = build_vocabulary(raw, min_count=cfg.min_count)
-    corpus = load_corpus(cfg.train_path, vocab)
+    train_path = _required_path(cfg, "train_path")
+    vocab = build_vocabulary(load_corpus(train_path), min_count=cfg.min_count)
+    corpus = load_corpus(train_path, vocab)
     model = train_generator(corpus, order=cfg.order, kappa=cfg.kappa,
                             lambda_copy=cfg.lambda_copy)
     vocab_path = Path(cfg.vocab_path or out_dir / "vocab.txt")
@@ -278,12 +280,12 @@ def cmd_train_generator(cfg: RunConfig, args, out_dir: Path):
 
 def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
     vocab, generator, _ = _load_models(cfg)
-    corpus = load_corpus(cfg.train_path, vocab)
+    corpus = load_corpus(_required_path(cfg, "train_path"), vocab)
     state = bootstrap(corpus, generator, cfg.disc_hparams(), cfg.search_config("plain"))
     model_path = Path(cfg.discriminator_model or out_dir / "discriminator.model")
     state.discriminator.save(model_path)
     # accuracy curve on the held-out pairs
-    H_val, G_val = build_prefix_sets(_subcorpus(corpus, state.val_ids),
+    H_val, G_val = build_prefix_sets(corpus.subset(state.val_ids),
                                      state.last_generations, t_max=cfg.t_max)
     buckets = sorted({1, 5, 10, 20, 30, 40, 60, 80, 100, 120, cfg.t_max})
     buckets = [b for b in buckets if b <= cfg.t_max]
@@ -296,20 +298,12 @@ def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
             [model_path, csv_path])
 
 
-def _split_path(cfg: RunConfig, split: str) -> str:
-    path = {"train": cfg.train_path, "validation": cfg.validation_path,
-            "test": cfg.test_path}[split]
-    if not path:
-        raise ConfigError(f"no path configured for split {split!r}")
-    return path
-
-
 def cmd_decode(cfg: RunConfig, args, out_dir: Path):
     search = cfg.search_config(args.mode)
     vocab, generator, disc = _load_models(cfg, need_disc=search.alpha > 0)
-    corpus = load_corpus(_split_path(cfg, args.split), vocab)
+    corpus = load_corpus(_required_path(cfg, f"{args.split}_path"), vocab)
     search_one = functools.partial(das_beam_search, generator, disc, config=search)
-    hyps = _decode_corpus(corpus, search_one, jobs=cfg.jobs)
+    hyps = decode_corpus(corpus, search_one, jobs=cfg.jobs)
     out_path = out_dir / f"generations-{args.mode}-{args.split}.jsonl"
     _write_generations(out_path, corpus, hyps)
     print(f"generations: {out_path}")
@@ -319,7 +313,7 @@ def cmd_decode(cfg: RunConfig, args, out_dir: Path):
 
 def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
     vocab, generator, _ = _load_models(cfg)
-    corpus = load_corpus(cfg.train_path, vocab)
+    corpus = load_corpus(_required_path(cfg, "train_path"), vocab)
     search = cfg.search_config("das")
     hparams = cfg.disc_hparams()
 
@@ -335,11 +329,7 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
                     "text": " ".join(vocab.decode(toks)),
                 }) + "\n")
         state.discriminator.save(iter_dir / "discriminator.model")
-        with open(iter_dir / "history.csv", "w", encoding="utf-8") as f:
-            cols = list(state.history[0].keys())
-            f.write(",".join(cols) + "\n")
-            for entry in state.history:
-                f.write(",".join(str(entry[c]) for c in cols) + "\n")
+        _write_rows(iter_dir / "history.csv", state.history)
 
     state = bootstrap(corpus, generator, hparams, search)
     snapshot(state)
@@ -354,13 +344,13 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
-    vocab = Vocabulary.load(cfg.vocab_path)
-    corpus = load_corpus(_split_path(cfg, args.split), vocab)
+    vocab = Vocabulary.load(_required_path(cfg, "vocab_path"))
+    corpus = load_corpus(_required_path(cfg, f"{args.split}_path"), vocab)
     reports = []
     systems = {"human": [p.reference for p in corpus.pairs]}
     for path in args.systems:
         name = Path(path).stem
-        gens = load_generations(path)
+        gens = load_generations(path, vocab)
         reports.append(evaluate_system(gens, corpus, system=name,
                                        bleu_micro=cfg.bleu_micro, pooled=cfg.pooled))
         systems[name] = [gens[p.id] for p in corpus.pairs]
@@ -385,34 +375,26 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
 
 def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
     vocab, generator, disc = _load_models(cfg, need_disc=True)
-    corpus = load_corpus(_split_path(cfg, args.split), vocab)
-    k_values = [int(v) for v in args.k_rerank.split(",")]
-    alphas = [float(v) for v in args.alphas.split(",")]
+    corpus = load_corpus(_required_path(cfg, f"{args.split}_path"), vocab)
     rows = []
     rng = random.Random(component_seed(cfg.master_seed, "sweep"))
     for rep in range(args.repetitions):
         ids = sorted(p.id for p in corpus.pairs)
         rng.shuffle(ids)
-        subset_ids = set(ids[: args.subset_size])
-        sub_pairs = tuple(p for p in corpus.pairs if p.id in subset_ids)
-        sub = Corpus(sub_pairs, vocab, corpus.split)
-        for k in k_values:
-            for alpha in alphas:
+        sub = corpus.subset(set(ids[: args.subset_size]))
+        for k in args.k_rerank:
+            for alpha in args.alphas:
                 search = replace(cfg.search_config("plain"),
                                  beam_size=min(cfg.beam_size, k), k_rerank=k, alpha=alpha)
-                gens = {p.id: hypothesis_content(
-                    das_beam_search(generator, disc if alpha > 0 else None,
-                                    p.source, search)[0]) for p in sub.pairs}
+                d = disc if alpha > 0 else None
+                hyps = decode_corpus(sub, lambda src: das_beam_search(generator, d, src, search))
+                gens = {i: hypothesis_content(h) for i, h in hyps.items()}
                 report = evaluate_system(gens, sub, system=f"K{k}-a{alpha}")
                 row = report.as_dict()
                 row.update({"k_rerank": k, "alpha": alpha, "repetition": rep})
                 rows.append(row)
     sweep_path = out_dir / "sweep.csv"
-    with open(sweep_path, "w", encoding="utf-8") as f:
-        cols = list(rows[0].keys())
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(str(row[c]) for c in cols) + "\n")
+    _write_rows(sweep_path, rows)
     print(f"sweep results: {sweep_path} ({len(rows)} rows)")
     return "sweep", [], [sweep_path]
 
@@ -456,6 +438,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _comma_list(parse):
+    """An argparse type: a comma-separated list of values read by `parse`."""
+    def parse_list(text: str) -> list:
+        try:
+            return [parse(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be a comma-separated list of {parse.__name__}s, got {text!r}") from None
+    return parse_list
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dasearch",
                      description="discriminator-guided beam search toolkit")
@@ -484,8 +477,8 @@ def build_parser() -> _Parser:
         "--split": {"choices": ["train", "validation", "test"], "default": "test"},
     })
     add("sweep", cmd_sweep, **{
-        "--k-rerank": {"default": "1,5,10"},
-        "--alphas": {"default": "0,0.5,1,5"},
+        "--k-rerank": {"type": _comma_list(int), "default": "1,5,10"},
+        "--alphas": {"type": _comma_list(float), "default": "0,0.5,1,5"},
         "--subset-size": {"type": _positive_int, "default": 100},
         "--repetitions": {"type": _positive_int, "default": 3},
         "--split": {"choices": ["train", "validation", "test"], "default": "validation"},
@@ -507,7 +500,10 @@ def main(argv=None) -> int:
                 setattr(cfg, dest, value)
         for name, dest in _ENV_OVERRIDES.items():
             if text := os.environ.get(name):
-                setattr(cfg, dest, _FIELD_PARSERS[dest](text))
+                try:
+                    setattr(cfg, dest, _FIELD_PARSERS[dest](text))
+                except ValueError as e:
+                    raise ConfigError(f"{name}: {e}") from None
         started = time.time()
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -123,6 +123,10 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    def subset(self, ids) -> "Corpus":
+        """The pairs whose id is in `ids`, in corpus order, same vocab and split."""
+        return Corpus(tuple(p for p in self.pairs if p.id in ids), self.vocab, self.split)
+
 
 def _parse_records(path) -> list[tuple[str, str, str]]:
     records = []

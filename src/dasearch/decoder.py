@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from dasearch.corpus import Vocabulary
+from dasearch.corpus import Corpus, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +37,12 @@ class Hypothesis:
     s_das: float | None = None
     ended: bool = False
     truncated: bool = False
+
+
+def hypothesis_content(h: Hypothesis) -> tuple[int, ...]:
+    """Output tokens without SOS and the trailing EOS."""
+    toks = h.tokens[1:]
+    return toks[:-1] if toks and toks[-1] == Vocabulary.eos else toks
 
 
 @dataclass(frozen=True)
@@ -80,14 +86,7 @@ def apply_das_score(h: Hypothesis, alpha: float, dis_prob: float) -> Hypothesis:
 
 def apply_trigram_block(h: Hypothesis, candidate_token: int) -> bool:
     """False iff appending the token repeats a 3-gram of the content tokens."""
-    content = h.tokens[1:]
-    if len(content) < 2:
-        return True
-    new_gram = (content[-2], content[-1], candidate_token)
-    for i in range(len(content) - 2):
-        if content[i : i + 3] == new_gram:
-            return False
-    return True
+    return candidate_token not in _blocked_tokens(h)
 
 
 def length_penalty(length: int, beta: float) -> float:
@@ -187,6 +186,23 @@ def plain_beam_search(generator, source, config: SearchConfig):
     fused search with no discriminator and a rerank pool of beam_size."""
     return _search(generator, None, source,
                    replace(config, k_rerank=config.beam_size, alpha=0.0))
+
+
+def decode_corpus(corpus: Corpus, search_one, jobs: int = 1) -> dict:
+    """The best hypothesis per pair id; `search_one(source)` returns a beam.
+    jobs > 1 searches in a pool of at most one worker process per pair."""
+    if jobs < 1:
+        raise DecoderError(f"jobs must be >= 1, got {jobs}")
+    sources = [p.source for p in corpus.pairs]
+    workers = min(jobs, len(sources))
+    if workers <= 1:
+        beams = map(search_one, sources)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            beams = list(pool.map(search_one, sources, chunksize=8))
+    return {p.id: beam[0] for p, beam in zip(corpus.pairs, beams)}
 
 
 def exhaustive_oracle(generator, discriminator, source, alpha: float, t_max: int,

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from dasearch.corpus import Corpus
-from dasearch.decoder import SearchConfig, das_beam_search, plain_beam_search
+from dasearch.decoder import (
+    SearchConfig,
+    das_beam_search,
+    decode_corpus,
+    hypothesis_content,
+    plain_beam_search,
+)
 from dasearch.discriminator import (
     DiscriminatorModel,
     FeatureConfig,
@@ -48,34 +55,6 @@ class SelfTrainState:
     past_generations: list = field(default_factory=list)
 
 
-def hypothesis_content(h) -> tuple[int, ...]:
-    """Output tokens without SOS and the trailing EOS."""
-    toks = h.tokens[1:]
-    if toks and toks[-1] == 1:  # Vocabulary.eos
-        toks = toks[:-1]
-    return toks
-
-
-def _subcorpus(corpus: Corpus, ids) -> Corpus:
-    pairs = tuple(p for p in corpus.pairs if p.id in ids)
-    return Corpus(pairs, corpus.vocab, corpus.split)
-
-
-def _train_and_validate(corpus, generations, config, hparams, seed, val_ids,
-                        init=None, lr_scale=1.0, replay_generations=()):
-    train_ids = {p.id for p in corpus.pairs} - val_ids
-    train_sub = _subcorpus(corpus, train_ids)
-    H_tr, G_tr = build_prefix_sets(train_sub, generations, t_max=config.t_max)
-    for old in replay_generations:
-        G_tr += build_prefix_sets(train_sub, old, t_max=config.t_max)[1]
-    model = train_discriminator(H_tr, G_tr, config, epochs=hparams.epochs,
-                                learning_rate=hparams.learning_rate * lr_scale,
-                                seed=seed, init=init, ratio=hparams.ratio)
-    H_val, G_val = build_prefix_sets(_subcorpus(corpus, val_ids), generations,
-                                     t_max=config.t_max)
-    return model, accuracy(model, H_val + G_val)
-
-
 def _history_entry(iteration, val_accuracy, generations, corpus):
     report = evaluate_system(generations, corpus)
     return {
@@ -92,13 +71,36 @@ def _history_entry(iteration, val_accuracy, generations, corpus):
     }
 
 
+def _round(corpus: Corpus, search_one, config: FeatureConfig,
+           hparams: DiscriminatorHparams, iteration: int, seed: int, val_ids,
+           history=(), past=(), init=None, lr_scale: float = 1.0) -> SelfTrainState:
+    """Decode every pair with `search_one`, train a discriminator on the
+    prefixes of the non-validation pairs (plus the `past` generated sets when
+    hparams.replay is on), validate it on the held-out pairs and record the
+    round's metrics."""
+    generations = {i: hypothesis_content(h)
+                   for i, h in decode_corpus(corpus, search_one).items()}
+    train = corpus.subset({p.id for p in corpus.pairs} - val_ids)
+    H_tr, G_tr = build_prefix_sets(train, generations, t_max=config.t_max)
+    if hparams.replay:
+        for old in past:
+            G_tr += build_prefix_sets(train, old, t_max=config.t_max)[1]
+    model = train_discriminator(H_tr, G_tr, config, epochs=hparams.epochs,
+                                learning_rate=hparams.learning_rate * lr_scale,
+                                seed=seed, init=init, ratio=hparams.ratio)
+    H_val, G_val = build_prefix_sets(corpus.subset(val_ids), generations,
+                                     t_max=config.t_max)
+    state = SelfTrainState(iteration=iteration, discriminator=model,
+                           last_generations=generations, history=list(history),
+                           val_ids=val_ids, past_generations=list(past))
+    state.history.append(_history_entry(iteration, accuracy(model, H_val + G_val),
+                                        generations, corpus))
+    return state
+
+
 def bootstrap(corpus: Corpus, generator, disc_hparams: DiscriminatorHparams,
               search_config: SearchConfig) -> SelfTrainState:
     """Iteration 0: plain beam-search outputs seed the first discriminator."""
-    generations = {
-        p.id: hypothesis_content(plain_beam_search(generator, p.source, search_config)[0])
-        for p in corpus.pairs
-    }
     feature_config = FeatureConfig.from_corpus(
         corpus, d_hash=disc_hparams.d_hash, use_source=disc_hparams.use_source,
         t_max=search_config.t_max)
@@ -106,13 +108,9 @@ def bootstrap(corpus: Corpus, generator, disc_hparams: DiscriminatorHparams,
     rng = random.Random(disc_hparams.seed)
     rng.shuffle(ids)
     n_val = max(1, int(len(ids) * VAL_FRACTION))
-    val_ids = frozenset(ids[:n_val])
-    model, val_accuracy = _train_and_validate(corpus, generations, feature_config,
-                                              disc_hparams, disc_hparams.seed, val_ids)
-    state = SelfTrainState(iteration=0, discriminator=model,
-                           last_generations=generations, val_ids=val_ids)
-    state.history.append(_history_entry(0, val_accuracy, generations, corpus))
-    return state
+    return _round(corpus, partial(plain_beam_search, generator, config=search_config),
+                  feature_config, disc_hparams, iteration=0, seed=disc_hparams.seed,
+                  val_ids=frozenset(ids[:n_val]))
 
 
 def self_train_step(state: SelfTrainState, generator, corpus: Corpus,
@@ -120,31 +118,15 @@ def self_train_step(state: SelfTrainState, generator, corpus: Corpus,
                     disc_hparams: DiscriminatorHparams) -> SelfTrainState:
     """One retraining round: decode with the current discriminator, rebuild G,
     train a fresh discriminator on the new outputs."""
-    generations = {
-        p.id: hypothesis_content(
-            das_beam_search(generator, state.discriminator, p.source, search_config)[0])
-        for p in corpus.pairs
-    }
-    seed = disc_hparams.seed * 1000003 + state.iteration + 1
-    init = state.discriminator if disc_hparams.warm_start else None
-    # fine-tuning rounds use a gentler step than the from-scratch bootstrap
-    lr_scale = 1.0 / (state.iteration + 1) if disc_hparams.warm_start else 1.0
-    replay = tuple(state.past_generations) + (state.last_generations,)
-    model, val_accuracy = _train_and_validate(
-        corpus, generations, state.discriminator.config, disc_hparams, seed,
-        state.val_ids, init=init, lr_scale=lr_scale,
-        replay_generations=replay if disc_hparams.replay else ())
-    new_state = SelfTrainState(
-        iteration=state.iteration + 1,
-        discriminator=model,
-        last_generations=generations,
-        history=list(state.history),
-        val_ids=state.val_ids,
-        past_generations=list(replay),
-    )
-    new_state.history.append(
-        _history_entry(new_state.iteration, val_accuracy, generations, corpus))
-    return new_state
+    warm = disc_hparams.warm_start
+    return _round(
+        corpus, partial(das_beam_search, generator, state.discriminator, config=search_config),
+        state.discriminator.config, disc_hparams, iteration=state.iteration + 1,
+        seed=disc_hparams.seed * 1000003 + state.iteration + 1, val_ids=state.val_ids,
+        history=state.history, past=state.past_generations + [state.last_generations],
+        init=state.discriminator if warm else None,
+        # fine-tuning rounds use a gentler step than the from-scratch bootstrap
+        lr_scale=1.0 / (state.iteration + 1) if warm else 1.0)
 
 
 def _delta_sum(entry) -> float:

@@ -6,6 +6,7 @@ import pytest
 
 from dasearch import cli
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
+from dasearch.corpus import Vocabulary
 from dasearch.decoder import SearchConfig
 from dasearch.selftrain import DiscriminatorHparams
 
@@ -293,3 +294,60 @@ def test_parallel_decode_matches_serial(pipeline):
     assert main(["decode", "--config", str(cfg), "--mode", "plain",
                  "--split", "test", "--jobs", "2"]) == 0
     assert (out / "generations-plain-test.jsonl").read_bytes() == serial
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_decode_rejects_jobs_below_one(pipeline, tmp_path, capsys, jobs):
+    _, cfg = pipeline
+    path = derive_config(cfg, tmp_path)
+    assert main(["decode", "--config", str(path), "--mode", "plain", "--jobs", jobs]) == 1
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "generations-plain-test.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("decode", "vocab_path"),
+    ("decode", "generator_model"),
+    ("decode", "discriminator_model"),
+    ("decode", "test_path"),
+    ("evaluate", "vocab_path"),
+    ("train-generator", "train_path"),
+    ("train-discriminator", "train_path"),
+    ("self-train", "train_path"),
+])
+def test_missing_path_names_its_key(pipeline, tmp_path, capsys, command, key):
+    _, cfg = pipeline
+    path = derive_config(cfg, tmp_path, **{key: ""})
+    extra = ["--systems", str(tmp_path / "none.jsonl")] if command == "evaluate" else []
+    assert main([command, "--config", str(path), *extra]) == 1
+    assert f"error: [paths] {key} is not set" in capsys.readouterr().err
+
+
+def test_malformed_env_override_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DASEARCH_JOBS", "two")
+    assert main(["decode", "--config", str(write_config(tmp_path))]) == 1
+    assert "error: DASEARCH_JOBS: invalid literal for int()" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, text", [("--k-rerank", "a"), ("--alphas", "1,x")])
+def test_sweep_rejects_malformed_lists(tmp_path, capsys, flag, text):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), flag, text]) == 1
+    assert f"argument {flag}: must be a comma-separated list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_rejects_token_ids_outside_the_vocabulary(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
+    path = derive_config(cfg, tmp_path)
+    ids = [json.loads(line)["id"] for line in
+           (root / "out" / "test.jsonl").read_text().splitlines()]
+    foreign = len(Vocabulary.load(root / "out" / "vocab.txt"))
+    gens = tmp_path / "gens.jsonl"
+    gens.write_text("".join(json.dumps({"id": i, "tokens": [3, foreign] if i == ids[-1] else [3]})
+                            + "\n" for i in ids))
+    assert main(["evaluate", "--config", str(path), "--split", "test",
+                 "--systems", str(gens)]) == 1
+    assert f"error: {gens}: token id {foreign} in pair {ids[-1]!r}" in capsys.readouterr().err
+    assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
+                if (tmp_path / p).exists()]

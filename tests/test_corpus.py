@@ -210,3 +210,13 @@ def test_corpus_statistics_hand_oracle():
     assert stats.mean_source_len == 3.0
     assert stats.mean_reference_len == 1.5
     assert stats.abstractiveness == 25.0
+
+
+def test_corpus_subset_keeps_corpus_order_vocab_and_split():
+    vocab = make_vocab("a", "b")
+    corpus = make_corpus(vocab, [("p3", ["a"], ["a"]), ("p1", ["b"], ["b"]),
+                                 ("p2", ["a", "b"], ["a"])], split="validation")
+    sub = corpus.subset({"p2", "p3", "absent"})
+    assert [p.id for p in sub.pairs] == ["p3", "p2"]
+    assert sub.pairs == (corpus.pairs[0], corpus.pairs[2])
+    assert sub.vocab is vocab and sub.split == "validation"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import logging
 import math
 import random
@@ -16,7 +17,9 @@ from dasearch.decoder import (
     apply_das_score,
     apply_trigram_block,
     das_beam_search,
+    decode_corpus,
     exhaustive_oracle,
+    hypothesis_content,
     length_penalty,
     plain_beam_search,
     s_gen_extend,
@@ -343,3 +346,54 @@ def test_saturated_beam_matches_oracle():
                                    t_max=4, v_subset=subset)
         assert beam.tokens == oracle.tokens
         assert math.isclose(beam.s_das, oracle.s_das, abs_tol=1e-9)
+
+
+# --- corpus decoding --------------------------------------------------------------
+
+
+def echo_search(source):
+    """A one-hypothesis beam that repeats the source."""
+    return [Hypothesis(tokens=(SOS, *source, EOS), s_gen=0.0, ended=True)]
+
+
+def test_hypothesis_content_strips_only_a_final_eos():
+    assert hypothesis_content(Hypothesis(tokens=(SOS, 3, EOS), s_gen=0.0)) == (3,)
+    assert hypothesis_content(Hypothesis(tokens=(SOS, 3, 4), s_gen=0.0)) == (3, 4)
+    assert hypothesis_content(Hypothesis(tokens=(SOS,), s_gen=0.0)) == ()
+
+
+@pytest.mark.parametrize("jobs, pools", [(1, []), (2, [2]), (50, [3])])
+def test_decode_corpus_starts_at_most_one_worker_per_pair(monkeypatch, jobs, pools):
+    started = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    vocab = make_vocab("a", "b", "c")
+    corpus = make_corpus(vocab, [("z", ["c"], ["c"]), ("x", ["a", "b"], ["a"]),
+                                 ("y", ["b"], ["b"])])
+    hyps = decode_corpus(corpus, echo_search, jobs=jobs)
+    assert started == pools
+    assert {i: hypothesis_content(h) for i, h in hyps.items()} == {
+        "z": (5,), "x": (3, 4), "y": (4,)}
+    assert list(hyps) == ["z", "x", "y"]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_decode_corpus_rejects_jobs_below_one(jobs):
+    corpus = make_corpus(make_vocab("a"), [("x", ["a"], ["a"])])
+    with pytest.raises(DecoderError, match="jobs must be >= 1"):
+        decode_corpus(corpus, echo_search, jobs=jobs)
