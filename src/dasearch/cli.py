@@ -199,8 +199,14 @@ def _required_path(cfg: RunConfig, key: str) -> str:
 def _load_models(cfg: RunConfig, need_disc: bool = False):
     vocab = Vocabulary.load(_required_path(cfg, "vocab_path"))
     generator = NGramCopyModel.load(_required_path(cfg, "generator_model"), vocab)
-    disc = (DiscriminatorModel.load(_required_path(cfg, "discriminator_model"))
-            if need_disc else None)
+    disc = None
+    if need_disc:
+        path = _required_path(cfg, "discriminator_model")
+        disc = DiscriminatorModel.load(path)
+        n_logfreq = len(disc.config.logfreq)
+        if n_logfreq and n_logfreq != len(vocab):
+            raise ConfigError(f"discriminator model {path} was built for a {n_logfreq}-token "
+                              f"vocabulary, but the vocabulary has {len(vocab)} tokens")
     return vocab, generator, disc
 
 
@@ -373,6 +379,12 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
     return "evaluate", list(args.systems), [csv_path, json_path, zipf_path, rep3_path]
 
 
+def _sweep_search(generator, disc, search, source):
+    """One sweep cell's search of one source (a module-level function, so a
+    partial of it can be sent to decode_corpus's worker processes)."""
+    return das_beam_search(generator, disc, source, search)
+
+
 def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
     vocab, generator, disc = _load_models(cfg, need_disc=True)
     corpus = load_corpus(_required_path(cfg, f"{args.split}_path"), vocab)
@@ -387,7 +399,8 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
                 search = replace(cfg.search_config("plain"),
                                  beam_size=min(cfg.beam_size, k), k_rerank=k, alpha=alpha)
                 d = disc if alpha > 0 else None
-                hyps = decode_corpus(sub, lambda src: das_beam_search(generator, d, src, search))
+                hyps = decode_corpus(sub, functools.partial(_sweep_search, generator, d, search),
+                                     jobs=cfg.jobs)
                 gens = {i: hypothesis_content(h) for i, h in hyps.items()}
                 report = evaluate_system(gens, sub, system=f"K{k}-a{alpha}")
                 row = report.as_dict()

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from dasearch.corpus import Corpus, Vocabulary
+from dasearch.discriminator import PrefixFeaturizer
 
 log = logging.getLogger(__name__)
 
@@ -132,13 +133,21 @@ def _search(generator, discriminator, source, config: SearchConfig):
     if discriminator is None and config.alpha != 0.0:
         raise DecoderError("discriminator required unless alpha == 0")
     rerank = discriminator is not None and config.alpha > 0.0
+    if rerank:
+        featurizer = PrefixFeaturizer(discriminator.config)
+        # the prefix state of each live hypothesis in the pool, by its tokens;
+        # every candidate extends the state of its parent by one token
+        states = {(Vocabulary.sos,): featurizer.state_of(source)}
 
     def score(h: Hypothesis) -> Hypothesis:
         if h.s_das is not None:
             return h  # frozen (ended hypotheses keep their scores)
         if rerank:
+            state = states[h.tokens[:-1]].copy()
+            featurizer.advance(state, h.tokens[-1])
+            states[h.tokens] = state
             return apply_das_score(h, config.alpha,
-                                   discriminator.score(source, h.tokens[1:]))
+                                   discriminator.score_features(featurizer.features(state)))
         return replace(h, s_das=h.s_gen)
 
     pool = [Hypothesis(tokens=(Vocabulary.sos,), s_gen=0.0)]
@@ -164,6 +173,8 @@ def _search(generator, discriminator, source, config: SearchConfig):
         if rerank:
             pool = sorted(map(score, pool), key=_rank_das)
         pool = pool[: config.beam_size]
+        if rerank:
+            states = {h.tokens: states[h.tokens] for h in pool if not h.ended}
         if all(h.ended for h in pool):
             break
 
@@ -188,9 +199,23 @@ def plain_beam_search(generator, source, config: SearchConfig):
                    replace(config, k_rerank=config.beam_size, alpha=0.0))
 
 
+# the search a decode_corpus worker process runs, installed once per worker
+_worker_search = None
+
+
+def _install_search(search_one) -> None:
+    global _worker_search
+    _worker_search = search_one
+
+
+def _worker_decode(source):
+    return _worker_search(source)
+
+
 def decode_corpus(corpus: Corpus, search_one, jobs: int = 1) -> dict:
     """The best hypothesis per pair id; `search_one(source)` returns a beam.
-    jobs > 1 searches in a pool of at most one worker process per pair."""
+    jobs > 1 searches in a pool of at most one worker process per pair, which
+    receives `search_one` (and the models it holds) once, at start-up."""
     if jobs < 1:
         raise DecoderError(f"jobs must be >= 1, got {jobs}")
     sources = [p.source for p in corpus.pairs]
@@ -200,8 +225,9 @@ def decode_corpus(corpus: Corpus, search_one, jobs: int = 1) -> dict:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            beams = list(pool.map(search_one, sources, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_install_search,
+                                 initargs=(search_one,)) as pool:
+            beams = list(pool.map(_worker_decode, sources, chunksize=8))
     return {p.id: beam[0] for p, beam in zip(corpus.pairs, beams)}
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from dasearch.corpus import Corpus, Vocabulary
-from dasearch.metrics import repetition_n
 
 DENSE_FEATURES = (
     "rel_length",      # t / T_max
@@ -76,40 +75,145 @@ def _hash(key: str, d_hash: int) -> int:
     return zlib.crc32(key.encode()) % d_hash
 
 
+def _repetition(distinct: int, t: int, n: int) -> float:
+    """metrics.repetition_n / 100 of a t-token prefix with `distinct` n-grams."""
+    return (100.0 * (1.0 - distinct / (t - n + 1))) / 100.0 if t >= n else 0.0
+
+
+class PrefixState:
+    """What the features of one prefix need to take one more token in O(1)
+    new work: its length, how many of its tokens are in the source, the
+    running logfreq sum, its distinct 1-, 2- and 3-grams, its last two tokens
+    and how often it hits each hashed sparse index."""
+
+    __slots__ = ("source_set", "t", "in_source", "logfreq_sum", "grams", "distinct",
+                 "last", "counts")
+
+    def __init__(self, source_set: frozenset):
+        self.source_set = source_set
+        self.t = 0
+        self.in_source = 0
+        self.logfreq_sum = 0  # summed left to right from 0, as sum() does
+        self.grams: set = set()  # tokens, (a, b) bigrams and (a, b, c) trigrams
+        self.distinct = (0, 0, 0)
+        self.last: tuple[int, ...] = ()
+        self.counts: dict[int, int] = {}
+
+    def copy(self) -> "PrefixState":
+        new = PrefixState(self.source_set)
+        new.t, new.in_source, new.logfreq_sum = self.t, self.in_source, self.logfreq_sum
+        new.grams, new.distinct, new.last = set(self.grams), self.distinct, self.last
+        new.counts = dict(self.counts)
+        return new
+
+
+class PrefixFeaturizer:
+    """Prefix features built one token at a time: `advance` appends a token
+    to a PrefixState and `features` turns it into a FeatureVector.
+
+    It memoises the hashed index of every (token, bit) unigram and (a, b, bit)
+    bigram key it meets, so make one per search or per training set and the
+    memo lives no longer than that."""
+
+    def __init__(self, config: FeatureConfig):
+        self.config = config
+        self._unigram_idx: dict[tuple[int, int], int] = {}
+        self._bigram_idx: dict[tuple[int, int, int], int] = {}
+
+    def state_of(self, source, prefix=()) -> PrefixState:
+        """The state of `prefix` (by default the empty one) of `source`."""
+        state = PrefixState(frozenset(source) if self.config.use_source else frozenset())
+        for token in prefix:
+            self.advance(state, token)
+        return state
+
+    def advance(self, state: PrefixState, token: int) -> None:
+        """Append `token` to `state` in place."""
+        src, last, grams, counts = state.source_set, state.last, state.grams, state.counts
+        bit = int(token in src)
+        state.t += 1
+        state.in_source += bit
+        if self.config.logfreq:
+            state.logfreq_sum = state.logfreq_sum + self.config.logfreq[token]
+        d1, d2, d3 = state.distinct
+        if token not in grams:
+            grams.add(token)
+            d1 += 1
+        key = (token, bit)
+        idx = self._unigram_idx.get(key)
+        if idx is None:
+            idx = self._unigram_idx[key] = _hash(f"u:{token}:{bit}", self.config.d_hash)
+        counts[idx] = counts.get(idx, 0) + 1
+        if last:
+            a = last[-1]
+            bigram = (a, token)
+            if bigram not in grams:
+                grams.add(bigram)
+                d2 += 1
+            if len(last) == 2:
+                trigram = (last[0], a, token)
+                if trigram not in grams:
+                    grams.add(trigram)
+                    d3 += 1
+            key = (a, token, int(bit and a in src))
+            idx = self._bigram_idx.get(key)
+            if idx is None:
+                idx = self._bigram_idx[key] = _hash(f"b:{a}_{token}:{key[2]}",
+                                                    self.config.d_hash)
+            counts[idx] = counts.get(idx, 0) + 1
+        state.distinct = (d1, d2, d3)
+        state.last = (last[-1], token) if last else (token,)
+
+    def features(self, state: PrefixState) -> FeatureVector:
+        t = state.t
+        if t == 0:
+            raise DiscriminatorError("empty prefix")
+        cfg = self.config
+        d1, d2, d3 = state.distinct
+        dense = np.array([
+            min(t, cfg.t_max) / cfg.t_max,
+            state.in_source / t,
+            _repetition(d1, t, 1),
+            _repetition(d2, t, 2),
+            _repetition(d3, t, 3),
+            state.logfreq_sum / t if cfg.logfreq else 0.0,
+            1.0 if state.last[-1] == Vocabulary.eos else 0.0,
+        ])
+        # an index hit c times holds weight added c times, not c * weight
+        counts = state.counts
+        weight = 1.0 / t
+        sums = [0.0]
+        for _ in range(max(counts.values())):
+            sums.append(sums[-1] + weight)
+        idx = sorted(counts)
+        return FeatureVector(
+            dense=dense,
+            sparse_idx=np.array(idx, dtype=np.int64),
+            sparse_val=np.array([sums[counts[i]] for i in idx]),
+        )
+
+
 def extract_features(source, prefix, config: FeatureConfig) -> FeatureVector:
-    if len(prefix) == 0:
-        raise DiscriminatorError("empty prefix")
-    prefix = tuple(prefix)
-    src_set = set(source) if config.use_source else frozenset()
+    """The features of `prefix` given `source`: the fold of
+    PrefixFeaturizer.advance over the prefix."""
+    featurizer = PrefixFeaturizer(config)
+    return featurizer.features(featurizer.state_of(source, prefix))
 
-    dense = np.zeros(N_DENSE)
-    dense[0] = min(len(prefix), config.t_max) / config.t_max
-    if config.use_source:
-        dense[1] = sum(1 for t in prefix if t in src_set) / len(prefix)
-    dense[2] = (repetition_n(prefix, 1) or 0.0) / 100.0
-    dense[3] = (repetition_n(prefix, 2) or 0.0) / 100.0
-    dense[4] = (repetition_n(prefix, 3) or 0.0) / 100.0
-    if config.logfreq:
-        lf = config.logfreq
-        dense[5] = sum(lf[t] for t in prefix) / len(prefix)
-    dense[6] = 1.0 if prefix[-1] == Vocabulary.eos else 0.0
 
-    weight = 1.0 / len(prefix)
-    sparse: dict[int, float] = {}
-    for t in prefix:
-        bit = int(t in src_set)
-        idx = _hash(f"u:{t}:{bit}", config.d_hash)
-        sparse[idx] = sparse.get(idx, 0.0) + weight
-    for a, b in zip(prefix, prefix[1:]):
-        bit = int(a in src_set and b in src_set)
-        idx = _hash(f"b:{a}_{b}:{bit}", config.d_hash)
-        sparse[idx] = sparse.get(idx, 0.0) + weight
-    items = sorted(sparse.items())
-    return FeatureVector(
-        dense=dense,
-        sparse_idx=np.array([i for i, _ in items], dtype=np.int64),
-        sparse_val=np.array([v for _, v in items]),
-    )
+def prefix_features(examples, config: FeatureConfig) -> list[FeatureVector]:
+    """The FeatureVector of every PrefixExample, in order. An example whose
+    prefix is the previous example's plus one token, on the same source,
+    extends that example's state; any other starts afresh."""
+    featurizer = PrefixFeaturizer(config)
+    out = []
+    prev = state = None
+    for ex in examples:
+        if prev is None or ex.source != prev.source or ex.prefix[:-1] != prev.prefix:
+            state = featurizer.state_of(ex.source, ex.prefix[:-1])
+        featurizer.advance(state, ex.prefix[-1])
+        out.append(featurizer.features(state))
+        prev = ex
+    return out
 
 
 @dataclass
@@ -245,8 +349,8 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     else:
         model = DiscriminatorModel.zeros(config)
 
-    examples = [(extract_features(ex.source, ex.prefix, config), ex.label, kind)
-                for kind, exs in (("H", H), ("G", G)) for ex in exs]
+    examples = [(fv, ex.label, kind) for kind, exs in (("H", H), ("G", G))
+                for fv, ex in zip(prefix_features(exs, config), exs)]
     n_total = len(examples)
     scale = {"H": n_total / ((1.0 + ratio) * len(H)),
              "G": n_total * ratio / ((1.0 + ratio) * len(G))}
@@ -277,7 +381,9 @@ def accuracy(model: DiscriminatorModel, examples) -> float:
     """Share of non-empty `examples` classified right at threshold 0.5
     (human = positive)."""
     examples = list(examples)
-    hits = sum(int(model.score(ex.source, ex.prefix) > 0.5) == ex.label for ex in examples)
+    feats = prefix_features(examples, model.config)
+    hits = sum(int(model.score_features(fv) > 0.5) == ex.label
+               for fv, ex in zip(feats, examples))
     return hits / len(examples)
 
 

@@ -100,6 +100,7 @@ class NGramCopyModel:
         cached = self._copy_cache.get(key)
         if cached is not None:
             return cached
+        self._copy_cache.clear()  # a search asks about one source: keep the last only
         probs = np.zeros(len(self.vocab))
         for tok in source:
             probs[tok] += 1.0

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +8,7 @@ from dasearch import cli
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
 from dasearch.corpus import Vocabulary
 from dasearch.decoder import SearchConfig
+from dasearch.discriminator import DiscriminatorModel
 from dasearch.selftrain import DiscriminatorHparams
 
 
@@ -241,6 +242,44 @@ def test_sweep_cells_keep_the_configured_search_rules(pipeline, tmp_path, monkey
     assert {(s.beam_size, s.k_rerank, s.alpha) for s in seen} == {
         (1, 1, 0.0), (1, 1, 1.0), (2, 5, 0.0), (2, 5, 1.0)}
     assert all(s.final_by_s_gen and s.block_repeated_trigrams for s in seen)
+
+
+def test_sweep_decodes_with_the_configured_jobs(pipeline, tmp_path, monkeypatch):
+    _, cfg = pipeline
+    argv = ["--k-rerank", "2", "--alphas", "0,1", "--subset-size", "3", "--repetitions", "1"]
+    serial_dir = tmp_path / "serial"
+    serial_dir.mkdir()
+    assert main(["sweep", "--config", str(derive_config(cfg, serial_dir)), *argv]) == 0
+    seen = []
+
+    def recording_decode_corpus(corpus, search_one, jobs=1, inner=cli.decode_corpus):
+        seen.append(jobs)
+        return inner(corpus, search_one, jobs=jobs)
+
+    monkeypatch.setattr(cli, "decode_corpus", recording_decode_corpus)
+    path = derive_config(cfg, tmp_path, jobs=2)
+    assert main(["sweep", "--config", str(path), *argv]) == 0
+    assert seen == [2, 2]
+    assert (tmp_path / "sweep.csv").read_bytes() == (serial_dir / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("change", ["shorter", "longer"])
+def test_decode_rejects_a_discriminator_of_another_vocabulary(pipeline, tmp_path, capsys,
+                                                             change):
+    root, cfg = pipeline
+    disc = DiscriminatorModel.load(root / "out" / "discriminator.model")
+    logfreq = disc.config.logfreq
+    disc.config = replace(disc.config, logfreq=logfreq[:5] if change == "shorter"
+                          else logfreq + (-1.0,))
+    model = tmp_path / "discriminator.model"
+    disc.save(model)
+    path = derive_config(cfg, tmp_path, discriminator_model=str(model))
+    assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
+    n_vocab = len(Vocabulary.load(root / "out" / "vocab.txt"))
+    assert (f"error: discriminator model {model} was built for a "
+            f"{len(disc.config.logfreq)}-token vocabulary, but the vocabulary has "
+            f"{n_vocab} tokens") in capsys.readouterr().err
+    assert not (tmp_path / "generations-das-test.jsonl").exists()
 
 
 @pytest.mark.parametrize("kind, keep", [("discriminator", 60), ("generator", 2)])

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dasearch.corpus import Vocabulary, generate_synthetic_corpus
 from dasearch.decoder import (
+    EPS_DIS,
     DecoderError,
     Hypothesis,
     SearchConfig,
@@ -238,6 +239,15 @@ def test_k_rerank_one_is_greedy(synth_corpus, synth_generator, trained_disc):
         assert fused.tokens == greedy.tokens
 
 
+def test_carried_prefix_states_score_as_whole_prefixes(synth_corpus, synth_generator,
+                                                       trained_disc):
+    config = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=60)
+    for p in synth_corpus.pairs[:20]:
+        for h in das_beam_search(synth_generator, trained_disc, p.source, config):
+            whole = trained_disc.score(p.source, h.tokens[1:])
+            assert h.s_dis == math.log(max(whole, EPS_DIS))
+
+
 def test_discriminator_changes_outputs(synth_corpus, synth_generator, trained_disc):
     plain_cfg = SearchConfig(beam_size=3, k_rerank=10, t_max=60)
     das_cfg = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=60)
@@ -369,8 +379,10 @@ def test_decode_corpus_starts_at_most_one_worker_per_pair(monkeypatch, jobs, poo
     class RecordingPool:
         """Stands in for the process pool: records its size, maps in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -382,6 +394,7 @@ def test_decode_corpus_starts_at_most_one_worker_per_pair(monkeypatch, jobs, poo
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("dasearch.decoder._worker_search", None)
     vocab = make_vocab("a", "b", "c")
     corpus = make_corpus(vocab, [("z", ["c"], ["c"]), ("x", ["a", "b"], ["a"]),
                                  ("y", ["b"], ["b"])])

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dasearch.corpus import Vocabulary
 from dasearch.discriminator import (
@@ -10,7 +11,10 @@ from dasearch.discriminator import (
     DiscriminatorModel,
     FeatureConfig,
     N_DENSE,
+    FeatureVector,
     PrefixExample,
+    PrefixFeaturizer,
+    _hash,
     _sigmoid,
     accuracy,
     accuracy_by_length,
@@ -18,8 +22,10 @@ from dasearch.discriminator import (
     eq2_gradient,
     eq2_objective,
     extract_features,
+    prefix_features,
     train_discriminator,
 )
+from dasearch.metrics import repetition_n
 
 from conftest import make_corpus, make_vocab
 
@@ -122,6 +128,123 @@ def test_background_logfreq_feature_uses_reference_counts():
     expected = np.log(counts / counts.sum())
     fv = extract_features((3,), (3, 4), config)
     assert math.isclose(fv.dense[5], (expected[3] + expected[4]) / 2, abs_tol=1e-12)
+
+
+# --- incremental features against the from-scratch reference ------------------------
+
+
+def reference_features(source, prefix, config: FeatureConfig) -> FeatureVector:
+    """Every feature of the prefix, rebuilt from scratch: the reference the
+    incremental PrefixFeaturizer must match bit for bit."""
+    if len(prefix) == 0:
+        raise DiscriminatorError("empty prefix")
+    prefix = tuple(prefix)
+    src_set = set(source) if config.use_source else frozenset()
+
+    dense = np.zeros(N_DENSE)
+    dense[0] = min(len(prefix), config.t_max) / config.t_max
+    if config.use_source:
+        dense[1] = sum(1 for t in prefix if t in src_set) / len(prefix)
+    dense[2] = (repetition_n(prefix, 1) or 0.0) / 100.0
+    dense[3] = (repetition_n(prefix, 2) or 0.0) / 100.0
+    dense[4] = (repetition_n(prefix, 3) or 0.0) / 100.0
+    if config.logfreq:
+        lf = config.logfreq
+        dense[5] = sum(lf[t] for t in prefix) / len(prefix)
+    dense[6] = 1.0 if prefix[-1] == Vocabulary.eos else 0.0
+
+    weight = 1.0 / len(prefix)
+    sparse: dict[int, float] = {}
+    for t in prefix:
+        bit = int(t in src_set)
+        idx = _hash(f"u:{t}:{bit}", config.d_hash)
+        sparse[idx] = sparse.get(idx, 0.0) + weight
+    for a, b in zip(prefix, prefix[1:]):
+        bit = int(a in src_set and b in src_set)
+        idx = _hash(f"b:{a}_{b}:{bit}", config.d_hash)
+        sparse[idx] = sparse.get(idx, 0.0) + weight
+    items = sorted(sparse.items())
+    return FeatureVector(
+        dense=dense,
+        sparse_idx=np.array([i for i, _ in items], dtype=np.int64),
+        sparse_val=np.array([v for _, v in items]),
+    )
+
+
+def assert_same_bits(fv: FeatureVector, ref: FeatureVector):
+    for name in ("dense", "sparse_idx", "sparse_val"):
+        got, want = getattr(fv, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@st.composite
+def feature_configs(draw, n_vocab):
+    """d_hash 1, 2 and 7 force index collisions; 2**16 is the default."""
+    logfreq = ()
+    if draw(st.booleans(), label="with_logfreq"):
+        counts = np.array(draw(st.lists(st.integers(1, 50), min_size=n_vocab,
+                                        max_size=n_vocab), label="counts"), dtype=float)
+        values = np.log(counts / counts.sum())
+        # from_corpus keeps numpy scalars; a loaded model file holds Python floats
+        logfreq = tuple(values) if draw(st.booleans(), label="numpy") else tuple(
+            values.tolist())
+    return FeatureConfig(d_hash=draw(st.sampled_from([1, 2, 7, 2 ** 16]), label="d_hash"),
+                         use_source=draw(st.booleans(), label="use_source"),
+                         t_max=draw(st.integers(1, 12), label="t_max"), logfreq=logfreq)
+
+
+def tokens(n_vocab, min_size, max_size):
+    return st.lists(st.integers(0, n_vocab - 1), min_size=min_size, max_size=max_size)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_incremental_features_equal_the_reference_bitwise(data):
+    n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
+    config = data.draw(feature_configs(n_vocab), label="config")
+    source = tuple(data.draw(tokens(n_vocab, 1, 8), label="source"))
+    prefix = tuple(data.draw(tokens(n_vocab, 1, 30), label="prefix"))
+    featurizer = PrefixFeaturizer(config)
+    state = featurizer.state_of(source)
+    for t, token in enumerate(prefix, start=1):
+        # a sibling branches off the same parent first, as beam candidates do
+        sibling = state.copy()
+        other = (token + 1) % n_vocab
+        featurizer.advance(sibling, other)
+        assert_same_bits(featurizer.features(sibling),
+                         reference_features(source, prefix[: t - 1] + (other,), config))
+        child = state.copy()
+        featurizer.advance(child, token)
+        assert_same_bits(featurizer.features(child),
+                         reference_features(source, prefix[:t], config))
+        state = child
+    assert_same_bits(extract_features(source, prefix, config),
+                     reference_features(source, prefix, config))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_training_features_equal_the_reference_in_any_order(data):
+    n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
+    config = data.draw(feature_configs(n_vocab), label="config")
+    sources = data.draw(st.lists(tokens(n_vocab, 1, 6).map(tuple), min_size=1, max_size=2),
+                        label="sources")
+    sequences = data.draw(st.lists(tokens(n_vocab, 1, 12).map(tuple), min_size=1,
+                                   max_size=3), label="sequences")
+    # every sequence under every source, each contributing all its prefixes in
+    # order; interleaved, a prefix then follows its parent under another source
+    runs = [[PrefixExample(source, seq[:t], 1, t) for t in range(1, len(seq) + 1)]
+            for source in sources for seq in sequences]
+    in_order = [ex for run in runs for ex in run]
+    shuffled = data.draw(st.permutations(in_order), label="shuffled")
+    interleaved = []
+    for i in range(max(len(run) for run in runs)):
+        interleaved += [run[i] for run in runs if i < len(run)]
+    for examples in (in_order, shuffled, interleaved):
+        feats = prefix_features(examples, config)
+        assert len(feats) == len(examples)
+        for fv, ex in zip(feats, examples):
+            assert_same_bits(fv, reference_features(ex.source, ex.prefix, config))
 
 
 # --- scoring --------------------------------------------------------------------

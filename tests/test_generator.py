@@ -190,6 +190,18 @@ def test_deterministic_scoring(synth_corpus, synth_generator):
     assert np.array_equal(first, second)
 
 
+def test_copy_cache_keeps_only_the_last_source(ab_corpus):
+    model = train_generator(ab_corpus, order=2)
+    model.next_probs((3, 4, 5), (SOS, 3))
+    second = model.next_probs((5, 5), (SOS, 3))
+    assert len(model._copy_cache) == 1
+    fresh = train_generator(ab_corpus, order=2)
+    assert np.array_equal(second, fresh.next_probs((5, 5), (SOS, 3)))
+    assert np.array_equal(model.next_probs((3, 4, 5), (SOS, 3)),
+                          fresh.next_probs((3, 4, 5), (SOS, 3)))
+    assert len(model._copy_cache) == 1
+
+
 # --- persistence ----------------------------------------------------------------
 
 
