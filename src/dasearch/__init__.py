@@ -5,7 +5,6 @@ from dasearch.corpus import (
     DocumentPair,
     Vocabulary,
     build_vocabulary,
-    corpus_statistics,
     generate_synthetic_corpus,
     load_corpus,
     tokenize,
@@ -14,7 +13,6 @@ from dasearch.decoder import (
     Hypothesis,
     SearchConfig,
     das_beam_search,
-    exhaustive_oracle,
     plain_beam_search,
 )
 from dasearch.discriminator import (

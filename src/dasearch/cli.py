@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import functools
 import hashlib
 import io
@@ -35,12 +36,7 @@ from dasearch.corpus import (
     save_corpus,
 )
 from dasearch.decoder import SearchConfig, das_beam_search, decode_corpus, hypothesis_content
-from dasearch.discriminator import (
-    DiscriminatorModel,
-    accuracy_by_length,
-    build_prefix_sets,
-    write_accuracy_csv,
-)
+from dasearch.discriminator import DiscriminatorModel, accuracy_by_length, build_prefix_sets
 from dasearch.generator import NGramCopyModel, train_generator
 from dasearch.metrics import evaluate_system, write_reports
 from dasearch.selftrain import DiscriminatorHparams, bootstrap, run_until_convergence
@@ -242,13 +238,16 @@ def load_generations(path, vocab: Vocabulary) -> dict:
     return out
 
 
-def _write_rows(path, rows: list[dict]) -> None:
-    """CSV: a header of the first row's keys, then one line per row."""
-    with open(path, "w", encoding="utf-8") as f:
-        cols = list(rows[0].keys())
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(str(row[c]) for c in cols) + "\n")
+def _write_rows(path, rows, header=None) -> None:
+    """CSV with "\n" line ends: `header`, then one line per row. Without a
+    header the rows are dicts and the first row's keys are the header."""
+    if header is None:
+        header = list(rows[0])
+        rows = ([row[c] for c in header] for row in rows)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # --- commands ----------------------------------------------------------------
@@ -297,7 +296,7 @@ def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
     buckets = [b for b in buckets if b <= cfg.t_max]
     rows = accuracy_by_length(state.discriminator, H_val, G_val, buckets)
     csv_path = out_dir / "accuracy_by_length.csv"
-    write_accuracy_csv(rows, csv_path)
+    _write_rows(csv_path, rows, ("t", "accuracy", "n_examples"))
     print(f"discriminator model: {model_path} "
           f"(val accuracy {state.history[0]['val_accuracy']:.3f})")
     return ("train-discriminator", [cfg.train_path, cfg.vocab_path, cfg.generator_model],
@@ -363,26 +362,16 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
     csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
     zipf_path, rep3_path = out_dir / "zipf.csv", out_dir / "rep3_positions.csv"
     write_reports(reports, csv_path, json_path)
-    with open(zipf_path, "w", encoding="utf-8") as f:
-        f.write("system,rank,token,frequency\n")
-        for name, texts in systems.items():
-            for rank, tok, freq in metrics_mod.zipf_report(texts, cfg.zipf_k):
-                f.write(f"{name},{rank},{vocab.token_of(tok)},{freq}\n")
-    with open(rep3_path, "w", encoding="utf-8") as f:
-        f.write("system,bucket_low,bucket_high,density\n")
-        for name, texts in systems.items():
-            edges, dens = metrics_mod.repetition_position_hist(
-                texts, n=3, buckets=cfg.hist_buckets)
-            for lo, hi, d in zip(edges, edges[1:], dens):
-                f.write(f"{name},{lo},{hi},{d}\n")
+    zipf_rows, rep3_rows = [], []
+    for name, texts in systems.items():
+        zipf_rows += [(name, rank, vocab.token_of(tok), freq)
+                      for rank, tok, freq in metrics_mod.zipf_report(texts, cfg.zipf_k)]
+        edges, dens = metrics_mod.repetition_position_hist(texts, n=3, buckets=cfg.hist_buckets)
+        rep3_rows += [(name, lo, hi, d) for lo, hi, d in zip(edges, edges[1:], dens)]
+    _write_rows(zipf_path, zipf_rows, ("system", "rank", "token", "frequency"))
+    _write_rows(rep3_path, rep3_rows, ("system", "bucket_low", "bucket_high", "density"))
     print(f"report: {csv_path}")
     return "evaluate", list(args.systems), [csv_path, json_path, zipf_path, rep3_path]
-
-
-def _sweep_search(generator, disc, search, source):
-    """One sweep cell's search of one source (a module-level function, so a
-    partial of it can be sent to decode_corpus's worker processes)."""
-    return das_beam_search(generator, disc, source, search)
 
 
 def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
@@ -399,8 +388,8 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
                 search = replace(cfg.search_config("plain"),
                                  beam_size=min(cfg.beam_size, k), k_rerank=k, alpha=alpha)
                 d = disc if alpha > 0 else None
-                hyps = decode_corpus(sub, functools.partial(_sweep_search, generator, d, search),
-                                     jobs=cfg.jobs)
+                search_one = functools.partial(das_beam_search, generator, d, config=search)
+                hyps = decode_corpus(sub, search_one, jobs=cfg.jobs)
                 gens = {i: hypothesis_content(h) for i, h in hyps.items()}
                 report = evaluate_system(gens, sub, system=f"K{k}-a{alpha}")
                 row = report.as_dict()

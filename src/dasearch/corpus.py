@@ -12,7 +12,7 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SOS_TOKEN = "<s>"
 EOS_TOKEN = "$"
@@ -54,9 +54,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self._tokens == other._tokens
@@ -164,11 +161,7 @@ def load_corpus(path, vocab: Vocabulary | None = None, split: str = "train") -> 
             raise CorpusError(f"empty reference at line {lineno}")
         tokenized.append((rid, src_toks, ref_toks))
     if vocab is None:
-        counts = Counter()
-        for _, src_toks, ref_toks in tokenized:
-            counts.update(src_toks)
-            counts.update(ref_toks)
-        vocab = _vocab_from_counts(counts, min_count=1)
+        vocab = _vocab_from_counts((toks for _, src, ref in tokenized for toks in (src, ref)), 1)
     pairs = tuple(
         DocumentPair(rid, vocab.encode(src_toks), vocab.encode(ref_toks))
         for rid, src_toks, ref_toks in tokenized
@@ -188,7 +181,12 @@ def save_corpus(corpus: Corpus, path) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def _vocab_from_counts(counts: Counter, min_count: int) -> Vocabulary:
+def _vocab_from_counts(token_lists, min_count: int) -> Vocabulary:
+    """The tokens of `token_lists` seen at least `min_count` times, reserved
+    ones left out; ids by descending count, lex tie-break."""
+    counts = Counter()
+    for tokens in token_lists:
+        counts.update(tokens)
     kept = [t for t, c in counts.items() if c >= min_count and t not in RESERVED]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
@@ -200,32 +198,8 @@ def build_vocabulary(corpus: Corpus, min_count: int = 1) -> Vocabulary:
         raise CorpusError("empty corpus")
     if min_count < 1:
         raise CorpusError("min_count must be >= 1")
-    counts = Counter()
-    for p in corpus.pairs:
-        counts.update(corpus.vocab.decode(p.source))
-        counts.update(corpus.vocab.decode(p.reference))
-    for t in RESERVED:
-        counts.pop(t, None)
-    return _vocab_from_counts(counts, min_count)
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    mean_source_len: float
-    mean_reference_len: float
-    abstractiveness: float  # % reference tokens absent from the source
-
-
-def corpus_statistics(corpus: Corpus) -> CorpusStats:
-    src_lens, ref_lens, abstr = [], [], []
-    for p in corpus.pairs:
-        src_lens.append(len(p.source))
-        ref_lens.append(len(p.reference))
-        src_set = set(p.source)
-        novel = sum(1 for t in p.reference if t not in src_set)
-        abstr.append(100.0 * novel / len(p.reference))
-    n = len(corpus.pairs)
-    return CorpusStats(sum(src_lens) / n, sum(ref_lens) / n, sum(abstr) / n)
+    return _vocab_from_counts((corpus.vocab.decode(ids) for p in corpus.pairs
+                               for ids in (p.source, p.reference)), min_count)
 
 
 # --- synthetic corpus -------------------------------------------------------
@@ -266,14 +240,10 @@ _PARAPHRASE = {
 }
 
 
-@dataclass(frozen=True)
-class SynthProfile:
-    min_source_clauses: int = 6
-    max_source_clauses: int = 12
-    min_summary_clauses: int = 2
-    max_summary_clauses: int = 4
-    paraphrase_rate: float = 0.35
-    fronted_first_clause_rate: float = 0.4
+_SOURCE_CLAUSES = (6, 12)  # inclusive range of clauses per source
+_SUMMARY_CLAUSES = (2, 4)  # inclusive range of clauses a reference aims for
+_PARAPHRASE_RATE = 0.35
+_FRONTED_FIRST_CLAUSE_RATE = 0.4
 
 
 def _entity_fact(ent_idx: int) -> tuple[str, str, str, str, str]:
@@ -293,10 +263,10 @@ def _render_clause(ent_idx: int, fronted: bool) -> list[str]:
     return [ent, verb, "the", adj, noun, "in", "the", place, "."]
 
 
-def _paraphrase(tokens: list[str], rng: random.Random, rate: float) -> list[str]:
+def _paraphrase(tokens: list[str], rng: random.Random) -> list[str]:
     out = list(tokens)
     candidates = [i for i, t in enumerate(out) if t in _PARAPHRASE]
-    hits = [i for i in candidates if rng.random() < rate]
+    hits = [i for i in candidates if rng.random() < _PARAPHRASE_RATE]
     if candidates and not hits:
         hits = [candidates[0]]  # references must carry at least one novel token
     for i in hits:
@@ -309,19 +279,14 @@ def _has_repeated_trigram(tokens: list[str]) -> bool:
     return len(set(grams)) != len(grams)
 
 
-def generate_synthetic_corpus(
-    seed: int,
-    n_pairs: int,
-    profile: SynthProfile = SynthProfile(),
-    split: str = "train",
-) -> Corpus:
+def generate_synthetic_corpus(seed: int, n_pairs: int, split: str = "train") -> Corpus:
     """Deterministic-in-seed templated summarization corpus."""
     if n_pairs < 1:
         raise CorpusError("n_pairs must be >= 1")
     rng = random.Random(seed)
     records = []
     for k in range(n_pairs):
-        n_clauses = rng.randint(profile.min_source_clauses, profile.max_source_clauses)
+        n_clauses = rng.randint(*_SOURCE_CLAUSES)
         ent_ids = rng.sample(range(len(_ENTITIES)), n_clauses)
         src_tokens: list[str] = []
         for e in ent_ids:
@@ -329,7 +294,7 @@ def generate_synthetic_corpus(
         # Reference: most salient clauses (verb rank), kept in source order and
         # paraphrased. Entities sharing a place slot would repeat the
         # "in the <place> ." 3-gram, so each place is used at most once.
-        target = rng.randint(profile.min_summary_clauses, profile.max_summary_clauses)
+        target = rng.randint(*_SUMMARY_CLAUSES)
         by_salience = sorted(ent_ids, key=lambda e: (e % len(_VERBS), e))
         chosen: list[int] = []
         used_places: set[str] = set()
@@ -342,21 +307,16 @@ def generate_synthetic_corpus(
             used_places.add(place)
             chosen.append(e)
         chosen.sort(key=ent_ids.index)
-        fronted = rng.random() < profile.fronted_first_clause_rate
+        fronted = rng.random() < _FRONTED_FIRST_CLAUSE_RATE
         ref_tokens: list[str] = []
         for j, e in enumerate(chosen):
-            clause = _paraphrase(_render_clause(e, fronted=(j == 0 and fronted)), rng,
-                                 profile.paraphrase_rate)
+            clause = _paraphrase(_render_clause(e, fronted=(j == 0 and fronted)), rng)
             if _has_repeated_trigram(ref_tokens + clause):
                 continue  # defensive; place dedup above should prevent this
             ref_tokens.extend(clause)
         records.append((f"synth-{seed}-{k}", src_tokens, ref_tokens))
 
-    counts = Counter()
-    for _, src, ref in records:
-        counts.update(src)
-        counts.update(ref)
-    vocab = _vocab_from_counts(counts, min_count=1)
+    vocab = _vocab_from_counts((toks for _, src, ref in records for toks in (src, ref)), 1)
     pairs = tuple(
         DocumentPair(rid, vocab.encode(src), vocab.encode(ref)) for rid, src, ref in records
     )

@@ -11,7 +11,6 @@ result has s_das == s_gen.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -82,12 +81,7 @@ def apply_das_score(h: Hypothesis, alpha: float, dis_prob: float) -> Hypothesis:
         log.warning("discriminator probability %.3g clamped to %g", dis_prob, EPS_DIS)
         dis_prob = EPS_DIS
     s_dis = math.log(dis_prob)
-    return replace(h, s_dis=s_dis, s_das=h.s_gen + alpha * s_dis)
-
-
-def apply_trigram_block(h: Hypothesis, candidate_token: int) -> bool:
-    """False iff appending the token repeats a 3-gram of the content tokens."""
-    return candidate_token not in _blocked_tokens(h)
+    return Hypothesis(h.tokens, h.s_gen, s_dis, h.s_gen + alpha * s_dis, h.ended, h.truncated)
 
 
 def length_penalty(length: int, beta: float) -> float:
@@ -148,13 +142,11 @@ def _search(generator, discriminator, source, config: SearchConfig):
             states[h.tokens] = state
             return apply_das_score(h, config.alpha,
                                    discriminator.score_features(featurizer.features(state)))
-        return replace(h, s_das=h.s_gen)
+        return Hypothesis(h.tokens, h.s_gen, None, h.s_gen, h.ended, h.truncated)
 
     pool = [Hypothesis(tokens=(Vocabulary.sos,), s_gen=0.0)]
     for _ in range(config.t_max):
         live = [h for h in pool if not h.ended]
-        if not live:
-            break
         candidates = [h for h in pool if h.ended]
         for h in live:
             lp = generator.next_logprobs(source, h.tokens)
@@ -182,7 +174,8 @@ def _search(generator, discriminator, source, config: SearchConfig):
     for h in pool:
         if not h.ended:
             lp_eos = float(generator.next_logprobs(source, h.tokens)[Vocabulary.eos])
-            h = replace(s_gen_extend(h, Vocabulary.eos, lp_eos), truncated=True)
+            h = Hypothesis(h.tokens + (Vocabulary.eos,), h.s_gen + lp_eos, ended=True,
+                           truncated=True)
         final.append(score(h))
     return _final_sort(final, config)
 
@@ -229,27 +222,3 @@ def decode_corpus(corpus: Corpus, search_one, jobs: int = 1) -> dict:
                                  initargs=(search_one,)) as pool:
             beams = list(pool.map(_worker_decode, sources, chunksize=8))
     return {p.id: beam[0] for p, beam in zip(corpus.pairs, beams)}
-
-
-def exhaustive_oracle(generator, discriminator, source, alpha: float, t_max: int,
-                      v_subset) -> Hypothesis:
-    """Enumerate every EOS-terminated sequence over v_subset up to t_max
-    content tokens; return the fused-score argmax."""
-    v_subset = sorted(v_subset)
-    if len(v_subset) ** t_max > 10 ** 6:
-        raise DecoderError("enumeration budget exceeded")
-    source = tuple(source)
-    eos = Vocabulary.eos
-    best: Hypothesis | None = None
-    for length in range(t_max + 1):
-        for content in itertools.product(v_subset, repeat=length):
-            y = content + (eos,)
-            s_gen = generator.sequence_logprob(source, y)
-            h = Hypothesis(tokens=(Vocabulary.sos,) + y, s_gen=s_gen, ended=True)
-            if discriminator is not None and alpha > 0.0:
-                h = apply_das_score(h, alpha, discriminator.score(source, y))
-            else:
-                h = replace(h, s_das=h.s_gen)
-            if best is None or _rank_das(h) < _rank_das(best):
-                best = h
-    return best

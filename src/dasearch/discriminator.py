@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class FeatureConfig:
     t_max: int = 140
     # background unigram log-frequencies indexed by token id
     logfreq: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.d_hash < 1 or self.t_max < 1:
+            raise DiscriminatorError(f"d_hash and t_max must be >= 1, got {self.d_hash} "
+                                     f"and {self.t_max}")
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, d_hash: int = 2 ** 16,
@@ -266,15 +271,24 @@ class DiscriminatorModel:
                 dense = np.array([float(v) for v in f.readline().split()[1:]])
                 if dense.size != N_DENSE:
                     raise ValueError("dense weights cut short")
-                sparse = np.zeros(d_hash)
+                sparse_entries = []
                 for line in f:
                     i, w = line.split()
-                    sparse[int(i)] = float(w)
+                    sparse_entries.append((int(i), float(w)))
             except (IndexError, ValueError):
                 raise DiscriminatorError(
                     f"truncated or malformed discriminator model file: {path}") from None
-        config = FeatureConfig(d_hash=d_hash, use_source=use_source, t_max=t_max,
-                               logfreq=logfreq)
+        try:
+            config = FeatureConfig(d_hash=d_hash, use_source=use_source, t_max=t_max,
+                                   logfreq=logfreq)
+        except DiscriminatorError as e:
+            raise DiscriminatorError(f"discriminator model file {path}: {e}") from None
+        sparse = np.zeros(d_hash)
+        for i, w in sparse_entries:
+            if not 0 <= i < d_hash:
+                raise DiscriminatorError(f"discriminator model file {path}: sparse index {i} "
+                                         f"is outside [0, {d_hash})")
+            sparse[i] = w
         return cls(config, dense, sparse, bias, final_objective=final_objective)
 
 
@@ -398,10 +412,3 @@ def accuracy_by_length(model: DiscriminatorModel, H_eval, G_eval, buckets):
             by_t[ex.t].append(ex)
     return [(t, accuracy(model, by_t[t]) if by_t[t] else None, len(by_t[t]))
             for t in buckets]
-
-
-def write_accuracy_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("t,accuracy,n_examples\n")
-        for t, acc, n in rows:
-            f.write(f"{t},{'' if acc is None else acc},{n}\n")

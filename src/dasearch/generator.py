@@ -10,7 +10,6 @@ unigram level) normalized over vocabulary + EOS. SOS is never predicted.
 from __future__ import annotations
 
 import hashlib
-from typing import Protocol
 
 import numpy as np
 
@@ -21,14 +20,6 @@ BACKOFF = 0.4
 
 class GeneratorError(ValueError):
     pass
-
-
-class GeneratorModel(Protocol):
-    vocab: Vocabulary
-
-    def next_logprobs(self, source, prefix) -> np.ndarray: ...
-
-    def sequence_logprob(self, source, y) -> float: ...
 
 
 class NGramCopyModel:
@@ -170,14 +161,26 @@ class NGramCopyModel:
                                                     for _ in range(4))
                 model = cls(vocab, order=int(order), kappa=float(kappa),
                             lambda_copy=float(lambda_copy))
+                ngrams = []
                 for line in f:
                     *ids, count = map(int, line.split())
-                    model.counts[len(ids)].setdefault(tuple(ids[:-1]), {})[ids[-1]] = count
+                    ngrams.append((ids, count))
             except (IndexError, ValueError):
                 raise GeneratorError(
                     f"truncated or malformed generator model file: {path}") from None
         if model.vocab_hash() != vhash:
-            raise GeneratorError("vocabulary does not match the model file")
+            raise GeneratorError(f"vocabulary does not match the model file {path}")
+        for ids, count in ngrams:
+            if not 1 <= len(ids) <= model.order:
+                raise GeneratorError(f"generator model file {path}: {len(ids)}-gram {ids} "
+                                     f"in an order-{model.order} model")
+            if not all(0 <= i < len(vocab) for i in ids):
+                raise GeneratorError(f"generator model file {path}: n-gram {ids} has a token "
+                                     f"id outside the {len(vocab)}-token vocabulary")
+            if count < 1:
+                raise GeneratorError(f"generator model file {path}: n-gram {ids} has "
+                                     f"count {count}")
+            model.counts[len(ids)].setdefault(tuple(ids[:-1]), {})[ids[-1]] = count
         return model
 
 

@@ -13,12 +13,7 @@ import pytest
 
 from dasearch.cli import RunConfig, main
 from dasearch.corpus import Corpus, generate_synthetic_corpus
-from dasearch.decoder import (
-    SearchConfig,
-    das_beam_search,
-    exhaustive_oracle,
-    plain_beam_search,
-)
+from dasearch.decoder import SearchConfig, das_beam_search, plain_beam_search
 from dasearch.discriminator import (
     DiscriminatorModel,
     FeatureConfig,
@@ -39,7 +34,7 @@ from dasearch.selftrain import (
     self_train_step,
 )
 
-from conftest import make_corpus, make_vocab
+from conftest import exhaustive_oracle, make_corpus, make_vocab
 
 logging.disable(logging.WARNING)  # silence clamp warnings in bulk decoding
 

@@ -1,0 +1,50 @@
+"""The traced benchmark (perfbench/layers.py) wraps named functions and
+methods of dasearch from outside. This checks that it still finds every one
+of them and that unwrapping restores the originals, so deleting or renaming
+a name the benchmark measures fails here too."""
+
+import sys
+from pathlib import Path
+
+# every module the benchmark patches is loaded, so the snapshots below cover them all
+from dasearch import cli, corpus, decoder, discriminator, generator, metrics, selftrain  # noqa: F401
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+WRAPPED = {
+    "load_corpus", "generate_synthetic_corpus", "next_logprobs", "train_generator",
+    "score", "score_features", "extract_features", "train_discriminator",
+    "build_prefix_sets", "eq2_objective", "accuracy_by_length", "plain_beam_search",
+    "das_beam_search", "apply_das_score", "bootstrap", "self_train_step", "evaluate_system",
+}
+
+
+def bindings() -> dict:
+    """Every global of every loaded dasearch module and every attribute of
+    the two model classes, by (owner, name)."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "dasearch" or name.startswith("dasearch."):
+            out.update({(name, key): value for key, value in vars(mod).items()})
+    for cls in (generator.NGramCopyModel, discriminator.DiscriminatorModel):
+        out.update({(cls.__qualname__, key): value for key, value in vars(cls).items()})
+    return out
+
+
+def test_bench_layers_wrap_every_boundary_and_unpatch_restores_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer
+
+    before = bindings()
+    bench_tracer = tracer.Tracer()
+    try:
+        layers.instrument(bench_tracer)
+        during = bindings()
+    finally:
+        bench_tracer.unpatch()
+    after = bindings()
+    assert {key[1] for key in during if during[key] is not before[key]} == WRAPPED
+    assert during[("dasearch.cli", "das_beam_search")] is not decoder.das_beam_search
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from dasearch import cli
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
-from dasearch.corpus import Vocabulary
+from dasearch.corpus import Vocabulary, load_corpus
 from dasearch.decoder import SearchConfig
 from dasearch.discriminator import DiscriminatorModel
 from dasearch.selftrain import DiscriminatorHparams
@@ -231,9 +232,9 @@ def test_sweep_cells_keep_the_configured_search_rules(pipeline, tmp_path, monkey
     _, cfg = pipeline
     seen = []
 
-    def recording_search(generator, disc, source, search, inner=cli.das_beam_search):
-        seen.append(search)
-        return inner(generator, disc, source, search)
+    def recording_search(generator, disc, source, config, inner=cli.das_beam_search):
+        seen.append(config)
+        return inner(generator, disc, source, config)
 
     monkeypatch.setattr(cli, "das_beam_search", recording_search)
     path = derive_config(cfg, tmp_path, final_by_s_gen=True, block_repeated_trigrams=True)
@@ -293,6 +294,22 @@ def test_truncated_model_file_exits_one(pipeline, tmp_path, capsys, kind, keep):
     path = derive_config(cfg, tmp_path, **{f"{kind}_model": str(cut)})
     assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
     assert f"truncated or malformed {kind} model file: {cut}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["discriminator", "generator"])
+def test_out_of_range_model_file_exits_one(pipeline, tmp_path, capsys, kind):
+    root, cfg = pipeline
+    text = (root / "out" / f"{kind}.model").read_text()
+    if kind == "generator":  # a bigram after SOS whose token id is past the vocabulary
+        n_vocab = len(Vocabulary.load(root / "out" / "vocab.txt"))
+        text += f"0 {n_vocab} 1\n"
+    else:
+        text = text.replace("t_max 40\n", "t_max 0\n")
+    bad = tmp_path / f"{kind}.model"
+    bad.write_text(text)
+    path = derive_config(cfg, tmp_path, **{f"{kind}_model": str(bad)})
+    assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
+    assert f"error: {kind} model file {bad}: " in capsys.readouterr().err
 
 
 def test_self_train_rejects_zero_iterations(pipeline, tmp_path, capsys):
@@ -390,3 +407,23 @@ def test_evaluate_rejects_token_ids_outside_the_vocabulary(pipeline, tmp_path, c
     assert f"error: {gens}: token id {foreign} in pair {ids[-1]!r}" in capsys.readouterr().err
     assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
                 if (tmp_path / p).exists()]
+
+
+def test_evaluate_quotes_tokens_that_are_csv_delimiters(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    out.joinpath("test.jsonl").write_text("".join(
+        json.dumps({"id": f"p{i}", "source": 'a, b "c" d', "summary": 'a, "c"'}) + "\n"
+        for i in range(2)))
+    vocab = load_corpus(out / "test.jsonl").vocab
+    vocab.save(out / "vocab.txt")
+    gens = out / "gens.jsonl"
+    gens.write_text("".join(json.dumps({"id": f"p{i}", "tokens": list(vocab.encode(
+        ["b", ",", '"', "d"]))}) + "\n" for i in range(2)))
+    assert main(["evaluate", "--config", str(cfg), "--split", "test",
+                 "--systems", str(gens)]) == 0
+    with open(out / "zipf.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert all(len(row) == 4 for row in rows)
+    assert {",", '"'} <= {token for system, rank, token, freq in rows[1:]}

@@ -15,11 +15,10 @@ from dasearch.decoder import (
     DecoderError,
     Hypothesis,
     SearchConfig,
+    _blocked_tokens,
     apply_das_score,
-    apply_trigram_block,
     das_beam_search,
     decode_corpus,
-    exhaustive_oracle,
     hypothesis_content,
     length_penalty,
     plain_beam_search,
@@ -29,7 +28,7 @@ from dasearch.discriminator import DiscriminatorModel, FeatureConfig, N_DENSE
 from dasearch.generator import train_generator
 from dasearch.selftrain import bootstrap, DiscriminatorHparams
 
-from conftest import make_corpus, make_vocab
+from conftest import exhaustive_oracle, make_corpus, make_vocab
 
 SOS, EOS = Vocabulary.sos, Vocabulary.eos
 
@@ -98,13 +97,13 @@ def test_zero_probability_clamped_and_flagged(caplog):
 
 def test_trigram_block_rejects_repeat():
     h = Hypothesis(tokens=(SOS, 3, 4, 5, 3, 4), s_gen=-1.0)
-    assert apply_trigram_block(h, 5) is False
-    assert apply_trigram_block(h, 6) is True
+    assert 5 in _blocked_tokens(h)
+    assert 6 not in _blocked_tokens(h)
 
 
 def test_trigram_block_allows_short_prefixes():
     h = Hypothesis(tokens=(SOS, 3, 4), s_gen=-1.0)
-    assert apply_trigram_block(h, 3) is True
+    assert _blocked_tokens(h) == set()
 
 
 def test_length_penalty_values():

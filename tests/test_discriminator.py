@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -441,6 +442,32 @@ def test_model_save_load_roundtrip(tmp_path):
         assert math.isclose(reloaded.score(ex.source, ex.prefix),
                             model.score(ex.source, ex.prefix), abs_tol=1e-12)
     assert reloaded.final_objective == model.final_objective
+
+
+@pytest.mark.parametrize("d_hash, t_max", [(0, 60), (128, 0)])
+def test_feature_config_rejects_sizes_below_one(d_hash, t_max):
+    with pytest.raises(DiscriminatorError, match="d_hash and t_max must be >= 1"):
+        FeatureConfig(d_hash=d_hash, t_max=t_max)
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("", "-2 0.5\n", "sparse index -2 is outside [0, 128)"),
+    ("", "128 0.5\n", "sparse index 128 is outside [0, 128)"),
+    ("d_hash 128\n", "d_hash 0\n", "d_hash and t_max must be >= 1, got 0 and 60"),
+    ("t_max 60\n", "t_max 0\n", "d_hash and t_max must be >= 1, got 128 and 0"),
+])
+def test_model_load_rejects_out_of_range_content(tmp_path, old, new, problem):
+    vocab = make_vocab("a", "b", "c")
+    corpus = make_corpus(vocab, [("p", ["a", "b"], ["a", "c"])])
+    config = FeatureConfig.from_corpus(corpus, d_hash=128, t_max=60)
+    H, G = build_prefix_sets(corpus, {"p": (4, 5)}, t_max=60)
+    path = tmp_path / "disc.model"
+    train_discriminator(H, G, config, epochs=2, seed=3).save(path)
+    text = path.read_text()
+    path.write_text(text.replace(old, new) if old else text + new)
+    with pytest.raises(DiscriminatorError,
+                       match=re.escape(f"discriminator model file {path}: {problem}")):
+        DiscriminatorModel.load(path)
 
 
 def test_sigmoid_is_stable_at_extremes():

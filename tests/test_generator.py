@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -220,3 +221,19 @@ def test_model_load_rejects_wrong_vocabulary(ab_corpus, tmp_path):
     model.save(path)
     with pytest.raises(GeneratorError):
         NGramCopyModel.load(path, make_vocab("x", "y"))
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("0 -1 1", "n-gram [0, -1] has a token id outside the 6-token vocabulary"),
+    ("0 6 1", "n-gram [0, 6] has a token id outside the 6-token vocabulary"),
+    ("0 3 4 5 1", "4-gram [0, 3, 4, 5] in an order-3 model"),
+    ("0 3 0", "n-gram [0, 3] has count 0"),
+])
+def test_model_load_rejects_out_of_range_content(ab_corpus, abc_vocab, tmp_path, line,
+                                                 problem):
+    path = tmp_path / "gen.model"
+    train_generator(ab_corpus).save(path)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
+    with pytest.raises(GeneratorError, match=re.escape(f"generator model file {path}: {problem}")):
+        NGramCopyModel.load(path, abc_vocab)
