@@ -349,6 +349,9 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
+    for key in ("zipf_k", "hist_buckets"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"[metrics] {key} must be >= 1, got {getattr(cfg, key)}")
     vocab = Vocabulary.load(_required_path(cfg, "vocab_path"))
     corpus = load_corpus(_required_path(cfg, f"{args.split}_path"), vocab)
     reports = []

@@ -8,8 +8,10 @@ over all prefixes of human references (H) and generated summaries (G).
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +76,28 @@ class FeatureVector:
     dense: np.ndarray          # length N_DENSE
     sparse_idx: np.ndarray     # hashed indices < d_hash
     sparse_val: np.ndarray
+
+
+@dataclass(frozen=True)
+class FeatureBatch:
+    """The features of n prefixes packed into arrays: row i is the dense
+    values dense[i] and the sparse entries idx[indptr[i]:indptr[i + 1]] with
+    their values val[indptr[i]:indptr[i + 1]] (CSR). Every row holds at least
+    the unigram index of its last token."""
+
+    dense: np.ndarray   # n x N_DENSE
+    indptr: np.ndarray  # n + 1 offsets into idx and val
+    idx: np.ndarray
+    val: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.dense)
+
+    def rows(self, start: int, stop: int) -> "FeatureBatch":
+        """Rows start..stop-1; every array but indptr is a view."""
+        a, b = self.indptr[start], self.indptr[stop]
+        return FeatureBatch(self.dense[start:stop], self.indptr[start:stop + 1] - a,
+                            self.idx[a:b], self.val[a:b])
 
 
 def _hash(key: str, d_hash: int) -> int:
@@ -169,13 +193,14 @@ class PrefixFeaturizer:
         state.distinct = (d1, d2, d3)
         state.last = (last[-1], token) if last else (token,)
 
-    def features(self, state: PrefixState) -> FeatureVector:
+    def row(self, state: PrefixState) -> tuple[list, list, list]:
+        """The dense values, the sorted sparse indices and their values."""
         t = state.t
         if t == 0:
             raise DiscriminatorError("empty prefix")
         cfg = self.config
         d1, d2, d3 = state.distinct
-        dense = np.array([
+        dense = [
             min(t, cfg.t_max) / cfg.t_max,
             state.in_source / t,
             _repetition(d1, t, 1),
@@ -183,7 +208,7 @@ class PrefixFeaturizer:
             _repetition(d3, t, 3),
             state.logfreq_sum / t if cfg.logfreq else 0.0,
             1.0 if state.last[-1] == Vocabulary.eos else 0.0,
-        ])
+        ]
         # an index hit c times holds weight added c times, not c * weight
         counts = state.counts
         weight = 1.0 / t
@@ -191,11 +216,12 @@ class PrefixFeaturizer:
         for _ in range(max(counts.values())):
             sums.append(sums[-1] + weight)
         idx = sorted(counts)
-        return FeatureVector(
-            dense=dense,
-            sparse_idx=np.array(idx, dtype=np.int64),
-            sparse_val=np.array([sums[counts[i]] for i in idx]),
-        )
+        return dense, idx, [sums[counts[i]] for i in idx]
+
+    def features(self, state: PrefixState) -> FeatureVector:
+        dense, idx, val = self.row(state)
+        return FeatureVector(dense=np.array(dense), sparse_idx=np.array(idx, dtype=np.int64),
+                             sparse_val=np.array(val))
 
 
 def extract_features(source, prefix, config: FeatureConfig) -> FeatureVector:
@@ -205,20 +231,26 @@ def extract_features(source, prefix, config: FeatureConfig) -> FeatureVector:
     return featurizer.features(featurizer.state_of(source, prefix))
 
 
-def prefix_features(examples, config: FeatureConfig) -> list[FeatureVector]:
-    """The FeatureVector of every PrefixExample, in order. An example whose
-    prefix is the previous example's plus one token, on the same source,
-    extends that example's state; any other starts afresh."""
+def prefix_features(examples, config: FeatureConfig) -> FeatureBatch:
+    """The features of every PrefixExample, in order, as one FeatureBatch. An
+    example whose prefix is the previous example's plus one token, on the same
+    source, extends that example's state; any other starts afresh."""
     featurizer = PrefixFeaturizer(config)
-    out = []
+    dense, idx, val, indptr = array("d"), array("q"), array("d"), array("q", [0])
     prev = state = None
     for ex in examples:
         if prev is None or ex.source != prev.source or ex.prefix[:-1] != prev.prefix:
             state = featurizer.state_of(ex.source, ex.prefix[:-1])
         featurizer.advance(state, ex.prefix[-1])
-        out.append(featurizer.features(state))
+        row_dense, row_idx, row_val = featurizer.row(state)
+        dense.extend(row_dense)
+        idx.extend(row_idx)
+        val.extend(row_val)
+        indptr.append(len(idx))
         prev = ex
-    return out
+    return FeatureBatch(np.frombuffer(dense).reshape(-1, N_DENSE),
+                        np.frombuffer(indptr, dtype=np.int64),
+                        np.frombuffer(idx, dtype=np.int64), np.frombuffer(val))
 
 
 @dataclass
@@ -242,6 +274,17 @@ class DiscriminatorModel:
 
     def score(self, source, prefix) -> float:
         return self.score_features(extract_features(source, prefix, self.config))
+
+    def row_scores(self, batch: FeatureBatch):
+        """score_features of every row of `batch`, in order, by the same
+        operations, so each score is bitwise the same."""
+        dense_w, sparse_w, bias, idx, val = (self.dense_w, self.sparse_w, self.bias,
+                                             batch.idx, batch.val)
+        ptr = batch.indptr.tolist()
+        for i, d in enumerate(batch.dense):
+            z = bias + float(dense_w.dot(d))
+            z += float(sparse_w[idx[ptr[i]:ptr[i + 1]]].dot(val[ptr[i]:ptr[i + 1]]))
+            yield _sigmoid(z)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -317,30 +360,45 @@ def build_prefix_sets(corpus: Corpus, generations: dict, t_max: int = 140):
     return H, G
 
 
-def eq2_objective(model: DiscriminatorModel, feats_H, feats_G) -> float:
-    """Set-normalized logistic objective (to be maximized)."""
+def _probabilities(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
+    """_sigmoid of every row's logit, in one array expression."""
+    z = (model.bias + batch.dense @ model.dense_w
+         + np.add.reduceat(model.sparse_w[batch.idx] * batch.val, batch.indptr[:-1]))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def eq2_objective(model: DiscriminatorModel, feats_H: FeatureBatch,
+                  feats_G: FeatureBatch) -> float:
+    """Set-normalized logistic objective (to be maximized). Array sums: within
+    ulps of the example-by-example sum, which final_objective keeps."""
+    p_H, p_G = _probabilities(model, feats_H), _probabilities(model, feats_G)
+    return float(np.log(np.maximum(p_H, 1e-300)).sum() / len(feats_H)
+                 + np.log(np.maximum(1.0 - p_G, 1e-300)).sum() / len(feats_G))
+
+
+def _example_objective(model: DiscriminatorModel, feats_H: FeatureBatch,
+                       feats_G: FeatureBatch) -> float:
+    """eq2_objective summed example by example, the value model files store."""
     total = 0.0
-    for fv in feats_H:
-        total += math.log(max(model.score_features(fv), 1e-300)) / len(feats_H)
-    for fv in feats_G:
-        total += math.log(max(1.0 - model.score_features(fv), 1e-300)) / len(feats_G)
+    for p in model.row_scores(feats_H):
+        total += math.log(max(p, 1e-300)) / len(feats_H)
+    for p in model.row_scores(feats_G):
+        total += math.log(max(1.0 - p, 1e-300)) / len(feats_G)
     return total
 
 
-def eq2_gradient(model: DiscriminatorModel, feats_H, feats_G):
-    """Analytic gradient of the objective w.r.t. (dense_w, sparse_w, bias)."""
-    g_dense = np.zeros(N_DENSE)
-    g_sparse = np.zeros(model.config.d_hash)
-    g_bias = 0.0
-    for feats, label, norm in ((feats_H, 1.0, len(feats_H)), (feats_G, 0.0, len(feats_G))):
-        for fv in feats:
-            p = model.score_features(fv)
-            coef = (label - p) / norm
-            g_dense += coef * fv.dense
-            if fv.sparse_idx.size:
-                np.add.at(g_sparse, fv.sparse_idx, coef * fv.sparse_val)
-            g_bias += coef
-    return g_dense, g_sparse, g_bias
+def eq2_gradient(model: DiscriminatorModel, feats_H: FeatureBatch, feats_G: FeatureBatch):
+    """Analytic gradient of the objective w.r.t. (dense_w, sparse_w, bias):
+    X^T (y - p) / |set| over the columns (dense, sparse, 1), summed over both sets."""
+    grads = []
+    for batch, label in ((feats_H, 1.0), (feats_G, 0.0)):
+        c = (label - _probabilities(model, batch)) / len(batch)
+        weights = np.repeat(c, np.diff(batch.indptr)) * batch.val
+        grads.append((batch.dense.T @ c,
+                      np.bincount(batch.idx, weights=weights, minlength=model.config.d_hash),
+                      c.sum()))
+    return tuple(h + g for h, g in zip(*grads))
 
 
 def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
@@ -357,37 +415,49 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         raise DiscriminatorError("H and G must be non-empty")
     if ratio <= 0:
         raise DiscriminatorError("ratio must be > 0")
+    if epochs < 1:
+        raise DiscriminatorError(f"epochs must be >= 1, got {epochs}")
+    if any(ex.label != 1 for ex in H) or any(ex.label != 0 for ex in G):
+        raise DiscriminatorError("H must hold label-1 examples and G label-0 ones")
     if init is not None:
         model = DiscriminatorModel(config, init.dense_w.copy(), init.sparse_w.copy(),
                                    init.bias)
     else:
         model = DiscriminatorModel.zeros(config)
 
-    examples = [(fv, ex.label, kind) for kind, exs in (("H", H), ("G", G))
-                for fv, ex in zip(prefix_features(exs, config), exs)]
-    n_total = len(examples)
-    scale = {"H": n_total / ((1.0 + ratio) * len(H)),
-             "G": n_total * ratio / ((1.0 + ratio) * len(G))}
+    n_H = len(H)
+    batch = prefix_features(itertools.chain(H, G), config)
+    n_total = len(batch)
+    feats_H, feats_G = batch.rows(0, n_H), batch.rows(n_H, n_total)
+    scale_H = n_total / ((1.0 + ratio) * n_H)
+    scale_G = n_total * ratio / ((1.0 + ratio) * len(G))
 
+    # one example's step, as the per-example trainer took it: the same numpy
+    # operations in the same order, so the weights come out bitwise the same
+    dense, idx, val = batch.dense, batch.idx, batch.val
+    ptr = batch.indptr.tolist()
+    dense_w, sparse_w, bias = model.dense_w, model.sparse_w, model.bias
     rng = np.random.default_rng(seed)
     order = np.arange(n_total)
-    feats_H = [fv for fv, label, _ in examples if label == 1]
-    feats_G = [fv for fv, label, _ in examples if label == 0]
     history = []
     for epoch in range(epochs):
         rng.shuffle(order)
         lr = learning_rate / math.sqrt(epoch + 1)
-        for i in order:
-            fv, label, kind = examples[i]
-            p = model.score_features(fv)
-            step = lr * scale[kind] * (label - p)
-            model.dense_w += step * fv.dense
-            if fv.sparse_idx.size:
-                model.sparse_w[fv.sparse_idx] += step * fv.sparse_val
-            model.bias += step
+        rate_H, rate_G = lr * scale_H, lr * scale_G
+        for i in order.tolist():
+            d, ix, v = dense[i], idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]]
+            g = sparse_w[ix]
+            z = bias + float(dense_w.dot(d))
+            z += float(g.dot(v))
+            rate, label = (rate_H, 1.0) if i < n_H else (rate_G, 0.0)
+            step = rate * (label - _sigmoid(z))
+            dense_w += step * d
+            sparse_w[ix] = g + step * v  # a row's indices are unique
+            bias += step
+        model.bias = bias
         history.append(eq2_objective(model, feats_H, feats_G))
+    model.final_objective = history[-1] = _example_objective(model, feats_H, feats_G)
     model.objective_history = tuple(history)
-    model.final_objective = history[-1] if history else 0.0
     return model
 
 
@@ -395,9 +465,8 @@ def accuracy(model: DiscriminatorModel, examples) -> float:
     """Share of non-empty `examples` classified right at threshold 0.5
     (human = positive)."""
     examples = list(examples)
-    feats = prefix_features(examples, model.config)
-    hits = sum(int(model.score_features(fv) > 0.5) == ex.label
-               for fv, ex in zip(feats, examples))
+    scores = model.row_scores(prefix_features(examples, model.config))
+    hits = sum(int(p > 0.5) == ex.label for p, ex in zip(scores, examples))
     return hits / len(examples)
 
 

@@ -22,7 +22,7 @@ from dasearch.discriminator import (
     build_prefix_sets,
     eq2_gradient,
     eq2_objective,
-    extract_features,
+    prefix_features,
     train_discriminator,
 )
 from dasearch.generator import train_generator
@@ -190,8 +190,7 @@ def test_objective_gradient_against_central_differences():
             for p in corpus.pairs}
     config = FeatureConfig.from_corpus(corpus, d_hash=64, t_max=20)
     H, G = build_prefix_sets(corpus, gens, t_max=20)
-    feats_H = [extract_features(ex.source, ex.prefix, config) for ex in H]
-    feats_G = [extract_features(ex.source, ex.prefix, config) for ex in G]
+    feats_H, feats_G = prefix_features(H, config), prefix_features(G, config)
     rng = np.random.default_rng(4)
     eps = 1e-6
 

@@ -319,6 +319,19 @@ def test_self_train_rejects_zero_iterations(pipeline, tmp_path, capsys):
     assert "max_iters must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, setting, value", [(["--epochs", "0"], {}, 0),
+                                                   ([], {"epochs": -2}, -2)],
+                         ids=["flag", "config"])
+def test_train_discriminator_rejects_epochs_below_one(pipeline, tmp_path, capsys, extra,
+                                                      setting, value):
+    _, cfg = pipeline
+    model = tmp_path / "discriminator.model"
+    path = derive_config(cfg, tmp_path, discriminator_model=str(model), **setting)
+    assert main(["train-discriminator", "--config", str(path), *extra]) == 1
+    assert f"error: epochs must be >= 1, got {value}" in capsys.readouterr().err
+    assert not model.exists() and not (tmp_path / "accuracy_by_length.csv").exists()
+
+
 def test_self_train_writes_iteration_directories(pipeline):
     root, cfg = pipeline
     out = root / "out"
@@ -405,6 +418,18 @@ def test_evaluate_rejects_token_ids_outside_the_vocabulary(pipeline, tmp_path, c
     assert main(["evaluate", "--config", str(path), "--split", "test",
                  "--systems", str(gens)]) == 1
     assert f"error: {gens}: token id {foreign} in pair {ids[-1]!r}" in capsys.readouterr().err
+    assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
+                if (tmp_path / p).exists()]
+
+
+@pytest.mark.parametrize("key, value", [("hist_buckets", 0), ("zipf_k", -1)])
+def test_evaluate_rejects_metrics_settings_below_one(pipeline, tmp_path, capsys, key, value):
+    root, cfg = pipeline
+    path = derive_config(cfg, tmp_path, **{key: value})
+    assert main(["decode", "--config", str(cfg), "--mode", "plain", "--split", "test"]) == 0
+    assert main(["evaluate", "--config", str(path), "--split", "test", "--systems",
+                 str(root / "out" / "generations-plain-test.jsonl")]) == 1
+    assert f"error: [metrics] {key} must be >= 1, got {value}" in capsys.readouterr().err
     assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
                 if (tmp_path / p).exists()]
 

@@ -10,6 +10,7 @@ from dasearch.corpus import Vocabulary
 from dasearch.discriminator import (
     DiscriminatorError,
     DiscriminatorModel,
+    FeatureBatch,
     FeatureConfig,
     N_DENSE,
     FeatureVector,
@@ -172,6 +173,11 @@ def reference_features(source, prefix, config: FeatureConfig) -> FeatureVector:
     )
 
 
+def batch_row(batch: FeatureBatch, i: int) -> FeatureVector:
+    a, b = batch.indptr[i], batch.indptr[i + 1]
+    return FeatureVector(batch.dense[i], batch.idx[a:b], batch.val[a:b])
+
+
 def assert_same_bits(fv: FeatureVector, ref: FeatureVector):
     for name in ("dense", "sparse_idx", "sparse_val"):
         got, want = getattr(fv, name), getattr(ref, name)
@@ -242,10 +248,11 @@ def test_training_features_equal_the_reference_in_any_order(data):
     for i in range(max(len(run) for run in runs)):
         interleaved += [run[i] for run in runs if i < len(run)]
     for examples in (in_order, shuffled, interleaved):
-        feats = prefix_features(examples, config)
-        assert len(feats) == len(examples)
-        for fv, ex in zip(feats, examples):
-            assert_same_bits(fv, reference_features(ex.source, ex.prefix, config))
+        batch = prefix_features(examples, config)
+        assert len(batch) == len(examples)
+        assert batch.indptr[0] == 0 and batch.indptr[-1] == len(batch.idx) == len(batch.val)
+        for i, ex in enumerate(examples):
+            assert_same_bits(batch_row(batch, i), reference_features(ex.source, ex.prefix, config))
 
 
 # --- scoring --------------------------------------------------------------------
@@ -322,6 +329,11 @@ def test_training_validates_inputs(config):
         train_discriminator([], G, config)
     with pytest.raises(DiscriminatorError):
         train_discriminator(H, G, config, ratio=0.0)
+    for epochs in (0, -2):
+        with pytest.raises(DiscriminatorError, match=f"epochs must be >= 1, got {epochs}"):
+            train_discriminator(H, G, config, epochs=epochs)
+    with pytest.raises(DiscriminatorError, match="label-1"):
+        train_discriminator(G, H, config)
 
 
 def test_class_ratio_reweights_generated_side(config):
@@ -342,6 +354,103 @@ def test_warm_start_initialization_is_used(config):
     assert not np.array_equal(resumed.dense_w, fresh.dense_w)
 
 
+# --- the packed trainer against the per-example reference ----------------------------
+
+
+def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: float,
+                    seed: int, init: DiscriminatorModel | None, ratio: float):
+    """SGD over one FeatureVector per example, scored by score_features, and
+    the objective summed example by example after every epoch: the trainer
+    the packed one must match bit for bit."""
+    if init is not None:
+        model = DiscriminatorModel(config, init.dense_w.copy(), init.sparse_w.copy(),
+                                   init.bias)
+    else:
+        model = DiscriminatorModel.zeros(config)
+    examples = [(reference_features(ex.source, ex.prefix, config), ex.label, kind)
+                for kind, exs in (("H", H), ("G", G)) for ex in exs]
+    n_total = len(examples)
+    scale = {"H": n_total / ((1.0 + ratio) * len(H)),
+             "G": n_total * ratio / ((1.0 + ratio) * len(G))}
+    feats_H = [fv for fv, label, _ in examples if label == 1]
+    feats_G = [fv for fv, label, _ in examples if label == 0]
+
+    def objective():
+        total = 0.0
+        for fv in feats_H:
+            total += math.log(max(model.score_features(fv), 1e-300)) / len(feats_H)
+        for fv in feats_G:
+            total += math.log(max(1.0 - model.score_features(fv), 1e-300)) / len(feats_G)
+        return total
+
+    rng = np.random.default_rng(seed)
+    order = np.arange(n_total)
+    history = []
+    for epoch in range(epochs):
+        rng.shuffle(order)
+        lr = learning_rate / math.sqrt(epoch + 1)
+        for i in order:
+            fv, label, kind = examples[i]
+            p = model.score_features(fv)
+            step = lr * scale[kind] * (label - p)
+            model.dense_w += step * fv.dense
+            if fv.sparse_idx.size:
+                model.sparse_w[fv.sparse_idx] += step * fv.sparse_val
+            model.bias += step
+        history.append(objective())
+    model.objective_history = tuple(history)
+    model.final_objective = history[-1]
+    return model
+
+
+def prefix_runs(data, n_vocab, label, name):
+    """Every prefix of a few sequences under a few sources, in prefix order
+    or shuffled."""
+    sources = data.draw(st.lists(tokens(n_vocab, 1, 6).map(tuple), min_size=1, max_size=2),
+                        label=f"{name}_sources")
+    sequences = data.draw(st.lists(tokens(n_vocab, 1, 10).map(tuple), min_size=1,
+                                   max_size=3), label=f"{name}_sequences")
+    examples = [PrefixExample(source, seq[:t], label, t)
+                for source in sources for seq in sequences for t in range(1, len(seq) + 1)]
+    if data.draw(st.booleans(), label=f"{name}_shuffled"):
+        examples = data.draw(st.permutations(examples), label=f"{name}_order")
+    return examples
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(data=st.data())
+def test_packed_training_equals_the_per_example_reference_bitwise(data):
+    n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
+    config = data.draw(feature_configs(n_vocab), label="config")
+    H = prefix_runs(data, n_vocab, 1, "H")
+    G = prefix_runs(data, n_vocab, 0, "G")
+    kwargs = dict(epochs=data.draw(st.integers(1, 4), label="epochs"),
+                  learning_rate=data.draw(st.sampled_from([0.5, 2.0]), label="lr"),
+                  seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
+                  ratio=data.draw(st.sampled_from([1.0, 0.4, 3.0]), label="ratio"),
+                  init=None)
+    if data.draw(st.booleans(), label="warm_start"):
+        rng = np.random.default_rng(data.draw(st.integers(0, 99), label="init_seed"))
+        kwargs["init"] = DiscriminatorModel(config, rng.normal(size=N_DENSE),
+                                            rng.normal(size=config.d_hash),
+                                            float(rng.normal()))
+    packed = train_discriminator(H, G, config, **kwargs)
+    reference = reference_train(H, G, config, **kwargs)
+    for name in ("dense_w", "sparse_w"):
+        assert getattr(packed, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert packed.bias.hex() == reference.bias.hex()
+    assert packed.final_objective.hex() == reference.final_objective.hex()
+    assert packed.objective_history[-1] == packed.final_objective
+    assert len(packed.objective_history) == kwargs["epochs"]
+    for got, want in zip(packed.objective_history, reference.objective_history):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    # accuracy scores each row by score_features' operations
+    examples = H + G
+    scores = list(packed.row_scores(prefix_features(examples, config)))
+    assert scores == [packed.score_features(reference_features(ex.source, ex.prefix, config))
+                      for ex in examples]
+
+
 # --- objective and gradient ------------------------------------------------------
 
 
@@ -351,16 +460,14 @@ def test_label_swap_with_negated_weights_preserves_objective(config):
                                rng.normal(size=config.d_hash), -0.2)
     negated = DiscriminatorModel(config, -model.dense_w, -model.sparse_w, -model.bias)
     H, G = _separable_sets(n=10, seed=6)
-    feats_H = [extract_features(ex.source, ex.prefix, config) for ex in H]
-    feats_G = [extract_features(ex.source, ex.prefix, config) for ex in G]
+    feats_H, feats_G = prefix_features(H, config), prefix_features(G, config)
     assert math.isclose(eq2_objective(model, feats_H, feats_G),
                         eq2_objective(negated, feats_G, feats_H), abs_tol=1e-12)
 
 
 def test_gradient_matches_central_differences(config):
     H, G = _separable_sets(n=8, seed=7)
-    feats_H = [extract_features(ex.source, ex.prefix, config) for ex in H]
-    feats_G = [extract_features(ex.source, ex.prefix, config) for ex in G]
+    feats_H, feats_G = prefix_features(H, config), prefix_features(G, config)
     rng = np.random.default_rng(2)
     eps = 1e-6
     for _ in range(3):
@@ -368,7 +475,7 @@ def test_gradient_matches_central_differences(config):
                                    rng.normal(size=config.d_hash) * 0.5,
                                    float(rng.normal()) * 0.5)
         g_dense, g_sparse, g_bias = eq2_gradient(model, feats_H, feats_G)
-        active = set(np.concatenate([fv.sparse_idx for fv in feats_H + feats_G]).tolist())
+        active = set(np.concatenate([feats_H.idx, feats_G.idx]).tolist())
         for i in range(N_DENSE):
             model.dense_w[i] += eps
             hi = eq2_objective(model, feats_H, feats_G)
