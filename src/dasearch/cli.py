@@ -225,16 +225,28 @@ def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
 
 
 def load_generations(path, vocab: Vocabulary) -> dict:
+    """Pair id -> tokens of a generations file, one JSON object per line with a
+    string "id" and a list of int "tokens", each an id of `vocab`."""
     out = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            where = f"{path} line {lineno}"
+            try:
                 rec = json.loads(line)
-                tokens = out[rec["id"]] = tuple(rec["tokens"])
-                for tok in tokens:
-                    if not 0 <= tok < len(vocab):
-                        raise CorpusError(f"{path}: token id {tok} in pair {rec['id']!r} "
-                                          f"is not in the {len(vocab)}-token vocabulary")
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"{where}: malformed JSON: {e}") from None
+            if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
+                raise CorpusError(f"{where}: not an object with a string \"id\"")
+            tokens = rec.get("tokens")
+            if not isinstance(tokens, list) or any(type(tok) is not int for tok in tokens):
+                raise CorpusError(f"{where}: \"tokens\" is not a list of ints")
+            for tok in tokens:
+                if not 0 <= tok < len(vocab):
+                    raise CorpusError(f"{where}: token id {tok} in pair {rec['id']!r} "
+                                      f"is not in the {len(vocab)}-token vocabulary")
+            out[rec["id"]] = tuple(tokens)
     return out
 
 

@@ -141,7 +141,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
             featurizer.advance(state, h.tokens[-1])
             states[h.tokens] = state
             return apply_das_score(h, config.alpha,
-                                   discriminator.score_features(featurizer.features(state)))
+                                   discriminator.score_features(featurizer.row(state)))
         return Hypothesis(h.tokens, h.s_gen, None, h.s_gen, h.ended, h.truncated)
 
     pool = [Hypothesis(tokens=(Vocabulary.sos,), s_gen=0.0)]

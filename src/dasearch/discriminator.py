@@ -72,13 +72,6 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    dense: np.ndarray          # length N_DENSE
-    sparse_idx: np.ndarray     # hashed indices < d_hash
-    sparse_val: np.ndarray
-
-
-@dataclass(frozen=True)
 class FeatureBatch:
     """The features of n prefixes packed into arrays: row i is the dense
     values dense[i] and the sparse entries idx[indptr[i]:indptr[i + 1]] with
@@ -92,6 +85,12 @@ class FeatureBatch:
 
     def __len__(self) -> int:
         return len(self.dense)
+
+    def __iter__(self):
+        """Each row as a (dense, idx, val) triple of views."""
+        dense, idx, val, ptr = self.dense, self.idx, self.val, self.indptr.tolist()
+        for i, d in enumerate(dense):
+            yield d, idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]]
 
     def rows(self, start: int, stop: int) -> "FeatureBatch":
         """Rows start..stop-1; every array but indptr is a view."""
@@ -138,7 +137,7 @@ class PrefixState:
 
 class PrefixFeaturizer:
     """Prefix features built one token at a time: `advance` appends a token
-    to a PrefixState and `features` turns it into a FeatureVector.
+    to a PrefixState and `row` turns it into a (dense, idx, val) row.
 
     It memoises the hashed index of every (token, bit) unigram and (a, b, bit)
     bigram key it meets, so make one per search or per training set and the
@@ -218,17 +217,12 @@ class PrefixFeaturizer:
         idx = sorted(counts)
         return dense, idx, [sums[counts[i]] for i in idx]
 
-    def features(self, state: PrefixState) -> FeatureVector:
-        dense, idx, val = self.row(state)
-        return FeatureVector(dense=np.array(dense), sparse_idx=np.array(idx, dtype=np.int64),
-                             sparse_val=np.array(val))
 
-
-def extract_features(source, prefix, config: FeatureConfig) -> FeatureVector:
-    """The features of `prefix` given `source`: the fold of
+def extract_features(source, prefix, config: FeatureConfig) -> tuple[list, list, list]:
+    """The feature row of `prefix` given `source`: the fold of
     PrefixFeaturizer.advance over the prefix."""
     featurizer = PrefixFeaturizer(config)
-    return featurizer.features(featurizer.state_of(source, prefix))
+    return featurizer.row(featurizer.state_of(source, prefix))
 
 
 def prefix_features(examples, config: FeatureConfig) -> FeatureBatch:
@@ -266,25 +260,14 @@ class DiscriminatorModel:
     def zeros(cls, config: FeatureConfig) -> "DiscriminatorModel":
         return cls(config, np.zeros(N_DENSE), np.zeros(config.d_hash), 0.0)
 
-    def score_features(self, fv: FeatureVector) -> float:
-        z = self.bias + float(self.dense_w @ fv.dense)
-        if fv.sparse_idx.size:
-            z += float(self.sparse_w[fv.sparse_idx] @ fv.sparse_val)
-        return _sigmoid(z)
+    def score_features(self, row) -> float:
+        """D of one (dense, idx, val) feature row, given as lists or arrays."""
+        dense, idx, val = row
+        return _sigmoid(self.bias + float(self.dense_w.dot(dense))
+                        + float(self.sparse_w[idx].dot(val)))
 
     def score(self, source, prefix) -> float:
         return self.score_features(extract_features(source, prefix, self.config))
-
-    def row_scores(self, batch: FeatureBatch):
-        """score_features of every row of `batch`, in order, by the same
-        operations, so each score is bitwise the same."""
-        dense_w, sparse_w, bias, idx, val = (self.dense_w, self.sparse_w, self.bias,
-                                             batch.idx, batch.val)
-        ptr = batch.indptr.tolist()
-        for i, d in enumerate(batch.dense):
-            z = bias + float(dense_w.dot(d))
-            z += float(sparse_w[idx[ptr[i]:ptr[i + 1]]].dot(val[ptr[i]:ptr[i + 1]]))
-            yield _sigmoid(z)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -381,9 +364,9 @@ def _example_objective(model: DiscriminatorModel, feats_H: FeatureBatch,
                        feats_G: FeatureBatch) -> float:
     """eq2_objective summed example by example, the value model files store."""
     total = 0.0
-    for p in model.row_scores(feats_H):
+    for p in map(model.score_features, feats_H):
         total += math.log(max(p, 1e-300)) / len(feats_H)
-    for p in model.row_scores(feats_G):
+    for p in map(model.score_features, feats_G):
         total += math.log(max(1.0 - p, 1e-300)) / len(feats_G)
     return total
 
@@ -432,7 +415,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     scale_H = n_total / ((1.0 + ratio) * n_H)
     scale_G = n_total * ratio / ((1.0 + ratio) * len(G))
 
-    # one example's step, as the per-example trainer took it: the same numpy
+    # one example's step, as the per-example trainer took it: score_features'
     # operations in the same order, so the weights come out bitwise the same
     dense, idx, val = batch.dense, batch.idx, batch.val
     ptr = batch.indptr.tolist()
@@ -465,7 +448,7 @@ def accuracy(model: DiscriminatorModel, examples) -> float:
     """Share of non-empty `examples` classified right at threshold 0.5
     (human = positive)."""
     examples = list(examples)
-    scores = model.row_scores(prefix_features(examples, model.config))
+    scores = map(model.score_features, prefix_features(examples, model.config))
     hits = sum(int(p > 0.5) == ex.label for p, ex in zip(scores, examples))
     return hits / len(examples)
 

@@ -21,6 +21,7 @@ from dasearch.decoder import (
     plain_beam_search,
 )
 from dasearch.discriminator import (
+    DiscriminatorError,
     DiscriminatorModel,
     FeatureConfig,
     accuracy,
@@ -42,6 +43,13 @@ class DiscriminatorHparams:
     warm_start: bool = False
     replay: bool = False  # also train on generated sets from past iterations
     ratio: float = 1.0    # class weight of generated vs. human prefixes
+
+    def __post_init__(self):
+        # checked here, before a round decodes, and again by train_discriminator
+        if self.epochs < 1:
+            raise DiscriminatorError(f"epochs must be >= 1, got {self.epochs}")
+        if self.ratio <= 0:
+            raise DiscriminatorError("ratio must be > 0")
 
 
 @dataclass

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dasearch import cli
+from dasearch import cli, selftrain
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
 from dasearch.corpus import Vocabulary, load_corpus
 from dasearch.decoder import SearchConfig
@@ -319,17 +319,25 @@ def test_self_train_rejects_zero_iterations(pipeline, tmp_path, capsys):
     assert "max_iters must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra, setting, value", [(["--epochs", "0"], {}, 0),
-                                                   ([], {"epochs": -2}, -2)],
-                         ids=["flag", "config"])
-def test_train_discriminator_rejects_epochs_below_one(pipeline, tmp_path, capsys, extra,
-                                                      setting, value):
+@pytest.mark.parametrize("command, extra, setting, message", [
+    ("train-discriminator", ["--epochs", "0"], {}, "epochs must be >= 1, got 0"),
+    ("train-discriminator", [], {"epochs": -2}, "epochs must be >= 1, got -2"),
+    ("self-train", ["--epochs", "0"], {}, "epochs must be >= 1, got 0"),
+    ("train-discriminator", [], {"ratio": 0.0}, "ratio must be > 0"),
+], ids=["flag", "config", "self-train", "ratio"])
+def test_train_discriminator_rejects_epochs_below_one(pipeline, tmp_path, capsys, monkeypatch,
+                                                      command, extra, setting, message):
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded before the settings were checked")
+
+    monkeypatch.setattr(selftrain, "decode_corpus", no_decode)
     _, cfg = pipeline
     model = tmp_path / "discriminator.model"
     path = derive_config(cfg, tmp_path, discriminator_model=str(model), **setting)
-    assert main(["train-discriminator", "--config", str(path), *extra]) == 1
-    assert f"error: epochs must be >= 1, got {value}" in capsys.readouterr().err
-    assert not model.exists() and not (tmp_path / "accuracy_by_length.csv").exists()
+    assert main([command, "--config", str(path), *extra]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not [p for p in (model, tmp_path / "accuracy_by_length.csv", tmp_path / "iter_0")
+                if p.exists()]
 
 
 def test_self_train_writes_iteration_directories(pipeline):
@@ -406,18 +414,30 @@ def test_sweep_rejects_malformed_lists(tmp_path, capsys, flag, text):
     assert not (tmp_path / "out").exists()
 
 
-def test_evaluate_rejects_token_ids_outside_the_vocabulary(pipeline, tmp_path, capsys):
+# the last line of a generations file, from its pair id and the first id
+# outside the vocabulary, and the start of the error it raises
+@pytest.mark.parametrize("last, message", [
+    (lambda i, n: json.dumps({"id": i, "tokens": [3, n]}), "token id {n} in pair {i!r} is not"),
+    (lambda i, n: json.dumps({"id": i, "tokens": [3, "4"]}), '"tokens" is not a list of ints'),
+    (lambda i, n: json.dumps({"tokens": [3]}), 'not an object with a string "id"'),
+    (lambda i, n: json.dumps({"id": i, "tokens": [3.5]}), '"tokens" is not a list of ints'),
+    (lambda i, n: json.dumps({"id": i, "tokens": [3, True]}), '"tokens" is not a list of ints'),
+    (lambda i, n: json.dumps({"id": i})[:-1], "malformed JSON"),
+], ids=["foreign-token", "string-token", "no-id", "float-token", "bool-token", "malformed-json"])
+def test_evaluate_rejects_token_ids_outside_the_vocabulary(pipeline, tmp_path, capsys, last,
+                                                           message):
     root, cfg = pipeline
     path = derive_config(cfg, tmp_path)
     ids = [json.loads(line)["id"] for line in
            (root / "out" / "test.jsonl").read_text().splitlines()]
     foreign = len(Vocabulary.load(root / "out" / "vocab.txt"))
     gens = tmp_path / "gens.jsonl"
-    gens.write_text("".join(json.dumps({"id": i, "tokens": [3, foreign] if i == ids[-1] else [3]})
-                            + "\n" for i in ids))
+    gens.write_text("".join(json.dumps({"id": i, "tokens": [3]}) + "\n" for i in ids[:-1])
+                    + last(ids[-1], foreign) + "\n")
     assert main(["evaluate", "--config", str(path), "--split", "test",
                  "--systems", str(gens)]) == 1
-    assert f"error: {gens}: token id {foreign} in pair {ids[-1]!r}" in capsys.readouterr().err
+    assert (f"error: {gens} line {len(ids)}: {message.format(i=ids[-1], n=foreign)}"
+            in capsys.readouterr().err)
     assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
                 if (tmp_path / p).exists()]
 

@@ -10,10 +10,8 @@ from dasearch.corpus import Vocabulary
 from dasearch.discriminator import (
     DiscriminatorError,
     DiscriminatorModel,
-    FeatureBatch,
     FeatureConfig,
     N_DENSE,
-    FeatureVector,
     PrefixExample,
     PrefixFeaturizer,
     _hash,
@@ -84,35 +82,33 @@ def test_prefix_sets_require_generations():
 
 
 def test_repetition_dense_feature_is_duplicated_mass_fraction(config):
-    fv = extract_features((3, 4), (5, 5, 5), config)
-    assert math.isclose(fv.dense[2], 2 / 3, abs_tol=1e-12)
+    dense, _, _ = extract_features((3, 4), (5, 5, 5), config)
+    assert math.isclose(dense[2], 2 / 3, abs_tol=1e-12)
 
 
 def test_source_overlap_feature(config):
-    fv = extract_features((3, 4), (3, 7), config)
-    assert fv.dense[1] == 0.5
+    dense, _, _ = extract_features((3, 4), (3, 7), config)
+    assert dense[1] == 0.5
 
 
 def test_use_source_false_zeroes_source_features():
     config = FeatureConfig(d_hash=256, use_source=False)
-    fv = extract_features((3, 4), (3, 4), config)
-    assert fv.dense[1] == 0.0
+    dense, _, _ = extract_features((3, 4), (3, 4), config)
+    assert dense[1] == 0.0
 
 
 def test_relative_length_and_eos_flag(config):
-    fv = extract_features((3,), (3, 4, 5), config)
-    assert math.isclose(fv.dense[0], 3 / config.t_max, abs_tol=1e-12)
-    assert fv.dense[6] == 0.0
-    fv_end = extract_features((3,), (3, EOS), config)
-    assert fv_end.dense[6] == 1.0
+    dense, _, _ = extract_features((3,), (3, 4, 5), config)
+    assert math.isclose(dense[0], 3 / config.t_max, abs_tol=1e-12)
+    assert dense[6] == 0.0
+    dense_end, _, _ = extract_features((3,), (3, EOS), config)
+    assert dense_end[6] == 1.0
 
 
 def test_feature_extraction_deterministic(config):
     a = extract_features((3, 4, 5), (3, 5, 7), config)
     b = extract_features((3, 4, 5), (3, 5, 7), config)
-    assert np.array_equal(a.dense, b.dense)
-    assert np.array_equal(a.sparse_idx, b.sparse_idx)
-    assert np.array_equal(a.sparse_val, b.sparse_val)
+    assert a == b
 
 
 def test_empty_prefix_rejected(config):
@@ -128,16 +124,17 @@ def test_background_logfreq_feature_uses_reference_counts():
     counts[3] += 2
     counts[4] += 1
     expected = np.log(counts / counts.sum())
-    fv = extract_features((3,), (3, 4), config)
-    assert math.isclose(fv.dense[5], (expected[3] + expected[4]) / 2, abs_tol=1e-12)
+    dense, _, _ = extract_features((3,), (3, 4), config)
+    assert math.isclose(dense[5], (expected[3] + expected[4]) / 2, abs_tol=1e-12)
 
 
 # --- incremental features against the from-scratch reference ------------------------
 
 
-def reference_features(source, prefix, config: FeatureConfig) -> FeatureVector:
-    """Every feature of the prefix, rebuilt from scratch: the reference the
-    incremental PrefixFeaturizer must match bit for bit."""
+def reference_features(source, prefix, config: FeatureConfig):
+    """Every feature of the prefix, rebuilt from scratch, as a (dense, idx,
+    val) tuple of arrays: the reference the incremental PrefixFeaturizer must
+    match bit for bit."""
     if len(prefix) == 0:
         raise DiscriminatorError("empty prefix")
     prefix = tuple(prefix)
@@ -166,21 +163,14 @@ def reference_features(source, prefix, config: FeatureConfig) -> FeatureVector:
         idx = _hash(f"b:{a}_{b}:{bit}", config.d_hash)
         sparse[idx] = sparse.get(idx, 0.0) + weight
     items = sorted(sparse.items())
-    return FeatureVector(
-        dense=dense,
-        sparse_idx=np.array([i for i, _ in items], dtype=np.int64),
-        sparse_val=np.array([v for _, v in items]),
-    )
+    return (dense, np.array([i for i, _ in items], dtype=np.int64),
+            np.array([v for _, v in items]))
 
 
-def batch_row(batch: FeatureBatch, i: int) -> FeatureVector:
-    a, b = batch.indptr[i], batch.indptr[i + 1]
-    return FeatureVector(batch.dense[i], batch.idx[a:b], batch.val[a:b])
-
-
-def assert_same_bits(fv: FeatureVector, ref: FeatureVector):
-    for name in ("dense", "sparse_idx", "sparse_val"):
-        got, want = getattr(fv, name), getattr(ref, name)
+def assert_same_bits(row, ref):
+    """`row`, as lists or arrays, holds the values of `ref` bit for bit."""
+    for name, got, want in zip(("dense", "idx", "val"), row, ref):
+        got = np.asarray(got)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
@@ -218,11 +208,11 @@ def test_incremental_features_equal_the_reference_bitwise(data):
         sibling = state.copy()
         other = (token + 1) % n_vocab
         featurizer.advance(sibling, other)
-        assert_same_bits(featurizer.features(sibling),
+        assert_same_bits(featurizer.row(sibling),
                          reference_features(source, prefix[: t - 1] + (other,), config))
         child = state.copy()
         featurizer.advance(child, token)
-        assert_same_bits(featurizer.features(child),
+        assert_same_bits(featurizer.row(child),
                          reference_features(source, prefix[:t], config))
         state = child
     assert_same_bits(extract_features(source, prefix, config),
@@ -251,8 +241,8 @@ def test_training_features_equal_the_reference_in_any_order(data):
         batch = prefix_features(examples, config)
         assert len(batch) == len(examples)
         assert batch.indptr[0] == 0 and batch.indptr[-1] == len(batch.idx) == len(batch.val)
-        for i, ex in enumerate(examples):
-            assert_same_bits(batch_row(batch, i), reference_features(ex.source, ex.prefix, config))
+        for row, ex in zip(batch, examples):
+            assert_same_bits(row, reference_features(ex.source, ex.prefix, config))
 
 
 # --- scoring --------------------------------------------------------------------
@@ -277,11 +267,11 @@ def test_score_matches_manual_recomputation(config):
     rng = np.random.default_rng(0)
     model = DiscriminatorModel(config, rng.normal(size=N_DENSE),
                                rng.normal(size=config.d_hash), 0.3)
-    fv = extract_features((3, 4, 5), (3, 9, 3, EOS), config)
-    z = 0.3 + float(np.dot(model.dense_w, fv.dense))
-    z += float(np.sum(model.sparse_w[fv.sparse_idx] * fv.sparse_val))
-    assert math.isclose(model.score_features(fv), 1.0 / (1.0 + math.exp(-z)),
-                        abs_tol=1e-12)
+    dense, idx, val = extract_features((3, 4, 5), (3, 9, 3, EOS), config)
+    z = 0.3 + float(np.dot(model.dense_w, dense))
+    z += float(np.sum(model.sparse_w[idx] * np.array(val)))
+    assert math.isclose(model.score_features((dense, idx, val)),
+                        1.0 / (1.0 + math.exp(-z)), abs_tol=1e-12)
 
 
 # --- training -------------------------------------------------------------------
@@ -357,11 +347,18 @@ def test_warm_start_initialization_is_used(config):
 # --- the packed trainer against the per-example reference ----------------------------
 
 
+def reference_score(model: DiscriminatorModel, row) -> float:
+    """D of a reference_features row, computed here rather than by the
+    DiscriminatorModel.score_features it checks."""
+    dense, idx, val = row
+    return _sigmoid(model.bias + model.dense_w @ dense + model.sparse_w[idx] @ val)
+
+
 def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: float,
                     seed: int, init: DiscriminatorModel | None, ratio: float):
-    """SGD over one FeatureVector per example, scored by score_features, and
-    the objective summed example by example after every epoch: the trainer
-    the packed one must match bit for bit."""
+    """SGD over one reference_features row per example, scored by
+    reference_score, and the objective summed example by example after every
+    epoch: the trainer the packed one must match bit for bit."""
     if init is not None:
         model = DiscriminatorModel(config, init.dense_w.copy(), init.sparse_w.copy(),
                                    init.bias)
@@ -372,15 +369,15 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
     n_total = len(examples)
     scale = {"H": n_total / ((1.0 + ratio) * len(H)),
              "G": n_total * ratio / ((1.0 + ratio) * len(G))}
-    feats_H = [fv for fv, label, _ in examples if label == 1]
-    feats_G = [fv for fv, label, _ in examples if label == 0]
+    feats_H = [row for row, label, _ in examples if label == 1]
+    feats_G = [row for row, label, _ in examples if label == 0]
 
     def objective():
         total = 0.0
-        for fv in feats_H:
-            total += math.log(max(model.score_features(fv), 1e-300)) / len(feats_H)
-        for fv in feats_G:
-            total += math.log(max(1.0 - model.score_features(fv), 1e-300)) / len(feats_G)
+        for row in feats_H:
+            total += math.log(max(reference_score(model, row), 1e-300)) / len(feats_H)
+        for row in feats_G:
+            total += math.log(max(1.0 - reference_score(model, row), 1e-300)) / len(feats_G)
         return total
 
     rng = np.random.default_rng(seed)
@@ -390,12 +387,10 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
         rng.shuffle(order)
         lr = learning_rate / math.sqrt(epoch + 1)
         for i in order:
-            fv, label, kind = examples[i]
-            p = model.score_features(fv)
-            step = lr * scale[kind] * (label - p)
-            model.dense_w += step * fv.dense
-            if fv.sparse_idx.size:
-                model.sparse_w[fv.sparse_idx] += step * fv.sparse_val
+            (dense, idx, val), label, kind = examples[i]
+            step = lr * scale[kind] * (label - reference_score(model, (dense, idx, val)))
+            model.dense_w += step * dense
+            model.sparse_w[idx] += step * val
             model.bias += step
         history.append(objective())
     model.objective_history = tuple(history)
@@ -444,11 +439,14 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
     assert len(packed.objective_history) == kwargs["epochs"]
     for got, want in zip(packed.objective_history, reference.objective_history):
         assert abs(got - want) <= 1e-12 * abs(want)
-    # accuracy scores each row by score_features' operations
+    # score_features, as accuracy calls it on batch rows and the decoder on
+    # list rows, equals the reference scoring bit for bit
     examples = H + G
-    scores = list(packed.row_scores(prefix_features(examples, config)))
-    assert scores == [packed.score_features(reference_features(ex.source, ex.prefix, config))
-                      for ex in examples]
+    want = [reference_score(packed, reference_features(ex.source, ex.prefix, config))
+            for ex in examples]
+    assert list(map(packed.score_features, prefix_features(examples, config))) == want
+    assert [packed.score_features(extract_features(ex.source, ex.prefix, config))
+            for ex in examples] == want
 
 
 # --- objective and gradient ------------------------------------------------------
