@@ -30,6 +30,7 @@ from dasearch.corpus import (
     Corpus,
     CorpusError,
     Vocabulary,
+    atomic_write,
     build_vocabulary,
     generate_synthetic_corpus,
     load_corpus,
@@ -179,7 +180,7 @@ def write_manifest(out_dir, command: str, cfg: RunConfig, inputs, outputs,
         "wall_time_s": round(time.time() - started, 3),
     }
     path = Path(out_dir) / f"manifest-{command}.json"
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -207,7 +208,7 @@ def _load_models(cfg: RunConfig, need_disc: bool = False):
 
 
 def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for p in corpus.pairs:
             h = hyps[p.id]
             content = hypothesis_content(h)
@@ -256,7 +257,7 @@ def _write_rows(path, rows, header=None) -> None:
     if header is None:
         header = list(rows[0])
         rows = ([row[c] for c in header] for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -338,7 +339,7 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
         iter_dir = out_dir / f"iter_{state.iteration}"
         iter_dir.mkdir(parents=True, exist_ok=True)
         gen_path = iter_dir / "generations.jsonl"
-        with open(gen_path, "w", encoding="utf-8") as f:
+        with atomic_write(gen_path) as f:
             for p in corpus.pairs:
                 toks = state.last_generations[p.id]
                 f.write(json.dumps({

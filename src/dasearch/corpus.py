@@ -9,9 +9,11 @@ clauses and paraphrase part of their tokens, so they are abstractive
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 SOS_TOKEN = "<s>"
@@ -24,6 +26,24 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 class CorpusError(ValueError):
     pass
+
+
+@contextmanager
+def atomic_write(path, newline: str | None = None):
+    """A UTF-8 text file to write `path` through. It is a temporary file in the
+    same directory that replaces `path` when the block ends without an error
+    and is removed when it raises, so `path` holds either its old content or
+    all of the new."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "x", encoding="utf-8", newline=newline)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def tokenize(text: str) -> list[str]:
@@ -75,7 +95,7 @@ class Vocabulary:
         return [self._tokens[i] for i in ids]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for t in self._tokens:
                 f.write(t + "\n")
 
@@ -171,7 +191,7 @@ def load_corpus(path, vocab: Vocabulary | None = None, split: str = "train") -> 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus back as line-delimited records (space-joined tokens)."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for p in corpus.pairs:
             rec = {
                 "id": p.id,

@@ -29,7 +29,7 @@ class DecoderError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Hypothesis:
     tokens: tuple[int, ...]          # starts with SOS
     s_gen: float
@@ -91,13 +91,40 @@ def length_penalty(length: int, beta: float) -> float:
     return (5.0 + length) ** beta / 6.0 ** beta
 
 
-def _blocked_tokens(h: Hypothesis) -> set[int]:
+def _blocked_tokens(h: Hypothesis) -> frozenset[int]:
     content = h.tokens[1:]
     if len(content) < 2:
-        return set()
+        return frozenset()
     ctx = (content[-2], content[-1])
-    return {content[i + 2] for i in range(len(content) - 2)
-            if content[i : i + 2] == ctx}
+    return frozenset(content[i + 2] for i in range(len(content) - 2)
+                     if content[i : i + 2] == ctx)
+
+
+def _expansion(generator, source, k: int):
+    """`expand(tokens, blocked)`: the finite (token, logp) pairs among the k
+    best next tokens after `tokens` with `blocked` set to -inf, best first and
+    ties by token id. Given the source these depend only on the generator's
+    context of the prefix and on the blocked set, so each is computed once per
+    (context, blocked) and kept for as long as the search lasts."""
+    memo = {}
+
+    def expand(tokens, blocked: frozenset[int]) -> list[tuple[int, float]]:
+        key = (generator.context(tokens), blocked)
+        top = memo.get(key)
+        if top is None:
+            lp = generator.next_logprobs(source, tokens)
+            if blocked:
+                lp = lp.copy()
+                lp[list(blocked)] = -np.inf
+            top = []
+            for tok in np.argsort(-lp, kind="stable")[:k]:
+                val = float(lp[tok])
+                if math.isfinite(val):  # zero-probability or blocked: never enters the pool
+                    top.append((int(tok), val))
+            memo[key] = top
+        return top
+
+    return expand
 
 
 def _rank_gen(h: Hypothesis):
@@ -135,7 +162,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
 
     def score(h: Hypothesis) -> Hypothesis:
         if h.s_das is not None:
-            return h  # frozen (ended hypotheses keep their scores)
+            return h  # already scored (ended hypotheses keep their scores)
         if rerank:
             state = states[h.tokens[:-1]].copy()
             featurizer.advance(state, h.tokens[-1])
@@ -144,22 +171,17 @@ def _search(generator, discriminator, source, config: SearchConfig):
                                    discriminator.score_features(featurizer.row(state)))
         return Hypothesis(h.tokens, h.s_gen, None, h.s_gen, h.ended, h.truncated)
 
+    expand = _expansion(generator, source, config.k_rerank)
+    blocked = frozenset()
     pool = [Hypothesis(tokens=(Vocabulary.sos,), s_gen=0.0)]
     for _ in range(config.t_max):
         live = [h for h in pool if not h.ended]
         candidates = [h for h in pool if h.ended]
         for h in live:
-            lp = generator.next_logprobs(source, h.tokens)
             if config.block_repeated_trigrams:
                 blocked = _blocked_tokens(h)
-                if blocked:
-                    lp = lp.copy()
-                    lp[list(blocked)] = -np.inf
-            for tok in np.argsort(-lp, kind="stable")[: config.k_rerank]:
-                val = float(lp[tok])
-                if not math.isfinite(val):
-                    continue  # zero-probability or blocked: never enters the pool
-                candidates.append(s_gen_extend(h, int(tok), val))
+            for tok, val in expand(h.tokens, blocked):
+                candidates.append(s_gen_extend(h, tok, val))
         candidates.sort(key=_rank_gen)
         pool = candidates[: config.k_rerank]
         if rerank:

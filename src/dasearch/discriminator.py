@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dasearch.corpus import Corpus, Vocabulary
+from dasearch.corpus import Corpus, Vocabulary, atomic_write
 
 DENSE_FEATURES = (
     "rel_length",      # t / T_max
@@ -270,7 +270,7 @@ class DiscriminatorModel:
         return self.score_features(extract_features(source, prefix, self.config))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             f.write("discriminator v1\n")
             f.write(f"d_hash {self.config.d_hash}\n")
             f.write(f"use_source {int(self.config.use_source)}\n")

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from dasearch.corpus import Corpus, Vocabulary
+from dasearch.corpus import Corpus, Vocabulary, atomic_write
 
 BACKOFF = 0.4
 
@@ -39,7 +39,8 @@ class NGramCopyModel:
         self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
             {} for _ in range(order + 1)
         ]
-        self._lm_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # one n-gram distribution per context(): bounded by the model's tables
+        self._lm_cache: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
         self._copy_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- training ------------------------------------------------------------
@@ -57,9 +58,21 @@ class NGramCopyModel:
 
     # -- scoring ---------------------------------------------------------------
 
+    def context(self, prefix) -> tuple[tuple[int, ...], ...]:
+        """What the n-gram distribution after `prefix` depends on: the
+        prefix's last k-1 tokens for each order k whose context table holds
+        them, shortest first. Prefixes with one context get one distribution."""
+        tail = tuple(prefix[1 - self.order :]) if self.order > 1 else ()
+        context = []
+        for k in range(2, min(self.order, len(tail) + 1) + 1):
+            ctx = tail[1 - k :]
+            if self.counts[k].get(ctx):
+                context.append(ctx)
+        return tuple(context)
+
     def _ngram_probs(self, prefix: tuple[int, ...]) -> np.ndarray:
-        tail = tuple(prefix[-(self.order - 1) :]) if self.order > 1 else ()
-        cached = self._lm_cache.get(tail)
+        context = self.context(prefix)
+        cached = self._lm_cache.get(context)
         if cached is not None:
             return cached
         nv = len(self.vocab)
@@ -70,20 +83,15 @@ class NGramCopyModel:
         probs[Vocabulary.sos] = 0.0
         probs /= probs.sum()
         # stupid backoff: overlay observed higher-order continuations
-        for k in range(2, self.order + 1):
-            if len(tail) < k - 1:
-                break
-            ctx = tail[-(k - 1) :]
-            table = self.counts[k].get(ctx)
-            if not table:
-                continue
+        for ctx in context:
+            table = self.counts[len(ctx) + 1][ctx]
             total = sum(table.values())
             overlaid = BACKOFF * probs
             for tok, c in table.items():
                 overlaid[tok] = c / total
             overlaid[Vocabulary.sos] = 0.0
             probs = overlaid / overlaid.sum()
-        self._lm_cache[tail] = probs
+        self._lm_cache[context] = probs
         return probs
 
     def _copy_probs(self, source: tuple[int, ...]) -> np.ndarray:
@@ -137,7 +145,7 @@ class NGramCopyModel:
         return hashlib.sha256("\n".join(self.vocab.tokens).encode()).hexdigest()[:16]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             f.write("ngram-copy v1\n")
             f.write(f"order {self.order}\n")
             f.write(f"kappa {self.kappa!r}\n")

@@ -15,6 +15,8 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 
+from dasearch.corpus import atomic_write
+
 
 class MetricsError(ValueError):
     pass
@@ -273,10 +275,10 @@ def evaluate_system(generations: dict, corpus, system: str = "model",
 
 def write_reports(reports: list[MetricReport], csv_path, json_path) -> None:
     rows = [r.as_dict() for r in reports]
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(csv_path, newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    with open(json_path, "w", encoding="utf-8") as f:
+    with atomic_write(json_path) as f:
         json.dump(rows, f, indent=2)
         f.write("\n")

@@ -1,10 +1,13 @@
 import json
+import os
 
 import pytest
 
+from dasearch import corpus as corpus_mod
 from dasearch.corpus import (
     CorpusError,
     Vocabulary,
+    atomic_write,
     build_vocabulary,
     generate_synthetic_corpus,
     load_corpus,
@@ -129,6 +132,53 @@ def test_save_corpus_roundtrip(tmp_path):
     reloaded = load_corpus(path, corpus.vocab)
     assert [p.source for p in reloaded.pairs] == [p.source for p in corpus.pairs]
     assert [p.reference for p in reloaded.pairs] == [p.reference for p in corpus.pairs]
+
+
+# --- atomic writes ------------------------------------------------------------
+
+
+def test_atomic_write_replaces_the_file_with_the_default_mode(tmp_path):
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w", encoding="utf-8") as f:
+        f.write("x\n")
+    path = tmp_path / "vocab.txt"
+    make_vocab("a").save(path)
+    make_vocab("b", "c").save(path)
+    assert Vocabulary.load(path) == make_vocab("b", "c")
+    assert sorted(os.listdir(tmp_path)) == ["plain.txt", "vocab.txt"]
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
+
+
+def test_atomic_write_failure_keeps_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path, newline="") as f:
+            f.write("new\n")
+            f.flush()
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_save_corpus_failing_mid_write_keeps_the_old_corpus(tmp_path, monkeypatch):
+    corpus = generate_synthetic_corpus(3, 5)
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    old = path.read_bytes()
+    records, dumps = [], json.dumps
+
+    def dumps_then_fail(rec):
+        records.append(rec)
+        if len(records) == 3:
+            raise OSError("disk full")
+        return dumps(rec)
+
+    monkeypatch.setattr(corpus_mod.json, "dumps", dumps_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_corpus(generate_synthetic_corpus(4, 5), path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["c.jsonl"]
 
 
 # --- build_vocabulary ---------------------------------------------------------

@@ -16,6 +16,8 @@ from dasearch.decoder import (
     Hypothesis,
     SearchConfig,
     _blocked_tokens,
+    _expansion,
+    _final_sort,
     apply_das_score,
     das_beam_search,
     decode_corpus,
@@ -122,6 +124,45 @@ def test_trigram_block_rule_removes_repeats_from_outputs(synth_corpus, synth_gen
         content = best.tokens[1:]
         grams = [content[i:i + 3] for i in range(len(content) - 2)]
         assert len(set(grams)) == len(grams)
+
+
+# --- expansion memo ------------------------------------------------------------------
+
+
+def fresh_expansion(generator, source, tokens, blocked, k):
+    """The k best next tokens after `tokens` as the search ranks them, from a
+    generator with nothing cached: (token, logp bits), finite ones only."""
+    generator._lm_cache.clear()
+    lp = generator.next_logprobs(source, tokens).copy()
+    lp[list(blocked)] = -np.inf
+    return [(int(tok), float(lp[tok]).hex())
+            for tok in np.argsort(-lp, kind="stable")[:k] if np.isfinite(lp[tok])]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_memoised_expansion_equals_the_fresh_one(data):
+    vocab = make_vocab("a", "b", "c", "d", "e")
+    nv = len(vocab)
+    refs = data.draw(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=6),
+                              min_size=1, max_size=5), label="references")
+    corpus = make_corpus(vocab, [(f"r{i}", ["a"], ref) for i, ref in enumerate(refs)])
+    order = data.draw(st.integers(1, 3), label="order")
+    lambda_copy = data.draw(st.sampled_from([0.0, 0.75]), label="lambda_copy")
+    source = data.draw(st.lists(st.integers(2, nv - 1), min_size=1, max_size=8),
+                       label="source")
+    k = data.draw(st.integers(1, nv), label="k")
+    queries = data.draw(st.lists(
+        st.tuples(st.lists(st.integers(2, nv - 1), max_size=6),
+                  st.frozensets(st.integers(0, nv - 1), max_size=3)),
+        min_size=1, max_size=40), label="queries")
+    generator = train_generator(corpus, order=order, lambda_copy=lambda_copy)
+    fresh = train_generator(corpus, order=order, lambda_copy=lambda_copy)
+    expand = _expansion(generator, tuple(source), k)
+    for content, blocked in queries:
+        tokens = (SOS, *content)
+        got = [(tok, val.hex()) for tok, val in expand(tokens, blocked)]
+        assert got == fresh_expansion(fresh, source, tokens, blocked, k)
 
 
 # --- configuration ------------------------------------------------------------------
@@ -264,6 +305,34 @@ def test_results_always_end_with_eos(synth_corpus, synth_generator, trained_disc
         for h in das_beam_search(synth_generator, trained_disc, p.source, config):
             assert h.ended and h.tokens[-1] == EOS
             assert len(h.tokens) - 1 <= 8 + 1  # content plus forced EOS
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_beam_invariants(synth_corpus, synth_generator, trained_disc, data):
+    k_rerank = data.draw(st.integers(1, 8), label="k_rerank")
+    config = SearchConfig(
+        beam_size=data.draw(st.integers(1, k_rerank), label="beam_size"),
+        k_rerank=k_rerank,
+        alpha=data.draw(st.sampled_from([0.5, 1.0, 5.0]), label="alpha"),
+        t_max=data.draw(st.integers(1, 30), label="t_max"),
+        length_penalty_beta=data.draw(st.sampled_from([0.0, 0.6, 2.0]),
+                                      label="length_penalty_beta"),
+        block_repeated_trigrams=data.draw(st.booleans(), label="block_repeated_trigrams"),
+        final_by_s_gen=data.draw(st.booleans(), label="final_by_s_gen"))
+    source = data.draw(st.sampled_from(synth_corpus.pairs), label="pair").source
+    plain = plain_beam_search(synth_generator, source, config)
+    fused = das_beam_search(synth_generator, trained_disc, source, config)
+    for beam in (plain, fused):
+        assert 1 <= len(beam) and _final_sort(beam, config) == beam
+        for h in beam:
+            assert h.ended and h.tokens[0] == SOS and h.tokens[-1] == EOS
+            assert EOS not in h.tokens[1:-1]
+            assert all(0 <= tok < len(synth_corpus.vocab) for tok in h.tokens)
+            assert len(h.tokens) <= config.t_max + 2
+    assert len(plain) <= config.beam_size and len(fused) <= config.beam_size
+    assert all(h.s_das == h.s_gen and h.s_dis is None for h in plain)
+    assert all(h.s_das == h.s_gen + config.alpha * h.s_dis for h in fused)
 
 
 def test_final_selection_by_generator_score_option(synth_corpus, synth_generator,

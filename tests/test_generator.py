@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dasearch.corpus import Vocabulary
-from dasearch.generator import GeneratorError, NGramCopyModel, train_generator
+from dasearch.generator import BACKOFF, GeneratorError, NGramCopyModel, train_generator
 
 from conftest import make_corpus, make_vocab
 
@@ -201,6 +201,66 @@ def test_copy_cache_keeps_only_the_last_source(ab_corpus):
     assert np.array_equal(model.next_probs((3, 4, 5), (SOS, 3)),
                           fresh.next_probs((3, 4, 5), (SOS, 3)))
     assert len(model._copy_cache) == 1
+
+
+def backoff_reference(model, prefix):
+    """The n-gram distribution after `prefix`, computed from the prefix's own
+    tail with nothing cached."""
+    tail = tuple(prefix[-(model.order - 1):]) if model.order > 1 else ()
+    probs = np.full(len(model.vocab), model.kappa)
+    for tok, c in model.counts[1].get((), {}).items():
+        probs[tok] += c
+    probs[SOS] = 0.0
+    probs /= probs.sum()
+    for k in range(2, model.order + 1):
+        if len(tail) < k - 1:
+            break
+        table = model.counts[k].get(tail[-(k - 1):])
+        if not table:
+            continue
+        total = sum(table.values())
+        overlaid = BACKOFF * probs
+        for tok, c in table.items():
+            overlaid[tok] = c / total
+        overlaid[SOS] = 0.0
+        probs = overlaid / overlaid.sum()
+    return probs
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_lm_cache_is_bounded_by_the_model_not_by_the_prefixes_asked(synth_corpus, tmp_path,
+                                                                    order):
+    path = tmp_path / "gen.model"
+    trained = train_generator(synth_corpus, order=order, lambda_copy=0.0)
+    trained.save(path)
+    model = NGramCopyModel.load(path, synth_corpus.vocab)
+    rng = random.Random(order)
+    nv = len(synth_corpus.vocab)
+    tails = set()
+    for _ in range(3000):
+        prefix = (SOS,) + tuple(rng.randrange(2, nv) for _ in range(rng.randint(0, 5)))
+        tails.add(prefix[-(order - 1):] if order > 1 else ())
+        got = model.next_probs((3,), prefix)
+        assert got.tobytes() == backoff_reference(trained, prefix).tobytes()
+    bound = 1 + sum(len(model.counts[k]) for k in range(1, order + 1))
+    assert len(model._lm_cache) <= bound
+    if order == 3:
+        assert len(tails) > bound  # a cache keyed by the raw tail would outgrow it
+
+
+def test_context_is_the_overlaid_contexts_even_with_gaps(abc_vocab, tmp_path):
+    a, b, c = 3, 4, 5
+    model = NGramCopyModel(abc_vocab, order=3, lambda_copy=0.0)
+    model.counts[1][()] = {a: 2, b: 1}
+    model.counts[2][(b,)] = {c: 1}
+    model.counts[3][(a, c)] = {b: 3}  # no bigram context (c,): a file may hold this
+    assert model.context((SOS,)) == ()
+    assert model.context((SOS, a, b)) == ((b,),)
+    assert model.context((SOS, b, a, c)) == ((a, c),)
+    assert model.context((SOS, b, b)) == model.context((SOS, a, b))
+    for prefix in [(SOS,), (SOS, a, b), (SOS, a, c), (SOS, b, c), (SOS, c, b), (SOS, b, b)]:
+        assert model.next_probs((a,), prefix).tobytes() == \
+            backoff_reference(model, prefix).tobytes()
 
 
 # --- persistence ----------------------------------------------------------------
