@@ -32,6 +32,7 @@ from dasearch.corpus import (
     Vocabulary,
     atomic_write,
     build_vocabulary,
+    finite_float,
     generate_synthetic_corpus,
     load_corpus,
     save_corpus,
@@ -54,8 +55,8 @@ def _parse_bool(text: str) -> bool:
     return value
 
 
-# text -> value, by the type name a RunConfig field declares
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+# text -> value, by the type name a RunConfig field declares; no setting is nan or inf
+_PARSERS = {"str": str, "int": int, "float": finite_float, "bool": _parse_bool}
 
 
 def _setting(section: str, default):
@@ -365,6 +366,13 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
     for key in ("zipf_k", "hist_buckets"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"[metrics] {key} must be >= 1, got {getattr(cfg, key)}")
+    # a system is named by its file stem, and names key the rows of every report
+    seen = {"human": "the references"}
+    for path in args.systems:
+        name = Path(path).stem
+        if name in seen:
+            raise ConfigError(f"system {path} would be named {name!r}, like {seen[name]}")
+        seen[name] = path
     vocab = Vocabulary.load(_required_path(cfg, "vocab_path"))
     corpus = load_corpus(_required_path(cfg, f"{args.split}_path"), vocab)
     reports = []
@@ -463,7 +471,8 @@ def _comma_list(parse):
             return [parse(v) for v in text.split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"must be a comma-separated list of {parse.__name__}s, got {text!r}") from None
+                f"must be a comma-separated list of {parse.__name__} values, got {text!r}"
+            ) from None
     return parse_list
 
 
@@ -496,7 +505,7 @@ def build_parser() -> _Parser:
     })
     add("sweep", cmd_sweep, **{
         "--k-rerank": {"type": _comma_list(int), "default": "1,5,10"},
-        "--alphas": {"type": _comma_list(float), "default": "0,0.5,1,5"},
+        "--alphas": {"type": _comma_list(finite_float), "default": "0,0.5,1,5"},
         "--subset-size": {"type": _positive_int, "default": 100},
         "--repetitions": {"type": _positive_int, "default": 3},
         "--split": {"choices": ["train", "validation", "test"], "default": "validation"},

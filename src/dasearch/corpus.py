@@ -9,6 +9,7 @@ clauses and paraphrase part of their tokens, so they are abstractive
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -26,6 +27,25 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 class CorpusError(ValueError):
     pass
+
+
+def finite_float(text: str) -> float:
+    """float(text), refusing nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def read_header(f, key: str, many: bool = False):
+    """The value on the next line of model file `f`, which must read
+    `key value`; with `many`, the list of values of a `key value ...` line."""
+    name, *values = f.readline().split() or ("",)
+    if name != key:
+        raise ValueError(f"no {key!r} line where one belongs")
+    if not many and len(values) != 1:
+        raise ValueError(f"the {key!r} line holds {len(values)} values, not 1")
+    return values if many else values[0]
 
 
 @contextmanager

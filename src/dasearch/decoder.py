@@ -58,8 +58,11 @@ class SearchConfig:
     def __post_init__(self):
         if not 1 <= self.beam_size <= self.k_rerank:
             raise DecoderError("need 1 <= beam_size <= k_rerank")
-        if self.alpha < 0:
-            raise DecoderError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise DecoderError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not math.isfinite(self.length_penalty_beta):
+            raise DecoderError(f"length_penalty_beta must be finite, got "
+                               f"{self.length_penalty_beta}")
         if self.t_max < 1:
             raise DecoderError("t_max must be >= 1")
 
@@ -76,9 +79,9 @@ def s_gen_extend(h: Hypothesis, token: int, logp: float) -> Hypothesis:
 
 
 def apply_das_score(h: Hypothesis, alpha: float, dis_prob: float) -> Hypothesis:
-    """Fuse generator and discriminator scores: s_das = s_gen + alpha*log(p)."""
+    """Fuse generator and discriminator scores: s_das = s_gen + alpha*log(p),
+    with p clamped to at least EPS_DIS (the search counts and logs clamps)."""
     if dis_prob < EPS_DIS:
-        log.warning("discriminator probability %.3g clamped to %g", dis_prob, EPS_DIS)
         dis_prob = EPS_DIS
     s_dis = math.log(dis_prob)
     return Hypothesis(h.tokens, h.s_gen, s_dis, h.s_gen + alpha * s_dis, h.ended, h.truncated)
@@ -160,15 +163,19 @@ def _search(generator, discriminator, source, config: SearchConfig):
         # every candidate extends the state of its parent by one token
         states = {(Vocabulary.sos,): featurizer.state_of(source)}
 
+    clamps = 0
+
     def score(h: Hypothesis) -> Hypothesis:
+        nonlocal clamps
         if h.s_das is not None:
             return h  # already scored (ended hypotheses keep their scores)
         if rerank:
             state = states[h.tokens[:-1]].copy()
             featurizer.advance(state, h.tokens[-1])
             states[h.tokens] = state
-            return apply_das_score(h, config.alpha,
-                                   discriminator.score_features(featurizer.row(state)))
+            dis_prob = discriminator.score_features(featurizer.row(state))
+            clamps += dis_prob < EPS_DIS
+            return apply_das_score(h, config.alpha, dis_prob)
         return Hypothesis(h.tokens, h.s_gen, None, h.s_gen, h.ended, h.truncated)
 
     expand = _expansion(generator, source, config.k_rerank)
@@ -199,6 +206,9 @@ def _search(generator, discriminator, source, config: SearchConfig):
             h = Hypothesis(h.tokens + (Vocabulary.eos,), h.s_gen + lp_eos, ended=True,
                            truncated=True)
         final.append(score(h))
+    if clamps:
+        log.warning("%d discriminator probabilities clamped to %g in one search",
+                    clamps, EPS_DIS)
     return _final_sort(final, config)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dasearch.corpus import Corpus, Vocabulary, atomic_write
+from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_header
 
 DENSE_FEATURES = (
     "rel_length",      # t / T_max
@@ -288,24 +288,26 @@ class DiscriminatorModel:
             if f.readline().strip() != "discriminator v1":
                 raise DiscriminatorError(f"not a discriminator model file: {path}")
             try:
-                d_hash = int(f.readline().split()[1])
-                use_source = bool(int(f.readline().split()[1]))
-                t_max = int(f.readline().split()[1])
-                final_objective = float(f.readline().split()[1])
-                logfreq = tuple(float(v) for v in f.readline().split()[1:])
-                bias = float(f.readline().split()[1])
-                dense = np.array([float(v) for v in f.readline().split()[1:]])
+                d_hash = int(read_header(f, "d_hash"))
+                use_source = read_header(f, "use_source")
+                if use_source not in ("0", "1"):
+                    raise ValueError(f"use_source must be 0 or 1, got {use_source!r}")
+                t_max = int(read_header(f, "t_max"))
+                final_objective = finite_float(read_header(f, "final_objective"))
+                logfreq = tuple(map(finite_float, read_header(f, "logfreq", many=True)))
+                bias = finite_float(read_header(f, "bias"))
+                dense = np.array([finite_float(v) for v in read_header(f, "dense", many=True)])
                 if dense.size != N_DENSE:
-                    raise ValueError("dense weights cut short")
+                    raise ValueError(f"{dense.size} dense weights, not {N_DENSE}")
                 sparse_entries = []
                 for line in f:
                     i, w = line.split()
-                    sparse_entries.append((int(i), float(w)))
-            except (IndexError, ValueError):
+                    sparse_entries.append((int(i), finite_float(w)))
+            except ValueError as e:
                 raise DiscriminatorError(
-                    f"truncated or malformed discriminator model file: {path}") from None
+                    f"truncated or malformed discriminator model file: {path}: {e}") from None
         try:
-            config = FeatureConfig(d_hash=d_hash, use_source=use_source, t_max=t_max,
+            config = FeatureConfig(d_hash=d_hash, use_source=use_source == "1", t_max=t_max,
                                    logfreq=logfreq)
         except DiscriminatorError as e:
             raise DiscriminatorError(f"discriminator model file {path}: {e}") from None
@@ -384,6 +386,16 @@ def eq2_gradient(model: DiscriminatorModel, feats_H: FeatureBatch, feats_G: Feat
     return tuple(h + g for h, g in zip(*grads))
 
 
+def check_training_settings(epochs: int, learning_rate: float, ratio: float) -> None:
+    """Raise DiscriminatorError unless epochs >= 1 and learning_rate and ratio
+    are finite and > 0 (NaN fails each check)."""
+    if epochs < 1:
+        raise DiscriminatorError(f"epochs must be >= 1, got {epochs}")
+    for name, value in (("learning_rate", learning_rate), ("ratio", ratio)):
+        if not 0 < value < math.inf:
+            raise DiscriminatorError(f"{name} must be > 0 and finite, got {value}")
+
+
 def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
                         learning_rate: float = 2.0, seed: int = 0,
                         init: DiscriminatorModel | None = None,
@@ -396,10 +408,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     """
     if not H or not G:
         raise DiscriminatorError("H and G must be non-empty")
-    if ratio <= 0:
-        raise DiscriminatorError("ratio must be > 0")
-    if epochs < 1:
-        raise DiscriminatorError(f"epochs must be >= 1, got {epochs}")
+    check_training_settings(epochs, learning_rate, ratio)
     if any(ex.label != 1 for ex in H) or any(ex.label != 0 for ex in G):
         raise DiscriminatorError("H must hold label-1 examples and G label-0 ones")
     if init is not None:

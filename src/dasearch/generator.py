@@ -10,10 +10,11 @@ unigram level) normalized over vocabulary + EOS. SOS is never predicted.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
-from dasearch.corpus import Corpus, Vocabulary, atomic_write
+from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_header
 
 BACKOFF = 0.4
 
@@ -27,8 +28,8 @@ class NGramCopyModel:
                  lambda_copy: float = 0.75):
         if order < 1:
             raise GeneratorError("order must be >= 1")
-        if kappa <= 0:
-            raise GeneratorError("kappa must be > 0")
+        if not 0 < kappa < math.inf:
+            raise GeneratorError(f"kappa must be > 0 and finite, got {kappa}")
         if not 0.0 <= lambda_copy <= 1.0:
             raise GeneratorError("lambda_copy must be in [0, 1]")
         self.vocab = vocab
@@ -165,17 +166,17 @@ class NGramCopyModel:
             if header != "ngram-copy v1":
                 raise GeneratorError(f"not a generator model file: {path}")
             try:
-                order, kappa, lambda_copy, vhash = (f.readline().split()[1]
-                                                    for _ in range(4))
-                model = cls(vocab, order=int(order), kappa=float(kappa),
-                            lambda_copy=float(lambda_copy))
+                order, kappa, lambda_copy, vhash = (
+                    read_header(f, key) for key in ("order", "kappa", "lambda_copy", "vocab_hash"))
+                model = cls(vocab, order=int(order), kappa=finite_float(kappa),
+                            lambda_copy=finite_float(lambda_copy))
                 ngrams = []
                 for line in f:
                     *ids, count = map(int, line.split())
                     ngrams.append((ids, count))
-            except (IndexError, ValueError):
+            except ValueError as e:
                 raise GeneratorError(
-                    f"truncated or malformed generator model file: {path}") from None
+                    f"truncated or malformed generator model file: {path}: {e}") from None
         if model.vocab_hash() != vhash:
             raise GeneratorError(f"vocabulary does not match the model file {path}")
         for ids, count in ngrams:

@@ -2,7 +2,9 @@
 top-k frequency (Zipf) report and the repeated-3-gram position histogram.
 
 Novelty and repetition both count n-gram instances (not types); repetition is
-the duplicated-mass fraction 1 - types/instances. Deltas follow
+the duplicated-mass fraction 1 - types/instances. Each count is taken by one
+private function (`_novel`, `_distinct`, `_clipped`); per-summary, pooled and
+micro figures are reductions of those counts. Deltas follow
 delta(m) = m_human - m_model, so a negative delta-len means the model output
 is longer than the reference.
 """
@@ -26,22 +28,29 @@ def _ngrams(tokens, n: int) -> list[tuple]:
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def novelty_n(summary, source, n: int) -> float | None:
-    """Percentage of summary n-gram instances absent from the source."""
-    if len(summary) < n:
-        return None
+def _novel(summary, source, n: int) -> tuple[int, int]:
+    """(novel, instances): summary n-gram instances absent from the source."""
     source_grams = set(_ngrams(source, n))
     grams = _ngrams(summary, n)
-    novel = sum(1 for g in grams if g not in source_grams)
-    return 100.0 * novel / len(grams)
+    return sum(1 for g in grams if g not in source_grams), len(grams)
+
+
+def _distinct(summary, n: int) -> tuple[int, int]:
+    """(types, instances) of the summary's n-grams."""
+    grams = _ngrams(summary, n)
+    return len(set(grams)), len(grams)
+
+
+def novelty_n(summary, source, n: int) -> float | None:
+    """Percentage of summary n-gram instances absent from the source."""
+    novel, instances = _novel(summary, source, n)
+    return 100.0 * novel / instances if instances else None
 
 
 def repetition_n(summary, n: int) -> float | None:
     """Percentage of duplicated n-gram mass: 100 * (1 - types/instances)."""
-    if len(summary) < n:
-        return None
-    grams = _ngrams(summary, n)
-    return 100.0 * (1.0 - len(set(grams)) / len(grams))
+    types, instances = _distinct(summary, n)
+    return 100.0 * (1.0 - types / instances) if instances else None
 
 
 def delta(m_human: float, m_model: float) -> float:
@@ -50,29 +59,36 @@ def delta(m_human: float, m_model: float) -> float:
     return m_human - m_model
 
 
+def _clipped(hypothesis, reference, name: str) -> int:
+    """Hypothesis unigrams matched in the reference, each at most as often as
+    the reference holds it."""
+    if not hypothesis or not reference:
+        raise MetricsError(f"{name} requires non-empty sequences")
+    ref_counts = Counter(reference)
+    return sum(min(c, ref_counts[t]) for t, c in Counter(hypothesis).items())
+
+
+def _bleu(clipped: int, hyp_len: int, ref_len: int) -> float:
+    """Clipped precision times brevity penalty."""
+    return clipped / hyp_len * math.exp(min(0.0, 1.0 - ref_len / hyp_len))
+
+
+def _prf(hits: int, hypothesis, reference) -> tuple[float, float, float]:
+    """(recall, precision, f1) of `hits` matched tokens."""
+    recall = hits / len(reference)
+    precision = hits / len(hypothesis)
+    f1 = 0.0 if hits == 0 else 2 * precision * recall / (precision + recall)
+    return recall, precision, f1
+
+
 def bleu1(hypothesis, reference) -> float:
     """Clipped unigram precision times brevity penalty, in [0, 1]."""
-    if not hypothesis or not reference:
-        raise MetricsError("bleu1 requires non-empty sequences")
-    hyp_counts = Counter(hypothesis)
-    ref_counts = Counter(reference)
-    clipped = sum(min(c, ref_counts[t]) for t, c in hyp_counts.items())
-    precision = clipped / len(hypothesis)
-    bp = math.exp(min(0.0, 1.0 - len(reference) / len(hypothesis)))
-    return precision * bp
+    return _bleu(_clipped(hypothesis, reference, "bleu1"), len(hypothesis), len(reference))
 
 
 def rouge1(hypothesis, reference) -> tuple[float, float, float]:
     """Unigram overlap (recall, precision, f1)."""
-    if not hypothesis or not reference:
-        raise MetricsError("rouge1 requires non-empty sequences")
-    hyp_counts = Counter(hypothesis)
-    ref_counts = Counter(reference)
-    overlap = sum(min(hyp_counts[t], ref_counts[t]) for t in hyp_counts)
-    recall = overlap / len(reference)
-    precision = overlap / len(hypothesis)
-    f1 = 0.0 if overlap == 0 else 2 * precision * recall / (precision + recall)
-    return recall, precision, f1
+    return _prf(_clipped(hypothesis, reference, "rouge1"), hypothesis, reference)
 
 
 def lcs_length(a, b) -> int:
@@ -90,11 +106,7 @@ def rougeL(hypothesis, reference) -> tuple[float, float, float]:
     """Longest-common-subsequence (recall, precision, f1)."""
     if not hypothesis or not reference:
         raise MetricsError("rougeL requires non-empty sequences")
-    lcs = lcs_length(hypothesis, reference)
-    recall = lcs / len(reference)
-    precision = lcs / len(hypothesis)
-    f1 = 0.0 if lcs == 0 else 2 * precision * recall / (precision + recall)
-    return recall, precision, f1
+    return _prf(lcs_length(hypothesis, reference), hypothesis, reference)
 
 
 def zipf_report(generations, k: int) -> list[tuple[int, object, int]]:
@@ -164,45 +176,25 @@ def _mean(values) -> float:
     return sum(vals) / len(vals) if vals else 0.0
 
 
-def _pooled_novelty(texts, sources, n: int) -> float:
-    novel = instances = 0
-    for t, src in zip(texts, sources):
-        if len(t) < n:
-            continue
-        source_grams = set(_ngrams(src, n))
-        grams = _ngrams(t, n)
-        novel += sum(1 for g in grams if g not in source_grams)
-        instances += len(grams)
-    return 100.0 * novel / instances if instances else 0.0
-
-
-def _pooled_repetition(texts, n: int) -> float:
-    dup = instances = 0
-    for t in texts:
-        if len(t) < n:
-            continue
-        grams = _ngrams(t, n)
-        dup += len(grams) - len(set(grams))
-        instances += len(grams)
-    return 100.0 * dup / instances if instances else 0.0
+def _pooled(counts) -> float:
+    """100 * sum(part) / sum(whole) over (part, whole) counts, 0 without any whole."""
+    part = whole = 0
+    for p, w in counts:
+        part += p
+        whole += w
+    return 100.0 * part / whole if whole else 0.0
 
 
 def micro_bleu1(pairs) -> float:
     """Corpus-level clipped precision over pooled counts, in [0, 1]."""
     clipped = hyp_len = ref_len = 0
     for hyp, ref in pairs:
-        if not hyp or not ref:
-            raise MetricsError("bleu1 requires non-empty sequences")
-        hyp_counts = Counter(hyp)
-        ref_counts = Counter(ref)
-        clipped += sum(min(c, ref_counts[t]) for t, c in hyp_counts.items())
+        clipped += _clipped(hyp, ref, "bleu1")
         hyp_len += len(hyp)
         ref_len += len(ref)
     if hyp_len == 0:
         raise MetricsError("micro_bleu1 requires at least one pair")
-    precision = clipped / hyp_len
-    bp = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
-    return precision * bp
+    return _bleu(clipped, hyp_len, ref_len)
 
 
 def evaluate_system(generations: dict, corpus, system: str = "model",
@@ -221,36 +213,26 @@ def evaluate_system(generations: dict, corpus, system: str = "model",
 
     sources = [p.source for p in corpus.pairs]
 
-    def stats(texts_by_pair):
-        texts = list(texts_by_pair.values())
-        if pooled:
-            return {
-                "len": _mean([len(t) for t in texts]),
-                "nov1": _pooled_novelty(texts, sources, 1),
-                "nov3": _pooled_novelty(texts, sources, 3),
-                "rep1": _pooled_repetition(texts, 1),
-                "rep3": _pooled_repetition(texts, 3),
-            }
-        return {
-            "len": _mean([len(t) for t in texts]),
-            "nov1": _mean([novelty_n(t, src, 1) for t, src in zip(texts, sources)]),
-            "nov3": _mean([novelty_n(t, src, 3) for t, src in zip(texts, sources)]),
-            "rep1": _mean([repetition_n(t, 1) for t in texts]),
-            "rep3": _mean([repetition_n(t, 3) for t in texts]),
-        }
+    def stats(texts) -> dict:
+        out = {"len": _mean([len(t) for t in texts])}
+        for n in (1, 3):
+            if pooled:
+                out[f"nov{n}"] = _pooled(_novel(t, src, n) for t, src in zip(texts, sources))
+                out[f"rep{n}"] = _pooled((instances - types, instances)
+                                         for types, instances in (_distinct(t, n) for t in texts))
+            else:
+                out[f"nov{n}"] = _mean([novelty_n(t, src, n) for t, src in zip(texts, sources)])
+                out[f"rep{n}"] = _mean([repetition_n(t, n) for t in texts])
+        return out
 
-    gen_in_order = {p.id: tuple(generations[p.id]) for p in corpus.pairs}
-    ref_in_order = {p.id: p.reference for p in corpus.pairs}
-    model = stats(gen_in_order)
-    human = stats(ref_in_order)
+    gens = [tuple(generations[p.id]) for p in corpus.pairs]
+    model = stats(gens)
+    human = stats([p.reference for p in corpus.pairs])
 
-    if bleu_micro:
-        b1 = micro_bleu1([(gen_in_order[p.id], p.reference)
-                          for p in corpus.pairs if gen_in_order[p.id]])
-    else:
-        b1 = _mean([bleu1(gen_in_order[p.id], p.reference) for p in corpus.pairs if gen_in_order[p.id]])
-    r1 = [rouge1(gen_in_order[p.id], p.reference) for p in corpus.pairs if gen_in_order[p.id]]
-    rl = [rougeL(gen_in_order[p.id], p.reference) for p in corpus.pairs if gen_in_order[p.id]]
+    scored = [(gen, p.reference) for gen, p in zip(gens, corpus.pairs) if gen]
+    b1 = micro_bleu1(scored) if bleu_micro else _mean([bleu1(g, r) for g, r in scored])
+    r1 = [rouge1(g, r) for g, r in scored]
+    rl = [rougeL(g, r) for g, r in scored]
 
     return MetricReport(
         system=system,

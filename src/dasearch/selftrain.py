@@ -21,11 +21,11 @@ from dasearch.decoder import (
     plain_beam_search,
 )
 from dasearch.discriminator import (
-    DiscriminatorError,
     DiscriminatorModel,
     FeatureConfig,
     accuracy,
     build_prefix_sets,
+    check_training_settings,
     train_discriminator,
 )
 from dasearch.metrics import evaluate_system
@@ -46,10 +46,7 @@ class DiscriminatorHparams:
 
     def __post_init__(self):
         # checked here, before a round decodes, and again by train_discriminator
-        if self.epochs < 1:
-            raise DiscriminatorError(f"epochs must be >= 1, got {self.epochs}")
-        if self.ratio <= 0:
-            raise DiscriminatorError("ratio must be > 0")
+        check_training_settings(self.epochs, self.learning_rate, self.ratio)
 
 
 @dataclass

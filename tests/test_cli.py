@@ -112,6 +112,35 @@ def test_config_malformed_value_names_section_and_key(tmp_path, capsys, section,
     assert f"[{section}] {key}" in capsys.readouterr().err
 
 
+FLOAT_KEYS = [(f.metadata["section"], f.name) for f in fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[k for _, k in FLOAT_KEYS])
+def test_config_rejects_non_finite_floats(tmp_path, capsys, section, key, text):
+    assert len(FLOAT_KEYS) == 8
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[paths]\noutput_dir = {tmp_path / 'out'}\n[{section}]\n{key} = {text}\n")
+    assert main(["make-corpus", "--config", str(path), "--n-pairs", "5"]) == 1
+    assert f"error: [{section}] {key}: not a finite number: {text!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("decode", "--alpha", "nan"),
+    ("decode", "--alpha", "inf"),
+    ("train-generator", "--lambda-copy", "nan"),
+    ("sweep", "--alphas", "0,nan"),
+    ("sweep", "--alphas", "1,-inf"),
+])
+def test_flags_reject_non_finite_floats(tmp_path, capsys, command, flag, text):
+    cfg = write_config(tmp_path)
+    assert main([command, "--config", str(cfg), flag, text]) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "finite_float" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_views_carry_every_same_named_field():
     cfg = non_default_config()
     cfg.k_rerank = cfg.beam_size + 2  # keep the search config valid
@@ -324,7 +353,10 @@ def test_self_train_rejects_zero_iterations(pipeline, tmp_path, capsys):
     ("train-discriminator", [], {"epochs": -2}, "epochs must be >= 1, got -2"),
     ("self-train", ["--epochs", "0"], {}, "epochs must be >= 1, got 0"),
     ("train-discriminator", [], {"ratio": 0.0}, "ratio must be > 0"),
-], ids=["flag", "config", "self-train", "ratio"])
+    ("train-discriminator", [], {"learning_rate": 0.0}, "learning_rate must be > 0"),
+    ("self-train", [], {"learning_rate": -2.0}, "learning_rate must be > 0"),
+], ids=["flag", "config", "self-train", "ratio", "learning-rate-zero",
+        "learning-rate-negative"])
 def test_train_discriminator_rejects_epochs_below_one(pipeline, tmp_path, capsys, monkeypatch,
                                                       command, extra, setting, message):
     def no_decode(*args, **kwargs):
@@ -450,6 +482,27 @@ def test_evaluate_rejects_metrics_settings_below_one(pipeline, tmp_path, capsys,
     assert main(["evaluate", "--config", str(path), "--split", "test", "--systems",
                  str(root / "out" / "generations-plain-test.jsonl")]) == 1
     assert f"error: [metrics] {key} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
+                if (tmp_path / p).exists()]
+
+
+@pytest.mark.parametrize("systems, message", [
+    (["sys/human.jsonl"], "system {0} would be named 'human', like the references"),
+    (["a/gen.jsonl", "b/gen.jsonl"], "system {1} would be named 'gen', like {0}"),
+], ids=["human", "same-stem"])
+def test_evaluate_rejects_colliding_system_names(pipeline, tmp_path, capsys, systems, message):
+    root, cfg = pipeline
+    path = derive_config(cfg, tmp_path)
+    assert main(["decode", "--config", str(cfg), "--mode", "plain", "--split", "test"]) == 0
+    gens = (root / "out" / "generations-plain-test.jsonl").read_bytes()
+    paths = []
+    for name in systems:
+        paths.append(tmp_path / name)
+        paths[-1].parent.mkdir(exist_ok=True)
+        paths[-1].write_bytes(gens)
+    assert main(["evaluate", "--config", str(path), "--split", "test",
+                 "--systems", *map(str, paths)]) == 1
+    assert f"error: {message.format(*paths)}" in capsys.readouterr().err
     assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
                 if (tmp_path / p).exists()]
 

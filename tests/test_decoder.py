@@ -91,7 +91,31 @@ def test_zero_probability_clamped_and_flagged(caplog):
     with caplog.at_level(logging.WARNING, logger="dasearch.decoder"):
         scored = apply_das_score(h, 1.0, 0.0)
     assert math.isclose(scored.s_dis, math.log(1e-9), abs_tol=1e-12)
-    assert any("clamped" in rec.message for rec in caplog.records)
+    assert not caplog.records  # the search that clamped says so, once
+
+
+def test_one_clamp_warning_per_search_that_clamped(synth_corpus, synth_generator, monkeypatch,
+                                                   caplog):
+    from dasearch import decoder
+
+    calls = []
+    monkeypatch.setattr(decoder, "apply_das_score",
+                        lambda h, alpha, p: calls.append(p) or apply_das_score(h, alpha, p))
+    disc = DiscriminatorModel.zeros(FeatureConfig(d_hash=64, t_max=20))
+    config = SearchConfig(beam_size=2, k_rerank=4, t_max=20)
+    sources = [p.source for p in synth_corpus.pairs[:3]]
+    for bias, clamping in ((0.0, 0), (-50.0, 3)):  # D = 0.5 everywhere, then D < EPS_DIS
+        disc.bias = bias
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dasearch.decoder"):
+            for source in sources:
+                das_beam_search(synth_generator, disc, source, config)
+        assert len(caplog.records) == clamping
+        # each line counts what the module-level scorer was asked to clamp
+        assert sum(rec.args[0] for rec in caplog.records) == sum(p < EPS_DIS for p in calls)
+        assert all(rec.getMessage() == f"{rec.args[0]} discriminator probabilities clamped "
+                   "to 1e-09 in one search" for rec in caplog.records)
 
 
 # --- rules ------------------------------------------------------------------------
@@ -175,6 +199,11 @@ def test_search_config_validation():
         SearchConfig(alpha=-0.1)
     with pytest.raises(DecoderError):
         SearchConfig(t_max=0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(DecoderError, match="alpha must be"):
+            SearchConfig(alpha=value)
+        with pytest.raises(DecoderError, match="length_penalty_beta must be finite"):
+            SearchConfig(length_penalty_beta=value)
 
 
 def test_search_requires_source_and_discriminator(synth_generator, trained_disc):

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,6 +575,66 @@ def test_model_load_rejects_out_of_range_content(tmp_path, old, new, problem):
     with pytest.raises(DiscriminatorError,
                        match=re.escape(f"discriminator model file {path}: {problem}")):
         DiscriminatorModel.load(path)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda t: t.replace("use_source 1\nt_max 60\n", "t_max 60\nuse_source 1\n"),
+     "no 'use_source' line where one belongs"),
+    (lambda t: t.replace("use_source 1\n", "use_source 2\n"), "use_source must be 0 or 1, got '2'"),
+    (lambda t: re.sub(r"\nbias \S+\n", "\nbias nan\n", t), "not a finite number: 'nan'"),
+    (lambda t: re.sub(r"\nfinal_objective \S+\n", "\nfinal_objective -inf\n", t),
+     "not a finite number: '-inf'"),
+    (lambda t: t + "3 inf\n", "not a finite number: 'inf'"),
+    (lambda t: re.sub(r"\ndense \S+", "\ndense nan", t), "not a finite number: 'nan'"),
+    (lambda t: re.sub(r"\ndense \S+ ", "\ndense ", t),
+     f"{N_DENSE - 1} dense weights, not {N_DENSE}"),
+], ids=["swapped", "use-source-2", "bias-nan", "objective-inf", "sparse-inf", "dense-nan",
+        "dense-short"])
+def test_model_load_checks_each_header_line_by_key(tmp_path, edit, problem):
+    vocab = make_vocab("a", "b", "c")
+    corpus = make_corpus(vocab, [("p", ["a", "b"], ["a", "c"])])
+    config = FeatureConfig.from_corpus(corpus, d_hash=128, t_max=60)
+    H, G = build_prefix_sets(corpus, {"p": (4, 5)}, t_max=60)
+    path = tmp_path / "disc.model"
+    train_discriminator(H, G, config, epochs=2, seed=3).save(path)
+    text = path.read_text()
+    assert edit(text) != text
+    path.write_text(edit(text))
+    with pytest.raises(DiscriminatorError, match=re.escape(
+            f"truncated or malformed discriminator model file: {path}: {problem}")):
+        DiscriminatorModel.load(path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_save_load_save_is_byte_identical_and_scores_the_same(data):
+    n_vocab = 7  # ids 3..6 are tokens
+    weights = st.floats(-30.0, 30.0)
+    d_hash = data.draw(st.integers(1, 64), label="d_hash")
+    logfreq = data.draw(st.one_of(st.just(()), st.tuples(*[st.floats(-20.0, 0.0)] * n_vocab)),
+                        label="logfreq")
+    config = FeatureConfig(d_hash=d_hash, use_source=data.draw(st.booleans(), label="use_source"),
+                           t_max=data.draw(st.integers(1, 30), label="t_max"), logfreq=logfreq)
+    sparse = np.zeros(d_hash)
+    for i, w in data.draw(st.dictionaries(st.integers(0, d_hash - 1), weights, max_size=12),
+                          label="sparse").items():
+        sparse[i] = w
+    model = DiscriminatorModel(
+        config, np.array(data.draw(st.lists(weights, min_size=N_DENSE, max_size=N_DENSE),
+                                   label="dense")),
+        sparse, data.draw(weights, label="bias"),
+        final_objective=data.draw(st.floats(-1e3, 0.0), label="final_objective"))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.model"), Path(tmp, "second.model")
+        model.save(first)
+        loaded = DiscriminatorModel.load(first)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+    assert loaded.config == config and loaded.final_objective == model.final_objective
+    tokens = st.lists(st.integers(3, n_vocab - 1), min_size=1, max_size=8)
+    for source, prefix in data.draw(st.lists(st.tuples(tokens, tokens), min_size=1, max_size=5),
+                                    label="source, prefix"):
+        assert loaded.score(source, prefix).hex() == model.score(source, prefix).hex()
 
 
 def test_sigmoid_is_stable_at_extremes():

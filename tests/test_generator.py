@@ -1,9 +1,12 @@
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dasearch.corpus import Vocabulary
 from dasearch.generator import BACKOFF, GeneratorError, NGramCopyModel, train_generator
@@ -297,3 +300,46 @@ def test_model_load_rejects_out_of_range_content(ab_corpus, abc_vocab, tmp_path,
         f.write(line + "\n")
     with pytest.raises(GeneratorError, match=re.escape(f"generator model file {path}: {problem}")):
         NGramCopyModel.load(path, abc_vocab)
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("kappa 1.0\nlambda_copy 0.75\n", "lambda_copy 0.75\nkappa 1.0\n",
+     "no 'kappa' line where one belongs"),
+    ("kappa 1.0\n", "kappa nan\n", "not a finite number: 'nan'"),
+    ("lambda_copy 0.75\n", "lambda_copy inf\n", "not a finite number: 'inf'"),
+    ("kappa 1.0\n", "kappa -1.0\n", "kappa must be > 0 and finite, got -1.0"),
+    ("order 3\n", "order 3 2\n", "the 'order' line holds 2 values, not 1"),
+], ids=["swapped", "kappa-nan", "lambda-inf", "kappa-negative", "two-values"])
+def test_model_load_checks_each_header_line_by_key(ab_corpus, abc_vocab, tmp_path, old, new,
+                                                   problem):
+    path = tmp_path / "gen.model"
+    train_generator(ab_corpus).save(path)
+    path.write_text(path.read_text().replace(old, new, 1))
+    with pytest.raises(GeneratorError, match=re.escape(
+            f"truncated or malformed generator model file: {path}: {problem}")):
+        NGramCopyModel.load(path, abc_vocab)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_save_load_save_is_byte_identical_and_scores_the_same(data):
+    vocab = make_vocab("a", "b", "c", "d")  # ids 3..6
+    refs = data.draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6),
+                              min_size=1, max_size=5), label="references")
+    model = train_generator(make_corpus(vocab, [(f"r{i}", ["a"], ref)
+                                                for i, ref in enumerate(refs)]),
+                            order=data.draw(st.integers(1, 3), label="order"),
+                            kappa=data.draw(st.floats(1e-3, 1e3), label="kappa"),
+                            lambda_copy=data.draw(st.floats(0.0, 1.0), label="lambda_copy"))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.model"), Path(tmp, "second.model")
+        model.save(first)
+        loaded = NGramCopyModel.load(first, vocab)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+    source = data.draw(st.lists(st.integers(3, 6), min_size=1, max_size=6), label="source")
+    prefixes = data.draw(st.lists(st.lists(st.integers(3, 6), max_size=5), min_size=1,
+                                  max_size=5), label="prefixes")
+    for prefix in prefixes:
+        assert loaded.next_probs(source, (SOS, *prefix)).tobytes() == \
+            model.next_probs(source, (SOS, *prefix)).tobytes()

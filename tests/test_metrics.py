@@ -1,10 +1,16 @@
+import itertools
 import math
 import random
+from collections import Counter
+from dataclasses import asdict
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dasearch.corpus import Corpus, DocumentPair
 from dasearch.metrics import (
+    MetricReport,
     MetricsError,
     bleu1,
     delta,
@@ -272,3 +278,137 @@ def test_percentage_metrics_bounded(hand_corpus):
     for value in (report.nov1, report.nov3, report.rep1, report.rep3,
                   report.bleu1, report.rouge1_f, report.rougeL_f):
         assert 0.0 <= value <= 100.0
+
+
+# --- every figure against separately counted arithmetic ------------------------------
+
+
+def _grams(tokens, n):
+    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def separate_counts_report(generations, corpus, system, bleu_micro, pooled) -> dict:
+    """evaluate_system's fields with every figure counted by its own code, as
+    metrics.py computed them before the counts were shared: the shared-count
+    reductions must give the same floats, bit for bit."""
+    sources = [p.source for p in corpus.pairs]
+
+    def mean(values):
+        vals = [v for v in values if v is not None]
+        return sum(vals) / len(vals) if vals else 0.0
+
+    def novelty(t, src, n):
+        if len(t) < n:
+            return None
+        source_grams = set(_grams(src, n))
+        grams = _grams(t, n)
+        return 100.0 * sum(1 for g in grams if g not in source_grams) / len(grams)
+
+    def repetition(t, n):
+        if len(t) < n:
+            return None
+        grams = _grams(t, n)
+        return 100.0 * (1.0 - len(set(grams)) / len(grams))
+
+    def pooled_novelty(texts, n):
+        novel = instances = 0
+        for t, src in zip(texts, sources):
+            if len(t) < n:
+                continue
+            source_grams = set(_grams(src, n))
+            grams = _grams(t, n)
+            novel += sum(1 for g in grams if g not in source_grams)
+            instances += len(grams)
+        return 100.0 * novel / instances if instances else 0.0
+
+    def pooled_repetition(texts, n):
+        dup = instances = 0
+        for t in texts:
+            if len(t) < n:
+                continue
+            grams = _grams(t, n)
+            dup += len(grams) - len(set(grams))
+            instances += len(grams)
+        return 100.0 * dup / instances if instances else 0.0
+
+    def stats(texts):
+        out = {"len": mean([len(t) for t in texts])}
+        for n in (1, 3):
+            if pooled:
+                out[f"nov{n}"] = pooled_novelty(texts, n)
+                out[f"rep{n}"] = pooled_repetition(texts, n)
+            else:
+                out[f"nov{n}"] = mean([novelty(t, src, n) for t, src in zip(texts, sources)])
+                out[f"rep{n}"] = mean([repetition(t, n) for t in texts])
+        return out
+
+    def bleu(h, r):
+        ref_counts = Counter(r)
+        clipped = sum(min(c, ref_counts[t]) for t, c in Counter(h).items())
+        precision = clipped / len(h)
+        return precision * math.exp(min(0.0, 1.0 - len(r) / len(h)))
+
+    def micro(pairs):
+        clipped = hyp_len = ref_len = 0
+        for h, r in pairs:
+            ref_counts = Counter(r)
+            clipped += sum(min(c, ref_counts[t]) for t, c in Counter(h).items())
+            hyp_len += len(h)
+            ref_len += len(r)
+        if hyp_len == 0:
+            raise MetricsError("micro_bleu1 requires at least one pair")
+        precision = clipped / hyp_len
+        return precision * math.exp(min(0.0, 1.0 - ref_len / hyp_len))
+
+    def prf(hits, h, r):
+        recall, precision = hits / len(r), hits / len(h)
+        f1 = 0.0 if hits == 0 else 2 * precision * recall / (precision + recall)
+        return recall, precision, f1
+
+    def unigram_overlap(h, r):
+        hyp_counts, ref_counts = Counter(h), Counter(r)
+        return sum(min(hyp_counts[t], ref_counts[t]) for t in hyp_counts)
+
+    gens = [tuple(generations[p.id]) for p in corpus.pairs]
+    model, human = stats(gens), stats([p.reference for p in corpus.pairs])
+    scored = [(g, p.reference) for g, p in zip(gens, corpus.pairs) if g]
+    b1 = micro(scored) if bleu_micro else mean([bleu(g, r) for g, r in scored])
+    r1 = [prf(unigram_overlap(g, r), g, r) for g, r in scored]
+    rl = [prf(lcs_length(g, r), g, r) for g, r in scored]
+    return {
+        "system": system, "n_pairs": len(corpus.pairs), "len_mean": model["len"],
+        "nov1": model["nov1"], "nov3": model["nov3"], "rep1": model["rep1"],
+        "rep3": model["rep3"], "bleu1": 100.0 * b1,
+        "rouge1_recall": 100.0 * mean([x[0] for x in r1]),
+        "rouge1_f": 100.0 * mean([x[2] for x in r1]),
+        "rougeL_recall": 100.0 * mean([x[0] for x in rl]),
+        "rougeL_f": 100.0 * mean([x[2] for x in rl]),
+        **{f"d_{k}": human[k] - model[k] for k in ("len", "nov1", "nov3", "rep1", "rep3")},
+    }
+
+
+def _bits(fields: dict) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_report_is_bitwise_the_separately_counted_one(data):
+    tokens = st.integers(3, 7)  # five ids past the reserved ones: repeats are common
+    records = data.draw(st.lists(st.tuples(st.lists(tokens, min_size=1, max_size=8),
+                                           st.lists(tokens, min_size=1, max_size=8),
+                                           st.lists(tokens, max_size=8)),
+                                 min_size=1, max_size=6), label="source, reference, generation")
+    corpus = Corpus(tuple(DocumentPair(f"p{i}", tuple(src), tuple(ref))
+                          for i, (src, ref, _) in enumerate(records)), make_vocab(*"abcde"))
+    gens = {f"p{i}": gen for i, (_, _, gen) in enumerate(records)}
+    for bleu_micro, pooled in itertools.product((False, True), repeat=2):
+        try:
+            expected = separate_counts_report(gens, corpus, "sys", bleu_micro, pooled)
+        except MetricsError as e:  # micro BLEU of all-empty generations
+            with pytest.raises(MetricsError, match=str(e)):
+                evaluate_system(gens, corpus, "sys", bleu_micro=bleu_micro, pooled=pooled)
+            continue
+        report = evaluate_system(gens, corpus, "sys", bleu_micro=bleu_micro, pooled=pooled)
+        assert list(expected) == list(asdict(report)) == list(MetricReport.__dataclass_fields__)
+        assert _bits(report.as_dict()) == _bits(expected), (bleu_micro, pooled)
