@@ -399,7 +399,11 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
-    vocab, generator, disc = _load_models(cfg, need_disc=True)
+    # every cell's search settings, checked before anything is loaded or decoded
+    plain = cfg.search_config("plain")
+    cells = [(k, alpha, replace(plain, beam_size=min(cfg.beam_size, k), k_rerank=k, alpha=alpha))
+             for k in args.k_rerank for alpha in args.alphas]
+    vocab, generator, disc = _load_models(cfg, need_disc=any(a > 0 for a in args.alphas))
     corpus = load_corpus(_required_path(cfg, f"{args.split}_path"), vocab)
     rows = []
     rng = random.Random(component_seed(cfg.master_seed, "sweep"))
@@ -407,18 +411,15 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
         ids = sorted(p.id for p in corpus.pairs)
         rng.shuffle(ids)
         sub = corpus.subset(set(ids[: args.subset_size]))
-        for k in args.k_rerank:
-            for alpha in args.alphas:
-                search = replace(cfg.search_config("plain"),
-                                 beam_size=min(cfg.beam_size, k), k_rerank=k, alpha=alpha)
-                d = disc if alpha > 0 else None
-                search_one = functools.partial(das_beam_search, generator, d, config=search)
-                hyps = decode_corpus(sub, search_one, jobs=cfg.jobs)
-                gens = {i: hypothesis_content(h) for i, h in hyps.items()}
-                report = evaluate_system(gens, sub, system=f"K{k}-a{alpha}")
-                row = report.as_dict()
-                row.update({"k_rerank": k, "alpha": alpha, "repetition": rep})
-                rows.append(row)
+        for k, alpha, search in cells:
+            d = disc if alpha > 0 else None
+            search_one = functools.partial(das_beam_search, generator, d, config=search)
+            hyps = decode_corpus(sub, search_one, jobs=cfg.jobs)
+            gens = {i: hypothesis_content(h) for i, h in hyps.items()}
+            report = evaluate_system(gens, sub, system=f"K{k}-a{alpha}")
+            row = report.as_dict()
+            row.update({"k_rerank": k, "alpha": alpha, "repetition": rep})
+            rows.append(row)
     sweep_path = out_dir / "sweep.csv"
     _write_rows(sweep_path, rows)
     print(f"sweep results: {sweep_path} ({len(rows)} rows)")

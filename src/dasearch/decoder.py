@@ -158,7 +158,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
         raise DecoderError("discriminator required unless alpha == 0")
     rerank = discriminator is not None and config.alpha > 0.0
     if rerank:
-        featurizer = PrefixFeaturizer(discriminator.config)
+        featurizer = PrefixFeaturizer(discriminator.config, discriminator)
         # the prefix state of each live hypothesis in the pool, by its tokens;
         # every candidate extends the state of its parent by one token
         states = {(Vocabulary.sos,): featurizer.state_of(source)}
@@ -173,7 +173,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
             state = states[h.tokens[:-1]].copy()
             featurizer.advance(state, h.tokens[-1])
             states[h.tokens] = state
-            dis_prob = discriminator.score_features(featurizer.row(state))
+            dis_prob = featurizer.score(state)
             clamps += dis_prob < EPS_DIS
             return apply_das_score(h, config.alpha, dis_prob)
         return Hypothesis(h.tokens, h.s_gen, None, h.s_gen, h.ended, h.truncated)

@@ -73,30 +73,36 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class FeatureBatch:
-    """The features of n prefixes packed into arrays: row i is the dense
-    values dense[i] and the sparse entries idx[indptr[i]:indptr[i + 1]] with
-    their values val[indptr[i]:indptr[i + 1]] (CSR). Every row holds at least
-    the unigram index of its last token."""
+    """The features of n prefixes packed into arrays. Sparse features are
+    numbered by column: column k is the hashed index columns[k].
 
-    dense: np.ndarray   # n x N_DENSE
-    indptr: np.ndarray  # n + 1 offsets into idx and val
+    Row i is a prefix of t[i] tokens with the dense values dense[i]. Its
+    2 t[i] - 1 hits, in token order, are the first 2 t[i] - 1 columns of its
+    chain's hit sequence hits[chain_ptr[c]:chain_ptr[c + 1]], c = chain[i]:
+    the rows of a chain are prefixes of one sequence and share it. Its
+    distinct columns are idx[indptr[i]:indptr[i + 1]] (CSR), in first-hit
+    order, with the values val = count / t."""
+
+    dense: np.ndarray      # n x N_DENSE
+    t: np.ndarray          # n prefix lengths
+    chain: np.ndarray      # n chain numbers
+    chain_ptr: np.ndarray  # offset of every chain's hits in hits, and their end
+    hits: np.ndarray
+    indptr: np.ndarray     # n + 1 offsets into idx and val
     idx: np.ndarray
     val: np.ndarray
+    columns: np.ndarray
 
     def __len__(self) -> int:
         return len(self.dense)
 
-    def __iter__(self):
-        """Each row as a (dense, idx, val) triple of views."""
-        dense, idx, val, ptr = self.dense, self.idx, self.val, self.indptr.tolist()
-        for i, d in enumerate(dense):
-            yield d, idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]]
-
     def rows(self, start: int, stop: int) -> "FeatureBatch":
-        """Rows start..stop-1; every array but indptr is a view."""
+        """Rows start..stop-1 of the same chains and columns; every array
+        but indptr is a view."""
         a, b = self.indptr[start], self.indptr[stop]
-        return FeatureBatch(self.dense[start:stop], self.indptr[start:stop + 1] - a,
-                            self.idx[a:b], self.val[a:b])
+        return FeatureBatch(self.dense[start:stop], self.t[start:stop], self.chain[start:stop],
+                            self.chain_ptr, self.hits, self.indptr[start:stop + 1] - a,
+                            self.idx[a:b], self.val[a:b], self.columns)
 
 
 def _hash(key: str, d_hash: int) -> int:
@@ -108,56 +114,88 @@ def _repetition(distinct: int, t: int, n: int) -> float:
     return (100.0 * (1.0 - distinct / (t - n + 1))) / 100.0 if t >= n else 0.0
 
 
+def logit(bias: float, dense_w, dense, S: float, t: int) -> float:
+    """The discriminator's logit of a t-token prefix, z = (bias + zd) + S / t.
+    zd sums dense_w[j] * dense[j] left to right from 0.0. S sums, from 0.0,
+    the sparse weights of the prefix's hits in token order: each token's
+    unigram index, then its bigram index. So an index hit c times has the
+    value c / t. Training, the search and every scorer use this arithmetic;
+    none takes a dot product, whose result depends on the BLAS kernel."""
+    zd = 0.0
+    for w, x in zip(dense_w, dense):
+        zd += w * x
+    return (bias + zd) + S / t
+
+
 class PrefixState:
     """What the features of one prefix need to take one more token in O(1)
     new work: its length, how many of its tokens are in the source, the
     running logfreq sum, its distinct 1-, 2- and 3-grams, its last two tokens
-    and how often it hits each hashed sparse index."""
+    and S, the summed weights of its hits (when a model is scoring it)."""
 
     __slots__ = ("source_set", "t", "in_source", "logfreq_sum", "grams", "distinct",
-                 "last", "counts")
+                 "last", "S")
 
     def __init__(self, source_set: frozenset):
         self.source_set = source_set
         self.t = 0
         self.in_source = 0
-        self.logfreq_sum = 0  # summed left to right from 0, as sum() does
+        self.logfreq_sum = 0  # summed left to right from 0
         self.grams: set = set()  # tokens, (a, b) bigrams and (a, b, c) trigrams
         self.distinct = (0, 0, 0)
         self.last: tuple[int, ...] = ()
-        self.counts: dict[int, int] = {}
+        self.S = 0.0
 
     def copy(self) -> "PrefixState":
         new = PrefixState(self.source_set)
         new.t, new.in_source, new.logfreq_sum = self.t, self.in_source, self.logfreq_sum
         new.grams, new.distinct, new.last = set(self.grams), self.distinct, self.last
-        new.counts = dict(self.counts)
+        new.S = self.S
         return new
 
 
 class PrefixFeaturizer:
     """Prefix features built one token at a time: `advance` appends a token
-    to a PrefixState and `row` turns it into a (dense, idx, val) row.
+    to a PrefixState and returns the token's sparse hits, and `dense` gives
+    the state's dense values. A hit is a column: the featurizer numbers the
+    hashed indices in the order it meets them, and `columns` lists them.
 
-    It memoises the hashed index of every (token, bit) unigram and (a, b, bit)
-    bigram key it meets, so make one per search or per training set and the
-    memo lives no longer than that."""
+    Made with a model, it scores prefixes under the model's weights as they
+    are when it is made: `advance` also adds the weights of the hits to the
+    state's S, and `score` gives D in O(1). It memoises the column of every
+    (token, bit) unigram and (a, b, bit) bigram key it meets, and the model's
+    weight of every column, so make one per search or per training set and
+    the memo lives no longer than that."""
 
-    def __init__(self, config: FeatureConfig):
+    def __init__(self, config: FeatureConfig, model: "DiscriminatorModel | None" = None):
         self.config = config
-        self._unigram_idx: dict[tuple[int, int], int] = {}
-        self._bigram_idx: dict[tuple[int, int, int], int] = {}
+        self.columns: list[int] = []
+        self._column_of: dict[int, int] = {}
+        self._unigram: dict[tuple[int, int], int] = {}
+        self._bigram: dict[tuple[int, int, int], int] = {}
+        self._model = model
+        if model is not None:
+            self._bias, self._dense_w = float(model.bias), model.dense_w.tolist()
+            self._weights: list[float] = []
 
-    def state_of(self, source, prefix=()) -> PrefixState:
-        """The state of `prefix` (by default the empty one) of `source`."""
-        state = PrefixState(frozenset(source) if self.config.use_source else frozenset())
-        for token in prefix:
-            self.advance(state, token)
-        return state
+    def _column(self, key: str) -> int:
+        index = _hash(key, self.config.d_hash)
+        column = self._column_of.get(index)
+        if column is None:
+            column = self._column_of[index] = len(self.columns)
+            self.columns.append(index)
+            if self._model is not None:
+                self._weights.append(self._model.sparse_w.item(index))
+        return column
 
-    def advance(self, state: PrefixState, token: int) -> None:
-        """Append `token` to `state` in place."""
-        src, last, grams, counts = state.source_set, state.last, state.grams, state.counts
+    def state_of(self, source) -> PrefixState:
+        """The state of the empty prefix of `source`."""
+        return PrefixState(frozenset(source) if self.config.use_source else frozenset())
+
+    def advance(self, state: PrefixState, token: int) -> tuple[int, ...]:
+        """Append `token` to `state` in place; returns its hits: the column of
+        its unigram, then that of its bigram if it has a predecessor."""
+        src, last, grams = state.source_set, state.last, state.grams
         bit = int(token in src)
         state.t += 1
         state.in_source += bit
@@ -168,10 +206,9 @@ class PrefixFeaturizer:
             grams.add(token)
             d1 += 1
         key = (token, bit)
-        idx = self._unigram_idx.get(key)
-        if idx is None:
-            idx = self._unigram_idx[key] = _hash(f"u:{token}:{bit}", self.config.d_hash)
-        counts[idx] = counts.get(idx, 0) + 1
+        u = self._unigram.get(key)
+        if u is None:
+            u = self._unigram[key] = self._column(f"u:{token}:{bit}")
         if last:
             a = last[-1]
             bigram = (a, token)
@@ -184,22 +221,28 @@ class PrefixFeaturizer:
                     grams.add(trigram)
                     d3 += 1
             key = (a, token, int(bit and a in src))
-            idx = self._bigram_idx.get(key)
-            if idx is None:
-                idx = self._bigram_idx[key] = _hash(f"b:{a}_{token}:{key[2]}",
-                                                    self.config.d_hash)
-            counts[idx] = counts.get(idx, 0) + 1
+            b = self._bigram.get(key)
+            if b is None:
+                b = self._bigram[key] = self._column(f"b:{a}_{token}:{key[2]}")
+            hits = (u, b)
+        else:
+            hits = (u,)
         state.distinct = (d1, d2, d3)
         state.last = (last[-1], token) if last else (token,)
+        if self._model is not None:
+            weights = self._weights
+            S = state.S + weights[u]
+            state.S = S + weights[b] if last else S
+        return hits
 
-    def row(self, state: PrefixState) -> tuple[list, list, list]:
-        """The dense values, the sorted sparse indices and their values."""
+    def dense(self, state: PrefixState) -> list:
+        """The dense values of the state's prefix, in DENSE_FEATURES order."""
         t = state.t
         if t == 0:
             raise DiscriminatorError("empty prefix")
         cfg = self.config
         d1, d2, d3 = state.distinct
-        dense = [
+        return [
             min(t, cfg.t_max) / cfg.t_max,
             state.in_source / t,
             _repetition(d1, t, 1),
@@ -208,43 +251,61 @@ class PrefixFeaturizer:
             state.logfreq_sum / t if cfg.logfreq else 0.0,
             1.0 if state.last[-1] == Vocabulary.eos else 0.0,
         ]
-        # an index hit c times holds weight added c times, not c * weight
-        counts = state.counts
-        weight = 1.0 / t
-        sums = [0.0]
-        for _ in range(max(counts.values())):
-            sums.append(sums[-1] + weight)
-        idx = sorted(counts)
-        return dense, idx, [sums[counts[i]] for i in idx]
+
+    def score(self, state: PrefixState) -> float:
+        """D of the state's prefix, from its carried S."""
+        return _sigmoid(logit(self._bias, self._dense_w, self.dense(state), state.S, state.t))
 
 
-def extract_features(source, prefix, config: FeatureConfig) -> tuple[list, list, list]:
-    """The feature row of `prefix` given `source`: the fold of
-    PrefixFeaturizer.advance over the prefix."""
+def extract_features(source, prefix, config: FeatureConfig) -> tuple[list, list]:
+    """The dense values of `prefix` given `source` and the hashed indices of
+    its hits in token order: the fold of PrefixFeaturizer.advance over the
+    prefix."""
     featurizer = PrefixFeaturizer(config)
-    return featurizer.row(featurizer.state_of(source, prefix))
+    state = featurizer.state_of(source)
+    hits = []
+    for token in prefix:
+        hits += featurizer.advance(state, token)
+    return featurizer.dense(state), [featurizer.columns[c] for c in hits]
 
 
 def prefix_features(examples, config: FeatureConfig) -> FeatureBatch:
     """The features of every PrefixExample, in order, as one FeatureBatch. An
     example whose prefix is the previous example's plus one token, on the same
-    source, extends that example's state; any other starts afresh."""
+    source, extends that example's state and chain; any other starts a new
+    chain afresh."""
     featurizer = PrefixFeaturizer(config)
-    dense, idx, val, indptr = array("d"), array("q"), array("d"), array("q", [0])
+    dense, ts, chain = array("d"), array("q"), array("q")
+    chain_ptr, hits = array("q", [0]), array("i")
+    idx, val, indptr = array("i"), array("d"), array("q", [0])
     prev = state = None
     for ex in examples:
         if prev is None or ex.source != prev.source or ex.prefix[:-1] != prev.prefix:
-            state = featurizer.state_of(ex.source, ex.prefix[:-1])
-        featurizer.advance(state, ex.prefix[-1])
-        row_dense, row_idx, row_val = featurizer.row(state)
-        dense.extend(row_dense)
-        idx.extend(row_idx)
-        val.extend(row_val)
+            if prev is not None:
+                chain_ptr.append(len(hits))
+            state, counts, tokens = featurizer.state_of(ex.source), {}, ex.prefix
+        else:
+            tokens = ex.prefix[-1:]
+        for token in tokens:
+            for k in featurizer.advance(state, token):
+                hits.append(k)
+                counts[k] = counts.get(k, 0) + 1
+        t = state.t
+        dense.extend(featurizer.dense(state))
+        ts.append(t)
+        chain.append(len(chain_ptr) - 1)
+        idx.extend(counts)
+        val.extend([c / t for c in counts.values()])
         indptr.append(len(idx))
         prev = ex
-    return FeatureBatch(np.frombuffer(dense).reshape(-1, N_DENSE),
-                        np.frombuffer(indptr, dtype=np.int64),
-                        np.frombuffer(idx, dtype=np.int64), np.frombuffer(val))
+    chain_ptr.append(len(hits))
+
+    def ints(a):
+        return np.frombuffer(a, dtype=np.int64 if a.typecode == "q" else np.intc)
+
+    return FeatureBatch(np.frombuffer(dense).reshape(-1, N_DENSE), ints(ts), ints(chain),
+                        ints(chain_ptr), ints(hits), ints(indptr), ints(idx),
+                        np.frombuffer(val), np.array(featurizer.columns, dtype=np.int64))
 
 
 @dataclass
@@ -260,14 +321,17 @@ class DiscriminatorModel:
     def zeros(cls, config: FeatureConfig) -> "DiscriminatorModel":
         return cls(config, np.zeros(N_DENSE), np.zeros(config.d_hash), 0.0)
 
-    def score_features(self, row) -> float:
-        """D of one (dense, idx, val) feature row, given as lists or arrays."""
-        dense, idx, val = row
-        return _sigmoid(self.bias + float(self.dense_w.dot(dense))
-                        + float(self.sparse_w[idx].dot(val)))
+    def score_features(self, batch: FeatureBatch) -> list[float]:
+        """D of every row of `batch`: _sigmoid of its logit."""
+        return list(map(_sigmoid, _logits(self, batch).tolist()))
 
     def score(self, source, prefix) -> float:
-        return self.score_features(extract_features(source, prefix, self.config))
+        """D of one prefix, from its features rebuilt from scratch."""
+        dense, hits = extract_features(source, prefix, self.config)
+        S = 0.0
+        for i in hits:
+            S += self.sparse_w.item(i)
+        return _sigmoid(logit(float(self.bias), self.dense_w.tolist(), dense, S, len(prefix)))
 
     def save(self, path) -> None:
         with atomic_write(path) as f:
@@ -345,10 +409,27 @@ def build_prefix_sets(corpus: Corpus, generations: dict, t_max: int = 140):
     return H, G
 
 
+def _logits(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
+    """`logit` of every row of `batch`, bit for bit, in array arithmetic:
+    the same additions in the same order, element by element."""
+    if not len(batch):
+        return np.zeros(0)
+    zd = np.zeros(len(batch))
+    for j in range(N_DENSE):
+        zd += batch.dense[:, j] * model.dense_w[j]
+    # the running sums of the weights along the hits of the rows' chains
+    ptr = batch.chain_ptr[batch.chain[0]:batch.chain[-1] + 2]
+    sums = model.sparse_w[batch.columns][batch.hits[ptr[0]:ptr[-1]]]
+    for a, b in zip((ptr[:-1] - ptr[0]).tolist(), (ptr[1:] - ptr[0]).tolist()):
+        sums[a] += 0.0  # from 0.0, as logit sums: a -0.0 weight counts as 0.0
+        np.add.accumulate(sums[a:b], out=sums[a:b])
+    S = sums[batch.chain_ptr[batch.chain] - ptr[0] + 2 * batch.t - 2]
+    return (float(model.bias) + zd) + S / batch.t
+
+
 def _probabilities(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
     """_sigmoid of every row's logit, in one array expression."""
-    z = (model.bias + batch.dense @ model.dense_w
-         + np.add.reduceat(model.sparse_w[batch.idx] * batch.val, batch.indptr[:-1]))
+    z = _logits(model, batch)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -366,9 +447,9 @@ def _example_objective(model: DiscriminatorModel, feats_H: FeatureBatch,
                        feats_G: FeatureBatch) -> float:
     """eq2_objective summed example by example, the value model files store."""
     total = 0.0
-    for p in map(model.score_features, feats_H):
+    for p in model.score_features(feats_H):
         total += math.log(max(p, 1e-300)) / len(feats_H)
-    for p in map(model.score_features, feats_G):
+    for p in model.score_features(feats_G):
         total += math.log(max(1.0 - p, 1e-300)) / len(feats_G)
     return total
 
@@ -379,10 +460,11 @@ def eq2_gradient(model: DiscriminatorModel, feats_H: FeatureBatch, feats_G: Feat
     grads = []
     for batch, label in ((feats_H, 1.0), (feats_G, 0.0)):
         c = (label - _probabilities(model, batch)) / len(batch)
-        weights = np.repeat(c, np.diff(batch.indptr)) * batch.val
-        grads.append((batch.dense.T @ c,
-                      np.bincount(batch.idx, weights=weights, minlength=model.config.d_hash),
-                      c.sum()))
+        sparse = np.zeros(model.config.d_hash)
+        sparse[batch.columns] = np.bincount(
+            batch.idx, weights=np.repeat(c, np.diff(batch.indptr)) * batch.val,
+            minlength=len(batch.columns))
+        grads.append((batch.dense.T @ c, sparse, c.sum()))
     return tuple(h + g for h, g in zip(*grads))
 
 
@@ -424,11 +506,14 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     scale_H = n_total / ((1.0 + ratio) * n_H)
     scale_G = n_total * ratio / ((1.0 + ratio) * len(G))
 
-    # one example's step, as the per-example trainer took it: score_features'
-    # operations in the same order, so the weights come out bitwise the same
-    dense, idx, val = batch.dense, batch.idx, batch.val
-    ptr = batch.indptr.tolist()
-    dense_w, sparse_w, bias = model.dense_w, model.sparse_w, model.bias
+    # one example's step: `logit` of its row, unrolled over the 7 dense
+    # features, then the update of every weight the row used. The sparse
+    # weights of the batch's columns are a list while the epoch runs.
+    dense, t, ptr = map(memoryview, (batch.dense.reshape(-1), batch.t, batch.indptr))
+    idx, val, first_hit = map(memoryview, (batch.idx, batch.val, batch.chain_ptr[batch.chain]))
+    hits = batch.hits.tolist()
+    w0, w1, w2, w3, w4, w5, w6 = model.dense_w.tolist()
+    w, bias = model.sparse_w[batch.columns].tolist(), float(model.bias)
     rng = np.random.default_rng(seed)
     order = np.arange(n_total)
     history = []
@@ -437,15 +522,27 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         lr = learning_rate / math.sqrt(epoch + 1)
         rate_H, rate_G = lr * scale_H, lr * scale_G
         for i in order.tolist():
-            d, ix, v = dense[i], idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]]
-            g = sparse_w[ix]
-            z = bias + float(dense_w.dot(d))
-            z += float(g.dot(v))
+            n, a = t[i], first_hit[i]
+            S = 0.0
+            for k in hits[a:a + 2 * n - 1]:
+                S += w[k]
+            d0, d1, d2, d3, d4, d5, d6 = dense[7 * i:7 * i + 7]
+            zd = 0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5 + w6 * d6
             rate, label = (rate_H, 1.0) if i < n_H else (rate_G, 0.0)
-            step = rate * (label - _sigmoid(z))
-            dense_w += step * d
-            sparse_w[ix] = g + step * v  # a row's indices are unique
+            step = rate * (label - _sigmoid((bias + zd) + S / n))
+            w0 += step * d0
+            w1 += step * d1
+            w2 += step * d2
+            w3 += step * d3
+            w4 += step * d4
+            w5 += step * d5
+            w6 += step * d6
+            a, b = ptr[i], ptr[i + 1]
+            for k, v in zip(idx[a:b], val[a:b]):
+                w[k] += step * v  # a row's columns are distinct
             bias += step
+        model.dense_w[:] = w0, w1, w2, w3, w4, w5, w6
+        model.sparse_w[batch.columns] = w
         model.bias = bias
         history.append(eq2_objective(model, feats_H, feats_G))
     model.final_objective = history[-1] = _example_objective(model, feats_H, feats_G)
@@ -457,7 +554,7 @@ def accuracy(model: DiscriminatorModel, examples) -> float:
     """Share of non-empty `examples` classified right at threshold 0.5
     (human = positive)."""
     examples = list(examples)
-    scores = map(model.score_features, prefix_features(examples, model.config))
+    scores = model.score_features(prefix_features(examples, model.config))
     hits = sum(int(p > 0.5) == ex.label for p, ex in zip(scores, examples))
     return hits / len(examples)
 

@@ -274,6 +274,33 @@ def test_sweep_cells_keep_the_configured_search_rules(pipeline, tmp_path, monkey
     assert all(s.final_by_s_gen and s.block_repeated_trigrams for s in seen)
 
 
+def test_sweep_rejects_a_bad_late_cell_before_decoding(pipeline, tmp_path, capsys,
+                                                       monkeypatch):
+    _, cfg = pipeline
+    decoded = []
+    monkeypatch.setattr(cli, "decode_corpus", lambda *args, **kwargs: decoded.append(args))
+    path = derive_config(cfg, tmp_path)
+    assert main(["sweep", "--config", str(path), "--k-rerank", "3", "--alphas", "0,1,5,-1",
+                 "--subset-size", "6", "--repetitions", "3"]) == 1
+    assert "alpha must be finite and >= 0, got -1.0" in capsys.readouterr().err
+    assert decoded == []
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_with_only_alpha_zero_needs_no_discriminator(pipeline, tmp_path, capsys):
+    _, cfg = pipeline
+    missing = tmp_path / "no-such.model"
+    path = derive_config(cfg, tmp_path, discriminator_model=str(missing))
+    argv = ["--k-rerank", "1,2", "--subset-size", "3", "--repetitions", "1"]
+    assert main(["sweep", "--config", str(path), "--alphas", "0", *argv]) == 0
+    assert len((tmp_path / "sweep.csv").read_text().strip().splitlines()) == 1 + 2
+    (tmp_path / "sweep.csv").unlink()
+    # a cell with alpha > 0 still needs it
+    assert main(["sweep", "--config", str(path), "--alphas", "0,1", *argv]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_decodes_with_the_configured_jobs(pipeline, tmp_path, monkeypatch):
     _, cfg = pipeline
     argv = ["--k-rerank", "2", "--alphas", "0,1", "--subset-size", "3", "--repetitions", "1"]

@@ -317,6 +317,24 @@ def test_carried_prefix_states_score_as_whole_prefixes(synth_corpus, synth_gener
             assert h.s_dis == math.log(max(whole, EPS_DIS))
 
 
+def test_each_search_scores_with_the_weights_as_they_are_now(synth_corpus, synth_generator):
+    config = FeatureConfig.from_corpus(synth_corpus, d_hash=512, t_max=60)
+    disc = random_discriminator(config, seed=4, scale=0.5)
+    search = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=60)
+    source = synth_corpus.pairs[0].source
+    before = das_beam_search(synth_generator, disc, source, search)
+    # every weight changed in place, on the arrays the model already holds
+    disc.dense_w *= -3.0
+    disc.sparse_w += np.random.default_rng(5).normal(size=config.d_hash)
+    disc.bias += 0.25
+    after = das_beam_search(synth_generator, disc, source, search)
+    for h in after:
+        assert h.s_dis == math.log(max(disc.score(source, h.tokens[1:]), EPS_DIS))
+    # and the new weights score the first search's beam differently
+    rescored = [math.log(max(disc.score(source, h.tokens[1:]), EPS_DIS)) for h in before]
+    assert rescored != [h.s_dis for h in before]
+
+
 def test_discriminator_changes_outputs(synth_corpus, synth_generator, trained_disc):
     plain_cfg = SearchConfig(beam_size=3, k_rerank=10, t_max=60)
     das_cfg = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=60)

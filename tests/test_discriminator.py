@@ -1,7 +1,11 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -84,26 +88,26 @@ def test_prefix_sets_require_generations():
 
 
 def test_repetition_dense_feature_is_duplicated_mass_fraction(config):
-    dense, _, _ = extract_features((3, 4), (5, 5, 5), config)
+    dense, _ = extract_features((3, 4), (5, 5, 5), config)
     assert math.isclose(dense[2], 2 / 3, abs_tol=1e-12)
 
 
 def test_source_overlap_feature(config):
-    dense, _, _ = extract_features((3, 4), (3, 7), config)
+    dense, _ = extract_features((3, 4), (3, 7), config)
     assert dense[1] == 0.5
 
 
 def test_use_source_false_zeroes_source_features():
     config = FeatureConfig(d_hash=256, use_source=False)
-    dense, _, _ = extract_features((3, 4), (3, 4), config)
+    dense, _ = extract_features((3, 4), (3, 4), config)
     assert dense[1] == 0.0
 
 
 def test_relative_length_and_eos_flag(config):
-    dense, _, _ = extract_features((3,), (3, 4, 5), config)
+    dense, _ = extract_features((3,), (3, 4, 5), config)
     assert math.isclose(dense[0], 3 / config.t_max, abs_tol=1e-12)
     assert dense[6] == 0.0
-    dense_end, _, _ = extract_features((3,), (3, EOS), config)
+    dense_end, _ = extract_features((3,), (3, EOS), config)
     assert dense_end[6] == 1.0
 
 
@@ -126,7 +130,7 @@ def test_background_logfreq_feature_uses_reference_counts():
     counts[3] += 2
     counts[4] += 1
     expected = np.log(counts / counts.sum())
-    dense, _, _ = extract_features((3,), (3, 4), config)
+    dense, _ = extract_features((3,), (3, 4), config)
     assert math.isclose(dense[5], (expected[3] + expected[4]) / 2, abs_tol=1e-12)
 
 
@@ -134,9 +138,10 @@ def test_background_logfreq_feature_uses_reference_counts():
 
 
 def reference_features(source, prefix, config: FeatureConfig):
-    """Every feature of the prefix, rebuilt from scratch, as a (dense, idx,
-    val) tuple of arrays: the reference the incremental PrefixFeaturizer must
-    match bit for bit."""
+    """Every feature of the prefix, rebuilt from scratch: the dense values as
+    an array and the hashed index of every hit in token order (each token's
+    unigram, then its bigram with the token before it). The reference the
+    incremental PrefixFeaturizer must match bit for bit."""
     if len(prefix) == 0:
         raise DiscriminatorError("empty prefix")
     prefix = tuple(prefix)
@@ -150,30 +155,47 @@ def reference_features(source, prefix, config: FeatureConfig):
     dense[3] = (repetition_n(prefix, 2) or 0.0) / 100.0
     dense[4] = (repetition_n(prefix, 3) or 0.0) / 100.0
     if config.logfreq:
-        lf = config.logfreq
-        dense[5] = sum(lf[t] for t in prefix) / len(prefix)
+        total = 0.0
+        for t in prefix:  # left to right, as the featurizer adds them
+            total += config.logfreq[t]
+        dense[5] = total / len(prefix)
     dense[6] = 1.0 if prefix[-1] == Vocabulary.eos else 0.0
 
-    weight = 1.0 / len(prefix)
-    sparse: dict[int, float] = {}
-    for t in prefix:
-        bit = int(t in src_set)
-        idx = _hash(f"u:{t}:{bit}", config.d_hash)
-        sparse[idx] = sparse.get(idx, 0.0) + weight
-    for a, b in zip(prefix, prefix[1:]):
-        bit = int(a in src_set and b in src_set)
-        idx = _hash(f"b:{a}_{b}:{bit}", config.d_hash)
-        sparse[idx] = sparse.get(idx, 0.0) + weight
-    items = sorted(sparse.items())
-    return (dense, np.array([i for i, _ in items], dtype=np.int64),
-            np.array([v for _, v in items]))
+    hits = []
+    for i, b in enumerate(prefix):
+        hits.append(_hash(f"u:{b}:{int(b in src_set)}", config.d_hash))
+        if i:
+            a = prefix[i - 1]
+            hits.append(_hash(f"b:{a}_{b}:{int(a in src_set and b in src_set)}",
+                              config.d_hash))
+    return dense, hits
 
 
-def assert_same_bits(row, ref):
-    """`row`, as lists or arrays, holds the values of `ref` bit for bit."""
-    for name, got, want in zip(("dense", "idx", "val"), row, ref):
-        got = np.asarray(got)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+def reference_score(model: DiscriminatorModel, features) -> float:
+    """D of reference_features, in the canonical arithmetic written out
+    here: z = (bias + zd) + S / t, with zd and S summed left to right from
+    0.0 and t the prefix length."""
+    dense, hits = features
+    zd = 0.0
+    for j in range(N_DENSE):
+        zd += float(model.dense_w[j]) * float(dense[j])
+    S = 0.0
+    for i in hits:
+        S += float(model.sparse_w[i])
+    t = (len(hits) + 1) // 2  # a t-token prefix has t unigram and t - 1 bigram hits
+    return _sigmoid((float(model.bias) + zd) + S / t)
+
+
+def assert_same_features(got, ref):
+    """`got`, a (dense, hashed hits) pair, holds the values of `ref` bit for bit."""
+    assert np.asarray(got[0]).tobytes() == ref[0].tobytes(), "dense"
+    assert list(got[1]) == ref[1], "hits"
+
+
+def random_model(config: FeatureConfig, seed: int) -> DiscriminatorModel:
+    rng = np.random.default_rng(seed)
+    return DiscriminatorModel(config, rng.normal(size=N_DENSE), rng.normal(size=config.d_hash),
+                              float(rng.normal()))
 
 
 @st.composite
@@ -203,22 +225,29 @@ def test_incremental_features_equal_the_reference_bitwise(data):
     config = data.draw(feature_configs(n_vocab), label="config")
     source = tuple(data.draw(tokens(n_vocab, 1, 8), label="source"))
     prefix = tuple(data.draw(tokens(n_vocab, 1, 30), label="prefix"))
-    featurizer = PrefixFeaturizer(config)
-    state = featurizer.state_of(source)
+    model = random_model(config, data.draw(st.integers(0, 99), label="model_seed"))
+    # a featurizer alone, and one that carries each prefix's S under `model`
+    featurizer, scorer = PrefixFeaturizer(config), PrefixFeaturizer(config, model)
+    state, scored, hits = featurizer.state_of(source), scorer.state_of(source), []
     for t, token in enumerate(prefix, start=1):
         # a sibling branches off the same parent first, as beam candidates do
-        sibling = state.copy()
         other = (token + 1) % n_vocab
-        featurizer.advance(sibling, other)
-        assert_same_bits(featurizer.row(sibling),
-                         reference_features(source, prefix[: t - 1] + (other,), config))
-        child = state.copy()
-        featurizer.advance(child, token)
-        assert_same_bits(featurizer.row(child),
-                         reference_features(source, prefix[:t], config))
-        state = child
-    assert_same_bits(extract_features(source, prefix, config),
-                     reference_features(source, prefix, config))
+        sibling, scored_sibling = state.copy(), scored.copy()
+        sibling_hits = hits + list(featurizer.advance(sibling, other))
+        scorer.advance(scored_sibling, other)
+        child, scored_child = state.copy(), scored.copy()
+        hits = hits + list(featurizer.advance(child, token))
+        scorer.advance(scored_child, token)
+        for st_, sc, h, p in ((sibling, scored_sibling, sibling_hits, prefix[: t - 1] + (other,)),
+                              (child, scored_child, hits, prefix[:t])):
+            ref = reference_features(source, p, config)
+            assert_same_features((featurizer.dense(st_), [featurizer.columns[c] for c in h]),
+                                 ref)
+            assert scorer.score(sc).hex() == reference_score(model, ref).hex()
+            assert scorer.score(sc).hex() == model.score(source, p).hex()
+        state, scored = child, scored_child
+    assert_same_features(extract_features(source, prefix, config),
+                         reference_features(source, prefix, config))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -243,8 +272,21 @@ def test_training_features_equal_the_reference_in_any_order(data):
         batch = prefix_features(examples, config)
         assert len(batch) == len(examples)
         assert batch.indptr[0] == 0 and batch.indptr[-1] == len(batch.idx) == len(batch.val)
-        for row, ex in zip(batch, examples):
-            assert_same_bits(row, reference_features(ex.source, ex.prefix, config))
+        assert batch.chain_ptr[0] == 0 and batch.chain_ptr[-1] == len(batch.hits)
+        assert len(set(batch.columns.tolist())) == len(batch.columns)
+        for i, ex in enumerate(examples):
+            t = len(ex.prefix)
+            start = batch.chain_ptr[batch.chain[i]]
+            assert start + 2 * t - 1 <= batch.chain_ptr[batch.chain[i] + 1]
+            hits = batch.columns[batch.hits[start:start + 2 * t - 1]].tolist()
+            ref = reference_features(ex.source, ex.prefix, config)
+            assert batch.t[i] == t
+            assert_same_features((batch.dense[i], hits), ref)
+            # the distinct columns in first-hit order, valued count / t
+            row = slice(batch.indptr[i], batch.indptr[i + 1])
+            first_hits = list(dict.fromkeys(ref[1]))
+            assert batch.columns[batch.idx[row]].tolist() == first_hits
+            assert batch.val[row].tolist() == [ref[1].count(k) / t for k in first_hits]
 
 
 # --- scoring --------------------------------------------------------------------
@@ -269,11 +311,16 @@ def test_score_matches_manual_recomputation(config):
     rng = np.random.default_rng(0)
     model = DiscriminatorModel(config, rng.normal(size=N_DENSE),
                                rng.normal(size=config.d_hash), 0.3)
-    dense, idx, val = extract_features((3, 4, 5), (3, 9, 3, EOS), config)
-    z = 0.3 + float(np.dot(model.dense_w, dense))
-    z += float(np.sum(model.sparse_w[idx] * np.array(val)))
-    assert math.isclose(model.score_features((dense, idx, val)),
-                        1.0 / (1.0 + math.exp(-z)), abs_tol=1e-12)
+    dense, hits = extract_features((3, 4, 5), (3, 9, 3, EOS), config)
+    assert len(hits) == 7  # 4 unigrams and 3 bigrams
+    zd = 0.0
+    for w, x in zip(model.dense_w.tolist(), dense):
+        zd += w * x
+    S = 0.0
+    for i in hits:
+        S += model.sparse_w[i]
+    z = (0.3 + zd) + S / 4
+    assert model.score((3, 4, 5), (3, 9, 3, EOS)) == 1.0 / (1.0 + math.exp(-z))
 
 
 # --- training -------------------------------------------------------------------
@@ -334,8 +381,7 @@ def test_class_ratio_reweights_generated_side(config):
     skewed = train_discriminator(H, G, config, epochs=2, seed=1, ratio=5.0)
     assert not np.array_equal(balanced.dense_w, skewed.dense_w)
     # heavier weight on log(1 - D) pushes scores down
-    probe = extract_features(H[0].source, H[0].prefix, config)
-    assert skewed.score_features(probe) < balanced.score_features(probe)
+    assert skewed.score(H[0].source, H[0].prefix) < balanced.score(H[0].source, H[0].prefix)
 
 
 def test_warm_start_initialization_is_used(config):
@@ -349,16 +395,9 @@ def test_warm_start_initialization_is_used(config):
 # --- the packed trainer against the per-example reference ----------------------------
 
 
-def reference_score(model: DiscriminatorModel, row) -> float:
-    """D of a reference_features row, computed here rather than by the
-    DiscriminatorModel.score_features it checks."""
-    dense, idx, val = row
-    return _sigmoid(model.bias + model.dense_w @ dense + model.sparse_w[idx] @ val)
-
-
 def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: float,
                     seed: int, init: DiscriminatorModel | None, ratio: float):
-    """SGD over one reference_features row per example, scored by
+    """SGD over the reference_features of each example, scored by
     reference_score, and the objective summed example by example after every
     epoch: the trainer the packed one must match bit for bit."""
     if init is not None:
@@ -389,10 +428,13 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
         rng.shuffle(order)
         lr = learning_rate / math.sqrt(epoch + 1)
         for i in order:
-            (dense, idx, val), label, kind = examples[i]
-            step = lr * scale[kind] * (label - reference_score(model, (dense, idx, val)))
+            (dense, hits), label, kind = examples[i]
+            step = lr * scale[kind] * (label - reference_score(model, (dense, hits)))
             model.dense_w += step * dense
-            model.sparse_w[idx] += step * val
+            # an index hit c times in a t-token prefix has the value c / t
+            t = (len(hits) + 1) // 2
+            for index, count in Counter(hits).items():
+                model.sparse_w[index] += step * (count / t)
             model.bias += step
         history.append(objective())
     model.objective_history = tuple(history)
@@ -441,14 +483,21 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
     assert len(packed.objective_history) == kwargs["epochs"]
     for got, want in zip(packed.objective_history, reference.objective_history):
         assert abs(got - want) <= 1e-12 * abs(want)
-    # score_features, as accuracy calls it on batch rows and the decoder on
-    # list rows, equals the reference scoring bit for bit
+    # the batch scorer (accuracy, final_objective), the from-scratch one and
+    # the search's carried S equal the reference scoring bit for bit
     examples = H + G
     want = [reference_score(packed, reference_features(ex.source, ex.prefix, config))
             for ex in examples]
-    assert list(map(packed.score_features, prefix_features(examples, config))) == want
-    assert [packed.score_features(extract_features(ex.source, ex.prefix, config))
-            for ex in examples] == want
+    assert packed.score_features(prefix_features(examples, config)) == want
+    assert [packed.score(ex.source, ex.prefix) for ex in examples] == want
+    carried = []
+    for ex in examples:
+        scorer = PrefixFeaturizer(config, packed)
+        state = scorer.state_of(ex.source)
+        for token in ex.prefix:
+            scorer.advance(state, token)
+        carried.append(scorer.score(state))
+    assert carried == want
 
 
 # --- objective and gradient ------------------------------------------------------
@@ -635,6 +684,40 @@ def test_save_load_save_is_byte_identical_and_scores_the_same(data):
     for source, prefix in data.draw(st.lists(st.tuples(tokens, tokens), min_size=1, max_size=5),
                                     label="source, prefix"):
         assert loaded.score(source, prefix).hex() == model.score(source, prefix).hex()
+
+
+TRAIN_AND_SAVE = """
+import sys
+from dasearch.corpus import generate_synthetic_corpus
+from dasearch.decoder import SearchConfig, hypothesis_content, plain_beam_search
+from dasearch.discriminator import FeatureConfig, build_prefix_sets, train_discriminator
+from dasearch.generator import train_generator
+
+corpus = generate_synthetic_corpus(3, 40)
+generator = train_generator(corpus, lambda_copy=0.75)
+search = SearchConfig(beam_size=2, k_rerank=4, t_max=30)
+gens = {p.id: hypothesis_content(plain_beam_search(generator, p.source, search)[0])
+        for p in corpus.pairs}
+H, G = build_prefix_sets(corpus, gens, t_max=30)
+config = FeatureConfig.from_corpus(corpus, d_hash=4096, t_max=30)
+train_discriminator(H, G, config, epochs=3, seed=5).save(sys.argv[1])
+"""
+
+
+def test_model_files_do_not_depend_on_the_blas_kernel(tmp_path):
+    """The same training under OpenBLAS's Prescott kernel and under the
+    default one writes the same bytes: no weight or objective goes through a
+    BLAS dot product."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("OPENBLAS_CORETYPE", None)
+    models = []
+    for kernel in ("Prescott", None):
+        path = tmp_path / f"{kernel}.model"
+        run_env = dict(env, OPENBLAS_CORETYPE=kernel) if kernel else env
+        subprocess.run([sys.executable, "-c", TRAIN_AND_SAVE, str(path)], env=run_env,
+                       check=True, timeout=300)
+        models.append(path.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_sigmoid_is_stable_at_extremes():

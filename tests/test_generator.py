@@ -163,14 +163,28 @@ def test_partial_scores_strictly_decrease(synth_corpus, synth_generator):
 # --- distribution properties ----------------------------------------------------
 
 
-def test_normalization_over_random_contexts(synth_corpus, synth_generator):
-    rng = random.Random(1)
-    nv = len(synth_corpus.vocab)
-    for _ in range(1000):
-        p = rng.choice(synth_corpus.pairs)
-        prefix = (SOS,) + tuple(rng.randrange(3, nv) for _ in range(rng.randint(0, 6)))
-        total = float(np.exp(synth_generator.next_logprobs(p.source, prefix)).sum())
-        assert abs(total - 1.0) <= 1e-6
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_normalization_over_random_contexts(data, synth_corpus):
+    """next_probs rows sum to 1 and SOS gets exactly 0."""
+    model = train_generator(synth_corpus, order=data.draw(st.integers(1, 4), label="order"),
+                            kappa=data.draw(st.sampled_from([0.01, 1.0, 5.0]), label="kappa"),
+                            lambda_copy=data.draw(st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+                                                  label="lambda_copy"))
+    content = st.integers(Vocabulary.unk, len(synth_corpus.vocab) - 1)
+    pair = data.draw(st.sampled_from(synth_corpus.pairs), label="pair")
+    if data.draw(st.booleans(), label="corpus_source"):
+        source = pair.source
+    else:
+        source = tuple(data.draw(st.lists(content, min_size=1, max_size=12), label="source"))
+    # a reference prefix reaches observed n-gram contexts; random tokens mostly back off
+    if data.draw(st.booleans(), label="reference_prefix"):
+        content_prefix = pair.reference[:data.draw(st.integers(0, 10), label="t")]
+    else:
+        content_prefix = tuple(data.draw(st.lists(content, max_size=8), label="prefix"))
+    probs = model.next_probs(source, (SOS,) + tuple(content_prefix))
+    assert abs(math.fsum(probs.tolist()) - 1.0) <= 1e-12
+    assert probs[SOS] == 0.0
 
 
 def test_high_copy_weight_keeps_modal_token_in_source(synth_corpus):
