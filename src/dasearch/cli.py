@@ -35,12 +35,14 @@ from dasearch.corpus import (
     finite_float,
     generate_synthetic_corpus,
     load_corpus,
+    read_records,
     save_corpus,
+    write_records,
 )
 from dasearch.decoder import SearchConfig, das_beam_search, decode_corpus, hypothesis_content
 from dasearch.discriminator import DiscriminatorModel, accuracy_by_length, build_prefix_sets
 from dasearch.generator import NGramCopyModel, train_generator
-from dasearch.metrics import evaluate_system, write_reports
+from dasearch.metrics import evaluate_system
 from dasearch.selftrain import DiscriminatorHparams, bootstrap, run_until_convergence
 
 
@@ -209,46 +211,35 @@ def _load_models(cfg: RunConfig, need_disc: bool = False):
 
 
 def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
-    with atomic_write(path) as f:
-        for p in corpus.pairs:
-            h = hyps[p.id]
-            content = hypothesis_content(h)
-            rec = {
-                "id": p.id,
-                "tokens": list(content),
-                "text": " ".join(corpus.vocab.decode(content)),
-                "s_gen": h.s_gen,
-                "s_dis": h.s_dis,
-                "s_das": h.s_das,
-                "steps": len(h.tokens) - 1,
-                "truncated": h.truncated,
-            }
-            f.write(json.dumps(rec) + "\n")
+    def record(p):
+        h = hyps[p.id]
+        content = hypothesis_content(h)
+        return {
+            "id": p.id,
+            "tokens": list(content),
+            "text": " ".join(corpus.vocab.decode(content)),
+            "s_gen": h.s_gen,
+            "s_dis": h.s_dis,
+            "s_das": h.s_das,
+            "steps": len(h.tokens) - 1,
+            "truncated": h.truncated,
+        }
+    write_records(path, map(record, corpus.pairs))
 
 
 def load_generations(path, vocab: Vocabulary) -> dict:
-    """Pair id -> tokens of a generations file, one JSON object per line with a
-    string "id" and a list of int "tokens", each an id of `vocab`."""
+    """Pair id -> tokens of a generations file, whose records (see
+    corpus.read_records) each hold a list of int "tokens", ids of `vocab`."""
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{where}: malformed JSON: {e}") from None
-            if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
-                raise CorpusError(f"{where}: not an object with a string \"id\"")
-            tokens = rec.get("tokens")
-            if not isinstance(tokens, list) or any(type(tok) is not int for tok in tokens):
-                raise CorpusError(f"{where}: \"tokens\" is not a list of ints")
-            for tok in tokens:
-                if not 0 <= tok < len(vocab):
-                    raise CorpusError(f"{where}: token id {tok} in pair {rec['id']!r} "
-                                      f"is not in the {len(vocab)}-token vocabulary")
-            out[rec["id"]] = tuple(tokens)
+    for where, rec in read_records(path):
+        tokens = rec.get("tokens")
+        if not isinstance(tokens, list) or any(type(tok) is not int for tok in tokens):
+            raise CorpusError(f"{where}: \"tokens\" is not a list of ints")
+        for tok in tokens:
+            if not 0 <= tok < len(vocab):
+                raise CorpusError(f"{where}: token id {tok} in pair {rec['id']!r} "
+                                  f"is not in the {len(vocab)}-token vocabulary")
+        out[rec["id"]] = tuple(tokens)
     return out
 
 
@@ -331,6 +322,8 @@ def cmd_decode(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
+    if cfg.max_iters < 1:
+        raise ConfigError(f"max_iters must be >= 1, got {cfg.max_iters}")
     vocab, generator, _ = _load_models(cfg)
     corpus = load_corpus(_required_path(cfg, "train_path"), vocab)
     search = cfg.search_config("das")
@@ -339,14 +332,10 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
     def snapshot(state):
         iter_dir = out_dir / f"iter_{state.iteration}"
         iter_dir.mkdir(parents=True, exist_ok=True)
-        gen_path = iter_dir / "generations.jsonl"
-        with atomic_write(gen_path) as f:
-            for p in corpus.pairs:
-                toks = state.last_generations[p.id]
-                f.write(json.dumps({
-                    "id": p.id, "tokens": list(toks),
-                    "text": " ".join(vocab.decode(toks)),
-                }) + "\n")
+        gens = state.last_generations
+        write_records(iter_dir / "generations.jsonl", (
+            {"id": p.id, "tokens": list(gens[p.id]), "text": " ".join(vocab.decode(gens[p.id]))}
+            for p in corpus.pairs))
         state.discriminator.save(iter_dir / "discriminator.model")
         _write_rows(iter_dir / "history.csv", state.history)
 
@@ -385,7 +374,11 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
         systems[name] = [gens[p.id] for p in corpus.pairs]
     csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
     zipf_path, rep3_path = out_dir / "zipf.csv", out_dir / "rep3_positions.csv"
-    write_reports(reports, csv_path, json_path)
+    rows = [r.as_dict() for r in reports]
+    _write_rows(csv_path, rows)
+    with atomic_write(json_path) as f:
+        json.dump(rows, f, indent=2)
+        f.write("\n")
     zipf_rows, rep3_rows = [], []
     for name, texts in systems.items():
         zipf_rows += [(name, rank, vocab.token_of(tok), freq)
@@ -405,19 +398,28 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
              for k in args.k_rerank for alpha in args.alphas]
     vocab, generator, disc = _load_models(cfg, need_disc=any(a > 0 for a in args.alphas))
     corpus = load_corpus(_required_path(cfg, f"{args.split}_path"), vocab)
-    rows = []
     rng = random.Random(component_seed(cfg.master_seed, "sweep"))
-    for rep in range(args.repetitions):
+    subsets = []
+    for _ in range(args.repetitions):
         ids = sorted(p.id for p in corpus.pairs)
         rng.shuffle(ids)
-        sub = corpus.subset(set(ids[: args.subset_size]))
-        for k, alpha, search in cells:
-            d = disc if alpha > 0 else None
-            search_one = functools.partial(das_beam_search, generator, d, config=search)
-            hyps = decode_corpus(sub, search_one, jobs=cfg.jobs)
-            gens = {i: hypothesis_content(h) for i, h in hyps.items()}
-            report = evaluate_system(gens, sub, system=f"K{k}-a{alpha}")
-            row = report.as_dict()
+        subsets.append(corpus.subset(set(ids[: args.subset_size])))
+    if args.repetitions > 1 and args.subset_size >= len(corpus):
+        print(f"note: --subset-size {args.subset_size} is at least the {len(corpus)} pairs "
+              f"of the {args.split} split, so every repetition evaluates the same pairs",
+              file=sys.stderr)
+    # each cell decodes every pair some repetition drew once
+    drawn = corpus.subset({p.id for sub in subsets for p in sub.pairs})
+    cell_gens = []
+    for k, alpha, search in cells:
+        d = disc if alpha > 0 else None
+        search_one = functools.partial(das_beam_search, generator, d, config=search)
+        hyps = decode_corpus(drawn, search_one, jobs=cfg.jobs)
+        cell_gens.append({i: hypothesis_content(h) for i, h in hyps.items()})
+    rows = []
+    for rep, sub in enumerate(subsets):
+        for (k, alpha, _), gens in zip(cells, cell_gens):
+            row = evaluate_system(gens, sub, system=f"K{k}-a{alpha}").as_dict()
             row.update({"k_rerank": k, "alpha": alpha, "repetition": rep})
             rows.append(row)
     sweep_path = out_dir / "sweep.csv"

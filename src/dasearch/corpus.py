@@ -165,23 +165,35 @@ class Corpus:
         return Corpus(tuple(p for p in self.pairs if p.id in ids), self.vocab, self.split)
 
 
-def _parse_records(path) -> list[tuple[str, str, str]]:
-    records = []
-    with open(path, encoding="utf-8") as f:
+def read_records(path):
+    """(where, record) for every non-blank line of the JSON-lines file `path`;
+    `where` is "<path> line <n>". Each record is an object with a string "id"
+    that no earlier line holds; any other line raises CorpusError there."""
+    first_line = {}
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            where = f"{path} line {lineno}"
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"{where}: not UTF-8: {e}") from None
             except json.JSONDecodeError as e:
-                raise CorpusError(f"malformed line {lineno}: {e}") from None
-            for key in ("id", "source", "summary"):
-                if key not in rec or not isinstance(rec[key], str):
-                    raise CorpusError(f"malformed line {lineno}: missing string field {key!r}")
-            records.append((rec["id"], rec["source"], rec["summary"], lineno))
-    if not records:
-        raise CorpusError(f"empty file: {path}")
-    return records
+                raise CorpusError(f"{where}: malformed JSON: {e}") from None
+            if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
+                raise CorpusError(f"{where}: not an object with a string \"id\"")
+            first = first_line.setdefault(rec["id"], lineno)
+            if first != lineno:
+                raise CorpusError(f"{where}: id {rec['id']!r} repeats line {first}")
+            yield where, rec
+
+
+def write_records(path, records) -> None:
+    """`records` as a JSON-lines file: one object per line."""
+    with atomic_write(path) as f:
+        for rec in records:
+            f.write(json.dumps(rec) + "\n")
 
 
 def load_corpus(path, vocab: Vocabulary | None = None, split: str = "train") -> Corpus:
@@ -190,16 +202,19 @@ def load_corpus(path, vocab: Vocabulary | None = None, split: str = "train") -> 
     With no vocabulary given, a full one (min_count=1) is built from the file
     itself; otherwise out-of-vocabulary tokens map to UNK.
     """
-    records = _parse_records(path)
     tokenized = []
-    for rid, src, summ, lineno in records:
-        src_toks = tokenize(src)
-        ref_toks = tokenize(summ)
+    for where, rec in read_records(path):
+        for key in ("source", "summary"):
+            if not isinstance(rec.get(key), str):
+                raise CorpusError(f"{where}: missing string field {key!r}")
+        src_toks, ref_toks = tokenize(rec["source"]), tokenize(rec["summary"])
         if not src_toks:
-            raise CorpusError(f"empty source at line {lineno}")
+            raise CorpusError(f"{where}: empty source")
         if not ref_toks:
-            raise CorpusError(f"empty reference at line {lineno}")
-        tokenized.append((rid, src_toks, ref_toks))
+            raise CorpusError(f"{where}: empty reference")
+        tokenized.append((rec["id"], src_toks, ref_toks))
+    if not tokenized:
+        raise CorpusError(f"empty file: {path}")
     if vocab is None:
         vocab = _vocab_from_counts((toks for _, src, ref in tokenized for toks in (src, ref)), 1)
     pairs = tuple(
@@ -211,14 +226,9 @@ def load_corpus(path, vocab: Vocabulary | None = None, split: str = "train") -> 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus back as line-delimited records (space-joined tokens)."""
-    with atomic_write(path) as f:
-        for p in corpus.pairs:
-            rec = {
-                "id": p.id,
-                "source": " ".join(corpus.vocab.decode(p.source)),
-                "summary": " ".join(corpus.vocab.decode(p.reference)),
-            }
-            f.write(json.dumps(rec) + "\n")
+    write_records(path, ({"id": p.id, "source": " ".join(corpus.vocab.decode(p.source)),
+                          "summary": " ".join(corpus.vocab.decode(p.reference))}
+                         for p in corpus.pairs))
 
 
 def _vocab_from_counts(token_lists, min_count: int) -> Vocabulary:

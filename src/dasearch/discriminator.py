@@ -326,12 +326,12 @@ class DiscriminatorModel:
         return list(map(_sigmoid, _logits(self, batch).tolist()))
 
     def score(self, source, prefix) -> float:
-        """D of one prefix, from its features rebuilt from scratch."""
-        dense, hits = extract_features(source, prefix, self.config)
-        S = 0.0
-        for i in hits:
-            S += self.sparse_w.item(i)
-        return _sigmoid(logit(float(self.bias), self.dense_w.tolist(), dense, S, len(prefix)))
+        """D of one prefix: the search's scorer folded over the prefix."""
+        featurizer = PrefixFeaturizer(self.config, self)
+        state = featurizer.state_of(source)
+        for token in prefix:
+            featurizer.advance(state, token)
+        return featurizer.score(state)
 
     def save(self, path) -> None:
         with atomic_write(path) as f:

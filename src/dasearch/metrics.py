@@ -11,13 +11,9 @@ is longer than the reference.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-
-from dasearch.corpus import atomic_write
 
 
 class MetricsError(ValueError):
@@ -254,13 +250,3 @@ def evaluate_system(generations: dict, corpus, system: str = "model",
         d_rep3=delta(human["rep3"], model["rep3"]),
     )
 
-
-def write_reports(reports: list[MetricReport], csv_path, json_path) -> None:
-    rows = [r.as_dict() for r in reports]
-    with atomic_write(csv_path, newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    with atomic_write(json_path) as f:
-        json.dump(rows, f, indent=2)
-        f.write("\n")

@@ -1,5 +1,7 @@
 import csv
 import json
+import random
+from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -301,6 +303,37 @@ def test_sweep_with_only_alpha_zero_needs_no_discriminator(pipeline, tmp_path, c
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("subset_size", [2, 100], ids=["subsets", "whole-split"])
+def test_sweep_decodes_each_drawn_pair_once_per_cell(pipeline, tmp_path, capsys, monkeypatch,
+                                                     subset_size):
+    root, cfg = pipeline
+    searched = []
+
+    def counting_search(generator, disc, source, config, inner=cli.das_beam_search):
+        searched.append((config.k_rerank, config.alpha, source))
+        return inner(generator, disc, source, config)
+
+    monkeypatch.setattr(cli, "das_beam_search", counting_search)
+    path = derive_config(cfg, tmp_path)
+    assert main(["sweep", "--config", str(path), "--k-rerank", "1,2", "--alphas", "0,1",
+                 "--subset-size", str(subset_size), "--repetitions", "3"]) == 0
+    # the pairs the three repetitions draw, as the sweep draws them
+    split = sorted(p.id for p in load_corpus(root / "out" / "validation.jsonl").pairs)
+    rng = random.Random(component_seed(RunConfig.from_file(path).master_seed, "sweep"))
+    drawn = set()
+    for _ in range(3):
+        ids = list(split)
+        rng.shuffle(ids)
+        drawn |= set(ids[:subset_size])
+    if subset_size < len(split):
+        assert len(drawn) > subset_size  # the repetitions drew different pairs
+    assert len(searched) == 4 * len(drawn)
+    assert max(Counter(searched).values()) == 1
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3 * 4
+    note = "every repetition evaluates the same pairs"
+    assert (note in capsys.readouterr().err) == (subset_size >= len(split))
+
+
 def test_sweep_decodes_with_the_configured_jobs(pipeline, tmp_path, monkeypatch):
     _, cfg = pipeline
     argv = ["--k-rerank", "2", "--alphas", "0,1", "--subset-size", "3", "--repetitions", "1"]
@@ -368,11 +401,17 @@ def test_out_of_range_model_file_exits_one(pipeline, tmp_path, capsys, kind):
     assert f"error: {kind} model file {bad}: " in capsys.readouterr().err
 
 
-def test_self_train_rejects_zero_iterations(pipeline, tmp_path, capsys):
+def test_self_train_rejects_zero_iterations(pipeline, tmp_path, capsys, monkeypatch):
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded before max_iters was checked")
+
+    monkeypatch.setattr(selftrain, "decode_corpus", no_decode)
     _, cfg = pipeline
-    path = derive_config(cfg, tmp_path)
-    assert main(["self-train", "--config", str(path), "--max-iters", "0"]) == 1
-    assert "max_iters must be >= 1" in capsys.readouterr().err
+    for extra, setting in ((["--max-iters", "0"], {}), ([], {"max_iters": 0})):
+        path = derive_config(cfg, tmp_path, **setting)
+        assert main(["self-train", "--config", str(path), *extra]) == 1
+        assert "error: max_iters must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "iter_0").exists()
 
 
 @pytest.mark.parametrize("command, extra, setting, message", [
@@ -499,6 +538,45 @@ def test_evaluate_rejects_token_ids_outside_the_vocabulary(pipeline, tmp_path, c
             in capsys.readouterr().err)
     assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
                 if (tmp_path / p).exists()]
+
+
+# a bad last line of a JSON-lines file, and what its error says after
+# "<path> line <n>: "; None repeats the first line
+BAD_RECORDS = {
+    "malformed-json": ('{"id": "x"', "malformed JSON"),
+    "not-utf8": ('{"id": "\udcff"}', "not UTF-8"),  # written as the byte 0xff
+    "string": ('"a"', 'not an object with a string "id"'),
+    "number": ("5", 'not an object with a string "id"'),
+    "list": ("[1]", 'not an object with a string "id"'),
+    "no-id": ('{"tokens": [3]}', 'not an object with a string "id"'),
+    "int-id": ('{"id": 5, "tokens": [3]}', 'not an object with a string "id"'),
+    "repeated-id": (None, "id {first!r} repeats line 1"),
+}
+
+
+@pytest.mark.parametrize("command", ["decode", "evaluate"])
+@pytest.mark.parametrize("bad, message", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_corpus_and_generations_files_share_one_reader(pipeline, tmp_path, capsys, command,
+                                                       bad, message):
+    root, cfg = pipeline
+    corpus_lines = (root / "out" / "test.jsonl").read_text().splitlines()
+    ids = [json.loads(line)["id"] for line in corpus_lines]
+    good = (corpus_lines if command == "decode"
+            else [json.dumps({"id": i, "tokens": [3]}) for i in ids])
+    records = tmp_path / "records.jsonl"
+    # a blank line counts in the line numbers but holds no record
+    text = "\n".join([*good[:2], "", good[0] if bad is None else bad]) + "\n"
+    records.write_bytes(text.encode("utf-8", "surrogateescape"))
+    if command == "decode":
+        path = derive_config(cfg, tmp_path, test_path=str(records))
+        argv = ["decode", "--config", str(path), "--mode", "plain", "--split", "test"]
+    else:
+        path = derive_config(cfg, tmp_path)
+        argv = ["evaluate", "--config", str(path), "--split", "test", "--systems", str(records)]
+    assert main(argv) == 1
+    assert (f"error: {records} line 4: {message.format(first=ids[0])}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "records.jsonl"]
 
 
 @pytest.mark.parametrize("key, value", [("hist_buckets", 0), ("zipf_k", -1)])

@@ -100,7 +100,7 @@ def test_load_corpus_tokenizes_source(tmp_path):
 def test_load_corpus_empty_reference_error(tmp_path):
     path = write_jsonl(tmp_path / "c.jsonl",
                        [{"id": "a", "source": "x", "summary": ""}])
-    with pytest.raises(CorpusError, match="empty reference at line 1"):
+    with pytest.raises(CorpusError, match="line 1: empty reference"):
         load_corpus(path)
 
 
@@ -257,3 +257,12 @@ def test_corpus_subset_keeps_corpus_order_vocab_and_split():
     assert [p.id for p in sub.pairs] == ["p3", "p2"]
     assert sub.pairs == (corpus.pairs[0], corpus.pairs[2])
     assert sub.vocab is vocab and sub.split == "validation"
+
+
+def test_write_records_then_read_records_round_trips(tmp_path):
+    path = tmp_path / "r.jsonl"
+    records = [{"id": "a", "text": "naïve \"quoted\"\n"}, {"id": "b", "n": [1, 2.5, None]}]
+    corpus_mod.write_records(path, iter(records))
+    assert path.read_text(encoding="utf-8").count("\n") == 2
+    assert list(corpus_mod.read_records(path)) == [(f"{path} line 1", records[0]),
+                                                   (f"{path} line 2", records[1])]
