@@ -257,7 +257,8 @@ def _write_rows(path, rows, header=None) -> None:
 
 # --- commands ----------------------------------------------------------------
 # Each command writes under out_dir and returns (manifest name, inputs, outputs);
-# main creates out_dir, times the command and writes its manifest.
+# main times the command and writes its manifest. Nothing creates out_dir but
+# the first write into it, so a command that fails its checks leaves none.
 
 
 def cmd_make_corpus(cfg: RunConfig, args, out_dir: Path):
@@ -331,7 +332,6 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
 
     def snapshot(state):
         iter_dir = out_dir / f"iter_{state.iteration}"
-        iter_dir.mkdir(parents=True, exist_ok=True)
         gens = state.last_generations
         write_records(iter_dir / "generations.jsonl", (
             {"id": p.id, "tokens": list(gens[p.id]), "text": " ".join(vocab.decode(gens[p.id]))}
@@ -536,7 +536,6 @@ def main(argv=None) -> int:
                     raise ConfigError(f"{name}: {e}") from None
         started = time.time()
         out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         command, inputs, outputs = args.func(cfg, args, out_dir)
         write_manifest(out_dir, command, cfg, inputs, outputs, started)
         return 0

@@ -53,8 +53,11 @@ def atomic_write(path, newline: str | None = None):
     """A UTF-8 text file to write `path` through. It is a temporary file in the
     same directory that replaces `path` when the block ends without an error
     and is removed when it raises, so `path` holds either its old content or
-    all of the new."""
+    all of the new. It creates the directory `path` is in if it is missing,
+    so a directory exists once something is written to it, and not before."""
     directory, name = os.path.split(os.fspath(path))
+    if directory:
+        os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     f = open(tmp, "x", encoding="utf-8", newline=newline)
     try:

@@ -7,7 +7,15 @@ s_gen + alpha * log D) and keeps the best B. Ties break on higher s_gen, then
 lexicographic token ids. Plain beam search is the same search with no
 discriminator and K_rerank = B: the pool is then never re-scored and every
 result has s_das == s_gen.
-"""
+
+A candidate is light: its scores, its parent's rank in the pool's token order
+and its token, which order candidates as their token tuples would. It is
+scored from its parent's prefix state without changing that state. Only the
+B survivors of a step become Hypothesis objects, and each live one takes over
+its parent's prefix state and trigram-block index (copies them when a sibling
+survives too) and extends them by its token. Expansions are memoised by the
+prefix's generator tail and blocked set. So the only per-step work that grows
+with the prefix is the survivors' token tuples and their siblings' copies."""
 
 from __future__ import annotations
 
@@ -67,17 +75,6 @@ class SearchConfig:
             raise DecoderError("t_max must be >= 1")
 
 
-def s_gen_extend(h: Hypothesis, token: int, logp: float) -> Hypothesis:
-    """Append a token, accumulating the generator log-probability."""
-    if h.ended:
-        raise DecoderError("cannot extend an ended hypothesis")
-    return Hypothesis(
-        tokens=h.tokens + (token,),
-        s_gen=h.s_gen + logp,
-        ended=(token == Vocabulary.eos),
-    )
-
-
 def apply_das_score(h: Hypothesis, alpha: float, dis_prob: float) -> Hypothesis:
     """Fuse generator and discriminator scores: s_das = s_gen + alpha*log(p),
     with p clamped to at least EPS_DIS (the search counts and logs clamps)."""
@@ -94,48 +91,64 @@ def length_penalty(length: int, beta: float) -> float:
     return (5.0 + length) ** beta / 6.0 ** beta
 
 
-def _blocked_tokens(h: Hypothesis) -> frozenset[int]:
-    content = h.tokens[1:]
-    if len(content) < 2:
-        return frozenset()
-    ctx = (content[-2], content[-1])
-    return frozenset(content[i + 2] for i in range(len(content) - 2)
-                     if content[i : i + 2] == ctx)
+_UNBLOCKED: frozenset[int] = frozenset()
+
+
+def _blocked(index: dict, tokens) -> frozenset[int]:
+    """The tokens that would repeat a trigram of `tokens` (SOS first): the
+    followers of its last bigram in `index`, its trigram-block index."""
+    return index.get(tokens[-2:], _UNBLOCKED) if len(tokens) > 2 else _UNBLOCKED
+
+
+def _extend_block_index(index: dict, tokens, token: int) -> None:
+    """Record in `index`, which maps each bigram of `tokens` (SOS first) to
+    the frozenset of tokens that follow it there, the trigram that appending
+    `token` completes."""
+    if len(tokens) > 2:
+        bigram = tokens[-2:]
+        index[bigram] = index.get(bigram, _UNBLOCKED) | {token}
 
 
 def _expansion(generator, source, k: int):
     """`expand(tokens, blocked)`: the finite (token, logp) pairs among the k
     best next tokens after `tokens` with `blocked` set to -inf, best first and
     ties by token id. Given the source these depend only on the generator's
-    context of the prefix and on the blocked set, so each is computed once per
-    (context, blocked) and kept for as long as the search lasts."""
-    memo = {}
+    context of the prefix and on the blocked set, and the context only on the
+    prefix's tail, its last order - 1 tokens. So each is kept by (tail,
+    blocked) for as long as the search lasts; the context is asked once per
+    distinct tail, and the generator's ranking of all tokens, which every
+    blocked set filters, is made once per distinct context."""
+    order = generator.order
+    by_tail, ranking_of_tail, ranking_of_context = {}, {}, {}
 
     def expand(tokens, blocked: frozenset[int]) -> list[tuple[int, float]]:
-        key = (generator.context(tokens), blocked)
-        top = memo.get(key)
+        tail = tokens[1 - order:] if order > 1 else ()
+        top = by_tail.get((tail, blocked))
         if top is None:
-            lp = generator.next_logprobs(source, tokens)
-            if blocked:
-                lp = lp.copy()
-                lp[list(blocked)] = -np.inf
+            ranking = ranking_of_tail.get(tail)
+            if ranking is None:
+                context = generator.context(tokens)
+                ranking = ranking_of_context.get(context)
+                if ranking is None:
+                    lp = generator.next_logprobs(source, tokens)
+                    ranking = ranking_of_context[context] = (
+                        lp, np.argsort(-lp, kind="stable"))
+                ranking_of_tail[tail] = ranking
+            lp, ids = ranking
             top = []
-            for tok in np.argsort(-lp, kind="stable")[:k]:
+            # blocked tokens leave the ranking; the others keep their order
+            for tok in ids[: k + len(blocked)].tolist():
                 val = float(lp[tok])
-                if math.isfinite(val):  # zero-probability or blocked: never enters the pool
-                    top.append((int(tok), val))
-            memo[key] = top
+                if not math.isfinite(val):  # zero probability: so is the rest
+                    break
+                if tok not in blocked:
+                    top.append((tok, val))
+                    if len(top) == k:
+                        break
+            by_tail[(tail, blocked)] = top
         return top
 
     return expand
-
-
-def _rank_gen(h: Hypothesis):
-    return (-h.s_gen, h.tokens)
-
-
-def _rank_das(h: Hypothesis):
-    return (-h.s_das, -h.s_gen, h.tokens)
 
 
 def _final_sort(pool, config: SearchConfig):
@@ -157,55 +170,94 @@ def _search(generator, discriminator, source, config: SearchConfig):
     if discriminator is None and config.alpha != 0.0:
         raise DecoderError("discriminator required unless alpha == 0")
     rerank = discriminator is not None and config.alpha > 0.0
+    block = config.block_repeated_trigrams
+    expand = _expansion(generator, source, config.k_rerank)
+    eos = Vocabulary.eos
+
+    # The pool in token order, so a member's rank is its index, and beside
+    # each live member its prefix state (reranking) and its block index
+    # (blocking), which its surviving children extend by their token.
+    pool = [Hypothesis((Vocabulary.sos,), 0.0)]
+    states, indexes = [None], [{} if block else None]
     if rerank:
         featurizer = PrefixFeaturizer(discriminator.config, discriminator)
-        # the prefix state of each live hypothesis in the pool, by its tokens;
-        # every candidate extends the state of its parent by one token
-        states = {(Vocabulary.sos,): featurizer.state_of(source)}
+        states[0] = featurizer.state_of(source)
 
     clamps = 0
 
-    def score(h: Hypothesis) -> Hypothesis:
+    def fuse(h: Hypothesis, state, token: int) -> Hypothesis:
+        """`h` scored by D of its parent's prefix state plus `token`."""
         nonlocal clamps
-        if h.s_das is not None:
-            return h  # already scored (ended hypotheses keep their scores)
-        if rerank:
-            state = states[h.tokens[:-1]].copy()
-            featurizer.advance(state, h.tokens[-1])
-            states[h.tokens] = state
-            dis_prob = featurizer.score(state)
-            clamps += dis_prob < EPS_DIS
-            return apply_das_score(h, config.alpha, dis_prob)
-        return Hypothesis(h.tokens, h.s_gen, None, h.s_gen, h.ended, h.truncated)
+        dis_prob = featurizer.score_next(state, token)
+        clamps += dis_prob < EPS_DIS
+        return apply_das_score(h, config.alpha, dis_prob)
 
-    expand = _expansion(generator, source, config.k_rerank)
-    blocked = frozenset()
-    pool = [Hypothesis(tokens=(Vocabulary.sos,), s_gen=0.0)]
     for _ in range(config.t_max):
-        live = [h for h in pool if not h.ended]
-        candidates = [h for h in pool if h.ended]
-        for h in live:
-            if config.block_repeated_trigrams:
-                blocked = _blocked_tokens(h)
-            for tok, val in expand(h.tokens, blocked):
-                candidates.append(s_gen_extend(h, tok, val))
-        candidates.sort(key=_rank_gen)
-        pool = candidates[: config.k_rerank]
+        # A candidate is (-s_gen, parent rank, token, logp); an ended member
+        # carries itself as token -1. Live members all have the same length
+        # and no EOS, and an ended one has EOS where no live member does, so
+        # any two members differ inside both, and (parent rank, token) orders
+        # candidates exactly as their token tuples would.
+        candidates = []
+        for rank, h in enumerate(pool):
+            if h.ended:
+                candidates.append((-h.s_gen, rank, -1, 0.0))
+                continue
+            s_gen = h.s_gen
+            blocked = _blocked(indexes[rank], h.tokens) if block else _UNBLOCKED
+            candidates += [(-(s_gen + logp), rank, tok, logp)
+                           for tok, logp in expand(h.tokens, blocked)]
+        candidates.sort()
+        # survivors as (parent rank, token, s_gen, s_dis, s_das)
         if rerank:
-            pool = sorted(map(score, pool), key=_rank_das)
-        pool = pool[: config.beam_size]
-        if rerank:
-            states = {h.tokens: states[h.tokens] for h in pool if not h.ended}
-        if all(h.ended for h in pool):
+            ranked = []
+            for neg_gen, rank, tok, _ in candidates[: config.k_rerank]:
+                # only the scores of a candidate are built unless it survives
+                h = pool[rank] if tok < 0 else fuse(Hypothesis((), -neg_gen), states[rank], tok)
+                ranked.append((-h.s_das, neg_gen, rank, tok, h.s_dis))
+            ranked.sort()
+            survivors = [(rank, tok, -neg_gen, s_dis, -neg_das)
+                         for neg_das, neg_gen, rank, tok, s_dis in ranked[: config.beam_size]]
+        else:
+            survivors = [(rank, tok, -neg_gen, None, -neg_gen)
+                         for neg_gen, rank, tok, _ in candidates[: config.beam_size]]
+        survivors.sort()
+
+        next_pool, next_states, next_indexes, live = [], [], [], False
+        for j, (rank, tok, s_gen, s_dis, s_das) in enumerate(survivors):
+            parent = pool[rank]
+            state = index = None
+            if tok < 0:
+                h = parent
+            else:
+                h = Hypothesis(parent.tokens + (tok,), s_gen, s_dis, s_das, tok == eos)
+                live = live or not h.ended
+                if not h.ended and (rerank or block):
+                    # a parent's last child in token order takes over what the
+                    # parent carried; its siblings before it copy that first
+                    last = j + 1 == len(survivors) or survivors[j + 1][0] != rank
+                    if rerank:
+                        state = states[rank] if last else states[rank].copy()
+                        featurizer.advance(state, tok)
+                    if block:
+                        index = indexes[rank] if last else indexes[rank].copy()
+                        _extend_block_index(index, parent.tokens, tok)
+            next_pool.append(h)
+            next_states.append(state)
+            next_indexes.append(index)
+        pool, states, indexes = next_pool, next_states, next_indexes
+        if not live:
             break
 
     final = []
-    for h in pool:
+    for rank, h in enumerate(pool):
         if not h.ended:
-            lp_eos = float(generator.next_logprobs(source, h.tokens)[Vocabulary.eos])
-            h = Hypothesis(h.tokens + (Vocabulary.eos,), h.s_gen + lp_eos, ended=True,
-                           truncated=True)
-        final.append(score(h))
+            lp_eos = float(generator.next_logprobs(source, h.tokens)[eos])
+            s_gen = h.s_gen + lp_eos
+            h = Hypothesis(h.tokens + (eos,), s_gen, None, s_gen, True, True)
+            if rerank:
+                h = fuse(h, states[rank], eos)
+        final.append(h)
     if clamps:
         log.warning("%d discriminator probabilities clamped to %g in one search",
                     clamps, EPS_DIS)

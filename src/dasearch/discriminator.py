@@ -162,10 +162,11 @@ class PrefixFeaturizer:
 
     Made with a model, it scores prefixes under the model's weights as they
     are when it is made: `advance` also adds the weights of the hits to the
-    state's S, and `score` gives D in O(1). It memoises the column of every
-    (token, bit) unigram and (a, b, bit) bigram key it meets, and the model's
-    weight of every column, so make one per search or per training set and
-    the memo lives no longer than that."""
+    state's S, and `score` gives D in O(1); `score_next` gives D of the state
+    plus one token without changing the state. It memoises the column of
+    every (token, bit) unigram and (a, b, bit) bigram key it meets, and the
+    model's weight of every column, so make one per search or per training
+    set and the memo lives no longer than that."""
 
     def __init__(self, config: FeatureConfig, model: "DiscriminatorModel | None" = None):
         self.config = config
@@ -192,34 +193,27 @@ class PrefixFeaturizer:
         """The state of the empty prefix of `source`."""
         return PrefixState(frozenset(source) if self.config.use_source else frozenset())
 
-    def advance(self, state: PrefixState, token: int) -> tuple[int, ...]:
-        """Append `token` to `state` in place; returns its hits: the column of
-        its unigram, then that of its bigram if it has a predecessor."""
+    def _extended(self, state: PrefixState, token: int):
+        """`state` with `token` appended, as (t, in_source, logfreq_sum,
+        distinct, last, S, hits), leaving `state` as it is. The hits are the
+        column of the token's unigram, then that of its bigram if it has a
+        predecessor."""
         src, last, grams = state.source_set, state.last, state.grams
         bit = int(token in src)
-        state.t += 1
-        state.in_source += bit
+        logfreq_sum = state.logfreq_sum
         if self.config.logfreq:
-            state.logfreq_sum = state.logfreq_sum + self.config.logfreq[token]
+            logfreq_sum = logfreq_sum + self.config.logfreq[token]
         d1, d2, d3 = state.distinct
-        if token not in grams:
-            grams.add(token)
-            d1 += 1
+        d1 += token not in grams
         key = (token, bit)
         u = self._unigram.get(key)
         if u is None:
             u = self._unigram[key] = self._column(f"u:{token}:{bit}")
         if last:
             a = last[-1]
-            bigram = (a, token)
-            if bigram not in grams:
-                grams.add(bigram)
-                d2 += 1
+            d2 += (a, token) not in grams
             if len(last) == 2:
-                trigram = (last[0], a, token)
-                if trigram not in grams:
-                    grams.add(trigram)
-                    d3 += 1
+                d3 += (last[0], a, token) not in grams
             key = (a, token, int(bit and a in src))
             b = self._bigram.get(key)
             if b is None:
@@ -227,34 +221,59 @@ class PrefixFeaturizer:
             hits = (u, b)
         else:
             hits = (u,)
-        state.distinct = (d1, d2, d3)
-        state.last = (last[-1], token) if last else (token,)
+        S = state.S
         if self._model is not None:
             weights = self._weights
-            S = state.S + weights[u]
-            state.S = S + weights[b] if last else S
+            S = S + weights[u]
+            if last:
+                S = S + weights[b]
+        return (state.t + 1, state.in_source + bit, logfreq_sum, (d1, d2, d3),
+                (last[-1], token) if last else (token,), S, hits)
+
+    def advance(self, state: PrefixState, token: int) -> tuple[int, ...]:
+        """Append `token` to `state` in place; returns its hits: the column of
+        its unigram, then that of its bigram if it has a predecessor."""
+        last, grams = state.last, state.grams
+        (state.t, state.in_source, state.logfreq_sum, state.distinct, state.last, state.S,
+         hits) = self._extended(state, token)
+        grams.add(token)
+        if last:
+            grams.add((last[-1], token))
+            if len(last) == 2:
+                grams.add((*last, token))
         return hits
 
-    def dense(self, state: PrefixState) -> list:
-        """The dense values of the state's prefix, in DENSE_FEATURES order."""
-        t = state.t
-        if t == 0:
-            raise DiscriminatorError("empty prefix")
+    def _dense(self, t: int, in_source: int, logfreq_sum, distinct, last_token: int) -> list:
         cfg = self.config
-        d1, d2, d3 = state.distinct
+        d1, d2, d3 = distinct
         return [
             min(t, cfg.t_max) / cfg.t_max,
-            state.in_source / t,
+            in_source / t,
             _repetition(d1, t, 1),
             _repetition(d2, t, 2),
             _repetition(d3, t, 3),
-            state.logfreq_sum / t if cfg.logfreq else 0.0,
-            1.0 if state.last[-1] == Vocabulary.eos else 0.0,
+            logfreq_sum / t if cfg.logfreq else 0.0,
+            1.0 if last_token == Vocabulary.eos else 0.0,
         ]
+
+    def dense(self, state: PrefixState) -> list:
+        """The dense values of the state's prefix, in DENSE_FEATURES order."""
+        if state.t == 0:
+            raise DiscriminatorError("empty prefix")
+        return self._dense(state.t, state.in_source, state.logfreq_sum, state.distinct,
+                           state.last[-1])
 
     def score(self, state: PrefixState) -> float:
         """D of the state's prefix, from its carried S."""
         return _sigmoid(logit(self._bias, self._dense_w, self.dense(state), state.S, state.t))
+
+    def score_next(self, state: PrefixState, token: int) -> float:
+        """D of the state's prefix plus `token`, leaving `state` as it is: bit
+        for bit `score` after `advance` on a copy of the state, without the
+        copy."""
+        t, in_source, logfreq_sum, distinct, _, S, _ = self._extended(state, token)
+        dense = self._dense(t, in_source, logfreq_sum, distinct, token)
+        return _sigmoid(logit(self._bias, self._dense_w, dense, S, t))
 
 
 def extract_features(source, prefix, config: FeatureConfig) -> tuple[list, list]:

@@ -1,12 +1,16 @@
 """Shared fixtures and helpers: tiny hand-built corpora, a small synthetic
-setup and the exhaustive search that a saturated beam must equal."""
+setup, the exhaustive search that a saturated beam must equal, and the
+reference beam search that builds every candidate in full, which the search
+must equal bit for bit."""
 
 import itertools
 
 import pytest
 
 from dasearch.corpus import Corpus, DocumentPair, Vocabulary, generate_synthetic_corpus
-from dasearch.decoder import DecoderError, Hypothesis, _rank_das, apply_das_score
+from dasearch.decoder import (DecoderError, EPS_DIS, Hypothesis, SearchConfig, _expansion,
+                              _final_sort, apply_das_score)
+from dasearch.discriminator import PrefixFeaturizer
 from dasearch.generator import train_generator
 
 
@@ -21,6 +25,99 @@ def make_corpus(vocab, records, split="train"):
         for rid, src, ref in records
     )
     return Corpus(pairs, vocab, split)
+
+
+def _rank_gen(h: Hypothesis):
+    return (-h.s_gen, h.tokens)
+
+
+def _rank_das(h: Hypothesis):
+    return (-h.s_das, -h.s_gen, h.tokens)
+
+
+def s_gen_extend(h: Hypothesis, token: int, logp: float) -> Hypothesis:
+    """Append a token, accumulating the generator log-probability."""
+    if h.ended:
+        raise DecoderError("cannot extend an ended hypothesis")
+    return Hypothesis(
+        tokens=h.tokens + (token,),
+        s_gen=h.s_gen + logp,
+        ended=(token == Vocabulary.eos),
+    )
+
+
+def _blocked_tokens(h: Hypothesis) -> frozenset[int]:
+    """The trigram-block oracle: rescan the prefix for the followers of its
+    last bigram."""
+    content = h.tokens[1:]
+    if len(content) < 2:
+        return frozenset()
+    ctx = (content[-2], content[-1])
+    return frozenset(content[i + 2] for i in range(len(content) - 2)
+                     if content[i : i + 2] == ctx)
+
+
+def reference_search(generator, discriminator, source, config: SearchConfig):
+    """The fused beam search with every candidate a full Hypothesis, ranked by
+    its token tuple, and a prefix state per scored candidate: what
+    `decoder._search` must return bit for bit. Plain search is this with no
+    discriminator and k_rerank = beam_size."""
+    source = tuple(source)
+    if not source:
+        raise DecoderError("empty source")
+    if discriminator is None and config.alpha != 0.0:
+        raise DecoderError("discriminator required unless alpha == 0")
+    rerank = discriminator is not None and config.alpha > 0.0
+    if rerank:
+        featurizer = PrefixFeaturizer(discriminator.config, discriminator)
+        # the prefix state of each live hypothesis in the pool, by its tokens;
+        # every candidate extends the state of its parent by one token
+        states = {(Vocabulary.sos,): featurizer.state_of(source)}
+
+    clamps = 0
+
+    def score(h: Hypothesis) -> Hypothesis:
+        nonlocal clamps
+        if h.s_das is not None:
+            return h  # already scored (ended hypotheses keep their scores)
+        if rerank:
+            state = states[h.tokens[:-1]].copy()
+            featurizer.advance(state, h.tokens[-1])
+            states[h.tokens] = state
+            dis_prob = featurizer.score(state)
+            clamps += dis_prob < EPS_DIS
+            return apply_das_score(h, config.alpha, dis_prob)
+        return Hypothesis(h.tokens, h.s_gen, None, h.s_gen, h.ended, h.truncated)
+
+    expand = _expansion(generator, source, config.k_rerank)
+    blocked = frozenset()
+    pool = [Hypothesis(tokens=(Vocabulary.sos,), s_gen=0.0)]
+    for _ in range(config.t_max):
+        live = [h for h in pool if not h.ended]
+        candidates = [h for h in pool if h.ended]
+        for h in live:
+            if config.block_repeated_trigrams:
+                blocked = _blocked_tokens(h)
+            for tok, val in expand(h.tokens, blocked):
+                candidates.append(s_gen_extend(h, tok, val))
+        candidates.sort(key=_rank_gen)
+        pool = candidates[: config.k_rerank]
+        if rerank:
+            pool = sorted(map(score, pool), key=_rank_das)
+        pool = pool[: config.beam_size]
+        if rerank:
+            states = {h.tokens: states[h.tokens] for h in pool if not h.ended}
+        if all(h.ended for h in pool):
+            break
+
+    final = []
+    for h in pool:
+        if not h.ended:
+            lp_eos = float(generator.next_logprobs(source, h.tokens)[Vocabulary.eos])
+            h = Hypothesis(h.tokens + (Vocabulary.eos,), h.s_gen + lp_eos, ended=True,
+                           truncated=True)
+        final.append(score(h))
+    return _final_sort(final, config)
 
 
 def exhaustive_oracle(generator, discriminator, source, alpha: float, t_max: int,

@@ -579,6 +579,19 @@ def test_corpus_and_generations_files_share_one_reader(pipeline, tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "records.jsonl"]
 
 
+def test_a_command_that_fails_its_checks_leaves_no_output_directory(pipeline, tmp_path,
+                                                                   capsys):
+    root, cfg = pipeline
+    lines = (root / "out" / "test.jsonl").read_text().splitlines()
+    corpus = tmp_path / "test.jsonl"
+    corpus.write_text("\n".join([*lines[:2], "5"]) + "\n")
+    path = derive_config(cfg, tmp_path, output_dir=str(tmp_path / "out"),
+                         test_path=str(corpus))
+    assert main(["decode", "--config", str(path), "--mode", "plain", "--split", "test"]) == 1
+    assert f"error: {corpus} line 3: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("hist_buckets", 0), ("zipf_k", -1)])
 def test_evaluate_rejects_metrics_settings_below_one(pipeline, tmp_path, capsys, key, value):
     root, cfg = pipeline

@@ -2,6 +2,7 @@ import concurrent.futures
 import logging
 import math
 import random
+from collections import Counter
 
 from dataclasses import replace
 
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dasearch.corpus import Vocabulary, generate_synthetic_corpus
+from dasearch.corpus import Corpus, Vocabulary, generate_synthetic_corpus
 from dasearch.decoder import (
     EPS_DIS,
     DecoderError,
     Hypothesis,
     SearchConfig,
-    _blocked_tokens,
+    _blocked,
     _expansion,
+    _extend_block_index,
     _final_sort,
     apply_das_score,
     das_beam_search,
@@ -24,13 +26,14 @@ from dasearch.decoder import (
     hypothesis_content,
     length_penalty,
     plain_beam_search,
-    s_gen_extend,
 )
-from dasearch.discriminator import DiscriminatorModel, FeatureConfig, N_DENSE
+from dasearch.discriminator import (DiscriminatorModel, FeatureConfig, N_DENSE,
+                                    PrefixFeaturizer, PrefixState)
 from dasearch.generator import train_generator
 from dasearch.selftrain import bootstrap, DiscriminatorHparams
 
-from conftest import exhaustive_oracle, make_corpus, make_vocab
+from conftest import (_blocked_tokens, exhaustive_oracle, make_corpus, make_vocab,
+                      reference_search, s_gen_extend)
 
 SOS, EOS = Vocabulary.sos, Vocabulary.eos
 
@@ -130,6 +133,30 @@ def test_trigram_block_rejects_repeat():
 def test_trigram_block_allows_short_prefixes():
     h = Hypothesis(tokens=(SOS, 3, 4), s_gen=-1.0)
     assert _blocked_tokens(h) == set()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_carried_block_index_equals_the_rescan(data):
+    content = st.integers(3, 5)  # three tokens, so bigrams and trigrams repeat
+    trunk = data.draw(st.lists(content, max_size=20), label="trunk")
+    branches = data.draw(st.lists(st.lists(content, max_size=12), min_size=1, max_size=3),
+                         label="branches")
+
+    def extend(index, tokens, more):
+        for token in more:
+            _extend_block_index(index, tokens, token)
+            tokens += (token,)
+            assert _blocked(index, tokens) == _blocked_tokens(Hypothesis(tokens, 0.0))
+        return tokens
+
+    index = {}
+    tokens = extend(index, (SOS,), trunk)
+    # siblings as the search makes them: all but the last copy the parent's
+    # index, then the last takes it over
+    own = [index.copy() for _ in branches[:-1]] + [index]
+    for branch_index, branch in zip(own, branches):
+        extend(branch_index, tokens, branch)
 
 
 def test_length_penalty_values():
@@ -400,6 +427,110 @@ def test_deterministic_across_runs(synth_corpus, synth_generator, trained_disc):
     b = das_beam_search(synth_generator, trained_disc, p.source, config)
     assert [h.tokens for h in a] == [h.tokens for h in b]
     assert [h.s_das for h in a] == [h.s_das for h in b]
+
+
+# --- the reference search ---------------------------------------------------------------
+
+
+def beam_bits(beam):
+    """A beam's every field, floats as their bits."""
+    return [(h.tokens, h.s_gen.hex(), None if h.s_dis is None else h.s_dis.hex(),
+             h.s_das.hex(), h.ended, h.truncated) for h in beam]
+
+
+@pytest.fixture(scope="module")
+def seed1_models():
+    """Test pairs, a generator and a weakly trained discriminator, synth seed 1."""
+    corpus = generate_synthetic_corpus(1, 44)
+    train = Corpus(corpus.pairs[:40], corpus.vocab, "train")
+    generator = train_generator(train, order=3, kappa=1.0, lambda_copy=0.75)
+    hparams = DiscriminatorHparams(epochs=3, seed=0, d_hash=2 ** 12)
+    search = SearchConfig(beam_size=3, k_rerank=3, alpha=0.0, t_max=60)
+    return corpus.pairs[40:], generator, bootstrap(train, generator, hparams,
+                                                   search).discriminator
+
+
+@pytest.mark.parametrize("rules", [False, True], ids=["rules-off", "rules-on"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 5.0])
+@pytest.mark.parametrize("k_rerank", [1, 3, 5, 10])
+def test_search_equals_the_reference_search(seed1_models, k_rerank, alpha, rules):
+    pairs, generator, disc = seed1_models
+    config = SearchConfig(beam_size=min(3, k_rerank), k_rerank=k_rerank, alpha=alpha,
+                          t_max=60, length_penalty_beta=0.6 if rules else 0.0,
+                          block_repeated_trigrams=rules)
+    for p in pairs:
+        assert (beam_bits(das_beam_search(generator, disc, p.source, config))
+                == beam_bits(reference_search(generator, disc, p.source, config)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_search_equals_the_reference_search_through_ties(data):
+    vocab = make_vocab("a", "b", "c", "d", "e")
+    a, b = vocab.id_of("a"), vocab.id_of("b")
+    # a and b are in no reference and as often in the source as each other,
+    # so every hypothesis's extensions by a and by b tie on s_gen
+    refs = data.draw(st.lists(st.lists(st.sampled_from("cde"), min_size=1, max_size=4),
+                              min_size=1, max_size=4), label="references")
+    corpus = make_corpus(vocab, [(f"r{i}", ["a"], ref) for i, ref in enumerate(refs)])
+    generator = train_generator(corpus, order=data.draw(st.integers(1, 3), label="order"),
+                                lambda_copy=data.draw(st.sampled_from([0.5, 1.0]),
+                                                      label="lambda_copy"))
+    repeats = data.draw(st.integers(1, 3), label="repeats")
+    source = vocab.encode(data.draw(st.permutations(["a", "b"] * repeats), label="source"))
+    first = dict(_expansion(generator, source, len(vocab))((SOS,), frozenset()))
+    assert first[a] == first[b]
+    ranks = list(first)
+    # both are in the first step's pool, where the tie is broken on token order
+    k_rerank = max(ranks.index(a), ranks.index(b)) + 1 + data.draw(st.integers(0, 2),
+                                                                   label="extra_k")
+    config = SearchConfig(
+        beam_size=data.draw(st.integers(1, k_rerank), label="beam_size"),
+        k_rerank=k_rerank,
+        alpha=data.draw(st.sampled_from([0.0, 0.5, 1.0, 5.0]), label="alpha"),
+        t_max=data.draw(st.integers(1, 8), label="t_max"),
+        length_penalty_beta=data.draw(st.sampled_from([0.0, 0.6]), label="beta"),
+        block_repeated_trigrams=data.draw(st.booleans(), label="block_repeated_trigrams"),
+        final_by_s_gen=data.draw(st.booleans(), label="final_by_s_gen"))
+    disc = random_discriminator(FeatureConfig.from_corpus(corpus, d_hash=64, t_max=8),
+                                seed=data.draw(st.integers(0, 9), label="disc_seed"),
+                                scale=0.5)
+    assert (beam_bits(das_beam_search(generator, disc, source, config))
+            == beam_bits(reference_search(generator, disc, source, config)))
+
+
+def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, monkeypatch, trained_disc):
+    counts = Counter()
+    advance, copy = PrefixFeaturizer.advance, PrefixState.copy
+    monkeypatch.setattr(PrefixFeaturizer, "advance", lambda self, state, token: (
+        counts.update(["advance"]) or advance(self, state, token)))
+    monkeypatch.setattr(PrefixState, "copy", lambda self: counts.update(["copy"]) or copy(self))
+    generator = train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75)
+    context, next_logprobs = generator.context, generator.next_logprobs
+    tails, inside = [], []
+
+    def counting_context(prefix):
+        if not inside:  # next_logprobs asks for the context too
+            tails.append(tuple(prefix[1 - generator.order:]))
+        return context(prefix)
+
+    def marked_next_logprobs(source, prefix):
+        inside.append(True)
+        try:
+            return next_logprobs(source, prefix)
+        finally:
+            inside.pop()
+
+    generator.context, generator.next_logprobs = counting_context, marked_next_logprobs
+    config = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=60)
+    for p in synth_corpus.pairs[:10]:
+        counts.clear()
+        tails.clear()
+        beam = das_beam_search(generator, trained_disc, p.source, config)
+        steps = max(len(h.tokens) - 1 - h.truncated for h in beam)
+        assert counts["advance"] <= config.beam_size * steps
+        assert counts["copy"] <= config.beam_size * steps
+        assert tails and len(tails) == len(set(tails))
 
 
 # --- exhaustive oracle --------------------------------------------------------------------

@@ -250,6 +250,32 @@ def test_incremental_features_equal_the_reference_bitwise(data):
                          reference_features(source, prefix, config))
 
 
+def state_fields(state):
+    return (state.source_set, state.t, state.in_source, state.logfreq_sum, set(state.grams),
+            state.distinct, state.last, state.S)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_score_next_is_advance_then_score_without_changing_the_state(data):
+    n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
+    config = data.draw(feature_configs(n_vocab), label="config")
+    source = tuple(data.draw(tokens(n_vocab, 1, 8), label="source"))
+    prefix = tuple(data.draw(tokens(n_vocab, 0, 20), label="prefix"))
+    model = random_model(config, data.draw(st.integers(0, 99), label="model_seed"))
+    scorer = PrefixFeaturizer(config, model)
+    state = scorer.state_of(source)
+    for token in prefix:
+        scorer.advance(state, token)
+    for token in range(n_vocab):
+        before = state_fields(state)
+        got = scorer.score_next(state, token)
+        assert state_fields(state) == before
+        child = state.copy()
+        scorer.advance(child, token)
+        assert got.hex() == scorer.score(child).hex()
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_training_features_equal_the_reference_in_any_order(data):
