@@ -18,7 +18,6 @@ from dasearch.decoder import (
 from dasearch.discriminator import (
     DiscriminatorModel,
     FeatureConfig,
-    PrefixExample,
     accuracy_by_length,
     build_prefix_sets,
     train_discriminator,

@@ -229,13 +229,16 @@ def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
 
 def load_generations(path, vocab: Vocabulary) -> dict:
     """Pair id -> tokens of a generations file, whose records (see
-    corpus.read_records) each hold a list of int "tokens", ids of `vocab`."""
+    corpus.read_records) each hold a list of int "tokens", ids of `vocab`
+    other than SOS and EOS."""
     out = {}
     for where, rec in read_records(path):
         tokens = rec.get("tokens")
         if not isinstance(tokens, list) or any(type(tok) is not int for tok in tokens):
             raise CorpusError(f"{where}: \"tokens\" is not a list of ints")
         for tok in tokens:
+            if tok in (Vocabulary.sos, Vocabulary.eos):
+                raise CorpusError(f"{where}: reserved id {tok} inside pair {rec['id']!r}")
             if not 0 <= tok < len(vocab):
                 raise CorpusError(f"{where}: token id {tok} in pair {rec['id']!r} "
                                   f"is not in the {len(vocab)}-token vocabulary")

@@ -14,8 +14,9 @@ scored from its parent's prefix state without changing that state. Only the
 B survivors of a step become Hypothesis objects, and each live one takes over
 its parent's prefix state and trigram-block index (copies them when a sibling
 survives too) and extends them by its token. Expansions are memoised by the
-prefix's generator tail and blocked set. So the only per-step work that grows
-with the prefix is the survivors' token tuples and their siblings' copies."""
+prefix's generator tail and blocked set, and so is the row the forced EOS of a
+member still live at t_max reads. So the only per-step work that grows with
+the prefix is the survivors' token tuples and their siblings' copies."""
 
 from __future__ import annotations
 
@@ -110,31 +111,35 @@ def _extend_block_index(index: dict, tokens, token: int) -> None:
 
 
 def _expansion(generator, source, k: int):
-    """`expand(tokens, blocked)`: the finite (token, logp) pairs among the k
-    best next tokens after `tokens` with `blocked` set to -inf, best first and
-    ties by token id. Given the source these depend only on the generator's
-    context of the prefix and on the blocked set, and the context only on the
-    prefix's tail, its last order - 1 tokens. So each is kept by (tail,
-    blocked) for as long as the search lasts; the context is asked once per
-    distinct tail, and the generator's ranking of all tokens, which every
-    blocked set filters, is made once per distinct context."""
+    """`(expand, ranking)`, memoised for one search. `ranking(tokens)` is the
+    generator's log-probabilities after `tokens` and its token ids best
+    first, ties by id; `expand(tokens, blocked)` is the finite (token, logp)
+    pairs among the k best of that ranking once the `blocked` tokens leave
+    it. Given the source both depend only on the generator's context of the
+    prefix (and the blocked set), and the context only on the prefix's tail,
+    its last order - 1 tokens. So each is kept by tail (and blocked set) for
+    as long as the search lasts; the context is asked once per distinct
+    tail, and the ranking is made once per distinct context."""
     order = generator.order
     by_tail, ranking_of_tail, ranking_of_context = {}, {}, {}
 
-    def expand(tokens, blocked: frozenset[int]) -> list[tuple[int, float]]:
+    def ranking(tokens):
         tail = tokens[1 - order:] if order > 1 else ()
-        top = by_tail.get((tail, blocked))
+        found = ranking_of_tail.get(tail)
+        if found is None:
+            context = generator.context(tokens)
+            found = ranking_of_context.get(context)
+            if found is None:
+                lp = generator.next_logprobs(source, tokens)
+                found = ranking_of_context[context] = (lp, np.argsort(-lp, kind="stable"))
+            ranking_of_tail[tail] = found
+        return found
+
+    def expand(tokens, blocked: frozenset[int]) -> list[tuple[int, float]]:
+        key = (tokens[1 - order:] if order > 1 else (), blocked)
+        top = by_tail.get(key)
         if top is None:
-            ranking = ranking_of_tail.get(tail)
-            if ranking is None:
-                context = generator.context(tokens)
-                ranking = ranking_of_context.get(context)
-                if ranking is None:
-                    lp = generator.next_logprobs(source, tokens)
-                    ranking = ranking_of_context[context] = (
-                        lp, np.argsort(-lp, kind="stable"))
-                ranking_of_tail[tail] = ranking
-            lp, ids = ranking
+            lp, ids = ranking(tokens)
             top = []
             # blocked tokens leave the ranking; the others keep their order
             for tok in ids[: k + len(blocked)].tolist():
@@ -145,10 +150,10 @@ def _expansion(generator, source, k: int):
                     top.append((tok, val))
                     if len(top) == k:
                         break
-            by_tail[(tail, blocked)] = top
+            by_tail[key] = top
         return top
 
-    return expand
+    return expand, ranking
 
 
 def _final_sort(pool, config: SearchConfig):
@@ -171,7 +176,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
         raise DecoderError("discriminator required unless alpha == 0")
     rerank = discriminator is not None and config.alpha > 0.0
     block = config.block_repeated_trigrams
-    expand = _expansion(generator, source, config.k_rerank)
+    expand, ranking = _expansion(generator, source, config.k_rerank)
     eos = Vocabulary.eos
 
     # The pool in token order, so a member's rank is its index, and beside
@@ -252,7 +257,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
     final = []
     for rank, h in enumerate(pool):
         if not h.ended:
-            lp_eos = float(generator.next_logprobs(source, h.tokens)[eos])
+            lp_eos = float(ranking(h.tokens)[0][eos])
             s_gen = h.s_gen + lp_eos
             h = Hypothesis(h.tokens + (eos,), s_gen, None, s_gen, True, True)
             if rerank:

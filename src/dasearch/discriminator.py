@@ -3,7 +3,9 @@
 Hashed-unigram/bigram logistic regression with a handful of dense features,
 trained by SGD on the set-normalized logistic objective
     (1/|H|) sum_H log D + (1/|G|) sum_G log(1 - D)
-over all prefixes of human references (H) and generated summaries (G).
+over all prefixes of human references (H) and generated summaries (G). H and
+G are held as their (source, tokens) sequences, one per pair and side: every
+prefix of a sequence is one example, and the sequence is one feature chain.
 """
 
 from __future__ import annotations
@@ -35,18 +37,6 @@ class DiscriminatorError(ValueError):
 
 
 @dataclass(frozen=True)
-class PrefixExample:
-    source: tuple[int, ...]
-    prefix: tuple[int, ...]
-    label: int  # 1 = human, 0 = generated
-    t: int
-
-    def __post_init__(self):
-        if self.t != len(self.prefix) or self.t < 1:
-            raise DiscriminatorError("t must equal the prefix length (>= 1)")
-
-
-@dataclass(frozen=True)
 class FeatureConfig:
     d_hash: int = 2 ** 16
     use_source: bool = True
@@ -73,14 +63,15 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class FeatureBatch:
-    """The features of n prefixes packed into arrays. Sparse features are
-    numbered by column: column k is the hashed index columns[k].
+    """The features of every prefix of some sequences, packed into arrays:
+    each sequence is one chain, its prefixes consecutive rows, shortest first.
+    Sparse features are numbered by column: column k is the hashed index
+    columns[k].
 
     Row i is a prefix of t[i] tokens with the dense values dense[i]. Its
     2 t[i] - 1 hits, in token order, are the first 2 t[i] - 1 columns of its
-    chain's hit sequence hits[chain_ptr[c]:chain_ptr[c + 1]], c = chain[i]:
-    the rows of a chain are prefixes of one sequence and share it. Its
-    distinct columns are idx[indptr[i]:indptr[i + 1]] (CSR), in first-hit
+    chain's hit sequence hits[chain_ptr[c]:chain_ptr[c + 1]], c = chain[i].
+    Its distinct columns are idx[indptr[i]:indptr[i + 1]] (CSR), in first-hit
     order, with the values val = count / t."""
 
     dense: np.ndarray      # n x N_DENSE
@@ -288,36 +279,27 @@ def extract_features(source, prefix, config: FeatureConfig) -> tuple[list, list]
     return featurizer.dense(state), [featurizer.columns[c] for c in hits]
 
 
-def prefix_features(examples, config: FeatureConfig) -> FeatureBatch:
-    """The features of every PrefixExample, in order, as one FeatureBatch. An
-    example whose prefix is the previous example's plus one token, on the same
-    source, extends that example's state and chain; any other starts a new
-    chain afresh."""
+def prefix_features(sequences, config: FeatureConfig) -> FeatureBatch:
+    """The features of every prefix of every (source, tokens) sequence, in
+    order, as one FeatureBatch: each sequence is walked once, as one chain."""
     featurizer = PrefixFeaturizer(config)
     dense, ts, chain = array("d"), array("q"), array("q")
     chain_ptr, hits = array("q", [0]), array("i")
     idx, val, indptr = array("i"), array("d"), array("q", [0])
-    prev = state = None
-    for ex in examples:
-        if prev is None or ex.source != prev.source or ex.prefix[:-1] != prev.prefix:
-            if prev is not None:
-                chain_ptr.append(len(hits))
-            state, counts, tokens = featurizer.state_of(ex.source), {}, ex.prefix
-        else:
-            tokens = ex.prefix[-1:]
+    for source, tokens in sequences:
+        state, counts, number = featurizer.state_of(source), {}, len(chain_ptr) - 1
         for token in tokens:
             for k in featurizer.advance(state, token):
                 hits.append(k)
                 counts[k] = counts.get(k, 0) + 1
-        t = state.t
-        dense.extend(featurizer.dense(state))
-        ts.append(t)
-        chain.append(len(chain_ptr) - 1)
-        idx.extend(counts)
-        val.extend([c / t for c in counts.values()])
-        indptr.append(len(idx))
-        prev = ex
-    chain_ptr.append(len(hits))
+            t = state.t
+            dense.extend(featurizer.dense(state))
+            ts.append(t)
+            chain.append(number)
+            idx.extend(counts)
+            val.extend([c / t for c in counts.values()])
+            indptr.append(len(idx))
+        chain_ptr.append(len(hits))
 
     def ints(a):
         return np.frombuffer(a, dtype=np.int64 if a.typecode == "q" else np.intc)
@@ -411,20 +393,18 @@ def _sigmoid(z: float) -> float:
 
 
 def build_prefix_sets(corpus: Corpus, generations: dict, t_max: int = 140):
-    """All prefixes of references (H) and of generated summaries (G),
-    truncated at t_max tokens."""
-    H: list[PrefixExample] = []
-    G: list[PrefixExample] = []
+    """The (source, tokens) sequences of the references (H) and of the
+    generated summaries (G), one per pair and side, cut at t_max tokens;
+    each of their prefixes is one example."""
+    H, G = [], []
     for p in corpus.pairs:
         if p.id not in generations:
             raise DiscriminatorError(f"missing generation for id {p.id!r}")
         gen = tuple(generations[p.id])
         if not gen:
             raise DiscriminatorError(f"empty generation for id {p.id!r}")
-        for t in range(1, min(len(p.reference), t_max) + 1):
-            H.append(PrefixExample(p.source, p.reference[:t], 1, t))
-        for t in range(1, min(len(gen), t_max) + 1):
-            G.append(PrefixExample(p.source, gen[:t], 0, t))
+        H.append((p.source, p.reference[:t_max]))
+        G.append((p.source, gen[:t_max]))
     return H, G
 
 
@@ -501,29 +481,29 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
                         learning_rate: float = 2.0, seed: int = 0,
                         init: DiscriminatorModel | None = None,
                         ratio: float = 1.0) -> DiscriminatorModel:
-    """SGD ascent on the set-normalized objective, step decay 1/sqrt(epoch).
+    """SGD ascent on the set-normalized objective over every prefix of the
+    (source, tokens) sequences H (human) and G (generated), step decay
+    1/sqrt(epoch).
 
-    Per-example steps are rescaled by (|H|+|G|)/2 so the learning rate is
-    comparable across dataset sizes. `ratio` reweights the generated side:
+    Per-example steps are rescaled by (|H|+|G|)/2, in prefixes, so the
+    learning rate is comparable across dataset sizes. `ratio` reweights the generated side:
     1.0 balances the two classes, 2.0 gives G twice the weight of H.
     """
-    if not H or not G:
-        raise DiscriminatorError("H and G must be non-empty")
+    n_H = sum(len(tokens) for _, tokens in H)
+    if not n_H or not any(tokens for _, tokens in G):
+        raise DiscriminatorError("H and G must each hold a prefix")
     check_training_settings(epochs, learning_rate, ratio)
-    if any(ex.label != 1 for ex in H) or any(ex.label != 0 for ex in G):
-        raise DiscriminatorError("H must hold label-1 examples and G label-0 ones")
     if init is not None:
         model = DiscriminatorModel(config, init.dense_w.copy(), init.sparse_w.copy(),
                                    init.bias)
     else:
         model = DiscriminatorModel.zeros(config)
 
-    n_H = len(H)
     batch = prefix_features(itertools.chain(H, G), config)
     n_total = len(batch)
     feats_H, feats_G = batch.rows(0, n_H), batch.rows(n_H, n_total)
     scale_H = n_total / ((1.0 + ratio) * n_H)
-    scale_G = n_total * ratio / ((1.0 + ratio) * len(G))
+    scale_G = n_total * ratio / ((1.0 + ratio) * len(feats_G))
 
     # one example's step: `logit` of its row, unrolled over the 7 dense
     # features, then the update of every weight the row used. The sparse
@@ -569,13 +549,20 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     return model
 
 
-def accuracy(model: DiscriminatorModel, examples) -> float:
-    """Share of non-empty `examples` classified right at threshold 0.5
-    (human = positive)."""
-    examples = list(examples)
-    scores = model.score_features(prefix_features(examples, model.config))
-    hits = sum(int(p > 0.5) == ex.label for p, ex in zip(scores, examples))
-    return hits / len(examples)
+def _classified(model: DiscriminatorModel, H, G):
+    """The length of every prefix of the H then the G sequences, and whether
+    the model classifies it right at threshold 0.5 (human = positive): one
+    featurisation and one batch score."""
+    H = list(H)
+    batch = prefix_features(itertools.chain(H, G), model.config)
+    human = np.arange(len(batch)) < sum(len(tokens) for _, tokens in H)
+    return batch.t, (np.array(model.score_features(batch)) > 0.5) == human
+
+
+def accuracy(model: DiscriminatorModel, H, G) -> float:
+    """Share of the prefixes of the H and G sequences classified right."""
+    _, right = _classified(model, H, G)
+    return int(right.sum()) / len(right)
 
 
 def accuracy_by_length(model: DiscriminatorModel, H_eval, G_eval, buckets):
@@ -583,9 +570,9 @@ def accuracy_by_length(model: DiscriminatorModel, H_eval, G_eval, buckets):
 
     Returns a list of (t, accuracy_or_None, n_examples).
     """
-    by_t: dict[int, list[PrefixExample]] = {t: [] for t in buckets}
-    for ex in list(H_eval) + list(G_eval):
-        if ex.t in by_t:
-            by_t[ex.t].append(ex)
-    return [(t, accuracy(model, by_t[t]) if by_t[t] else None, len(by_t[t]))
-            for t in buckets]
+    lengths, right = _classified(model, H_eval, G_eval)
+    rows = []
+    for t in buckets:
+        at_t = right[lengths == t]
+        rows.append((t, int(at_t.sum()) / len(at_t) if len(at_t) else None, len(at_t)))
+    return rows

@@ -98,7 +98,7 @@ def _round(corpus: Corpus, search_one, config: FeatureConfig,
     state = SelfTrainState(iteration=iteration, discriminator=model,
                            last_generations=generations, history=list(history),
                            val_ids=val_ids, past_generations=list(past))
-    state.history.append(_history_entry(iteration, accuracy(model, H_val + G_val),
+    state.history.append(_history_entry(iteration, accuracy(model, H_val, G_val),
                                         generations, corpus))
     return state
 

@@ -89,7 +89,7 @@ def reference_search(generator, discriminator, source, config: SearchConfig):
             return apply_das_score(h, config.alpha, dis_prob)
         return Hypothesis(h.tokens, h.s_gen, None, h.s_gen, h.ended, h.truncated)
 
-    expand = _expansion(generator, source, config.k_rerank)
+    expand, _ = _expansion(generator, source, config.k_rerank)
     blocked = frozenset()
     pool = [Hypothesis(tokens=(Vocabulary.sos,), s_gen=0.0)]
     for _ in range(config.t_max):

@@ -521,7 +521,10 @@ def test_sweep_rejects_malformed_lists(tmp_path, capsys, flag, text):
     (lambda i, n: json.dumps({"id": i, "tokens": [3.5]}), '"tokens" is not a list of ints'),
     (lambda i, n: json.dumps({"id": i, "tokens": [3, True]}), '"tokens" is not a list of ints'),
     (lambda i, n: json.dumps({"id": i})[:-1], "malformed JSON"),
-], ids=["foreign-token", "string-token", "no-id", "float-token", "bool-token", "malformed-json"])
+    (lambda i, n: json.dumps({"id": i, "tokens": [1, 0, 3]}), "reserved id 1 inside pair {i!r}"),
+    (lambda i, n: json.dumps({"id": i, "tokens": [3, 0]}), "reserved id 0 inside pair {i!r}"),
+], ids=["foreign-token", "string-token", "no-id", "float-token", "bool-token", "malformed-json",
+        "eos-token", "sos-token"])
 def test_evaluate_rejects_token_ids_outside_the_vocabulary(pipeline, tmp_path, capsys, last,
                                                            message):
     root, cfg = pipeline
@@ -538,6 +541,19 @@ def test_evaluate_rejects_token_ids_outside_the_vocabulary(pipeline, tmp_path, c
             in capsys.readouterr().err)
     assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
                 if (tmp_path / p).exists()]
+
+
+def test_evaluate_scores_unk_tokens(pipeline, tmp_path):
+    root, cfg = pipeline
+    path = derive_config(cfg, tmp_path)
+    ids = [json.loads(line)["id"] for line in
+           (root / "out" / "test.jsonl").read_text().splitlines()]
+    gens = tmp_path / "gens.jsonl"
+    gens.write_text("".join(json.dumps({"id": i, "tokens": [Vocabulary.unk, 3]}) + "\n"
+                            for i in ids))
+    assert main(["evaluate", "--config", str(path), "--split", "test",
+                 "--systems", str(gens)]) == 0
+    assert "\ngens,1,<unk>," in (tmp_path / "zipf.csv").read_text()
 
 
 # a bad last line of a JSON-lines file, and what its error says after

@@ -209,7 +209,7 @@ def test_memoised_expansion_equals_the_fresh_one(data):
         min_size=1, max_size=40), label="queries")
     generator = train_generator(corpus, order=order, lambda_copy=lambda_copy)
     fresh = train_generator(corpus, order=order, lambda_copy=lambda_copy)
-    expand = _expansion(generator, tuple(source), k)
+    expand, _ = _expansion(generator, tuple(source), k)
     for content, blocked in queries:
         tokens = (SOS, *content)
         got = [(tok, val.hex()) for tok, val in expand(tokens, blocked)]
@@ -478,7 +478,7 @@ def test_search_equals_the_reference_search_through_ties(data):
                                                       label="lambda_copy"))
     repeats = data.draw(st.integers(1, 3), label="repeats")
     source = vocab.encode(data.draw(st.permutations(["a", "b"] * repeats), label="source"))
-    first = dict(_expansion(generator, source, len(vocab))((SOS,), frozenset()))
+    first = dict(_expansion(generator, source, len(vocab))[0]((SOS,), frozenset()))
     assert first[a] == first[b]
     ranks = list(first)
     # both are in the first step's pool, where the tie is broken on token order
@@ -531,6 +531,27 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, monkeypatch, 
         assert counts["advance"] <= config.beam_size * steps
         assert counts["copy"] <= config.beam_size * steps
         assert tails and len(tails) == len(set(tails))
+
+
+def test_search_asks_the_generator_once_per_context(synth_corpus):
+    """The forced EOS of a member still live at t_max reads the expansion
+    memo, so a search asks next_logprobs once per distinct context."""
+    generator = train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75)
+    next_logprobs, contexts = generator.next_logprobs, []
+
+    def recording_next_logprobs(source, prefix):
+        contexts.append(generator.context(prefix))
+        return next_logprobs(source, prefix)
+
+    generator.next_logprobs = recording_next_logprobs
+    config = SearchConfig(beam_size=3, k_rerank=3, alpha=0.0, t_max=20)
+    truncated = 0
+    for p in synth_corpus.pairs[:10]:
+        contexts.clear()
+        beam = plain_beam_search(generator, p.source, config)
+        truncated += sum(h.truncated for h in beam)
+        assert len(contexts) == len(set(contexts))
+    assert truncated
 
 
 # --- exhaustive oracle --------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -12,13 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dasearch.corpus import Vocabulary
+from dasearch.corpus import Vocabulary, generate_synthetic_corpus
 from dasearch.discriminator import (
     DiscriminatorError,
     DiscriminatorModel,
     FeatureConfig,
     N_DENSE,
-    PrefixExample,
     PrefixFeaturizer,
     _hash,
     _sigmoid,
@@ -44,15 +44,22 @@ def config():
 
 
 def _separable_sets(n=40, seed=0):
-    """Human prefixes overlap the source fully, generated ones not at all."""
+    """Human sequences overlap the source fully, generated ones not at all."""
     rng = random.Random(seed)
     source = (3, 4, 5, 6)
     H, G = [], []
     for _ in range(n):
         t = rng.randint(1, 4)
-        H.append(PrefixExample(source, tuple(rng.choice(source) for _ in range(t)), 1, t))
-        G.append(PrefixExample(source, tuple(rng.choice((7, 8, 9)) for _ in range(t)), 0, t))
+        H.append((source, tuple(rng.choice(source) for _ in range(t))))
+        G.append((source, tuple(rng.choice((7, 8, 9)) for _ in range(t))))
     return H, G
+
+
+def prefixes(sequences):
+    """(source, prefix) for every prefix of every (source, tokens) sequence,
+    in the order of the rows prefix_features builds."""
+    return [(source, tokens[:t]) for source, tokens in sequences
+            for t in range(1, len(tokens) + 1)]
 
 
 # --- prefix sets ----------------------------------------------------------------
@@ -62,9 +69,10 @@ def test_prefix_sets_one_example_per_prefix_length():
     vocab = make_vocab("a", "b", "c")
     corpus = make_corpus(vocab, [("p", ["a", "b"], ["a", "b", "c"])])
     H, G = build_prefix_sets(corpus, {"p": (3, 4)})
-    assert len(H) == 3 and len(G) == 2
-    assert [ex.prefix for ex in H] == [(3,), (3, 4), (3, 4, 5)]
-    assert all(ex.label == 1 for ex in H) and all(ex.label == 0 for ex in G)
+    assert H == [((3, 4), (3, 4, 5))] and G == [((3, 4), (3, 4))]
+    assert [prefix for _, prefix in prefixes(H)] == [(3,), (3, 4), (3, 4, 5)]
+    assert len(prefix_features(H, FeatureConfig(d_hash=64))) == 3
+    assert len(prefix_features(G, FeatureConfig(d_hash=64))) == 2
 
 
 def test_prefix_sets_truncate_long_references_at_t_max():
@@ -72,7 +80,8 @@ def test_prefix_sets_truncate_long_references_at_t_max():
     ref = ["a", "b"] * 100  # 200 tokens
     corpus = make_corpus(vocab, [("p", ["a"], ref)])
     H, _ = build_prefix_sets(corpus, {"p": (3,)}, t_max=140)
-    assert len(H) == 140
+    assert H == [(corpus.pairs[0].source, corpus.pairs[0].reference[:140])]
+    assert len(prefixes(H)) == 140
 
 
 def test_prefix_sets_require_generations():
@@ -82,6 +91,27 @@ def test_prefix_sets_require_generations():
         build_prefix_sets(corpus, {})
     with pytest.raises(DiscriminatorError, match="empty"):
         build_prefix_sets(corpus, {"p": ()})
+
+
+def test_prefix_sets_take_memory_of_the_pairs_not_of_their_prefixes():
+    """build_prefix_sets keeps each sequence whole: on 140-token generations
+    at t_max 140 its peak traced allocation stays under 64 bytes per input
+    token, where a tuple per prefix takes O(L^2) (about 640)."""
+    corpus = generate_synthetic_corpus(1, 20)
+    rng = random.Random(0)
+    gens = {p.id: tuple(rng.randrange(3, len(corpus.vocab)) for _ in range(140))
+            for p in corpus.pairs}
+    n_tokens = sum(len(p.reference) + len(gens[p.id]) for p in corpus.pairs)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        H, G = build_prefix_sets(corpus, gens, t_max=140)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(prefixes(G)) == 20 * 140 and len(prefixes(H)) < n_tokens
+    assert peak < 64 * n_tokens, f"{peak / n_tokens:.1f} bytes per input token"
 
 
 # --- features -------------------------------------------------------------------
@@ -278,41 +308,36 @@ def test_score_next_is_advance_then_score_without_changing_the_state(data):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(data=st.data())
-def test_training_features_equal_the_reference_in_any_order(data):
+def test_sequence_features_equal_the_reference_at_every_prefix(data):
     n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
     config = data.draw(feature_configs(n_vocab), label="config")
     sources = data.draw(st.lists(tokens(n_vocab, 1, 6).map(tuple), min_size=1, max_size=2),
                         label="sources")
-    sequences = data.draw(st.lists(tokens(n_vocab, 1, 12).map(tuple), min_size=1,
+    sequences = data.draw(st.lists(tokens(n_vocab, 0, 12).map(tuple), min_size=1,
                                    max_size=3), label="sequences")
-    # every sequence under every source, each contributing all its prefixes in
-    # order; interleaved, a prefix then follows its parent under another source
-    runs = [[PrefixExample(source, seq[:t], 1, t) for t in range(1, len(seq) + 1)]
-            for source in sources for seq in sequences]
-    in_order = [ex for run in runs for ex in run]
-    shuffled = data.draw(st.permutations(in_order), label="shuffled")
-    interleaved = []
-    for i in range(max(len(run) for run in runs)):
-        interleaved += [run[i] for run in runs if i < len(run)]
-    for examples in (in_order, shuffled, interleaved):
-        batch = prefix_features(examples, config)
-        assert len(batch) == len(examples)
-        assert batch.indptr[0] == 0 and batch.indptr[-1] == len(batch.idx) == len(batch.val)
-        assert batch.chain_ptr[0] == 0 and batch.chain_ptr[-1] == len(batch.hits)
-        assert len(set(batch.columns.tolist())) == len(batch.columns)
-        for i, ex in enumerate(examples):
-            t = len(ex.prefix)
-            start = batch.chain_ptr[batch.chain[i]]
-            assert start + 2 * t - 1 <= batch.chain_ptr[batch.chain[i] + 1]
-            hits = batch.columns[batch.hits[start:start + 2 * t - 1]].tolist()
-            ref = reference_features(ex.source, ex.prefix, config)
-            assert batch.t[i] == t
-            assert_same_features((batch.dense[i], hits), ref)
-            # the distinct columns in first-hit order, valued count / t
-            row = slice(batch.indptr[i], batch.indptr[i + 1])
-            first_hits = list(dict.fromkeys(ref[1]))
-            assert batch.columns[batch.idx[row]].tolist() == first_hits
-            assert batch.val[row].tolist() == [ref[1].count(k) / t for k in first_hits]
+    # every sequence under every source; an empty one is a chain with no row
+    seqs = [(source, seq) for source in sources for seq in sequences]
+    batch = prefix_features(seqs, config)
+    rows = [(n, source, seq[:t]) for n, (source, seq) in enumerate(seqs)
+            for t in range(1, len(seq) + 1)]
+    assert len(batch) == len(rows) == len(prefixes(seqs))
+    assert batch.indptr[0] == 0 and batch.indptr[-1] == len(batch.idx) == len(batch.val)
+    assert len(batch.chain_ptr) == len(seqs) + 1
+    assert batch.chain_ptr[0] == 0 and batch.chain_ptr[-1] == len(batch.hits)
+    assert len(set(batch.columns.tolist())) == len(batch.columns)
+    for i, (n, source, prefix) in enumerate(rows):
+        t = len(prefix)
+        assert batch.chain[i] == n and batch.t[i] == t
+        start, end = batch.chain_ptr[n], batch.chain_ptr[n + 1]
+        assert end - start == 2 * len(seqs[n][1]) - 1
+        hits = batch.columns[batch.hits[start:start + 2 * t - 1]].tolist()
+        ref = reference_features(source, prefix, config)
+        assert_same_features((batch.dense[i], hits), ref)
+        # the distinct columns in first-hit order, valued count / t
+        row = slice(batch.indptr[i], batch.indptr[i + 1])
+        first_hits = list(dict.fromkeys(ref[1]))
+        assert batch.columns[batch.idx[row]].tolist() == first_hits
+        assert batch.val[row].tolist() == [ref[1].count(k) / t for k in first_hits]
 
 
 # --- scoring --------------------------------------------------------------------
@@ -356,18 +381,18 @@ def test_training_separates_linearly_separable_sets(config):
     H, G = _separable_sets(n=40, seed=0)
     model = train_discriminator(H, G, config, epochs=5, seed=1)
     H_eval, G_eval = _separable_sets(n=30, seed=9)
-    hits = sum((model.score(ex.source, ex.prefix) > 0.5) == bool(ex.label)
-               for ex in H_eval + G_eval)
-    assert hits / 60 >= 0.95
+    examples = [(p, True) for p in prefixes(H_eval)] + [(p, False) for p in prefixes(G_eval)]
+    hits = sum((model.score(*p) > 0.5) == human for p, human in examples)
+    assert hits / len(examples) >= 0.95
 
 
 def test_identical_sets_stay_at_chance(config):
     H, _ = _separable_sets(n=30, seed=2)
-    G = [PrefixExample(ex.source, ex.prefix, 0, ex.t) for ex in H]
+    G = list(H)
     model = train_discriminator(H, G, config, epochs=5, seed=1)
-    hits = sum((model.score(ex.source, ex.prefix) > 0.5) == bool(ex.label)
-               for ex in H + G)
-    assert abs(hits / len(H + G) - 0.5) <= 0.05
+    examples = [(p, True) for p in prefixes(H)] + [(p, False) for p in prefixes(G)]
+    hits = sum((model.score(*p) > 0.5) == human for p, human in examples)
+    assert abs(hits / len(examples) - 0.5) <= 0.05
 
 
 def test_objective_non_decreasing_with_decaying_steps(config):
@@ -397,8 +422,14 @@ def test_training_validates_inputs(config):
     for epochs in (0, -2):
         with pytest.raises(DiscriminatorError, match=f"epochs must be >= 1, got {epochs}"):
             train_discriminator(H, G, config, epochs=epochs)
-    with pytest.raises(DiscriminatorError, match="label-1"):
-        train_discriminator(G, H, config)
+
+
+def test_training_rejects_a_side_without_prefixes(config):
+    H, G = _separable_sets()
+    empty = [((3, 4), ()), ((5,), ())]
+    for args in ((empty, G), (H, empty), (H, []), ([], [])):
+        with pytest.raises(DiscriminatorError, match="H and G must each hold a prefix"):
+            train_discriminator(*args, config)
 
 
 def test_class_ratio_reweights_generated_side(config):
@@ -407,7 +438,7 @@ def test_class_ratio_reweights_generated_side(config):
     skewed = train_discriminator(H, G, config, epochs=2, seed=1, ratio=5.0)
     assert not np.array_equal(balanced.dense_w, skewed.dense_w)
     # heavier weight on log(1 - D) pushes scores down
-    assert skewed.score(H[0].source, H[0].prefix) < balanced.score(H[0].source, H[0].prefix)
+    assert skewed.score(*H[0]) < balanced.score(*H[0])
 
 
 def test_warm_start_initialization_is_used(config):
@@ -423,19 +454,22 @@ def test_warm_start_initialization_is_used(config):
 
 def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: float,
                     seed: int, init: DiscriminatorModel | None, ratio: float):
-    """SGD over the reference_features of each example, scored by
-    reference_score, and the objective summed example by example after every
-    epoch: the trainer the packed one must match bit for bit."""
+    """SGD over the reference_features of every prefix of the H and G
+    sequences, scored by reference_score, and the objective summed example by
+    example after every epoch: the trainer the packed one must match bit for
+    bit."""
     if init is not None:
         model = DiscriminatorModel(config, init.dense_w.copy(), init.sparse_w.copy(),
                                    init.bias)
     else:
         model = DiscriminatorModel.zeros(config)
-    examples = [(reference_features(ex.source, ex.prefix, config), ex.label, kind)
-                for kind, exs in (("H", H), ("G", G)) for ex in exs]
+    examples = [(reference_features(source, prefix, config), label, kind)
+                for kind, label, seqs in (("H", 1, H), ("G", 0, G))
+                for source, prefix in prefixes(seqs)]
     n_total = len(examples)
-    scale = {"H": n_total / ((1.0 + ratio) * len(H)),
-             "G": n_total * ratio / ((1.0 + ratio) * len(G))}
+    n_H = len(prefixes(H))
+    scale = {"H": n_total / ((1.0 + ratio) * n_H),
+             "G": n_total * ratio / ((1.0 + ratio) * (n_total - n_H))}
     feats_H = [row for row, label, _ in examples if label == 1]
     feats_G = [row for row, label, _ in examples if label == 0]
 
@@ -468,18 +502,13 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
     return model
 
 
-def prefix_runs(data, n_vocab, label, name):
-    """Every prefix of a few sequences under a few sources, in prefix order
-    or shuffled."""
+def sequence_runs(data, n_vocab, name):
+    """A few sequences under each of a few sources."""
     sources = data.draw(st.lists(tokens(n_vocab, 1, 6).map(tuple), min_size=1, max_size=2),
                         label=f"{name}_sources")
     sequences = data.draw(st.lists(tokens(n_vocab, 1, 10).map(tuple), min_size=1,
                                    max_size=3), label=f"{name}_sequences")
-    examples = [PrefixExample(source, seq[:t], label, t)
-                for source in sources for seq in sequences for t in range(1, len(seq) + 1)]
-    if data.draw(st.booleans(), label=f"{name}_shuffled"):
-        examples = data.draw(st.permutations(examples), label=f"{name}_order")
-    return examples
+    return [(source, seq) for source in sources for seq in sequences]
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
@@ -487,8 +516,8 @@ def prefix_runs(data, n_vocab, label, name):
 def test_packed_training_equals_the_per_example_reference_bitwise(data):
     n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
     config = data.draw(feature_configs(n_vocab), label="config")
-    H = prefix_runs(data, n_vocab, 1, "H")
-    G = prefix_runs(data, n_vocab, 0, "G")
+    H = sequence_runs(data, n_vocab, "H")
+    G = sequence_runs(data, n_vocab, "G")
     kwargs = dict(epochs=data.draw(st.integers(1, 4), label="epochs"),
                   learning_rate=data.draw(st.sampled_from([0.5, 2.0]), label="lr"),
                   seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
@@ -511,16 +540,16 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
         assert abs(got - want) <= 1e-12 * abs(want)
     # the batch scorer (accuracy, final_objective), the from-scratch one and
     # the search's carried S equal the reference scoring bit for bit
-    examples = H + G
-    want = [reference_score(packed, reference_features(ex.source, ex.prefix, config))
-            for ex in examples]
-    assert packed.score_features(prefix_features(examples, config)) == want
-    assert [packed.score(ex.source, ex.prefix) for ex in examples] == want
+    examples = prefixes(H + G)
+    want = [reference_score(packed, reference_features(source, prefix, config))
+            for source, prefix in examples]
+    assert packed.score_features(prefix_features(H + G, config)) == want
+    assert [packed.score(source, prefix) for source, prefix in examples] == want
     carried = []
-    for ex in examples:
+    for source, prefix in examples:
         scorer = PrefixFeaturizer(config, packed)
-        state = scorer.state_of(ex.source)
-        for token in ex.prefix:
+        state = scorer.state_of(source)
+        for token in prefix:
             scorer.advance(state, token)
         carried.append(scorer.score(state))
     assert carried == want
@@ -582,9 +611,10 @@ def test_gradient_matches_central_differences(config):
 def test_accuracy_is_hits_over_examples(config):
     model = DiscriminatorModel.zeros(config)  # scores exactly 0.5 -> predicts 0
     H, G = _separable_sets(n=30, seed=8)
-    assert accuracy(model, H + G) == len(G) / (len(H) + len(G))
-    assert accuracy(model, iter(G)) == 1.0
-    assert accuracy(model, H) == 0.0
+    n_H, n_G = len(prefixes(H)), len(prefixes(G))
+    assert accuracy(model, H, G) == n_G / (n_H + n_G)
+    assert accuracy(model, [], iter(G)) == 1.0
+    assert accuracy(model, iter(H), []) == 0.0
 
 
 def test_accuracy_by_length_perfect_model_and_empty_bucket(config):
@@ -597,6 +627,27 @@ def test_accuracy_by_length_perfect_model_and_empty_bucket(config):
     for t in (1, 2, 3, 4):
         assert by_t[t][0] == 1.0
     assert by_t[99] == (None, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_accuracy_by_length_is_the_per_prefix_scores_bucketed(data):
+    n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
+    config = data.draw(feature_configs(n_vocab), label="config")
+    model = random_model(config, data.draw(st.integers(0, 99), label="model_seed"))
+    H = sequence_runs(data, n_vocab, "H")
+    G = sequence_runs(data, n_vocab, "G")
+    # sequences are at most 10 tokens long, so 11, 12 and 99 are empty buckets
+    buckets = sorted(data.draw(st.sets(st.integers(1, 12), min_size=1, max_size=5),
+                               label="buckets") | {99})
+    rows = accuracy_by_length(model, H, G, buckets)
+    assert [t for t, _, _ in rows] == buckets and rows[-1] == (99, None, 0)
+    for t, acc, n in rows:
+        right = [(model.score(source, prefix) > 0.5) == human
+                 for seqs, human in ((H, True), (G, False))
+                 for source, prefix in prefixes(seqs) if len(prefix) == t]
+        assert n == len(right)
+        assert acc == (sum(right) / n if n else None)
 
 
 def test_accuracy_by_length_random_model_near_chance(config):
@@ -620,9 +671,9 @@ def test_model_save_load_roundtrip(tmp_path):
     path = tmp_path / "disc.model"
     model.save(path)
     reloaded = DiscriminatorModel.load(path)
-    for ex in H + G:
-        assert math.isclose(reloaded.score(ex.source, ex.prefix),
-                            model.score(ex.source, ex.prefix), abs_tol=1e-12)
+    for source, prefix in prefixes(H + G):
+        assert math.isclose(reloaded.score(source, prefix), model.score(source, prefix),
+                            abs_tol=1e-12)
     assert reloaded.final_objective == model.final_objective
 
 
