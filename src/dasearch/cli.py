@@ -40,7 +40,7 @@ from dasearch.corpus import (
     write_records,
 )
 from dasearch.decoder import SearchConfig, das_beam_search, decode_corpus, hypothesis_content
-from dasearch.discriminator import DiscriminatorModel, accuracy_by_length, build_prefix_sets
+from dasearch.discriminator import DiscriminatorModel
 from dasearch.generator import NGramCopyModel, train_generator
 from dasearch.metrics import evaluate_system
 from dasearch.selftrain import DiscriminatorHparams, bootstrap, run_until_convergence
@@ -298,12 +298,9 @@ def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
     state = bootstrap(corpus, generator, cfg.disc_hparams(), cfg.search_config("plain"))
     model_path = Path(cfg.discriminator_model or out_dir / "discriminator.model")
     state.discriminator.save(model_path)
-    # accuracy curve on the held-out pairs
-    H_val, G_val = build_prefix_sets(corpus.subset(state.val_ids),
-                                     state.last_generations, t_max=cfg.t_max)
-    buckets = sorted({1, 5, 10, 20, 30, 40, 60, 80, 100, 120, cfg.t_max})
-    buckets = [b for b in buckets if b <= cfg.t_max]
-    rows = accuracy_by_length(state.discriminator, H_val, G_val, buckets)
+    # accuracy curve on the held-out pairs, from the bootstrap's counts by length
+    buckets = {1, 5, 10, 20, 30, 40, 60, 80, 100, 120, cfg.t_max}
+    rows = [(t, right / n if n else None, n) for t, right, n in state.held_out if t in buckets]
     csv_path = out_dir / "accuracy_by_length.csv"
     _write_rows(csv_path, rows, ("t", "accuracy", "n_examples"))
     print(f"discriminator model: {model_path} "
@@ -396,6 +393,10 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
 
 def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
     # every cell's search settings, checked before anything is loaded or decoded
+    for flag, values in (("--k-rerank", args.k_rerank), ("--alphas", args.alphas)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{flag} repeats {value}")
     plain = cfg.search_config("plain")
     cells = [(k, alpha, replace(plain, beam_size=min(cfg.beam_size, k), k_rerank=k, alpha=alpha))
              for k in args.k_rerank for alpha in args.alphas]

@@ -198,7 +198,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
         return apply_das_score(h, config.alpha, dis_prob)
 
     for _ in range(config.t_max):
-        # A candidate is (-s_gen, parent rank, token, logp); an ended member
+        # A candidate is (-s_gen, parent rank, token); an ended member
         # carries itself as token -1. Live members all have the same length
         # and no EOS, and an ended one has EOS where no live member does, so
         # any two members differ inside both, and (parent rank, token) orders
@@ -206,17 +206,17 @@ def _search(generator, discriminator, source, config: SearchConfig):
         candidates = []
         for rank, h in enumerate(pool):
             if h.ended:
-                candidates.append((-h.s_gen, rank, -1, 0.0))
+                candidates.append((-h.s_gen, rank, -1))
                 continue
             s_gen = h.s_gen
             blocked = _blocked(indexes[rank], h.tokens) if block else _UNBLOCKED
-            candidates += [(-(s_gen + logp), rank, tok, logp)
+            candidates += [(-(s_gen + logp), rank, tok)
                            for tok, logp in expand(h.tokens, blocked)]
         candidates.sort()
         # survivors as (parent rank, token, s_gen, s_dis, s_das)
         if rerank:
             ranked = []
-            for neg_gen, rank, tok, _ in candidates[: config.k_rerank]:
+            for neg_gen, rank, tok in candidates[: config.k_rerank]:
                 # only the scores of a candidate are built unless it survives
                 h = pool[rank] if tok < 0 else fuse(Hypothesis((), -neg_gen), states[rank], tok)
                 ranked.append((-h.s_das, neg_gen, rank, tok, h.s_dis))
@@ -225,7 +225,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
                          for neg_das, neg_gen, rank, tok, s_dis in ranked[: config.beam_size]]
         else:
             survivors = [(rank, tok, -neg_gen, None, -neg_gen)
-                         for neg_gen, rank, tok, _ in candidates[: config.beam_size]]
+                         for neg_gen, rank, tok in candidates[: config.beam_size]]
         survivors.sort()
 
         next_pool, next_states, next_indexes, live = [], [], [], False

@@ -6,6 +6,7 @@ trained by SGD on the set-normalized logistic objective
 over all prefixes of human references (H) and generated summaries (G). H and
 G are held as their (source, tokens) sequences, one per pair and side: every
 prefix of a sequence is one example, and the sequence is one feature chain.
+accuracy_by_length counts the examples classified right per prefix length.
 """
 
 from __future__ import annotations
@@ -549,30 +550,17 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     return model
 
 
-def _classified(model: DiscriminatorModel, H, G):
-    """The length of every prefix of the H then the G sequences, and whether
-    the model classifies it right at threshold 0.5 (human = positive): one
-    featurisation and one batch score."""
-    H = list(H)
-    batch = prefix_features(itertools.chain(H, G), model.config)
-    human = np.arange(len(batch)) < sum(len(tokens) for _, tokens in H)
-    return batch.t, (np.array(model.score_features(batch)) > 0.5) == human
-
-
-def accuracy(model: DiscriminatorModel, H, G) -> float:
-    """Share of the prefixes of the H and G sequences classified right."""
-    _, right = _classified(model, H, G)
-    return int(right.sum()) / len(right)
-
-
 def accuracy_by_length(model: DiscriminatorModel, H_eval, G_eval, buckets):
-    """Per-prefix-length accuracy at threshold 0.5 (human = positive).
+    """How many prefixes of each length in `buckets` the model classifies
+    right at threshold 0.5 (human = positive), over the prefixes of the H
+    then the G sequences: one featurisation and one batch score.
 
-    Returns a list of (t, accuracy_or_None, n_examples).
+    Returns a list of integer counts (t, right, n_examples).
     """
-    lengths, right = _classified(model, H_eval, G_eval)
-    rows = []
-    for t in buckets:
-        at_t = right[lengths == t]
-        rows.append((t, int(at_t.sum()) / len(at_t) if len(at_t) else None, len(at_t)))
-    return rows
+    H_eval = list(H_eval)
+    batch = prefix_features(itertools.chain(H_eval, G_eval), model.config)
+    human = np.arange(len(batch)) < sum(len(tokens) for _, tokens in H_eval)
+    right = (np.array(model.score_features(batch)) > 0.5) == human
+    size = max(buckets, default=0) + 1
+    n, hits = np.bincount(batch.t, minlength=size), np.bincount(batch.t[right], minlength=size)
+    return [(t, int(hits[t]), int(n[t])) for t in buckets]

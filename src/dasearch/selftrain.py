@@ -2,7 +2,9 @@
 
 Iteration 0 trains a bootstrap discriminator on plain beam-search outputs;
 each following iteration decodes with the current discriminator, rebuilds the
-generated prefix set from those outputs and retrains. The generator is never
+generated prefix set from those outputs and retrains. Every round counts its
+model's right calls on the held-out pairs' prefixes once, by length
+(`held_out`); its `val_accuracy` is their share. The generator is never
 modified.
 """
 
@@ -23,7 +25,7 @@ from dasearch.decoder import (
 from dasearch.discriminator import (
     DiscriminatorModel,
     FeatureConfig,
-    accuracy,
+    accuracy_by_length,
     build_prefix_sets,
     check_training_settings,
     train_discriminator,
@@ -58,6 +60,7 @@ class SelfTrainState:
     val_ids: frozenset = frozenset()
     stopped_reason: str | None = None
     past_generations: list = field(default_factory=list)
+    held_out: list = field(default_factory=list)  # (t, right, n) on val_ids, t = 1..t_max
 
 
 def _history_entry(iteration, val_accuracy, generations, corpus):
@@ -81,8 +84,8 @@ def _round(corpus: Corpus, search_one, config: FeatureConfig,
            history=(), past=(), init=None, lr_scale: float = 1.0) -> SelfTrainState:
     """Decode every pair with `search_one`, train a discriminator on the
     prefixes of the non-validation pairs (plus the `past` generated sets when
-    hparams.replay is on), validate it on the held-out pairs and record the
-    round's metrics."""
+    hparams.replay is on), count its right calls on the held-out pairs' prefixes
+    by length and record the round's metrics."""
     generations = {i: hypothesis_content(h)
                    for i, h in decode_corpus(corpus, search_one).items()}
     train = corpus.subset({p.id for p in corpus.pairs} - val_ids)
@@ -95,11 +98,12 @@ def _round(corpus: Corpus, search_one, config: FeatureConfig,
                                 seed=seed, init=init, ratio=hparams.ratio)
     H_val, G_val = build_prefix_sets(corpus.subset(val_ids), generations,
                                      t_max=config.t_max)
+    held_out = accuracy_by_length(model, H_val, G_val, range(1, config.t_max + 1))
     state = SelfTrainState(iteration=iteration, discriminator=model,
                            last_generations=generations, history=list(history),
-                           val_ids=val_ids, past_generations=list(past))
-    state.history.append(_history_entry(iteration, accuracy(model, H_val, G_val),
-                                        generations, corpus))
+                           val_ids=val_ids, past_generations=list(past), held_out=held_out)
+    _, right, n = map(sum, zip(*held_out))
+    state.history.append(_history_entry(iteration, right / n, generations, corpus))
     return state
 
 

@@ -65,7 +65,8 @@ def retrain_run():
 
 @pytest.fixture(scope="session")
 def accuracy_curves():
-    """Held-out accuracy-by-length curves, with and without source features."""
+    """Held-out (t, right, n) counts by prefix length, with and without source
+    features."""
     corpus = generate_synthetic_corpus(1, 2000)
     generator = train_generator(corpus, order=3, kappa=1.0, lambda_copy=0.75)
     search = SearchConfig(beam_size=3, k_rerank=10, t_max=60)
@@ -229,8 +230,8 @@ def test_objective_gradient_against_central_differences():
 
 
 def test_accuracy_rises_with_length_and_source_helps(accuracy_curves):
-    with_src = {t: acc for t, acc, n in accuracy_curves[True] if n}
-    without = {t: acc for t, acc, n in accuracy_curves[False] if n}
+    with_src = {t: right / n for t, right, n in accuracy_curves[True] if n}
+    without = {t: right / n for t, right, n in accuracy_curves[False] if n}
     rise = with_src[60] - with_src[1]
     assert rise >= 0.10
     for t in (1, 2, 3, 5, 10, 20, 30, 40):

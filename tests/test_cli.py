@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dasearch import cli, selftrain
+from dasearch import cli, discriminator, selftrain
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
 from dasearch.corpus import Vocabulary, load_corpus
 from dasearch.decoder import SearchConfig
@@ -289,6 +289,23 @@ def test_sweep_rejects_a_bad_late_cell_before_decoding(pipeline, tmp_path, capsy
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--k-rerank", "6,6", "--k-rerank repeats 6"),
+    ("--alphas", "0,1,0.0", "--alphas repeats 0.0"),
+], ids=["k", "alpha"])
+def test_sweep_rejects_repeated_grid_values_before_loading(pipeline, tmp_path, capsys,
+                                                           monkeypatch, flag, text, message):
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded models before the grid was checked")
+
+    monkeypatch.setattr(cli, "_load_models", no_load)
+    _, cfg = pipeline
+    path = derive_config(cfg, tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["sweep", "--config", str(path), flag, text]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_with_only_alpha_zero_needs_no_discriminator(pipeline, tmp_path, capsys):
     _, cfg = pipeline
     missing = tmp_path / "no-such.model"
@@ -436,6 +453,35 @@ def test_train_discriminator_rejects_epochs_below_one(pipeline, tmp_path, capsys
     assert f"error: {message}" in capsys.readouterr().err
     assert not [p for p in (model, tmp_path / "accuracy_by_length.csv", tmp_path / "iter_0")
                 if p.exists()]
+
+
+def test_train_discriminator_featurises_the_held_out_prefixes_once(pipeline, tmp_path,
+                                                                    monkeypatch):
+    calls, rounds = [], []
+    real_features, real_bootstrap = discriminator.prefix_features, cli.bootstrap
+
+    def counted(sequences, config):
+        calls.append(config)
+        return real_features(sequences, config)
+
+    def recorded(corpus, *args):
+        rounds.append((corpus, real_bootstrap(corpus, *args)))
+        return rounds[-1][1]
+
+    monkeypatch.setattr(discriminator, "prefix_features", counted)
+    monkeypatch.setattr(cli, "bootstrap", recorded)
+    _, cfg = pipeline
+    path = derive_config(cfg, tmp_path, discriminator_model=str(tmp_path / "d.model"))
+    assert main(["train-discriminator", "--config", str(path)]) == 0
+    assert len(calls) == 2  # one to train, one for the held-out counts
+    # the curve is the model's held-out accuracy at the buckets up to t_max = 40
+    ((corpus, state),) = rounds
+    H, G = discriminator.build_prefix_sets(corpus.subset(state.val_ids),
+                                           state.last_generations, t_max=40)
+    curve = discriminator.accuracy_by_length(state.discriminator, H, G, [1, 5, 10, 20, 30, 40])
+    with open(tmp_path / "accuracy_by_length.csv", newline="") as f:
+        assert list(csv.reader(f)) == [["t", "accuracy", "n_examples"]] + [
+            [str(t), str(right / n) if n else "", str(n)] for t, right, n in curve]
 
 
 def test_self_train_writes_iteration_directories(pipeline):

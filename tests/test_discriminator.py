@@ -22,7 +22,6 @@ from dasearch.discriminator import (
     PrefixFeaturizer,
     _hash,
     _sigmoid,
-    accuracy,
     accuracy_by_length,
     build_prefix_sets,
     eq2_gradient,
@@ -608,13 +607,20 @@ def test_gradient_matches_central_differences(config):
 # --- accuracy by length -----------------------------------------------------------
 
 
-def test_accuracy_is_hits_over_examples(config):
+def test_accuracy_by_length_counts_every_prefix_of_both_sides(config):
     model = DiscriminatorModel.zeros(config)  # scores exactly 0.5 -> predicts 0
     H, G = _separable_sets(n=30, seed=8)
     n_H, n_G = len(prefixes(H)), len(prefixes(G))
-    assert accuracy(model, H, G) == n_G / (n_H + n_G)
-    assert accuracy(model, [], iter(G)) == 1.0
-    assert accuracy(model, iter(H), []) == 0.0
+    every_length = range(1, 5)  # the sequences are 1 to 4 tokens long
+
+    def totals(H, G):
+        _, right, n = map(sum, zip(*accuracy_by_length(model, H, G, every_length)))
+        return right, n
+
+    assert totals(H, G) == (n_G, n_H + n_G)
+    assert totals([], iter(G)) == (n_G, n_G)
+    assert totals(iter(H), []) == (0, n_H)
+    assert accuracy_by_length(model, [], [], [1, 2]) == [(1, 0, 0), (2, 0, 0)]
 
 
 def test_accuracy_by_length_perfect_model_and_empty_bucket(config):
@@ -623,10 +629,11 @@ def test_accuracy_by_length_perfect_model_and_empty_bucket(config):
     model.bias = -25.0  # threshold at overlap 0.5
     H, G = _separable_sets(n=30, seed=8)
     rows = accuracy_by_length(model, H, G, buckets=[1, 2, 3, 4, 99])
-    by_t = {t: (acc, n) for t, acc, n in rows}
+    by_t = {t: (right, n) for t, right, n in rows}
     for t in (1, 2, 3, 4):
-        assert by_t[t][0] == 1.0
-    assert by_t[99] == (None, 0)
+        right, n = by_t[t]
+        assert n > 0 and right == n
+    assert by_t[99] == (0, 0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -641,22 +648,22 @@ def test_accuracy_by_length_is_the_per_prefix_scores_bucketed(data):
     buckets = sorted(data.draw(st.sets(st.integers(1, 12), min_size=1, max_size=5),
                                label="buckets") | {99})
     rows = accuracy_by_length(model, H, G, buckets)
-    assert [t for t, _, _ in rows] == buckets and rows[-1] == (99, None, 0)
-    for t, acc, n in rows:
-        right = [(model.score(source, prefix) > 0.5) == human
+    assert [t for t, _, _ in rows] == buckets and rows[-1] == (99, 0, 0)
+    for t, right, n in rows:
+        calls = [(model.score(source, prefix) > 0.5) == human
                  for seqs, human in ((H, True), (G, False))
                  for source, prefix in prefixes(seqs) if len(prefix) == t]
-        assert n == len(right)
-        assert acc == (sum(right) / n if n else None)
+        assert (right, n) == (sum(calls), len(calls))
+        assert type(right) is int and type(n) is int
 
 
 def test_accuracy_by_length_random_model_near_chance(config):
     model = DiscriminatorModel.zeros(config)  # scores exactly 0.5 -> predicts 0
     H, G = _separable_sets(n=50, seed=9)
     rows = accuracy_by_length(model, H, G, buckets=[1, 2, 3, 4])
-    for _, acc, n in rows:
+    for _, right, n in rows:
         if n:
-            assert abs(acc - 0.5) <= 0.15
+            assert abs(right / n - 0.5) <= 0.15
 
 
 # --- persistence -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,26 @@ def test_bootstrap_generations_match_standalone_plain_search(state0, loop_corpus
 
 def test_bootstrap_discriminator_beats_chance(state0):
     assert state0.history[0]["val_accuracy"] > 0.5
+
+
+@pytest.mark.parametrize("rounds", [0, 1], ids=["bootstrap", "step"])
+def test_val_accuracy_is_the_held_out_counts(state0, loop_corpus, loop_generator, rounds):
+    state = state0
+    for _ in range(rounds):
+        state = self_train_step(state, loop_generator, loop_corpus, SEARCH, HPARAMS)
+    assert [t for t, _, _ in state.held_out] == list(range(1, SEARCH.t_max + 1))
+    _, right, n = map(sum, zip(*state.held_out))
+    assert state.history[-1]["val_accuracy"] == right / n
+    # the counts are the held-out prefixes the model scores on their side of 0.5
+    model, right_at, n_at = state.discriminator, Counter(), Counter()
+    for p in loop_corpus.pairs:
+        if p.id not in state.val_ids:
+            continue
+        for tokens, human in ((p.reference, True), (state.last_generations[p.id], False)):
+            for t in range(1, min(len(tokens), SEARCH.t_max) + 1):
+                n_at[t] += 1
+                right_at[t] += (model.score(p.source, tokens[:t]) > 0.5) == human
+    assert state.held_out == [(t, right_at[t], n_at[t]) for t in range(1, SEARCH.t_max + 1)]
 
 
 def test_step_increments_and_appends_history(state0, loop_corpus, loop_generator):
