@@ -43,7 +43,12 @@ from dasearch.decoder import SearchConfig, das_beam_search, decode_corpus, hypot
 from dasearch.discriminator import DiscriminatorModel
 from dasearch.generator import NGramCopyModel, train_generator
 from dasearch.metrics import evaluate_system
-from dasearch.selftrain import DiscriminatorHparams, bootstrap, run_until_convergence
+from dasearch.selftrain import (
+    DiscriminatorHparams,
+    bootstrap,
+    bootstrap_provenance,
+    run_until_convergence,
+)
 
 
 class ConfigError(ValueError):
@@ -207,7 +212,33 @@ def _load_models(cfg: RunConfig, need_disc: bool = False):
         if n_logfreq and n_logfreq != len(vocab):
             raise ConfigError(f"discriminator model {path} was built for a {n_logfreq}-token "
                               f"vocabulary, but the vocabulary has {len(vocab)} tokens")
+        if disc.config.vocab_hash and disc.config.vocab_hash != vocab.digest():
+            raise ConfigError(f"discriminator model {path} was built for another vocabulary "
+                              f"than {cfg.vocab_path}")
     return vocab, generator, disc
+
+
+def _provenance(cfg: RunConfig) -> dict[str, str]:
+    """The bootstrap provenance of this config's train corpus, generator and
+    settings."""
+    return bootstrap_provenance(_hash_file(cfg.train_path), _hash_file(cfg.generator_model),
+                                cfg.disc_hparams(), cfg.search_config("plain"))
+
+
+def _reusable_bootstrap(path: str, provenance: dict[str, str]):
+    """(the discriminator at `path`, None) if it records `provenance`, else
+    (None, why not). A malformed file raises the loader's error."""
+    if not path:
+        return None, "[paths] discriminator_model is not set"
+    if not Path(path).is_file():
+        return None, f"no file at {path}"
+    model = DiscriminatorModel.load(path)
+    if model.provenance is None:
+        return None, f"{path} is a v1 file"
+    for key in {**provenance, **model.provenance}:
+        if model.provenance.get(key) != provenance.get(key):
+            return None, f"{key} differs"
+    return model, None
 
 
 def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
@@ -296,6 +327,7 @@ def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
     vocab, generator, _ = _load_models(cfg)
     corpus = load_corpus(_required_path(cfg, "train_path"), vocab)
     state = bootstrap(corpus, generator, cfg.disc_hparams(), cfg.search_config("plain"))
+    state.discriminator.provenance = _provenance(cfg)
     model_path = Path(cfg.discriminator_model or out_dir / "discriminator.model")
     state.discriminator.save(model_path)
     # accuracy curve on the held-out pairs, from the bootstrap's counts by length
@@ -339,7 +371,13 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
         state.discriminator.save(iter_dir / "discriminator.model")
         _write_rows(iter_dir / "history.csv", state.history)
 
-    state = bootstrap(corpus, generator, hparams, search)
+    provenance = _provenance(cfg)
+    reused, why_not = _reusable_bootstrap(cfg.discriminator_model, provenance)
+    print(f"bootstrap: trained ({why_not})" if reused is None
+          else f"bootstrap: reused {cfg.discriminator_model}")
+    state = bootstrap(corpus, generator, hparams, search, model=reused)
+    # reused or trained, the bootstrap records its provenance: one iter_0 file
+    state.discriminator.provenance = provenance
     snapshot(state)
     state = run_until_convergence(
         state, generator, corpus, search, hparams, max_iters=cfg.max_iters,
@@ -347,8 +385,10 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
         on_iteration=snapshot)
     print(f"self-training stopped after iteration {state.iteration} "
           f"({state.stopped_reason})")
-    return ("self-train", [cfg.train_path, cfg.vocab_path, cfg.generator_model],
-            [out_dir / f"iter_{state.iteration}" / "generations.jsonl"])
+    inputs = [cfg.train_path, cfg.vocab_path, cfg.generator_model]
+    if reused is not None:
+        inputs.append(cfg.discriminator_model)
+    return ("self-train", inputs, [out_dir / f"iter_{state.iteration}" / "generations.jsonl"])
 
 
 def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):

@@ -8,6 +8,7 @@ clauses and paraphrase part of their tokens, so they are abstractive
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -116,6 +117,12 @@ class Vocabulary:
 
     def decode(self, ids) -> list[str]:
         return [self._tokens[i] for i in ids]
+
+    def digest(self) -> str:
+        """The first 16 hex digits of the sha256 of the token list: what model
+        files record as `vocab_hash`, to be checked against the vocabulary
+        they are loaded with."""
+        return hashlib.sha256("\n".join(self._tokens).encode()).hexdigest()[:16]
 
     def save(self, path) -> None:
         with atomic_write(path) as f:

@@ -44,6 +44,7 @@ class FeatureConfig:
     t_max: int = 140
     # background unigram log-frequencies indexed by token id
     logfreq: tuple[float, ...] = ()
+    vocab_hash: str = ""  # Vocabulary.digest() of the vocabulary logfreq is over, if known
 
     def __post_init__(self):
         if self.d_hash < 1 or self.t_max < 1:
@@ -53,13 +54,15 @@ class FeatureConfig:
     @classmethod
     def from_corpus(cls, corpus: Corpus, d_hash: int = 2 ** 16,
                     use_source: bool = True, t_max: int = 140) -> "FeatureConfig":
-        counts = np.ones(len(corpus.vocab))
+        counts = [1] * len(corpus.vocab)
         for p in corpus.pairs:
             for tok in p.reference:
                 counts[tok] += 1
-        logfreq = np.log(counts / counts.sum())
+        total = sum(counts)
+        # math.log, not np.log, whose bits depend on numpy's CPU dispatch
         return cls(d_hash=d_hash, use_source=use_source, t_max=t_max,
-                   logfreq=tuple(logfreq))
+                   logfreq=tuple(math.log(c / total) for c in counts),
+                   vocab_hash=corpus.vocab.digest())
 
 
 @dataclass(frozen=True)
@@ -318,6 +321,9 @@ class DiscriminatorModel:
     bias: float
     final_objective: float = 0.0
     objective_history: tuple[float, ...] = ()
+    # what a bootstrap model was trained from (selftrain.bootstrap_provenance),
+    # by key; a v2 file without one loads as {}, a v1 file as None
+    provenance: dict[str, str] | None = None
 
     @classmethod
     def zeros(cls, config: FeatureConfig) -> "DiscriminatorModel":
@@ -336,35 +342,59 @@ class DiscriminatorModel:
         return featurizer.score(state)
 
     def save(self, path) -> None:
+        """Write a `discriminator v2` file: the v1 headers plus `vocab_hash`
+        after `t_max` and a `provenance` line of `key=value` entries after
+        `dense`, then one `index weight` line per nonzero sparse weight. The
+        objective_history is not saved."""
+        config = self.config
         with atomic_write(path) as f:
-            f.write("discriminator v1\n")
-            f.write(f"d_hash {self.config.d_hash}\n")
-            f.write(f"use_source {int(self.config.use_source)}\n")
-            f.write(f"t_max {self.config.t_max}\n")
+            f.write("discriminator v2\n")
+            f.write(f"d_hash {config.d_hash}\n")
+            f.write(f"use_source {int(config.use_source)}\n")
+            f.write(f"t_max {config.t_max}\n")
+            f.write(f"vocab_hash {config.vocab_hash}\n")
             f.write(f"final_objective {float(self.final_objective)!r}\n")
-            f.write("logfreq " + " ".join(repr(float(v)) for v in self.config.logfreq) + "\n")
+            f.write("logfreq " + " ".join(repr(float(v)) for v in config.logfreq) + "\n")
             f.write(f"bias {float(self.bias)!r}\n")
             f.write("dense " + " ".join(repr(float(v)) for v in self.dense_w) + "\n")
+            f.write("provenance " + " ".join(f"{key}={value}" for key, value
+                                             in (self.provenance or {}).items()) + "\n")
             for i in np.nonzero(self.sparse_w)[0]:
                 f.write(f"{i} {float(self.sparse_w[i])!r}\n")
 
     @classmethod
     def load(cls, path) -> "DiscriminatorModel":
+        """Read a `discriminator v2` or `v1` file; a v1 file has no
+        `vocab_hash` and no `provenance` line."""
         with open(path, encoding="utf-8") as f:
-            if f.readline().strip() != "discriminator v1":
+            version = f.readline().strip()
+            if version not in ("discriminator v1", "discriminator v2"):
                 raise DiscriminatorError(f"not a discriminator model file: {path}")
+            v2 = version == "discriminator v2"
             try:
                 d_hash = int(read_header(f, "d_hash"))
                 use_source = read_header(f, "use_source")
                 if use_source not in ("0", "1"):
                     raise ValueError(f"use_source must be 0 or 1, got {use_source!r}")
                 t_max = int(read_header(f, "t_max"))
+                vocab_hash = read_header(f, "vocab_hash", many=True) if v2 else []
+                if len(vocab_hash) > 1:
+                    raise ValueError(f"the 'vocab_hash' line holds {len(vocab_hash)} values, "
+                                     f"not 0 or 1")
                 final_objective = finite_float(read_header(f, "final_objective"))
                 logfreq = tuple(map(finite_float, read_header(f, "logfreq", many=True)))
                 bias = finite_float(read_header(f, "bias"))
                 dense = np.array([finite_float(v) for v in read_header(f, "dense", many=True)])
                 if dense.size != N_DENSE:
                     raise ValueError(f"{dense.size} dense weights, not {N_DENSE}")
+                provenance = None
+                if v2:
+                    provenance = {}
+                    for entry in read_header(f, "provenance", many=True):
+                        key, sep, value = entry.partition("=")
+                        if not key or not sep:
+                            raise ValueError(f"provenance entry {entry!r} is not key=value")
+                        provenance[key] = value
                 sparse_entries = []
                 for line in f:
                     i, w = line.split()
@@ -374,7 +404,7 @@ class DiscriminatorModel:
                     f"truncated or malformed discriminator model file: {path}: {e}") from None
         try:
             config = FeatureConfig(d_hash=d_hash, use_source=use_source == "1", t_max=t_max,
-                                   logfreq=logfreq)
+                                   logfreq=logfreq, vocab_hash="".join(vocab_hash))
         except DiscriminatorError as e:
             raise DiscriminatorError(f"discriminator model file {path}: {e}") from None
         sparse = np.zeros(d_hash)
@@ -383,7 +413,8 @@ class DiscriminatorModel:
                 raise DiscriminatorError(f"discriminator model file {path}: sparse index {i} "
                                          f"is outside [0, {d_hash})")
             sparse[i] = w
-        return cls(config, dense, sparse, bias, final_objective=final_objective)
+        return cls(config, dense, sparse, bias, final_objective=final_objective,
+                   provenance=provenance)
 
 
 def _sigmoid(z: float) -> float:

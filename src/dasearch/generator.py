@@ -9,7 +9,6 @@ unigram level) normalized over vocabulary + EOS. SOS is never predicted.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -127,23 +126,7 @@ class NGramCopyModel:
         with np.errstate(divide="ignore"):
             return np.log(self.next_probs(source, prefix))
 
-    def sequence_logprob(self, source, y) -> float:
-        y = tuple(y)
-        if not y or y[-1] != Vocabulary.eos:
-            raise GeneratorError("sequence must end with EOS")
-        if Vocabulary.eos in y[:-1]:
-            raise GeneratorError("internal EOS in sequence")
-        prefix = (Vocabulary.sos,)
-        total = 0.0
-        for tok in y:
-            total += float(self.next_logprobs(source, prefix)[tok])
-            prefix = prefix + (tok,)
-        return total
-
     # -- persistence -------------------------------------------------------------
-
-    def vocab_hash(self) -> str:
-        return hashlib.sha256("\n".join(self.vocab.tokens).encode()).hexdigest()[:16]
 
     def save(self, path) -> None:
         with atomic_write(path) as f:
@@ -151,7 +134,7 @@ class NGramCopyModel:
             f.write(f"order {self.order}\n")
             f.write(f"kappa {self.kappa!r}\n")
             f.write(f"lambda_copy {self.lambda_copy!r}\n")
-            f.write(f"vocab_hash {self.vocab_hash()}\n")
+            f.write(f"vocab_hash {self.vocab.digest()}\n")
             for k in range(1, self.order + 1):
                 for ctx in sorted(self.counts[k]):
                     table = self.counts[k][ctx]
@@ -177,7 +160,7 @@ class NGramCopyModel:
             except ValueError as e:
                 raise GeneratorError(
                     f"truncated or malformed generator model file: {path}: {e}") from None
-        if model.vocab_hash() != vhash:
+        if vocab.digest() != vhash:
             raise GeneratorError(f"vocabulary does not match the model file {path}")
         for ids, count in ngrams:
             if not 1 <= len(ids) <= model.order:

@@ -1,7 +1,8 @@
 """Discriminator self-training loop.
 
-Iteration 0 trains a bootstrap discriminator on plain beam-search outputs;
-each following iteration decodes with the current discriminator, rebuilds the
+Iteration 0 trains a bootstrap discriminator on plain beam-search outputs,
+or takes one that an earlier bootstrap trained from the same inputs (see
+bootstrap_provenance); each following iteration decodes with the current discriminator, rebuilds the
 generated prefix set from those outputs and retrains. Every round counts its
 model's right calls on the held-out pairs' prefixes once, by length
 (`held_out`); its `val_accuracy` is their share. The generator is never
@@ -23,6 +24,7 @@ from dasearch.decoder import (
     plain_beam_search,
 )
 from dasearch.discriminator import (
+    DiscriminatorError,
     DiscriminatorModel,
     FeatureConfig,
     accuracy_by_length,
@@ -33,6 +35,9 @@ from dasearch.discriminator import (
 from dasearch.metrics import evaluate_system
 
 VAL_FRACTION = 0.1  # share of the pairs held out to validate each discriminator
+# the version of what bootstrap computes from its inputs: bump it with any
+# change to that computation, so no model file of the old one is reused
+BOOTSTRAP_REVISION = 1
 
 
 @dataclass(frozen=True)
@@ -81,21 +86,24 @@ def _history_entry(iteration, val_accuracy, generations, corpus):
 
 def _round(corpus: Corpus, search_one, config: FeatureConfig,
            hparams: DiscriminatorHparams, iteration: int, seed: int, val_ids,
-           history=(), past=(), init=None, lr_scale: float = 1.0) -> SelfTrainState:
+           history=(), past=(), init=None, lr_scale: float = 1.0,
+           model: DiscriminatorModel | None = None) -> SelfTrainState:
     """Decode every pair with `search_one`, train a discriminator on the
     prefixes of the non-validation pairs (plus the `past` generated sets when
     hparams.replay is on), count its right calls on the held-out pairs' prefixes
-    by length and record the round's metrics."""
+    by length and record the round's metrics. Given `model`, the round takes
+    it as the trained discriminator and trains none."""
     generations = {i: hypothesis_content(h)
                    for i, h in decode_corpus(corpus, search_one).items()}
-    train = corpus.subset({p.id for p in corpus.pairs} - val_ids)
-    H_tr, G_tr = build_prefix_sets(train, generations, t_max=config.t_max)
-    if hparams.replay:
-        for old in past:
-            G_tr += build_prefix_sets(train, old, t_max=config.t_max)[1]
-    model = train_discriminator(H_tr, G_tr, config, epochs=hparams.epochs,
-                                learning_rate=hparams.learning_rate * lr_scale,
-                                seed=seed, init=init, ratio=hparams.ratio)
+    if model is None:
+        train = corpus.subset({p.id for p in corpus.pairs} - val_ids)
+        H_tr, G_tr = build_prefix_sets(train, generations, t_max=config.t_max)
+        if hparams.replay:
+            for old in past:
+                G_tr += build_prefix_sets(train, old, t_max=config.t_max)[1]
+        model = train_discriminator(H_tr, G_tr, config, epochs=hparams.epochs,
+                                    learning_rate=hparams.learning_rate * lr_scale,
+                                    seed=seed, init=init, ratio=hparams.ratio)
     H_val, G_val = build_prefix_sets(corpus.subset(val_ids), generations,
                                      t_max=config.t_max)
     held_out = accuracy_by_length(model, H_val, G_val, range(1, config.t_max + 1))
@@ -108,18 +116,48 @@ def _round(corpus: Corpus, search_one, config: FeatureConfig,
 
 
 def bootstrap(corpus: Corpus, generator, disc_hparams: DiscriminatorHparams,
-              search_config: SearchConfig) -> SelfTrainState:
-    """Iteration 0: plain beam-search outputs seed the first discriminator."""
+              search_config: SearchConfig,
+              model: DiscriminatorModel | None = None) -> SelfTrainState:
+    """Iteration 0: plain beam-search outputs seed the first discriminator.
+
+    `model`, if given, is a discriminator that an earlier bootstrap trained
+    from these same inputs (its bootstrap_provenance matches): the round
+    uses it instead of training one, and still decodes and counts."""
     feature_config = FeatureConfig.from_corpus(
         corpus, d_hash=disc_hparams.d_hash, use_source=disc_hparams.use_source,
         t_max=search_config.t_max)
+    if model is not None and model.config != feature_config:
+        raise DiscriminatorError("the given bootstrap discriminator was built with other "
+                                 "feature settings than this corpus and these settings give")
     ids = sorted(p.id for p in corpus.pairs)
     rng = random.Random(disc_hparams.seed)
     rng.shuffle(ids)
     n_val = max(1, int(len(ids) * VAL_FRACTION))
     return _round(corpus, partial(plain_beam_search, generator, config=search_config),
                   feature_config, disc_hparams, iteration=0, seed=disc_hparams.seed,
-                  val_ids=frozenset(ids[:n_val]))
+                  val_ids=frozenset(ids[:n_val]), model=model)
+
+
+def bootstrap_provenance(train_sha256: str, generator_sha256: str,
+                         disc_hparams: DiscriminatorHparams,
+                         search_config: SearchConfig) -> dict[str, str]:
+    """Everything the bootstrap discriminator is a function of, as strings by
+    key: the sha256 of the train corpus file and of the generator model file
+    (which records its vocabulary's hash), every setting bootstrap reads, with
+    the search settings as plain_beam_search runs them, and the constants of
+    its computation. A model file that records the provenance of a run holds
+    the discriminator that run's bootstrap would train."""
+    return {
+        "bootstrap_revision": str(BOOTSTRAP_REVISION),
+        "train_sha256": train_sha256,
+        "generator_sha256": generator_sha256,
+        **{key: repr(getattr(disc_hparams, key)) for key in
+           ("d_hash", "epochs", "learning_rate", "use_source", "ratio", "seed")},
+        **{key: repr(getattr(search_config, key)) for key in
+           ("beam_size", "t_max", "length_penalty_beta", "block_repeated_trigrams",
+            "final_by_s_gen")},
+        "val_fraction": repr(VAL_FRACTION),
+    }
 
 
 def self_train_step(state: SelfTrainState, generator, corpus: Corpus,

@@ -1,7 +1,8 @@
 """Shared fixtures and helpers: tiny hand-built corpora, a small synthetic
-setup, the exhaustive search that a saturated beam must equal, and the
-reference beam search that builds every candidate in full, which the search
-must equal bit for bit."""
+setup, a sequence's generator log-probability by the chain rule, the
+exhaustive search that a saturated beam must equal, and the reference beam
+search that builds every candidate in full, which the search must equal bit
+for bit."""
 
 import itertools
 
@@ -11,7 +12,7 @@ from dasearch.corpus import Corpus, DocumentPair, Vocabulary, generate_synthetic
 from dasearch.decoder import (DecoderError, EPS_DIS, Hypothesis, SearchConfig, _expansion,
                               _final_sort, apply_das_score)
 from dasearch.discriminator import PrefixFeaturizer
-from dasearch.generator import train_generator
+from dasearch.generator import GeneratorError, train_generator
 
 
 def make_vocab(*tokens):
@@ -25,6 +26,22 @@ def make_corpus(vocab, records, split="train"):
         for rid, src, ref in records
     )
     return Corpus(pairs, vocab, split)
+
+
+def sequence_logprob(generator, source, y) -> float:
+    """log P(y | source) of an EOS-terminated sequence y: the generator's
+    next-token log-probabilities summed along y, from the prefix SOS."""
+    y = tuple(y)
+    if not y or y[-1] != Vocabulary.eos:
+        raise GeneratorError("sequence must end with EOS")
+    if Vocabulary.eos in y[:-1]:
+        raise GeneratorError("internal EOS in sequence")
+    prefix = (Vocabulary.sos,)
+    total = 0.0
+    for tok in y:
+        total += float(generator.next_logprobs(source, prefix)[tok])
+        prefix = prefix + (tok,)
+    return total
 
 
 def _rank_gen(h: Hypothesis):
@@ -132,7 +149,7 @@ def exhaustive_oracle(generator, discriminator, source, alpha: float, t_max: int
     for length in range(t_max + 1):
         for content in itertools.product(v_subset, repeat=length):
             y = content + (Vocabulary.eos,)
-            s_gen = generator.sequence_logprob(source, y)
+            s_gen = sequence_logprob(generator, source, y)
             h = Hypothesis(tokens=(Vocabulary.sos,) + y, s_gen=s_gen, s_das=s_gen, ended=True)
             if discriminator is not None and alpha > 0.0:
                 h = apply_das_score(h, alpha, discriminator.score(source, y))

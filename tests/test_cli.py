@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -495,6 +499,153 @@ def test_self_train_writes_iteration_directories(pipeline):
         history = (iter_dir / "history.csv").read_text().strip().splitlines()
         assert history[0].startswith("iteration,val_accuracy")
         assert len(history) == 1 + k + 1
+
+
+def _self_train(cfg, directory: Path, capsys, *extra, **overrides):
+    """Run self-train with its output in the new `directory`; returns its
+    stdout and the bytes of every iteration file by relative path."""
+    directory.mkdir()
+    path = derive_config(cfg, directory, **overrides)
+    assert main(["self-train", "--config", str(path), *extra]) == 0
+    files = {p.relative_to(directory).as_posix(): p.read_bytes()
+             for p in sorted(directory.glob("iter_*/*"))}
+    return capsys.readouterr().out, files
+
+
+def _count_trainings(monkeypatch) -> list:
+    calls, real = [], selftrain.train_discriminator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selftrain, "train_discriminator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+def test_self_train_reuses_the_bootstrap_train_discriminator_wrote(pipeline, tmp_path, capsys,
+                                                                   monkeypatch, warm_start):
+    root, cfg = pipeline
+    trainings = _count_trainings(monkeypatch)
+    model = root / "out" / "discriminator.model"
+    out, reused = _self_train(cfg, tmp_path / "reuse", capsys, warm_start=warm_start)
+    assert f"bootstrap: reused {model}\n" in out
+    assert len(trainings) == 1  # max_iters rounds, and no bootstrap
+    manifest = json.loads((tmp_path / "reuse" / "manifest-self-train.json").read_text())
+    assert str(model) in manifest["inputs"]
+    absent = tmp_path / "absent.model"
+    out, trained = _self_train(cfg, tmp_path / "train", capsys, warm_start=warm_start,
+                               discriminator_model=str(absent))
+    assert f"bootstrap: trained (no file at {absent})\n" in out
+    assert len(trainings) == 1 + 2
+    assert list(reused) == [f"iter_{k}/{name}" for k in (0, 1) for name in
+                            ("discriminator.model", "generations.jsonl", "history.csv")]
+    assert reused == trained
+    assert reused["iter_0/discriminator.model"] == model.read_bytes()
+
+
+@pytest.mark.parametrize("change, reason", [
+    ("epochs", "epochs differs"),
+    ("train", "train_sha256 differs"),
+    ("generator", "generator_sha256 differs"),
+    ("unset", "[paths] discriminator_model is not set"),
+])
+def test_self_train_retrains_the_bootstrap_when_an_input_differs(pipeline, tmp_path, capsys,
+                                                                 monkeypatch, change, reason):
+    root, cfg = pipeline
+    extra, overrides = [], {}
+    if change == "epochs":
+        extra = ["--epochs", "3"]
+    elif change == "train":  # the same pairs but the last
+        lines = (root / "out" / "train.jsonl").read_text().splitlines(keepends=True)
+        (tmp_path / "train.jsonl").write_text("".join(lines[:-1]))
+        overrides = {"train_path": str(tmp_path / "train.jsonl")}
+    elif change == "generator":
+        overrides = {"vocab_path": str(tmp_path / "vocab.txt"),
+                     "generator_model": str(tmp_path / "generator.model")}
+        path = derive_config(cfg, tmp_path, **overrides)
+        assert main(["train-generator", "--config", str(path), "--lambda-copy", "0.5"]) == 0
+    else:
+        overrides = {"discriminator_model": ""}
+    trainings = _count_trainings(monkeypatch)
+    out, _ = _self_train(cfg, tmp_path / "run", capsys, *extra, **overrides)
+    assert f"bootstrap: trained ({reason})\n" in out
+    assert len(trainings) == 2
+
+
+def test_self_train_exits_one_on_a_malformed_discriminator_file(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
+    cut = tmp_path / "discriminator.model"
+    cut.write_bytes((root / "out" / "discriminator.model").read_bytes()[:60])
+    path = derive_config(cfg, tmp_path, discriminator_model=str(cut))
+    assert main(["self-train", "--config", str(path)]) == 1
+    assert f"error: truncated or malformed discriminator model file: {cut}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "iter_0").exists()
+
+
+def test_a_v1_discriminator_file_decodes_alike_and_is_never_reused(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
+    v2 = root / "out" / "discriminator.model"
+    text = v2.read_text().replace("discriminator v2\n", "discriminator v1\n", 1)
+    v1 = tmp_path / "v1.model"
+    v1.write_text(re.sub(r"\nprovenance .*\n", "\n", re.sub(r"\nvocab_hash \S+\n", "\n", text)))
+    assert DiscriminatorModel.load(v1).provenance is None
+    generations = []
+    for name, model in (("v2", v2), ("v1", v1)):
+        (tmp_path / name).mkdir()
+        path = derive_config(cfg, tmp_path / name, discriminator_model=str(model))
+        assert main(["decode", "--config", str(path), "--mode", "das"]) == 0
+        generations.append((tmp_path / name / "generations-das-test.jsonl").read_bytes())
+    assert generations[0] == generations[1]
+    out, _ = _self_train(cfg, tmp_path / "run", capsys, discriminator_model=str(v1))
+    assert f"bootstrap: trained ({v1} is a v1 file)\n" in out
+
+
+def test_decode_rejects_a_discriminator_of_an_equal_sized_vocabulary(pipeline, tmp_path,
+                                                                      capsys):
+    root, cfg = pipeline
+    # the train split of synth seed 11 has as many tokens as seed 7's, other ones
+    other = write_config(tmp_path, synth_seed=11)
+    assert main(["make-corpus", "--config", str(other)]) == 0
+    assert main(["train-generator", "--config", str(other)]) == 0
+    vocab, foreign = root / "out" / "vocab.txt", tmp_path / "out" / "vocab.txt"
+    assert len(Vocabulary.load(foreign)) == len(Vocabulary.load(vocab))
+    assert foreign.read_bytes() != vocab.read_bytes()
+    model = root / "out" / "discriminator.model"
+    path = derive_config(other, tmp_path / "out", discriminator_model=str(model))
+    assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
+    assert (f"error: discriminator model {model} was built for another vocabulary than "
+            f"{foreign}") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "generations-das-test.jsonl").exists()
+
+
+NUMPY_BASELINE_DISPATCH = ("X86_V3 X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL "
+                           "AVX512_SPR")
+
+
+def test_model_files_do_not_depend_on_numpys_cpu_dispatch(pipeline, tmp_path):
+    """train-discriminator writes the same bytes with numpy's SIMD kernels
+    above X86_V2 turned off, whose np.exp and np.log return other bits: a
+    model file must be what training gives on any machine."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("X86_V3"):
+        pytest.skip("the CPU lacks X86_V3, so numpy has no dispatch above X86_V2 to turn off")
+    _, cfg = pipeline
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    models = []
+    for name, disabled in (("default", None), ("reduced", NUMPY_BASELINE_DISPATCH)):
+        (tmp_path / name).mkdir()
+        model = tmp_path / name / "discriminator.model"
+        path = derive_config(cfg, tmp_path / name, discriminator_model=str(model))
+        run_env = dict(env, NPY_DISABLE_CPU_FEATURES=disabled) if disabled else env
+        subprocess.run([sys.executable, "-m", "dasearch.cli", "train-discriminator",
+                        "--config", str(path)], env=run_env, check=True, timeout=300,
+                       capture_output=True)
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_output_dir_env_override(pipeline, tmp_path, monkeypatch):

@@ -33,7 +33,7 @@ from dasearch.generator import train_generator
 from dasearch.selftrain import bootstrap, DiscriminatorHparams
 
 from conftest import (_blocked_tokens, exhaustive_oracle, make_corpus, make_vocab,
-                      reference_search, s_gen_extend)
+                      reference_search, s_gen_extend, sequence_logprob)
 
 SOS, EOS = Vocabulary.sos, Vocabulary.eos
 
@@ -266,7 +266,7 @@ def test_returned_score_matches_sequence_logprob(synth_corpus, synth_generator):
         best = plain_beam_search(synth_generator, p.source, config)[0]
         assert math.isclose(
             best.s_gen,
-            synth_generator.sequence_logprob(p.source, best.tokens[1:]),
+            sequence_logprob(synth_generator, p.source, best.tokens[1:]),
             abs_tol=1e-9)
 
 
@@ -558,17 +558,16 @@ def test_search_asks_the_generator_once_per_context(synth_corpus):
 
 
 class CountingGenerator:
+    """Counts the sequences scored: each sequence_logprob asks once at (SOS,)."""
+
     def __init__(self, inner):
         self.inner = inner
         self.vocab = inner.vocab
         self.calls = 0
 
     def next_logprobs(self, source, prefix):
+        self.calls += tuple(prefix) == (SOS,)
         return self.inner.next_logprobs(source, prefix)
-
-    def sequence_logprob(self, source, y):
-        self.calls += 1
-        return self.inner.sequence_logprob(source, y)
 
 
 def _tiny_setup(seed=0):
@@ -601,7 +600,7 @@ def test_oracle_alpha_zero_maximizes_generator_score():
     scores = []
     for length in range(4):
         for content in itertools.product(sorted(subset), repeat=length):
-            scores.append(generator.sequence_logprob(source, content + (EOS,)))
+            scores.append(sequence_logprob(generator, source, content + (EOS,)))
     assert math.isclose(best.s_gen, max(scores), abs_tol=1e-12)
 
 

@@ -721,8 +721,13 @@ def test_model_load_rejects_out_of_range_content(tmp_path, old, new, problem):
     (lambda t: re.sub(r"\ndense \S+", "\ndense nan", t), "not a finite number: 'nan'"),
     (lambda t: re.sub(r"\ndense \S+ ", "\ndense ", t),
      f"{N_DENSE - 1} dense weights, not {N_DENSE}"),
+    (lambda t: re.sub(r"\nvocab_hash (\S+)\n", r"\nvocab_hash \1 \1\n", t),
+     "the 'vocab_hash' line holds 2 values, not 0 or 1"),
+    (lambda t: re.sub(r"\nprovenance ", "\nprovenance epochs ", t),
+     "provenance entry 'epochs' is not key=value"),
+    (lambda t: re.sub(r"\nprovenance .*\n", "\n", t), "no 'provenance' line where one belongs"),
 ], ids=["swapped", "use-source-2", "bias-nan", "objective-inf", "sparse-inf", "dense-nan",
-        "dense-short"])
+        "dense-short", "vocab-hash-two", "provenance-entry", "provenance-missing"])
 def test_model_load_checks_each_header_line_by_key(tmp_path, edit, problem):
     vocab = make_vocab("a", "b", "c")
     corpus = make_corpus(vocab, [("p", ["a", "b"], ["a", "c"])])
@@ -747,7 +752,12 @@ def test_save_load_save_is_byte_identical_and_scores_the_same(data):
     logfreq = data.draw(st.one_of(st.just(()), st.tuples(*[st.floats(-20.0, 0.0)] * n_vocab)),
                         label="logfreq")
     config = FeatureConfig(d_hash=d_hash, use_source=data.draw(st.booleans(), label="use_source"),
-                           t_max=data.draw(st.integers(1, 30), label="t_max"), logfreq=logfreq)
+                           t_max=data.draw(st.integers(1, 30), label="t_max"), logfreq=logfreq,
+                           vocab_hash=data.draw(st.sampled_from(["", "0123456789abcdef"]),
+                                                label="vocab_hash"))
+    provenance = data.draw(st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(["train_sha256", "epochs", "learning_rate"]),
+        st.from_regex(r"[0-9a-f.]{1,12}", fullmatch=True))), label="provenance")
     sparse = np.zeros(d_hash)
     for i, w in data.draw(st.dictionaries(st.integers(0, d_hash - 1), weights, max_size=12),
                           label="sparse").items():
@@ -756,7 +766,8 @@ def test_save_load_save_is_byte_identical_and_scores_the_same(data):
         config, np.array(data.draw(st.lists(weights, min_size=N_DENSE, max_size=N_DENSE),
                                    label="dense")),
         sparse, data.draw(weights, label="bias"),
-        final_objective=data.draw(st.floats(-1e3, 0.0), label="final_objective"))
+        final_objective=data.draw(st.floats(-1e3, 0.0), label="final_objective"),
+        provenance=provenance)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "first.model"), Path(tmp, "second.model")
         model.save(first)
@@ -764,6 +775,7 @@ def test_save_load_save_is_byte_identical_and_scores_the_same(data):
         loaded.save(second)
         assert second.read_bytes() == first.read_bytes()
     assert loaded.config == config and loaded.final_objective == model.final_objective
+    assert loaded.provenance == (provenance or {})  # only a v1 file loads without one
     tokens = st.lists(st.integers(3, n_vocab - 1), min_size=1, max_size=8)
     for source, prefix in data.draw(st.lists(st.tuples(tokens, tokens), min_size=1, max_size=5),
                                     label="source, prefix"):

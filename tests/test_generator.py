@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dasearch.corpus import Vocabulary
 from dasearch.generator import BACKOFF, GeneratorError, NGramCopyModel, train_generator
 
-from conftest import make_corpus, make_vocab
+from conftest import make_corpus, make_vocab, sequence_logprob
 
 SOS, EOS = Vocabulary.sos, Vocabulary.eos
 
@@ -110,7 +110,7 @@ def test_next_probs_input_validation(ab_corpus):
 def test_single_step_sequence_is_one_term(ab_corpus):
     model = train_generator(ab_corpus)
     source = [3, 4]
-    assert math.isclose(model.sequence_logprob(source, [EOS]),
+    assert math.isclose(sequence_logprob(model, source, [EOS]),
                         float(model.next_logprobs(source, [SOS])[EOS]),
                         abs_tol=1e-12)
 
@@ -122,7 +122,7 @@ def test_sequence_logprob_chain_rule(ab_corpus, abc_vocab):
     expected = (float(model.next_logprobs(source, [SOS])[a])
                 + float(model.next_logprobs(source, [SOS, a])[b])
                 + float(model.next_logprobs(source, [SOS, a, b])[EOS]))
-    assert math.isclose(model.sequence_logprob(source, [a, b, EOS]), expected,
+    assert math.isclose(sequence_logprob(model, source, [a, b, EOS]), expected,
                         abs_tol=1e-9)
 
 
@@ -136,16 +136,16 @@ def test_sequence_logprob_matches_per_step_recomputation(synth_corpus, synth_gen
         for tok in y:
             total += float(synth_generator.next_logprobs(p.source, prefix)[tok])
             prefix += (tok,)
-        assert math.isclose(synth_generator.sequence_logprob(p.source, y), total,
+        assert math.isclose(sequence_logprob(synth_generator, p.source, y), total,
                             abs_tol=1e-9)
 
 
 def test_sequence_logprob_validates_eos(ab_corpus):
     model = train_generator(ab_corpus)
     with pytest.raises(GeneratorError):
-        model.sequence_logprob([3], [3, 4])  # no terminal EOS
+        sequence_logprob(model, [3], [3, 4])  # no terminal EOS
     with pytest.raises(GeneratorError):
-        model.sequence_logprob([3], [EOS, 3, EOS])  # internal EOS
+        sequence_logprob(model, [3], [EOS, 3, EOS])  # internal EOS
 
 
 def test_partial_scores_strictly_decrease(synth_corpus, synth_generator):
