@@ -350,8 +350,9 @@ def cmd_decode(cfg: RunConfig, args, out_dir: Path):
     out_path = out_dir / f"generations-{args.mode}-{args.split}.jsonl"
     _write_generations(out_path, corpus, hyps)
     print(f"generations: {out_path}")
-    return (f"decode-{args.mode}-{args.split}", [cfg.vocab_path, cfg.generator_model],
-            [out_path])
+    inputs = [cfg.vocab_path, cfg.generator_model, getattr(cfg, f"{args.split}_path")]
+    return (f"decode-{args.mode}-{args.split}",
+            inputs + ([cfg.discriminator_model] if disc is not None else []), [out_path])
 
 
 def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
@@ -428,7 +429,8 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
     _write_rows(zipf_path, zipf_rows, ("system", "rank", "token", "frequency"))
     _write_rows(rep3_path, rep3_rows, ("system", "bucket_low", "bucket_high", "density"))
     print(f"report: {csv_path}")
-    return "evaluate", list(args.systems), [csv_path, json_path, zipf_path, rep3_path]
+    return ("evaluate", [cfg.vocab_path, getattr(cfg, f"{args.split}_path"), *args.systems],
+            [csv_path, json_path, zipf_path, rep3_path])
 
 
 def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
@@ -469,7 +471,8 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
     sweep_path = out_dir / "sweep.csv"
     _write_rows(sweep_path, rows)
     print(f"sweep results: {sweep_path} ({len(rows)} rows)")
-    return "sweep", [], [sweep_path]
+    inputs = [cfg.vocab_path, cfg.generator_model, getattr(cfg, f"{args.split}_path")]
+    return "sweep", inputs + ([cfg.discriminator_model] if disc is not None else []), [sweep_path]
 
 
 # --- argument parsing ---------------------------------------------------------

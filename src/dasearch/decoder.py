@@ -8,15 +8,17 @@ lexicographic token ids. Plain beam search is the same search with no
 discriminator and K_rerank = B: the pool is then never re-scored and every
 result has s_das == s_gen.
 
-A candidate is light: its scores, its parent's rank in the pool's token order
-and its token, which order candidates as their token tuples would. It is
-scored from its parent's prefix state without changing that state. Only the
-B survivors of a step become Hypothesis objects, and each live one takes over
-its parent's prefix state and trigram-block index (copies them when a sibling
-survives too) and extends them by its token. Expansions are memoised by the
-prefix's generator tail and blocked set, and so is the row the forced EOS of a
-member still live at t_max reads. So the only per-step work that grows with
-the prefix is the survivors' token tuples and their siblings' copies."""
+A candidate is light: a tuple of its scores, its parent's rank in the pool's
+token order and its token, which order candidates as their token tuples would.
+PrefixFeaturizer.score_next gives its D from its parent's prefix state in
+O(1), leaving the state as it is, and apply_das_score its s_dis and s_das as
+floats. Only the B survivors of a step, and the members live at t_max, become
+Hypothesis objects. Each live survivor takes over its parent's prefix state
+and trigram-block index (copies them when a sibling survives too) and extends
+them by its token. Expansions are memoised by the prefix's generator tail and
+blocked set, and so is the row the forced EOS of a member still live at t_max
+reads. So the only per-step work that grows with the prefix is the survivors'
+token tuples and their siblings' copies."""
 
 from __future__ import annotations
 
@@ -76,13 +78,14 @@ class SearchConfig:
             raise DecoderError("t_max must be >= 1")
 
 
-def apply_das_score(h: Hypothesis, alpha: float, dis_prob: float) -> Hypothesis:
-    """Fuse generator and discriminator scores: s_das = s_gen + alpha*log(p),
-    with p clamped to at least EPS_DIS (the search counts and logs clamps)."""
+def apply_das_score(s_gen: float, alpha: float, dis_prob: float) -> tuple[float, float]:
+    """Fuse generator and discriminator scores: (s_dis, s_das), s_dis = log(p)
+    and s_das = s_gen + alpha * s_dis, with p clamped to at least EPS_DIS (the
+    search counts and logs clamps)."""
     if dis_prob < EPS_DIS:
         dis_prob = EPS_DIS
     s_dis = math.log(dis_prob)
-    return Hypothesis(h.tokens, h.s_gen, s_dis, h.s_gen + alpha * s_dis, h.ended, h.truncated)
+    return s_dis, s_gen + alpha * s_dis
 
 
 def length_penalty(length: int, beta: float) -> float:
@@ -190,12 +193,12 @@ def _search(generator, discriminator, source, config: SearchConfig):
 
     clamps = 0
 
-    def fuse(h: Hypothesis, state, token: int) -> Hypothesis:
-        """`h` scored by D of its parent's prefix state plus `token`."""
+    def fuse(s_gen: float, state, token: int) -> tuple[float, float]:
+        """(s_dis, s_das) of s_gen and D of a parent's prefix state plus `token`."""
         nonlocal clamps
         dis_prob = featurizer.score_next(state, token)
         clamps += dis_prob < EPS_DIS
-        return apply_das_score(h, config.alpha, dis_prob)
+        return apply_das_score(s_gen, config.alpha, dis_prob)
 
     for _ in range(config.t_max):
         # A candidate is (-s_gen, parent rank, token); an ended member
@@ -217,9 +220,9 @@ def _search(generator, discriminator, source, config: SearchConfig):
         if rerank:
             ranked = []
             for neg_gen, rank, tok in candidates[: config.k_rerank]:
-                # only the scores of a candidate are built unless it survives
-                h = pool[rank] if tok < 0 else fuse(Hypothesis((), -neg_gen), states[rank], tok)
-                ranked.append((-h.s_das, neg_gen, rank, tok, h.s_dis))
+                s_dis, s_das = ((pool[rank].s_dis, pool[rank].s_das) if tok < 0
+                                else fuse(-neg_gen, states[rank], tok))
+                ranked.append((-s_das, neg_gen, rank, tok, s_dis))
             ranked.sort()
             survivors = [(rank, tok, -neg_gen, s_dis, -neg_das)
                          for neg_das, neg_gen, rank, tok, s_dis in ranked[: config.beam_size]]
@@ -259,9 +262,8 @@ def _search(generator, discriminator, source, config: SearchConfig):
         if not h.ended:
             lp_eos = float(ranking(h.tokens)[0][eos])
             s_gen = h.s_gen + lp_eos
-            h = Hypothesis(h.tokens + (eos,), s_gen, None, s_gen, True, True)
-            if rerank:
-                h = fuse(h, states[rank], eos)
+            s_dis, s_das = fuse(s_gen, states[rank], eos) if rerank else (None, s_gen)
+            h = Hypothesis(h.tokens + (eos,), s_gen, s_dis, s_das, True, True)
         final.append(h)
     if clamps:
         log.warning("%d discriminator probabilities clamped to %g in one search",

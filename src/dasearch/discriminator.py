@@ -104,11 +104,6 @@ def _hash(key: str, d_hash: int) -> int:
     return zlib.crc32(key.encode()) % d_hash
 
 
-def _repetition(distinct: int, t: int, n: int) -> float:
-    """metrics.repetition_n / 100 of a t-token prefix with `distinct` n-grams."""
-    return (100.0 * (1.0 - distinct / (t - n + 1))) / 100.0 if t >= n else 0.0
-
-
 def logit(bias: float, dense_w, dense, S: float, t: int) -> float:
     """The discriminator's logit of a t-token prefix, z = (bias + zd) + S / t.
     zd sums dense_w[j] * dense[j] left to right from 0.0. S sums, from 0.0,
@@ -116,10 +111,10 @@ def logit(bias: float, dense_w, dense, S: float, t: int) -> float:
     unigram index, then its bigram index. So an index hit c times has the
     value c / t. Training, the search and every scorer use this arithmetic;
     none takes a dot product, whose result depends on the BLAS kernel."""
-    zd = 0.0
-    for w, x in zip(dense_w, dense):
-        zd += w * x
-    return (bias + zd) + S / t
+    w0, w1, w2, w3, w4, w5, w6 = dense_w
+    d0, d1, d2, d3, d4, d5, d6 = dense
+    return (bias + (0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5
+                    + w6 * d6)) + S / t
 
 
 class PrefixState:
@@ -157,11 +152,12 @@ class PrefixFeaturizer:
 
     Made with a model, it scores prefixes under the model's weights as they
     are when it is made: `advance` also adds the weights of the hits to the
-    state's S, and `score` gives D in O(1); `score_next` gives D of the state
-    plus one token without changing the state. It memoises the column of
-    every (token, bit) unigram and (a, b, bit) bigram key it meets, and the
-    model's weight of every column, so make one per search or per training
-    set and the memo lives no longer than that."""
+    state's S, and `score` gives D in O(1); `score_next`, the search's scorer,
+    gives D of the state plus one token in one straight-line pass over the
+    state's fields, without changing it. It memoises the column of every
+    (token, bit) unigram and (a, b, bit) bigram key it meets, and the model's
+    weight of every column, so make one per search or per training set and
+    the memo lives no longer than that."""
 
     def __init__(self, config: FeatureConfig, model: "DiscriminatorModel | None" = None):
         self.config = config
@@ -169,85 +165,75 @@ class PrefixFeaturizer:
         self._column_of: dict[int, int] = {}
         self._unigram: dict[tuple[int, int], int] = {}
         self._bigram: dict[tuple[int, int, int], int] = {}
+        self._logfreq, self._t_max = config.logfreq, config.t_max
         self._model = model
         if model is not None:
             self._bias, self._dense_w = float(model.bias), model.dense_w.tolist()
             self._weights: list[float] = []
 
-    def _column(self, key: str) -> int:
-        index = _hash(key, self.config.d_hash)
+    def _new_column(self, memo: dict, key: tuple) -> int:
+        """Number a new unigram (token, bit) or bigram (a, b, bit) key's column in `memo`."""
+        name = f"u:{key[0]}:{key[1]}" if len(key) == 2 else f"b:{key[0]}_{key[1]}:{key[2]}"
+        index = _hash(name, self.config.d_hash)
         column = self._column_of.get(index)
         if column is None:
             column = self._column_of[index] = len(self.columns)
             self.columns.append(index)
             if self._model is not None:
                 self._weights.append(self._model.sparse_w.item(index))
+        memo[key] = column
         return column
 
     def state_of(self, source) -> PrefixState:
         """The state of the empty prefix of `source`."""
         return PrefixState(frozenset(source) if self.config.use_source else frozenset())
 
-    def _extended(self, state: PrefixState, token: int):
-        """`state` with `token` appended, as (t, in_source, logfreq_sum,
-        distinct, last, S, hits), leaving `state` as it is. The hits are the
-        column of the token's unigram, then that of its bigram if it has a
-        predecessor."""
-        src, last, grams = state.source_set, state.last, state.grams
-        bit = int(token in src)
-        logfreq_sum = state.logfreq_sum
-        if self.config.logfreq:
-            logfreq_sum = logfreq_sum + self.config.logfreq[token]
-        d1, d2, d3 = state.distinct
-        d1 += token not in grams
-        key = (token, bit)
-        u = self._unigram.get(key)
-        if u is None:
-            u = self._unigram[key] = self._column(f"u:{token}:{bit}")
-        if last:
-            a = last[-1]
-            d2 += (a, token) not in grams
-            if len(last) == 2:
-                d3 += (last[0], a, token) not in grams
-            key = (a, token, int(bit and a in src))
-            b = self._bigram.get(key)
-            if b is None:
-                b = self._bigram[key] = self._column(f"b:{a}_{token}:{key[2]}")
-            hits = (u, b)
-        else:
-            hits = (u,)
-        S = state.S
-        if self._model is not None:
-            weights = self._weights
-            S = S + weights[u]
-            if last:
-                S = S + weights[b]
-        return (state.t + 1, state.in_source + bit, logfreq_sum, (d1, d2, d3),
-                (last[-1], token) if last else (token,), S, hits)
-
     def advance(self, state: PrefixState, token: int) -> tuple[int, ...]:
         """Append `token` to `state` in place; returns its hits: the column of
         its unigram, then that of its bigram if it has a predecessor."""
-        last, grams = state.last, state.grams
-        (state.t, state.in_source, state.logfreq_sum, state.distinct, state.last, state.S,
-         hits) = self._extended(state, token)
+        src, grams, last = state.source_set, state.grams, state.last
+        bit = 1 if token in src else 0
+        u = self._unigram.get((token, bit))
+        if u is None:
+            u = self._new_column(self._unigram, (token, bit))
+        state.t += 1
+        state.in_source += bit
+        if self._logfreq:
+            state.logfreq_sum = state.logfreq_sum + self._logfreq[token]
+        d1, d2, d3 = state.distinct
+        d1 += token not in grams
         grams.add(token)
         if last:
-            grams.add((last[-1], token))
+            a = last[-1]
+            d2 += (a, token) not in grams
+            grams.add((a, token))
             if len(last) == 2:
-                grams.add((*last, token))
+                d3 += (last[0], a, token) not in grams
+                grams.add((last[0], a, token))
+            key = (a, token, 1 if bit and a in src else 0)
+            b = self._bigram.get(key)
+            if b is None:
+                b = self._new_column(self._bigram, key)
+            hits, state.last = (u, b), (a, token)
+        else:
+            hits, state.last = (u,), (token,)
+        state.distinct = (d1, d2, d3)
+        if self._model is not None:
+            for k in hits:
+                state.S = state.S + self._weights[k]
         return hits
 
-    def _dense(self, t: int, in_source: int, logfreq_sum, distinct, last_token: int) -> list:
-        cfg = self.config
-        d1, d2, d3 = distinct
+    def _dense(self, t: int, in_source: int, logfreq_sum, d1: int, d2: int, d3: int,
+               last_token: int) -> list:
+        """A t-token prefix's dense values; rep<n> is metrics.repetition_n / 100."""
+        t_max = self._t_max
         return [
-            min(t, cfg.t_max) / cfg.t_max,
+            min(t, t_max) / t_max,
             in_source / t,
-            _repetition(d1, t, 1),
-            _repetition(d2, t, 2),
-            _repetition(d3, t, 3),
-            logfreq_sum / t if cfg.logfreq else 0.0,
+            (100.0 * (1.0 - d1 / t)) / 100.0,
+            (100.0 * (1.0 - d2 / (t - 1))) / 100.0 if t >= 2 else 0.0,
+            (100.0 * (1.0 - d3 / (t - 2))) / 100.0 if t >= 3 else 0.0,
+            logfreq_sum / t if self._logfreq else 0.0,
             1.0 if last_token == Vocabulary.eos else 0.0,
         ]
 
@@ -255,7 +241,7 @@ class PrefixFeaturizer:
         """The dense values of the state's prefix, in DENSE_FEATURES order."""
         if state.t == 0:
             raise DiscriminatorError("empty prefix")
-        return self._dense(state.t, state.in_source, state.logfreq_sum, state.distinct,
+        return self._dense(state.t, state.in_source, state.logfreq_sum, *state.distinct,
                            state.last[-1])
 
     def score(self, state: PrefixState) -> float:
@@ -264,10 +250,29 @@ class PrefixFeaturizer:
 
     def score_next(self, state: PrefixState, token: int) -> float:
         """D of the state's prefix plus `token`, leaving `state` as it is: bit
-        for bit `score` after `advance` on a copy of the state, without the
-        copy."""
-        t, in_source, logfreq_sum, distinct, _, S, _ = self._extended(state, token)
-        dense = self._dense(t, in_source, logfreq_sum, distinct, token)
+        for bit `score` after `advance` on a copy of the state, in O(1) without
+        the copy or the hits, through the one `_dense` and `logit`."""
+        src, grams, last = state.source_set, state.grams, state.last
+        bit = 1 if token in src else 0
+        u = self._unigram.get((token, bit))
+        if u is None:
+            u = self._new_column(self._unigram, (token, bit))
+        S = state.S + self._weights[u]
+        d1, d2, d3 = state.distinct
+        d1 += token not in grams
+        if last:
+            a = last[-1]
+            d2 += (a, token) not in grams
+            if len(last) == 2:
+                d3 += (last[0], a, token) not in grams
+            key = (a, token, 1 if bit and a in src else 0)
+            b = self._bigram.get(key)
+            if b is None:
+                b = self._new_column(self._bigram, key)
+            S = S + self._weights[b]
+        t = state.t + 1
+        logfreq_sum = state.logfreq_sum + self._logfreq[token] if self._logfreq else 0
+        dense = self._dense(t, state.in_source + bit, logfreq_sum, d1, d2, d3, token)
         return _sigmoid(logit(self._bias, self._dense_w, dense, S, t))
 
 

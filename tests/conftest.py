@@ -103,7 +103,8 @@ def reference_search(generator, discriminator, source, config: SearchConfig):
             states[h.tokens] = state
             dis_prob = featurizer.score(state)
             clamps += dis_prob < EPS_DIS
-            return apply_das_score(h, config.alpha, dis_prob)
+            s_dis, s_das = apply_das_score(h.s_gen, config.alpha, dis_prob)
+            return Hypothesis(h.tokens, h.s_gen, s_dis, s_das, h.ended, h.truncated)
         return Hypothesis(h.tokens, h.s_gen, None, h.s_gen, h.ended, h.truncated)
 
     expand, _ = _expansion(generator, source, config.k_rerank)
@@ -152,7 +153,8 @@ def exhaustive_oracle(generator, discriminator, source, alpha: float, t_max: int
             s_gen = sequence_logprob(generator, source, y)
             h = Hypothesis(tokens=(Vocabulary.sos,) + y, s_gen=s_gen, s_das=s_gen, ended=True)
             if discriminator is not None and alpha > 0.0:
-                h = apply_das_score(h, alpha, discriminator.score(source, y))
+                s_dis, s_das = apply_das_score(s_gen, alpha, discriminator.score(source, y))
+                h = Hypothesis(h.tokens, s_gen, s_dis, s_das, ended=True)
             if best is None or _rank_das(h) < _rank_das(best):
                 best = h
     return best

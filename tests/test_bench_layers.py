@@ -3,11 +3,14 @@ methods of dasearch from outside. This checks that it still finds every one
 of them and that unwrapping restores the originals, so deleting or renaming
 a name the benchmark measures fails here too."""
 
+import logging
 import sys
 from pathlib import Path
 
 # every module the benchmark patches is loaded, so the snapshots below cover them all
 from dasearch import cli, corpus, decoder, discriminator, generator, metrics, selftrain  # noqa: F401
+from dasearch.decoder import SearchConfig
+from dasearch.discriminator import DiscriminatorModel, FeatureConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +51,28 @@ def test_bench_layers_wrap_every_boundary_and_unpatch_restores_it(monkeypatch):
     assert during[("dasearch.cli", "das_beam_search")] is not decoder.das_beam_search
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_clamp_count_equals_the_searches_warnings(monkeypatch, caplog, synth_corpus,
+                                                         synth_generator):
+    """The benchmark counts clamps by wrapping decoder.apply_das_score and
+    reading its third argument, the probability: the search must call it
+    through the module, once per discriminator-scored candidate."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer
+
+    disc = DiscriminatorModel.zeros(FeatureConfig(d_hash=64, t_max=20))
+    disc.bias = -50.0  # D < EPS_DIS everywhere
+    config = SearchConfig(beam_size=2, k_rerank=4, t_max=20)
+    bench_tracer = tracer.Tracer()
+    try:
+        layers.instrument(bench_tracer)
+        with caplog.at_level(logging.WARNING, logger="dasearch.decoder"):
+            for p in synth_corpus.pairs[:3]:
+                decoder.das_beam_search(synth_generator, disc, p.source, config)
+    finally:
+        bench_tracer.unpatch()
+    assert len(caplog.records) == 3
+    assert bench_tracer.counts["decoder.eps_clamps"] == sum(rec.args[0]
+                                                            for rec in caplog.records)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import random
@@ -227,6 +228,34 @@ def test_manifest_records_output_hashes(pipeline):
 
     digest = hashlib.sha256(Path(gen_path).read_bytes()).hexdigest()
     assert manifest["outputs"][gen_path] == digest
+
+
+def test_manifests_list_every_file_a_command_read(pipeline, tmp_path):
+    _, cfg_path = pipeline
+    cfg = RunConfig.from_file(cfg_path)
+    path = derive_config(cfg_path, tmp_path)
+    system = str(tmp_path / "generations-plain-validation.jsonl")
+    sweep = ["--k-rerank", "1", "--subset-size", "2", "--repetitions", "1",
+             "--split", "validation"]
+    models = [cfg.vocab_path, cfg.generator_model]
+    runs = [  # (arguments, manifest, the files the command read)
+        (["decode", "--mode", "das", "--split", "test"], "decode-das-test",
+         models + [cfg.test_path, cfg.discriminator_model]),
+        (["decode", "--mode", "das", "--split", "test", "--alpha", "0"], "decode-das-test",
+         models + [cfg.test_path]),
+        (["decode", "--mode", "plain", "--split", "validation"], "decode-plain-validation",
+         models + [cfg.validation_path]),
+        (["evaluate", "--split", "validation", "--systems", system], "evaluate",
+         [cfg.vocab_path, cfg.validation_path, system]),
+        (["sweep", "--alphas", "0,1", *sweep], "sweep",
+         models + [cfg.validation_path, cfg.discriminator_model]),
+        (["sweep", "--alphas", "0", *sweep], "sweep", models + [cfg.validation_path]),
+    ]
+    for argv, name, read in runs:
+        assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+        manifest = json.loads((tmp_path / f"manifest-{name}.json").read_text())
+        assert manifest["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                                      for p in read}, argv
 
 
 def test_evaluate_writes_reports(pipeline):

@@ -71,29 +71,26 @@ def test_extend_with_eos_ends_hypothesis():
 
 
 def test_das_score_arithmetic():
-    h = Hypothesis(tokens=(SOS, 3), s_gen=-2.0)
-    scored = apply_das_score(h, alpha=1.0, dis_prob=0.5)
-    assert math.isclose(scored.s_das, -2.0 + math.log(0.5), abs_tol=1e-12)
-    assert math.isclose(scored.s_dis, math.log(0.5), abs_tol=1e-12)
+    s_dis, s_das = apply_das_score(-2.0, alpha=1.0, dis_prob=0.5)
+    assert math.isclose(s_das, -2.0 + math.log(0.5), abs_tol=1e-12)
+    assert math.isclose(s_dis, math.log(0.5), abs_tol=1e-12)
 
 
 def test_das_score_alpha_zero_recovers_generator_score():
-    h = Hypothesis(tokens=(SOS, 3), s_gen=-2.0)
-    assert apply_das_score(h, alpha=0.0, dis_prob=0.01).s_das == -2.0
+    assert apply_das_score(-2.0, alpha=0.0, dis_prob=0.01)[1] == -2.0
 
 
 def test_alpha_scales_discriminator_term_linearly():
-    h = Hypothesis(tokens=(SOS, 3), s_gen=-1.0)
-    lift5 = apply_das_score(h, 5.0, 0.3).s_das - h.s_gen
-    lift_half = apply_das_score(h, 0.5, 0.3).s_das - h.s_gen
+    s_gen = -1.0
+    lift5 = apply_das_score(s_gen, 5.0, 0.3)[1] - s_gen
+    lift_half = apply_das_score(s_gen, 0.5, 0.3)[1] - s_gen
     assert math.isclose(lift5, 10.0 * lift_half, abs_tol=1e-12)
 
 
 def test_zero_probability_clamped_and_flagged(caplog):
-    h = Hypothesis(tokens=(SOS, 3), s_gen=-1.0)
     with caplog.at_level(logging.WARNING, logger="dasearch.decoder"):
-        scored = apply_das_score(h, 1.0, 0.0)
-    assert math.isclose(scored.s_dis, math.log(1e-9), abs_tol=1e-12)
+        s_dis, _ = apply_das_score(-1.0, 1.0, 0.0)
+    assert math.isclose(s_dis, math.log(1e-9), abs_tol=1e-12)
     assert not caplog.records  # the search that clamped says so, once
 
 
@@ -103,7 +100,7 @@ def test_one_clamp_warning_per_search_that_clamped(synth_corpus, synth_generator
 
     calls = []
     monkeypatch.setattr(decoder, "apply_das_score",
-                        lambda h, alpha, p: calls.append(p) or apply_das_score(h, alpha, p))
+                        lambda s_gen, alpha, p: calls.append(p) or apply_das_score(s_gen, alpha, p))
     disc = DiscriminatorModel.zeros(FeatureConfig(d_hash=64, t_max=20))
     config = SearchConfig(beam_size=2, k_rerank=4, t_max=20)
     sources = [p.source for p in synth_corpus.pairs[:3]]
@@ -531,6 +528,37 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, monkeypatch, 
         assert counts["advance"] <= config.beam_size * steps
         assert counts["copy"] <= config.beam_size * steps
         assert tails and len(tails) == len(set(tails))
+
+
+@pytest.mark.parametrize("t_max", [60, 4], ids=["ends", "truncates"])
+def test_only_survivors_become_hypothesis_objects(synth_corpus, synth_generator, monkeypatch,
+                                                  trained_disc, t_max):
+    """A scored candidate is a tuple of numbers until it survives: a fused
+    search builds at most beam_size Hypothesis objects per step, plus the
+    first pool's. A step is a prefix length the search scores candidates at;
+    the forced EOS of the members live at t_max is one more."""
+    from dasearch import decoder
+
+    built, lengths = [], set()
+
+    class CountedHypothesis(Hypothesis):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    score_next = PrefixFeaturizer.score_next
+    monkeypatch.setattr(decoder, "Hypothesis", CountedHypothesis)
+    monkeypatch.setattr(PrefixFeaturizer, "score_next", lambda self, state, token: (
+        lengths.add(state.t) or score_next(self, state, token)))
+    config = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=t_max)
+    truncated = 0
+    for p in synth_corpus.pairs[:10]:
+        built.clear()
+        lengths.clear()
+        beam = das_beam_search(synth_generator, trained_disc, p.source, config)
+        truncated += sum(h.truncated for h in beam)
+        assert built and len(built) <= config.beam_size * len(lengths) + config.beam_size
+    assert bool(truncated) == (t_max == 4)
 
 
 def test_search_asks_the_generator_once_per_context(synth_corpus):

@@ -235,7 +235,8 @@ def feature_configs(draw, n_vocab):
         counts = np.array(draw(st.lists(st.integers(1, 50), min_size=n_vocab,
                                         max_size=n_vocab), label="counts"), dtype=float)
         values = np.log(counts / counts.sum())
-        # from_corpus keeps numpy scalars; a loaded model file holds Python floats
+        # a hand-built config may hold numpy scalars; from_corpus (math.log) and a
+        # loaded model file hold Python floats
         logfreq = tuple(values) if draw(st.booleans(), label="numpy") else tuple(
             values.tolist())
     return FeatureConfig(d_hash=draw(st.sampled_from([1, 2, 7, 2 ** 16]), label="d_hash"),
