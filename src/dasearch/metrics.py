@@ -4,7 +4,12 @@ top-k frequency (Zipf) report and the repeated-3-gram position histogram.
 Novelty and repetition both count n-gram instances (not types); repetition is
 the duplicated-mass fraction 1 - types/instances. Each count is taken by one
 private function (`_novel`, `_distinct`, `_clipped`); per-summary, pooled and
-micro figures are reductions of those counts. Deltas follow
+micro figures are reductions of those counts. `evaluate_system` takes each
+count once per call: a text's n-grams once per n, for both its novelty and its
+repetition; a source's n-gram set once per n, for both the model's and the
+human side; the clipped overlap once per scored pair, for BLEU-1 (per pair or
+micro) and ROUGE-1. Means fold left to right from 0.0, so a report's bits do
+not depend on the Python version's `sum`. Deltas follow
 delta(m) = m_human - m_model, so a negative delta-len means the model output
 is longer than the reference.
 """
@@ -20,33 +25,43 @@ class MetricsError(ValueError):
     pass
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise MetricsError(f"n-gram order n must be at least 1, got n={n}")
+
+
 def _ngrams(tokens, n: int) -> list[tuple]:
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    return list(zip(*[tokens[i:] for i in range(n)]))
 
 
-def _novel(summary, source, n: int) -> tuple[int, int]:
-    """(novel, instances): summary n-gram instances absent from the source."""
-    source_grams = set(_ngrams(source, n))
-    grams = _ngrams(summary, n)
-    return sum(1 for g in grams if g not in source_grams), len(grams)
+def _novel(grams, source_grams) -> tuple[int, int]:
+    """(novel, instances): n-gram instances absent from the source's n-gram set."""
+    return len(grams) - sum(map(source_grams.__contains__, grams)), len(grams)
 
 
-def _distinct(summary, n: int) -> tuple[int, int]:
-    """(types, instances) of the summary's n-grams."""
-    grams = _ngrams(summary, n)
+def _distinct(grams) -> tuple[int, int]:
+    """(types, instances) of a text's n-grams."""
     return len(set(grams)), len(grams)
+
+
+def _novelty(novel: int, instances: int) -> float | None:
+    return 100.0 * novel / instances if instances else None
+
+
+def _repetition(types: int, instances: int) -> float | None:
+    return 100.0 * (1.0 - types / instances) if instances else None
 
 
 def novelty_n(summary, source, n: int) -> float | None:
     """Percentage of summary n-gram instances absent from the source."""
-    novel, instances = _novel(summary, source, n)
-    return 100.0 * novel / instances if instances else None
+    _check_n(n)
+    return _novelty(*_novel(_ngrams(summary, n), set(_ngrams(source, n))))
 
 
 def repetition_n(summary, n: int) -> float | None:
     """Percentage of duplicated n-gram mass: 100 * (1 - types/instances)."""
-    types, instances = _distinct(summary, n)
-    return 100.0 * (1.0 - types / instances) if instances else None
+    _check_n(n)
+    return _repetition(*_distinct(_ngrams(summary, n)))
 
 
 def delta(m_human: float, m_model: float) -> float:
@@ -88,14 +103,24 @@ def rouge1(hypothesis, reference) -> tuple[float, float, float]:
 
 
 def lcs_length(a, b) -> int:
-    """Classic dynamic program."""
-    prev = [0] * (len(b) + 1)
+    """Length of the longest common subsequence of `a` and `b`.
+
+    Bit-parallel (Allison & Dix 1986, in Hyyro's 2004 form). Bit j of `v` is
+    clear where the dynamic-programming row over `b` steps up by one at
+    column j, so the length is the count of clear bits. Each element of `a`
+    updates the whole row with a few operations on a Python int of len(b)
+    bits: O(|a| * ceil(|b| / w)) word operations (w = 30 for CPython's int
+    digits) against the classic table's O(|a| * |b|) steps, for the same
+    integer."""
+    match: dict = {}
+    for j, y in enumerate(b):
+        match[y] = match.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rougeL(hypothesis, reference) -> tuple[float, float, float]:
@@ -122,6 +147,7 @@ def repetition_position_hist(generations, n: int = 3, buckets: int = 10):
     A repeated occurrence is the second-or-later instance of an n-gram type
     within one summary; its relative position is start_index / number_of_starts.
     """
+    _check_n(n)
     if not generations:
         raise MetricsError("no generations")
     edges = [i / buckets for i in range(buckets + 1)]
@@ -168,8 +194,14 @@ class MetricReport:
 
 
 def _mean(values) -> float:
-    vals = [v for v in values if v is not None]
-    return sum(vals) / len(vals) if vals else 0.0
+    """Mean of the non-None values, 0 without any; summed left to right from
+    0.0, not by `sum`, which compensates since Python 3.12."""
+    total, count = 0.0, 0
+    for v in values:
+        if v is not None:
+            total += v
+            count += 1
+    return total / count if count else 0.0
 
 
 def _pooled(counts) -> float:
@@ -181,16 +213,21 @@ def _pooled(counts) -> float:
     return 100.0 * part / whole if whole else 0.0
 
 
-def micro_bleu1(pairs) -> float:
-    """Corpus-level clipped precision over pooled counts, in [0, 1]."""
+def _micro_bleu(counts) -> float:
+    """BLEU of (clipped, hyp_len, ref_len) counts pooled over the corpus."""
     clipped = hyp_len = ref_len = 0
-    for hyp, ref in pairs:
-        clipped += _clipped(hyp, ref, "bleu1")
-        hyp_len += len(hyp)
-        ref_len += len(ref)
+    for c, h, r in counts:
+        clipped += c
+        hyp_len += h
+        ref_len += r
     if hyp_len == 0:
         raise MetricsError("micro_bleu1 requires at least one pair")
     return _bleu(clipped, hyp_len, ref_len)
+
+
+def micro_bleu1(pairs) -> float:
+    """Corpus-level clipped precision over pooled counts, in [0, 1]."""
+    return _micro_bleu((_clipped(hyp, ref, "bleu1"), len(hyp), len(ref)) for hyp, ref in pairs)
 
 
 def evaluate_system(generations: dict, corpus, system: str = "model",
@@ -207,28 +244,40 @@ def evaluate_system(generations: dict, corpus, system: str = "model",
         raise MetricsError(f"missing generations for ids: {missing[:5]}"
                            + ("..." if len(missing) > 5 else ""))
 
-    sources = [p.source for p in corpus.pairs]
+    orders = (1, 3)
+    gens = [tuple(generations[p.id]) for p in corpus.pairs]
+    sides = {"model": gens, "human": [p.reference for p in corpus.pairs]}
+    # per-text (novel, instances) and (types, instances) by side and n; one
+    # source's n-gram set at a time serves both sides
+    novel = {(side, n): [] for side in sides for n in orders}
+    distinct = {(side, n): [] for side in sides for n in orders}
+    for i, p in enumerate(corpus.pairs):
+        for n in orders:
+            source_grams = set(_ngrams(p.source, n))
+            for side, texts in sides.items():
+                grams = _ngrams(texts[i], n)
+                novel[side, n].append(_novel(grams, source_grams))
+                distinct[side, n].append(_distinct(grams))
 
-    def stats(texts) -> dict:
-        out = {"len": _mean([len(t) for t in texts])}
-        for n in (1, 3):
+    def stats(side) -> dict:
+        out = {"len": _mean([len(t) for t in sides[side]])}
+        for n in orders:
             if pooled:
-                out[f"nov{n}"] = _pooled(_novel(t, src, n) for t, src in zip(texts, sources))
+                out[f"nov{n}"] = _pooled(novel[side, n])
                 out[f"rep{n}"] = _pooled((instances - types, instances)
-                                         for types, instances in (_distinct(t, n) for t in texts))
+                                         for types, instances in distinct[side, n])
             else:
-                out[f"nov{n}"] = _mean([novelty_n(t, src, n) for t, src in zip(texts, sources)])
-                out[f"rep{n}"] = _mean([repetition_n(t, n) for t in texts])
+                out[f"nov{n}"] = _mean([_novelty(*c) for c in novel[side, n]])
+                out[f"rep{n}"] = _mean([_repetition(*c) for c in distinct[side, n]])
         return out
 
-    gens = [tuple(generations[p.id]) for p in corpus.pairs]
-    model = stats(gens)
-    human = stats([p.reference for p in corpus.pairs])
+    model, human = stats("model"), stats("human")
 
     scored = [(gen, p.reference) for gen, p in zip(gens, corpus.pairs) if gen]
-    b1 = micro_bleu1(scored) if bleu_micro else _mean([bleu1(g, r) for g, r in scored])
-    r1 = [rouge1(g, r) for g, r in scored]
-    rl = [rougeL(g, r) for g, r in scored]
+    clipped = [(_clipped(g, r, "bleu1"), len(g), len(r)) for g, r in scored]
+    b1 = _micro_bleu(clipped) if bleu_micro else _mean([_bleu(*c) for c in clipped])
+    r1 = [_prf(c, g, r) for (c, _, _), (g, r) in zip(clipped, scored)]
+    rl = [_prf(lcs_length(g, r), g, r) for g, r in scored]
 
     return MetricReport(
         system=system,
@@ -249,4 +298,3 @@ def evaluate_system(generations: dict, corpus, system: str = "model",
         d_rep1=delta(human["rep1"], model["rep1"]),
         d_rep3=delta(human["rep3"], model["rep3"]),
     )
-

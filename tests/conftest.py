@@ -1,8 +1,9 @@
 """Shared fixtures and helpers: tiny hand-built corpora, a small synthetic
 setup, a sequence's generator log-probability by the chain rule, the
-exhaustive search that a saturated beam must equal, and the reference beam
+exhaustive search that a saturated beam must equal, the reference beam
 search that builds every candidate in full, which the search must equal bit
-for bit."""
+for bit, and the classic longest-common-subsequence table that the
+bit-parallel `metrics.lcs_length` must equal."""
 
 import itertools
 
@@ -42,6 +43,18 @@ def sequence_logprob(generator, source, y) -> float:
         total += float(generator.next_logprobs(source, prefix)[tok])
         prefix = prefix + (tok,)
     return total
+
+
+def lcs_dp(a, b) -> int:
+    """Longest common subsequence length by the classic O(|a| * |b|) table,
+    one row at a time."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
 
 
 def _rank_gen(h: Hypothesis):

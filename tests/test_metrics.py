@@ -1,13 +1,15 @@
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import asdict
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dasearch import metrics
 from dasearch.corpus import Corpus, DocumentPair
 from dasearch.metrics import (
     MetricReport,
@@ -25,7 +27,7 @@ from dasearch.metrics import (
     zipf_report,
 )
 
-from conftest import make_corpus, make_vocab
+from conftest import lcs_dp, make_corpus, make_vocab
 
 
 # --- novelty ------------------------------------------------------------------
@@ -47,6 +49,16 @@ def test_novelty_single_novel_trigram_is_hundred():
 
 def test_novelty_undefined_for_short_summary():
     assert novelty_n(["a", "b"], ["a"], 3) is None
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_ngram_order_below_one_is_rejected(n):
+    with pytest.raises(MetricsError, match=f"n={n}"):
+        novelty_n((3, 4, 5), (3, 4), n)
+    with pytest.raises(MetricsError, match=f"n={n}"):
+        repetition_n((3, 4, 5), n)
+    with pytest.raises(MetricsError, match=f"n={n}"):
+        repetition_position_hist([(3, 4, 5, 3, 4, 5)], n=n)
 
 
 # --- repetition ---------------------------------------------------------------
@@ -169,6 +181,19 @@ def test_lcs_matches_memoized_recursion():
         assert lcs_length(a, b) == rec(a, b)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_lcs_matches_the_classic_table(data):
+    # lengths up to t_max + 1 at the default t_max of 140, across the 30-bit
+    # digits of the bit-parallel row; small alphabets make long matches
+    symbols = st.integers(0, data.draw(st.integers(1, 12), label="alphabet size") - 1)
+    a, b = (data.draw(st.integers(0, 141).flatmap(
+        lambda n: st.lists(symbols, min_size=n, max_size=n)), label=name) for name in "ab")
+    expected = lcs_dp(a, b)
+    assert lcs_length(a, b) == expected
+    assert lcs_length(b, a) == expected
+
+
 # --- corpus-level reports ---------------------------------------------------------
 
 
@@ -280,6 +305,37 @@ def test_percentage_metrics_bounded(hand_corpus):
         assert 0.0 <= value <= 100.0
 
 
+@pytest.mark.parametrize("bleu_micro,pooled", itertools.product((False, True), repeat=2))
+def test_each_count_is_taken_once_per_call(hand_corpus, monkeypatch, bleu_micro, pooled):
+    built, clipped = Counter(), Counter()
+    ngrams, clip = metrics._ngrams, metrics._clipped
+
+    def counting_ngrams(tokens, n):
+        built[tuple(tokens), n] += 1
+        return ngrams(tokens, n)
+
+    def counting_clipped(hypothesis, reference, name):
+        clipped[tuple(hypothesis), tuple(reference)] += 1
+        return clip(hypothesis, reference, name)
+
+    monkeypatch.setattr(metrics, "_ngrams", counting_ngrams)
+    monkeypatch.setattr(metrics, "_clipped", counting_clipped)
+    gens = {"p0": (3, 3, 4), "p1": (4, 5, 6, 4), "p2": ()}  # p2 is not scored
+    evaluate_system(gens, hand_corpus, bleu_micro=bleu_micro, pooled=pooled)
+    pairs = hand_corpus.pairs
+    texts = ([gens[p.id] for p in pairs] + [p.reference for p in pairs]
+             + [p.source for p in pairs])
+    assert built == Counter((tuple(t), n) for t in texts for n in (1, 3))
+    assert clipped == Counter((gens[p.id], p.reference) for p in pairs if gens[p.id])
+
+
+def test_mean_sums_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so a left-to-right sum gives 0.0 where a
+    # compensated one (the builtin sum since Python 3.12) keeps the 1.0
+    assert metrics._mean([1e16, 1.0, None, -1e16]) == 0.0
+    assert metrics._mean([]) == metrics._mean([None]) == 0.0
+
+
 # --- every figure against separately counted arithmetic ------------------------------
 
 
@@ -289,13 +345,14 @@ def _grams(tokens, n):
 
 def separate_counts_report(generations, corpus, system, bleu_micro, pooled) -> dict:
     """evaluate_system's fields with every figure counted by its own code, as
-    metrics.py computed them before the counts were shared: the shared-count
-    reductions must give the same floats, bit for bit."""
+    metrics.py computed them before the counts were shared, and ROUGE-L by the
+    classic LCS table: the shared-count reductions must give the same floats,
+    bit for bit."""
     sources = [p.source for p in corpus.pairs]
 
     def mean(values):
         vals = [v for v in values if v is not None]
-        return sum(vals) / len(vals) if vals else 0.0
+        return reduce(operator.add, vals, 0.0) / len(vals) if vals else 0.0
 
     def novelty(t, src, n):
         if len(t) < n:
@@ -374,7 +431,7 @@ def separate_counts_report(generations, corpus, system, bleu_micro, pooled) -> d
     scored = [(g, p.reference) for g, p in zip(gens, corpus.pairs) if g]
     b1 = micro(scored) if bleu_micro else mean([bleu(g, r) for g, r in scored])
     r1 = [prf(unigram_overlap(g, r), g, r) for g, r in scored]
-    rl = [prf(lcs_length(g, r), g, r) for g, r in scored]
+    rl = [prf(lcs_dp(g, r), g, r) for g, r in scored]
     return {
         "system": system, "n_pairs": len(corpus.pairs), "len_mean": model["len"],
         "nov1": model["nov1"], "nov3": model["nov3"], "rep1": model["rep1"],
