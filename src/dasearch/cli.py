@@ -39,7 +39,13 @@ from dasearch.corpus import (
     save_corpus,
     write_records,
 )
-from dasearch.decoder import SearchConfig, das_beam_search, decode_corpus, hypothesis_content
+from dasearch.decoder import (
+    SearchConfig,
+    das_beam_search,
+    decode_corpus,
+    hypothesis_content,
+    plain_settings,
+)
 from dasearch.discriminator import DiscriminatorModel
 from dasearch.generator import NGramCopyModel, train_generator
 from dasearch.metrics import evaluate_system
@@ -155,10 +161,10 @@ class RunConfig:
 
     def search_config(self, mode: str = "das") -> SearchConfig:
         """The search `dasearch decode --mode <mode>` runs: plain search is the
-        fused search with a rerank pool of beam_size and alpha = 0."""
+        fused search with the decoder's plain_settings."""
         if mode == "das":
             return self._view(SearchConfig)
-        return self._view(SearchConfig, k_rerank=self.beam_size, alpha=0.0)
+        return self._view(SearchConfig, **plain_settings(self.beam_size))
 
     def disc_hparams(self) -> DiscriminatorHparams:
         return self._view(DiscriminatorHparams,
@@ -235,6 +241,8 @@ def _reusable_bootstrap(path: str, provenance: dict[str, str]):
     model = DiscriminatorModel.load(path)
     if model.provenance is None:
         return None, f"{path} is a v1 file"
+    if not model.provenance:
+        return None, f"{path} records no provenance"
     for key in {**provenance, **model.provenance}:
         if model.provenance.get(key) != provenance.get(key):
             return None, f"{key} differs"

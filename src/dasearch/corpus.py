@@ -49,6 +49,20 @@ def read_header(f, key: str, many: bool = False):
     return values if many else values[0]
 
 
+def read_body(f, lineno: int, parse) -> dict:
+    """{key: value} of the lines left in model file `f`, whose next line is
+    line `lineno`: `parse` maps a line's fields to its (key, value). A line
+    whose key an earlier line holds raises ValueError naming both lines."""
+    body, first_line = {}, {}
+    for n, line in enumerate(f, start=lineno):
+        key, value = parse(line.split())
+        first = first_line.setdefault(key, n)
+        if first != n:
+            raise ValueError(f"line {n}: {line.strip()!r} repeats the key of line {first}")
+        body[key] = value
+    return body
+
+
 @contextmanager
 def atomic_write(path, newline: str | None = None):
     """A UTF-8 text file to write `path` through. It is a temporary file in the

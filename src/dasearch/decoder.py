@@ -276,11 +276,17 @@ def das_beam_search(generator, discriminator, source, config: SearchConfig):
     return _search(generator, discriminator, source, config)
 
 
+def plain_settings(beam_size: int) -> dict:
+    """The settings plain search fixes itself: a rerank pool of beam_size and
+    alpha = 0, whatever the config says."""
+    return {"k_rerank": beam_size, "alpha": 0.0}
+
+
 def plain_beam_search(generator, source, config: SearchConfig):
     """Standard beam search on generator score alone (plus optional rules): the
-    fused search with no discriminator and a rerank pool of beam_size."""
+    fused search with no discriminator and the plain_settings."""
     return _search(generator, None, source,
-                   replace(config, k_rerank=config.beam_size, alpha=0.0))
+                   replace(config, **plain_settings(config.beam_size)))
 
 
 # the search a decode_corpus worker process runs, installed once per worker

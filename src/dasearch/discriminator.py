@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_header
+from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_body, read_header
 
 DENSE_FEATURES = (
     "rel_length",      # t / T_max
@@ -69,8 +69,9 @@ class FeatureConfig:
 class FeatureBatch:
     """The features of every prefix of some sequences, packed into arrays:
     each sequence is one chain, its prefixes consecutive rows, shortest first.
-    Sparse features are numbered by column: column k is the hashed index
-    columns[k].
+    A labelled set is one batch: the rows of its H sequences, then those of
+    its G sequences, so its first n_human rows are the human ones. Sparse
+    features are numbered by column: column k is the hashed index columns[k].
 
     Row i is a prefix of t[i] tokens with the dense values dense[i]. Its
     2 t[i] - 1 hits, in token order, are the first 2 t[i] - 1 columns of its
@@ -90,14 +91,6 @@ class FeatureBatch:
 
     def __len__(self) -> int:
         return len(self.dense)
-
-    def rows(self, start: int, stop: int) -> "FeatureBatch":
-        """Rows start..stop-1 of the same chains and columns; every array
-        but indptr is a view."""
-        a, b = self.indptr[start], self.indptr[stop]
-        return FeatureBatch(self.dense[start:stop], self.t[start:stop], self.chain[start:stop],
-                            self.chain_ptr, self.hits, self.indptr[start:stop + 1] - a,
-                            self.idx[a:b], self.val[a:b], self.columns)
 
 
 def _hash(key: str, d_hash: int) -> int:
@@ -400,10 +393,8 @@ class DiscriminatorModel:
                         if not key or not sep:
                             raise ValueError(f"provenance entry {entry!r} is not key=value")
                         provenance[key] = value
-                sparse_entries = []
-                for line in f:
-                    i, w = line.split()
-                    sparse_entries.append((int(i), finite_float(w)))
+                # the body follows the 10 header lines of v2, the 8 of v1
+                sparse_entries = read_body(f, 11 if v2 else 9, _sparse_entry)
             except ValueError as e:
                 raise DiscriminatorError(
                     f"truncated or malformed discriminator model file: {path}: {e}") from None
@@ -413,13 +404,19 @@ class DiscriminatorModel:
         except DiscriminatorError as e:
             raise DiscriminatorError(f"discriminator model file {path}: {e}") from None
         sparse = np.zeros(d_hash)
-        for i, w in sparse_entries:
+        for i, w in sparse_entries.items():
             if not 0 <= i < d_hash:
                 raise DiscriminatorError(f"discriminator model file {path}: sparse index {i} "
                                          f"is outside [0, {d_hash})")
             sparse[i] = w
         return cls(config, dense, sparse, bias, final_objective=final_objective,
                    provenance=provenance)
+
+
+def _sparse_entry(fields) -> tuple[int, float]:
+    """The (index, weight) of a discriminator model file's `index weight` line."""
+    i, w = fields
+    return int(i), finite_float(w)
 
 
 def _sigmoid(z: float) -> float:
@@ -448,18 +445,16 @@ def build_prefix_sets(corpus: Corpus, generations: dict, t_max: int = 140):
 def _logits(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
     """`logit` of every row of `batch`, bit for bit, in array arithmetic:
     the same additions in the same order, element by element."""
-    if not len(batch):
-        return np.zeros(0)
     zd = np.zeros(len(batch))
     for j in range(N_DENSE):
         zd += batch.dense[:, j] * model.dense_w[j]
-    # the running sums of the weights along the hits of the rows' chains
-    ptr = batch.chain_ptr[batch.chain[0]:batch.chain[-1] + 2]
-    sums = model.sparse_w[batch.columns][batch.hits[ptr[0]:ptr[-1]]]
-    for a, b in zip((ptr[:-1] - ptr[0]).tolist(), (ptr[1:] - ptr[0]).tolist()):
-        sums[a] += 0.0  # from 0.0, as logit sums: a -0.0 weight counts as 0.0
+    # the running sums of the weights along each chain's hits, from 0.0 as
+    # logit sums them: + 0.0 turns a -0.0 weight into 0.0 and leaves every
+    # other weight, and so every running sum, as it is
+    sums = (model.sparse_w[batch.columns] + 0.0)[batch.hits]
+    for a, b in itertools.pairwise(batch.chain_ptr.tolist()):
         np.add.accumulate(sums[a:b], out=sums[a:b])
-    S = sums[batch.chain_ptr[batch.chain] - ptr[0] + 2 * batch.t - 2]
+    S = sums[batch.chain_ptr[batch.chain] + 2 * batch.t - 2]
     return (float(model.bias) + zd) + S / batch.t
 
 
@@ -470,38 +465,38 @@ def _probabilities(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def eq2_objective(model: DiscriminatorModel, feats_H: FeatureBatch,
-                  feats_G: FeatureBatch) -> float:
-    """Set-normalized logistic objective (to be maximized). Array sums: within
-    ulps of the example-by-example sum, which final_objective keeps."""
-    p_H, p_G = _probabilities(model, feats_H), _probabilities(model, feats_G)
-    return float(np.log(np.maximum(p_H, 1e-300)).sum() / len(feats_H)
-                 + np.log(np.maximum(1.0 - p_G, 1e-300)).sum() / len(feats_G))
+def eq2_objective(model: DiscriminatorModel, batch: FeatureBatch, n_human: int) -> float:
+    """Set-normalized logistic objective (to be maximized) of a labelled
+    batch whose first n_human rows are human. Array sums: within ulps of the
+    example-by-example sum, which final_objective keeps."""
+    p = _probabilities(model, batch)
+    return float(np.log(np.maximum(p[:n_human], 1e-300)).sum() / n_human
+                 + np.log(np.maximum(1.0 - p[n_human:], 1e-300)).sum() / (len(batch) - n_human))
 
 
-def _example_objective(model: DiscriminatorModel, feats_H: FeatureBatch,
-                       feats_G: FeatureBatch) -> float:
-    """eq2_objective summed example by example, the value model files store."""
+def _example_objective(model: DiscriminatorModel, batch: FeatureBatch, n_human: int) -> float:
+    """eq2_objective summed example by example, the value model files store:
+    the score_features arithmetic, one set's logits at a time."""
+    z, n_G = _logits(model, batch), len(batch) - n_human
     total = 0.0
-    for p in model.score_features(feats_H):
-        total += math.log(max(p, 1e-300)) / len(feats_H)
-    for p in model.score_features(feats_G):
-        total += math.log(max(1.0 - p, 1e-300)) / len(feats_G)
+    for z_i in z[:n_human].tolist():
+        total += math.log(max(_sigmoid(z_i), 1e-300)) / n_human
+    for z_i in z[n_human:].tolist():
+        total += math.log(max(1.0 - _sigmoid(z_i), 1e-300)) / n_G
     return total
 
 
-def eq2_gradient(model: DiscriminatorModel, feats_H: FeatureBatch, feats_G: FeatureBatch):
-    """Analytic gradient of the objective w.r.t. (dense_w, sparse_w, bias):
-    X^T (y - p) / |set| over the columns (dense, sparse, 1), summed over both sets."""
-    grads = []
-    for batch, label in ((feats_H, 1.0), (feats_G, 0.0)):
-        c = (label - _probabilities(model, batch)) / len(batch)
-        sparse = np.zeros(model.config.d_hash)
-        sparse[batch.columns] = np.bincount(
-            batch.idx, weights=np.repeat(c, np.diff(batch.indptr)) * batch.val,
-            minlength=len(batch.columns))
-        grads.append((batch.dense.T @ c, sparse, c.sum()))
-    return tuple(h + g for h, g in zip(*grads))
+def eq2_gradient(model: DiscriminatorModel, batch: FeatureBatch, n_human: int):
+    """Analytic gradient of the objective w.r.t. (dense_w, sparse_w, bias) of
+    a labelled batch whose first n_human rows are human: X^T c over the
+    columns (dense, sparse, 1), with c = (y - p) / |set| for each row's set."""
+    human = np.arange(len(batch)) < n_human
+    c = (human - _probabilities(model, batch)) / np.where(human, n_human, len(batch) - n_human)
+    sparse = np.zeros(model.config.d_hash)
+    sparse[batch.columns] = np.bincount(
+        batch.idx, weights=np.repeat(c, np.diff(batch.indptr)) * batch.val,
+        minlength=len(batch.columns))
+    return batch.dense.T @ c, sparse, c.sum()
 
 
 def check_training_settings(epochs: int, learning_rate: float, ratio: float) -> None:
@@ -538,9 +533,8 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
 
     batch = prefix_features(itertools.chain(H, G), config)
     n_total = len(batch)
-    feats_H, feats_G = batch.rows(0, n_H), batch.rows(n_H, n_total)
     scale_H = n_total / ((1.0 + ratio) * n_H)
-    scale_G = n_total * ratio / ((1.0 + ratio) * len(feats_G))
+    scale_G = n_total * ratio / ((1.0 + ratio) * (n_total - n_H))
 
     # one example's step: `logit` of its row, unrolled over the 7 dense
     # features, then the update of every weight the row used. The sparse
@@ -580,8 +574,8 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         model.dense_w[:] = w0, w1, w2, w3, w4, w5, w6
         model.sparse_w[batch.columns] = w
         model.bias = bias
-        history.append(eq2_objective(model, feats_H, feats_G))
-    model.final_objective = history[-1] = _example_objective(model, feats_H, feats_G)
+        history.append(eq2_objective(model, batch, n_H))
+    model.final_objective = history[-1] = _example_objective(model, batch, n_H)
     model.objective_history = tuple(history)
     return model
 

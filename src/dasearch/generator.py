@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_header
+from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_body, read_header
 
 BACKOFF = 0.4
 
@@ -39,7 +39,8 @@ class NGramCopyModel:
         self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
             {} for _ in range(order + 1)
         ]
-        # one n-gram distribution per context(): bounded by the model's tables
+        # one n-gram distribution per context(): bounded by the model's tables;
+        # the cached arrays are read-only, as next_probs may return one itself
         self._lm_cache: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
         self._copy_cache: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -91,6 +92,7 @@ class NGramCopyModel:
                 overlaid[tok] = c / total
             overlaid[Vocabulary.sos] = 0.0
             probs = overlaid / overlaid.sum()
+        probs.flags.writeable = False
         self._lm_cache[context] = probs
         return probs
 
@@ -108,6 +110,7 @@ class NGramCopyModel:
         total = probs.sum()
         if total > 0:
             probs /= total
+        probs.flags.writeable = False
         self._copy_cache[key] = probs
         return probs
 
@@ -153,16 +156,14 @@ class NGramCopyModel:
                     read_header(f, key) for key in ("order", "kappa", "lambda_copy", "vocab_hash"))
                 model = cls(vocab, order=int(order), kappa=finite_float(kappa),
                             lambda_copy=finite_float(lambda_copy))
-                ngrams = []
-                for line in f:
-                    *ids, count = map(int, line.split())
-                    ngrams.append((ids, count))
+                ngrams = read_body(f, 6, _ngram_entry)  # after the 5 header lines
             except ValueError as e:
                 raise GeneratorError(
                     f"truncated or malformed generator model file: {path}: {e}") from None
         if vocab.digest() != vhash:
             raise GeneratorError(f"vocabulary does not match the model file {path}")
-        for ids, count in ngrams:
+        for key, count in ngrams.items():
+            ids = list(key)
             if not 1 <= len(ids) <= model.order:
                 raise GeneratorError(f"generator model file {path}: {len(ids)}-gram {ids} "
                                      f"in an order-{model.order} model")
@@ -172,8 +173,14 @@ class NGramCopyModel:
             if count < 1:
                 raise GeneratorError(f"generator model file {path}: n-gram {ids} has "
                                      f"count {count}")
-            model.counts[len(ids)].setdefault(tuple(ids[:-1]), {})[ids[-1]] = count
+            model.counts[len(ids)].setdefault(key[:-1], {})[key[-1]] = count
         return model
+
+
+def _ngram_entry(fields) -> tuple[tuple[int, ...], int]:
+    """The (n-gram, count) of a generator model file's `ids... count` line."""
+    *ids, count = map(int, fields)
+    return tuple(ids), count
 
 
 def train_generator(corpus: Corpus, order: int = 3, kappa: float = 1.0,

@@ -191,7 +191,7 @@ def test_objective_gradient_against_central_differences():
             for p in corpus.pairs}
     config = FeatureConfig.from_corpus(corpus, d_hash=64, t_max=20)
     H, G = build_prefix_sets(corpus, gens, t_max=20)
-    feats_H, feats_G = prefix_features(H, config), prefix_features(G, config)
+    batch, n_H = prefix_features(H + G, config), sum(len(tokens) for _, tokens in H)
     rng = np.random.default_rng(4)
     eps = 1e-6
 
@@ -202,25 +202,25 @@ def test_objective_gradient_against_central_differences():
         model = DiscriminatorModel(config, rng.normal(size=N_DENSE) * 0.5,
                                    rng.normal(size=config.d_hash) * 0.5,
                                    float(rng.normal()) * 0.5)
-        g_dense, g_sparse, g_bias = eq2_gradient(model, feats_H, feats_G)
+        g_dense, g_sparse, g_bias = eq2_gradient(model, batch, n_H)
         for i in range(N_DENSE):
             model.dense_w[i] += eps
-            hi = eq2_objective(model, feats_H, feats_G)
+            hi = eq2_objective(model, batch, n_H)
             model.dense_w[i] -= 2 * eps
-            lo = eq2_objective(model, feats_H, feats_G)
+            lo = eq2_objective(model, batch, n_H)
             model.dense_w[i] += eps
             check((hi - lo) / (2 * eps), g_dense[i])
         for i in range(0, config.d_hash, 16):
             model.sparse_w[i] += eps
-            hi = eq2_objective(model, feats_H, feats_G)
+            hi = eq2_objective(model, batch, n_H)
             model.sparse_w[i] -= 2 * eps
-            lo = eq2_objective(model, feats_H, feats_G)
+            lo = eq2_objective(model, batch, n_H)
             model.sparse_w[i] += eps
             check((hi - lo) / (2 * eps), g_sparse[i])
         model.bias += eps
-        hi = eq2_objective(model, feats_H, feats_G)
+        hi = eq2_objective(model, batch, n_H)
         model.bias -= 2 * eps
-        lo = eq2_objective(model, feats_H, feats_G)
+        lo = eq2_objective(model, batch, n_H)
         model.bias += eps
         check((hi - lo) / (2 * eps), g_bias)
     print("\nPASS analytic gradient matches central differences at 10 points")

@@ -579,6 +579,7 @@ def test_self_train_reuses_the_bootstrap_train_discriminator_wrote(pipeline, tmp
     ("train", "train_sha256 differs"),
     ("generator", "generator_sha256 differs"),
     ("unset", "[paths] discriminator_model is not set"),
+    ("no-provenance", "{tmp}/later.model records no provenance"),
 ])
 def test_self_train_retrains_the_bootstrap_when_an_input_differs(pipeline, tmp_path, capsys,
                                                                  monkeypatch, change, reason):
@@ -595,11 +596,16 @@ def test_self_train_retrains_the_bootstrap_when_an_input_differs(pipeline, tmp_p
                      "generator_model": str(tmp_path / "generator.model")}
         path = derive_config(cfg, tmp_path, **overrides)
         assert main(["train-generator", "--config", str(path), "--lambda-copy", "0.5"]) == 0
+    elif change == "no-provenance":  # a v2 file as a self-training round writes it
+        text = (root / "out" / "discriminator.model").read_text()
+        (tmp_path / "later.model").write_text(re.sub(r"\nprovenance .*\n", "\nprovenance \n",
+                                                     text))
+        overrides = {"discriminator_model": str(tmp_path / "later.model")}
     else:
         overrides = {"discriminator_model": ""}
     trainings = _count_trainings(monkeypatch)
     out, _ = _self_train(cfg, tmp_path / "run", capsys, *extra, **overrides)
-    assert f"bootstrap: trained ({reason})\n" in out
+    assert f"bootstrap: trained ({reason.format(tmp=tmp_path)})\n" in out
     assert len(trainings) == 2
 
 

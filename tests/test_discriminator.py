@@ -564,42 +564,42 @@ def test_label_swap_with_negated_weights_preserves_objective(config):
                                rng.normal(size=config.d_hash), -0.2)
     negated = DiscriminatorModel(config, -model.dense_w, -model.sparse_w, -model.bias)
     H, G = _separable_sets(n=10, seed=6)
-    feats_H, feats_G = prefix_features(H, config), prefix_features(G, config)
-    assert math.isclose(eq2_objective(model, feats_H, feats_G),
-                        eq2_objective(negated, feats_G, feats_H), abs_tol=1e-12)
+    n_H, n_G = len(prefixes(H)), len(prefixes(G))
+    assert math.isclose(eq2_objective(model, prefix_features(H + G, config), n_H),
+                        eq2_objective(negated, prefix_features(G + H, config), n_G),
+                        abs_tol=1e-12)
 
 
 def test_gradient_matches_central_differences(config):
     H, G = _separable_sets(n=8, seed=7)
-    feats_H, feats_G = prefix_features(H, config), prefix_features(G, config)
+    batch, n_H = prefix_features(H + G, config), len(prefixes(H))
     rng = np.random.default_rng(2)
     eps = 1e-6
     for _ in range(3):
         model = DiscriminatorModel(config, rng.normal(size=N_DENSE) * 0.5,
                                    rng.normal(size=config.d_hash) * 0.5,
                                    float(rng.normal()) * 0.5)
-        g_dense, g_sparse, g_bias = eq2_gradient(model, feats_H, feats_G)
-        active = set(np.concatenate([feats_H.idx, feats_G.idx]).tolist())
+        g_dense, g_sparse, g_bias = eq2_gradient(model, batch, n_H)
         for i in range(N_DENSE):
             model.dense_w[i] += eps
-            hi = eq2_objective(model, feats_H, feats_G)
+            hi = eq2_objective(model, batch, n_H)
             model.dense_w[i] -= 2 * eps
-            lo = eq2_objective(model, feats_H, feats_G)
+            lo = eq2_objective(model, batch, n_H)
             model.dense_w[i] += eps
             num = (hi - lo) / (2 * eps)
             assert abs(num - g_dense[i]) <= 1e-4 * max(1.0, abs(num))
-        for i in sorted(active)[:5]:
+        for i in batch.columns.tolist():  # the hashed indices the batch hits
             model.sparse_w[i] += eps
-            hi = eq2_objective(model, feats_H, feats_G)
+            hi = eq2_objective(model, batch, n_H)
             model.sparse_w[i] -= 2 * eps
-            lo = eq2_objective(model, feats_H, feats_G)
+            lo = eq2_objective(model, batch, n_H)
             model.sparse_w[i] += eps
             num = (hi - lo) / (2 * eps)
             assert abs(num - g_sparse[i]) <= 1e-4 * max(1.0, abs(num))
         model.bias += eps
-        hi = eq2_objective(model, feats_H, feats_G)
+        hi = eq2_objective(model, batch, n_H)
         model.bias -= 2 * eps
-        lo = eq2_objective(model, feats_H, feats_G)
+        lo = eq2_objective(model, batch, n_H)
         model.bias += eps
         num = (hi - lo) / (2 * eps)
         assert abs(num - g_bias) <= 1e-4 * max(1.0, abs(num))
@@ -741,6 +741,28 @@ def test_model_load_checks_each_header_line_by_key(tmp_path, edit, problem):
     path.write_text(edit(text))
     with pytest.raises(DiscriminatorError, match=re.escape(
             f"truncated or malformed discriminator model file: {path}: {problem}")):
+        DiscriminatorModel.load(path)
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_model_load_rejects_a_repeated_sparse_index(tmp_path, version):
+    vocab = make_vocab("a", "b", "c")
+    corpus = make_corpus(vocab, [("p", ["a", "b"], ["a", "c"])])
+    config = FeatureConfig.from_corpus(corpus, d_hash=128, t_max=60)
+    H, G = build_prefix_sets(corpus, {"p": (4, 5)}, t_max=60)
+    path = tmp_path / "disc.model"
+    train_discriminator(H, G, config, epochs=2, seed=3).save(path)
+    text = path.read_text()
+    if version == "v1":
+        text = re.sub(r"\nprovenance .*\n", "\n", re.sub(r"\nvocab_hash \S+\n", "\n", text))
+        text = text.replace("discriminator v2\n", "discriminator v1\n", 1)
+    lines = text.splitlines(keepends=True)
+    first = next(n for n, line in enumerate(lines, start=1) if line[0].isdigit())
+    index = lines[first - 1].split()[0]
+    path.write_text(text + f"{index} 5.0\n")
+    with pytest.raises(DiscriminatorError, match=re.escape(
+            f"truncated or malformed discriminator model file: {path}: line {len(lines) + 1}: "
+            f"'{index} 5.0' repeats the key of line {first}")):
         DiscriminatorModel.load(path)
 
 

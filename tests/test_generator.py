@@ -220,6 +220,22 @@ def test_copy_cache_keeps_only_the_last_source(ab_corpus):
     assert len(model._copy_cache) == 1
 
 
+def test_cached_distributions_are_read_only(ab_corpus):
+    """With lambda_copy 0, next_probs returns the cached n-gram array itself:
+    a write into it raises, and later calls return what they did before."""
+    model = train_generator(ab_corpus, order=2, lambda_copy=0.0)
+    source, prefix = (3, 4, 5), (SOS, 3)
+    before = model.next_logprobs(source, prefix).tobytes()
+    probs = model.next_probs(source, prefix)
+    assert probs is model._lm_cache[model.context(prefix)]
+    with pytest.raises(ValueError, match="read-only"):
+        probs[:] = 0.0
+    assert model.next_logprobs(source, prefix).tobytes() == before
+    model._copy_probs(source)
+    assert not any(a.flags.writeable for cache in (model._lm_cache, model._copy_cache)
+                   for a in cache.values())
+
+
 def backoff_reference(model, prefix):
     """The n-gram distribution after `prefix`, computed from the prefix's own
     tail with nothing cached."""
@@ -304,7 +320,7 @@ def test_model_load_rejects_wrong_vocabulary(ab_corpus, tmp_path):
     ("0 -1 1", "n-gram [0, -1] has a token id outside the 6-token vocabulary"),
     ("0 6 1", "n-gram [0, 6] has a token id outside the 6-token vocabulary"),
     ("0 3 4 5 1", "4-gram [0, 3, 4, 5] in an order-3 model"),
-    ("0 3 0", "n-gram [0, 3] has count 0"),
+    ("0 4 0", "n-gram [0, 4] has count 0"),
 ])
 def test_model_load_rejects_out_of_range_content(ab_corpus, abc_vocab, tmp_path, line,
                                                  problem):
@@ -313,6 +329,18 @@ def test_model_load_rejects_out_of_range_content(ab_corpus, abc_vocab, tmp_path,
     with open(path, "a", encoding="utf-8") as f:
         f.write(line + "\n")
     with pytest.raises(GeneratorError, match=re.escape(f"generator model file {path}: {problem}")):
+        NGramCopyModel.load(path, abc_vocab)
+
+
+def test_model_load_rejects_a_repeated_ngram(ab_corpus, abc_vocab, tmp_path):
+    path = tmp_path / "gen.model"
+    train_generator(ab_corpus).save(path)
+    lines = path.read_text().splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines, start=1) if line.startswith("0 3 "))
+    path.write_text("".join(lines) + "0 3 7\n")
+    with pytest.raises(GeneratorError, match=re.escape(
+            f"truncated or malformed generator model file: {path}: line {len(lines) + 1}: "
+            f"'0 3 7' repeats the key of line {n}")):
         NGramCopyModel.load(path, abc_vocab)
 
 
