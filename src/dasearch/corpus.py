@@ -52,10 +52,14 @@ def read_header(f, key: str, many: bool = False):
 def read_body(f, lineno: int, parse) -> dict:
     """{key: value} of the lines left in model file `f`, whose next line is
     line `lineno`: `parse` maps a line's fields to its (key, value). A line
-    whose key an earlier line holds raises ValueError naming both lines."""
+    that `parse` refuses, or whose key an earlier line holds, raises
+    ValueError naming the line."""
     body, first_line = {}, {}
     for n, line in enumerate(f, start=lineno):
-        key, value = parse(line.split())
+        try:
+            key, value = parse(line.split())
+        except ValueError as e:
+            raise ValueError(f"line {n}: {line.strip()!r}: {e}") from None
         first = first_line.setdefault(key, n)
         if first != n:
             raise ValueError(f"line {n}: {line.strip()!r} repeats the key of line {first}")

@@ -4,7 +4,10 @@ Each step expands every live hypothesis by its K_rerank best tokens, carries
 ended hypotheses unchanged, pre-filters the K_rerank best candidates by
 generator score, re-scores that pool with the discriminator (fused score =
 s_gen + alpha * log D) and keeps the best B. Ties break on higher s_gen, then
-lexicographic token ids. Plain beam search is the same search with no
+lexicographic token ids. The pool is scored best s_gen first until no
+candidate left can enter the beam: log D <= 0, so no fused score is above its
+s_gen, and once B scored candidates rank above the next one's s_gen the rest
+of the pool is never scored. Plain beam search is the same search with no
 discriminator and K_rerank = B: the pool is then never re-scored and every
 result has s_das == s_gen.
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import insort
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,6 +185,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
     block = config.block_repeated_trigrams
     expand, ranking = _expansion(generator, source, config.k_rerank)
     eos = Vocabulary.eos
+    beam_size = config.beam_size
 
     # The pool in token order, so a member's rank is its index, and beside
     # each live member its prefix state (reranking) and its block index
@@ -218,14 +223,21 @@ def _search(generator, discriminator, source, config: SearchConfig):
         candidates.sort()
         # survivors as (parent rank, token, s_gen, s_dis, s_das)
         if rerank:
+            # log D <= 0 makes s_das <= s_gen, in floats too, for a candidate
+            # and for an ended member alike: (neg_gen, neg_gen, rank, tok) is
+            # the best key it can reach, and that grows along the pool. Once
+            # beam_size ranked keys are below it, nothing left can survive,
+            # and the rest of the pool is not scored.
             ranked = []
             for neg_gen, rank, tok in candidates[: config.k_rerank]:
+                if len(ranked) >= beam_size and ranked[beam_size - 1] < (neg_gen, neg_gen,
+                                                                         rank, tok):
+                    break
                 s_dis, s_das = ((pool[rank].s_dis, pool[rank].s_das) if tok < 0
                                 else fuse(-neg_gen, states[rank], tok))
-                ranked.append((-s_das, neg_gen, rank, tok, s_dis))
-            ranked.sort()
+                insort(ranked, (-s_das, neg_gen, rank, tok, s_dis))
             survivors = [(rank, tok, -neg_gen, s_dis, -neg_das)
-                         for neg_das, neg_gen, rank, tok, s_dis in ranked[: config.beam_size]]
+                         for neg_das, neg_gen, rank, tok, s_dis in ranked[:beam_size]]
         else:
             survivors = [(rank, tok, -neg_gen, None, -neg_gen)
                          for neg_gen, rank, tok in candidates[: config.beam_size]]

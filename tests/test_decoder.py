@@ -38,11 +38,12 @@ from conftest import (_blocked_tokens, exhaustive_oracle, make_corpus, make_voca
 SOS, EOS = Vocabulary.sos, Vocabulary.eos
 
 
-def random_discriminator(config, seed=0, scale=0.1):
+def random_discriminator(config, seed=0, scale=0.1, offset=0.0):
+    """Weights drawn from N(0, scale^2); `offset` is added to the bias."""
     rng = np.random.default_rng(seed)
     return DiscriminatorModel(config, rng.normal(size=N_DENSE) * scale,
                               rng.normal(size=config.d_hash) * scale,
-                              float(rng.normal()) * scale)
+                              float(rng.normal()) * scale + offset)
 
 
 @pytest.fixture(scope="module")
@@ -489,19 +490,36 @@ def test_search_equals_the_reference_search_through_ties(data):
         length_penalty_beta=data.draw(st.sampled_from([0.0, 0.6]), label="beta"),
         block_repeated_trigrams=data.draw(st.booleans(), label="block_repeated_trigrams"),
         final_by_s_gen=data.draw(st.booleans(), label="final_by_s_gen"))
+    # at bias +50 every D is 1.0, so s_das == s_gen, the bound on s_das the
+    # search prunes by; at -50 every D is clamped to EPS_DIS
     disc = random_discriminator(FeatureConfig.from_corpus(corpus, d_hash=64, t_max=8),
                                 seed=data.draw(st.integers(0, 9), label="disc_seed"),
-                                scale=0.5)
+                                scale=0.5,
+                                offset=data.draw(st.sampled_from([0.0, 50.0, -50.0]),
+                                                 label="bias_offset"))
     assert (beam_bits(das_beam_search(generator, disc, source, config))
             == beam_bits(reference_search(generator, disc, source, config)))
 
 
-def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, monkeypatch, trained_disc):
+@pytest.mark.parametrize("all_human", [False, True], ids=["trained", "all-human"])
+def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generator, monkeypatch,
+                                                     trained_disc, all_human):
+    """A search advances and copies at most beam_size prefix states a step.
+    With D = 1 everywhere a candidate's s_das is its s_gen, the best it can
+    be, so a step asks the discriminator about its beam_size best candidates
+    by s_gen and no other, and the search returns plain search's beam."""
+    disc = trained_disc
+    if all_human:
+        disc = DiscriminatorModel(trained_disc.config, np.zeros(N_DENSE),
+                                  np.zeros(trained_disc.config.d_hash), 50.0)
     counts = Counter()
     advance, copy = PrefixFeaturizer.advance, PrefixState.copy
+    score_next = PrefixFeaturizer.score_next
     monkeypatch.setattr(PrefixFeaturizer, "advance", lambda self, state, token: (
         counts.update(["advance"]) or advance(self, state, token)))
     monkeypatch.setattr(PrefixState, "copy", lambda self: counts.update(["copy"]) or copy(self))
+    monkeypatch.setattr(PrefixFeaturizer, "score_next", lambda self, state, token: (
+        counts.update(["score_next"]) or score_next(self, state, token)))
     generator = train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75)
     context, next_logprobs = generator.context, generator.next_logprobs
     tails, inside = [], []
@@ -523,11 +541,19 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, monkeypatch, 
     for p in synth_corpus.pairs[:10]:
         counts.clear()
         tails.clear()
-        beam = das_beam_search(generator, trained_disc, p.source, config)
+        beam = das_beam_search(generator, disc, p.source, config)
         steps = max(len(h.tokens) - 1 - h.truncated for h in beam)
         assert counts["advance"] <= config.beam_size * steps
         assert counts["copy"] <= config.beam_size * steps
         assert tails and len(tails) == len(set(tails))
+        if all_human:
+            # one more for the forced EOS of each member live at t_max
+            truncated = sum(h.truncated for h in beam)
+            assert counts["score_next"] <= config.beam_size * steps + truncated
+            plain = plain_beam_search(synth_generator, p.source, config)
+            assert ([(h.tokens, h.s_gen) for h in beam]
+                    == [(h.tokens, h.s_gen) for h in plain])
+            assert all(h.s_dis == 0.0 for h in beam)
 
 
 @pytest.mark.parametrize("t_max", [60, 4], ids=["ends", "truncates"])

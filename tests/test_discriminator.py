@@ -718,7 +718,10 @@ def test_model_load_rejects_out_of_range_content(tmp_path, old, new, problem):
     (lambda t: re.sub(r"\nbias \S+\n", "\nbias nan\n", t), "not a finite number: 'nan'"),
     (lambda t: re.sub(r"\nfinal_objective \S+\n", "\nfinal_objective -inf\n", t),
      "not a finite number: '-inf'"),
-    (lambda t: t + "3 inf\n", "not a finite number: 'inf'"),
+    (lambda t: re.sub(r"(\nprovenance .*\n)", r"\g<1>3 inf\n", t),
+     "line 11: '3 inf': not a finite number: 'inf'"),
+    (lambda t: re.sub(r"(\nprovenance .*\n)", r"\g<1>3\n", t),
+     "line 11: '3': not enough values to unpack (expected 2, got 1)"),
     (lambda t: re.sub(r"\ndense \S+", "\ndense nan", t), "not a finite number: 'nan'"),
     (lambda t: re.sub(r"\ndense \S+ ", "\ndense ", t),
      f"{N_DENSE - 1} dense weights, not {N_DENSE}"),
@@ -727,8 +730,8 @@ def test_model_load_rejects_out_of_range_content(tmp_path, old, new, problem):
     (lambda t: re.sub(r"\nprovenance ", "\nprovenance epochs ", t),
      "provenance entry 'epochs' is not key=value"),
     (lambda t: re.sub(r"\nprovenance .*\n", "\n", t), "no 'provenance' line where one belongs"),
-], ids=["swapped", "use-source-2", "bias-nan", "objective-inf", "sparse-inf", "dense-nan",
-        "dense-short", "vocab-hash-two", "provenance-entry", "provenance-missing"])
+], ids=["swapped", "use-source-2", "bias-nan", "objective-inf", "sparse-inf", "sparse-one-field",
+        "dense-nan", "dense-short", "vocab-hash-two", "provenance-entry", "provenance-missing"])
 def test_model_load_checks_each_header_line_by_key(tmp_path, edit, problem):
     vocab = make_vocab("a", "b", "c")
     corpus = make_corpus(vocab, [("p", ["a", "b"], ["a", "c"])])

@@ -351,7 +351,8 @@ def test_model_load_rejects_a_repeated_ngram(ab_corpus, abc_vocab, tmp_path):
     ("lambda_copy 0.75\n", "lambda_copy inf\n", "not a finite number: 'inf'"),
     ("kappa 1.0\n", "kappa -1.0\n", "kappa must be > 0 and finite, got -1.0"),
     ("order 3\n", "order 3 2\n", "the 'order' line holds 2 values, not 1"),
-], ids=["swapped", "kappa-nan", "lambda-inf", "kappa-negative", "two-values"])
+    ("\n0 3 1\n", "\n0 3 x\n", "line 9: '0 3 x': invalid literal for int() with base 10: 'x'"),
+], ids=["swapped", "kappa-nan", "lambda-inf", "kappa-negative", "two-values", "ngram-count-x"])
 def test_model_load_checks_each_header_line_by_key(ab_corpus, abc_vocab, tmp_path, old, new,
                                                    problem):
     path = tmp_path / "gen.model"
