@@ -594,7 +594,7 @@ def main(argv=None) -> int:
         command, inputs, outputs = args.func(cfg, args, out_dir)
         write_manifest(out_dir, command, cfg, inputs, outputs, started)
         return 0
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

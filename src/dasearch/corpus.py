@@ -149,10 +149,24 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read a file `save` wrote: the reserved tokens' lines, then one token
+        per line; a blank, reserved or repeated token is refused with its line."""
         with open(path, encoding="utf-8") as f:
             lines = [ln.rstrip("\n") for ln in f]
         if lines[:3] != list(RESERVED):
             raise CorpusError(f"vocabulary file {path} missing reserved header lines")
+        first: dict[str, int] = {}
+        for n, token in enumerate(lines[3:], start=4):
+            if not token:
+                problem = "blank token"
+            elif token in RESERVED:
+                problem = f"reserved token {token!r}"
+            elif token in first:
+                problem = f"token {token!r} repeats line {first[token]}"
+            else:
+                first[token] = n
+                continue
+            raise CorpusError(f"vocabulary file {path}: line {n}: {problem}")
         return cls(lines[3:])
 
 

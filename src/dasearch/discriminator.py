@@ -6,7 +6,9 @@ trained by SGD on the set-normalized logistic objective
 over all prefixes of human references (H) and generated summaries (G). H and
 G are held as their (source, tokens) sequences, one per pair and side: every
 prefix of a sequence is one example, and the sequence is one feature chain.
-accuracy_by_length counts the examples classified right per prefix length.
+eq2_objective sums the objective example by example; training takes it once,
+after the last epoch, as the model's final_objective. accuracy_by_length
+counts the examples classified right per prefix length.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class FeatureConfig:
             for tok in p.reference:
                 counts[tok] += 1
         total = sum(counts)
-        # math.log, not np.log, whose bits depend on numpy's CPU dispatch
+        # math.log, not numpy's log, whose bits depend on numpy's CPU dispatch
         return cls(d_hash=d_hash, use_source=use_source, t_max=t_max,
                    logfreq=tuple(math.log(c / total) for c in counts),
                    vocab_hash=corpus.vocab.digest())
@@ -318,7 +320,6 @@ class DiscriminatorModel:
     sparse_w: np.ndarray
     bias: float
     final_objective: float = 0.0
-    objective_history: tuple[float, ...] = ()
     # what a bootstrap model was trained from (selftrain.bootstrap_provenance),
     # by key; a v2 file without one loads as {}, a v1 file as None
     provenance: dict[str, str] | None = None
@@ -342,8 +343,7 @@ class DiscriminatorModel:
     def save(self, path) -> None:
         """Write a `discriminator v2` file: the v1 headers plus `vocab_hash`
         after `t_max` and a `provenance` line of `key=value` entries after
-        `dense`, then one `index weight` line per nonzero sparse weight. The
-        objective_history is not saved."""
+        `dense`, then one `index weight` line per nonzero sparse weight."""
         config = self.config
         with atomic_write(path) as f:
             f.write("discriminator v2\n")
@@ -458,25 +458,10 @@ def _logits(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
     return (float(model.bias) + zd) + S / batch.t
 
 
-def _probabilities(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
-    """_sigmoid of every row's logit, in one array expression."""
-    z = _logits(model, batch)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def eq2_objective(model: DiscriminatorModel, batch: FeatureBatch, n_human: int) -> float:
     """Set-normalized logistic objective (to be maximized) of a labelled
-    batch whose first n_human rows are human. Array sums: within ulps of the
-    example-by-example sum, which final_objective keeps."""
-    p = _probabilities(model, batch)
-    return float(np.log(np.maximum(p[:n_human], 1e-300)).sum() / n_human
-                 + np.log(np.maximum(1.0 - p[n_human:], 1e-300)).sum() / (len(batch) - n_human))
-
-
-def _example_objective(model: DiscriminatorModel, batch: FeatureBatch, n_human: int) -> float:
-    """eq2_objective summed example by example, the value model files store:
-    the score_features arithmetic, one set's logits at a time."""
+    batch whose first n_human rows are human, summed example by example left
+    to right: the score_features arithmetic, the value model files store."""
     z, n_G = _logits(model, batch), len(batch) - n_human
     total = 0.0
     for z_i in z[:n_human].tolist():
@@ -489,9 +474,10 @@ def _example_objective(model: DiscriminatorModel, batch: FeatureBatch, n_human: 
 def eq2_gradient(model: DiscriminatorModel, batch: FeatureBatch, n_human: int):
     """Analytic gradient of the objective w.r.t. (dense_w, sparse_w, bias) of
     a labelled batch whose first n_human rows are human: X^T c over the
-    columns (dense, sparse, 1), with c = (y - p) / |set| for each row's set."""
-    human = np.arange(len(batch)) < n_human
-    c = (human - _probabilities(model, batch)) / np.where(human, n_human, len(batch) - n_human)
+    columns (dense, sparse, 1), with c = (y - p) / |set| for each row's set
+    and p the row's score_features."""
+    human, p = np.arange(len(batch)) < n_human, np.array(model.score_features(batch))
+    c = (human - p) / np.where(human, n_human, len(batch) - n_human)
     sparse = np.zeros(model.config.d_hash)
     sparse[batch.columns] = np.bincount(
         batch.idx, weights=np.repeat(c, np.diff(batch.indptr)) * batch.val,
@@ -546,7 +532,6 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     w, bias = model.sparse_w[batch.columns].tolist(), float(model.bias)
     rng = np.random.default_rng(seed)
     order = np.arange(n_total)
-    history = []
     for epoch in range(epochs):
         rng.shuffle(order)
         lr = learning_rate / math.sqrt(epoch + 1)
@@ -574,9 +559,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         model.dense_w[:] = w0, w1, w2, w3, w4, w5, w6
         model.sparse_w[batch.columns] = w
         model.bias = bias
-        history.append(eq2_objective(model, batch, n_H))
-    model.final_objective = history[-1] = _example_objective(model, batch, n_H)
-    model.objective_history = tuple(history)
+    model.final_objective = eq2_objective(model, batch, n_H)
     return model
 
 

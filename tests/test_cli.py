@@ -730,6 +730,22 @@ def test_missing_path_names_its_key(pipeline, tmp_path, capsys, command, key):
     assert f"error: [paths] {key} is not set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [
+    ("train-generator", "train_path"),
+    ("evaluate", "vocab_path"),
+    ("evaluate", "--systems"),
+])
+def test_a_directory_given_as_a_file_exits_one(pipeline, tmp_path, capsys, command, key):
+    root, cfg = pipeline
+    directory = tmp_path / "somedir"
+    directory.mkdir()
+    systems = directory if key == "--systems" else root / "out" / "test.jsonl"
+    path = derive_config(cfg, tmp_path, **({} if key == "--systems" else {key: str(directory)}))
+    extra = ["--split", "test", "--systems", str(systems)] if command == "evaluate" else []
+    assert main([command, "--config", str(path), *extra]) == 1
+    assert f"Is a directory: '{directory}'" in capsys.readouterr().err
+
+
 def test_malformed_env_override_names_the_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DASEARCH_JOBS", "two")
     assert main(["decode", "--config", str(write_config(tmp_path))]) == 1

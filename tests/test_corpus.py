@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -83,6 +84,18 @@ def test_vocabulary_load_rejects_missing_header(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("a\nb\n")
     with pytest.raises(CorpusError):
+        Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("foo\n\nbar\n", "line 5: blank token"),
+    ("foo\nbar\nfoo\n", "line 6: token 'foo' repeats line 4"),
+    ("foo\n<unk>\n", "line 5: reserved token '<unk>'"),
+], ids=["blank", "repeated", "reserved"])
+def test_vocabulary_load_names_the_file_and_line_of_a_bad_token(tmp_path, body, message):
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(t + "\n" for t in make_vocab().tokens) + body)
+    with pytest.raises(CorpusError, match=re.escape(f"vocabulary file {path}: {message}")):
         Vocabulary.load(path)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dasearch import discriminator
 from dasearch.corpus import Vocabulary, generate_synthetic_corpus
 from dasearch.discriminator import (
     DiscriminatorError,
@@ -396,12 +397,27 @@ def test_identical_sets_stay_at_chance(config):
 
 
 def test_objective_non_decreasing_with_decaying_steps(config):
+    # a k-epoch run is the first k epochs of a longer one: the same shuffles
+    # and the same decaying steps, so its final_objective is the objective
+    # after epoch k of the longer run
     H, G = _separable_sets(n=40, seed=3)
-    model = train_discriminator(H, G, config, epochs=8, learning_rate=0.5, seed=1)
-    history = model.objective_history
-    assert len(history) == 8
+    history = [train_discriminator(H, G, config, epochs=epochs, learning_rate=0.5,
+                                   seed=1).final_objective for epochs in range(1, 9)]
     assert all(b >= a - 1e-3 for a, b in zip(history, history[1:]))
-    assert model.final_objective == history[-1]
+
+
+def test_training_takes_the_objective_once(config, monkeypatch):
+    H, G = _separable_sets(n=10, seed=3)
+    values = []
+
+    def counted(*args):
+        values.append(eq2_objective(*args))
+        return values[-1]
+
+    monkeypatch.setattr(discriminator, "eq2_objective", counted)
+    model = train_discriminator(H, G, config, epochs=3, seed=1)
+    assert len(values) == 1
+    assert model.final_objective.hex() == values[0].hex()
 
 
 def test_training_deterministic_in_seed(config):
@@ -456,8 +472,8 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
                     seed: int, init: DiscriminatorModel | None, ratio: float):
     """SGD over the reference_features of every prefix of the H and G
     sequences, scored by reference_score, and the objective summed example by
-    example after every epoch: the trainer the packed one must match bit for
-    bit."""
+    example after the last epoch: the trainer the packed one must match bit
+    for bit."""
     if init is not None:
         model = DiscriminatorModel(config, init.dense_w.copy(), init.sparse_w.copy(),
                                    init.bias)
@@ -483,7 +499,6 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
 
     rng = np.random.default_rng(seed)
     order = np.arange(n_total)
-    history = []
     for epoch in range(epochs):
         rng.shuffle(order)
         lr = learning_rate / math.sqrt(epoch + 1)
@@ -496,9 +511,7 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
             for index, count in Counter(hits).items():
                 model.sparse_w[index] += step * (count / t)
             model.bias += step
-        history.append(objective())
-    model.objective_history = tuple(history)
-    model.final_objective = history[-1]
+    model.final_objective = objective()
     return model
 
 
@@ -534,10 +547,6 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
         assert getattr(packed, name).tobytes() == getattr(reference, name).tobytes(), name
     assert packed.bias.hex() == reference.bias.hex()
     assert packed.final_objective.hex() == reference.final_objective.hex()
-    assert packed.objective_history[-1] == packed.final_objective
-    assert len(packed.objective_history) == kwargs["epochs"]
-    for got, want in zip(packed.objective_history, reference.objective_history):
-        assert abs(got - want) <= 1e-12 * abs(want)
     # the batch scorer (accuracy, final_objective), the from-scratch one and
     # the search's carried S equal the reference scoring bit for bit
     examples = prefixes(H + G)
