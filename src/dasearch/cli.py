@@ -24,6 +24,7 @@ import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from dasearch import metrics as metrics_mod
 from dasearch.corpus import (
@@ -39,22 +40,14 @@ from dasearch.corpus import (
     save_corpus,
     write_records,
 )
-from dasearch.decoder import (
-    SearchConfig,
-    das_beam_search,
-    decode_corpus,
-    hypothesis_content,
-    plain_settings,
-)
-from dasearch.discriminator import DiscriminatorModel
-from dasearch.generator import NGramCopyModel, train_generator
 from dasearch.metrics import evaluate_system
-from dasearch.selftrain import (
-    DiscriminatorHparams,
-    bootstrap,
-    bootstrap_provenance,
-    run_until_convergence,
-)
+
+# The model modules (and numpy) are imported by the commands that use them, so
+# --help, make-corpus and evaluate start without them. Functions are called
+# through their modules, whose attributes tests and the benchmark rebind.
+if TYPE_CHECKING:
+    from dasearch.decoder import SearchConfig
+    from dasearch.selftrain import DiscriminatorHparams
 
 
 class ConfigError(ValueError):
@@ -162,11 +155,13 @@ class RunConfig:
     def search_config(self, mode: str = "das") -> SearchConfig:
         """The search `dasearch decode --mode <mode>` runs: plain search is the
         fused search with the decoder's plain_settings."""
+        from dasearch.decoder import SearchConfig, plain_settings
         if mode == "das":
             return self._view(SearchConfig)
         return self._view(SearchConfig, **plain_settings(self.beam_size))
 
     def disc_hparams(self) -> DiscriminatorHparams:
+        from dasearch.selftrain import DiscriminatorHparams
         return self._view(DiscriminatorHparams,
                           seed=component_seed(self.master_seed, "discriminator"))
 
@@ -208,6 +203,8 @@ def _required_path(cfg: RunConfig, key: str) -> str:
 
 
 def _load_models(cfg: RunConfig, need_disc: bool = False):
+    from dasearch.discriminator import DiscriminatorModel
+    from dasearch.generator import NGramCopyModel
     vocab = Vocabulary.load(_required_path(cfg, "vocab_path"))
     generator = NGramCopyModel.load(_required_path(cfg, "generator_model"), vocab)
     disc = None
@@ -227,13 +224,16 @@ def _load_models(cfg: RunConfig, need_disc: bool = False):
 def _provenance(cfg: RunConfig) -> dict[str, str]:
     """The bootstrap provenance of this config's train corpus, generator and
     settings."""
-    return bootstrap_provenance(_hash_file(cfg.train_path), _hash_file(cfg.generator_model),
-                                cfg.disc_hparams(), cfg.search_config("plain"))
+    from dasearch import selftrain
+    return selftrain.bootstrap_provenance(_hash_file(cfg.train_path),
+                                          _hash_file(cfg.generator_model),
+                                          cfg.disc_hparams(), cfg.search_config("plain"))
 
 
 def _reusable_bootstrap(path: str, provenance: dict[str, str]):
     """(the discriminator at `path`, None) if it records `provenance`, else
     (None, why not). A malformed file raises the loader's error."""
+    from dasearch.discriminator import DiscriminatorModel
     if not path:
         return None, "[paths] discriminator_model is not set"
     if not Path(path).is_file():
@@ -250,9 +250,11 @@ def _reusable_bootstrap(path: str, provenance: dict[str, str]):
 
 
 def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
+    from dasearch import decoder
+
     def record(p):
         h = hyps[p.id]
-        content = hypothesis_content(h)
+        content = decoder.hypothesis_content(h)
         return {
             "id": p.id,
             "tokens": list(content),
@@ -318,13 +320,14 @@ def cmd_make_corpus(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_train_generator(cfg: RunConfig, args, out_dir: Path):
+    from dasearch import generator
     train_path = _required_path(cfg, "train_path")
+    vocab_path = Path(_required_path(cfg, "vocab_path"))
+    model_path = Path(_required_path(cfg, "generator_model"))
     vocab = build_vocabulary(load_corpus(train_path), min_count=cfg.min_count)
     corpus = load_corpus(train_path, vocab)
-    model = train_generator(corpus, order=cfg.order, kappa=cfg.kappa,
-                            lambda_copy=cfg.lambda_copy)
-    vocab_path = Path(cfg.vocab_path or out_dir / "vocab.txt")
-    model_path = Path(cfg.generator_model or out_dir / "generator.model")
+    model = generator.train_generator(corpus, order=cfg.order, kappa=cfg.kappa,
+                                      lambda_copy=cfg.lambda_copy)
     vocab.save(vocab_path)
     model.save(model_path)
     print(f"generator model: {model_path} (|V|={len(vocab)})")
@@ -332,11 +335,13 @@ def cmd_train_generator(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
+    from dasearch import selftrain
+    model_path = Path(_required_path(cfg, "discriminator_model"))
     vocab, generator, _ = _load_models(cfg)
     corpus = load_corpus(_required_path(cfg, "train_path"), vocab)
-    state = bootstrap(corpus, generator, cfg.disc_hparams(), cfg.search_config("plain"))
+    state = selftrain.bootstrap(corpus, generator, cfg.disc_hparams(),
+                                cfg.search_config("plain"))
     state.discriminator.provenance = _provenance(cfg)
-    model_path = Path(cfg.discriminator_model or out_dir / "discriminator.model")
     state.discriminator.save(model_path)
     # accuracy curve on the held-out pairs, from the bootstrap's counts by length
     buckets = {1, 5, 10, 20, 30, 40, 60, 80, 100, 120, cfg.t_max}
@@ -350,11 +355,12 @@ def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_decode(cfg: RunConfig, args, out_dir: Path):
+    from dasearch import decoder
     search = cfg.search_config(args.mode)
     vocab, generator, disc = _load_models(cfg, need_disc=search.alpha > 0)
     corpus = load_corpus(_required_path(cfg, f"{args.split}_path"), vocab)
-    search_one = functools.partial(das_beam_search, generator, disc, config=search)
-    hyps = decode_corpus(corpus, search_one, jobs=cfg.jobs)
+    search_one = functools.partial(decoder.das_beam_search, generator, disc, config=search)
+    hyps = decoder.decode_corpus(corpus, search_one, jobs=cfg.jobs)
     out_path = out_dir / f"generations-{args.mode}-{args.split}.jsonl"
     _write_generations(out_path, corpus, hyps)
     print(f"generations: {out_path}")
@@ -364,6 +370,7 @@ def cmd_decode(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
+    from dasearch import selftrain
     if cfg.max_iters < 1:
         raise ConfigError(f"max_iters must be >= 1, got {cfg.max_iters}")
     vocab, generator, _ = _load_models(cfg)
@@ -384,11 +391,11 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
     reused, why_not = _reusable_bootstrap(cfg.discriminator_model, provenance)
     print(f"bootstrap: trained ({why_not})" if reused is None
           else f"bootstrap: reused {cfg.discriminator_model}")
-    state = bootstrap(corpus, generator, hparams, search, model=reused)
+    state = selftrain.bootstrap(corpus, generator, hparams, search, model=reused)
     # reused or trained, the bootstrap records its provenance: one iter_0 file
     state.discriminator.provenance = provenance
     snapshot(state)
-    state = run_until_convergence(
+    state = selftrain.run_until_convergence(
         state, generator, corpus, search, hparams, max_iters=cfg.max_iters,
         tau_acc=cfg.tau_acc, tau_delta=cfg.tau_delta if cfg.tau_delta >= 0 else None,
         on_iteration=snapshot)
@@ -442,6 +449,7 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
+    from dasearch import decoder
     # every cell's search settings, checked before anything is loaded or decoded
     for flag, values in (("--k-rerank", args.k_rerank), ("--alphas", args.alphas)):
         for i, value in enumerate(values):
@@ -467,9 +475,9 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
     cell_gens = []
     for k, alpha, search in cells:
         d = disc if alpha > 0 else None
-        search_one = functools.partial(das_beam_search, generator, d, config=search)
-        hyps = decode_corpus(drawn, search_one, jobs=cfg.jobs)
-        cell_gens.append({i: hypothesis_content(h) for i, h in hyps.items()})
+        search_one = functools.partial(decoder.das_beam_search, generator, d, config=search)
+        hyps = decoder.decode_corpus(drawn, search_one, jobs=cfg.jobs)
+        cell_gens.append({i: decoder.hypothesis_content(h) for i, h in hyps.items()})
     rows = []
     for rep, sub in enumerate(subsets):
         for (k, alpha, _), gens in zip(cells, cell_gens):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 # every module the benchmark patches is loaded, so the snapshots below cover them all
 from dasearch import cli, corpus, decoder, discriminator, generator, metrics, selftrain  # noqa: F401
+from dasearch.corpus import save_corpus
 from dasearch.decoder import SearchConfig
 from dasearch.discriminator import DiscriminatorModel, FeatureConfig
 
@@ -34,21 +35,36 @@ def bindings() -> dict:
     return out
 
 
-def test_bench_layers_wrap_every_boundary_and_unpatch_restores_it(monkeypatch):
+def test_bench_layers_wrap_every_boundary_and_unpatch_restores_it(monkeypatch, tmp_path,
+                                                                    synth_corpus,
+                                                                    synth_generator):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     import tracer
+
+    # a CLI decode of three pairs, which the traced pipeline runs in-process
+    test = synth_corpus.subset({p.id for p in synth_corpus.pairs[:3]})
+    save_corpus(test, tmp_path / "test.jsonl")
+    synth_corpus.vocab.save(tmp_path / "vocab.txt")
+    synth_generator.save(tmp_path / "generator.model")
+    cfg = cli.RunConfig(output_dir=str(tmp_path / "out"), test_path=str(tmp_path / "test.jsonl"),
+                        vocab_path=str(tmp_path / "vocab.txt"),
+                        generator_model=str(tmp_path / "generator.model"),
+                        beam_size=2, t_max=10)
+    (tmp_path / "cfg.ini").write_text(cfg.to_ini())
 
     before = bindings()
     bench_tracer = tracer.Tracer()
     try:
         layers.instrument(bench_tracer)
         during = bindings()
+        assert cli.main(["decode", "--config", str(tmp_path / "cfg.ini"), "--mode", "plain"]) == 0
     finally:
         bench_tracer.unpatch()
     after = bindings()
     assert {key[1] for key in during if during[key] is not before[key]} == WRAPPED
-    assert during[("dasearch.cli", "das_beam_search")] is not decoder.das_beam_search
+    # the command calls the search through its module, so the trace sees every pair
+    assert bench_tracer.summary()["decoder.das_beam_search"]["calls"] == 3
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dasearch import cli, discriminator, selftrain
+from dasearch import cli, decoder, discriminator, selftrain
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
 from dasearch.corpus import Vocabulary, load_corpus
 from dasearch.decoder import SearchConfig
@@ -296,11 +297,11 @@ def test_sweep_cells_keep_the_configured_search_rules(pipeline, tmp_path, monkey
     _, cfg = pipeline
     seen = []
 
-    def recording_search(generator, disc, source, config, inner=cli.das_beam_search):
+    def recording_search(generator, disc, source, config, inner=decoder.das_beam_search):
         seen.append(config)
         return inner(generator, disc, source, config)
 
-    monkeypatch.setattr(cli, "das_beam_search", recording_search)
+    monkeypatch.setattr(decoder, "das_beam_search", recording_search)
     path = derive_config(cfg, tmp_path, final_by_s_gen=True, block_repeated_trigrams=True)
     assert main(["sweep", "--config", str(path), "--k-rerank", "1,5", "--alphas", "0,1",
                  "--subset-size", "2", "--repetitions", "1"]) == 0
@@ -313,7 +314,7 @@ def test_sweep_rejects_a_bad_late_cell_before_decoding(pipeline, tmp_path, capsy
                                                        monkeypatch):
     _, cfg = pipeline
     decoded = []
-    monkeypatch.setattr(cli, "decode_corpus", lambda *args, **kwargs: decoded.append(args))
+    monkeypatch.setattr(decoder, "decode_corpus", lambda *args, **kwargs: decoded.append(args))
     path = derive_config(cfg, tmp_path)
     assert main(["sweep", "--config", str(path), "--k-rerank", "3", "--alphas", "0,1,5,-1",
                  "--subset-size", "6", "--repetitions", "3"]) == 1
@@ -359,11 +360,11 @@ def test_sweep_decodes_each_drawn_pair_once_per_cell(pipeline, tmp_path, capsys,
     root, cfg = pipeline
     searched = []
 
-    def counting_search(generator, disc, source, config, inner=cli.das_beam_search):
+    def counting_search(generator, disc, source, config, inner=decoder.das_beam_search):
         searched.append((config.k_rerank, config.alpha, source))
         return inner(generator, disc, source, config)
 
-    monkeypatch.setattr(cli, "das_beam_search", counting_search)
+    monkeypatch.setattr(decoder, "das_beam_search", counting_search)
     path = derive_config(cfg, tmp_path)
     assert main(["sweep", "--config", str(path), "--k-rerank", "1,2", "--alphas", "0,1",
                  "--subset-size", str(subset_size), "--repetitions", "3"]) == 0
@@ -392,11 +393,11 @@ def test_sweep_decodes_with_the_configured_jobs(pipeline, tmp_path, monkeypatch)
     assert main(["sweep", "--config", str(derive_config(cfg, serial_dir)), *argv]) == 0
     seen = []
 
-    def recording_decode_corpus(corpus, search_one, jobs=1, inner=cli.decode_corpus):
+    def recording_decode_corpus(corpus, search_one, jobs=1, inner=decoder.decode_corpus):
         seen.append(jobs)
         return inner(corpus, search_one, jobs=jobs)
 
-    monkeypatch.setattr(cli, "decode_corpus", recording_decode_corpus)
+    monkeypatch.setattr(decoder, "decode_corpus", recording_decode_corpus)
     path = derive_config(cfg, tmp_path, jobs=2)
     assert main(["sweep", "--config", str(path), *argv]) == 0
     assert seen == [2, 2]
@@ -491,7 +492,7 @@ def test_train_discriminator_rejects_epochs_below_one(pipeline, tmp_path, capsys
 def test_train_discriminator_featurises_the_held_out_prefixes_once(pipeline, tmp_path,
                                                                     monkeypatch):
     calls, rounds = [], []
-    real_features, real_bootstrap = discriminator.prefix_features, cli.bootstrap
+    real_features, real_bootstrap = discriminator.prefix_features, selftrain.bootstrap
 
     def counted(sequences, config):
         calls.append(config)
@@ -502,7 +503,7 @@ def test_train_discriminator_featurises_the_held_out_prefixes_once(pipeline, tmp
         return rounds[-1][1]
 
     monkeypatch.setattr(discriminator, "prefix_features", counted)
-    monkeypatch.setattr(cli, "bootstrap", recorded)
+    monkeypatch.setattr(selftrain, "bootstrap", recorded)
     _, cfg = pipeline
     path = derive_config(cfg, tmp_path, discriminator_model=str(tmp_path / "d.model"))
     assert main(["train-discriminator", "--config", str(path)]) == 0
@@ -719,7 +720,10 @@ def test_decode_rejects_jobs_below_one(pipeline, tmp_path, capsys, jobs):
     ("decode", "test_path"),
     ("evaluate", "vocab_path"),
     ("train-generator", "train_path"),
+    ("train-generator", "vocab_path"),
+    ("train-generator", "generator_model"),
     ("train-discriminator", "train_path"),
+    ("train-discriminator", "discriminator_model"),
     ("self-train", "train_path"),
 ])
 def test_missing_path_names_its_key(pipeline, tmp_path, capsys, command, key):
@@ -907,3 +911,77 @@ def test_evaluate_quotes_tokens_that_are_csv_delimiters(tmp_path):
         rows = list(csv.reader(f))
     assert all(len(row) == 4 for row in rows)
     assert {",", '"'} <= {token for system, rank, token, freq in rows[1:]}
+
+
+# --- what a process loads ------------------------------------------------------------
+
+MODEL_MODULES = {"numpy", *(f"dasearch.{name}" for name in
+                            ("generator", "decoder", "discriminator", "selftrain"))}
+
+# run in a fresh interpreter: sys.argv[1] is code to run, and its last output
+# line is the names in sys.modules afterwards
+LOADED_AFTER = "import json, sys\nexec(sys.argv[1])\nprint(json.dumps(sorted(sys.modules)))"
+
+
+def _loaded_after(code: str) -> set:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER, code], env=env, check=True,
+                          timeout=300, capture_output=True, text=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("command, not_loaded", [
+    ("--help", MODEL_MODULES),
+    ("make-corpus", MODEL_MODULES),
+    ("evaluate", MODEL_MODULES),
+    ("train-generator", MODEL_MODULES - {"numpy", "dasearch.generator"}),
+])
+def test_a_command_loads_only_the_modules_it_runs(pipeline, tmp_path, command, not_loaded):
+    root, cfg = pipeline
+    overrides = {}
+    if command == "train-generator":  # its own models, not over the shared ones
+        overrides = {"vocab_path": str(tmp_path / "vocab.txt"),
+                     "generator_model": str(tmp_path / "generator.model")}
+    path = derive_config(cfg, tmp_path, **overrides)
+    argv = [command] if command == "--help" else [command, "--config", str(path)]
+    if command == "evaluate":
+        corpus = load_corpus(root / "out" / "test.jsonl",
+                             Vocabulary.load(root / "out" / "vocab.txt"))
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text("".join(json.dumps({"id": p.id, "tokens": list(p.reference)}) + "\n"
+                                for p in corpus.pairs))
+        argv += ["--split", "test", "--systems", str(gens)]
+    loaded = _loaded_after(f"from dasearch import cli\nassert cli.main({argv!r}) == 0")
+    assert "dasearch.cli" in loaded
+    assert sorted(loaded & not_loaded) == []
+
+
+def test_importing_the_package_loads_nothing_else():
+    loaded = _loaded_after("import dasearch")
+    assert {name for name in loaded if name.startswith("dasearch")} == {"dasearch"}
+    assert "numpy" not in loaded
+
+
+# every name `from dasearch import ...` gives, by the module that defines it
+PACKAGE_NAMES = {
+    "corpus": ["Corpus", "DocumentPair", "Vocabulary", "build_vocabulary",
+               "generate_synthetic_corpus", "load_corpus", "tokenize"],
+    "decoder": ["Hypothesis", "SearchConfig", "das_beam_search", "plain_beam_search"],
+    "discriminator": ["DiscriminatorModel", "FeatureConfig", "accuracy_by_length",
+                      "build_prefix_sets", "train_discriminator"],
+    "generator": ["NGramCopyModel", "train_generator"],
+    "metrics": ["MetricReport", "bleu1", "delta", "evaluate_system", "novelty_n",
+                "repetition_n", "rouge1", "rougeL"],
+    "selftrain": ["SelfTrainState", "bootstrap", "run_until_convergence", "self_train_step"],
+}
+
+
+def test_package_names_are_those_of_their_defining_modules():
+    import dasearch
+    assert sorted(dasearch.__all__) == sorted(sum(PACKAGE_NAMES.values(), []))
+    for module_name, names in PACKAGE_NAMES.items():
+        module = importlib.import_module(f"dasearch.{module_name}")
+        for name in names:
+            assert getattr(dasearch, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dasearch.no_such_name  # noqa: B018
