@@ -11,6 +11,19 @@ of the pool is never scored. Plain beam search is the same search with no
 discriminator and K_rerank = B: the pool is then never re-scored and every
 result has s_das == s_gen.
 
+Without a length penalty a search stops as soon as its winner is settled:
+once the pool's best ended member by the final key has an s_das above every
+live member's s_gen (Huang, Zhao & Ma, "When to Finish?", EMNLP 2017). That
+is exact: a token's logp <= 0, so no descendant of a live member has more
+s_gen than it has, and log D <= 0 with alpha >= 0, so none has more s_das
+than its own s_gen. The ended member then outranks every later candidate in
+the s_gen pre-filter and the s_das rerank, stays in the pool, and wins the
+final sort; the first hypothesis returned is, bit for bit, the one a search
+run on to t_max (or until every member has ended) returns first. The rest of
+the returned list is the pool's other ended members at the stop, best first,
+not the rest of that longer search's pool. With a length penalty (beta != 0)
+the final key can rise with length, and the search runs as long as ever.
+
 A candidate is light: a tuple of its scores, its parent's rank in the pool's
 token order and its token, which order candidates as their token tuples would.
 PrefixFeaturizer.score_next gives its D from its parent's prefix state in
@@ -175,6 +188,17 @@ def _final_sort(pool, config: SearchConfig):
     return sorted(pool, key=key)
 
 
+def _settled(pool, config: SearchConfig):
+    """Whether the winner of a pool that has live and ended members is
+    settled: the best ended member by the final key has an s_das above every
+    live member's s_gen, which bounds all a live member can still become (see
+    the module docstring). Nothing settles under a length penalty."""
+    if config.length_penalty_beta != 0.0:
+        return False
+    best = _final_sort([h for h in pool if h.ended], config)[0]
+    return best.s_das > max(h.s_gen for h in pool if not h.ended)
+
+
 def _search(generator, discriminator, source, config: SearchConfig):
     source = tuple(source)
     if not source:
@@ -243,16 +267,17 @@ def _search(generator, discriminator, source, config: SearchConfig):
                          for neg_gen, rank, tok in candidates[: config.beam_size]]
         survivors.sort()
 
-        next_pool, next_states, next_indexes, live = [], [], [], False
+        next_pool, next_states, next_indexes, live, ended = [], [], [], False, False
         for j, (rank, tok, s_gen, s_dis, s_das) in enumerate(survivors):
             parent = pool[rank]
             state = index = None
             if tok < 0:
-                h = parent
+                h, ended = parent, True
+            elif tok == eos:
+                h, ended = Hypothesis(parent.tokens + (tok,), s_gen, s_dis, s_das, True), True
             else:
-                h = Hypothesis(parent.tokens + (tok,), s_gen, s_dis, s_das, tok == eos)
-                live = live or not h.ended
-                if not h.ended and (rerank or block):
+                h, live = Hypothesis(parent.tokens + (tok,), s_gen, s_dis, s_das), True
+                if rerank or block:
                     # a parent's last child in token order takes over what the
                     # parent carried; its siblings before it copy that first
                     last = j + 1 == len(survivors) or survivors[j + 1][0] != rank
@@ -267,6 +292,9 @@ def _search(generator, discriminator, source, config: SearchConfig):
             next_indexes.append(index)
         pool, states, indexes = next_pool, next_states, next_indexes
         if not live:
+            break
+        if ended and _settled(pool, config):
+            pool = [h for h in pool if h.ended]
             break
 
     final = []
@@ -284,7 +312,10 @@ def _search(generator, discriminator, source, config: SearchConfig):
 
 
 def das_beam_search(generator, discriminator, source, config: SearchConfig):
-    """Discriminator-reranked beam search; returns ended hypotheses, best first."""
+    """Discriminator-reranked beam search; returns ended hypotheses, best
+    first. The first is the winner. Without a length penalty the search stops
+    once the winner is settled, and the rest are the pool's other ended
+    members at that step; with one, the rest are the final pool."""
     return _search(generator, discriminator, source, config)
 
 
@@ -296,7 +327,8 @@ def plain_settings(beam_size: int) -> dict:
 
 def plain_beam_search(generator, source, config: SearchConfig):
     """Standard beam search on generator score alone (plus optional rules): the
-    fused search with no discriminator and the plain_settings."""
+    fused search with no discriminator and the plain_settings, so it too
+    stops once its winner is settled."""
     return _search(generator, None, source,
                    replace(config, **plain_settings(config.beam_size)))
 
@@ -315,7 +347,8 @@ def _worker_decode(source):
 
 
 def decode_corpus(corpus: Corpus, search_one, jobs: int = 1) -> dict:
-    """The best hypothesis per pair id; `search_one(source)` returns a beam.
+    """The best hypothesis per pair id; `search_one(source)` returns ended
+    hypotheses best first, as the searches do, and only the first is kept.
     jobs > 1 searches in a pool of at most one worker process per pair, which
     receives `search_one` (and the models it holds) once, at start-up."""
     if jobs < 1:

@@ -68,11 +68,12 @@ class SelfTrainState:
     held_out: list = field(default_factory=list)  # (t, right, n) on val_ids, t = 1..t_max
 
 
-def _history_entry(iteration, val_accuracy, generations, corpus):
+def _history_entry(iteration, val_accuracy, final_objective, generations, corpus):
     report = evaluate_system(generations, corpus)
     return {
         "iteration": iteration,
         "val_accuracy": val_accuracy,
+        "final_objective": final_objective,
         "d_len": report.d_len,
         "d_nov1": report.d_nov1,
         "d_nov3": report.d_nov3,
@@ -111,7 +112,8 @@ def _round(corpus: Corpus, search_one, config: FeatureConfig,
                            last_generations=generations, history=list(history),
                            val_ids=val_ids, past_generations=list(past), held_out=held_out)
     _, right, n = map(sum, zip(*held_out))
-    state.history.append(_history_entry(iteration, right / n, generations, corpus))
+    state.history.append(_history_entry(iteration, right / n, model.final_objective,
+                                        generations, corpus))
     return state
 
 

@@ -2,8 +2,9 @@
 setup, a sequence's generator log-probability by the chain rule, the
 exhaustive search that a saturated beam must equal, the reference beam
 search that builds every candidate in full, which the search must equal bit
-for bit, and the classic longest-common-subsequence table that the
-bit-parallel `metrics.lcs_length` must equal."""
+for bit (and, run on to t_max, whose winner the search's must equal), and the
+classic longest-common-subsequence table that the bit-parallel
+`metrics.lcs_length` must equal."""
 
 import itertools
 
@@ -87,11 +88,18 @@ def _blocked_tokens(h: Hypothesis) -> frozenset[int]:
                      if content[i : i + 2] == ctx)
 
 
-def reference_search(generator, discriminator, source, config: SearchConfig):
+def reference_search(generator, discriminator, source, config: SearchConfig,
+                     settle: bool = True):
     """The fused beam search with every candidate a full Hypothesis, ranked by
     its token tuple, and a prefix state per scored candidate: what
     `decoder._search` must return bit for bit. Plain search is this with no
-    discriminator and k_rerank = beam_size."""
+    discriminator and k_rerank = beam_size.
+
+    With `settle` (and no length penalty) it stops once some ended member of
+    the pool, the first by the final key, has a fused score above every live
+    member's s_gen, and returns the pool's ended members. settle=False runs
+    to t_max, or until every member has ended, and returns the whole pool;
+    its first member is the settled search's first."""
     source = tuple(source)
     if not source:
         raise DecoderError("empty source")
@@ -140,6 +148,14 @@ def reference_search(generator, discriminator, source, config: SearchConfig):
             states = {h.tokens: states[h.tokens] for h in pool if not h.ended}
         if all(h.ended for h in pool):
             break
+        if settle and config.length_penalty_beta == 0.0:
+            ended = [score(h) for h in pool if h.ended]
+            if ended:
+                first = min(ended, key=lambda h: (
+                    -(h.s_gen if config.final_by_s_gen else h.s_das), -h.s_gen, h.tokens))
+                if all(first.s_das > h.s_gen for h in pool if not h.ended):
+                    pool = ended
+                    break
 
     final = []
     for h in pool:

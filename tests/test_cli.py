@@ -531,6 +531,23 @@ def test_self_train_writes_iteration_directories(pipeline):
         assert len(history) == 1 + k + 1
 
 
+def test_history_records_each_round_models_final_objective(pipeline, tmp_path, capsys):
+    """Row j of every iter_k/history.csv holds, as written, the final_objective
+    header of iter_j/discriminator.model, right after val_accuracy."""
+    _, cfg = pipeline
+    _, files = _self_train(cfg, tmp_path / "run", capsys)
+    stored = {}
+    for k in (0, 1):
+        header = files[f"iter_{k}/discriminator.model"].decode().splitlines()
+        (line,) = [h for h in header if h.startswith("final_objective ")]
+        stored[k] = line.split(" ", 1)[1]
+    for k in (0, 1):
+        rows = list(csv.reader(files[f"iter_{k}/history.csv"].decode().splitlines()))
+        assert rows[0][:3] == ["iteration", "val_accuracy", "final_objective"]
+        assert [(row[0], row[2]) for row in rows[1:]] == [(str(j), stored[j])
+                                                          for j in range(k + 1)]
+
+
 def _self_train(cfg, directory: Path, capsys, *extra, **overrides):
     """Run self-train with its output in the new `directory`; returns its
     stdout and the bytes of every iteration file by relative path."""

@@ -20,6 +20,7 @@ from dasearch.decoder import (
     _expansion,
     _extend_block_index,
     _final_sort,
+    _settled,
     apply_das_score,
     das_beam_search,
     decode_corpus,
@@ -413,7 +414,10 @@ def test_final_selection_by_generator_score_option(synth_corpus, synth_generator
     abl_cfg = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=60,
                            final_by_s_gen=True)
     for p in synth_corpus.pairs[:10]:
-        ranked = das_beam_search(synth_generator, trained_disc, p.source, das_cfg)
+        # the whole final pool: a settled search returns only the members
+        # that had ended when it stopped
+        ranked = reference_search(synth_generator, trained_disc, p.source, das_cfg,
+                                  settle=False)
         ablated = das_beam_search(synth_generator, trained_disc, p.source, abl_cfg)
         assert ablated[0].s_gen == max(h.s_gen for h in ranked)
 
@@ -497,8 +501,91 @@ def test_search_equals_the_reference_search_through_ties(data):
                                 scale=0.5,
                                 offset=data.draw(st.sampled_from([0.0, 50.0, -50.0]),
                                                  label="bias_offset"))
-    assert (beam_bits(das_beam_search(generator, disc, source, config))
-            == beam_bits(reference_search(generator, disc, source, config)))
+    beam = das_beam_search(generator, disc, source, config)
+    assert beam_bits(beam) == beam_bits(reference_search(generator, disc, source, config))
+    assert (beam_bits(beam[:1])
+            == beam_bits(reference_search(generator, disc, source, config, settle=False)[:1]))
+
+
+def test_a_pool_settles_once_its_first_ended_member_outscores_every_live_s_gen():
+    """The first ended member by the final key must have an s_das above each
+    live member's s_gen, the most any of its descendants can reach in s_gen
+    and in s_das; its own s_gen above them is not enough."""
+    def ended(s_gen, s_das, tok):
+        return Hypothesis((SOS, tok, EOS), s_gen, s_das - s_gen, s_das, True)
+
+    live = Hypothesis((SOS, 5, 6), -2.0, -0.5, -2.5)
+    config = SearchConfig(beam_size=3, k_rerank=3, alpha=1.0)
+    # its s_gen is above the live one's, but a child of the live one with
+    # D near 1 would pass its s_das
+    assert not _settled([ended(-1.0, -3.0, 7), live], config)
+    # a child with logp and log D both 0 (in floats) would tie it, and the
+    # tie breaks on tokens
+    assert not _settled([ended(-1.0, -2.0, 7), live], config)
+    first, second = ended(-1.0, -1.5, 7), ended(-1.2, -1.9, 8)
+    assert _settled([second, live, first], config)
+    assert _settled([second, live], config)
+    assert not _settled([first, live], replace(config, length_penalty_beta=0.6))
+    # by s_gen the first ended member is the one of lower s_das, which a
+    # child of the live member may still outrank in the pool
+    low_das = ended(-1.0, -5.0, 7)
+    assert not _settled([low_das, second, live], replace(config, final_by_s_gen=True))
+    assert _settled([low_das, second, live], config)
+
+
+@pytest.mark.parametrize("final_by_s_gen", [False, True], ids=["by-s_das", "by-s_gen"])
+@pytest.mark.parametrize("rules", [False, True], ids=["rules-off", "rules-on"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 5.0])
+@pytest.mark.parametrize("k_rerank", [1, 3, 5, 10])
+def test_search_winner_equals_the_run_to_t_max_winner(seed1_models, k_rerank, alpha, rules,
+                                                      final_by_s_gen):
+    """Stopping once the winner is settled leaves the winner as it is, bit for
+    bit: the first of the returned members is the first that running on to
+    t_max (or until every member has ended) would return."""
+    pairs, generator, disc = seed1_models
+    config = SearchConfig(beam_size=min(3, k_rerank), k_rerank=k_rerank, alpha=alpha,
+                          t_max=60, length_penalty_beta=0.6 if rules else 0.0,
+                          block_repeated_trigrams=rules, final_by_s_gen=final_by_s_gen)
+    for p in pairs:
+        assert (beam_bits(das_beam_search(generator, disc, p.source, config)[:1])
+                == beam_bits(reference_search(generator, disc, p.source, config,
+                                              settle=False)[:1]))
+
+
+def test_settling_saves_discriminator_calls_only_without_length_penalty(seed1_models,
+                                                                        monkeypatch):
+    """At K=10 and alpha=1 a settled search asks the discriminator less, in
+    total, than the same search run on to t_max (no pool ever settled), and
+    never more on a pair. With a length penalty nothing settles, and the two
+    ask the same."""
+    from dasearch import decoder
+
+    pairs, generator, disc = seed1_models
+    calls = Counter()
+    score_next = PrefixFeaturizer.score_next
+    monkeypatch.setattr(PrefixFeaturizer, "score_next", lambda self, state, token: (
+        calls.update(["score_next"]) or score_next(self, state, token)))
+
+    def count(config):
+        counts = []
+        for p in pairs:
+            calls.clear()
+            das_beam_search(generator, disc, p.source, config)
+            counts.append(calls["score_next"])
+        return counts
+
+    for beta in (0.0, 0.6):
+        config = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=60,
+                              length_penalty_beta=beta)
+        settled = count(config)
+        with monkeypatch.context() as m:
+            m.setattr(decoder, "_settled", lambda pool, config: False)
+            unsettled = count(config)
+        if beta == 0.0:
+            assert sum(settled) < sum(unsettled)
+            assert all(a <= b for a, b in zip(settled, unsettled))
+        else:
+            assert settled == unsettled
 
 
 @pytest.mark.parametrize("all_human", [False, True], ids=["trained", "all-human"])
@@ -518,8 +605,10 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generat
     monkeypatch.setattr(PrefixFeaturizer, "advance", lambda self, state, token: (
         counts.update(["advance"]) or advance(self, state, token)))
     monkeypatch.setattr(PrefixState, "copy", lambda self: counts.update(["copy"]) or copy(self))
+    lengths = set()
     monkeypatch.setattr(PrefixFeaturizer, "score_next", lambda self, state, token: (
-        counts.update(["score_next"]) or score_next(self, state, token)))
+        counts.update(["score_next"]) or lengths.add(state.t)
+        or score_next(self, state, token)))
     generator = train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75)
     context, next_logprobs = generator.context, generator.next_logprobs
     tails, inside = [], []
@@ -541,8 +630,10 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generat
     for p in synth_corpus.pairs[:10]:
         counts.clear()
         tails.clear()
+        lengths.clear()
         beam = das_beam_search(generator, disc, p.source, config)
-        steps = max(len(h.tokens) - 1 - h.truncated for h in beam)
+        # a step is a prefix length below t_max the search scores candidates at
+        steps = len({t for t in lengths if t < config.t_max})
         assert counts["advance"] <= config.beam_size * steps
         assert counts["copy"] <= config.beam_size * steps
         assert tails and len(tails) == len(set(tails))
