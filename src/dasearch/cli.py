@@ -113,9 +113,9 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            if not parser.read(path):
+            if not parser.read(path, encoding="utf-8"):
                 raise ConfigError(f"cannot read config file: {path}")
-        except configparser.Error as e:
+        except (configparser.Error, UnicodeDecodeError) as e:
             raise ConfigError(f"malformed config file {path}: {e}") from None
         schema = {f.name: f for f in fields(cls)}
         sections = {f.metadata["section"] for f in schema.values()}

@@ -152,7 +152,10 @@ class Vocabulary:
         """Read a file `save` wrote: the reserved tokens' lines, then one token
         per line; a blank, reserved or repeated token is refused with its line."""
         with open(path, encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f]
+            try:
+                lines = [ln.rstrip("\n") for ln in f]
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"vocabulary file {path}: not UTF-8: {e}") from None
         if lines[:3] != list(RESERVED):
             raise CorpusError(f"vocabulary file {path} missing reserved header lines")
         first: dict[str, int] = {}

@@ -85,7 +85,8 @@ class SearchConfig:
 
     def __post_init__(self):
         if not 1 <= self.beam_size <= self.k_rerank:
-            raise DecoderError("need 1 <= beam_size <= k_rerank")
+            raise DecoderError(f"need 1 <= beam_size <= k_rerank, got beam_size "
+                               f"{self.beam_size} and k_rerank {self.k_rerank}")
         if not 0 <= self.alpha < math.inf:
             raise DecoderError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not math.isfinite(self.length_penalty_beta):

@@ -78,17 +78,14 @@ class FeatureBatch:
     Row i is a prefix of t[i] tokens with the dense values dense[i]. Its
     2 t[i] - 1 hits, in token order, are the first 2 t[i] - 1 columns of its
     chain's hit sequence hits[chain_ptr[c]:chain_ptr[c + 1]], c = chain[i].
-    Its distinct columns are idx[indptr[i]:indptr[i + 1]] (CSR), in first-hit
-    order, with the values val = count / t."""
+    Each hit is worth 1 / t[i]: SGD moves each hit's weight by step / t,
+    which is step * c / t for a column hit c times, up to rounding."""
 
     dense: np.ndarray      # n x N_DENSE
     t: np.ndarray          # n prefix lengths
     chain: np.ndarray      # n chain numbers
     chain_ptr: np.ndarray  # offset of every chain's hits in hits, and their end
     hits: np.ndarray
-    indptr: np.ndarray     # n + 1 offsets into idx and val
-    idx: np.ndarray
-    val: np.ndarray
     columns: np.ndarray
 
     def __len__(self) -> int:
@@ -288,29 +285,18 @@ def prefix_features(sequences, config: FeatureConfig) -> FeatureBatch:
     order, as one FeatureBatch: each sequence is walked once, as one chain."""
     featurizer = PrefixFeaturizer(config)
     dense, ts, chain = array("d"), array("q"), array("q")
-    chain_ptr, hits = array("q", [0]), array("i")
-    idx, val, indptr = array("i"), array("d"), array("q", [0])
+    chain_ptr, hits = array("q", [0]), array("q")
     for source, tokens in sequences:
-        state, counts, number = featurizer.state_of(source), {}, len(chain_ptr) - 1
+        state, number = featurizer.state_of(source), len(chain_ptr) - 1
         for token in tokens:
-            for k in featurizer.advance(state, token):
-                hits.append(k)
-                counts[k] = counts.get(k, 0) + 1
-            t = state.t
+            hits.extend(featurizer.advance(state, token))
             dense.extend(featurizer.dense(state))
-            ts.append(t)
+            ts.append(state.t)
             chain.append(number)
-            idx.extend(counts)
-            val.extend([c / t for c in counts.values()])
-            indptr.append(len(idx))
         chain_ptr.append(len(hits))
-
-    def ints(a):
-        return np.frombuffer(a, dtype=np.int64 if a.typecode == "q" else np.intc)
-
-    return FeatureBatch(np.frombuffer(dense).reshape(-1, N_DENSE), ints(ts), ints(chain),
-                        ints(chain_ptr), ints(hits), ints(indptr), ints(idx),
-                        np.frombuffer(val), np.array(featurizer.columns, dtype=np.int64))
+    return FeatureBatch(np.frombuffer(dense).reshape(-1, N_DENSE),
+                        *(np.frombuffer(a, dtype=np.int64) for a in (ts, chain, chain_ptr, hits)),
+                        np.array(featurizer.columns, dtype=np.int64))
 
 
 @dataclass
@@ -365,7 +351,10 @@ class DiscriminatorModel:
         """Read a `discriminator v2` or `v1` file; a v1 file has no
         `vocab_hash` and no `provenance` line."""
         with open(path, encoding="utf-8") as f:
-            version = f.readline().strip()
+            try:
+                version = f.readline().strip()
+            except UnicodeDecodeError as e:
+                raise DiscriminatorError(f"not a discriminator model file: {path}: {e}") from None
             if version not in ("discriminator v1", "discriminator v2"):
                 raise DiscriminatorError(f"not a discriminator model file: {path}")
             v2 = version == "discriminator v2"
@@ -478,10 +467,12 @@ def eq2_gradient(model: DiscriminatorModel, batch: FeatureBatch, n_human: int):
     and p the row's score_features."""
     human, p = np.arange(len(batch)) < n_human, np.array(model.score_features(batch))
     c = (human - p) / np.where(human, n_human, len(batch) - n_human)
+    n_hits = 2 * batch.t - 1  # row i's hits, one row after another, each weighted c_i / t_i
+    start = batch.chain_ptr[batch.chain] - np.cumsum(n_hits) + n_hits
+    at = np.arange(n_hits.sum()) + np.repeat(start, n_hits)
     sparse = np.zeros(model.config.d_hash)
-    sparse[batch.columns] = np.bincount(
-        batch.idx, weights=np.repeat(c, np.diff(batch.indptr)) * batch.val,
-        minlength=len(batch.columns))
+    sparse[batch.columns] = np.bincount(batch.hits[at], weights=np.repeat(c / batch.t, n_hits),
+                                        minlength=len(batch.columns))
     return batch.dense.T @ c, sparse, c.sum()
 
 
@@ -501,7 +492,8 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
                         ratio: float = 1.0) -> DiscriminatorModel:
     """SGD ascent on the set-normalized objective over every prefix of the
     (source, tokens) sequences H (human) and G (generated), step decay
-    1/sqrt(epoch).
+    1/sqrt(epoch). An example's step moves the weight of each of its hits
+    by step / t, which is step * c / t for a column hit c times, up to rounding.
 
     Per-example steps are rescaled by (|H|+|G|)/2, in prefixes, so the
     learning rate is comparable across dataset sizes. `ratio` reweights the generated side:
@@ -525,9 +517,8 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     # one example's step: `logit` of its row, unrolled over the 7 dense
     # features, then the update of every weight the row used. The sparse
     # weights of the batch's columns are a list while the epoch runs.
-    dense, t, ptr = map(memoryview, (batch.dense.reshape(-1), batch.t, batch.indptr))
-    idx, val, first_hit = map(memoryview, (batch.idx, batch.val, batch.chain_ptr[batch.chain]))
-    hits = batch.hits.tolist()
+    dense, t = map(memoryview, (batch.dense.reshape(-1), batch.t))
+    first_hit, hits = memoryview(batch.chain_ptr[batch.chain]), batch.hits.tolist()
     w0, w1, w2, w3, w4, w5, w6 = model.dense_w.tolist()
     w, bias = model.sparse_w[batch.columns].tolist(), float(model.bias)
     rng = np.random.default_rng(seed)
@@ -538,8 +529,9 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         rate_H, rate_G = lr * scale_H, lr * scale_G
         for i in order.tolist():
             n, a = t[i], first_hit[i]
+            row = hits[a:a + 2 * n - 1]
             S = 0.0
-            for k in hits[a:a + 2 * n - 1]:
+            for k in row:
                 S += w[k]
             d0, d1, d2, d3, d4, d5, d6 = dense[7 * i:7 * i + 7]
             zd = 0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5 + w6 * d6
@@ -552,9 +544,9 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
             w4 += step * d4
             w5 += step * d5
             w6 += step * d6
-            a, b = ptr[i], ptr[i + 1]
-            for k, v in zip(idx[a:b], val[a:b]):
-                w[k] += step * v  # a row's columns are distinct
+            share = step / n
+            for k in row:
+                w[k] += share
             bias += step
         model.dense_w[:] = w0, w1, w2, w3, w4, w5, w6
         model.sparse_w[batch.columns] = w

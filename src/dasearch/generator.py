@@ -148,7 +148,10 @@ class NGramCopyModel:
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "NGramCopyModel":
         with open(path, encoding="utf-8") as f:
-            header = f.readline().strip()
+            try:
+                header = f.readline().strip()
+            except UnicodeDecodeError as e:
+                raise GeneratorError(f"not a generator model file: {path}: {e}") from None
             if header != "ngram-copy v1":
                 raise GeneratorError(f"not a generator model file: {path}")
             try:

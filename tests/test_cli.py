@@ -319,6 +319,10 @@ def test_sweep_rejects_a_bad_late_cell_before_decoding(pipeline, tmp_path, capsy
     assert main(["sweep", "--config", str(path), "--k-rerank", "3", "--alphas", "0,1,5,-1",
                  "--subset-size", "6", "--repetitions", "3"]) == 1
     assert "alpha must be finite and >= 0, got -1.0" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(path), "--k-rerank", "3,0", "--alphas", "0,1",
+                 "--subset-size", "6", "--repetitions", "3"]) == 1
+    assert "need 1 <= beam_size <= k_rerank, got beam_size 0 and k_rerank 0" in \
+        capsys.readouterr().err
     assert decoded == []
     assert not (tmp_path / "sweep.csv").exists()
 
@@ -598,6 +602,7 @@ def test_self_train_reuses_the_bootstrap_train_discriminator_wrote(pipeline, tmp
     ("generator", "generator_sha256 differs"),
     ("unset", "[paths] discriminator_model is not set"),
     ("no-provenance", "{tmp}/later.model records no provenance"),
+    ("revision", "bootstrap_revision differs"),
 ])
 def test_self_train_retrains_the_bootstrap_when_an_input_differs(pipeline, tmp_path, capsys,
                                                                  monkeypatch, change, reason):
@@ -619,6 +624,11 @@ def test_self_train_retrains_the_bootstrap_when_an_input_differs(pipeline, tmp_p
         (tmp_path / "later.model").write_text(re.sub(r"\nprovenance .*\n", "\nprovenance \n",
                                                      text))
         overrides = {"discriminator_model": str(tmp_path / "later.model")}
+    elif change == "revision":  # a file the first bootstrap revision wrote
+        text = (root / "out" / "discriminator.model").read_text()
+        (tmp_path / "old.model").write_text(re.sub(r"\bbootstrap_revision=\d+ ",
+                                                   "bootstrap_revision=1 ", text))
+        overrides = {"discriminator_model": str(tmp_path / "old.model")}
     else:
         overrides = {"discriminator_model": ""}
     trainings = _count_trainings(monkeypatch)
@@ -636,6 +646,22 @@ def test_self_train_exits_one_on_a_malformed_discriminator_file(pipeline, tmp_pa
     assert f"error: truncated or malformed discriminator model file: {cut}" in \
         capsys.readouterr().err
     assert not (tmp_path / "iter_0").exists()
+
+
+@pytest.mark.parametrize("key", ["vocab_path", "generator_model", "discriminator_model",
+                                 "config"])
+def test_a_file_that_is_not_utf8_is_named_in_the_error(pipeline, tmp_path, capsys, key):
+    # the file as UTF-16: its first bytes are ff fe
+    root, cfg = pipeline
+    source = Path(cfg) if key == "config" else Path(getattr(RunConfig.from_file(cfg), key))
+    bad = tmp_path / f"utf16-{source.name}"
+    bad.write_text(source.read_text(), encoding="utf-16")
+    assert bad.read_bytes()[:2] == b"\xff\xfe"
+    path = bad if key == "config" else derive_config(cfg, tmp_path, **{key: str(bad)})
+    assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "codec can't decode byte 0xff in position 0" in err
 
 
 def test_a_v1_discriminator_file_decodes_alike_and_is_never_reused(pipeline, tmp_path, capsys):

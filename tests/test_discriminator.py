@@ -322,7 +322,6 @@ def test_sequence_features_equal_the_reference_at_every_prefix(data):
     rows = [(n, source, seq[:t]) for n, (source, seq) in enumerate(seqs)
             for t in range(1, len(seq) + 1)]
     assert len(batch) == len(rows) == len(prefixes(seqs))
-    assert batch.indptr[0] == 0 and batch.indptr[-1] == len(batch.idx) == len(batch.val)
     assert len(batch.chain_ptr) == len(seqs) + 1
     assert batch.chain_ptr[0] == 0 and batch.chain_ptr[-1] == len(batch.hits)
     assert len(set(batch.columns.tolist())) == len(batch.columns)
@@ -334,11 +333,6 @@ def test_sequence_features_equal_the_reference_at_every_prefix(data):
         hits = batch.columns[batch.hits[start:start + 2 * t - 1]].tolist()
         ref = reference_features(source, prefix, config)
         assert_same_features((batch.dense[i], hits), ref)
-        # the distinct columns in first-hit order, valued count / t
-        row = slice(batch.indptr[i], batch.indptr[i + 1])
-        first_hits = list(dict.fromkeys(ref[1]))
-        assert batch.columns[batch.idx[row]].tolist() == first_hits
-        assert batch.val[row].tolist() == [ref[1].count(k) / t for k in first_hits]
 
 
 # --- scoring --------------------------------------------------------------------
@@ -469,11 +463,13 @@ def test_warm_start_initialization_is_used(config):
 
 
 def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: float,
-                    seed: int, init: DiscriminatorModel | None, ratio: float):
+                    seed: int, init: DiscriminatorModel | None, ratio: float,
+                    per_column: bool = False):
     """SGD over the reference_features of every prefix of the H and G
     sequences, scored by reference_score, and the objective summed example by
     example after the last epoch: the trainer the packed one must match bit
-    for bit."""
+    for bit. Each hit moves its weight by step / t; with `per_column`, each
+    distinct index moves once, by step * (c / t) for an index hit c times."""
     if init is not None:
         model = DiscriminatorModel(config, init.dense_w.copy(), init.sparse_w.copy(),
                                    init.bias)
@@ -508,8 +504,12 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
             model.dense_w += step * dense
             # an index hit c times in a t-token prefix has the value c / t
             t = (len(hits) + 1) // 2
-            for index, count in Counter(hits).items():
-                model.sparse_w[index] += step * (count / t)
+            if per_column:
+                for index, count in Counter(hits).items():
+                    model.sparse_w[index] += step * (count / t)
+            else:
+                for index in hits:
+                    model.sparse_w[index] += step / t
             model.bias += step
     model.final_objective = objective()
     return model
@@ -562,6 +562,22 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
             scorer.advance(state, token)
         carried.append(scorer.score(state))
     assert carried == want
+
+
+def test_per_hit_steps_equal_the_per_column_arithmetic_up_to_rounding(config):
+    # a column hit c times in a t-token prefix moves by c steps of step / t,
+    # not by one of step * (c / t): the same SGD step in exact arithmetic
+    H, G = _separable_sets(n=40, seed=8)
+    assert any(len(set(tokens)) < len(tokens) for _, tokens in G)  # some c > 1
+    for seed in (0, 1):
+        packed = train_discriminator(H, G, config, epochs=4, seed=seed)
+        per_column = reference_train(H, G, config, epochs=4, learning_rate=2.0, seed=seed,
+                                     init=None, ratio=1.0, per_column=True)
+        assert not np.array_equal(packed.sparse_w, per_column.sparse_w)
+        for name in ("dense_w", "sparse_w"):
+            np.testing.assert_allclose(getattr(packed, name), getattr(per_column, name),
+                                       rtol=1e-9, atol=0, err_msg=name)
+        assert math.isclose(packed.bias, per_column.bias, rel_tol=1e-9)
 
 
 # --- objective and gradient ------------------------------------------------------
