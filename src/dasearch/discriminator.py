@@ -78,8 +78,10 @@ class FeatureBatch:
     Row i is a prefix of t[i] tokens with the dense values dense[i]. Its
     2 t[i] - 1 hits, in token order, are the first 2 t[i] - 1 columns of its
     chain's hit sequence hits[chain_ptr[c]:chain_ptr[c + 1]], c = chain[i].
-    Each hit is worth 1 / t[i]: SGD moves each hit's weight by step / t,
-    which is step * c / t for a column hit c times, up to rounding."""
+    Each hit is worth 1 / t[i], so a column hit c times has the value c / t[i].
+    Scoring sums the hits one by one; training (for rows with fewer distinct
+    columns than tokens) and eq2_gradient take each row's distinct columns
+    and their counts from _distinct_hits."""
 
     dense: np.ndarray      # n x N_DENSE
     t: np.ndarray          # n prefix lengths
@@ -101,8 +103,10 @@ def logit(bias: float, dense_w, dense, S: float, t: int) -> float:
     zd sums dense_w[j] * dense[j] left to right from 0.0. S sums, from 0.0,
     the sparse weights of the prefix's hits in token order: each token's
     unigram index, then its bigram index. So an index hit c times has the
-    value c / t. Training, the search and every scorer use this arithmetic;
-    none takes a dot product, whose result depends on the BLAS kernel."""
+    value c / t. The search and every scorer use this arithmetic. Training
+    sums c * w per distinct index instead for a prefix with fewer distinct
+    indices than tokens, equal up to rounding; none takes a dot product,
+    whose result depends on the BLAS kernel."""
     w0, w1, w2, w3, w4, w5, w6 = dense_w
     d0, d1, d2, d3, d4, d5, d6 = dense
     return (bias + (0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5
@@ -299,6 +303,26 @@ def prefix_features(sequences, config: FeatureConfig) -> FeatureBatch:
                         np.array(featurizer.columns, dtype=np.int64))
 
 
+def _distinct_hits(batch: FeatureBatch) -> tuple[list, array, array]:
+    """The distinct columns of every row of `batch` and how often it hits
+    each: (firsts, counts, start). firsts[c] lists chain c's distinct columns
+    in first-hit order, so row i's are the first m_i of firsts[chain[i]], and
+    counts[start[i]:start[i + 1]] are their counts, m_i of them, in the
+    narrowest unsigned type that holds 2 max(t) - 1."""
+    size = 2 * int(batch.t.max(initial=1)) - 1
+    counts = array(next(code for code in "BHIQ" if size < 256 ** array(code).itemsize))
+    firsts, start = [], array("q", [0])
+    for a, b in itertools.pairwise(batch.chain_ptr.tolist()):
+        running: dict[int, int] = {}  # column -> count so far, in first-hit order
+        for j, k in enumerate(batch.hits[a:b].tolist()):
+            running[k] = running.get(k, 0) + 1
+            if not j % 2:  # the last of a row's 2 t - 1 hits
+                counts.extend(running.values())
+                start.append(len(counts))
+        firsts.append(list(running))
+    return firsts, counts, start
+
+
 @dataclass
 class DiscriminatorModel:
     config: FeatureConfig
@@ -467,11 +491,13 @@ def eq2_gradient(model: DiscriminatorModel, batch: FeatureBatch, n_human: int):
     and p the row's score_features."""
     human, p = np.arange(len(batch)) < n_human, np.array(model.score_features(batch))
     c = (human - p) / np.where(human, n_human, len(batch) - n_human)
-    n_hits = 2 * batch.t - 1  # row i's hits, one row after another, each weighted c_i / t_i
-    start = batch.chain_ptr[batch.chain] - np.cumsum(n_hits) + n_hits
-    at = np.arange(n_hits.sum()) + np.repeat(start, n_hits)
+    firsts, counts, start = _distinct_hits(batch)
+    # row i's m_i distinct columns, one row after another, each weighted c_i * count / t_i
+    m, columns = np.diff(start), np.fromiter(itertools.chain.from_iterable(firsts), np.int64)
+    offset = np.cumsum([0] + [len(f) for f in firsts])[batch.chain] - start[:-1]
+    at = np.arange(len(counts)) + np.repeat(offset, m)
     sparse = np.zeros(model.config.d_hash)
-    sparse[batch.columns] = np.bincount(batch.hits[at], weights=np.repeat(c / batch.t, n_hits),
+    sparse[batch.columns] = np.bincount(columns[at], weights=np.repeat(c / batch.t, m) * counts,
                                         minlength=len(batch.columns))
     return batch.dense.T @ c, sparse, c.sum()
 
@@ -492,8 +518,13 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
                         ratio: float = 1.0) -> DiscriminatorModel:
     """SGD ascent on the set-normalized objective over every prefix of the
     (source, tokens) sequences H (human) and G (generated), step decay
-    1/sqrt(epoch). An example's step moves the weight of each of its hits
-    by step / t, which is step * c / t for a column hit c times, up to rounding.
+    1/sqrt(epoch). A t-token example with fewer than t distinct columns
+    (more than half its 2t - 1 hits repeat a column) reads and moves each
+    distinct column once: S sums c * w from 0.0 in first-hit order, and the
+    step moves w by (step / t) * c, for a column hit c times. Any other
+    example sums its hits as `logit` does and moves each hit's weight by
+    step / t; the two are equal up to rounding, and the same bits when every
+    count is 1.
 
     Per-example steps are rescaled by (|H|+|G|)/2, in prefixes, so the
     learning rate is comparable across dataset sizes. `ratio` reweights the generated side:
@@ -515,9 +546,13 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     scale_G = n_total * ratio / ((1.0 + ratio) * (n_total - n_H))
 
     # one example's step: `logit` of its row, unrolled over the 7 dense
-    # features, then the update of every weight the row used. The sparse
-    # weights of the batch's columns are a list while the epoch runs.
-    dense, t = map(memoryview, (batch.dense.reshape(-1), batch.t))
+    # features, then the update of every weight the row used. A row with
+    # fewer distinct columns than tokens takes S over its distinct columns;
+    # any other row, whose zip over columns and counts would cost more than
+    # its hits, over its hits. The sparse weights of the batch's columns are
+    # a list while the epoch runs.
+    firsts, counts, start = _distinct_hits(batch)
+    dense, t, chain = map(memoryview, (batch.dense.reshape(-1), batch.t, batch.chain))
     first_hit, hits = memoryview(batch.chain_ptr[batch.chain]), batch.hits.tolist()
     w0, w1, w2, w3, w4, w5, w6 = model.dense_w.tolist()
     w, bias = model.sparse_w[batch.columns].tolist(), float(model.bias)
@@ -528,11 +563,17 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         lr = learning_rate / math.sqrt(epoch + 1)
         rate_H, rate_G = lr * scale_H, lr * scale_G
         for i in order.tolist():
-            n, a = t[i], first_hit[i]
-            row = hits[a:a + 2 * n - 1]
+            n, a, b = t[i], start[i], start[i + 1]
             S = 0.0
-            for k in row:
-                S += w[k]
+            if b - a < n:
+                columns, row = firsts[chain[i]], counts[a:b]
+                for k, c in zip(columns, row):
+                    S += c * w[k]
+            else:
+                h = first_hit[i]
+                columns, row = None, hits[h:h + 2 * n - 1]
+                for k in row:
+                    S += w[k]
             d0, d1, d2, d3, d4, d5, d6 = dense[7 * i:7 * i + 7]
             zd = 0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5 + w6 * d6
             rate, label = (rate_H, 1.0) if i < n_H else (rate_G, 0.0)
@@ -545,8 +586,12 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
             w5 += step * d5
             w6 += step * d6
             share = step / n
-            for k in row:
-                w[k] += share
+            if columns is None:
+                for k in row:
+                    w[k] += share
+            else:
+                for k, c in zip(columns, row):
+                    w[k] += share * c
             bias += step
         model.dense_w[:] = w0, w1, w2, w3, w4, w5, w6
         model.sparse_w[batch.columns] = w

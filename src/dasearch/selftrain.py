@@ -37,7 +37,7 @@ from dasearch.metrics import evaluate_system
 VAL_FRACTION = 0.1  # share of the pairs held out to validate each discriminator
 # the version of what bootstrap computes from its inputs: bump it with any
 # change to that computation, so no model file of the old one is reused
-BOOTSTRAP_REVISION = 2
+BOOTSTRAP_REVISION = 3
 
 
 @dataclass(frozen=True)

@@ -624,10 +624,11 @@ def test_self_train_retrains_the_bootstrap_when_an_input_differs(pipeline, tmp_p
         (tmp_path / "later.model").write_text(re.sub(r"\nprovenance .*\n", "\nprovenance \n",
                                                      text))
         overrides = {"discriminator_model": str(tmp_path / "later.model")}
-    elif change == "revision":  # a file the first bootstrap revision wrote
+    elif change == "revision":  # a file the bootstrap revision just retired wrote
         text = (root / "out" / "discriminator.model").read_text()
-        (tmp_path / "old.model").write_text(re.sub(r"\bbootstrap_revision=\d+ ",
-                                                   "bootstrap_revision=1 ", text))
+        retired = f"bootstrap_revision={selftrain.BOOTSTRAP_REVISION - 1} "
+        (tmp_path / "old.model").write_text(re.sub(r"\bbootstrap_revision=\d+ ", retired,
+                                                   text))
         overrides = {"discriminator_model": str(tmp_path / "old.model")}
     else:
         overrides = {"discriminator_model": ""}

@@ -464,12 +464,15 @@ def test_warm_start_initialization_is_used(config):
 
 def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: float,
                     seed: int, init: DiscriminatorModel | None, ratio: float,
-                    per_column: bool = False):
+                    per_hit: bool = False):
     """SGD over the reference_features of every prefix of the H and G
-    sequences, scored by reference_score, and the objective summed example by
-    example after the last epoch: the trainer the packed one must match bit
-    for bit. Each hit moves its weight by step / t; with `per_column`, each
-    distinct index moves once, by step * (c / t) for an index hit c times."""
+    sequences, and the objective, scored by reference_score, summed example
+    by example after the last epoch: the trainer the packed one must match
+    bit for bit. A t-token example with fewer than t distinct indices takes
+    S as the sum of c * w from 0.0 over them in first-hit order and moves each
+    by (step / t) * c, for an index hit c times; any other example, and
+    every example with `per_hit`, is scored by reference_score and moves
+    each hit's weight by step / t."""
     if init is not None:
         model = DiscriminatorModel(config, init.dense_w.copy(), init.sparse_w.copy(),
                                    init.bias)
@@ -493,6 +496,15 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
             total += math.log(max(1.0 - reference_score(model, row), 1e-300)) / len(feats_G)
         return total
 
+    def distinct_score(dense, counts, t):
+        zd = 0.0
+        for j in range(N_DENSE):
+            zd += float(model.dense_w[j]) * float(dense[j])
+        S = 0.0
+        for index, count in counts.items():
+            S += count * float(model.sparse_w[index])
+        return _sigmoid((float(model.bias) + zd) + S / t)
+
     rng = np.random.default_rng(seed)
     order = np.arange(n_total)
     for epoch in range(epochs):
@@ -500,13 +512,18 @@ def reference_train(H, G, config: FeatureConfig, epochs: int, learning_rate: flo
         lr = learning_rate / math.sqrt(epoch + 1)
         for i in order:
             (dense, hits), label, kind = examples[i]
-            step = lr * scale[kind] * (label - reference_score(model, (dense, hits)))
+            # a t-token prefix has t unigram and t - 1 bigram hits; Counter
+            # keeps its indices in first-hit order
+            t, counts = (len(hits) + 1) // 2, Counter(hits)
+            by_index = len(counts) < t and not per_hit
+            D = distinct_score(dense, counts, t) if by_index else \
+                reference_score(model, (dense, hits))
+            step = lr * scale[kind] * (label - D)
             model.dense_w += step * dense
-            # an index hit c times in a t-token prefix has the value c / t
-            t = (len(hits) + 1) // 2
-            if per_column:
-                for index, count in Counter(hits).items():
-                    model.sparse_w[index] += step * (count / t)
+            if by_index:
+                share = step / t
+                for index, count in counts.items():
+                    model.sparse_w[index] += share * count
             else:
                 for index in hits:
                     model.sparse_w[index] += step / t
@@ -522,6 +539,35 @@ def sequence_runs(data, n_vocab, name):
     sequences = data.draw(st.lists(tokens(n_vocab, 1, 10).map(tuple), min_size=1,
                                    max_size=3), label=f"{name}_sequences")
     return [(source, seq) for source in sources for seq in sequences]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_distinct_hits_are_each_rows_columns_counted_in_first_hit_order(data):
+    n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
+    config = data.draw(feature_configs(n_vocab), label="config")
+    # an empty sequence is a chain with no row
+    seqs = data.draw(st.lists(st.tuples(tokens(n_vocab, 1, 6).map(tuple),
+                                        tokens(n_vocab, 0, 40).map(tuple)),
+                              min_size=1, max_size=4), label="sequences")
+    batch = prefix_features(seqs, config)
+    firsts, counts, start = discriminator._distinct_hits(batch)
+    assert len(firsts) == len(seqs) and len(start) == len(batch) + 1
+    assert start[-1] == len(counts)
+    assert counts.typecode == "B"  # 2 t - 1 <= 79 hits a row
+    for i, (c, t) in enumerate(zip(batch.chain.tolist(), batch.t.tolist())):
+        a = batch.chain_ptr[c]
+        want = Counter(batch.hits[a:a + 2 * t - 1].tolist())
+        m = start[i + 1] - start[i]
+        assert list(zip(firsts[c][:m], counts[start[i]:start[i + 1]])) == list(want.items())
+
+
+@pytest.mark.parametrize("t, typecode", [(1, "B"), (128, "B"), (129, "H")])
+def test_distinct_hit_counts_take_the_narrowest_type_that_holds_2t_minus_1(t, typecode):
+    # d_hash 1: every hit is one column, hit 2 t - 1 times by the longest row
+    batch = prefix_features([((3,), (3,) * t)], FeatureConfig(d_hash=1, t_max=t))
+    _, counts, _ = discriminator._distinct_hits(batch)
+    assert counts.typecode == typecode and counts[-1] == 2 * t - 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
@@ -565,19 +611,20 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
 
 
 def test_per_hit_steps_equal_the_per_column_arithmetic_up_to_rounding(config):
-    # a column hit c times in a t-token prefix moves by c steps of step / t,
-    # not by one of step * (c / t): the same SGD step in exact arithmetic
+    # a column hit c times in a t-token prefix is read as c * w and moves by
+    # one step of (step / t) * c, not c reads of w and c steps of step / t:
+    # the same SGD step in exact arithmetic
     H, G = _separable_sets(n=40, seed=8)
     assert any(len(set(tokens)) < len(tokens) for _, tokens in G)  # some c > 1
     for seed in (0, 1):
         packed = train_discriminator(H, G, config, epochs=4, seed=seed)
-        per_column = reference_train(H, G, config, epochs=4, learning_rate=2.0, seed=seed,
-                                     init=None, ratio=1.0, per_column=True)
-        assert not np.array_equal(packed.sparse_w, per_column.sparse_w)
+        per_hit = reference_train(H, G, config, epochs=4, learning_rate=2.0, seed=seed,
+                                  init=None, ratio=1.0, per_hit=True)
+        assert not np.array_equal(packed.sparse_w, per_hit.sparse_w)
         for name in ("dense_w", "sparse_w"):
-            np.testing.assert_allclose(getattr(packed, name), getattr(per_column, name),
+            np.testing.assert_allclose(getattr(packed, name), getattr(per_hit, name),
                                        rtol=1e-9, atol=0, err_msg=name)
-        assert math.isclose(packed.bias, per_column.bias, rel_tol=1e-9)
+        assert math.isclose(packed.bias, per_hit.bias, rel_tol=1e-9)
 
 
 # --- objective and gradient ------------------------------------------------------
