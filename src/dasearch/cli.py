@@ -348,8 +348,9 @@ def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
     rows = [(t, right / n if n else None, n) for t, right, n in state.held_out if t in buckets]
     csv_path = out_dir / "accuracy_by_length.csv"
     _write_rows(csv_path, rows, ("t", "accuracy", "n_examples"))
-    print(f"discriminator model: {model_path} "
-          f"(val accuracy {state.history[0]['val_accuracy']:.3f})")
+    entry, n_train = state.history[0], len(corpus.pairs) - len(state.val_ids)
+    print(f"discriminator model: {model_path} (val accuracy {entry['val_accuracy']:.3f}, "
+          f"{entry['distinct_G']} distinct of {n_train} generated outputs)")
     return ("train-discriminator", [cfg.train_path, cfg.vocab_path, cfg.generator_model],
             [model_path, csv_path])
 

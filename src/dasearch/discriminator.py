@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -72,16 +73,16 @@ class FeatureBatch:
     """The features of every prefix of some sequences, packed into arrays:
     each sequence is one chain, its prefixes consecutive rows, shortest first.
     A labelled set is one batch: the rows of its H sequences, then those of
-    its G sequences, so its first n_human rows are the human ones. Sparse
-    features are numbered by column: column k is the hashed index columns[k].
+    its G sequences, so its first n_human rows are the human ones (training
+    featurises the distinct ones only). Sparse features are numbered by
+    column: column k is the hashed index columns[k].
 
     Row i is a prefix of t[i] tokens with the dense values dense[i]. Its
     2 t[i] - 1 hits, in token order, are the first 2 t[i] - 1 columns of its
     chain's hit sequence hits[chain_ptr[c]:chain_ptr[c + 1]], c = chain[i].
     Each hit is worth 1 / t[i], so a column hit c times has the value c / t[i].
-    Scoring sums the hits one by one; training (for rows with fewer distinct
-    columns than tokens) and eq2_gradient take each row's distinct columns
-    and their counts from _distinct_hits."""
+    Scoring sums the hits one by one; training takes those of a row with
+    fewer distinct columns than tokens per column, from _distinct_hits."""
 
     dense: np.ndarray      # n x N_DENSE
     t: np.ndarray          # n prefix lengths
@@ -304,21 +305,26 @@ def prefix_features(sequences, config: FeatureConfig) -> FeatureBatch:
 
 
 def _distinct_hits(batch: FeatureBatch) -> tuple[list, array, array]:
-    """The distinct columns of every row of `batch` and how often it hits
-    each: (firsts, counts, start). firsts[c] lists chain c's distinct columns
-    in first-hit order, so row i's are the first m_i of firsts[chain[i]], and
-    counts[start[i]:start[i + 1]] are their counts, m_i of them, in the
-    narrowest unsigned type that holds 2 max(t) - 1."""
+    """The distinct columns and their counts of every row of `batch` with
+    fewer distinct columns than tokens: (firsts, counts, start). firsts[c]
+    lists chain c's distinct columns in first-hit order, so such a row i's
+    are the first m_i of firsts[chain[i]], and counts[start[i]:start[i + 1]]
+    their counts in the narrowest unsigned type that holds 2 max(t) - 1;
+    every other row's range is empty. Such a t-token row repeats t or more
+    hits, so a chain is walked only up to the row as long as its repeats."""
     size = 2 * int(batch.t.max(initial=1)) - 1
     counts = array(next(code for code in "BHIQ" if size < 256 ** array(code).itemsize))
-    firsts, start = [], array("q", [0])
+    firsts, start, hits = [], array("q", [0]), batch.hits.tolist()
     for a, b in itertools.pairwise(batch.chain_ptr.tolist()):
+        walked = min((b - a + 1) // 2, b - a - len(set(hits[a:b])))  # in rows
         running: dict[int, int] = {}  # column -> count so far, in first-hit order
-        for j, k in enumerate(batch.hits[a:b].tolist()):
+        for j, k in enumerate(hits[a:a + max(2 * walked - 1, 0)]):
             running[k] = running.get(k, 0) + 1
             if not j % 2:  # the last of a row's 2 t - 1 hits
-                counts.extend(running.values())
+                if len(running) <= j // 2:  # fewer distinct columns than tokens
+                    counts.extend(running.values())
                 start.append(len(counts))
+        start.extend([len(counts)] * ((b - a + 1) // 2 - walked))
         firsts.append(list(running))
     return firsts, counts, start
 
@@ -471,35 +477,19 @@ def _logits(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
     return (float(model.bias) + zd) + S / batch.t
 
 
-def eq2_objective(model: DiscriminatorModel, batch: FeatureBatch, n_human: int) -> float:
+def eq2_objective(model: DiscriminatorModel, batch: FeatureBatch, n_human: int,
+                  rows=slice(None)) -> float:
     """Set-normalized logistic objective (to be maximized) of a labelled
     batch whose first n_human rows are human, summed example by example left
-    to right: the score_features arithmetic, the value model files store."""
-    z, n_G = _logits(model, batch), len(batch) - n_human
-    total = 0.0
+    to right: the score_features arithmetic, the value model files store.
+    The examples are the batch's `rows`, in order: all of them by default."""
+    z = _logits(model, batch)[rows]
+    n_G, total = len(z) - n_human, 0.0
     for z_i in z[:n_human].tolist():
         total += math.log(max(_sigmoid(z_i), 1e-300)) / n_human
     for z_i in z[n_human:].tolist():
         total += math.log(max(1.0 - _sigmoid(z_i), 1e-300)) / n_G
     return total
-
-
-def eq2_gradient(model: DiscriminatorModel, batch: FeatureBatch, n_human: int):
-    """Analytic gradient of the objective w.r.t. (dense_w, sparse_w, bias) of
-    a labelled batch whose first n_human rows are human: X^T c over the
-    columns (dense, sparse, 1), with c = (y - p) / |set| for each row's set
-    and p the row's score_features."""
-    human, p = np.arange(len(batch)) < n_human, np.array(model.score_features(batch))
-    c = (human - p) / np.where(human, n_human, len(batch) - n_human)
-    firsts, counts, start = _distinct_hits(batch)
-    # row i's m_i distinct columns, one row after another, each weighted c_i * count / t_i
-    m, columns = np.diff(start), np.fromiter(itertools.chain.from_iterable(firsts), np.int64)
-    offset = np.cumsum([0] + [len(f) for f in firsts])[batch.chain] - start[:-1]
-    at = np.arange(len(counts)) + np.repeat(offset, m)
-    sparse = np.zeros(model.config.d_hash)
-    sparse[batch.columns] = np.bincount(columns[at], weights=np.repeat(c / batch.t, m) * counts,
-                                        minlength=len(batch.columns))
-    return batch.dense.T @ c, sparse, c.sum()
 
 
 def check_training_settings(epochs: int, learning_rate: float, ratio: float) -> None:
@@ -518,66 +508,73 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
                         ratio: float = 1.0) -> DiscriminatorModel:
     """SGD ascent on the set-normalized objective over every prefix of the
     (source, tokens) sequences H (human) and G (generated), step decay
-    1/sqrt(epoch). A t-token example with fewer than t distinct columns
-    (more than half its 2t - 1 hits repeat a column) reads and moves each
-    distinct column once: S sums c * w from 0.0 in first-hit order, and the
-    step moves w by (step / t) * c, for a column hit c times. Any other
-    example sums its hits as `logit` does and moves each hit's weight by
-    step / t; the two are equal up to rounding, and the same bits when every
-    count is 1.
+    1/sqrt(epoch), each step rescaled by (|H|+|G|)/2, in prefixes, so the
+    learning rate is comparable across dataset sizes. `ratio` reweights the
+    generated side: 1.0 balances the classes, 2.0 gives G twice H's weight.
 
-    Per-example steps are rescaled by (|H|+|G|)/2, in prefixes, so the
-    learning rate is comparable across dataset sizes. `ratio` reweights the generated side:
-    1.0 balances the two classes, 2.0 gives G twice the weight of H.
-    """
+    Features depend on a source only through which of the sequence's tokens
+    it holds (none without use_source), so each distinct (tokens, those
+    bits) sequence is featurised once, and one index maps every example,
+    H's then G's, to its row; each epoch visits every example in a seeded
+    shuffle. A t-token row with fewer than t distinct columns reads and
+    moves each once (S sums c * w from 0.0 in first-hit order, w moves by
+    (step / t) * c); any other row sums its hits as `logit` does and moves
+    each by step / t: equal up to rounding, the same bits if every c is 1."""
     n_H = sum(len(tokens) for _, tokens in H)
     if not n_H or not any(tokens for _, tokens in G):
         raise DiscriminatorError("H and G must each hold a prefix")
     check_training_settings(epochs, learning_rate, ratio)
-    if init is not None:
-        model = DiscriminatorModel(config, init.dense_w.copy(), init.sparse_w.copy(),
-                                   init.bias)
-    else:
-        model = DiscriminatorModel.zeros(config)
+    model = DiscriminatorModel.zeros(config) if init is None else DiscriminatorModel(
+        config, init.dense_w.copy(), init.sparse_w.copy(), init.bias)
 
-    batch = prefix_features(itertools.chain(H, G), config)
-    n_total = len(batch)
+    first_row, sequences, row_of, n_rows = {}, [], array("q"), 0
+    for source, tokens in itertools.chain(H, G):
+        src = frozenset(source) if config.use_source else ()
+        key = tuple(tokens), bytes(tok in src for tok in tokens)
+        if key not in first_row:
+            first_row[key], n_rows = n_rows, n_rows + len(tokens)
+            sequences.append((source, tokens))
+        row_of.extend(range(first_row[key], first_row[key] + len(tokens)))
+    batch, row_of = prefix_features(sequences, config), np.frombuffer(row_of, dtype=np.int64)
+    n_total = len(row_of)
     scale_H = n_total / ((1.0 + ratio) * n_H)
     scale_G = n_total * ratio / ((1.0 + ratio) * (n_total - n_H))
 
-    # one example's step: `logit` of its row, unrolled over the 7 dense
-    # features, then the update of every weight the row used. A row with
-    # fewer distinct columns than tokens takes S over its distinct columns;
-    # any other row, whose zip over columns and counts would cost more than
-    # its hits, over its hits. The sparse weights of the batch's columns are
-    # a list while the epoch runs.
+    # one example's step: `logit` of its row, unrolled, then the update of every weight the
+    # row used. A row's record: t and its chain's distinct columns and its counts of them, or
+    # t, None and its hits' offset. The dense values are read from the batch's buffer.
     firsts, counts, start = _distinct_hits(batch)
-    dense, t, chain = map(memoryview, (batch.dense.reshape(-1), batch.t, batch.chain))
-    first_hit, hits = memoryview(batch.chain_ptr[batch.chain]), batch.hits.tolist()
+    records = [(n, firsts[c], counts[a:b]) if a < b else (n, None, h)
+               for n, c, h, a, b in zip(batch.t.tolist(), batch.chain.tolist(),
+                                        batch.chain_ptr[batch.chain].tolist(), start, start[1:])]
+    dense, dense_row = batch.dense, struct.Struct(f"{N_DENSE}d")
+    hits, unpack, size, exp = batch.hits.tolist(), dense_row.unpack_from, dense_row.size, math.exp
     w0, w1, w2, w3, w4, w5, w6 = model.dense_w.tolist()
     w, bias = model.sparse_w[batch.columns].tolist(), float(model.bias)
-    rng = np.random.default_rng(seed)
-    order = np.arange(n_total)
+    rng, order = np.random.default_rng(seed), np.arange(n_total)
     for epoch in range(epochs):
         rng.shuffle(order)
         lr = learning_rate / math.sqrt(epoch + 1)
         rate_H, rate_G = lr * scale_H, lr * scale_G
-        for i in order.tolist():
-            n, a, b = t[i], start[i], start[i + 1]
+        for i, r in zip(order.tolist(), row_of[order].tolist()):
+            n, columns, row = records[r]
             S = 0.0
-            if b - a < n:
-                columns, row = firsts[chain[i]], counts[a:b]
-                for k, c in zip(columns, row):
-                    S += c * w[k]
-            else:
-                h = first_hit[i]
-                columns, row = None, hits[h:h + 2 * n - 1]
+            if columns is None:
+                row = hits[row:row + 2 * n - 1]
                 for k in row:
                     S += w[k]
-            d0, d1, d2, d3, d4, d5, d6 = dense[7 * i:7 * i + 7]
-            zd = 0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5 + w6 * d6
-            rate, label = (rate_H, 1.0) if i < n_H else (rate_G, 0.0)
-            step = rate * (label - _sigmoid((bias + zd) + S / n))
+            else:
+                for k, c in zip(columns, row):
+                    S += c * w[k]
+            d0, d1, d2, d3, d4, d5, d6 = unpack(dense, size * r)
+            z = (bias + (0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5
+                         + w6 * d6)) + S / n
+            if z >= 0:  # _sigmoid
+                p = 1.0 / (1.0 + exp(-z))
+            else:
+                e = exp(z)
+                p = e / (1.0 + e)
+            step = rate_H * (1.0 - p) if i < n_H else rate_G * (0.0 - p)
             w0 += step * d0
             w1 += step * d1
             w2 += step * d2
@@ -596,7 +593,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         model.dense_w[:] = w0, w1, w2, w3, w4, w5, w6
         model.sparse_w[batch.columns] = w
         model.bias = bias
-    model.final_objective = eq2_objective(model, batch, n_H)
+    model.final_objective = eq2_objective(model, batch, n_H, row_of)
     return model
 
 

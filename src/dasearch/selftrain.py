@@ -68,7 +68,7 @@ class SelfTrainState:
     held_out: list = field(default_factory=list)  # (t, right, n) on val_ids, t = 1..t_max
 
 
-def _history_entry(iteration, val_accuracy, final_objective, generations, corpus):
+def _history_entry(iteration, val_accuracy, final_objective, generations, corpus, G):
     report = evaluate_system(generations, corpus)
     return {
         "iteration": iteration,
@@ -82,6 +82,7 @@ def _history_entry(iteration, val_accuracy, final_objective, generations, corpus
         "bleu1": report.bleu1,
         "rouge1": report.rouge1_f,
         "rougeL": report.rougeL_f,
+        "distinct_G": len({tokens for _, tokens in G}),  # distinct sequences trained on
     }
 
 
@@ -96,12 +97,12 @@ def _round(corpus: Corpus, search_one, config: FeatureConfig,
     it as the trained discriminator and trains none."""
     generations = {i: hypothesis_content(h)
                    for i, h in decode_corpus(corpus, search_one).items()}
+    train = corpus.subset({p.id for p in corpus.pairs} - val_ids)
+    H_tr, G_tr = build_prefix_sets(train, generations, t_max=config.t_max)
+    if hparams.replay:
+        for old in past:
+            G_tr += build_prefix_sets(train, old, t_max=config.t_max)[1]
     if model is None:
-        train = corpus.subset({p.id for p in corpus.pairs} - val_ids)
-        H_tr, G_tr = build_prefix_sets(train, generations, t_max=config.t_max)
-        if hparams.replay:
-            for old in past:
-                G_tr += build_prefix_sets(train, old, t_max=config.t_max)[1]
         model = train_discriminator(H_tr, G_tr, config, epochs=hparams.epochs,
                                     learning_rate=hparams.learning_rate * lr_scale,
                                     seed=seed, init=init, ratio=hparams.ratio)
@@ -113,7 +114,7 @@ def _round(corpus: Corpus, search_one, config: FeatureConfig,
                            val_ids=val_ids, past_generations=list(past), held_out=held_out)
     _, right, n = map(sum, zip(*held_out))
     state.history.append(_history_entry(iteration, right / n, model.final_objective,
-                                        generations, corpus))
+                                        generations, corpus, G_tr))
     return state
 
 

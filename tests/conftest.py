@@ -2,18 +2,20 @@
 setup, a sequence's generator log-probability by the chain rule, the
 exhaustive search that a saturated beam must equal, the reference beam
 search that builds every candidate in full, which the search must equal bit
-for bit (and, run on to t_max, whose winner the search's must equal), and the
+for bit (and, run on to t_max, whose winner the search's must equal), the
 classic longest-common-subsequence table that the bit-parallel
-`metrics.lcs_length` must equal."""
+`metrics.lcs_length` must equal, and the analytic gradient of the
+discriminator's objective."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from dasearch.corpus import Corpus, DocumentPair, Vocabulary, generate_synthetic_corpus
 from dasearch.decoder import (DecoderError, EPS_DIS, Hypothesis, SearchConfig, _expansion,
                               _final_sort, apply_das_score)
-from dasearch.discriminator import PrefixFeaturizer
+from dasearch.discriminator import DiscriminatorModel, FeatureBatch, PrefixFeaturizer
 from dasearch.generator import GeneratorError, train_generator
 
 
@@ -44,6 +46,23 @@ def sequence_logprob(generator, source, y) -> float:
         total += float(generator.next_logprobs(source, prefix)[tok])
         prefix = prefix + (tok,)
     return total
+
+
+def eq2_gradient(model: DiscriminatorModel, batch: FeatureBatch, n_human: int):
+    """Analytic gradient of the objective w.r.t. (dense_w, sparse_w, bias) of
+    a labelled batch whose first n_human rows are human: X^T c over the
+    columns (dense, sparse, 1), with c = (y - p) / |set| for each row's set
+    and p the row's score_features; each of row i's 2 t_i - 1 hits adds
+    c_i / t_i to its column."""
+    human, p = np.arange(len(batch)) < n_human, np.array(model.score_features(batch))
+    c = (human - p) / np.where(human, n_human, len(batch) - n_human)
+    # row i's hits, one row after another: the first 2 t_i - 1 of its chain's
+    n = 2 * batch.t - 1
+    at = np.arange(n.sum()) + np.repeat(batch.chain_ptr[batch.chain] - (np.cumsum(n) - n), n)
+    sparse = np.zeros(model.config.d_hash)
+    sparse[batch.columns] = np.bincount(batch.hits[at], weights=np.repeat(c / batch.t, n),
+                                        minlength=len(batch.columns))
+    return batch.dense.T @ c, sparse, c.sum()
 
 
 def lcs_dp(a, b) -> int:

@@ -20,7 +20,6 @@ from dasearch.discriminator import (
     N_DENSE,
     accuracy_by_length,
     build_prefix_sets,
-    eq2_gradient,
     eq2_objective,
     prefix_features,
     train_discriminator,
@@ -34,7 +33,7 @@ from dasearch.selftrain import (
     self_train_step,
 )
 
-from conftest import exhaustive_oracle, make_corpus, make_vocab
+from conftest import eq2_gradient, exhaustive_oracle, make_corpus, make_vocab
 
 logging.disable(logging.WARNING)  # silence clamp warnings in bulk decoding
 

@@ -552,6 +552,32 @@ def test_history_records_each_round_models_final_objective(pipeline, tmp_path, c
                                                           for j in range(k + 1)]
 
 
+def test_history_and_summary_count_the_distinct_generated_outputs(pipeline, tmp_path, capsys,
+                                                                  monkeypatch):
+    rounds, real_bootstrap = [], selftrain.bootstrap
+
+    def recorded(corpus, *args):
+        rounds.append((corpus, real_bootstrap(corpus, *args)))
+        return rounds[-1][1]
+
+    monkeypatch.setattr(selftrain, "bootstrap", recorded)
+    _, cfg = pipeline
+    path = derive_config(cfg, tmp_path, discriminator_model=str(tmp_path / "d.model"))
+    assert main(["train-discriminator", "--config", str(path)]) == 0
+    ((corpus, state),) = rounds
+    t_max = state.discriminator.config.t_max
+    train = [p.id for p in corpus.pairs if p.id not in state.val_ids]
+    distinct = len({tuple(state.last_generations[i])[:t_max] for i in train})
+    assert state.history[0]["distinct_G"] == distinct
+    assert (f"{distinct} distinct of {len(train)} generated outputs)\n"
+            in capsys.readouterr().out)
+    monkeypatch.undo()
+    _, files = _self_train(cfg, tmp_path / "run", capsys)
+    for k in (0, 1):
+        rows = list(csv.reader(files[f"iter_{k}/history.csv"].decode().splitlines()))
+        assert rows[0][-1] == "distinct_G" and rows[1][-1] == str(distinct)
+
+
 def _self_train(cfg, directory: Path, capsys, *extra, **overrides):
     """Run self-train with its output in the new `directory`; returns its
     stdout and the bytes of every iteration file by relative path."""

@@ -25,7 +25,6 @@ from dasearch.discriminator import (
     _sigmoid,
     accuracy_by_length,
     build_prefix_sets,
-    eq2_gradient,
     eq2_objective,
     extract_features,
     prefix_features,
@@ -33,7 +32,7 @@ from dasearch.discriminator import (
 )
 from dasearch.metrics import repetition_n
 
-from conftest import make_corpus, make_vocab
+from conftest import eq2_gradient, make_corpus, make_vocab
 
 EOS = Vocabulary.eos
 
@@ -559,12 +558,16 @@ def test_distinct_hits_are_each_rows_columns_counted_in_first_hit_order(data):
         a = batch.chain_ptr[c]
         want = Counter(batch.hits[a:a + 2 * t - 1].tolist())
         m = start[i + 1] - start[i]
-        assert list(zip(firsts[c][:m], counts[start[i]:start[i + 1]])) == list(want.items())
+        if len(want) < t:  # a row SGD steps per distinct column
+            assert list(zip(firsts[c][:m], counts[start[i]:start[i + 1]])) == list(want.items())
+        else:
+            assert m == 0
 
 
-@pytest.mark.parametrize("t, typecode", [(1, "B"), (128, "B"), (129, "H")])
+@pytest.mark.parametrize("t, typecode", [(2, "B"), (128, "B"), (129, "H")])
 def test_distinct_hit_counts_take_the_narrowest_type_that_holds_2t_minus_1(t, typecode):
     # d_hash 1: every hit is one column, hit 2 t - 1 times by the longest row
+    # (t = 2 is the shortest row with fewer distinct columns than tokens)
     batch = prefix_features([((3,), (3,) * t)], FeatureConfig(d_hash=1, t_max=t))
     _, counts, _ = discriminator._distinct_hits(batch)
     assert counts.typecode == typecode and counts[-1] == 2 * t - 1
@@ -608,6 +611,84 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
             scorer.advance(state, token)
         carried.append(scorer.score(state))
     assert carried == want
+
+
+def _distinct_rows(sequences, use_source):
+    """The rows of the distinct (tokens, which tokens the source holds) sequences."""
+    keys = {(tuple(tokens), tuple(tok in source for tok in tokens) if use_source else ())
+            for source, tokens in sequences}
+    return sum(len(tokens) for tokens, _ in keys)
+
+
+def _counting_rows(featurised: list):
+    """prefix_features that appends the row count of every batch it builds."""
+    real = discriminator.prefix_features
+
+    def counted(sequences, config):
+        batch = real(sequences, config)
+        featurised.append(len(batch))
+        return batch
+
+    return counted
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_sequences_merge_by_source_bits_and_train_as_the_reference_bitwise(data):
+    """One token sequence under a source, under another that holds the same
+    of its tokens, and under one that differs on one token's membership, in
+    H and in G: the first two share their rows, the third shares them only
+    without use_source, and training is the per-example reference bit for
+    bit."""
+    n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
+    config = data.draw(feature_configs(n_vocab), label="config")
+    seq = tuple(data.draw(tokens(n_vocab, 1, 10), label="seq"))
+    source = set(data.draw(tokens(n_vocab, 0, 6), label="source"))
+    others = set(range(n_vocab)) - set(seq)
+    agreeing = (source & set(seq)) | set(data.draw(
+        st.lists(st.sampled_from(sorted(others)), max_size=3) if others else st.just([]),
+        label="extra"))
+    flipped = data.draw(st.sampled_from(seq), label="flipped")
+    differing = source ^ {flipped}
+    other = tuple(data.draw(tokens(n_vocab, 1, 10), label="other"))
+    H = [(tuple(source), seq), (tuple(agreeing), other), (tuple(agreeing), seq)]
+    G = [(tuple(differing), seq), (tuple(agreeing), seq), (tuple(source), other),
+         (tuple(source), seq)]
+    kwargs = dict(epochs=data.draw(st.integers(1, 3), label="epochs"), learning_rate=2.0,
+                  seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
+                  ratio=data.draw(st.sampled_from([1.0, 0.4]), label="ratio"),
+                  init=random_model(config, data.draw(st.integers(0, 99), label="init_seed"))
+                  if data.draw(st.booleans(), label="warm_start") else None)
+    featurised = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discriminator, "prefix_features", _counting_rows(featurised))
+        packed = train_discriminator(H, G, config, **kwargs)
+    reference = reference_train(H, G, config, **kwargs)
+    for name in ("dense_w", "sparse_w"):
+        assert getattr(packed, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert packed.bias.hex() == reference.bias.hex()
+    assert packed.final_objective.hex() == reference.final_objective.hex()
+    # seq under source and under agreeing is one row set; under differing, one
+    # more unless the source is off
+    assert featurised == [_distinct_rows(H + G, config.use_source)]
+    assert featurised[0] <= len(seq) * (1 + config.use_source) + len(other) * 2
+
+
+def test_training_featurises_each_distinct_sequence_once(config, monkeypatch):
+    H, G = _separable_sets(n=20, seed=9)
+    source = H[0][0]
+    G = [(source, (7, 8, 7, 8, 9))] * 30 + [((3, 4), (7, 8, 7, 8, 9))] + G[:5]
+    featurised = []
+    monkeypatch.setattr(discriminator, "prefix_features", _counting_rows(featurised))
+    model = train_discriminator(H + H, G, config, epochs=2, seed=1)
+    # (3, 4) holds none of 7, 8 and 9, as `source` holds none: one row set
+    assert featurised == [_distinct_rows(H + G, True)]
+    assert featurised[0] < len(prefixes(H)) + 5 + len(prefixes(G[-5:]))
+    monkeypatch.undo()
+    reference = reference_train(H + H, G, config, epochs=2, learning_rate=2.0, seed=1,
+                                init=None, ratio=1.0)
+    assert model.sparse_w.tobytes() == reference.sparse_w.tobytes()
+    assert model.final_objective.hex() == reference.final_objective.hex()
 
 
 def test_per_hit_steps_equal_the_per_column_arithmetic_up_to_rounding(config):
