@@ -2,10 +2,11 @@
 the K_rerank x alpha ablation sweep.
 
 Configuration is an INI file whose sections and keys are RunConfig's fields
-(each field declares its section); command-line flags override file values. Every
-command writes a manifest (config snapshot, input/output hashes, seed, wall
-time) next to its outputs. One master seed fans out to per-component seeds
-via crc32(component name) so components are independently reproducible.
+(each field declares its section). The DASEARCH_* environment overrides, then
+command-line flags, override file values. Every command writes a manifest
+(config snapshot, input/output hashes, seed, wall time) next to its outputs.
+One master seed fans out to per-component seeds via crc32(component name) so
+components are independently reproducible.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def write_manifest(out_dir, command: str, cfg: RunConfig, inputs, outputs,
         "master_seed": cfg.master_seed,
         "inputs": {str(p): _hash_file(p) for p in inputs if Path(p).is_file()},
         "outputs": {str(p): _hash_file(p) for p in outputs if Path(p).is_file()},
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
     }
     path = Path(out_dir) / f"manifest-{command}.json"
     with atomic_write(path) as f:
@@ -239,8 +240,6 @@ def _reusable_bootstrap(path: str, provenance: dict[str, str]):
     if not Path(path).is_file():
         return None, f"no file at {path}"
     model = DiscriminatorModel.load(path)
-    if model.provenance is None:
-        return None, f"{path} is a v1 file"
     if not model.provenance:
         return None, f"{path} records no provenance"
     for key in {**provenance, **model.provenance}:
@@ -588,17 +587,17 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         cfg = RunConfig.from_file(args.config)
-        for dest in _OVERRIDES.values():
-            value = getattr(args, f"ov_{dest}")
-            if value is not None:
-                setattr(cfg, dest, value)
         for name, dest in _ENV_OVERRIDES.items():
             if text := os.environ.get(name):
                 try:
                     setattr(cfg, dest, _FIELD_PARSERS[dest](text))
                 except ValueError as e:
                     raise ConfigError(f"{name}: {e}") from None
-        started = time.time()
+        for dest in _OVERRIDES.values():
+            value = getattr(args, f"ov_{dest}")
+            if value is not None:
+                setattr(cfg, dest, value)
+        started = time.perf_counter()
         out_dir = Path(cfg.output_dir)
         command, inputs, outputs = args.func(cfg, args, out_dir)
         write_manifest(out_dir, command, cfg, inputs, outputs, started)

@@ -18,7 +18,7 @@ import math
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,15 +78,15 @@ class FeatureBatch:
     column: column k is the hashed index columns[k].
 
     Row i is a prefix of t[i] tokens with the dense values dense[i]. Its
-    2 t[i] - 1 hits, in token order, are the first 2 t[i] - 1 columns of its
-    chain's hit sequence hits[chain_ptr[c]:chain_ptr[c + 1]], c = chain[i].
-    Each hit is worth 1 / t[i], so a column hit c times has the value c / t[i].
-    Scoring sums the hits one by one; training takes those of a row with
-    fewer distinct columns than tokens per column, from _distinct_hits."""
+    2 t[i] - 1 hits, in token order, are hits[offset[i]:offset[i] + 2 t[i] - 1],
+    the first of its chain's. Each hit is worth 1 / t[i], so a column hit c
+    times has the value c / t[i]. Scoring sums the hits one by one; training
+    takes those of a row with fewer distinct columns than tokens per column,
+    from _step_records."""
 
     dense: np.ndarray      # n x N_DENSE
     t: np.ndarray          # n prefix lengths
-    chain: np.ndarray      # n chain numbers
+    offset: np.ndarray     # n offsets of each row's chain's hits in hits
     chain_ptr: np.ndarray  # offset of every chain's hits in hits, and their end
     hits: np.ndarray
     columns: np.ndarray
@@ -289,44 +289,42 @@ def prefix_features(sequences, config: FeatureConfig) -> FeatureBatch:
     """The features of every prefix of every (source, tokens) sequence, in
     order, as one FeatureBatch: each sequence is walked once, as one chain."""
     featurizer = PrefixFeaturizer(config)
-    dense, ts, chain = array("d"), array("q"), array("q")
+    dense, ts, offset = array("d"), array("q"), array("q")
     chain_ptr, hits = array("q", [0]), array("q")
     for source, tokens in sequences:
-        state, number = featurizer.state_of(source), len(chain_ptr) - 1
+        state = featurizer.state_of(source)
         for token in tokens:
             hits.extend(featurizer.advance(state, token))
             dense.extend(featurizer.dense(state))
             ts.append(state.t)
-            chain.append(number)
+            offset.append(chain_ptr[-1])
         chain_ptr.append(len(hits))
     return FeatureBatch(np.frombuffer(dense).reshape(-1, N_DENSE),
-                        *(np.frombuffer(a, dtype=np.int64) for a in (ts, chain, chain_ptr, hits)),
+                        *(np.frombuffer(a, dtype=np.int64) for a in (ts, offset, chain_ptr, hits)),
                         np.array(featurizer.columns, dtype=np.int64))
 
 
-def _distinct_hits(batch: FeatureBatch) -> tuple[list, array, array]:
-    """The distinct columns and their counts of every row of `batch` with
-    fewer distinct columns than tokens: (firsts, counts, start). firsts[c]
-    lists chain c's distinct columns in first-hit order, so such a row i's
-    are the first m_i of firsts[chain[i]], and counts[start[i]:start[i + 1]]
-    their counts in the narrowest unsigned type that holds 2 max(t) - 1;
-    every other row's range is empty. Such a t-token row repeats t or more
-    hits, so a chain is walked only up to the row as long as its repeats."""
-    size = 2 * int(batch.t.max(initial=1)) - 1
-    counts = array(next(code for code in "BHIQ" if size < 256 ** array(code).itemsize))
-    firsts, start, hits = [], array("q", [0]), batch.hits.tolist()
+def _step_records(batch: FeatureBatch) -> list[tuple]:
+    """Each row's SGD step record, in one walk of each chain. A t-token row
+    with fewer distinct columns than tokens gets (t, columns, counts):
+    columns lists its chain's distinct columns in first-hit order (one list
+    per chain), counts the row's counts of its first len(counts). Any other
+    row gets (t, None, its chain's hit offset). Such a t-token row repeats t
+    or more hits, so a chain is walked only up to the row as long as its
+    repeats."""
+    records, hits = [], batch.hits.tolist()
     for a, b in itertools.pairwise(batch.chain_ptr.tolist()):
         walked = min((b - a + 1) // 2, b - a - len(set(hits[a:b])))  # in rows
-        running: dict[int, int] = {}  # column -> count so far, in first-hit order
+        columns, running = [], {}  # column -> count so far, in first-hit order
         for j, k in enumerate(hits[a:a + max(2 * walked - 1, 0)]):
             running[k] = running.get(k, 0) + 1
             if not j % 2:  # the last of a row's 2 t - 1 hits
-                if len(running) <= j // 2:  # fewer distinct columns than tokens
-                    counts.extend(running.values())
-                start.append(len(counts))
-        start.extend([len(counts)] * ((b - a + 1) // 2 - walked))
-        firsts.append(list(running))
-    return firsts, counts, start
+                t = j // 2 + 1
+                records.append((t, columns, tuple(running.values())) if len(running) < t
+                               else (t, None, a))
+        records.extend((t, None, a) for t in range(walked + 1, (b - a + 1) // 2 + 1))
+        columns.extend(running)
+    return records
 
 
 @dataclass
@@ -336,9 +334,8 @@ class DiscriminatorModel:
     sparse_w: np.ndarray
     bias: float
     final_objective: float = 0.0
-    # what a bootstrap model was trained from (selftrain.bootstrap_provenance),
-    # by key; a v2 file without one loads as {}, a v1 file as None
-    provenance: dict[str, str] | None = None
+    # what a bootstrap model was trained from (selftrain.bootstrap_provenance), by key
+    provenance: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def zeros(cls, config: FeatureConfig) -> "DiscriminatorModel":
@@ -357,9 +354,8 @@ class DiscriminatorModel:
         return featurizer.score(state)
 
     def save(self, path) -> None:
-        """Write a `discriminator v2` file: the v1 headers plus `vocab_hash`
-        after `t_max` and a `provenance` line of `key=value` entries after
-        `dense`, then one `index weight` line per nonzero sparse weight."""
+        """Write a `discriminator v2` file: the version line and 9 header
+        lines, then one `index weight` line per nonzero sparse weight."""
         config = self.config
         with atomic_write(path) as f:
             f.write("discriminator v2\n")
@@ -372,29 +368,30 @@ class DiscriminatorModel:
             f.write(f"bias {float(self.bias)!r}\n")
             f.write("dense " + " ".join(repr(float(v)) for v in self.dense_w) + "\n")
             f.write("provenance " + " ".join(f"{key}={value}" for key, value
-                                             in (self.provenance or {}).items()) + "\n")
+                                             in self.provenance.items()) + "\n")
             for i in np.nonzero(self.sparse_w)[0]:
                 f.write(f"{i} {float(self.sparse_w[i])!r}\n")
 
     @classmethod
     def load(cls, path) -> "DiscriminatorModel":
-        """Read a `discriminator v2` or `v1` file; a v1 file has no
-        `vocab_hash` and no `provenance` line."""
+        """Read a `discriminator v2` file; any other version line, an older
+        file's too, is refused with a hint to write the file again."""
         with open(path, encoding="utf-8") as f:
             try:
                 version = f.readline().strip()
             except UnicodeDecodeError as e:
                 raise DiscriminatorError(f"not a discriminator model file: {path}: {e}") from None
-            if version not in ("discriminator v1", "discriminator v2"):
-                raise DiscriminatorError(f"not a discriminator model file: {path}")
-            v2 = version == "discriminator v2"
+            if version != "discriminator v2":
+                raise DiscriminatorError(
+                    f"not a discriminator model file: {path}: its first line is {version!r}, "
+                    f"not 'discriminator v2'; re-run train-discriminator to write one")
             try:
                 d_hash = int(read_header(f, "d_hash"))
                 use_source = read_header(f, "use_source")
                 if use_source not in ("0", "1"):
                     raise ValueError(f"use_source must be 0 or 1, got {use_source!r}")
                 t_max = int(read_header(f, "t_max"))
-                vocab_hash = read_header(f, "vocab_hash", many=True) if v2 else []
+                vocab_hash = read_header(f, "vocab_hash", many=True)
                 if len(vocab_hash) > 1:
                     raise ValueError(f"the 'vocab_hash' line holds {len(vocab_hash)} values, "
                                      f"not 0 or 1")
@@ -404,16 +401,13 @@ class DiscriminatorModel:
                 dense = np.array([finite_float(v) for v in read_header(f, "dense", many=True)])
                 if dense.size != N_DENSE:
                     raise ValueError(f"{dense.size} dense weights, not {N_DENSE}")
-                provenance = None
-                if v2:
-                    provenance = {}
-                    for entry in read_header(f, "provenance", many=True):
-                        key, sep, value = entry.partition("=")
-                        if not key or not sep:
-                            raise ValueError(f"provenance entry {entry!r} is not key=value")
-                        provenance[key] = value
-                # the body follows the 10 header lines of v2, the 8 of v1
-                sparse_entries = read_body(f, 11 if v2 else 9, _sparse_entry)
+                provenance = {}
+                for entry in read_header(f, "provenance", many=True):
+                    key, sep, value = entry.partition("=")
+                    if not key or not sep:
+                        raise ValueError(f"provenance entry {entry!r} is not key=value")
+                    provenance[key] = value
+                sparse_entries = read_body(f, 11, _sparse_entry)  # after the 10 header lines
             except ValueError as e:
                 raise DiscriminatorError(
                     f"truncated or malformed discriminator model file: {path}: {e}") from None
@@ -473,7 +467,7 @@ def _logits(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
     sums = (model.sparse_w[batch.columns] + 0.0)[batch.hits]
     for a, b in itertools.pairwise(batch.chain_ptr.tolist()):
         np.add.accumulate(sums[a:b], out=sums[a:b])
-    S = sums[batch.chain_ptr[batch.chain] + 2 * batch.t - 2]
+    S = sums[batch.offset + 2 * batch.t - 2]
     return (float(model.bias) + zd) + S / batch.t
 
 
@@ -541,13 +535,8 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     scale_G = n_total * ratio / ((1.0 + ratio) * (n_total - n_H))
 
     # one example's step: `logit` of its row, unrolled, then the update of every weight the
-    # row used. A row's record: t and its chain's distinct columns and its counts of them, or
-    # t, None and its hits' offset. The dense values are read from the batch's buffer.
-    firsts, counts, start = _distinct_hits(batch)
-    records = [(n, firsts[c], counts[a:b]) if a < b else (n, None, h)
-               for n, c, h, a, b in zip(batch.t.tolist(), batch.chain.tolist(),
-                                        batch.chain_ptr[batch.chain].tolist(), start, start[1:])]
-    dense, dense_row = batch.dense, struct.Struct(f"{N_DENSE}d")
+    # row used, from the row's step record. The dense values are read from the batch's buffer.
+    records, dense, dense_row = _step_records(batch), batch.dense, struct.Struct(f"{N_DENSE}d")
     hits, unpack, size, exp = batch.hits.tolist(), dense_row.unpack_from, dense_row.size, math.exp
     w0, w1, w2, w3, w4, w5, w6 = model.dense_w.tolist()
     w, bias = model.sparse_w[batch.columns].tolist(), float(model.bias)

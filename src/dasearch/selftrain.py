@@ -136,6 +136,9 @@ def bootstrap(corpus: Corpus, generator, disc_hparams: DiscriminatorHparams,
     rng = random.Random(disc_hparams.seed)
     rng.shuffle(ids)
     n_val = max(1, int(len(ids) * VAL_FRACTION))
+    if len(ids) - n_val < 1:
+        raise DiscriminatorError(f"train split too small: {len(ids)} pair(s), {n_val} held out, "
+                                 f"none left to train the bootstrap discriminator on")
     return _round(corpus, partial(plain_beam_search, generator, config=search_config),
                   feature_config, disc_hparams, iteration=0, seed=disc_hparams.seed,
                   val_ids=frozenset(ids[:n_val]), model=model)

@@ -58,7 +58,7 @@ def eq2_gradient(model: DiscriminatorModel, batch: FeatureBatch, n_human: int):
     c = (human - p) / np.where(human, n_human, len(batch) - n_human)
     # row i's hits, one row after another: the first 2 t_i - 1 of its chain's
     n = 2 * batch.t - 1
-    at = np.arange(n.sum()) + np.repeat(batch.chain_ptr[batch.chain] - (np.cumsum(n) - n), n)
+    at = np.arange(n.sum()) + np.repeat(batch.offset - (np.cumsum(n) - n), n)
     sparse = np.zeros(model.config.d_hash)
     sparse[batch.columns] = np.bincount(batch.hits[at], weights=np.repeat(c / batch.t, n),
                                         minlength=len(batch.columns))

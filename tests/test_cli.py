@@ -493,6 +493,24 @@ def test_train_discriminator_rejects_epochs_below_one(pipeline, tmp_path, capsys
                 if p.exists()]
 
 
+@pytest.mark.parametrize("command", ["train-discriminator", "self-train"])
+def test_a_train_split_too_small_to_bootstrap_exits_one_before_decoding(
+        pipeline, tmp_path, capsys, monkeypatch, command):
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded a split too small to train on")
+
+    monkeypatch.setattr(selftrain, "decode_corpus", no_decode)
+    root, cfg = pipeline
+    train, model = tmp_path / "train.jsonl", tmp_path / "discriminator.model"
+    train.write_text((root / "out" / "train.jsonl").read_text().splitlines()[0] + "\n")
+    path = derive_config(cfg, tmp_path, train_path=str(train), discriminator_model=str(model))
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: train split too small: 1 pair(s), 1 held out, "
+                                       "none left to train the bootstrap discriminator on\n")
+    assert not [p for p in (model, tmp_path / "accuracy_by_length.csv", tmp_path / "iter_0")
+                if p.exists()]
+
+
 def test_train_discriminator_featurises_the_held_out_prefixes_once(pipeline, tmp_path,
                                                                     monkeypatch):
     calls, rounds = [], []
@@ -691,22 +709,20 @@ def test_a_file_that_is_not_utf8_is_named_in_the_error(pipeline, tmp_path, capsy
     assert "codec can't decode byte 0xff in position 0" in err
 
 
-def test_a_v1_discriminator_file_decodes_alike_and_is_never_reused(pipeline, tmp_path, capsys):
+def test_a_v1_discriminator_file_exits_one_for_decode_and_self_train(pipeline, tmp_path,
+                                                                     capsys):
     root, cfg = pipeline
-    v2 = root / "out" / "discriminator.model"
-    text = v2.read_text().replace("discriminator v2\n", "discriminator v1\n", 1)
+    text = (root / "out" / "discriminator.model").read_text()
+    text = text.replace("discriminator v2\n", "discriminator v1\n", 1)
     v1 = tmp_path / "v1.model"
     v1.write_text(re.sub(r"\nprovenance .*\n", "\n", re.sub(r"\nvocab_hash \S+\n", "\n", text)))
-    assert DiscriminatorModel.load(v1).provenance is None
-    generations = []
-    for name, model in (("v2", v2), ("v1", v1)):
-        (tmp_path / name).mkdir()
-        path = derive_config(cfg, tmp_path / name, discriminator_model=str(model))
-        assert main(["decode", "--config", str(path), "--mode", "das"]) == 0
-        generations.append((tmp_path / name / "generations-das-test.jsonl").read_bytes())
-    assert generations[0] == generations[1]
-    out, _ = _self_train(cfg, tmp_path / "run", capsys, discriminator_model=str(v1))
-    assert f"bootstrap: trained ({v1} is a v1 file)\n" in out
+    for command, extra in (("decode", ["--mode", "das"]), ("self-train", [])):
+        path = derive_config(cfg, tmp_path, discriminator_model=str(v1))
+        assert main([command, "--config", str(path), *extra]) == 1
+        assert capsys.readouterr().err == (
+            f"error: not a discriminator model file: {v1}: its first line is 'discriminator v1', "
+            f"not 'discriminator v2'; re-run train-discriminator to write one\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "v1.model"]
 
 
 def test_decode_rejects_a_discriminator_of_an_equal_sized_vocabulary(pipeline, tmp_path,
@@ -761,6 +777,24 @@ def test_output_dir_env_override(pipeline, tmp_path, monkeypatch):
     assert main(["decode", "--config", str(cfg), "--mode", "plain",
                  "--split", "test"]) == 0
     assert (alt / "generations-plain-test.jsonl").is_file()
+
+
+def test_the_output_dir_flag_beats_its_environment_override(pipeline, tmp_path, monkeypatch):
+    _, cfg = pipeline
+    monkeypatch.setenv("DASEARCH_OUTPUT_DIR", str(tmp_path / "env"))
+    assert main(["decode", "--config", str(cfg), "--mode", "plain",
+                 "--output-dir", str(tmp_path / "flag")]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["flag"]
+    assert (tmp_path / "flag" / "generations-plain-test.jsonl").is_file()
+
+
+def test_the_jobs_flag_beats_its_environment_override(pipeline, tmp_path, monkeypatch):
+    _, cfg = pipeline
+    path = derive_config(cfg, tmp_path)
+    monkeypatch.setenv("DASEARCH_JOBS", "3")
+    assert main(["decode", "--config", str(path), "--mode", "plain", "--jobs", "1"]) == 0
+    with open(tmp_path / "manifest-decode-plain-test.json") as f:
+        assert json.load(f)["config"]["jobs"] == 1
 
 
 def test_parallel_decode_matches_serial(pipeline):

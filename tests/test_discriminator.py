@@ -325,10 +325,9 @@ def test_sequence_features_equal_the_reference_at_every_prefix(data):
     assert batch.chain_ptr[0] == 0 and batch.chain_ptr[-1] == len(batch.hits)
     assert len(set(batch.columns.tolist())) == len(batch.columns)
     for i, (n, source, prefix) in enumerate(rows):
-        t = len(prefix)
-        assert batch.chain[i] == n and batch.t[i] == t
-        start, end = batch.chain_ptr[n], batch.chain_ptr[n + 1]
-        assert end - start == 2 * len(seqs[n][1]) - 1
+        t, start = len(prefix), batch.offset[i]
+        assert start == batch.chain_ptr[n] and batch.t[i] == t
+        assert batch.chain_ptr[n + 1] - start == 2 * len(seqs[n][1]) - 1
         hits = batch.columns[batch.hits[start:start + 2 * t - 1]].tolist()
         ref = reference_features(source, prefix, config)
         assert_same_features((batch.dense[i], hits), ref)
@@ -542,7 +541,7 @@ def sequence_runs(data, n_vocab, name):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(data=st.data())
-def test_distinct_hits_are_each_rows_columns_counted_in_first_hit_order(data):
+def test_step_records_count_each_rows_columns_in_first_hit_order(data):
     n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
     config = data.draw(feature_configs(n_vocab), label="config")
     # an empty sequence is a chain with no row
@@ -550,27 +549,16 @@ def test_distinct_hits_are_each_rows_columns_counted_in_first_hit_order(data):
                                         tokens(n_vocab, 0, 40).map(tuple)),
                               min_size=1, max_size=4), label="sequences")
     batch = prefix_features(seqs, config)
-    firsts, counts, start = discriminator._distinct_hits(batch)
-    assert len(firsts) == len(seqs) and len(start) == len(batch) + 1
-    assert start[-1] == len(counts)
-    assert counts.typecode == "B"  # 2 t - 1 <= 79 hits a row
-    for i, (c, t) in enumerate(zip(batch.chain.tolist(), batch.t.tolist())):
-        a = batch.chain_ptr[c]
+    records = discriminator._step_records(batch)
+    assert len(records) == len(batch)
+    for i, (t, columns, counts) in enumerate(records):
+        a = batch.offset[i]
         want = Counter(batch.hits[a:a + 2 * t - 1].tolist())
-        m = start[i + 1] - start[i]
+        assert t == batch.t[i]
         if len(want) < t:  # a row SGD steps per distinct column
-            assert list(zip(firsts[c][:m], counts[start[i]:start[i + 1]])) == list(want.items())
+            assert list(zip(columns, counts)) == list(want.items())
         else:
-            assert m == 0
-
-
-@pytest.mark.parametrize("t, typecode", [(2, "B"), (128, "B"), (129, "H")])
-def test_distinct_hit_counts_take_the_narrowest_type_that_holds_2t_minus_1(t, typecode):
-    # d_hash 1: every hit is one column, hit 2 t - 1 times by the longest row
-    # (t = 2 is the shortest row with fewer distinct columns than tokens)
-    batch = prefix_features([((3,), (3,) * t)], FeatureConfig(d_hash=1, t_max=t))
-    _, counts, _ = discriminator._distinct_hits(batch)
-    assert counts.typecode == typecode and counts[-1] == 2 * t - 1
+            assert (columns, counts) == (None, a)
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
@@ -900,8 +888,7 @@ def test_model_load_checks_each_header_line_by_key(tmp_path, edit, problem):
         DiscriminatorModel.load(path)
 
 
-@pytest.mark.parametrize("version", ["v1", "v2"])
-def test_model_load_rejects_a_repeated_sparse_index(tmp_path, version):
+def test_model_load_rejects_a_repeated_sparse_index(tmp_path):
     vocab = make_vocab("a", "b", "c")
     corpus = make_corpus(vocab, [("p", ["a", "b"], ["a", "c"])])
     config = FeatureConfig.from_corpus(corpus, d_hash=128, t_max=60)
@@ -909,9 +896,6 @@ def test_model_load_rejects_a_repeated_sparse_index(tmp_path, version):
     path = tmp_path / "disc.model"
     train_discriminator(H, G, config, epochs=2, seed=3).save(path)
     text = path.read_text()
-    if version == "v1":
-        text = re.sub(r"\nprovenance .*\n", "\n", re.sub(r"\nvocab_hash \S+\n", "\n", text))
-        text = text.replace("discriminator v2\n", "discriminator v1\n", 1)
     lines = text.splitlines(keepends=True)
     first = next(n for n, line in enumerate(lines, start=1) if line[0].isdigit())
     index = lines[first - 1].split()[0]
@@ -934,9 +918,9 @@ def test_save_load_save_is_byte_identical_and_scores_the_same(data):
                            t_max=data.draw(st.integers(1, 30), label="t_max"), logfreq=logfreq,
                            vocab_hash=data.draw(st.sampled_from(["", "0123456789abcdef"]),
                                                 label="vocab_hash"))
-    provenance = data.draw(st.one_of(st.none(), st.dictionaries(
+    provenance = data.draw(st.dictionaries(
         st.sampled_from(["train_sha256", "epochs", "learning_rate"]),
-        st.from_regex(r"[0-9a-f.]{1,12}", fullmatch=True))), label="provenance")
+        st.from_regex(r"[0-9a-f.]{1,12}", fullmatch=True)), label="provenance")
     sparse = np.zeros(d_hash)
     for i, w in data.draw(st.dictionaries(st.integers(0, d_hash - 1), weights, max_size=12),
                           label="sparse").items():
@@ -954,7 +938,7 @@ def test_save_load_save_is_byte_identical_and_scores_the_same(data):
         loaded.save(second)
         assert second.read_bytes() == first.read_bytes()
     assert loaded.config == config and loaded.final_objective == model.final_objective
-    assert loaded.provenance == (provenance or {})  # only a v1 file loads without one
+    assert loaded.provenance == provenance
     tokens = st.lists(st.integers(3, n_vocab - 1), min_size=1, max_size=8)
     for source, prefix in data.draw(st.lists(st.tuples(tokens, tokens), min_size=1, max_size=5),
                                     label="source, prefix"):
