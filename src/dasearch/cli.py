@@ -320,6 +320,9 @@ def cmd_make_corpus(cfg: RunConfig, args, out_dir: Path):
 
 def cmd_train_generator(cfg: RunConfig, args, out_dir: Path):
     from dasearch import generator
+    if cfg.lambda_copy >= 1.0:  # the copy distribution gives EOS no probability
+        raise ConfigError(f"[generator] lambda_copy must be below 1 for decoding to end, "
+                          f"got {cfg.lambda_copy}")
     train_path = _required_path(cfg, "train_path")
     vocab_path = Path(_required_path(cfg, "vocab_path"))
     model_path = Path(_required_path(cfg, "generator_model"))

@@ -235,10 +235,15 @@ def read_records(path):
 
 
 def write_records(path, records) -> None:
-    """`records` as a JSON-lines file: one object per line."""
+    """`records` as a JSON-lines file: one object per line. A record that
+    holds a nan or infinite float, which JSON has no number for, is refused."""
     with atomic_write(path) as f:
         for rec in records:
-            f.write(json.dumps(rec) + "\n")
+            try:
+                f.write(json.dumps(rec, allow_nan=False) + "\n")
+            except ValueError:
+                raise CorpusError(f"{path}: record {rec.get('id')!r} holds a nan or infinite "
+                                  f"number, which JSON cannot write") from None
 
 
 def load_corpus(path, vocab: Vocabulary | None = None, split: str = "train") -> Corpus:

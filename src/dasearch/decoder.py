@@ -26,15 +26,16 @@ the final key can rise with length, and the search runs as long as ever.
 
 A candidate is light: a tuple of its scores, its parent's rank in the pool's
 token order and its token, which order candidates as their token tuples would.
-PrefixFeaturizer.score_next gives its D from its parent's prefix state in
-O(1), leaving the state as it is, and apply_das_score its s_dis and s_das as
-floats. Only the B survivors of a step, and the members live at t_max, become
-Hypothesis objects. Each live survivor takes over its parent's prefix state
-and trigram-block index (copies them when a sibling survives too) and extends
-them by its token. Expansions are memoised by the prefix's generator tail and
-blocked set, and so is the row the forced EOS of a member still live at t_max
-reads. So the only per-step work that grows with the prefix is the survivors'
-token tuples and their siblings' copies."""
+PrefixFeaturizer.score_next gives its D and step from its parent's prefix
+state in O(1), leaving the state as it is, and apply_das_score its s_dis and
+s_das as floats. Only the B survivors of a step, and the members live at
+t_max, become Hypothesis objects. Each live survivor takes over its parent's
+prefix state and trigram-block index (copies them when a sibling survives
+too) and commits its scored step to the state and its token to the index.
+Expansions are memoised by the prefix's generator tail and blocked set, and so
+is the row the forced EOS of a member still live at t_max reads. So the only
+per-step work that grows with the prefix is the survivors' token tuples and
+their siblings' copies."""
 
 from __future__ import annotations
 
@@ -223,12 +224,12 @@ def _search(generator, discriminator, source, config: SearchConfig):
 
     clamps = 0
 
-    def fuse(s_gen: float, state, token: int) -> tuple[float, float]:
-        """(s_dis, s_das) of s_gen and D of a parent's prefix state plus `token`."""
+    def fuse(s_gen: float, state, token: int) -> tuple[float, float, tuple]:
+        """(s_dis, s_das, step) of s_gen and a parent's prefix state plus `token`."""
         nonlocal clamps
-        dis_prob = featurizer.score_next(state, token)
+        dis_prob, step = featurizer.score_next(state, token)
         clamps += dis_prob < EPS_DIS
-        return apply_das_score(s_gen, config.alpha, dis_prob)
+        return *apply_das_score(s_gen, config.alpha, dis_prob), step
 
     for _ in range(config.t_max):
         # A candidate is (-s_gen, parent rank, token); an ended member
@@ -246,7 +247,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
             candidates += [(-(s_gen + logp), rank, tok)
                            for tok, logp in expand(h.tokens, blocked)]
         candidates.sort()
-        # survivors as (parent rank, token, s_gen, s_dis, s_das)
+        # survivors as (parent rank, token, s_gen, s_dis, s_das, prefix step)
         if rerank:
             # log D <= 0 makes s_das <= s_gen, in floats too, for a candidate
             # and for an ended member alike: (neg_gen, neg_gen, rank, tok) is
@@ -258,18 +259,18 @@ def _search(generator, discriminator, source, config: SearchConfig):
                 if len(ranked) >= beam_size and ranked[beam_size - 1] < (neg_gen, neg_gen,
                                                                          rank, tok):
                     break
-                s_dis, s_das = ((pool[rank].s_dis, pool[rank].s_das) if tok < 0
-                                else fuse(-neg_gen, states[rank], tok))
-                insort(ranked, (-s_das, neg_gen, rank, tok, s_dis))
-            survivors = [(rank, tok, -neg_gen, s_dis, -neg_das)
-                         for neg_das, neg_gen, rank, tok, s_dis in ranked[:beam_size]]
+                s_dis, s_das, step = ((pool[rank].s_dis, pool[rank].s_das, None) if tok < 0
+                                      else fuse(-neg_gen, states[rank], tok))
+                insort(ranked, (-s_das, neg_gen, rank, tok, s_dis, step))
+            survivors = [(rank, tok, -neg_gen, s_dis, -neg_das, step)
+                         for neg_das, neg_gen, rank, tok, s_dis, step in ranked[:beam_size]]
         else:
-            survivors = [(rank, tok, -neg_gen, None, -neg_gen)
+            survivors = [(rank, tok, -neg_gen, None, -neg_gen, None)
                          for neg_gen, rank, tok in candidates[: config.beam_size]]
         survivors.sort()
 
         next_pool, next_states, next_indexes, live, ended = [], [], [], False, False
-        for j, (rank, tok, s_gen, s_dis, s_das) in enumerate(survivors):
+        for j, (rank, tok, s_gen, s_dis, s_das, step) in enumerate(survivors):
             parent = pool[rank]
             state = index = None
             if tok < 0:
@@ -284,7 +285,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
                     last = j + 1 == len(survivors) or survivors[j + 1][0] != rank
                     if rerank:
                         state = states[rank] if last else states[rank].copy()
-                        featurizer.advance(state, tok)
+                        featurizer.commit(state, tok, step)
                     if block:
                         index = indexes[rank] if last else indexes[rank].copy()
                         _extend_block_index(index, parent.tokens, tok)
@@ -303,7 +304,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
         if not h.ended:
             lp_eos = float(ranking(h.tokens)[0][eos])
             s_gen = h.s_gen + lp_eos
-            s_dis, s_das = fuse(s_gen, states[rank], eos) if rerank else (None, s_gen)
+            s_dis, s_das = fuse(s_gen, states[rank], eos)[:2] if rerank else (None, s_gen)
             h = Hypothesis(h.tokens + (eos,), s_gen, s_dis, s_das, True, True)
         final.append(h)
     if clamps:

@@ -118,7 +118,7 @@ class PrefixState:
     """What the features of one prefix need to take one more token in O(1)
     new work: its length, how many of its tokens are in the source, the
     running logfreq sum, its distinct 1-, 2- and 3-grams, its last two tokens
-    and S, the summed weights of its hits (when a model is scoring it)."""
+    and S, the summed weights of its hits under the featurizer's model."""
 
     __slots__ = ("source_set", "t", "in_source", "logfreq_sum", "grams", "distinct",
                  "last", "S")
@@ -142,31 +142,31 @@ class PrefixState:
 
 
 class PrefixFeaturizer:
-    """Prefix features built one token at a time: `advance` appends a token
-    to a PrefixState and returns the token's sparse hits, and `dense` gives
-    the state's dense values. A hit is a column: the featurizer numbers the
-    hashed indices in the order it meets them, and `columns` lists them.
-
-    Made with a model, it scores prefixes under the model's weights as they
-    are when it is made: `advance` also adds the weights of the hits to the
-    state's S, and `score` gives D in O(1); `score_next`, the search's scorer,
-    gives D of the state plus one token in one straight-line pass over the
-    state's fields, without changing it. It memoises the column of every
+    """Prefix features built one token at a time. `score_next`, the one token
+    step, gives D of a PrefixState plus one token and the step, in one
+    straight-line pass over the state's fields that leaves the state as it is:
+    the new (t, in_source, logfreq_sum, distinct, S), the token's hits (the
+    column of its unigram, then that of its bigram if it has a predecessor)
+    and the new dense values. `commit` applies a step to its state, and
+    `advance` does both. A hit is a column: the featurizer numbers the hashed
+    indices in the order it meets them, and `columns` lists them. D is under
+    the model's weights as they are when the featurizer is made (a zero bias
+    and zero weights without a model). It memoises the column of every
     (token, bit) unigram and (a, b, bit) bigram key it meets, and the model's
     weight of every column, so make one per search or per training set and
     the memo lives no longer than that."""
 
     def __init__(self, config: FeatureConfig, model: "DiscriminatorModel | None" = None):
+        if model is None:
+            model = DiscriminatorModel.zeros(config)
         self.config = config
         self.columns: list[int] = []
         self._column_of: dict[int, int] = {}
         self._unigram: dict[tuple[int, int], int] = {}
         self._bigram: dict[tuple[int, int, int], int] = {}
         self._logfreq, self._t_max = config.logfreq, config.t_max
-        self._model = model
-        if model is not None:
-            self._bias, self._dense_w = float(model.bias), model.dense_w.tolist()
-            self._weights: list[float] = []
+        self._bias, self._dense_w = float(model.bias), model.dense_w.tolist()
+        self._sparse_w, self._weights = model.sparse_w, []
 
     def _new_column(self, memo: dict, key: tuple) -> int:
         """Number a new unigram (token, bit) or bigram (a, b, bit) key's column in `memo`."""
@@ -176,49 +176,13 @@ class PrefixFeaturizer:
         if column is None:
             column = self._column_of[index] = len(self.columns)
             self.columns.append(index)
-            if self._model is not None:
-                self._weights.append(self._model.sparse_w.item(index))
+            self._weights.append(self._sparse_w.item(index))
         memo[key] = column
         return column
 
     def state_of(self, source) -> PrefixState:
         """The state of the empty prefix of `source`."""
         return PrefixState(frozenset(source) if self.config.use_source else frozenset())
-
-    def advance(self, state: PrefixState, token: int) -> tuple[int, ...]:
-        """Append `token` to `state` in place; returns its hits: the column of
-        its unigram, then that of its bigram if it has a predecessor."""
-        src, grams, last = state.source_set, state.grams, state.last
-        bit = 1 if token in src else 0
-        u = self._unigram.get((token, bit))
-        if u is None:
-            u = self._new_column(self._unigram, (token, bit))
-        state.t += 1
-        state.in_source += bit
-        if self._logfreq:
-            state.logfreq_sum = state.logfreq_sum + self._logfreq[token]
-        d1, d2, d3 = state.distinct
-        d1 += token not in grams
-        grams.add(token)
-        if last:
-            a = last[-1]
-            d2 += (a, token) not in grams
-            grams.add((a, token))
-            if len(last) == 2:
-                d3 += (last[0], a, token) not in grams
-                grams.add((last[0], a, token))
-            key = (a, token, 1 if bit and a in src else 0)
-            b = self._bigram.get(key)
-            if b is None:
-                b = self._new_column(self._bigram, key)
-            hits, state.last = (u, b), (a, token)
-        else:
-            hits, state.last = (u,), (token,)
-        state.distinct = (d1, d2, d3)
-        if self._model is not None:
-            for k in hits:
-                state.S = state.S + self._weights[k]
-        return hits
 
     def _dense(self, t: int, in_source: int, logfreq_sum, d1: int, d2: int, d3: int,
                last_token: int) -> list:
@@ -234,21 +198,9 @@ class PrefixFeaturizer:
             1.0 if last_token == Vocabulary.eos else 0.0,
         ]
 
-    def dense(self, state: PrefixState) -> list:
-        """The dense values of the state's prefix, in DENSE_FEATURES order."""
-        if state.t == 0:
-            raise DiscriminatorError("empty prefix")
-        return self._dense(state.t, state.in_source, state.logfreq_sum, *state.distinct,
-                           state.last[-1])
-
-    def score(self, state: PrefixState) -> float:
-        """D of the state's prefix, from its carried S."""
-        return _sigmoid(logit(self._bias, self._dense_w, self.dense(state), state.S, state.t))
-
-    def score_next(self, state: PrefixState, token: int) -> float:
-        """D of the state's prefix plus `token`, leaving `state` as it is: bit
-        for bit `score` after `advance` on a copy of the state, in O(1) without
-        the copy or the hits, through the one `_dense` and `logit`."""
+    def score_next(self, state: PrefixState, token: int) -> tuple[float, tuple]:
+        """(D, step) of the state's prefix plus `token`, leaving `state` as it
+        is, in O(1) through the one `_dense` and `logit`."""
         src, grams, last = state.source_set, state.grams, state.last
         bit = 1 if token in src else 0
         u = self._unigram.get((token, bit))
@@ -266,37 +218,65 @@ class PrefixFeaturizer:
             b = self._bigram.get(key)
             if b is None:
                 b = self._new_column(self._bigram, key)
-            S = S + self._weights[b]
-        t = state.t + 1
+            S, hits = S + self._weights[b], (u, b)
+        else:
+            hits = (u,)
+        t, in_source = state.t + 1, state.in_source + bit
         logfreq_sum = state.logfreq_sum + self._logfreq[token] if self._logfreq else 0
-        dense = self._dense(t, state.in_source + bit, logfreq_sum, d1, d2, d3, token)
-        return _sigmoid(logit(self._bias, self._dense_w, dense, S, t))
+        dense = self._dense(t, in_source, logfreq_sum, d1, d2, d3, token)
+        return (_sigmoid(logit(self._bias, self._dense_w, dense, S, t)),
+                (t, in_source, logfreq_sum, (d1, d2, d3), S, hits, dense))
+
+    @staticmethod
+    def commit(state: PrefixState, token: int, step: tuple) -> None:
+        """Append `token` to `state` in place by its score_next `step` from `state`."""
+        state.t, state.in_source, state.logfreq_sum, state.distinct, state.S, _, _ = step
+        grams, last = state.grams, state.last
+        grams.add(token)
+        if last:
+            grams.add((last[-1], token))
+            if len(last) == 2:
+                grams.add((*last, token))
+            state.last = (last[-1], token)
+        else:
+            state.last = (token,)
+
+    def advance(self, state: PrefixState, token: int) -> None:
+        """Append `token` to `state` in place."""
+        self.commit(state, token, self.score_next(state, token)[1])
 
 
 def extract_features(source, prefix, config: FeatureConfig) -> tuple[list, list]:
     """The dense values of `prefix` given `source` and the hashed indices of
-    its hits in token order: the fold of PrefixFeaturizer.advance over the
-    prefix."""
+    its hits in token order, from the steps of a PrefixFeaturizer."""
+    if not prefix:
+        raise DiscriminatorError("empty prefix")
     featurizer = PrefixFeaturizer(config)
-    state = featurizer.state_of(source)
-    hits = []
+    state, indices = featurizer.state_of(source), []
     for token in prefix:
-        hits += featurizer.advance(state, token)
-    return featurizer.dense(state), [featurizer.columns[c] for c in hits]
+        _, step = featurizer.score_next(state, token)
+        featurizer.commit(state, token, step)
+        *_, hits, dense = step
+        indices += [featurizer.columns[c] for c in hits]
+    return dense, indices
 
 
 def prefix_features(sequences, config: FeatureConfig) -> FeatureBatch:
     """The features of every prefix of every (source, tokens) sequence, in
     order, as one FeatureBatch: each sequence is walked once, as one chain."""
     featurizer = PrefixFeaturizer(config)
+    score_next, commit = featurizer.score_next, featurizer.commit
     dense, ts, offset = array("d"), array("q"), array("q")
     chain_ptr, hits = array("q", [0]), array("q")
     for source, tokens in sequences:
         state = featurizer.state_of(source)
         for token in tokens:
-            hits.extend(featurizer.advance(state, token))
-            dense.extend(featurizer.dense(state))
-            ts.append(state.t)
+            _, step = score_next(state, token)
+            commit(state, token, step)
+            t, _, _, _, _, step_hits, step_dense = step
+            hits.extend(step_hits)
+            dense.extend(step_dense)
+            ts.append(t)
             offset.append(chain_ptr[-1])
         chain_ptr.append(len(hits))
     return FeatureBatch(np.frombuffer(dense).reshape(-1, N_DENSE),
@@ -346,12 +326,14 @@ class DiscriminatorModel:
         return list(map(_sigmoid, _logits(self, batch).tolist()))
 
     def score(self, source, prefix) -> float:
-        """D of one prefix: the search's scorer folded over the prefix."""
+        """D of one prefix: `advance` over all but its last token, then `score_next`."""
+        if not prefix:
+            raise DiscriminatorError("empty prefix")
         featurizer = PrefixFeaturizer(self.config, self)
         state = featurizer.state_of(source)
-        for token in prefix:
+        for token in prefix[:-1]:
             featurizer.advance(state, token)
-        return featurizer.score(state)
+        return featurizer.score_next(state, prefix[-1])[0]
 
     def save(self, path) -> None:
         """Write a `discriminator v2` file: the version line and 9 header

@@ -153,7 +153,9 @@ class NGramCopyModel:
             except UnicodeDecodeError as e:
                 raise GeneratorError(f"not a generator model file: {path}: {e}") from None
             if header != "ngram-copy v1":
-                raise GeneratorError(f"not a generator model file: {path}")
+                raise GeneratorError(
+                    f"not a generator model file: {path}: its first line is {header!r}, "
+                    f"not 'ngram-copy v1'; re-run train-generator to write one")
             try:
                 order, kappa, lambda_copy, vhash = (
                     read_header(f, key) for key in ("order", "kappa", "lambda_copy", "vocab_hash"))

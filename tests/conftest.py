@@ -138,10 +138,10 @@ def reference_search(generator, discriminator, source, config: SearchConfig,
         if h.s_das is not None:
             return h  # already scored (ended hypotheses keep their scores)
         if rerank:
-            state = states[h.tokens[:-1]].copy()
-            featurizer.advance(state, h.tokens[-1])
-            states[h.tokens] = state
-            dis_prob = featurizer.score(state)
+            parent, token = states[h.tokens[:-1]], h.tokens[-1]
+            dis_prob, step = featurizer.score_next(parent, token)
+            states[h.tokens] = state = parent.copy()
+            featurizer.commit(state, token, step)
             clamps += dis_prob < EPS_DIS
             s_dis, s_das = apply_das_score(h.s_gen, config.alpha, dis_prob)
             return Hypothesis(h.tokens, h.s_gen, s_dis, s_das, h.ended, h.truncated)

@@ -149,6 +149,22 @@ def test_flags_reject_non_finite_floats(tmp_path, capsys, command, flag, text):
     assert not (tmp_path / "out").exists()
 
 
+def test_readme_config_table_lists_every_field_in_its_section():
+    """README's `| section | keys |` table holds one row per RunConfig
+    section, and each row the fields of that section in declaration order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = readme.split("| section | keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for row in rows.splitlines():
+        section, keys = re.fullmatch(r"\| `\[(\w+)\]` \| (`\w+`(?:, `\w+`)*) \|", row).groups()
+        assert section not in table, section
+        table[section] = re.findall(r"`(\w+)`", keys)
+    want = {}
+    for f in fields(RunConfig):
+        want.setdefault(f.metadata["section"], []).append(f.name)
+    assert table == want
+
+
 def test_config_views_carry_every_same_named_field():
     cfg = non_default_config()
     cfg.k_rerank = cfg.beam_size + 2  # keep the search config valid
@@ -723,6 +739,38 @@ def test_a_v1_discriminator_file_exits_one_for_decode_and_self_train(pipeline, t
             f"error: not a discriminator model file: {v1}: its first line is 'discriminator v1', "
             f"not 'discriminator v2'; re-run train-discriminator to write one\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "v1.model"]
+
+
+@pytest.mark.parametrize("found", ["discriminator", "empty"])
+def test_a_file_that_is_not_a_generator_model_names_its_first_line(pipeline, tmp_path, capsys,
+                                                                    found):
+    root, cfg = pipeline
+    if found == "discriminator":
+        model, first = root / "out" / "discriminator.model", "discriminator v2"
+    else:
+        model, first = tmp_path / "empty.model", ""
+        model.write_text("")
+    path = derive_config(cfg, tmp_path, generator_model=str(model))
+    assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: not a generator model file: {model}: its first line is {first!r}, "
+        f"not 'ngram-copy v1'; re-run train-generator to write one\n")
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_train_generator_refuses_a_lambda_copy_of_one(pipeline, tmp_path, capsys, where):
+    """The copy distribution gives EOS no probability, so with lambda_copy = 1
+    every output would be forced to end at t_max with s_gen = -inf."""
+    _, cfg = pipeline
+    out = tmp_path / "out"
+    path = derive_config(cfg, tmp_path, vocab_path=str(out / "vocab.txt"),
+                         generator_model=str(out / "generator.model"),
+                         **({"lambda_copy": 1.0} if where == "config" else {}))
+    extra = ["--lambda-copy", "1"] if where == "flag" else []
+    assert main(["train-generator", "--config", str(path), *extra]) == 1
+    assert capsys.readouterr().err == (
+        "error: [generator] lambda_copy must be below 1 for decoding to end, got 1.0\n")
+    assert not out.exists()
 
 
 def test_decode_rejects_a_discriminator_of_an_equal_sized_vocabulary(pipeline, tmp_path,

@@ -181,11 +181,11 @@ def test_save_corpus_failing_mid_write_keeps_the_old_corpus(tmp_path, monkeypatc
     old = path.read_bytes()
     records, dumps = [], json.dumps
 
-    def dumps_then_fail(rec):
+    def dumps_then_fail(rec, **kwargs):
         records.append(rec)
         if len(records) == 3:
             raise OSError("disk full")
-        return dumps(rec)
+        return dumps(rec, **kwargs)
 
     monkeypatch.setattr(corpus_mod.json, "dumps", dumps_then_fail)
     with pytest.raises(OSError, match="disk full"):
@@ -270,6 +270,16 @@ def test_corpus_subset_keeps_corpus_order_vocab_and_split():
     assert [p.id for p in sub.pairs] == ["p3", "p2"]
     assert sub.pairs == (corpus.pairs[0], corpus.pairs[2])
     assert sub.vocab is vocab and sub.split == "validation"
+
+
+def test_write_records_refuses_a_number_json_has_no_form_for(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text("old\n")
+    records = [{"id": "a", "s_gen": -1.5}, {"id": "b", "s_gen": float("-inf")}]
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: record 'b' holds a nan or infinite")):
+        corpus_mod.write_records(path, records)
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["r.jsonl"]
 
 
 def test_write_records_then_read_records_round_trips(tmp_path):

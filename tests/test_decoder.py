@@ -591,19 +591,22 @@ def test_settling_saves_discriminator_calls_only_without_length_penalty(seed1_mo
 @pytest.mark.parametrize("all_human", [False, True], ids=["trained", "all-human"])
 def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generator, monkeypatch,
                                                      trained_disc, all_human):
-    """A search advances and copies at most beam_size prefix states a step.
-    With D = 1 everywhere a candidate's s_das is its s_gen, the best it can
-    be, so a step asks the discriminator about its beam_size best candidates
-    by s_gen and no other, and the search returns plain search's beam."""
+    """A search commits and copies at most beam_size prefix states a step,
+    the steps it scored them with, and never advances one. With D = 1
+    everywhere a candidate's s_das is its s_gen, the best it can be, so a
+    step asks the discriminator about its beam_size best candidates by s_gen
+    and no other, and the search returns plain search's beam."""
     disc = trained_disc
     if all_human:
         disc = DiscriminatorModel(trained_disc.config, np.zeros(N_DENSE),
                                   np.zeros(trained_disc.config.d_hash), 50.0)
     counts = Counter()
-    advance, copy = PrefixFeaturizer.advance, PrefixState.copy
+    advance, commit, copy = PrefixFeaturizer.advance, PrefixFeaturizer.commit, PrefixState.copy
     score_next = PrefixFeaturizer.score_next
     monkeypatch.setattr(PrefixFeaturizer, "advance", lambda self, state, token: (
         counts.update(["advance"]) or advance(self, state, token)))
+    monkeypatch.setattr(PrefixFeaturizer, "commit", staticmethod(lambda state, token, step: (
+        counts.update(["commit"]) or commit(state, token, step))))
     monkeypatch.setattr(PrefixState, "copy", lambda self: counts.update(["copy"]) or copy(self))
     lengths = set()
     monkeypatch.setattr(PrefixFeaturizer, "score_next", lambda self, state, token: (
@@ -634,7 +637,8 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generat
         beam = das_beam_search(generator, disc, p.source, config)
         # a step is a prefix length below t_max the search scores candidates at
         steps = len({t for t in lengths if t < config.t_max})
-        assert counts["advance"] <= config.beam_size * steps
+        assert counts["advance"] == 0
+        assert counts["commit"] <= config.beam_size * steps
         assert counts["copy"] <= config.beam_size * steps
         assert tails and len(tails) == len(set(tails))
         if all_human:

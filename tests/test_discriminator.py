@@ -259,23 +259,34 @@ def test_incremental_features_equal_the_reference_bitwise(data):
     # a featurizer alone, and one that carries each prefix's S under `model`
     featurizer, scorer = PrefixFeaturizer(config), PrefixFeaturizer(config, model)
     state, scored, hits = featurizer.state_of(source), scorer.state_of(source), []
+
+    def check(state, scored, hits, token, p):
+        """The step of `token` from each state gives the features and the D
+        of the prefix `p` it ends; returns both steps and the prefix's hits."""
+        _, step = featurizer.score_next(state, token)
+        D, scored_step = scorer.score_next(scored, token)
+        *_, step_hits, dense = step
+        hits = hits + [featurizer.columns[c] for c in step_hits]
+        ref = reference_features(source, p, config)
+        assert_same_features((dense, hits), ref)
+        assert D.hex() == reference_score(model, ref).hex()
+        assert D.hex() == model.score(source, p).hex()
+        return step, scored_step, hits
+
     for t, token in enumerate(prefix, start=1):
-        # a sibling branches off the same parent first, as beam candidates do
+        # a sibling is scored off the same parent first and commits to a
+        # copy, and the child commits to the parent's state, as in the search
         other = (token + 1) % n_vocab
+        sibling_p = prefix[: t - 1] + (other,)
+        step, scored_step, sibling_hits = check(state, scored, hits, other, sibling_p)
         sibling, scored_sibling = state.copy(), scored.copy()
-        sibling_hits = hits + list(featurizer.advance(sibling, other))
-        scorer.advance(scored_sibling, other)
-        child, scored_child = state.copy(), scored.copy()
-        hits = hits + list(featurizer.advance(child, token))
-        scorer.advance(scored_child, token)
-        for st_, sc, h, p in ((sibling, scored_sibling, sibling_hits, prefix[: t - 1] + (other,)),
-                              (child, scored_child, hits, prefix[:t])):
-            ref = reference_features(source, p, config)
-            assert_same_features((featurizer.dense(st_), [featurizer.columns[c] for c in h]),
-                                 ref)
-            assert scorer.score(sc).hex() == reference_score(model, ref).hex()
-            assert scorer.score(sc).hex() == model.score(source, p).hex()
-        state, scored = child, scored_child
+        featurizer.commit(sibling, other, step)
+        scorer.commit(scored_sibling, other, scored_step)
+        step, scored_step, hits = check(state, scored, hits, token, prefix[:t])
+        featurizer.commit(state, token, step)
+        scorer.commit(scored, token, scored_step)
+        # the sibling's committed state takes one more token as a fresh one would
+        check(sibling, scored_sibling, sibling_hits, token, sibling_p + (token,))
     assert_same_features(extract_features(source, prefix, config),
                          reference_features(source, prefix, config))
 
@@ -287,7 +298,7 @@ def state_fields(state):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data())
-def test_score_next_is_advance_then_score_without_changing_the_state(data):
+def test_score_next_leaves_the_state_and_commit_applies_its_step(data):
     n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
     config = data.draw(feature_configs(n_vocab), label="config")
     source = tuple(data.draw(tokens(n_vocab, 1, 8), label="source"))
@@ -299,11 +310,13 @@ def test_score_next_is_advance_then_score_without_changing_the_state(data):
         scorer.advance(state, token)
     for token in range(n_vocab):
         before = state_fields(state)
-        got = scorer.score_next(state, token)
+        D, step = scorer.score_next(state, token)
         assert state_fields(state) == before
-        child = state.copy()
-        scorer.advance(child, token)
-        assert got.hex() == scorer.score(child).hex()
+        committed, advanced = state.copy(), state.copy()
+        scorer.commit(committed, token, step)
+        scorer.advance(advanced, token)
+        assert state_fields(committed) == state_fields(advanced)
+        assert D.hex() == model.score(source, prefix + (token,)).hex()
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -596,8 +609,9 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
         scorer = PrefixFeaturizer(config, packed)
         state = scorer.state_of(source)
         for token in prefix:
-            scorer.advance(state, token)
-        carried.append(scorer.score(state))
+            D, step = scorer.score_next(state, token)
+            scorer.commit(state, token, step)
+        carried.append(D)
     assert carried == want
 
 
