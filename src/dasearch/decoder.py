@@ -28,8 +28,8 @@ A candidate is light: a tuple of its scores, its parent's rank in the pool's
 token order and its token, which order candidates as their token tuples would.
 PrefixFeaturizer.score_next gives its D and step from its parent's prefix
 state in O(1), leaving the state as it is, and apply_das_score its s_dis and
-s_das as floats. Only the B survivors of a step, and the members live at
-t_max, become Hypothesis objects. Each live survivor takes over its parent's
+s_das as floats. Pool members are tuples too, and only the returned beam
+becomes Hypothesis objects. Each live survivor takes over its parent's
 prefix state and trigram-block index (copies them when a sibling survives
 too) and commits its scored step to the state and its token to the index.
 Expansions are memoised by the prefix's generator tail and blocked set, and so
@@ -181,11 +181,11 @@ def _expansion(generator, source, k: int):
 def _final_sort(pool, config: SearchConfig):
     beta = config.length_penalty_beta
 
-    def key(h: Hypothesis):
-        score = h.s_gen if config.final_by_s_gen else h.s_das
+    def key(m):  # a member, (tokens, s_gen, s_dis, s_das, ...)
+        score = m[1] if config.final_by_s_gen else m[3]
         if beta != 0.0:
-            score = score / length_penalty(max(len(h.tokens) - 1, 1), beta)
-        return (-score, -h.s_gen, h.tokens)
+            score = score / length_penalty(max(len(m[0]) - 1, 1), beta)
+        return (-score, -m[1], m[0])
 
     return sorted(pool, key=key)
 
@@ -197,8 +197,8 @@ def _settled(pool, config: SearchConfig):
     the module docstring). Nothing settles under a length penalty."""
     if config.length_penalty_beta != 0.0:
         return False
-    best = _final_sort([h for h in pool if h.ended], config)[0]
-    return best.s_das > max(h.s_gen for h in pool if not h.ended)
+    best = _final_sort([m for m in pool if m[4]], config)[0]
+    return best[3] > max(m[1] for m in pool if not m[4])
 
 
 def _search(generator, discriminator, source, config: SearchConfig):
@@ -213,10 +213,11 @@ def _search(generator, discriminator, source, config: SearchConfig):
     eos = Vocabulary.eos
     beam_size = config.beam_size
 
-    # The pool in token order, so a member's rank is its index, and beside
-    # each live member its prefix state (reranking) and its block index
-    # (blocking), which its surviving children extend by their token.
-    pool = [Hypothesis((Vocabulary.sos,), 0.0)]
+    # The pool of (tokens, s_gen, s_dis, s_das, ended) members in token
+    # order, so a member's rank is its index, and beside each live member its
+    # prefix state (reranking) and its block index (blocking), which its
+    # surviving children extend by their token.
+    pool = [((Vocabulary.sos,), 0.0, None, None, False)]
     states, indexes = [None], [{} if block else None]
     if rerank:
         featurizer = PrefixFeaturizer(discriminator.config, discriminator)
@@ -238,14 +239,13 @@ def _search(generator, discriminator, source, config: SearchConfig):
         # any two members differ inside both, and (parent rank, token) orders
         # candidates exactly as their token tuples would.
         candidates = []
-        for rank, h in enumerate(pool):
-            if h.ended:
-                candidates.append((-h.s_gen, rank, -1))
+        for rank, (tokens, s_gen, _, _, ended) in enumerate(pool):
+            if ended:
+                candidates.append((-s_gen, rank, -1))
                 continue
-            s_gen = h.s_gen
-            blocked = _blocked(indexes[rank], h.tokens) if block else _UNBLOCKED
-            candidates += [(-(s_gen + logp), rank, tok)
-                           for tok, logp in expand(h.tokens, blocked)]
+            blocked = _blocked(indexes[rank], tokens) if block else _UNBLOCKED
+            for tok, logp in expand(tokens, blocked):
+                candidates.append((-(s_gen + logp), rank, tok))
         candidates.sort()
         # survivors as (parent rank, token, s_gen, s_dis, s_das, prefix step)
         if rerank:
@@ -259,7 +259,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
                 if len(ranked) >= beam_size and ranked[beam_size - 1] < (neg_gen, neg_gen,
                                                                          rank, tok):
                     break
-                s_dis, s_das, step = ((pool[rank].s_dis, pool[rank].s_das, None) if tok < 0
+                s_dis, s_das, step = ((*pool[rank][2:4], None) if tok < 0
                                       else fuse(-neg_gen, states[rank], tok))
                 insort(ranked, (-s_das, neg_gen, rank, tok, s_dis, step))
             survivors = [(rank, tok, -neg_gen, s_dis, -neg_das, step)
@@ -274,11 +274,11 @@ def _search(generator, discriminator, source, config: SearchConfig):
             parent = pool[rank]
             state = index = None
             if tok < 0:
-                h, ended = parent, True
+                m, ended = parent, True
             elif tok == eos:
-                h, ended = Hypothesis(parent.tokens + (tok,), s_gen, s_dis, s_das, True), True
+                m, ended = (parent[0] + (tok,), s_gen, s_dis, s_das, True), True
             else:
-                h, live = Hypothesis(parent.tokens + (tok,), s_gen, s_dis, s_das), True
+                m, live = (parent[0] + (tok,), s_gen, s_dis, s_das, False), True
                 if rerank or block:
                     # a parent's last child in token order takes over what the
                     # parent carried; its siblings before it copy that first
@@ -288,29 +288,29 @@ def _search(generator, discriminator, source, config: SearchConfig):
                         featurizer.commit(state, tok, step)
                     if block:
                         index = indexes[rank] if last else indexes[rank].copy()
-                        _extend_block_index(index, parent.tokens, tok)
-            next_pool.append(h)
+                        _extend_block_index(index, parent[0], tok)
+            next_pool.append(m)
             next_states.append(state)
             next_indexes.append(index)
         pool, states, indexes = next_pool, next_states, next_indexes
         if not live:
             break
         if ended and _settled(pool, config):
-            pool = [h for h in pool if h.ended]
+            pool = [m for m in pool if m[4]]
             break
 
+    # the members as Hypothesis fields; one still live ends by a forced EOS
     final = []
-    for rank, h in enumerate(pool):
-        if not h.ended:
-            lp_eos = float(ranking(h.tokens)[0][eos])
-            s_gen = h.s_gen + lp_eos
+    for rank, (tokens, s_gen, s_dis, s_das, ended) in enumerate(pool):
+        if not ended:
+            s_gen += float(ranking(tokens)[0][eos])
             s_dis, s_das = fuse(s_gen, states[rank], eos)[:2] if rerank else (None, s_gen)
-            h = Hypothesis(h.tokens + (eos,), s_gen, s_dis, s_das, True, True)
-        final.append(h)
+            tokens += (eos,)
+        final.append((tokens, s_gen, s_dis, s_das, True, not ended))
     if clamps:
         log.warning("%d discriminator probabilities clamped to %g in one search",
                     clamps, EPS_DIS)
-    return _final_sort(final, config)
+    return [Hypothesis(*m) for m in _final_sort(final, config)]
 
 
 def das_beam_search(generator, discriminator, source, config: SearchConfig):

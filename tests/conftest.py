@@ -14,7 +14,7 @@ import pytest
 
 from dasearch.corpus import Corpus, DocumentPair, Vocabulary, generate_synthetic_corpus
 from dasearch.decoder import (DecoderError, EPS_DIS, Hypothesis, SearchConfig, _expansion,
-                              _final_sort, apply_das_score)
+                              apply_das_score, length_penalty)
 from dasearch.discriminator import DiscriminatorModel, FeatureBatch, PrefixFeaturizer
 from dasearch.generator import GeneratorError, train_generator
 
@@ -83,6 +83,20 @@ def _rank_gen(h: Hypothesis):
 
 def _rank_das(h: Hypothesis):
     return (-h.s_das, -h.s_gen, h.tokens)
+
+
+def _rank_final(config: SearchConfig):
+    """The final key: s_das (s_gen with final_by_s_gen), over the length
+    penalty if there is one, then higher s_gen, then the token tuple."""
+    beta = config.length_penalty_beta
+
+    def key(h: Hypothesis):
+        score = h.s_gen if config.final_by_s_gen else h.s_das
+        if beta != 0.0:
+            score = score / length_penalty(max(len(h.tokens) - 1, 1), beta)
+        return (-score, -h.s_gen, h.tokens)
+
+    return key
 
 
 def s_gen_extend(h: Hypothesis, token: int, logp: float) -> Hypothesis:
@@ -170,8 +184,7 @@ def reference_search(generator, discriminator, source, config: SearchConfig,
         if settle and config.length_penalty_beta == 0.0:
             ended = [score(h) for h in pool if h.ended]
             if ended:
-                first = min(ended, key=lambda h: (
-                    -(h.s_gen if config.final_by_s_gen else h.s_das), -h.s_gen, h.tokens))
+                first = min(ended, key=_rank_final(config))
                 if all(first.s_das > h.s_gen for h in pool if not h.ended):
                     pool = ended
                     break
@@ -183,7 +196,7 @@ def reference_search(generator, discriminator, source, config: SearchConfig,
             h = Hypothesis(h.tokens + (Vocabulary.eos,), h.s_gen + lp_eos, ended=True,
                            truncated=True)
         final.append(score(h))
-    return _final_sort(final, config)
+    return sorted(final, key=_rank_final(config))
 
 
 def exhaustive_oracle(generator, discriminator, source, alpha: float, t_max: int,

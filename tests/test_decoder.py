@@ -1,10 +1,12 @@
 import concurrent.futures
+import hashlib
+import itertools
 import logging
 import math
 import random
 from collections import Counter
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -397,7 +399,8 @@ def test_beam_invariants(synth_corpus, synth_generator, trained_disc, data):
     plain = plain_beam_search(synth_generator, source, config)
     fused = das_beam_search(synth_generator, trained_disc, source, config)
     for beam in (plain, fused):
-        assert 1 <= len(beam) and _final_sort(beam, config) == beam
+        members = [astuple(h) for h in beam]
+        assert 1 <= len(beam) and _final_sort(members, config) == members
         for h in beam:
             assert h.ended and h.tokens[0] == SOS and h.tokens[-1] == EOS
             assert EOS not in h.tokens[1:-1]
@@ -452,17 +455,51 @@ def seed1_models():
                                                    search).discriminator
 
 
-@pytest.mark.parametrize("rules", [False, True], ids=["rules-off", "rules-on"])
+# the rules off and on, each also with the winner by s_gen and cut at t_max = 4
+# (which forces EOS on live members); ids name only what differs from the
+# default by-s_das run to t_max = 60
+REFERENCE_SETTINGS = [
+    pytest.param(rules, final_by_s_gen, t_max, id="-".join(
+        ["rules-on" if rules else "rules-off"] + ["by-s_gen"] * final_by_s_gen
+        + ["truncates"] * (t_max == 4)))
+    for final_by_s_gen, t_max, rules in itertools.product([False, True], [60, 4],
+                                                          [False, True])]
+
+
+@pytest.mark.parametrize("rules, final_by_s_gen, t_max", REFERENCE_SETTINGS)
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 5.0])
 @pytest.mark.parametrize("k_rerank", [1, 3, 5, 10])
-def test_search_equals_the_reference_search(seed1_models, k_rerank, alpha, rules):
+def test_search_equals_the_reference_search(seed1_models, k_rerank, alpha, rules,
+                                            final_by_s_gen, t_max):
     pairs, generator, disc = seed1_models
     config = SearchConfig(beam_size=min(3, k_rerank), k_rerank=k_rerank, alpha=alpha,
-                          t_max=60, length_penalty_beta=0.6 if rules else 0.0,
-                          block_repeated_trigrams=rules)
+                          t_max=t_max, length_penalty_beta=0.6 if rules else 0.0,
+                          block_repeated_trigrams=rules, final_by_s_gen=final_by_s_gen)
     for p in pairs:
         assert (beam_bits(das_beam_search(generator, disc, p.source, config))
                 == beam_bits(reference_search(generator, disc, p.source, config)))
+
+
+# pinned from a search whose pool members were still Hypothesis objects
+SEED1_WINNER_TOKENS_SHA256 = "bbf43b3e22bb2323744b51b642e68490af8194a75c0a6e64bf156713c49fbbb4"
+
+
+def test_seed1_winner_tokens_are_unchanged(seed1_models):
+    """The winners' token ids at K in {1, 3, 10}, alpha in {0, 1, 5} and the
+    rules off and on hash as they did. No float is hashed: np.log rows can
+    differ in their last bits under other numpy CPU dispatch, and these
+    tokens do not."""
+    pairs, generator, disc = seed1_models
+    digest = hashlib.sha256()
+    for k_rerank, alpha, rules in itertools.product([1, 3, 10], [0.0, 1.0, 5.0],
+                                                    [False, True]):
+        config = SearchConfig(beam_size=min(3, k_rerank), k_rerank=k_rerank, alpha=alpha,
+                              t_max=60, length_penalty_beta=0.6 if rules else 0.0,
+                              block_repeated_trigrams=rules)
+        for p in pairs:
+            winner = das_beam_search(generator, disc, p.source, config)[0]
+            digest.update(repr(winner.tokens).encode())
+    assert digest.hexdigest() == SEED1_WINNER_TOKENS_SHA256
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -512,9 +549,9 @@ def test_a_pool_settles_once_its_first_ended_member_outscores_every_live_s_gen()
     live member's s_gen, the most any of its descendants can reach in s_gen
     and in s_das; its own s_gen above them is not enough."""
     def ended(s_gen, s_das, tok):
-        return Hypothesis((SOS, tok, EOS), s_gen, s_das - s_gen, s_das, True)
+        return (SOS, tok, EOS), s_gen, s_das - s_gen, s_das, True
 
-    live = Hypothesis((SOS, 5, 6), -2.0, -0.5, -2.5)
+    live = (SOS, 5, 6), -2.0, -0.5, -2.5, False
     config = SearchConfig(beam_size=3, k_rerank=3, alpha=1.0)
     # its s_gen is above the live one's, but a child of the live one with
     # D near 1 would pass its s_das
@@ -652,33 +689,28 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generat
 
 
 @pytest.mark.parametrize("t_max", [60, 4], ids=["ends", "truncates"])
-def test_only_survivors_become_hypothesis_objects(synth_corpus, synth_generator, monkeypatch,
-                                                  trained_disc, t_max):
-    """A scored candidate is a tuple of numbers until it survives: a fused
-    search builds at most beam_size Hypothesis objects per step, plus the
-    first pool's. A step is a prefix length the search scores candidates at;
-    the forced EOS of the members live at t_max is one more."""
+def test_a_search_builds_hypothesis_objects_only_for_the_returned_beam(
+        synth_corpus, synth_generator, monkeypatch, trained_disc, t_max):
+    """A scored candidate and a pool member are tuples of numbers and tokens:
+    a fused search builds exactly one Hypothesis object per member of the
+    beam it returns, whether the members ended or were cut at t_max."""
     from dasearch import decoder
 
-    built, lengths = [], set()
+    built = []
 
     class CountedHypothesis(Hypothesis):
         def __init__(self, *args, **kwargs):
             built.append(self)
             super().__init__(*args, **kwargs)
 
-    score_next = PrefixFeaturizer.score_next
     monkeypatch.setattr(decoder, "Hypothesis", CountedHypothesis)
-    monkeypatch.setattr(PrefixFeaturizer, "score_next", lambda self, state, token: (
-        lengths.add(state.t) or score_next(self, state, token)))
     config = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=t_max)
     truncated = 0
     for p in synth_corpus.pairs[:10]:
         built.clear()
-        lengths.clear()
         beam = das_beam_search(synth_generator, trained_disc, p.source, config)
         truncated += sum(h.truncated for h in beam)
-        assert built and len(built) <= config.beam_size * len(lengths) + config.beam_size
+        assert len(built) == len(beam) and built == beam
     assert bool(truncated) == (t_max == 4)
 
 
