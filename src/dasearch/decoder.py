@@ -33,9 +33,11 @@ becomes Hypothesis objects. Each live survivor takes over its parent's
 prefix state and trigram-block index (copies them when a sibling survives
 too) and commits its scored step to the state and its token to the index.
 Expansions are memoised by the prefix's generator tail and blocked set, and so
-is the row the forced EOS of a member still live at t_max reads. So the only
-per-step work that grows with the prefix is the survivors' token tuples and
-their siblings' copies."""
+is the row the forced EOS of a member still live at t_max reads. A memo miss
+asks the generator for a row once per distinct context, ranks it with one
+stable argsort and reads the log-probabilities it keeps as one list. So the
+only per-step work that grows with the prefix is the survivors' token tuples
+and their siblings' copies."""
 
 from __future__ import annotations
 
@@ -43,8 +45,6 @@ import logging
 import math
 from bisect import insort
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from dasearch.corpus import Corpus, Vocabulary
 from dasearch.discriminator import PrefixFeaturizer
@@ -153,7 +153,7 @@ def _expansion(generator, source, k: int):
             found = ranking_of_context.get(context)
             if found is None:
                 lp = generator.next_logprobs(source, tokens)
-                found = ranking_of_context[context] = (lp, np.argsort(-lp, kind="stable"))
+                found = ranking_of_context[context] = (lp, (-lp).argsort(kind="stable"))
             ranking_of_tail[tail] = found
         return found
 
@@ -164,8 +164,8 @@ def _expansion(generator, source, k: int):
             lp, ids = ranking(tokens)
             top = []
             # blocked tokens leave the ranking; the others keep their order
-            for tok in ids[: k + len(blocked)].tolist():
-                val = float(lp[tok])
+            sel = ids[: k + len(blocked)]
+            for tok, val in zip(sel.tolist(), lp[sel].tolist()):
                 if not math.isfinite(val):  # zero probability: so is the rest
                     break
                 if tok not in blocked:

@@ -39,10 +39,12 @@ class NGramCopyModel:
         self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
             {} for _ in range(order + 1)
         ]
-        # one n-gram distribution per context(): bounded by the model's tables;
-        # the cached arrays are read-only, as next_probs may return one itself
+        # context() per tail and the n-gram term per context(), each at most 1 +
+        # the model's table keys; the copy term of the last source. The cached
+        # arrays are read-only, as next_probs may return one itself.
+        self._context_of_tail: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self._lm_cache: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
-        self._copy_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._copy_cache: tuple[tuple[int, ...], np.ndarray | None] = ((), None)
 
     # -- training ------------------------------------------------------------
 
@@ -55,6 +57,7 @@ class NGramCopyModel:
                 ctx = seq[i - (k - 1) : i]
                 table = self.counts[k].setdefault(ctx, {})
                 table[seq[i]] = table.get(seq[i], 0) + 1
+        self._context_of_tail.clear()
         self._lm_cache.clear()
 
     # -- scoring ---------------------------------------------------------------
@@ -64,15 +67,20 @@ class NGramCopyModel:
         prefix's last k-1 tokens for each order k whose context table holds
         them, shortest first. Prefixes with one context get one distribution."""
         tail = tuple(prefix[1 - self.order :]) if self.order > 1 else ()
+        found = self._context_of_tail.get(tail)
+        if found is not None:
+            return found
         context = []
         for k in range(2, min(self.order, len(tail) + 1) + 1):
             ctx = tail[1 - k :]
             if self.counts[k].get(ctx):
                 context.append(ctx)
-        return tuple(context)
+        if len(self._context_of_tail) > sum(map(len, self.counts)):  # full: 1 + table keys
+            self._context_of_tail.clear()
+        context = self._context_of_tail[tail] = tuple(context)
+        return context
 
-    def _ngram_probs(self, prefix: tuple[int, ...]) -> np.ndarray:
-        context = self.context(prefix)
+    def _ngram_term(self, context: tuple[tuple[int, ...], ...]) -> np.ndarray:
         cached = self._lm_cache.get(context)
         if cached is not None:
             return cached
@@ -92,38 +100,45 @@ class NGramCopyModel:
                 overlaid[tok] = c / total
             overlaid[Vocabulary.sos] = 0.0
             probs = overlaid / overlaid.sum()
-        probs.flags.writeable = False
-        self._lm_cache[context] = probs
-        return probs
+        term = (1.0 - self.lambda_copy) * probs  # the very bits of probs when lambda_copy is 0
+        term.flags.writeable = False
+        self._lm_cache[context] = term
+        return term
 
-    def _copy_probs(self, source: tuple[int, ...]) -> np.ndarray:
-        key = tuple(source)
-        cached = self._copy_cache.get(key)
-        if cached is not None:
-            return cached
-        self._copy_cache.clear()  # a search asks about one source: keep the last only
-        probs = np.zeros(len(self.vocab))
-        for tok in source:
-            probs[tok] += 1.0
-        probs[Vocabulary.sos] = 0.0
-        probs[Vocabulary.eos] = 0.0
+    def _copy_term(self, source) -> np.ndarray:
+        key, (last, term) = tuple(source), self._copy_cache
+        if key is last or key == last:
+            return term
+        nv = len(self.vocab)
+        try:
+            counts = np.bincount(key, minlength=nv)
+        except ValueError:  # a negative id
+            counts = None
+        if counts is None or len(counts) > nv:
+            bad = next(tok for tok in key if not 0 <= tok < nv)
+            raise GeneratorError(f"source token id {bad} is outside the {nv}-token vocabulary")
+        probs = counts.astype(np.float64)
+        probs[[Vocabulary.sos, Vocabulary.eos]] = 0.0
         total = probs.sum()
         if total > 0:
             probs /= total
-        probs.flags.writeable = False
-        self._copy_cache[key] = probs
-        return probs
+        term = self.lambda_copy * probs
+        term.flags.writeable = False
+        self._copy_cache = (key, term)  # a search asks about one source: keep the last only
+        return term
 
     def next_probs(self, source, prefix) -> np.ndarray:
+        """lambda_copy * Copy + (1 - lambda_copy) * NGram, as the sum of the
+        two cached terms: numpy computes that expression as exactly these
+        two products and their sum, so the bits are the same."""
         if len(source) == 0:
             raise GeneratorError("empty source")
         if len(prefix) == 0 or prefix[0] != Vocabulary.sos:
             raise GeneratorError("prefix must begin with SOS")
-        lm = self._ngram_probs(tuple(prefix))
+        lm = self._ngram_term(self.context(prefix))
         if self.lambda_copy == 0.0:
             return lm
-        copy = self._copy_probs(tuple(source))
-        return self.lambda_copy * copy + (1.0 - self.lambda_copy) * lm
+        return self._copy_term(source) + lm
 
     def next_logprobs(self, source, prefix) -> np.ndarray:
         with np.errstate(divide="ignore"):

@@ -225,11 +225,6 @@ def _micro_bleu(counts) -> float:
     return _bleu(clipped, hyp_len, ref_len)
 
 
-def micro_bleu1(pairs) -> float:
-    """Corpus-level clipped precision over pooled counts, in [0, 1]."""
-    return _micro_bleu((_clipped(hyp, ref, "bleu1"), len(hyp), len(ref)) for hyp, ref in pairs)
-
-
 def evaluate_system(generations: dict, corpus, system: str = "model",
                     bleu_micro: bool = False, pooled: bool = False) -> MetricReport:
     """Aggregate all measures for one system against a corpus with references.

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import logging
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -181,11 +182,11 @@ def test_trigram_block_rule_removes_repeats_from_outputs(synth_corpus, synth_gen
 # --- expansion memo ------------------------------------------------------------------
 
 
-def fresh_expansion(generator, source, tokens, blocked, k):
+def fresh_expansion(blank, source, tokens, blocked, k):
     """The k best next tokens after `tokens` as the search ranks them, from a
-    generator with nothing cached: (token, logp bits), finite ones only."""
-    generator._lm_cache.clear()
-    lp = generator.next_logprobs(source, tokens).copy()
+    generator with nothing cached, unpickled from `blank`: (token, logp bits),
+    finite ones only."""
+    lp = pickle.loads(blank).next_logprobs(source, tokens).copy()
     lp[list(blocked)] = -np.inf
     return [(int(tok), float(lp[tok]).hex())
             for tok in np.argsort(-lp, kind="stable")[:k] if np.isfinite(lp[tok])]
@@ -209,12 +210,12 @@ def test_memoised_expansion_equals_the_fresh_one(data):
                   st.frozensets(st.integers(0, nv - 1), max_size=3)),
         min_size=1, max_size=40), label="queries")
     generator = train_generator(corpus, order=order, lambda_copy=lambda_copy)
-    fresh = train_generator(corpus, order=order, lambda_copy=lambda_copy)
+    blank = pickle.dumps(generator)
     expand, _ = _expansion(generator, tuple(source), k)
     for content, blocked in queries:
         tokens = (SOS, *content)
         got = [(tok, val.hex()) for tok, val in expand(tokens, blocked)]
-        assert got == fresh_expansion(fresh, source, tokens, blocked, k)
+        assert got == fresh_expansion(blank, source, tokens, blocked, k)
 
 
 # --- configuration ------------------------------------------------------------------

@@ -212,28 +212,46 @@ def test_copy_cache_keeps_only_the_last_source(ab_corpus):
     model = train_generator(ab_corpus, order=2)
     model.next_probs((3, 4, 5), (SOS, 3))
     second = model.next_probs((5, 5), (SOS, 3))
-    assert len(model._copy_cache) == 1
+    assert model._copy_cache[0] == (5, 5)
     fresh = train_generator(ab_corpus, order=2)
     assert np.array_equal(second, fresh.next_probs((5, 5), (SOS, 3)))
     assert np.array_equal(model.next_probs((3, 4, 5), (SOS, 3)),
                           fresh.next_probs((3, 4, 5), (SOS, 3)))
-    assert len(model._copy_cache) == 1
+    assert model._copy_cache[0] == (3, 4, 5)
 
 
 def test_cached_distributions_are_read_only(ab_corpus):
     """With lambda_copy 0, next_probs returns the cached n-gram array itself:
-    a write into it raises, and later calls return what they did before."""
-    model = train_generator(ab_corpus, order=2, lambda_copy=0.0)
-    source, prefix = (3, 4, 5), (SOS, 3)
-    before = model.next_logprobs(source, prefix).tobytes()
-    probs = model.next_probs(source, prefix)
-    assert probs is model._lm_cache[model.context(prefix)]
-    with pytest.raises(ValueError, match="read-only"):
-        probs[:] = 0.0
-    assert model.next_logprobs(source, prefix).tobytes() == before
-    model._copy_probs(source)
-    assert not any(a.flags.writeable for cache in (model._lm_cache, model._copy_cache)
-                   for a in cache.values())
+    a write into it raises, and later calls return what they did before.
+    Otherwise it returns a new array, the sum of two cached read-only terms,
+    and a write into it changes no later row."""
+    for lambda_copy in (0.0, 0.75):
+        model = train_generator(ab_corpus, order=2, lambda_copy=lambda_copy)
+        source, prefix = (3, 4, 5), (SOS, 3)
+        before = model.next_logprobs(source, prefix).tobytes()
+        probs = model.next_probs(source, prefix)
+        if lambda_copy == 0.0:
+            assert probs is model._lm_cache[model.context(prefix)]
+            with pytest.raises(ValueError, match="read-only"):
+                probs[:] = 0.0
+        else:
+            assert probs.flags.writeable
+            probs[:] = 0.0
+            assert not model._copy_cache[1].flags.writeable
+        assert model.next_logprobs(source, prefix).tobytes() == before
+        assert model._lm_cache and not any(a.flags.writeable for a in model._lm_cache.values())
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_a_source_id_outside_the_vocabulary_is_refused(ab_corpus, bad):
+    """A source token id the vocabulary does not hold is an error naming it,
+    not a count for another token (-1 would count as the last id)."""
+    model = train_generator(ab_corpus, order=2)
+    with pytest.raises(GeneratorError,
+                       match=re.escape(f"source token id {bad} is outside the 6-token vocabulary")):
+        model.next_probs((3, bad, 4), (SOS,))
+    assert model.next_probs((3, 4), (SOS,)).tobytes() == \
+        row_reference(model, (3, 4), (SOS,)).tobytes()
 
 
 def backoff_reference(model, prefix):
@@ -260,25 +278,87 @@ def backoff_reference(model, prefix):
     return probs
 
 
+def row_reference(model, source, prefix):
+    """The row after `prefix` as the three-op mixture of the n-gram and copy
+    distributions, computed with nothing cached."""
+    lm = backoff_reference(model, prefix)
+    if model.lambda_copy == 0.0:
+        return lm
+    copy = np.zeros(len(model.vocab))
+    for tok in source:
+        copy[tok] += 1.0
+    copy[SOS] = 0.0
+    copy[EOS] = 0.0
+    total = copy.sum()
+    if total > 0:
+        copy /= total
+    return model.lambda_copy * copy + (1.0 - model.lambda_copy) * lm
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_lm_cache_is_bounded_by_the_model_not_by_the_prefixes_asked(synth_corpus, tmp_path,
                                                                     order):
+    """The n-gram term cache, keyed by context, holds at most 1 + the model's
+    table keys however many prefixes are asked about; the context memo, keyed
+    by the raw tail, is cleared when it holds that many."""
     path = tmp_path / "gen.model"
-    trained = train_generator(synth_corpus, order=order, lambda_copy=0.0)
-    trained.save(path)
-    model = NGramCopyModel.load(path, synth_corpus.vocab)
-    rng = random.Random(order)
+    for lambda_copy in (0.0, 0.75):
+        trained = train_generator(synth_corpus, order=order, lambda_copy=lambda_copy)
+        trained.save(path)
+        model = NGramCopyModel.load(path, synth_corpus.vocab)
+        bound = 1 + sum(len(model.counts[k]) for k in range(1, order + 1))
+        rng = random.Random(order)
+        nv = len(synth_corpus.vocab)
+        tails, memo_sizes = set(), set()
+        for _ in range(3000):
+            prefix = (SOS,) + tuple(rng.randrange(2, nv) for _ in range(rng.randint(0, 5)))
+            tails.add(prefix[-(order - 1):] if order > 1 else ())
+            got = model.next_probs((3,), prefix)
+            assert got.tobytes() == row_reference(trained, (3,), prefix).tobytes()
+            memo_sizes.add(len(model._context_of_tail))
+        assert len(model._lm_cache) <= bound
+        assert max(memo_sizes) <= bound
+        if order == 3:
+            assert len(tails) > bound  # a cache keyed by the raw tail would outgrow it
+            assert max(memo_sizes) == bound  # and this one filled, and was cleared
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_rows_equal_the_mixture_computed_from_scratch_bit_for_bit(data, synth_corpus):
+    """next_probs and next_logprobs bytes equal the three-op mixture with
+    nothing cached, whatever sources (lists or tuples, changed in place or
+    interleaved) and prefixes (shorter than the order too) were asked before,
+    and after add_sequence gives a prefix's tail a new continuation."""
+    model = train_generator(synth_corpus, order=data.draw(st.integers(1, 4), label="order"),
+                            lambda_copy=data.draw(st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+                                                  label="lambda_copy"))
     nv = len(synth_corpus.vocab)
-    tails = set()
-    for _ in range(3000):
-        prefix = (SOS,) + tuple(rng.randrange(2, nv) for _ in range(rng.randint(0, 5)))
-        tails.add(prefix[-(order - 1):] if order > 1 else ())
-        got = model.next_probs((3,), prefix)
-        assert got.tobytes() == backoff_reference(trained, prefix).tobytes()
-    bound = 1 + sum(len(model.counts[k]) for k in range(1, order + 1))
-    assert len(model._lm_cache) <= bound
-    if order == 3:
-        assert len(tails) > bound  # a cache keyed by the raw tail would outgrow it
+    content = st.integers(Vocabulary.unk, nv - 1)
+    corpus_sources = st.sampled_from([p.source for p in synth_corpus.pairs])
+    sources = [list(s) if data.draw(st.booleans(), label="as_list") else tuple(s)
+               for s in data.draw(st.lists(corpus_sources | st.lists(content, min_size=1,
+                                                                     max_size=12),
+                                           min_size=1, max_size=3), label="sources")]
+    calls = data.draw(st.lists(st.tuples(st.integers(0, len(sources) - 1),
+                                         st.lists(content, max_size=5), st.booleans(),
+                                         st.booleans(), content),
+                               min_size=1, max_size=12), label="calls")
+
+    def check(source, prefix):
+        row = row_reference(model, source, prefix)
+        assert model.next_probs(source, prefix).tobytes() == row.tobytes()
+        with np.errstate(divide="ignore"):
+            assert model.next_logprobs(source, prefix).tobytes() == np.log(row).tobytes()
+
+    for which, prefix, change, add, token in calls:
+        source, prefix = sources[which], (SOS, *prefix)
+        if change and isinstance(source, list):
+            source[len(prefix) % len(source)] = token  # the same list, other tokens
+        check(source, prefix)
+        if add:  # the prefix's tail now has an observed continuation
+            model.add_sequence(prefix[1:] + (token,))
+            check(source, prefix)
 
 
 def test_context_is_the_overlaid_contexts_even_with_gaps(abc_vocab, tmp_path):

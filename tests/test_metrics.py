@@ -18,7 +18,6 @@ from dasearch.metrics import (
     delta,
     evaluate_system,
     lcs_length,
-    micro_bleu1,
     novelty_n,
     repetition_n,
     repetition_position_hist,
@@ -28,6 +27,13 @@ from dasearch.metrics import (
 )
 
 from conftest import lcs_dp, make_corpus, make_vocab
+
+
+def micro_bleu1(pairs) -> float:
+    """Corpus-level clipped precision over pooled counts, in [0, 1]: the
+    micro BLEU-1 evaluate_system reports (divided by 100) with bleu_micro."""
+    return metrics._micro_bleu((metrics._clipped(hyp, ref, "bleu1"), len(hyp), len(ref))
+                               for hyp, ref in pairs)
 
 
 # --- novelty ------------------------------------------------------------------
