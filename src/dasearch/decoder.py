@@ -26,18 +26,19 @@ the final key can rise with length, and the search runs as long as ever.
 
 A candidate is light: a tuple of its scores, its parent's rank in the pool's
 token order and its token, which order candidates as their token tuples would.
-PrefixFeaturizer.score_next gives its D and step from its parent's prefix
-state in O(1), leaving the state as it is, and apply_das_score its s_dis and
-s_das as floats. Pool members are tuples too, and only the returned beam
-becomes Hypothesis objects. Each live survivor takes over its parent's
-prefix state and trigram-block index (copies them when a sibling survives
-too) and commits its scored step to the state and its token to the index.
-Expansions are memoised by the prefix's generator tail and blocked set, and so
-is the row the forced EOS of a member still live at t_max reads. A memo miss
-asks the generator for a row once per distinct context, ranks it with one
-stable argsort and reads the log-probabilities it keeps as one list. So the
-only per-step work that grows with the prefix is the survivors' token tuples
-and their siblings' copies."""
+The search's own PrefixFeaturizer gives its D and step from its parent's
+prefix state in O(1) (score_next, under the weights as the search began,
+with the hashed feature indices the model memoises across searches), and
+apply_das_score its s_dis and s_das. Pool members are tuples too, and only
+the returned beam becomes Hypothesis objects. Each live survivor takes over
+its parent's prefix state and trigram-block index (copies them when a
+sibling survives too) and commits its scored step to the state and its token
+to the index. Expansions are memoised by the prefix's generator tail and
+blocked set, and so is the row the forced EOS of a member still live at
+t_max reads. A memo miss asks the generator for a row once per distinct
+context, ranks it with one stable argsort and reads the log-probabilities it
+keeps as one list. So the only per-step work that grows with the prefix is
+the survivors' token tuples and their siblings' copies."""
 
 from __future__ import annotations
 
@@ -222,15 +223,8 @@ def _search(generator, discriminator, source, config: SearchConfig):
     if rerank:
         featurizer = PrefixFeaturizer(discriminator.config, discriminator)
         states[0] = featurizer.state_of(source)
-
+        score_next, das_score, alpha = featurizer.score_next, apply_das_score, config.alpha
     clamps = 0
-
-    def fuse(s_gen: float, state, token: int) -> tuple[float, float, tuple]:
-        """(s_dis, s_das, step) of s_gen and a parent's prefix state plus `token`."""
-        nonlocal clamps
-        dis_prob, step = featurizer.score_next(state, token)
-        clamps += dis_prob < EPS_DIS
-        return *apply_das_score(s_gen, config.alpha, dis_prob), step
 
     for _ in range(config.t_max):
         # A candidate is (-s_gen, parent rank, token); an ended member
@@ -259,8 +253,12 @@ def _search(generator, discriminator, source, config: SearchConfig):
                 if len(ranked) >= beam_size and ranked[beam_size - 1] < (neg_gen, neg_gen,
                                                                          rank, tok):
                     break
-                s_dis, s_das, step = ((*pool[rank][2:4], None) if tok < 0
-                                      else fuse(-neg_gen, states[rank], tok))
+                if tok < 0:
+                    s_dis, s_das, step = *pool[rank][2:4], None
+                else:
+                    dis_prob, step = score_next(states[rank], tok)
+                    clamps += dis_prob < EPS_DIS
+                    s_dis, s_das = das_score(-neg_gen, alpha, dis_prob)
                 insort(ranked, (-s_das, neg_gen, rank, tok, s_dis, step))
             survivors = [(rank, tok, -neg_gen, s_dis, -neg_das, step)
                          for neg_das, neg_gen, rank, tok, s_dis, step in ranked[:beam_size]]
@@ -304,7 +302,11 @@ def _search(generator, discriminator, source, config: SearchConfig):
     for rank, (tokens, s_gen, s_dis, s_das, ended) in enumerate(pool):
         if not ended:
             s_gen += float(ranking(tokens)[0][eos])
-            s_dis, s_das = fuse(s_gen, states[rank], eos)[:2] if rerank else (None, s_gen)
+            s_dis, s_das = None, s_gen
+            if rerank:
+                dis_prob = score_next(states[rank], eos)[0]
+                clamps += dis_prob < EPS_DIS
+                s_dis, s_das = das_score(s_gen, alpha, dis_prob)
             tokens += (eos,)
         final.append((tokens, s_gen, s_dis, s_das, True, not ended))
     if clamps:

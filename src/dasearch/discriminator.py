@@ -153,8 +153,9 @@ class PrefixFeaturizer:
     the model's weights as they are when the featurizer is made (a zero bias
     and zero weights without a model). It memoises the column of every
     (token, bit) unigram and (a, b, bit) bigram key it meets, and the model's
-    weight of every column, so make one per search or per training set and
-    the memo lives no longer than that."""
+    weight of every column, so make one per search or per training set. The
+    model memoises each key's hashed index for all its featurizers, up to
+    d_hash keys (a model-less featurizer gets a model of its own)."""
 
     def __init__(self, config: FeatureConfig, model: "DiscriminatorModel | None" = None):
         if model is None:
@@ -162,50 +163,40 @@ class PrefixFeaturizer:
         self.config = config
         self.columns: list[int] = []
         self._column_of: dict[int, int] = {}
-        self._unigram: dict[tuple[int, int], int] = {}
-        self._bigram: dict[tuple[int, int, int], int] = {}
+        self._column: dict[tuple[int, ...], int] = {}
+        self._index_of = model.index_of
         self._logfreq, self._t_max = config.logfreq, config.t_max
         self._bias, self._dense_w = float(model.bias), model.dense_w.tolist()
         self._sparse_w, self._weights = model.sparse_w, []
 
-    def _new_column(self, memo: dict, key: tuple) -> int:
-        """Number a new unigram (token, bit) or bigram (a, b, bit) key's column in `memo`."""
-        name = f"u:{key[0]}:{key[1]}" if len(key) == 2 else f"b:{key[0]}_{key[1]}:{key[2]}"
-        index = _hash(name, self.config.d_hash)
+    def _new_column(self, key: tuple) -> int:
+        """Number the column of a unigram (token, bit) or bigram (a, b, bit) key new here."""
+        index = self._index_of.get(key)
+        if index is None:
+            if len(self._index_of) >= self.config.d_hash:  # the memo's bound
+                self._index_of.clear()
+            name = f"u:{key[0]}:{key[1]}" if len(key) == 2 else f"b:{key[0]}_{key[1]}:{key[2]}"
+            index = self._index_of[key] = _hash(name, self.config.d_hash)
         column = self._column_of.get(index)
         if column is None:
             column = self._column_of[index] = len(self.columns)
             self.columns.append(index)
             self._weights.append(self._sparse_w.item(index))
-        memo[key] = column
+        self._column[key] = column
         return column
 
     def state_of(self, source) -> PrefixState:
         """The state of the empty prefix of `source`."""
         return PrefixState(frozenset(source) if self.config.use_source else frozenset())
 
-    def _dense(self, t: int, in_source: int, logfreq_sum, d1: int, d2: int, d3: int,
-               last_token: int) -> list:
-        """A t-token prefix's dense values; rep<n> is metrics.repetition_n / 100."""
-        t_max = self._t_max
-        return [
-            min(t, t_max) / t_max,
-            in_source / t,
-            (100.0 * (1.0 - d1 / t)) / 100.0,
-            (100.0 * (1.0 - d2 / (t - 1))) / 100.0 if t >= 2 else 0.0,
-            (100.0 * (1.0 - d3 / (t - 2))) / 100.0 if t >= 3 else 0.0,
-            logfreq_sum / t if self._logfreq else 0.0,
-            1.0 if last_token == Vocabulary.eos else 0.0,
-        ]
-
     def score_next(self, state: PrefixState, token: int) -> tuple[float, tuple]:
         """(D, step) of the state's prefix plus `token`, leaving `state` as it
-        is, in O(1) through the one `_dense` and `logit`."""
-        src, grams, last = state.source_set, state.grams, state.last
+        is, in O(1) through the one `logit`."""
+        src, grams, last, column = state.source_set, state.grams, state.last, self._column
         bit = 1 if token in src else 0
-        u = self._unigram.get((token, bit))
+        u = column.get((token, bit))
         if u is None:
-            u = self._new_column(self._unigram, (token, bit))
+            u = self._new_column((token, bit))
         S = state.S + self._weights[u]
         d1, d2, d3 = state.distinct
         d1 += token not in grams
@@ -215,15 +206,19 @@ class PrefixFeaturizer:
             if len(last) == 2:
                 d3 += (last[0], a, token) not in grams
             key = (a, token, 1 if bit and a in src else 0)
-            b = self._bigram.get(key)
+            b = column.get(key)
             if b is None:
-                b = self._new_column(self._bigram, key)
+                b = self._new_column(key)
             S, hits = S + self._weights[b], (u, b)
         else:
             hits = (u,)
-        t, in_source = state.t + 1, state.in_source + bit
-        logfreq_sum = state.logfreq_sum + self._logfreq[token] if self._logfreq else 0
-        dense = self._dense(t, in_source, logfreq_sum, d1, d2, d3, token)
+        t, in_source, logfreq = state.t + 1, state.in_source + bit, self._logfreq
+        logfreq_sum = state.logfreq_sum + logfreq[token] if logfreq else 0
+        # the dense values, in DENSE_FEATURES order; rep<n> is metrics.repetition_n / 100
+        dense = [min(t, self._t_max) / self._t_max, in_source / t, (100.0 * (1.0 - d1 / t)) / 100.0,
+                 (100.0 * (1.0 - d2 / (t - 1))) / 100.0 if t >= 2 else 0.0,
+                 (100.0 * (1.0 - d3 / (t - 2))) / 100.0 if t >= 3 else 0.0,
+                 logfreq_sum / t if logfreq else 0.0, 1.0 if token == Vocabulary.eos else 0.0]
         return (_sigmoid(logit(self._bias, self._dense_w, dense, S, t)),
                 (t, in_source, logfreq_sum, (d1, d2, d3), S, hits, dense))
 
@@ -248,17 +243,11 @@ class PrefixFeaturizer:
 
 def extract_features(source, prefix, config: FeatureConfig) -> tuple[list, list]:
     """The dense values of `prefix` given `source` and the hashed indices of
-    its hits in token order, from the steps of a PrefixFeaturizer."""
+    its hits in token order: the last row of its prefix_features."""
     if not prefix:
         raise DiscriminatorError("empty prefix")
-    featurizer = PrefixFeaturizer(config)
-    state, indices = featurizer.state_of(source), []
-    for token in prefix:
-        _, step = featurizer.score_next(state, token)
-        featurizer.commit(state, token, step)
-        *_, hits, dense = step
-        indices += [featurizer.columns[c] for c in hits]
-    return dense, indices
+    batch = prefix_features([(source, prefix)], config)
+    return batch.dense[-1].tolist(), batch.columns[batch.hits].tolist()
 
 
 def prefix_features(sequences, config: FeatureConfig) -> FeatureBatch:
@@ -316,6 +305,7 @@ class DiscriminatorModel:
     final_objective: float = 0.0
     # what a bootstrap model was trained from (selftrain.bootstrap_provenance), by key
     provenance: dict[str, str] = field(default_factory=dict)
+    index_of: dict[tuple[int, ...], int] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def zeros(cls, config: FeatureConfig) -> "DiscriminatorModel":

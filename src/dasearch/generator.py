@@ -39,12 +39,25 @@ class NGramCopyModel:
         self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
             {} for _ in range(order + 1)
         ]
+        self._clear_caches()
+
+    def _clear_caches(self) -> None:
         # context() per tail and the n-gram term per context(), each at most 1 +
         # the model's table keys; the copy term of the last source. The cached
         # arrays are read-only, as next_probs may return one itself.
         self._context_of_tail: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self._lm_cache: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
         self._copy_cache: tuple[tuple[int, ...], np.ndarray | None] = ((), None)
+        self._zero_beyond_sos = False  # whether a cached n-gram term is zero beyond SOS
+
+    def __getstate__(self) -> dict:
+        """The model without the caches, which numpy would unpickle writable."""
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("_context_of_tail", "_lm_cache", "_copy_cache")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._clear_caches()
 
     # -- training ------------------------------------------------------------
 
@@ -57,8 +70,7 @@ class NGramCopyModel:
                 ctx = seq[i - (k - 1) : i]
                 table = self.counts[k].setdefault(ctx, {})
                 table[seq[i]] = table.get(seq[i], 0) + 1
-        self._context_of_tail.clear()
-        self._lm_cache.clear()
+        self._clear_caches()
 
     # -- scoring ---------------------------------------------------------------
 
@@ -102,6 +114,8 @@ class NGramCopyModel:
             probs = overlaid / overlaid.sum()
         term = (1.0 - self.lambda_copy) * probs  # the very bits of probs when lambda_copy is 0
         term.flags.writeable = False
+        # SOS is zero; lambda_copy 1, or an underflow at a tiny kappa, zeroes more
+        self._zero_beyond_sos |= bool(np.count_nonzero(term) < nv - 1)
         self._lm_cache[context] = term
         return term
 
@@ -110,11 +124,8 @@ class NGramCopyModel:
         if key is last or key == last:
             return term
         nv = len(self.vocab)
-        try:
-            counts = np.bincount(key, minlength=nv)
-        except ValueError:  # a negative id
-            counts = None
-        if counts is None or len(counts) > nv:
+        counts = np.bincount(key, minlength=nv) if min(key) >= 0 else ()
+        if len(counts) != nv:  # an id below 0, or nv or above
             bad = next(tok for tok in key if not 0 <= tok < nv)
             raise GeneratorError(f"source token id {bad} is outside the {nv}-token vocabulary")
         probs = counts.astype(np.float64)
@@ -136,13 +147,19 @@ class NGramCopyModel:
         if len(prefix) == 0 or prefix[0] != Vocabulary.sos:
             raise GeneratorError("prefix must begin with SOS")
         lm = self._ngram_term(self.context(prefix))
-        if self.lambda_copy == 0.0:
-            return lm
-        return self._copy_term(source) + lm
+        copy = self._copy_term(source)  # checks each new source's ids, at lambda_copy 0 too
+        return lm if self.lambda_copy == 0.0 else copy + lm
 
     def next_logprobs(self, source, prefix) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.next_probs(source, prefix))
+        """log next_probs, -inf at its zeros (SOS's, and any where an n-gram term
+        is zero), which np.log meets as ones, so that it does not warn."""
+        row = self.next_probs(source, prefix)
+        zeros = np.flatnonzero(row == 0.0) if self._zero_beyond_sos else Vocabulary.sos
+        row = row.copy() if self.lambda_copy == 0.0 else row  # the cached term stays unwritten
+        row[zeros] = 1.0
+        np.log(row, out=row)
+        row[zeros] = -np.inf
+        return row
 
     # -- persistence -------------------------------------------------------------
 

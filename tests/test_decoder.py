@@ -483,24 +483,41 @@ def test_search_equals_the_reference_search(seed1_models, k_rerank, alpha, rules
 
 # pinned from a search whose pool members were still Hypothesis objects
 SEED1_WINNER_TOKENS_SHA256 = "bbf43b3e22bb2323744b51b642e68490af8194a75c0a6e64bf156713c49fbbb4"
+# pinned from a search that hashed each feature key anew in every search
+SEED1_WINNER_S_DIS_SHA256 = "597d190bc77d0d80c5105d9e38cbd157de5e96d8c4c8c50046e8203e1f18d38b"
 
 
-def test_seed1_winner_tokens_are_unchanged(seed1_models):
-    """The winners' token ids at K in {1, 3, 10}, alpha in {0, 1, 5} and the
-    rules off and on hash as they did. No float is hashed: np.log rows can
-    differ in their last bits under other numpy CPU dispatch, and these
-    tokens do not."""
+def seed1_winners(seed1_models):
+    """The winners at K in {1, 3, 10}, alpha in {0, 1, 5} and the rules off
+    and on, over the seed-1 test pairs."""
     pairs, generator, disc = seed1_models
-    digest = hashlib.sha256()
     for k_rerank, alpha, rules in itertools.product([1, 3, 10], [0.0, 1.0, 5.0],
                                                     [False, True]):
         config = SearchConfig(beam_size=min(3, k_rerank), k_rerank=k_rerank, alpha=alpha,
                               t_max=60, length_penalty_beta=0.6 if rules else 0.0,
                               block_repeated_trigrams=rules)
         for p in pairs:
-            winner = das_beam_search(generator, disc, p.source, config)[0]
-            digest.update(repr(winner.tokens).encode())
+            yield das_beam_search(generator, disc, p.source, config)[0]
+
+
+def test_seed1_winner_tokens_are_unchanged(seed1_models):
+    """The winners' token ids hash as they did. No float is hashed: np.log
+    rows can differ in their last bits under other numpy CPU dispatch, and
+    these tokens do not."""
+    digest = hashlib.sha256()
+    for winner in seed1_winners(seed1_models):
+        digest.update(repr(winner.tokens).encode())
     assert digest.hexdigest() == SEED1_WINNER_TOKENS_SHA256
+
+
+def test_seed1_winner_s_dis_bits_are_unchanged(seed1_models):
+    """The winners' s_dis bits (None at alpha 0) hash as they did. s_dis is
+    the discriminator's D through math.log, pure Python arithmetic, so unlike
+    s_gen its bits do not depend on numpy's CPU dispatch."""
+    digest = hashlib.sha256()
+    for winner in seed1_winners(seed1_models):
+        digest.update(repr(None if winner.s_dis is None else winner.s_dis.hex()).encode())
+    assert digest.hexdigest() == SEED1_WINNER_S_DIS_SHA256
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

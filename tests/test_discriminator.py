@@ -319,6 +319,61 @@ def test_score_next_leaves_the_state_and_commit_applies_its_step(data):
         assert D.hex() == model.score(source, prefix + (token,)).hex()
 
 
+def key_name(key):
+    """The name a unigram (token, bit) or bigram (a, b, bit) key is hashed by."""
+    return f"u:{key[0]}:{key[1]}" if len(key) == 2 else f"b:{key[0]}_{key[1]}:{key[2]}"
+
+
+class ClearRecordingDict(dict):
+    """A dict that records its size each time it is cleared."""
+
+    def __init__(self):
+        super().__init__()
+        self.cleared_at = []
+
+    def clear(self):
+        self.cleared_at.append(len(self))
+        super().clear()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_hashed_indices_memoised_on_the_model_are_the_hashes_of_their_keys(data):
+    """Featurizers made one after another with one model, as searches are,
+    share its memo of hashed indices: every entry is _hash of its key's name
+    under d_hash, every featurizer's hits are the reference's indices, and a
+    memo is cleared when it holds d_hash keys and meets another, and only
+    then."""
+    n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
+    config = FeatureConfig(d_hash=data.draw(st.sampled_from([1, 2, 7, 2 ** 16])
+                                            | st.integers(1, 40), label="d_hash"),
+                           use_source=data.draw(st.booleans(), label="use_source"), t_max=12)
+    model, met, sizes = random_model(config, 0), set(), []
+    model.index_of = memo = ClearRecordingDict()
+    for _ in range(data.draw(st.integers(1, 4), label="searches")):
+        source = tuple(data.draw(tokens(n_vocab, 1, 8), label="source"))
+        prefix = tuple(data.draw(tokens(n_vocab, 1, 20), label="prefix"))
+        featurizer = PrefixFeaturizer(config, model)
+        state, hits = featurizer.state_of(source), []
+        src = set(source) if config.use_source else set()
+        for t, token in enumerate(prefix):
+            _, step = featurizer.score_next(state, token)
+            featurizer.commit(state, token, step)
+            hits += [featurizer.columns[c] for c in step[5]]
+            bit = int(token in src)
+            met.add((token, bit))
+            if t:
+                met.add((prefix[t - 1], token, int(bit and prefix[t - 1] in src)))
+            sizes.append(len(model.index_of))
+        assert hits == reference_features(source, prefix, config)[1]
+    assert all(index == _hash(key_name(key), config.d_hash) for key, index in memo.items())
+    assert set(memo) <= met and max(sizes) <= config.d_hash
+    if len(met) > config.d_hash:  # the memo filled, and was cleared to take a new key
+        assert memo.cleared_at and set(memo.cleared_at) == {config.d_hash}
+    else:
+        assert not memo.cleared_at and set(memo) == met
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_sequence_features_equal_the_reference_at_every_prefix(data):

@@ -1,7 +1,9 @@
 import math
+import pickle
 import random
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,13 +247,41 @@ def test_cached_distributions_are_read_only(ab_corpus):
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_a_source_id_outside_the_vocabulary_is_refused(ab_corpus, bad):
     """A source token id the vocabulary does not hold is an error naming it,
-    not a count for another token (-1 would count as the last id)."""
-    model = train_generator(ab_corpus, order=2)
-    with pytest.raises(GeneratorError,
-                       match=re.escape(f"source token id {bad} is outside the 6-token vocabulary")):
-        model.next_probs((3, bad, 4), (SOS,))
-    assert model.next_probs((3, 4), (SOS,)).tobytes() == \
-        row_reference(model, (3, 4), (SOS,)).tobytes()
+    not a count for another token (-1 would count as the last id), also at
+    lambda_copy 0, where the row does not read the source."""
+    for lambda_copy in (0.0, 0.75):
+        model = train_generator(ab_corpus, order=2, lambda_copy=lambda_copy)
+        with pytest.raises(GeneratorError, match=re.escape(
+                f"source token id {bad} is outside the 6-token vocabulary")):
+            model.next_probs((3, bad, 4), (SOS,))
+        assert model.next_probs((3, 4), (SOS,)).tobytes() == \
+            row_reference(model, (3, 4), (SOS,)).tobytes()
+
+
+@pytest.mark.parametrize("lambda_copy", [0.0, 0.75])
+def test_a_pickled_model_drops_its_caches(synth_corpus, lambda_copy):
+    """A model pickled after it cached rows (as decode_corpus sends one to
+    its workers) unpickles with empty caches, so its cached arrays are made
+    anew and read-only, rather than unpickled writable; its rows are the
+    same bytes, and its pickle is smaller than one with the caches."""
+    model = train_generator(synth_corpus, order=3, lambda_copy=lambda_copy)
+    blank = pickle.dumps(model)
+    source, rng = synth_corpus.pairs[0].source, random.Random(0)
+    nv = len(synth_corpus.vocab)
+    prefixes = [(SOS,) + tuple(rng.randrange(2, nv) for _ in range(rng.randint(0, 4)))
+                for _ in range(40)]
+    rows = [model.next_logprobs(source, prefix).tobytes() for prefix in prefixes]
+    cached = pickle.dumps(model)
+    assert len(cached) < len(pickle.dumps({**model.__dict__}))
+    assert len(cached) == len(blank)
+    copy = pickle.loads(cached)
+    assert not copy._lm_cache and not copy._context_of_tail and copy._copy_cache[1] is None
+    assert [copy.next_logprobs(source, prefix).tobytes() for prefix in prefixes] == rows
+    assert copy._lm_cache and not any(a.flags.writeable for a in copy._lm_cache.values())
+    assert not copy._copy_cache[1].flags.writeable
+    if lambda_copy == 0.0:  # next_probs hands out the cached array itself
+        with pytest.raises(ValueError, match="read-only"):
+            copy.next_probs(source, prefixes[0])[:] = 0.0
 
 
 def backoff_reference(model, prefix):
@@ -327,10 +357,14 @@ def test_lm_cache_is_bounded_by_the_model_not_by_the_prefixes_asked(synth_corpus
 @given(data=st.data())
 def test_rows_equal_the_mixture_computed_from_scratch_bit_for_bit(data, synth_corpus):
     """next_probs and next_logprobs bytes equal the three-op mixture with
-    nothing cached, whatever sources (lists or tuples, changed in place or
-    interleaved) and prefixes (shorter than the order too) were asked before,
-    and after add_sequence gives a prefix's tail a new continuation."""
+    nothing cached, and its np.log, whatever sources (lists or tuples,
+    changed in place or interleaved) and prefixes (shorter than the order
+    too) were asked before, and after add_sequence gives a prefix's tail a
+    new continuation; next_logprobs warns of no zero, whether the row is zero
+    at SOS only, at every token not in the source (lambda_copy 1), or where
+    (1 - lambda_copy) * NGram underflows (kappa 5e-324)."""
     model = train_generator(synth_corpus, order=data.draw(st.integers(1, 4), label="order"),
+                            kappa=data.draw(st.sampled_from([1.0, 1e-3, 5e-324]), label="kappa"),
                             lambda_copy=data.draw(st.sampled_from([0.0, 0.3, 0.75, 1.0]),
                                                   label="lambda_copy"))
     nv = len(synth_corpus.vocab)
@@ -349,7 +383,10 @@ def test_rows_equal_the_mixture_computed_from_scratch_bit_for_bit(data, synth_co
         row = row_reference(model, source, prefix)
         assert model.next_probs(source, prefix).tobytes() == row.tobytes()
         with np.errstate(divide="ignore"):
-            assert model.next_logprobs(source, prefix).tobytes() == np.log(row).tobytes()
+            logprobs = np.log(row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a log of zero would warn
+            assert model.next_logprobs(source, prefix).tobytes() == logprobs.tobytes()
 
     for which, prefix, change, add, token in calls:
         source, prefix = sources[which], (SOS, *prefix)
