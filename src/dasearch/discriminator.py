@@ -18,7 +18,7 @@ import math
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,9 +80,10 @@ class FeatureBatch:
     Row i is a prefix of t[i] tokens with the dense values dense[i]. Its
     2 t[i] - 1 hits, in token order, are hits[offset[i]:offset[i] + 2 t[i] - 1],
     the first of its chain's. Each hit is worth 1 / t[i], so a column hit c
-    times has the value c / t[i]. Scoring sums the hits one by one; training
-    takes those of a row with fewer distinct columns than tokens per column,
-    from _step_records."""
+    times has the value c / t[i]. Scoring sums the hits one by one. Training
+    steps from each row's _step_records record: t, the offset, the dense
+    values and, for a row with fewer distinct columns than tokens, its
+    (column, count) pairs."""
 
     dense: np.ndarray      # n x N_DENSE
     t: np.ndarray          # n prefix lengths
@@ -274,25 +275,28 @@ def prefix_features(sequences, config: FeatureConfig) -> FeatureBatch:
 
 
 def _step_records(batch: FeatureBatch) -> list[tuple]:
-    """Each row's SGD step record, in one walk of each chain. A t-token row
-    with fewer distinct columns than tokens gets (t, columns, counts):
-    columns lists its chain's distinct columns in first-hit order (one list
-    per chain), counts the row's counts of its first len(counts). Any other
-    row gets (t, None, its chain's hit offset). Such a t-token row repeats t
-    or more hits, so a chain is walked only up to the row as long as its
-    repeats."""
-    records, hits = [], batch.hits.tolist()
+    """Each row's SGD step record (t, pairs, a, *dense), in one walk of each
+    chain: a is its chain's hit offset, dense the row's N_DENSE values. A
+    t-token row with fewer distinct columns than tokens has pairs, its
+    (column, count) pairs in first-hit order, each count a float so the
+    step's products are float by float; any other row has pairs None. Such
+    a row repeats t or more hits, so a chain is walked only up to the row as
+    long as its repeats. `shared` holds one object per distinct pair and per
+    distinct dense value, keyed by its bits (0.0 == -0.0)."""
+    records, hits, shared = [], batch.hits.tolist(), {}
+    dense = zip(*(struct.iter_unpack(f"{N_DENSE}{kind}", batch.dense) for kind in "qd"))
     for a, b in itertools.pairwise(batch.chain_ptr.tolist()):
         walked = min((b - a + 1) // 2, b - a - len(set(hits[a:b])))  # in rows
-        columns, running = [], {}  # column -> count so far, in first-hit order
+        running = {}  # column -> (column, count so far), in first-hit order
         for j, k in enumerate(hits[a:a + max(2 * walked - 1, 0)]):
-            running[k] = running.get(k, 0) + 1
+            pair = k, running.get(k, (k, 0.0))[1] + 1.0
+            running[k] = shared.setdefault(pair, pair)
             if not j % 2:  # the last of a row's 2 t - 1 hits
                 t = j // 2 + 1
-                records.append((t, columns, tuple(running.values())) if len(running) < t
-                               else (t, None, a))
-        records.extend((t, None, a) for t in range(walked + 1, (b - a + 1) // 2 + 1))
-        columns.extend(running)
+                records.append((t, tuple(running.values()) if len(running) < t else None, a,
+                                *map(shared.setdefault, *next(dense))))
+        records.extend((t, None, a, *map(shared.setdefault, *next(dense)))
+                       for t in range(walked + 1, (b - a + 1) // 2 + 1))
     return records
 
 
@@ -444,17 +448,23 @@ def _logits(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
 
 
 def eq2_objective(model: DiscriminatorModel, batch: FeatureBatch, n_human: int,
-                  rows=slice(None)) -> float:
+                  rows=None) -> float:
     """Set-normalized logistic objective (to be maximized) of a labelled
     batch whose first n_human rows are human, summed example by example left
     to right: the score_features arithmetic, the value model files store.
-    The examples are the batch's `rows`, in order: all of them by default."""
-    z = _logits(model, batch)[rows]
-    n_G, total = len(z) - n_human, 0.0
-    for z_i in z[:n_human].tolist():
-        total += math.log(max(_sigmoid(z_i), 1e-300)) / n_human
-    for z_i in z[n_human:].tolist():
-        total += math.log(max(1.0 - _sigmoid(z_i), 1e-300)) / n_G
+    The examples are the batch's `rows`, in order: all of them by default.
+    Each distinct row's term is taken once per side."""
+    z = _logits(model, batch)
+    rows, total = range(len(z)) if rows is None else rows, 0.0
+    for part, n, human in ((rows[:n_human], n_human, True),
+                           (rows[n_human:], len(rows) - n_human, False)):
+        terms = [None] * len(z)
+        for r in part:
+            term = terms[r]
+            if term is None:
+                p = _sigmoid(z.item(r))
+                term = terms[r] = math.log(max(p if human else 1.0 - p, 1e-300)) / n
+            total += term
     return total
 
 
@@ -481,15 +491,20 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     Features depend on a source only through which of the sequence's tokens
     it holds (none without use_source), so each distinct (tokens, those
     bits) sequence is featurised once, and one index maps every example,
-    H's then G's, to its row; each epoch visits every example in a seeded
-    shuffle. A t-token row with fewer than t distinct columns reads and
-    moves each once (S sums c * w from 0.0 in first-hit order, w moves by
-    (step / t) * c); any other row sums its hits as `logit` does and moves
-    each by step / t: equal up to rounding, the same bits if every c is 1."""
+    H's then G's, to its row's step record (_step_records), built once;
+    each epoch visits every example in a seeded shuffle. A t-token row with
+    fewer than t distinct columns reads and moves each once (S sums c * w
+    from 0.0 over its pairs, w moves by (step / t) * c); any other row sums
+    its hits as `logit` does and moves each by step / t: equal up to
+    rounding, the same bits if every c is 1."""
     n_H = sum(len(tokens) for _, tokens in H)
     if not n_H or not any(tokens for _, tokens in G):
         raise DiscriminatorError("H and G must each hold a prefix")
     check_training_settings(epochs, learning_rate, ratio)
+    if init is not None and init.config != config:
+        differ = ", ".join(f.name for f in fields(config)
+                           if getattr(init.config, f.name) != getattr(config, f.name))
+        raise DiscriminatorError(f"the warm-start model's feature settings differ in {differ}")
     model = DiscriminatorModel.zeros(config) if init is None else DiscriminatorModel(
         config, init.dense_w.copy(), init.sparse_w.copy(), init.bias)
 
@@ -501,15 +516,15 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
             first_row[key], n_rows = n_rows, n_rows + len(tokens)
             sequences.append((source, tokens))
         row_of.extend(range(first_row[key], first_row[key] + len(tokens)))
-    batch, row_of = prefix_features(sequences, config), np.frombuffer(row_of, dtype=np.int64)
-    n_total = len(row_of)
+    batch, n_total = prefix_features(sequences, config), len(row_of)
+    del first_row, sequences  # dead here; training's peak memory is in its epochs
     scale_H = n_total / ((1.0 + ratio) * n_H)
     scale_G = n_total * ratio / ((1.0 + ratio) * (n_total - n_H))
 
     # one example's step: `logit` of its row, unrolled, then the update of every weight the
-    # row used, from the row's step record. The dense values are read from the batch's buffer.
-    records, dense, dense_row = _step_records(batch), batch.dense, struct.Struct(f"{N_DENSE}d")
-    hits, unpack, size, exp = batch.hits.tolist(), dense_row.unpack_from, dense_row.size, math.exp
+    # row used, all from the row's step record, which every example of the row shares
+    examples = np.fromiter(map(_step_records(batch).__getitem__, row_of), object, n_total)
+    hits, exp = batch.hits.tolist(), math.exp
     w0, w1, w2, w3, w4, w5, w6 = model.dense_w.tolist()
     w, bias = model.sparse_w[batch.columns].tolist(), float(model.bias)
     rng, order = np.random.default_rng(seed), np.arange(n_total)
@@ -517,17 +532,16 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         rng.shuffle(order)
         lr = learning_rate / math.sqrt(epoch + 1)
         rate_H, rate_G = lr * scale_H, lr * scale_G
-        for i, r in zip(order.tolist(), row_of[order].tolist()):
-            n, columns, row = records[r]
+        for (n, pairs, a, d0, d1, d2, d3, d4, d5, d6), human in zip(
+                examples[order].tolist(), (order < n_H).tolist()):
             S = 0.0
-            if columns is None:
-                row = hits[row:row + 2 * n - 1]
+            if pairs is None:
+                row = hits[a:a + 2 * n - 1]
                 for k in row:
                     S += w[k]
             else:
-                for k, c in zip(columns, row):
+                for k, c in pairs:
                     S += c * w[k]
-            d0, d1, d2, d3, d4, d5, d6 = unpack(dense, size * r)
             z = (bias + (0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5
                          + w6 * d6)) + S / n
             if z >= 0:  # _sigmoid
@@ -535,7 +549,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
             else:
                 e = exp(z)
                 p = e / (1.0 + e)
-            step = rate_H * (1.0 - p) if i < n_H else rate_G * (0.0 - p)
+            step = rate_H * (1.0 - p) if human else rate_G * (0.0 - p)
             w0 += step * d0
             w1 += step * d1
             w2 += step * d2
@@ -544,16 +558,17 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
             w5 += step * d5
             w6 += step * d6
             share = step / n
-            if columns is None:
+            if pairs is None:
                 for k in row:
                     w[k] += share
             else:
-                for k, c in zip(columns, row):
+                for k, c in pairs:
                     w[k] += share * c
             bias += step
         model.dense_w[:] = w0, w1, w2, w3, w4, w5, w6
         model.sparse_w[batch.columns] = w
         model.bias = bias
+    del examples, hits  # the objective reads the batch, not the step records
     model.final_objective = eq2_objective(model, batch, n_H, row_of)
     return model
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -619,14 +620,28 @@ def test_step_records_count_each_rows_columns_in_first_hit_order(data):
     batch = prefix_features(seqs, config)
     records = discriminator._step_records(batch)
     assert len(records) == len(batch)
-    for i, (t, columns, counts) in enumerate(records):
-        a = batch.offset[i]
-        want = Counter(batch.hits[a:a + 2 * t - 1].tolist())
-        assert t == batch.t[i]
+    for i, (t, pairs, a, *dense) in enumerate(records):
+        want = Counter(batch.hits[batch.offset[i]:batch.offset[i] + 2 * t - 1].tolist())
+        assert (t, a) == (batch.t[i], batch.offset[i])
+        assert np.array(dense).tobytes() == batch.dense[i].tobytes()
         if len(want) < t:  # a row SGD steps per distinct column
-            assert list(zip(columns, counts)) == list(want.items())
+            assert pairs == tuple(want.items())
+            assert all(type(c) is float for _, c in pairs)
         else:
-            assert (columns, counts) == (None, a)
+            assert pairs is None
+
+
+def test_step_records_share_one_float_per_bit_pattern_and_keep_the_zeros_apart(config):
+    batch = prefix_features([((3,), (3, 4, 3, 4, 5))], config)
+    dense = batch.dense.copy()
+    dense[:, 0] = [0.0, -0.0, 0.0, -0.0, 0.5]
+    dense[:, 1] = [-0.0, 0.0, 0.5, 0.0, -0.0]
+    records = discriminator._step_records(dataclasses.replace(batch, dense=dense))
+    values = [value for record in records for value in record[3:]]
+    assert np.array(values).tobytes() == dense.tobytes()
+    # one object per distinct bit pattern: 0.0 and -0.0 are two
+    assert len({id(value) for value in values}) == len(set(dense.view(np.int64).ravel().tolist()))
+    assert records[0][3] is records[2][3] and records[0][3] is not records[1][3]
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
@@ -668,6 +683,41 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
             scorer.commit(state, token, step)
         carried.append(D)
     assert carried == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_bootstrap_shaped_set_trains_as_the_reference_bitwise(data):
+    """As the plain bootstrap set is: one generated sequence that repeats its
+    tokens, under several sources (some twice), so rows stepped per distinct
+    column with counts above 1 share a chain, against references of 1, 2 and
+    more tokens; with use_source on and off."""
+    n_vocab = data.draw(st.integers(4, 10), label="n_vocab")
+    config = data.draw(feature_configs(n_vocab), label="config")
+    generated = tuple(data.draw(tokens(n_vocab, 1, 3), label="unit")
+                      * data.draw(st.integers(3, 6), label="repeats"))
+    sources = data.draw(st.lists(tokens(n_vocab, 0, 6).map(tuple), min_size=2, max_size=4),
+                        label="sources")
+    references = [tuple(data.draw(tokens(n_vocab, size, size), label=f"reference_{size}"))
+                  for size in (1, 2, data.draw(st.integers(3, 8), label="long"))]
+    H = [(source, reference) for source in sources for reference in references]
+    G = [(source, generated) for source in sources + sources[:1]]
+    kwargs = dict(epochs=data.draw(st.integers(1, 3), label="epochs"),
+                  learning_rate=data.draw(st.sampled_from([0.5, 2.0]), label="lr"),
+                  seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
+                  ratio=data.draw(st.sampled_from([1.0, 0.4]), label="ratio"))
+    warm = data.draw(st.booleans(), label="warm_start")
+    for use_source in (True, False):
+        config = dataclasses.replace(config, use_source=use_source)
+        records = discriminator._step_records(prefix_features(G, config))
+        assert any(pairs for _, pairs, *_ in records)  # the shape the test is for
+        init = random_model(config, kwargs["seed"] % 100) if warm else None
+        packed = train_discriminator(H, G, config, init=init, **kwargs)
+        reference = reference_train(H, G, config, init=init, **kwargs)
+        for name in ("dense_w", "sparse_w"):
+            assert getattr(packed, name).tobytes() == getattr(reference, name).tobytes(), name
+        assert packed.bias.hex() == reference.bias.hex()
+        assert packed.final_objective.hex() == reference.final_objective.hex()
 
 
 def _distinct_rows(sequences, use_source):
@@ -746,6 +796,24 @@ def test_training_featurises_each_distinct_sequence_once(config, monkeypatch):
                                 init=None, ratio=1.0)
     assert model.sparse_w.tobytes() == reference.sparse_w.tobytes()
     assert model.final_objective.hex() == reference.final_objective.hex()
+
+
+@pytest.mark.parametrize("init_config, config, names", [
+    (FeatureConfig(d_hash=16), FeatureConfig(d_hash=2 ** 16), "d_hash"),
+    (FeatureConfig(d_hash=2 ** 16), FeatureConfig(d_hash=16), "d_hash"),
+    (FeatureConfig(d_hash=16, t_max=9), FeatureConfig(d_hash=16, use_source=False),
+     "use_source, t_max"),
+])
+def test_warm_start_refuses_a_model_of_other_feature_settings(init_config, config, names,
+                                                              monkeypatch):
+    # a smaller d_hash in init would index out of its weights, a larger one
+    # would return a model whose file cannot be loaded
+    H, G = _separable_sets(n=5, seed=3)
+    featurised = []
+    monkeypatch.setattr(discriminator, "prefix_features", _counting_rows(featurised))
+    with pytest.raises(DiscriminatorError, match=f"feature settings differ in {names}$"):
+        train_discriminator(H, G, config, init=random_model(init_config, 0))
+    assert featurised == []  # refused before featurising
 
 
 def test_per_hit_steps_equal_the_per_column_arithmetic_up_to_rounding(config):
