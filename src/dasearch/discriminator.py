@@ -148,8 +148,8 @@ class PrefixFeaturizer:
     straight-line pass over the state's fields that leaves the state as it is:
     the new (t, in_source, logfreq_sum, distinct, S), the token's hits (the
     column of its unigram, then that of its bigram if it has a predecessor)
-    and the new dense values. `commit` applies a step to its state, and
-    `advance` does both. A hit is a column: the featurizer numbers the hashed
+    and the new dense values. `commit` applies a step to the state it was
+    taken from. A hit is a column: the featurizer numbers the hashed
     indices in the order it meets them, and `columns` lists them. D is under
     the model's weights as they are when the featurizer is made (a zero bias
     and zero weights without a model). It memoises the column of every
@@ -237,10 +237,6 @@ class PrefixFeaturizer:
         else:
             state.last = (token,)
 
-    def advance(self, state: PrefixState, token: int) -> None:
-        """Append `token` to `state` in place."""
-        self.commit(state, token, self.score_next(state, token)[1])
-
 
 def extract_features(source, prefix, config: FeatureConfig) -> tuple[list, list]:
     """The dense values of `prefix` given `source` and the hashed indices of
@@ -320,13 +316,13 @@ class DiscriminatorModel:
         return list(map(_sigmoid, _logits(self, batch).tolist()))
 
     def score(self, source, prefix) -> float:
-        """D of one prefix: `advance` over all but its last token, then `score_next`."""
+        """D of one prefix: commit all but its last token by their steps, then score_next."""
         if not prefix:
             raise DiscriminatorError("empty prefix")
         featurizer = PrefixFeaturizer(self.config, self)
         state = featurizer.state_of(source)
         for token in prefix[:-1]:
-            featurizer.advance(state, token)
+            featurizer.commit(state, token, featurizer.score_next(state, token)[1])
         return featurizer.score_next(state, prefix[-1])[0]
 
     def save(self, path) -> None:

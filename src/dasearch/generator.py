@@ -43,21 +43,12 @@ class NGramCopyModel:
 
     def _clear_caches(self) -> None:
         # context() per tail and the n-gram term per context(), each at most 1 +
-        # the model's table keys; the copy term of the last source. The cached
-        # arrays are read-only, as next_probs may return one itself.
+        # the model's table keys; the copy term of the last source. No cached
+        # array leaves the model: next_probs returns a new sum of two.
         self._context_of_tail: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self._lm_cache: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
         self._copy_cache: tuple[tuple[int, ...], np.ndarray | None] = ((), None)
         self._zero_beyond_sos = False  # whether a cached n-gram term is zero beyond SOS
-
-    def __getstate__(self) -> dict:
-        """The model without the caches, which numpy would unpickle writable."""
-        return {key: value for key, value in self.__dict__.items()
-                if key not in ("_context_of_tail", "_lm_cache", "_copy_cache")}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._clear_caches()
 
     # -- training ------------------------------------------------------------
 
@@ -113,7 +104,6 @@ class NGramCopyModel:
             overlaid[Vocabulary.sos] = 0.0
             probs = overlaid / overlaid.sum()
         term = (1.0 - self.lambda_copy) * probs  # the very bits of probs when lambda_copy is 0
-        term.flags.writeable = False
         # SOS is zero; lambda_copy 1, or an underflow at a tiny kappa, zeroes more
         self._zero_beyond_sos |= bool(np.count_nonzero(term) < nv - 1)
         self._lm_cache[context] = term
@@ -134,28 +124,25 @@ class NGramCopyModel:
         if total > 0:
             probs /= total
         term = self.lambda_copy * probs
-        term.flags.writeable = False
         self._copy_cache = (key, term)  # a search asks about one source: keep the last only
         return term
 
     def next_probs(self, source, prefix) -> np.ndarray:
-        """lambda_copy * Copy + (1 - lambda_copy) * NGram, as the sum of the
-        two cached terms: numpy computes that expression as exactly these
-        two products and their sum, so the bits are the same."""
+        """lambda_copy * Copy + (1 - lambda_copy) * NGram, as a new array, the sum
+        of the two cached terms (+0.0 + NGram at lambda_copy 0): numpy computes that
+        expression as exactly these two products and their sum, so the bits are the same."""
         if len(source) == 0:
             raise GeneratorError("empty source")
         if len(prefix) == 0 or prefix[0] != Vocabulary.sos:
             raise GeneratorError("prefix must begin with SOS")
         lm = self._ngram_term(self.context(prefix))
-        copy = self._copy_term(source)  # checks each new source's ids, at lambda_copy 0 too
-        return lm if self.lambda_copy == 0.0 else copy + lm
+        return self._copy_term(source) + lm  # checks each new source's ids
 
     def next_logprobs(self, source, prefix) -> np.ndarray:
         """log next_probs, -inf at its zeros (SOS's, and any where an n-gram term
         is zero), which np.log meets as ones, so that it does not warn."""
         row = self.next_probs(source, prefix)
         zeros = np.flatnonzero(row == 0.0) if self._zero_beyond_sos else Vocabulary.sos
-        row = row.copy() if self.lambda_copy == 0.0 else row  # the cached term stays unwritten
         row[zeros] = 1.0
         np.log(row, out=row)
         row[zeros] = -np.inf

@@ -4,8 +4,8 @@ exhaustive search that a saturated beam must equal, the reference beam
 search that builds every candidate in full, which the search must equal bit
 for bit (and, run on to t_max, whose winner the search's must equal), the
 classic longest-common-subsequence table that the bit-parallel
-`metrics.lcs_length` must equal, and the analytic gradient of the
-discriminator's objective."""
+`metrics.lcs_length` must equal, the analytic gradient of the
+discriminator's objective, and the corpus files load_corpus refuses."""
 
 import itertools
 
@@ -17,6 +17,19 @@ from dasearch.decoder import (DecoderError, EPS_DIS, Hypothesis, SearchConfig, _
                               apply_das_score, length_penalty)
 from dasearch.discriminator import DiscriminatorModel, FeatureBatch, PrefixFeaturizer
 from dasearch.generator import GeneratorError, train_generator
+
+
+# the text of a corpus file load_corpus refuses, and its error
+CORPUS_FILE_REFUSALS = {
+    "no-source": ('{"id": "a", "summary": "y"}\n', "{path} line 1: missing string field 'source'"),
+    "number-summary": ('{"id": "a", "source": "x", "summary": 3}\n',
+                       "{path} line 1: missing string field 'summary'"),
+    "blank-source": ('{"id": "a", "source": "x", "summary": "y"}\n'
+                     '{"id": "b", "source": "  ", "summary": "y"}\n',
+                     "{path} line 2: empty source"),
+    "empty-file": ("", "empty file: {path}"),
+    "blank-lines": ("\n  \n", "empty file: {path}"),
+}
 
 
 def make_vocab(*tokens):

@@ -20,6 +20,8 @@ from dasearch.decoder import SearchConfig
 from dasearch.discriminator import DiscriminatorModel
 from dasearch.selftrain import DiscriminatorHparams
 
+from conftest import CORPUS_FILE_REFUSALS
+
 
 def write_config(directory: Path, **overrides) -> Path:
     cfg = RunConfig(
@@ -900,6 +902,45 @@ def test_a_directory_given_as_a_file_exits_one(pipeline, tmp_path, capsys, comma
     extra = ["--split", "test", "--systems", str(systems)] if command == "evaluate" else []
     assert main([command, "--config", str(path), *extra]) == 1
     assert f"Is a directory: '{directory}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", CORPUS_FILE_REFUSALS)
+def test_a_refused_corpus_file_exits_one_before_any_output(tmp_path, capsys, name):
+    text, message = CORPUS_FILE_REFUSALS[name]
+    cfg = write_config(tmp_path)
+    train = tmp_path / "out" / "train.jsonl"
+    train.parent.mkdir()
+    train.write_text(text)
+    assert main(["train-generator", "--config", str(cfg)]) == 1
+    assert f"error: {message.format(path=train)}\n" in capsys.readouterr().err
+    assert [p.name for p in train.parent.iterdir()] == ["train.jsonl"]
+
+
+def test_a_runtime_failure_exits_two_and_writes_no_manifest(tmp_path, capsys, monkeypatch):
+    """An error other than ValueError or OSError is a runtime failure: exit 2,
+    its message after "runtime error:", and no manifest of the command."""
+    from dasearch import generator
+
+    def overflow(*args, **kwargs):
+        raise RuntimeError("counts overflowed")
+
+    monkeypatch.setattr(generator, "train_generator", overflow)
+    cfg = write_config(tmp_path)
+    train = tmp_path / "out" / "train.jsonl"
+    train.parent.mkdir()
+    train.write_text('{"id": "a", "source": "x y", "summary": "x"}\n')
+    assert main(["train-generator", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "runtime error: counts overflowed\n"
+    assert [p.name for p in train.parent.iterdir()] == ["train.jsonl"]
+
+
+def test_sweep_refuses_a_subset_size_that_is_not_an_integer(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--subset-size", "x"]) == 1
+    assert ("error: argument --subset-size: must be an integer >= 1, got 'x'\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_env_override_names_the_variable(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,9 @@ import pytest
 
 from dasearch import corpus as corpus_mod
 from dasearch.corpus import (
+    Corpus,
     CorpusError,
+    DocumentPair,
     Vocabulary,
     atomic_write,
     build_vocabulary,
@@ -17,7 +19,7 @@ from dasearch.corpus import (
 )
 from dasearch.metrics import novelty_n, repetition_n
 
-from conftest import make_corpus, make_vocab
+from conftest import CORPUS_FILE_REFUSALS, make_corpus, make_vocab
 
 
 def write_jsonl(path, records):
@@ -115,6 +117,33 @@ def test_load_corpus_empty_reference_error(tmp_path):
                        [{"id": "a", "source": "x", "summary": ""}])
     with pytest.raises(CorpusError, match="line 1: empty reference"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("name", CORPUS_FILE_REFUSALS)
+def test_load_corpus_refuses_a_missing_field_an_empty_source_and_an_empty_file(tmp_path, name):
+    text, message = CORPUS_FILE_REFUSALS[name]
+    path = tmp_path / "c.jsonl"
+    path.write_text(text)
+    with pytest.raises(CorpusError, match=re.escape(message.format(path=path))):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("source, reference, message", [
+    ((), (3,), "empty source in pair 'p'"),
+    ((3,), (), "empty reference in pair 'p'"),
+    ((3, Vocabulary.sos), (3,), "reserved id 0 inside pair 'p'"),
+    ((3,), (3, Vocabulary.eos), "reserved id 1 inside pair 'p'"),
+], ids=["empty-source", "empty-reference", "sos-in-source", "eos-in-reference"])
+def test_document_pair_refuses_an_empty_side_and_a_reserved_id(source, reference, message):
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        DocumentPair("p", source, reference)
+
+
+def test_corpus_refuses_duplicate_pair_ids():
+    vocab = make_vocab("a")
+    pair = DocumentPair("p", (3,), (3,))
+    with pytest.raises(CorpusError, match="duplicate pair ids in split 'test'"):
+        Corpus((pair, DocumentPair("q", (3,), (3,)), pair), vocab, "test")
 
 
 def test_load_corpus_preserves_file_order(tmp_path):
@@ -233,6 +262,8 @@ def test_build_vocabulary_validates_inputs():
     corpus = _freq_corpus()
     with pytest.raises(CorpusError):
         build_vocabulary(corpus, min_count=0)
+    with pytest.raises(CorpusError, match="empty corpus"):
+        build_vocabulary(Corpus((), corpus.vocab))
 
 
 # --- synthetic corpus ---------------------------------------------------------

@@ -647,26 +647,40 @@ def test_settling_saves_discriminator_calls_only_without_length_penalty(seed1_mo
 def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generator, monkeypatch,
                                                      trained_disc, all_human):
     """A search commits and copies at most beam_size prefix states a step,
-    the steps it scored them with, and never advances one. With D = 1
-    everywhere a candidate's s_das is its s_gen, the best it can be, so a
-    step asks the discriminator about its beam_size best candidates by s_gen
-    and no other, and the search returns plain search's beam."""
+    each by the very step it scored it with: it scores no (state, token)
+    twice and commits no step twice. With D = 1 everywhere a candidate's
+    s_das is its s_gen, the best it can be, so a step asks the discriminator
+    about its beam_size best candidates by s_gen and no other, and the
+    search returns plain search's beam."""
     disc = trained_disc
     if all_human:
         disc = DiscriminatorModel(trained_disc.config, np.zeros(N_DENSE),
                                   np.zeros(trained_disc.config.d_hash), 50.0)
-    counts = Counter()
-    advance, commit, copy = PrefixFeaturizer.advance, PrefixFeaturizer.commit, PrefixState.copy
-    score_next = PrefixFeaturizer.score_next
-    monkeypatch.setattr(PrefixFeaturizer, "advance", lambda self, state, token: (
-        counts.update(["advance"]) or advance(self, state, token)))
-    monkeypatch.setattr(PrefixFeaturizer, "commit", staticmethod(lambda state, token, step: (
-        counts.update(["commit"]) or commit(state, token, step))))
+    counts, lengths = Counter(), set()
+    # (state, its t, token) of each scoring, and each step scored and not yet
+    # committed, by id; both hold their objects, so no id is reused meanwhile
+    scorings, uncommitted = {}, {}
+    commit, score_next = PrefixFeaturizer.commit, PrefixFeaturizer.score_next
+    copy = PrefixState.copy
+
+    def counting_score_next(self, state, token):
+        counts.update(["score_next"])
+        lengths.add(state.t)
+        key = (id(state), state.t, token)
+        assert key not in scorings
+        scorings[key] = state
+        D, step = score_next(self, state, token)
+        uncommitted[id(step)] = step
+        return D, step
+
+    def counting_commit(state, token, step):
+        counts.update(["commit"])
+        assert uncommitted.pop(id(step), None) is step
+        commit(state, token, step)
+
+    monkeypatch.setattr(PrefixFeaturizer, "score_next", counting_score_next)
+    monkeypatch.setattr(PrefixFeaturizer, "commit", staticmethod(counting_commit))
     monkeypatch.setattr(PrefixState, "copy", lambda self: counts.update(["copy"]) or copy(self))
-    lengths = set()
-    monkeypatch.setattr(PrefixFeaturizer, "score_next", lambda self, state, token: (
-        counts.update(["score_next"]) or lengths.add(state.t)
-        or score_next(self, state, token)))
     generator = train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75)
     context, next_logprobs = generator.context, generator.next_logprobs
     tails, inside = [], []
@@ -686,13 +700,11 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generat
     generator.context, generator.next_logprobs = counting_context, marked_next_logprobs
     config = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=60)
     for p in synth_corpus.pairs[:10]:
-        counts.clear()
-        tails.clear()
-        lengths.clear()
+        for seen in (counts, tails, lengths, scorings, uncommitted):
+            seen.clear()
         beam = das_beam_search(generator, disc, p.source, config)
         # a step is a prefix length below t_max the search scores candidates at
         steps = len({t for t in lengths if t < config.t_max})
-        assert counts["advance"] == 0
         assert counts["commit"] <= config.beam_size * steps
         assert counts["copy"] <= config.beam_size * steps
         assert tails and len(tails) == len(set(tails))

@@ -308,15 +308,15 @@ def test_score_next_leaves_the_state_and_commit_applies_its_step(data):
     scorer = PrefixFeaturizer(config, model)
     state = scorer.state_of(source)
     for token in prefix:
-        scorer.advance(state, token)
+        scorer.commit(state, token, scorer.score_next(state, token)[1])
     for token in range(n_vocab):
         before = state_fields(state)
         D, step = scorer.score_next(state, token)
         assert state_fields(state) == before
-        committed, advanced = state.copy(), state.copy()
+        committed, rescored = state.copy(), state.copy()
         scorer.commit(committed, token, step)
-        scorer.advance(advanced, token)
-        assert state_fields(committed) == state_fields(advanced)
+        scorer.commit(rescored, token, scorer.score_next(rescored, token)[1])
+        assert state_fields(committed) == state_fields(rescored)
         assert D.hex() == model.score(source, prefix + (token,)).hex()
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dasearch.corpus import Vocabulary
+from dasearch.corpus import Corpus, Vocabulary
 from dasearch.generator import BACKOFF, GeneratorError, NGramCopyModel, train_generator
 
 from conftest import make_corpus, make_vocab, sequence_logprob
@@ -210,6 +210,11 @@ def test_deterministic_scoring(synth_corpus, synth_generator):
     assert np.array_equal(first, second)
 
 
+def test_train_generator_refuses_an_empty_corpus(abc_vocab):
+    with pytest.raises(GeneratorError, match="empty corpus"):
+        train_generator(Corpus((), abc_vocab))
+
+
 def test_copy_cache_keeps_only_the_last_source(ab_corpus):
     model = train_generator(ab_corpus, order=2)
     model.next_probs((3, 4, 5), (SOS, 3))
@@ -222,33 +227,60 @@ def test_copy_cache_keeps_only_the_last_source(ab_corpus):
     assert model._copy_cache[0] == (3, 4, 5)
 
 
-def test_cached_distributions_are_read_only(ab_corpus):
-    """With lambda_copy 0, next_probs returns the cached n-gram array itself:
-    a write into it raises, and later calls return what they did before.
-    Otherwise it returns a new array, the sum of two cached read-only terms,
-    and a write into it changes no later row."""
-    for lambda_copy in (0.0, 0.75):
-        model = train_generator(ab_corpus, order=2, lambda_copy=lambda_copy)
-        source, prefix = (3, 4, 5), (SOS, 3)
-        before = model.next_logprobs(source, prefix).tobytes()
-        probs = model.next_probs(source, prefix)
-        if lambda_copy == 0.0:
-            assert probs is model._lm_cache[model.context(prefix)]
-            with pytest.raises(ValueError, match="read-only"):
-                probs[:] = 0.0
-        else:
-            assert probs.flags.writeable
-            probs[:] = 0.0
-            assert not model._copy_cache[1].flags.writeable
-        assert model.next_logprobs(source, prefix).tobytes() == before
-        assert model._lm_cache and not any(a.flags.writeable for a in model._lm_cache.values())
+def cached_arrays(model):
+    """Every array the model's caches hold."""
+    return [*model._lm_cache.values(), *([model._copy_cache[1]] if model._copy_cache[0] else [])]
+
+
+@pytest.mark.parametrize("lambda_copy", [0.0, 0.75, 1.0])
+def test_every_row_is_a_new_writable_array(synth_corpus, lambda_copy):
+    """next_probs and next_logprobs return a new writable array at every
+    lambda_copy, sharing no memory with a cached term, so a write into one
+    changes no later row."""
+    model = train_generator(synth_corpus, order=3, lambda_copy=lambda_copy)
+    source, prefixes = synth_corpus.pairs[0].source, [(SOS,), (SOS, 3), (SOS, 3, 4)]
+    before = [(model.next_probs(source, prefix).tobytes(),
+               model.next_logprobs(source, prefix).tobytes()) for prefix in prefixes]
+    for prefix in prefixes * 2:
+        for row in (model.next_probs(source, prefix), model.next_logprobs(source, prefix)):
+            assert row.flags.writeable and row.flags.owndata
+            assert model._lm_cache and not any(np.shares_memory(row, cached)
+                                               for cached in cached_arrays(model))
+            row[:] = 0.5
+    assert [(model.next_probs(source, prefix).tobytes(),
+             model.next_logprobs(source, prefix).tobytes()) for prefix in prefixes] == before
+
+
+@pytest.mark.parametrize("lambda_copy", [0.0, 0.75, 1.0])
+def test_a_pickled_model_keeps_its_caches(synth_corpus, lambda_copy):
+    """A model pickled after it cached rows (as decode_corpus sends one to
+    its workers) unpickles with those caches, and its rows are the same
+    bytes as the model's; after new counts, they are the mixture computed
+    from scratch."""
+    model = train_generator(synth_corpus, order=3, lambda_copy=lambda_copy)
+    source, rng = synth_corpus.pairs[0].source, random.Random(0)
+    nv = len(synth_corpus.vocab)
+    prefixes = [(SOS,) + tuple(rng.randrange(2, nv) for _ in range(rng.randint(0, 4)))
+                for _ in range(40)]
+    rows = [model.next_logprobs(source, prefix).tobytes() for prefix in prefixes]
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy._lm_cache.keys() == model._lm_cache.keys()
+    assert copy._context_of_tail == model._context_of_tail
+    assert copy._copy_cache[0] == model._copy_cache[0]
+    assert [a.tobytes() for a in cached_arrays(copy)] == \
+        [a.tobytes() for a in cached_arrays(model)]
+    assert [copy.next_logprobs(source, prefix).tobytes() for prefix in prefixes] == rows
+    copy.add_sequence(prefixes[-1][1:])  # new counts clear what was cached before them
+    for prefix in prefixes:
+        assert copy.next_probs(source, prefix).tobytes() == \
+            row_reference(copy, source, prefix).tobytes()
 
 
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_a_source_id_outside_the_vocabulary_is_refused(ab_corpus, bad):
     """A source token id the vocabulary does not hold is an error naming it,
     not a count for another token (-1 would count as the last id), also at
-    lambda_copy 0, where the row does not read the source."""
+    lambda_copy 0, where the source's copy term is all zero."""
     for lambda_copy in (0.0, 0.75):
         model = train_generator(ab_corpus, order=2, lambda_copy=lambda_copy)
         with pytest.raises(GeneratorError, match=re.escape(
@@ -256,32 +288,6 @@ def test_a_source_id_outside_the_vocabulary_is_refused(ab_corpus, bad):
             model.next_probs((3, bad, 4), (SOS,))
         assert model.next_probs((3, 4), (SOS,)).tobytes() == \
             row_reference(model, (3, 4), (SOS,)).tobytes()
-
-
-@pytest.mark.parametrize("lambda_copy", [0.0, 0.75])
-def test_a_pickled_model_drops_its_caches(synth_corpus, lambda_copy):
-    """A model pickled after it cached rows (as decode_corpus sends one to
-    its workers) unpickles with empty caches, so its cached arrays are made
-    anew and read-only, rather than unpickled writable; its rows are the
-    same bytes, and its pickle is smaller than one with the caches."""
-    model = train_generator(synth_corpus, order=3, lambda_copy=lambda_copy)
-    blank = pickle.dumps(model)
-    source, rng = synth_corpus.pairs[0].source, random.Random(0)
-    nv = len(synth_corpus.vocab)
-    prefixes = [(SOS,) + tuple(rng.randrange(2, nv) for _ in range(rng.randint(0, 4)))
-                for _ in range(40)]
-    rows = [model.next_logprobs(source, prefix).tobytes() for prefix in prefixes]
-    cached = pickle.dumps(model)
-    assert len(cached) < len(pickle.dumps({**model.__dict__}))
-    assert len(cached) == len(blank)
-    copy = pickle.loads(cached)
-    assert not copy._lm_cache and not copy._context_of_tail and copy._copy_cache[1] is None
-    assert [copy.next_logprobs(source, prefix).tobytes() for prefix in prefixes] == rows
-    assert copy._lm_cache and not any(a.flags.writeable for a in copy._lm_cache.values())
-    assert not copy._copy_cache[1].flags.writeable
-    if lambda_copy == 0.0:  # next_probs hands out the cached array itself
-        with pytest.raises(ValueError, match="read-only"):
-            copy.next_probs(source, prefixes[0])[:] = 0.0
 
 
 def backoff_reference(model, prefix):

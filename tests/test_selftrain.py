@@ -146,6 +146,31 @@ def test_convergence_accuracy_floor_one_is_degenerate(state0, loop_corpus,
     assert accs[-1] < 1.0 and all(a == 1.0 for a in accs[:-1])
 
 
+@pytest.mark.parametrize("tau_delta, rounds", [(1.0, 2), (None, 3)], ids=["given", "default"])
+def test_convergence_stops_when_the_delta_sum_plateaus(state0, loop_corpus, loop_generator,
+                                                      monkeypatch, tau_delta, rounds):
+    """It stops with delta_plateau after the first round whose |d_len| +
+    |d_nov1| + |d_rep3| falls by less than tau_delta (0.01 * t_max = 0.4 by
+    default) from the round before's; a fall of exactly tau_delta goes on."""
+    deltas = iter([(-8.0, 1.0, 2.0), (6.0, 0.0, -4.5), (6.0, 0.0, -4.2), (0.0, 0.0, 0.0)])
+    # sums 12 (bootstrap), 11, 10.5, 10.2, 0: falls of 1, 0.5, 0.3
+
+    def scripted_step(state, *args):
+        d_len, d_nov1, d_rep3 = next(deltas)
+        entry = {**state.history[-1], "iteration": state.iteration + 1, "val_accuracy": 0.9,
+                 "d_len": d_len, "d_nov1": d_nov1, "d_rep3": d_rep3}
+        return replace(state, iteration=state.iteration + 1, history=state.history + [entry])
+
+    monkeypatch.setattr(selftrain, "self_train_step", scripted_step)
+    start = replace(state0, history=[{**state0.history[0], "d_len": 10.0, "d_nov1": -1.0,
+                                      "d_rep3": 1.0}])
+    seen = []
+    out = run_until_convergence(start, loop_generator, loop_corpus, SEARCH, HPARAMS,
+                                max_iters=5, tau_delta=tau_delta, on_iteration=seen.append)
+    assert out.stopped_reason == "delta_plateau"
+    assert out.iteration == rounds and [s.iteration for s in seen] == list(range(1, rounds + 1))
+
+
 def test_convergence_validates_max_iters(state0, loop_corpus, loop_generator):
     with pytest.raises(ValueError):
         run_until_convergence(state0, loop_generator, loop_corpus, SEARCH, HPARAMS,
