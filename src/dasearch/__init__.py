@@ -1,8 +1,10 @@
 """Discriminator-guided beam search: decoding, self-training and evaluation.
 
 `import dasearch` loads no other module: each name below is looked up in its
-defining module when it is asked for (PEP 562), so a program that never
-decodes never imports numpy.
+defining module when it is asked for (PEP 562). numpy comes only with the
+discriminator module and with the generator's first row, so a program that
+neither decodes nor trains a discriminator, as one that only trains a
+generator, never imports it.
 """
 
 import importlib

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import time
 import zlib
@@ -248,6 +249,60 @@ def _reusable_bootstrap(path: str, provenance: dict[str, str]):
     return model, None
 
 
+def _round_record_path(model_path) -> Path:
+    """Where train-discriminator writes the record of the bootstrap round
+    that trained the model at `model_path`: beside it."""
+    return Path(f"{model_path}.bootstrap.json")
+
+
+def _resumed_bootstrap(model_path: str, model, corpus: Corpus, hparams: DiscriminatorHparams):
+    """(the bootstrap state the round record beside `model_path` holds, None)
+    when it records the round that trained that file, `model`, on `corpus`;
+    else (None, why not)."""
+    from dasearch import selftrain
+    path = _round_record_path(model_path)
+    try:
+        with open(path, encoding="utf-8") as f:
+            record = json.load(f)
+    except FileNotFoundError:
+        return None, f"no file at {path}"
+    except OSError as e:
+        return None, f"cannot read {path}: {e}"
+    except ValueError as e:  # not UTF-8, or not JSON
+        return None, f"{path} does not parse: {e}"
+    try:
+        return selftrain.resumed_bootstrap(record, _hash_file(model_path), corpus, model,
+                                           hparams), None
+    except ValueError as e:
+        return None, f"{path}: {e}"
+
+
+# the files self-train writes in each iter_<k> directory
+SNAPSHOT_FILES = ("generations.jsonl", "discriminator.model", "history.csv")
+
+
+def _remove_stale_iterations(out_dir: Path, last: int) -> None:
+    """Remove what an earlier self-train run wrote in iter_j for every j
+    beyond `last`, and each such directory that is then empty; a file that
+    self-train does not write keeps its directory."""
+    stale = sorted((int(m[1]), d) for d in out_dir.glob("iter_*")
+                   if (m := re.fullmatch(r"iter_([1-9][0-9]*)", d.name)) and d.is_dir())
+    for iter_dir in [d for j, d in stale if j > last]:
+        removed = [name for name in SNAPSHOT_FILES if (iter_dir / name).is_file()]
+        for name in removed:
+            (iter_dir / name).unlink()
+        kept = sorted(p.name for p in iter_dir.iterdir())
+        if not kept:
+            iter_dir.rmdir()
+            print(f"removed {iter_dir}, left by an earlier run"
+                  + (f" ({', '.join(removed)})" if removed else ""))
+            continue
+        if removed:
+            print(f"removed {', '.join(removed)} from {iter_dir}, left by an earlier run")
+        print(f"note: kept {iter_dir}: it holds {', '.join(kept)}, which self-train "
+              f"does not write", file=sys.stderr)
+
+
 def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
     from dasearch import decoder
 
@@ -345,6 +400,11 @@ def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
                                 cfg.search_config("plain"))
     state.discriminator.provenance = _provenance(cfg)
     state.discriminator.save(model_path)
+    # the round itself, so that self-train need not run it again (_resumed_bootstrap)
+    record_path = _round_record_path(model_path)
+    with atomic_write(record_path) as f:
+        json.dump(selftrain.round_record(state, _hash_file(model_path)), f)
+        f.write("\n")
     # accuracy curve on the held-out pairs, from the bootstrap's counts by length
     buckets = {1, 5, 10, 20, 30, 40, 60, 80, 100, 120, cfg.t_max}
     rows = [(t, right / n if n else None, n) for t, right, n in state.held_out if t in buckets]
@@ -354,7 +414,7 @@ def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
     print(f"discriminator model: {model_path} (val accuracy {entry['val_accuracy']:.3f}, "
           f"{entry['distinct_G']} distinct of {n_train} generated outputs)")
     return ("train-discriminator", [cfg.train_path, cfg.vocab_path, cfg.generator_model],
-            [model_path, csv_path])
+            [model_path, record_path, csv_path])
 
 
 def cmd_decode(cfg: RunConfig, args, out_dir: Path):
@@ -384,17 +444,29 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
     def snapshot(state):
         iter_dir = out_dir / f"iter_{state.iteration}"
         gens = state.last_generations
-        write_records(iter_dir / "generations.jsonl", (
+        generations, model, history = (iter_dir / name for name in SNAPSHOT_FILES)
+        write_records(generations, (
             {"id": p.id, "tokens": list(gens[p.id]), "text": " ".join(vocab.decode(gens[p.id]))}
             for p in corpus.pairs))
-        state.discriminator.save(iter_dir / "discriminator.model")
-        _write_rows(iter_dir / "history.csv", state.history)
+        state.discriminator.save(model)
+        _write_rows(history, state.history)
 
     provenance = _provenance(cfg)
     reused, why_not = _reusable_bootstrap(cfg.discriminator_model, provenance)
-    print(f"bootstrap: trained ({why_not})" if reused is None
-          else f"bootstrap: reused {cfg.discriminator_model}")
-    state = selftrain.bootstrap(corpus, generator, hparams, search, model=reused)
+    record = _round_record_path(cfg.discriminator_model)
+    resumed = None
+    if reused is None:
+        print(f"bootstrap: trained ({why_not})")
+    else:
+        resumed, why_not = _resumed_bootstrap(cfg.discriminator_model, reused, corpus, hparams)
+        if resumed is None:
+            print(f"bootstrap: reused {cfg.discriminator_model}; round record not used "
+                  f"({why_not})")
+        else:
+            print(f"bootstrap: reused {cfg.discriminator_model}\n"
+                  f"bootstrap: round 0 read from {record}")
+    state = resumed if resumed is not None else selftrain.bootstrap(
+        corpus, generator, hparams, search, model=reused)
     # reused or trained, the bootstrap records its provenance: one iter_0 file
     state.discriminator.provenance = provenance
     snapshot(state)
@@ -404,9 +476,12 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
         on_iteration=snapshot)
     print(f"self-training stopped after iteration {state.iteration} "
           f"({state.stopped_reason})")
+    _remove_stale_iterations(out_dir, state.iteration)
     inputs = [cfg.train_path, cfg.vocab_path, cfg.generator_model]
     if reused is not None:
         inputs.append(cfg.discriminator_model)
+    if resumed is not None:
+        inputs.append(record)
     return ("self-train", inputs, [out_dir / f"iter_{state.iteration}" / "generations.jsonl"])
 
 

@@ -5,17 +5,25 @@ The next-token distribution is a mixture
 where Copy(t|x) = count(t in x)/|x| (no mass on EOS or SOS) and NGram is a
 stupid-backoff model (backoff factor 0.4, additive kappa floor at the
 unigram level) normalized over vocabulary + EOS. SOS is never predicted.
+
+numpy is imported with the first row a process computes (next_probs), so
+training, which only counts n-grams, and saving a model load none.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_body, read_header
 
 BACKOFF = 0.4
+np = None  # the numpy module, once _import_numpy has run
+
+
+def _import_numpy() -> None:
+    global np
+    import numpy
+    np = numpy
 
 
 class GeneratorError(ValueError):
@@ -135,6 +143,8 @@ class NGramCopyModel:
             raise GeneratorError("empty source")
         if len(prefix) == 0 or prefix[0] != Vocabulary.sos:
             raise GeneratorError("prefix must begin with SOS")
+        if np is None:  # this process's first row
+            _import_numpy()
         lm = self._ngram_term(self.context(prefix))
         return self._copy_term(source) + lm  # checks each new source's ids
 

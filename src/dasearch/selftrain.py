@@ -6,7 +6,9 @@ bootstrap_provenance); each following iteration decodes with the current discrim
 generated prefix set from those outputs and retrains. Every round counts its
 model's right calls on the held-out pairs' prefixes once, by length
 (`held_out`); its `val_accuracy` is their share. The generator is never
-modified.
+modified. A bootstrap round's state, but for its model, is a JSON-able
+record (round_record), from which resumed_bootstrap rebuilds it without
+decoding anything; no function here reads or writes a file.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 
-from dasearch.corpus import Corpus
+from dasearch.corpus import Corpus, Vocabulary
 from dasearch.decoder import (
     SearchConfig,
     das_beam_search,
@@ -66,6 +68,11 @@ class SelfTrainState:
     stopped_reason: str | None = None
     past_generations: list = field(default_factory=list)
     held_out: list = field(default_factory=list)  # (t, right, n) on val_ids, t = 1..t_max
+
+
+# the keys of a round's history entry, in order: the columns of history.csv
+HISTORY_KEYS = ("iteration", "val_accuracy", "final_objective", "d_len", "d_nov1", "d_nov3",
+                "d_rep1", "d_rep3", "bleu1", "rouge1", "rougeL", "distinct_G")
 
 
 def _history_entry(iteration, val_accuracy, final_objective, generations, corpus, G):
@@ -132,6 +139,14 @@ def bootstrap(corpus: Corpus, generator, disc_hparams: DiscriminatorHparams,
     if model is not None and model.config != feature_config:
         raise DiscriminatorError("the given bootstrap discriminator was built with other "
                                  "feature settings than this corpus and these settings give")
+    return _round(corpus, partial(plain_beam_search, generator, config=search_config),
+                  feature_config, disc_hparams, iteration=0, seed=disc_hparams.seed,
+                  val_ids=validation_ids(corpus, disc_hparams), model=model)
+
+
+def validation_ids(corpus: Corpus, disc_hparams: DiscriminatorHparams) -> frozenset:
+    """The ids of the pairs every round holds out: VAL_FRACTION of them, at
+    least one, drawn with the discriminator seed."""
     ids = sorted(p.id for p in corpus.pairs)
     rng = random.Random(disc_hparams.seed)
     rng.shuffle(ids)
@@ -139,9 +154,64 @@ def bootstrap(corpus: Corpus, generator, disc_hparams: DiscriminatorHparams,
     if len(ids) - n_val < 1:
         raise DiscriminatorError(f"train split too small: {len(ids)} pair(s), {n_val} held out, "
                                  f"none left to train the bootstrap discriminator on")
-    return _round(corpus, partial(plain_beam_search, generator, config=search_config),
-                  feature_config, disc_hparams, iteration=0, seed=disc_hparams.seed,
-                  val_ids=frozenset(ids[:n_val]), model=model)
+    return frozenset(ids[:n_val])
+
+
+def round_record(state: SelfTrainState, model_sha256: str) -> dict:
+    """What resumed_bootstrap needs of bootstrap round `state` besides its
+    model, as JSON values: the sha256 of the model's file, every pair's
+    generated tokens by id, the held-out counts (t, right, n) and the round's
+    history entry."""
+    return {"model_sha256": model_sha256,
+            "generations": {i: list(tokens) for i, tokens in state.last_generations.items()},
+            "held_out": [list(row) for row in state.held_out],
+            "history": state.history[0]}
+
+
+def resumed_bootstrap(record, model_sha256: str, corpus: Corpus, model: DiscriminatorModel,
+                      disc_hparams: DiscriminatorHparams) -> SelfTrainState:
+    """The state bootstrap returns, given `model`, on these inputs, rebuilt
+    from `record`, the round_record of a bootstrap that trained `model`, whose
+    file has sha256 `model_sha256`, on `corpus`; it decodes, featurises and
+    evaluates nothing. A record that is not one raises ValueError naming what
+    does not hold: it must name that sha256; its generations must cover
+    exactly the corpus's pair ids, each a non-empty list of ids of the corpus
+    vocabulary other than SOS and EOS; its held-out counts must be those of
+    t = 1..t_max, and its history entry must have HISTORY_KEYS's keys, in
+    order, with iteration 0."""
+    if not isinstance(record, dict) or record.get("model_sha256") != model_sha256:
+        raise ValueError("it records another model file")
+    generations, held_out, entry = (record.get(key) for key in
+                                    ("generations", "held_out", "history"))
+    if not isinstance(generations, dict):
+        raise ValueError("it holds no generations")
+    ids = [p.id for p in corpus.pairs]
+    if missing := set(ids) - generations.keys():
+        raise ValueError(f"it has no generation of pair {min(missing)!r}")
+    if extra := generations.keys() - set(ids):
+        raise ValueError(f"its pair {min(extra)!r} is not in the train split")
+    n_vocab = len(corpus.vocab)
+    for i in ids:
+        tokens = generations[i]
+        if not (isinstance(tokens, list) and tokens and all(
+                type(tok) is int and 0 <= tok < n_vocab and tok not in (Vocabulary.sos,
+                                                                        Vocabulary.eos)
+                for tok in tokens)):
+            raise ValueError(f"the generation of pair {i!r} is not a non-empty list of ids of "
+                             f"the {n_vocab}-token vocabulary other than SOS and EOS")
+    t_max = model.config.t_max
+    if not (isinstance(held_out, list) and len(held_out) == t_max and all(
+            isinstance(row, list) and len(row) == 3 and all(type(v) is int for v in row)
+            and row[0] == t and 0 <= row[1] <= row[2] for t, row in enumerate(held_out, 1))):
+        raise ValueError(f"its held-out counts are not (t, right, n) for t = 1..{t_max}")
+    if not (isinstance(entry, dict) and tuple(entry) == HISTORY_KEYS
+            and all(type(value) in (int, float) for value in entry.values())
+            and type(entry["iteration"]) is int and entry["iteration"] == 0):
+        raise ValueError("its history entry is not that of a bootstrap round")
+    return SelfTrainState(iteration=0, discriminator=model,
+                          last_generations={i: tuple(generations[i]) for i in ids},
+                          history=[entry], val_ids=validation_ids(corpus, disc_hparams),
+                          held_out=[tuple(row) for row in held_out])
 
 
 def bootstrap_provenance(train_sha256: str, generator_sha256: str,

@@ -2,9 +2,11 @@ import csv
 import hashlib
 import importlib
 import json
+import operator
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -700,6 +702,160 @@ def test_self_train_retrains_the_bootstrap_when_an_input_differs(pipeline, tmp_p
     assert len(trainings) == 2
 
 
+def _count_round_work(monkeypatch) -> Counter:
+    """Counts of the calls self-train makes to decode, evaluate and count
+    held-out accuracy through selftrain, and to selftrain.bootstrap, by name."""
+    counts = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("bootstrap", "decode_corpus", "evaluate_system", "accuracy_by_length"):
+        monkeypatch.setattr(selftrain, name, counted(name, getattr(selftrain, name)))
+    return counts
+
+
+def _model_copy(pipeline, directory: Path) -> Path:
+    """A copy of the pipeline's bootstrap model in `directory`, with a copy of
+    its round record beside it."""
+    root, _ = pipeline
+    model = directory / "d.model"
+    model.write_bytes((root / "out" / "discriminator.model").read_bytes())
+    Path(f"{model}.bootstrap.json").write_bytes(
+        (root / "out" / "discriminator.model.bootstrap.json").read_bytes())
+    return model
+
+
+def test_train_discriminator_writes_the_record_of_its_round(pipeline):
+    root, _ = pipeline
+    out = root / "out"
+    model, record_path = out / "discriminator.model", out / "discriminator.model.bootstrap.json"
+    record = json.loads(record_path.read_text())
+    assert list(record) == ["model_sha256", "generations", "held_out", "history"]
+    assert record["model_sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
+    corpus = load_corpus(out / "train.jsonl", Vocabulary.load(out / "vocab.txt"))
+    assert list(record["generations"]) == [p.id for p in corpus.pairs]
+    assert [row[0] for row in record["held_out"]] == list(range(1, 41))
+    assert tuple(record["history"]) == selftrain.HISTORY_KEYS
+    assert record["history"]["iteration"] == 0
+    manifest = json.loads((out / "manifest-train-discriminator.json").read_text())
+    assert sorted(manifest["outputs"]) == sorted(map(str, (model, record_path,
+                                                           out / "accuracy_by_length.csv")))
+
+
+@pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+def test_self_train_resumes_from_the_round_record(pipeline, tmp_path, capsys, monkeypatch,
+                                                  warm_start):
+    """Given the record, iteration 0 decodes, evaluates and counts nothing,
+    and every iter_* file is what recomputing the round writes."""
+    _, cfg = pipeline
+    model = _model_copy(pipeline, tmp_path)
+    record = Path(f"{model}.bootstrap.json")
+    counts = _count_round_work(monkeypatch)
+    out, resumed = _self_train(cfg, tmp_path / "resumed", capsys, warm_start=warm_start,
+                               discriminator_model=str(model))
+    assert out.startswith(f"bootstrap: reused {model}\nbootstrap: round 0 read from {record}\n")
+    assert counts == {"decode_corpus": 1, "evaluate_system": 1, "accuracy_by_length": 1}
+    manifest = json.loads((tmp_path / "resumed" / "manifest-self-train.json").read_text())
+    assert {str(model), str(record)} <= manifest["inputs"].keys()
+    record.unlink()
+    counts.clear()
+    out, recomputed = _self_train(cfg, tmp_path / "recomputed", capsys, warm_start=warm_start,
+                                  discriminator_model=str(model))
+    assert counts == {"bootstrap": 1, "decode_corpus": 2, "evaluate_system": 2,
+                      "accuracy_by_length": 2}
+    manifest = json.loads((tmp_path / "recomputed" / "manifest-self-train.json").read_text())
+    assert str(record) not in manifest["inputs"]
+    assert resumed == recomputed
+
+
+NOT_A_GENERATION = ("{record}: the generation of pair {first!r} is not a non-empty list of ids "
+                    "of the {n_vocab}-token vocabulary other than SOS and EOS")
+NOT_HELD_OUT = "{record}: its held-out counts are not (t, right, n) for t = 1..40"
+NOT_A_HISTORY = "{record}: its history entry is not that of a bootstrap round"
+
+
+@pytest.mark.parametrize("case, edit, reason", [
+    # edit: None deletes the record, bytes replace it, and a function changes
+    # the parsed record, given the id of the train split's first pair
+    ("none", None, "no file at {record}"),
+    ("json", b'{"model_sha256": ', "{record} does not parse: Expecting value: line 1 column 18"),
+    ("not-utf8", b"\xff{}", "{record} does not parse: 'utf-8' codec can't decode byte 0xff"),
+    ("other-model", lambda data, first: data.update(model_sha256="0" * 64),
+     "{record}: it records another model file"),
+    ("missing-id", lambda data, first: data["generations"].pop(first),
+     "{record}: it has no generation of pair {first!r}"),
+    ("extra-id", lambda data, first: data["generations"].update(extra=[3]),
+     "{record}: its pair 'extra' is not in the train split"),
+    ("token", lambda data, first: data["generations"][first].append(10 ** 6), NOT_A_GENERATION),
+    ("eos", lambda data, first: data["generations"][first].append(1), NOT_A_GENERATION),
+    ("empty", lambda data, first: data["generations"][first].clear(), NOT_A_GENERATION),
+    ("held-out-short", lambda data, first: data["held_out"].pop(), NOT_HELD_OUT),
+    ("held-out-right", lambda data, first: operator.setitem(data["held_out"][0], 1,
+                                                            data["held_out"][0][2] + 1),
+     NOT_HELD_OUT),
+    ("history-key", lambda data, first: data["history"].pop("distinct_G"), NOT_A_HISTORY),
+    ("history-iteration", lambda data, first: data["history"].update(iteration=1),
+     NOT_A_HISTORY),
+])
+def test_self_train_recomputes_the_round_without_a_valid_record(pipeline, tmp_path, capsys,
+                                                                monkeypatch, case, edit, reason):
+    root, cfg = pipeline
+    model = _model_copy(pipeline, tmp_path)
+    record = Path(f"{model}.bootstrap.json")
+    _, resumed = _self_train(cfg, tmp_path / "resumed", capsys, discriminator_model=str(model))
+    first = load_corpus(root / "out" / "train.jsonl").pairs[0].id
+    if edit is None:
+        record.unlink()
+    elif isinstance(edit, bytes):
+        record.write_bytes(edit)
+    else:
+        data = json.loads(record.read_text())
+        edit(data, first)
+        record.write_text(json.dumps(data))
+    counts = _count_round_work(monkeypatch)
+    out, recomputed = _self_train(cfg, tmp_path / "run", capsys, discriminator_model=str(model))
+    n_vocab = len(Vocabulary.load(root / "out" / "vocab.txt"))
+    why = reason.format(record=record, first=first, n_vocab=n_vocab)
+    assert out.startswith(f"bootstrap: reused {model}; round record not used ({why}")
+    assert counts["bootstrap"] == 1
+    manifest = json.loads((tmp_path / "run" / "manifest-self-train.json").read_text())
+    assert str(record) not in manifest["inputs"]
+    assert recomputed == resumed
+
+
+@pytest.mark.parametrize("foreign", [False, True], ids=["ours", "foreign"])
+def test_a_shorter_self_train_run_removes_the_later_iterations_of_an_earlier_one(
+        pipeline, tmp_path, capsys, foreign):
+    _, cfg = pipeline
+    run = tmp_path / "run"
+    _self_train(cfg, run, capsys)  # iter_0 and iter_1
+    for j in (2, 3):  # as a longer run leaves them
+        shutil.copytree(run / "iter_1", run / f"iter_{j}")
+    if foreign:
+        (run / "iter_3" / "notes.txt").write_text("mine\n")
+    path = derive_config(cfg, run)
+    assert main(["self-train", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    files = "(generations.jsonl, discriminator.model, history.csv)"
+    assert f"removed {run / 'iter_2'}, left by an earlier run {files}\n" in captured.out
+    assert sorted(p.name for p in run.glob("iter_*")) == (
+        ["iter_0", "iter_1", "iter_3"] if foreign else ["iter_0", "iter_1"])
+    if foreign:
+        assert [p.name for p in (run / "iter_3").iterdir()] == ["notes.txt"]
+        assert (f"removed generations.jsonl, discriminator.model, history.csv from "
+                f"{run / 'iter_3'}, left by an earlier run\n") in captured.out
+        assert captured.err == (f"note: kept {run / 'iter_3'}: it holds notes.txt, which "
+                                f"self-train does not write\n")
+    else:
+        assert f"removed {run / 'iter_3'}, left by an earlier run {files}\n" in captured.out
+        assert captured.err == ""
+    assert sorted(p.name for p in (run / "iter_1").iterdir()) == sorted(cli.SNAPSHOT_FILES)
+
+
 def test_self_train_exits_one_on_a_malformed_discriminator_file(pipeline, tmp_path, capsys):
     root, cfg = pipeline
     cut = tmp_path / "discriminator.model"
@@ -798,9 +954,10 @@ NUMPY_BASELINE_DISPATCH = ("X86_V3 X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX51
 
 
 def test_model_files_do_not_depend_on_numpys_cpu_dispatch(pipeline, tmp_path):
-    """train-discriminator writes the same bytes with numpy's SIMD kernels
-    above X86_V2 turned off, whose np.exp and np.log return other bits: a
-    model file must be what training gives on any machine."""
+    """train-discriminator writes the same bytes, model and round record,
+    with numpy's SIMD kernels above X86_V2 turned off, whose np.exp and np.log
+    return other bits: a model file must be what training gives on any
+    machine."""
     from numpy._core._multiarray_umath import __cpu_features__
     if not __cpu_features__.get("X86_V3"):
         pytest.skip("the CPU lacks X86_V3, so numpy has no dispatch above X86_V2 to turn off")
@@ -816,7 +973,7 @@ def test_model_files_do_not_depend_on_numpys_cpu_dispatch(pipeline, tmp_path):
         subprocess.run([sys.executable, "-m", "dasearch.cli", "train-discriminator",
                         "--config", str(path)], env=run_env, check=True, timeout=300,
                        capture_output=True)
-        models.append(model.read_bytes())
+        models.append((model.read_bytes(), Path(f"{model}.bootstrap.json").read_bytes()))
     assert models[0] == models[1]
 
 
@@ -1127,7 +1284,7 @@ def _loaded_after(code: str) -> set:
     ("--help", MODEL_MODULES),
     ("make-corpus", MODEL_MODULES),
     ("evaluate", MODEL_MODULES),
-    ("train-generator", MODEL_MODULES - {"numpy", "dasearch.generator"}),
+    ("train-generator", MODEL_MODULES - {"dasearch.generator"}),
 ])
 def test_a_command_loads_only_the_modules_it_runs(pipeline, tmp_path, command, not_loaded):
     root, cfg = pipeline

@@ -1,3 +1,7 @@
+import builtins
+import io
+import json
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -39,6 +43,31 @@ def state0(loop_corpus, loop_generator):
 def test_hypothesis_content_strips_frame():
     h = Hypothesis(tokens=(0, 3, 4, 1), s_gen=-1.0, ended=True)
     assert hypothesis_content(h) == (3, 4)
+
+
+def test_bootstrap_reads_and_writes_no_file(loop_corpus, loop_generator, tmp_path,
+                                            monkeypatch):
+    opened = []
+
+    def refused(*args, **kwargs):
+        opened.append(args)
+        raise AssertionError(f"bootstrap opened {args}")
+
+    monkeypatch.chdir(tmp_path)
+    for module in (builtins, io, os):
+        monkeypatch.setattr(module, "open", refused)
+    state = bootstrap(loop_corpus, loop_generator, HPARAMS, SEARCH)
+    monkeypatch.undo()
+    assert opened == [] and list(tmp_path.iterdir()) == []
+    assert state.history[0]["iteration"] == 0
+
+
+def test_a_round_record_gives_back_the_bootstrap_state(state0, loop_corpus):
+    record = json.loads(json.dumps(selftrain.round_record(state0, "sha")))
+    resumed = selftrain.resumed_bootstrap(record, "sha", loop_corpus, state0.discriminator,
+                                          HPARAMS)
+    assert resumed == state0
+    assert list(state0.history[0]) == list(selftrain.HISTORY_KEYS)
 
 
 def test_bootstrap_starts_at_iteration_zero(state0):
