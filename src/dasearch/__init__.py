@@ -2,9 +2,8 @@
 
 `import dasearch` loads no other module: each name below is looked up in its
 defining module when it is asked for (PEP 562). numpy comes only with the
-discriminator module and with the generator's first row, so a program that
-neither decodes nor trains a discriminator, as one that only trains a
-generator, never imports it.
+discriminator functions that featurise batches, train and evaluate, so a
+program that trains a generator or decodes never imports it.
 """
 
 import importlib

@@ -44,9 +44,10 @@ from dasearch.corpus import (
 )
 from dasearch.metrics import evaluate_system
 
-# The model modules (and numpy) are imported by the commands that use them, so
-# --help, make-corpus and evaluate start without them. Functions are called
-# through their modules, whose attributes tests and the benchmark rebind.
+# The model modules are imported by the commands that use them, so --help,
+# make-corpus and evaluate start without them; only training the discriminator
+# imports numpy. Functions are called through their modules, whose attributes
+# tests and the benchmark rebind.
 if TYPE_CHECKING:
     from dasearch.decoder import SearchConfig
     from dasearch.selftrain import DiscriminatorHparams
@@ -381,8 +382,10 @@ def cmd_train_generator(cfg: RunConfig, args, out_dir: Path):
     train_path = _required_path(cfg, "train_path")
     vocab_path = Path(_required_path(cfg, "vocab_path"))
     model_path = Path(_required_path(cfg, "generator_model"))
-    vocab = build_vocabulary(load_corpus(train_path), min_count=cfg.min_count)
-    corpus = load_corpus(train_path, vocab)
+    corpus = load_corpus(train_path)  # read once, with the file's full vocabulary
+    vocab = build_vocabulary(corpus, min_count=cfg.min_count)
+    if vocab != corpus.vocab:  # min_count left tokens out
+        corpus = corpus.reencoded(vocab)
     model = generator.train_generator(corpus, order=cfg.order, kappa=cfg.kappa,
                                       lambda_copy=cfg.lambda_copy)
     vocab.save(vocab_path)

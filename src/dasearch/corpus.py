@@ -209,6 +209,14 @@ class Corpus:
         """The pairs whose id is in `ids`, in corpus order, same vocab and split."""
         return Corpus(tuple(p for p in self.pairs if p.id in ids), self.vocab, self.split)
 
+    def reencoded(self, vocab: Vocabulary) -> "Corpus":
+        """The same pairs with each token's id in `vocab`, UNK for a token it
+        lacks, as load_corpus would encode them with `vocab`."""
+        def ids(tokens):
+            return vocab.encode(self.vocab.decode(tokens))
+        return Corpus(tuple(DocumentPair(p.id, ids(p.source), ids(p.reference))
+                            for p in self.pairs), vocab, self.split)
+
 
 def read_records(path):
     """(where, record) for every non-blank line of the JSON-lines file `path`;

@@ -36,9 +36,11 @@ sibling survives too) and commits its scored step to the state and its token
 to the index. Expansions are memoised by the prefix's generator tail and
 blocked set, and so is the row the forced EOS of a member still live at
 t_max reads. A memo miss asks the generator for a row once per distinct
-context, ranks it with one stable argsort and reads the log-probabilities it
-keeps as one list. So the only per-step work that grows with the prefix is
-the survivors' token tuples and their siblings' copies."""
+context and takes the k best of it (Row.top), which ranks tokens by
+probability and breaks a tie at equal probability by token id, and so by
+log-probability except where two probabilities share a logarithm. So the
+only per-step work that grows with the prefix is the survivors' token tuples
+and their siblings' copies."""
 
 from __future__ import annotations
 
@@ -134,49 +136,43 @@ def _extend_block_index(index: dict, tokens, token: int) -> None:
 
 
 def _expansion(generator, source, k: int):
-    """`(expand, ranking)`, memoised for one search. `ranking(tokens)` is the
-    generator's log-probabilities after `tokens` and its token ids best
-    first, ties by id; `expand(tokens, blocked)` is the finite (token, logp)
-    pairs among the k best of that ranking once the `blocked` tokens leave
-    it. Given the source both depend only on the generator's context of the
-    prefix (and the blocked set), and the context only on the prefix's tail,
-    its last order - 1 tokens. So each is kept by tail (and blocked set) for
-    as long as the search lasts; the context is asked once per distinct
-    tail, and the ranking is made once per distinct context."""
+    """`(expand, row)`, memoised for one search. `row(tokens)` is the
+    generator's Row after `tokens`; `expand(tokens, blocked)` is the finite
+    (token, logp) pairs among the k best of that row's ranking once the
+    `blocked` tokens leave it. Given the source both depend only on the
+    generator's context of the prefix (and the blocked set), and the context
+    only on the prefix's tail, its last order - 1 tokens. So each is kept by
+    tail (and blocked set) for as long as the search lasts; the context is
+    asked once per distinct tail, and the row is made once per distinct
+    context."""
     order = generator.order
-    by_tail, ranking_of_tail, ranking_of_context = {}, {}, {}
+    by_tail, row_of_tail, row_of_context = {}, {}, {}
 
-    def ranking(tokens):
+    def row(tokens):
         tail = tokens[1 - order:] if order > 1 else ()
-        found = ranking_of_tail.get(tail)
+        found = row_of_tail.get(tail)
         if found is None:
             context = generator.context(tokens)
-            found = ranking_of_context.get(context)
+            found = row_of_context.get(context)
             if found is None:
-                lp = generator.next_logprobs(source, tokens)
-                found = ranking_of_context[context] = (lp, (-lp).argsort(kind="stable"))
-            ranking_of_tail[tail] = found
+                found = row_of_context[context] = generator.next_logprobs(source, tokens)
+            row_of_tail[tail] = found
         return found
 
     def expand(tokens, blocked: frozenset[int]) -> list[tuple[int, float]]:
         key = (tokens[1 - order:] if order > 1 else (), blocked)
         top = by_tail.get(key)
         if top is None:
-            lp, ids = ranking(tokens)
-            top = []
-            # blocked tokens leave the ranking; the others keep their order
-            sel = ids[: k + len(blocked)]
-            for tok, val in zip(sel.tolist(), lp[sel].tolist()):
-                if not math.isfinite(val):  # zero probability: so is the rest
-                    break
-                if tok not in blocked:
-                    top.append((tok, val))
-                    if len(top) == k:
-                        break
+            top = row(tokens).top(k + len(blocked))
+            if blocked or top and top[-1][1] == -math.inf:
+                # blocked and zero-probability tokens leave the ranking; the others keep
+                # their order, and the rest of a ranking after a zero is zero too
+                top = [(tok, val) for tok, val in top
+                       if val != -math.inf and tok not in blocked][:k]
             by_tail[key] = top
         return top
 
-    return expand, ranking
+    return expand, row
 
 
 def _final_sort(pool, config: SearchConfig):
@@ -210,7 +206,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
         raise DecoderError("discriminator required unless alpha == 0")
     rerank = discriminator is not None and config.alpha > 0.0
     block = config.block_repeated_trigrams
-    expand, ranking = _expansion(generator, source, config.k_rerank)
+    expand, row = _expansion(generator, source, config.k_rerank)
     eos = Vocabulary.eos
     beam_size = config.beam_size
 
@@ -301,7 +297,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
     final = []
     for rank, (tokens, s_gen, s_dis, s_das, ended) in enumerate(pool):
         if not ended:
-            s_gen += float(ranking(tokens)[0][eos])
+            s_gen += row(tokens)[eos]
             s_dis, s_das = None, s_gen
             if rerank:
                 dis_prob = score_next(states[rank], eos)[0]

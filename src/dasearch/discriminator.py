@@ -9,6 +9,10 @@ prefix of a sequence is one example, and the sequence is one feature chain.
 eq2_objective sums the objective example by example; training takes it once,
 after the last epoch, as the model's final_objective. accuracy_by_length
 counts the examples classified right per prefix length.
+
+The weights are array('d') and inference reads them as Python floats, so
+loading a model and scoring prefixes import no numpy; the functions that
+featurise batches, train and evaluate import it when they are called.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import struct
 import zlib
 from array import array
 from dataclasses import dataclass, field, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_body, read_header
 
@@ -34,6 +37,9 @@ DENSE_FEATURES = (
     "eos_flag",        # last token is EOS
 )
 N_DENSE = len(DENSE_FEATURES)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DiscriminatorError(ValueError):
@@ -182,7 +188,7 @@ class PrefixFeaturizer:
         if column is None:
             column = self._column_of[index] = len(self.columns)
             self.columns.append(index)
-            self._weights.append(self._sparse_w.item(index))
+            self._weights.append(float(self._sparse_w[index]))
         self._column[key] = column
         return column
 
@@ -250,6 +256,7 @@ def extract_features(source, prefix, config: FeatureConfig) -> tuple[list, list]
 def prefix_features(sequences, config: FeatureConfig) -> FeatureBatch:
     """The features of every prefix of every (source, tokens) sequence, in
     order, as one FeatureBatch: each sequence is walked once, as one chain."""
+    import numpy as np
     featurizer = PrefixFeaturizer(config)
     score_next, commit = featurizer.score_next, featurizer.commit
     dense, ts, offset = array("d"), array("q"), array("q")
@@ -299,8 +306,8 @@ def _step_records(batch: FeatureBatch) -> list[tuple]:
 @dataclass
 class DiscriminatorModel:
     config: FeatureConfig
-    dense_w: np.ndarray
-    sparse_w: np.ndarray
+    dense_w: array  # N_DENSE doubles
+    sparse_w: array  # d_hash doubles
     bias: float
     final_objective: float = 0.0
     # what a bootstrap model was trained from (selftrain.bootstrap_provenance), by key
@@ -309,7 +316,7 @@ class DiscriminatorModel:
 
     @classmethod
     def zeros(cls, config: FeatureConfig) -> "DiscriminatorModel":
-        return cls(config, np.zeros(N_DENSE), np.zeros(config.d_hash), 0.0)
+        return cls(config, array("d", [0.0]) * N_DENSE, array("d", [0.0]) * config.d_hash, 0.0)
 
     def score_features(self, batch: FeatureBatch) -> list[float]:
         """D of every row of `batch`: _sigmoid of its logit."""
@@ -341,7 +348,7 @@ class DiscriminatorModel:
             f.write("dense " + " ".join(repr(float(v)) for v in self.dense_w) + "\n")
             f.write("provenance " + " ".join(f"{key}={value}" for key, value
                                              in self.provenance.items()) + "\n")
-            for i in np.nonzero(self.sparse_w)[0]:
+            for i in itertools.compress(itertools.count(), self.sparse_w):
                 f.write(f"{i} {float(self.sparse_w[i])!r}\n")
 
     @classmethod
@@ -370,9 +377,9 @@ class DiscriminatorModel:
                 final_objective = finite_float(read_header(f, "final_objective"))
                 logfreq = tuple(map(finite_float, read_header(f, "logfreq", many=True)))
                 bias = finite_float(read_header(f, "bias"))
-                dense = np.array([finite_float(v) for v in read_header(f, "dense", many=True)])
-                if dense.size != N_DENSE:
-                    raise ValueError(f"{dense.size} dense weights, not {N_DENSE}")
+                dense = array("d", map(finite_float, read_header(f, "dense", many=True)))
+                if len(dense) != N_DENSE:
+                    raise ValueError(f"{len(dense)} dense weights, not {N_DENSE}")
                 provenance = {}
                 for entry in read_header(f, "provenance", many=True):
                     key, sep, value = entry.partition("=")
@@ -388,7 +395,7 @@ class DiscriminatorModel:
                                    logfreq=logfreq, vocab_hash="".join(vocab_hash))
         except DiscriminatorError as e:
             raise DiscriminatorError(f"discriminator model file {path}: {e}") from None
-        sparse = np.zeros(d_hash)
+        sparse = array("d", [0.0]) * d_hash
         for i, w in sparse_entries.items():
             if not 0 <= i < d_hash:
                 raise DiscriminatorError(f"discriminator model file {path}: sparse index {i} "
@@ -430,13 +437,14 @@ def build_prefix_sets(corpus: Corpus, generations: dict, t_max: int = 140):
 def _logits(model: DiscriminatorModel, batch: FeatureBatch) -> np.ndarray:
     """`logit` of every row of `batch`, bit for bit, in array arithmetic:
     the same additions in the same order, element by element."""
+    import numpy as np
     zd = np.zeros(len(batch))
     for j in range(N_DENSE):
         zd += batch.dense[:, j] * model.dense_w[j]
     # the running sums of the weights along each chain's hits, from 0.0 as
     # logit sums them: + 0.0 turns a -0.0 weight into 0.0 and leaves every
     # other weight, and so every running sum, as it is
-    sums = (model.sparse_w[batch.columns] + 0.0)[batch.hits]
+    sums = (np.asarray(model.sparse_w)[batch.columns] + 0.0)[batch.hits]
     for a, b in itertools.pairwise(batch.chain_ptr.tolist()):
         np.add.accumulate(sums[a:b], out=sums[a:b])
     S = sums[batch.offset + 2 * batch.t - 2]
@@ -492,7 +500,10 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     fewer than t distinct columns reads and moves each once (S sums c * w
     from 0.0 over its pairs, w moves by (step / t) * c); any other row sums
     its hits as `logit` does and moves each by step / t: equal up to
-    rounding, the same bits if every c is 1."""
+    rounding, the same bits if every c is 1. The model's weights are
+    array('d'); training steps a list of the batch's sparse weights and
+    writes it back through a numpy view of sparse_w."""
+    import numpy as np
     n_H = sum(len(tokens) for _, tokens in H)
     if not n_H or not any(tokens for _, tokens in G):
         raise DiscriminatorError("H and G must each hold a prefix")
@@ -502,7 +513,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
                            if getattr(init.config, f.name) != getattr(config, f.name))
         raise DiscriminatorError(f"the warm-start model's feature settings differ in {differ}")
     model = DiscriminatorModel.zeros(config) if init is None else DiscriminatorModel(
-        config, init.dense_w.copy(), init.sparse_w.copy(), init.bias)
+        config, array("d", init.dense_w), array("d", init.sparse_w), float(init.bias))
 
     first_row, sequences, row_of, n_rows = {}, [], array("q"), 0
     for source, tokens in itertools.chain(H, G):
@@ -521,8 +532,9 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     # row used, all from the row's step record, which every example of the row shares
     examples = np.fromiter(map(_step_records(batch).__getitem__, row_of), object, n_total)
     hits, exp = batch.hits.tolist(), math.exp
-    w0, w1, w2, w3, w4, w5, w6 = model.dense_w.tolist()
-    w, bias = model.sparse_w[batch.columns].tolist(), float(model.bias)
+    w0, w1, w2, w3, w4, w5, w6 = model.dense_w
+    sparse_w = np.frombuffer(model.sparse_w)  # a view: writes reach the model
+    w, bias = sparse_w[batch.columns].tolist(), float(model.bias)
     rng, order = np.random.default_rng(seed), np.arange(n_total)
     for epoch in range(epochs):
         rng.shuffle(order)
@@ -561,8 +573,8 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
                 for k, c in pairs:
                     w[k] += share * c
             bias += step
-        model.dense_w[:] = w0, w1, w2, w3, w4, w5, w6
-        model.sparse_w[batch.columns] = w
+        model.dense_w = array("d", (w0, w1, w2, w3, w4, w5, w6))
+        sparse_w[batch.columns] = w
         model.bias = bias
     del examples, hits  # the objective reads the batch, not the step records
     model.final_objective = eq2_objective(model, batch, n_H, row_of)
@@ -576,6 +588,7 @@ def accuracy_by_length(model: DiscriminatorModel, H_eval, G_eval, buckets):
 
     Returns a list of integer counts (t, right, n_examples).
     """
+    import numpy as np
     H_eval = list(H_eval)
     batch = prefix_features(itertools.chain(H_eval, G_eval), model.config)
     human = np.arange(len(batch)) < sum(len(tokens) for _, tokens in H_eval)

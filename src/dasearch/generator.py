@@ -6,28 +6,205 @@ where Copy(t|x) = count(t in x)/|x| (no mass on EOS or SOS) and NGram is a
 stupid-backoff model (backoff factor 0.4, additive kappa floor at the
 unigram level) normalized over vocabulary + EOS. SOS is never predicted.
 
-numpy is imported with the first row a process computes (next_probs), so
-training, which only counts n-grams, and saving a model load none.
+Rows are Python floats with the bits numpy gives the same expression on
+float64 arrays: each element is the same IEEE operation, and every sum that
+normalises a distribution adds in numpy's pairwise order (pairwise_sum), so
+the model imports no numpy. The builtin sum is not used on floats: since
+Python 3.12 it compensates, so its bits differ.
+
+A row (Row) builds no vocabulary-long vector. The n-gram term is cached per
+context together with its token ids best first (ngram_terms); the copy term
+is non-zero only on the source's distinct ids, and an id's term depends on
+its count alone (copy_terms). Row.top reads the two only as far as the n
+best can reach.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import filterfalse, islice
+from math import log
 
 from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_body, read_header
 
 BACKOFF = 0.4
-np = None  # the numpy module, once _import_numpy has run
-
-
-def _import_numpy() -> None:
-    global np
-    import numpy
-    np = numpy
 
 
 class GeneratorError(ValueError):
     pass
+
+
+def pairwise_sum(values) -> float:
+    """The sum of a list of floats in the order np.add.reduce adds a
+    contiguous float64 array: from 0.0 plus _pairwise over all of it."""
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values, lo: int, hi: int) -> float:
+    """numpy's pairwise_sum of values[lo:hi]: below 8 values one running sum
+    from 0.0; up to 128, eight running sums over the multiples of eight, added
+    as a tree, then the rest one by one; above that the two halves, split at
+    a multiple of eight."""
+    n = hi - lo
+    if n < 8:
+        total = 0.0
+        for i in range(lo, hi):
+            total += values[i]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[lo:lo + 8]
+        end = hi - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, hi):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, lo + half) + _pairwise(values, lo + half, hi)
+
+
+def _normalised(values: list) -> list:
+    """values / values.sum(), element by element, as numpy divides them."""
+    total = pairwise_sum(values)
+    return [v / total for v in values]
+
+
+def ngram_terms(term: list) -> tuple[list, list, list]:
+    """A row's n-gram term as Row takes it: the term, its token ids by
+    value, highest first, then by id (np.argsort(-term, kind="stable")),
+    and their values negated, ascending."""
+    order = sorted(range(len(term)), key=term.__getitem__, reverse=True)  # stable
+    return term, order, [-term[tok] for tok in order]
+
+
+def copy_terms(counts: Counter, lambda_copy: float) -> tuple:
+    """A source's copy term as Row takes it, from the count of each of its
+    ids, the Counter `counts`, which loses SOS and EOS (and every id at
+    lambda_copy 0). The term of an id is lambda_copy * (count / total), as
+    numpy divides the counts by their sum (total counts the ids left, an
+    exact integer), and zero off them. Returns `counts`, the term of each
+    count (0.0 at count 0) and a memo of Row.top's plan for each n."""
+    total = sum(counts.values()) - counts.pop(Vocabulary.sos, 0) - counts.pop(Vocabulary.eos, 0)
+    if not lambda_copy:
+        counts.clear()
+    terms = [lambda_copy * (count / total) if count else 0.0
+             for count in range(max(counts.values(), default=0) + 1)]
+    return counts, terms, {}
+
+
+def _plan(counts: Counter, terms: list, n: int) -> tuple:
+    """How Row.top finds the n best tokens of a source's rows: the ids whose
+    counts are so large that they fit in n whole, as (-copy term, id) pairs;
+    and, when the source has more ids than n, (the count of the (n + 1)-th
+    largest, its copy term, the ids of that count, the copy term of the next
+    smaller count or 0.0)."""
+    ids = sorted(counts, key=counts.__getitem__, reverse=True)
+    if n >= len(ids):
+        return [(-terms[counts[tok]], tok) for tok in ids], None
+    count = counts[ids[n]]
+
+    def key(tok):
+        return -counts[tok]
+
+    start = bisect_left(ids, -count, key=key)
+    end = bisect_right(ids, -count, start, key=key)
+    below = terms[counts[ids[end]]] if end < len(ids) else 0.0
+    return ([(-terms[counts[tok]], tok) for tok in ids[:start]],
+            (count, terms[count], frozenset(ids[start:end]), below))
+
+
+class Row:
+    """The next-token distribution after one prefix of one source.
+
+    row.prob(tok) is tok's probability, lambda_copy * Copy + (1 - lambda_copy)
+    * NGram as numpy adds the two terms (0.0 + the n-gram term off the
+    source's ids, which is that term), and row[tok] its math.log, -inf where
+    it is zero. row.top(n) is the n most probable (token, log-probability)
+    pairs, by probability, then by token id, memoised for the largest n
+    asked.
+
+    top sums and sorts only the tokens that can be among them. The source's
+    ids of one count have one copy term, and among them, as among the other
+    tokens, probability follows the n-gram term, whose order the row's
+    context keeps. So top takes the ids whose counts are so large that they
+    fit in n whole, then the best ids of the next count in n-gram order up to
+    n tokens: n tokens at or above the least of them, a floor under the n-th
+    best. Past the floor it reads that count's ids on while they reach it,
+    and the tokens whose n-gram term reaches it less the next count's copy
+    term (0.0 when none is left)."""
+
+    __slots__ = ("_ngram", "_copy", "_top", "_asked")
+
+    def __init__(self, ngram: tuple, copy: tuple):
+        self._ngram = ngram  # (the n-gram term, its ids best first, their values negated)
+        self._copy = copy  # copy_terms of the source
+        self._top, self._asked = [], 0
+
+    def prob(self, tok: int) -> float:
+        counts, terms = self._copy[:2]
+        return terms[counts.get(tok, 0)] + self._ngram[0][tok]
+
+    def __getitem__(self, tok: int) -> float:
+        p = self.prob(tok)
+        return log(p) if p > 0.0 else -math.inf
+
+    def top(self, n: int) -> list:
+        if n <= self._asked:
+            return self._top if n == self._asked else self._top[:n]
+        term, order, neg_term = self._ngram
+        counts, terms, plans = self._copy
+        plan = plans.get(n)
+        if plan is None:
+            plan = plans[n] = _plan(counts, terms, n)
+        whole, rest = plan
+        # (-probability, id) of the tokens that can be among the n best: -c - g is
+        # -(c + g). Loops, not comprehensions, as these run a few times per row.
+        best = []
+        append = best.append
+        for neg_c, tok in whole:
+            append((neg_c - term[tok], tok))
+        if rest is None:  # the whole source, and the others by n-gram term
+            for tok in islice(filterfalse(counts.__contains__, order), n):
+                append((-term[tok], tok))
+        else:
+            # the best ids of the next count by n-gram term, up to n: their least
+            # is a floor under the n-th best; then that count's ids while they reach it
+            count, c, members, below = rest
+            stream = filter(members.__contains__, order)
+            for tok in islice(stream, n - len(whole)):
+                append((-(c + term[tok]), tok))
+            floor = max(best)[0]  # negated
+            for tok in stream:
+                q = -(c + term[tok])
+                if q > floor:
+                    break
+                append((q, tok))
+            # the tokens of smaller counts (or none) whose n-gram term reaches the
+            # floor less the next count's term; a rounded sum reaches the floor only
+            # if its exact one comes within 2^-53 of it, so 2^-50 less lets none
+            # through that can reach it
+            get = counts.get
+            for tok in order[:bisect_right(neg_term, below + floor + 2.0 ** -50)]:
+                j = get(tok, 0)
+                if j < count:
+                    append((-(terms[j] + term[tok]), tok))
+        best.sort()
+        top = []
+        for q, tok in best[:n]:
+            top.append((tok, log(-q) if q < 0.0 else -math.inf))
+        self._top, self._asked = top, n
+        return top
 
 
 class NGramCopyModel:
@@ -50,13 +227,13 @@ class NGramCopyModel:
         self._clear_caches()
 
     def _clear_caches(self) -> None:
-        # context() per tail and the n-gram term per context(), each at most 1 +
-        # the model's table keys; the copy term of the last source. No cached
-        # array leaves the model: next_probs returns a new sum of two.
+        # context() per tail and the n-gram term with its order per context(), each
+        # at most 1 + the model's table keys; the unigram level; the copy term of
+        # the last source
         self._context_of_tail: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        self._lm_cache: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
-        self._copy_cache: tuple[tuple[int, ...], np.ndarray | None] = ((), None)
-        self._zero_beyond_sos = False  # whether a cached n-gram term is zero beyond SOS
+        self._lm_cache: dict[tuple[tuple[int, ...], ...], tuple[list, list, list]] = {}
+        self._unigram: list | None = None
+        self._copy_cache: tuple[tuple[int, ...], tuple | None] = ((), None)
 
     # -- training ------------------------------------------------------------
 
@@ -91,72 +268,56 @@ class NGramCopyModel:
         context = self._context_of_tail[tail] = tuple(context)
         return context
 
-    def _ngram_term(self, context: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    def _ngram_term(self, context: tuple[tuple[int, ...], ...]) -> tuple[list, list, list]:
+        """ngram_terms of (1 - lambda_copy) * NGram after `context`."""
         cached = self._lm_cache.get(context)
         if cached is not None:
             return cached
-        nv = len(self.vocab)
-        # unigram level with additive floor
-        probs = np.full(nv, self.kappa)
-        for tok, c in self.counts[1].get((), {}).items():
-            probs[tok] += c
-        probs[Vocabulary.sos] = 0.0
-        probs /= probs.sum()
+        probs = self._unigram
+        if probs is None:  # unigram level with additive floor
+            probs = [self.kappa] * len(self.vocab)
+            for tok, c in self.counts[1].get((), {}).items():
+                probs[tok] += c
+            probs[Vocabulary.sos] = 0.0
+            probs = self._unigram = _normalised(probs)
         # stupid backoff: overlay observed higher-order continuations
         for ctx in context:
             table = self.counts[len(ctx) + 1][ctx]
-            total = sum(table.values())
-            overlaid = BACKOFF * probs
+            total = sum(table.values())  # of ints: exact
+            overlaid = [BACKOFF * p for p in probs]
             for tok, c in table.items():
                 overlaid[tok] = c / total
             overlaid[Vocabulary.sos] = 0.0
-            probs = overlaid / overlaid.sum()
-        term = (1.0 - self.lambda_copy) * probs  # the very bits of probs when lambda_copy is 0
-        # SOS is zero; lambda_copy 1, or an underflow at a tiny kappa, zeroes more
-        self._zero_beyond_sos |= bool(np.count_nonzero(term) < nv - 1)
-        self._lm_cache[context] = term
-        return term
+            probs = _normalised(overlaid)
+        scale = 1.0 - self.lambda_copy
+        # the very bits of probs when lambda_copy is 0
+        cached = self._lm_cache[context] = ngram_terms([scale * p for p in probs])
+        return cached
 
-    def _copy_term(self, source) -> np.ndarray:
+    def _copy_term(self, source) -> tuple:
+        """copy_terms of the source, checked against the vocabulary; the last
+        source's are kept."""
         key, (last, term) = tuple(source), self._copy_cache
         if key is last or key == last:
             return term
-        nv = len(self.vocab)
-        counts = np.bincount(key, minlength=nv) if min(key) >= 0 else ()
-        if len(counts) != nv:  # an id below 0, or nv or above
+        nv, counts = len(self.vocab), Counter(key)
+        if min(counts) < 0 or max(counts) >= nv:
             bad = next(tok for tok in key if not 0 <= tok < nv)
             raise GeneratorError(f"source token id {bad} is outside the {nv}-token vocabulary")
-        probs = counts.astype(np.float64)
-        probs[[Vocabulary.sos, Vocabulary.eos]] = 0.0
-        total = probs.sum()
-        if total > 0:
-            probs /= total
-        term = self.lambda_copy * probs
+        term = copy_terms(counts, self.lambda_copy)
         self._copy_cache = (key, term)  # a search asks about one source: keep the last only
         return term
 
-    def next_probs(self, source, prefix) -> np.ndarray:
-        """lambda_copy * Copy + (1 - lambda_copy) * NGram, as a new array, the sum
-        of the two cached terms (+0.0 + NGram at lambda_copy 0): numpy computes that
-        expression as exactly these two products and their sum, so the bits are the same."""
+    def next_logprobs(self, source, prefix) -> Row:
+        """The Row of the next token after `prefix` given `source`: the
+        mixture lambda_copy * Copy + (1 - lambda_copy) * NGram, with the bits
+        numpy computes for it as the two products and their sum."""
         if len(source) == 0:
             raise GeneratorError("empty source")
         if len(prefix) == 0 or prefix[0] != Vocabulary.sos:
             raise GeneratorError("prefix must begin with SOS")
-        if np is None:  # this process's first row
-            _import_numpy()
-        lm = self._ngram_term(self.context(prefix))
-        return self._copy_term(source) + lm  # checks each new source's ids
-
-    def next_logprobs(self, source, prefix) -> np.ndarray:
-        """log next_probs, -inf at its zeros (SOS's, and any where an n-gram term
-        is zero), which np.log meets as ones, so that it does not warn."""
-        row = self.next_probs(source, prefix)
-        zeros = np.flatnonzero(row == 0.0) if self._zero_beyond_sos else Vocabulary.sos
-        row[zeros] = 1.0
-        np.log(row, out=row)
-        row[zeros] = -np.inf
-        return row
+        ngram = self._ngram_term(self.context(prefix))
+        return Row(ngram, self._copy_term(source))  # checks each new source's ids
 
     # -- persistence -------------------------------------------------------------
 

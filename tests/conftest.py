@@ -61,6 +61,13 @@ def sequence_logprob(generator, source, y) -> float:
     return total
 
 
+def row_probs(generator, source, prefix) -> np.ndarray:
+    """The probability of every token after `prefix` given `source`, as the
+    generator's Row gives them, in one array."""
+    row = generator.next_logprobs(source, prefix)
+    return np.array([row.prob(tok) for tok in range(len(generator.vocab))])
+
+
 def eq2_gradient(model: DiscriminatorModel, batch: FeatureBatch, n_human: int):
     """Analytic gradient of the objective w.r.t. (dense_w, sparse_w, bias) of
     a labelled batch whose first n_human rows are human: X^T c over the

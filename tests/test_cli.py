@@ -17,9 +17,10 @@ import pytest
 
 from dasearch import cli, decoder, discriminator, selftrain
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
-from dasearch.corpus import Vocabulary, load_corpus
+from dasearch.corpus import Vocabulary, build_vocabulary, load_corpus
 from dasearch.decoder import SearchConfig
 from dasearch.discriminator import DiscriminatorModel
+from dasearch.generator import train_generator
 from dasearch.selftrain import DiscriminatorHparams
 
 from conftest import CORPUS_FILE_REFUSALS
@@ -931,6 +932,37 @@ def test_train_generator_refuses_a_lambda_copy_of_one(pipeline, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("min_count", [1, 2])
+def test_train_generator_reads_the_train_split_once(pipeline, tmp_path, monkeypatch, min_count):
+    """train-generator reads and tokenises the train split once, and writes
+    the bytes that building the vocabulary from one read and encoding a
+    second read with it write: at min_count 2 the tokens seen once become
+    UNK in memory, as they would on a second read."""
+    root, cfg = pipeline
+    train = tmp_path / "train.jsonl"  # the split, and a pair with a word seen once
+    train.write_text((root / "out" / "train.jsonl").read_text()
+                     + json.dumps({"id": "rare", "source": "a quokka slept",
+                                   "summary": "it slept"}) + "\n")
+    path = derive_config(cfg, tmp_path, train_path=str(train),
+                         vocab_path=str(tmp_path / "vocab.txt"),
+                         generator_model=str(tmp_path / "generator.model"), min_count=min_count)
+    reads = []
+    monkeypatch.setattr(cli, "load_corpus",
+                        lambda *args, **kwargs: reads.append(args) or load_corpus(*args, **kwargs))
+    assert main(["train-generator", "--config", str(path)]) == 0
+    assert len(reads) == 1
+    run = RunConfig.from_file(path)
+    full = load_corpus(run.train_path)
+    vocab = build_vocabulary(full, min_count=min_count)
+    assert (len(vocab) < len(full.vocab)) == (min_count == 2)
+    model = train_generator(load_corpus(run.train_path, vocab), order=run.order, kappa=run.kappa,
+                            lambda_copy=run.lambda_copy)
+    vocab.save(tmp_path / "two-reads-vocab.txt")
+    model.save(tmp_path / "two-reads-generator.model")
+    for name in ("vocab.txt", "generator.model"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"two-reads-{name}").read_bytes()
+
+
 def test_decode_rejects_a_discriminator_of_an_equal_sized_vocabulary(pipeline, tmp_path,
                                                                       capsys):
     root, cfg = pipeline
@@ -1280,20 +1312,31 @@ def _loaded_after(code: str) -> set:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+# the small sweep the tests below run: both kinds of cell, two pairs
+SWEEP_FLAGS = ["--k-rerank", "1,3", "--alphas", "0,1", "--subset-size", "2",
+               "--repetitions", "1", "--split", "validation"]
+# decoding loads the generator, the decoder and the discriminator's inference half
+DECODE_NOT_LOADED = {"numpy", "dasearch.selftrain"}
+
+
 @pytest.mark.parametrize("command, not_loaded", [
     ("--help", MODEL_MODULES),
     ("make-corpus", MODEL_MODULES),
     ("evaluate", MODEL_MODULES),
     ("train-generator", MODEL_MODULES - {"dasearch.generator"}),
+    ("decode --mode plain --split test", DECODE_NOT_LOADED),
+    ("decode --mode das --split test", DECODE_NOT_LOADED),
+    (" ".join(["sweep", *SWEEP_FLAGS]), DECODE_NOT_LOADED),
 ])
 def test_a_command_loads_only_the_modules_it_runs(pipeline, tmp_path, command, not_loaded):
     root, cfg = pipeline
+    command, *flags = command.split()
     overrides = {}
     if command == "train-generator":  # its own models, not over the shared ones
         overrides = {"vocab_path": str(tmp_path / "vocab.txt"),
                      "generator_model": str(tmp_path / "generator.model")}
     path = derive_config(cfg, tmp_path, **overrides)
-    argv = [command] if command == "--help" else [command, "--config", str(path)]
+    argv = [command] if command == "--help" else [command, "--config", str(path), *flags]
     if command == "evaluate":
         corpus = load_corpus(root / "out" / "test.jsonl",
                              Vocabulary.load(root / "out" / "vocab.txt"))
@@ -1304,6 +1347,36 @@ def test_a_command_loads_only_the_modules_it_runs(pipeline, tmp_path, command, n
     loaded = _loaded_after(f"from dasearch import cli\nassert cli.main({argv!r}) == 0")
     assert "dasearch.cli" in loaded
     assert sorted(loaded & not_loaded) == []
+
+
+# run in a fresh interpreter in which numpy cannot be imported: sys.argv[1:]
+# are the arguments of cli.main
+WITHOUT_NUMPY = ("import sys\nsys.modules['numpy'] = None\nfrom dasearch import cli\n"
+                 "raise SystemExit(cli.main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["decode", "--mode", "plain", "--split", "test"], "generations-plain-test.jsonl"),
+    (["decode", "--mode", "das", "--split", "test"], "generations-das-test.jsonl"),
+    (["sweep", *SWEEP_FLAGS], "sweep.csv"),
+])
+def test_decode_and_sweep_run_without_numpy(pipeline, tmp_path, argv, output):
+    """decode (both modes) and sweep run where numpy cannot be imported, and
+    write the bytes they write where it can."""
+    _, cfg = pipeline
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    written = []
+    for name, code in (("with", None), ("without", WITHOUT_NUMPY)):
+        (tmp_path / name).mkdir()
+        run = [argv[0], "--config", str(derive_config(cfg, tmp_path / name)), *argv[1:]]
+        if code is None:
+            assert main(run) == 0
+        else:
+            proc = subprocess.run([sys.executable, "-c", code, *run], env=env, timeout=300,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        written.append((tmp_path / name / output).read_bytes())
+    assert written[0] == written[1]
 
 
 def test_importing_the_package_loads_nothing_else():

@@ -37,7 +37,7 @@ from dasearch.generator import train_generator
 from dasearch.selftrain import bootstrap, DiscriminatorHparams
 
 from conftest import (_blocked_tokens, exhaustive_oracle, make_corpus, make_vocab,
-                      reference_search, s_gen_extend, sequence_logprob)
+                      reference_search, row_probs, s_gen_extend, sequence_logprob)
 
 SOS, EOS = Vocabulary.sos, Vocabulary.eos
 
@@ -185,11 +185,11 @@ def test_trigram_block_rule_removes_repeats_from_outputs(synth_corpus, synth_gen
 def fresh_expansion(blank, source, tokens, blocked, k):
     """The k best next tokens after `tokens` as the search ranks them, from a
     generator with nothing cached, unpickled from `blank`: (token, logp bits),
-    finite ones only."""
-    lp = pickle.loads(blank).next_logprobs(source, tokens).copy()
-    lp[list(blocked)] = -np.inf
-    return [(int(tok), float(lp[tok]).hex())
-            for tok in np.argsort(-lp, kind="stable")[:k] if np.isfinite(lp[tok])]
+    finite ones only, ranked by numpy's stable argsort of the probabilities."""
+    p = row_probs(pickle.loads(blank), source, tokens)
+    p[list(blocked)] = -1.0  # below every probability, and dropped with the zeros
+    return [(int(tok), math.log(p[tok]).hex())
+            for tok in np.argsort(-p, kind="stable")[:k] if p[tok] > 0.0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -252,8 +252,8 @@ def test_greedy_equals_manual_argmax_walk(synth_corpus, synth_generator):
         best = plain_beam_search(synth_generator, p.source, config)[0]
         tokens = (SOS,)
         for _ in range(60):
-            lp = synth_generator.next_logprobs(p.source, tokens)
-            top = int(np.flatnonzero(lp == lp.max())[0])  # lowest id on ties
+            probs = row_probs(synth_generator, p.source, tokens)
+            top = int(np.flatnonzero(probs == probs.max())[0])  # lowest id on ties
             tokens += (top,)
             if top == EOS:
                 break

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -1046,6 +1047,8 @@ def test_model_load_rejects_a_repeated_sparse_index(tmp_path):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_save_load_save_is_byte_identical_and_scores_the_same(data):
+    """A model file read back writes the same bytes, whether its weights are
+    numpy arrays or array('d'), and loads as array('d') that scores alike."""
     n_vocab = 7  # ids 3..6 are tokens
     weights = st.floats(-30.0, 30.0)
     d_hash = data.draw(st.integers(1, 64), label="d_hash")
@@ -1068,12 +1071,20 @@ def test_save_load_save_is_byte_identical_and_scores_the_same(data):
         sparse, data.draw(weights, label="bias"),
         final_objective=data.draw(st.floats(-1e3, 0.0), label="final_objective"),
         provenance=provenance)
+    # the same weights as array('d'), the form load and training give
+    doubles = DiscriminatorModel(config, array("d", model.dense_w), array("d", model.sparse_w),
+                                 model.bias, final_objective=model.final_objective,
+                                 provenance=provenance)
     with tempfile.TemporaryDirectory() as tmp:
-        first, second = Path(tmp, "first.model"), Path(tmp, "second.model")
+        first, second, third = (Path(tmp, f"{name}.model") for name in ("first", "second", "third"))
         model.save(first)
         loaded = DiscriminatorModel.load(first)
         loaded.save(second)
         assert second.read_bytes() == first.read_bytes()
+        doubles.save(third)
+        assert third.read_bytes() == first.read_bytes()
+    assert isinstance(loaded.dense_w, array) and isinstance(loaded.sparse_w, array)
+    assert list(loaded.sparse_w) == model.sparse_w.tolist()  # -0.0 is not written
     assert loaded.config == config and loaded.final_objective == model.final_objective
     assert loaded.provenance == provenance
     tokens = st.lists(st.integers(3, n_vocab - 1), min_size=1, max_size=8)

@@ -3,7 +3,8 @@ import pickle
 import random
 import re
 import tempfile
-import warnings
+from array import array
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dasearch.corpus import Corpus, Vocabulary
-from dasearch.generator import BACKOFF, GeneratorError, NGramCopyModel, train_generator
+from dasearch.generator import (BACKOFF, GeneratorError, NGramCopyModel, Row, copy_terms,
+                                ngram_terms, pairwise_sum, train_generator)
 
-from conftest import make_corpus, make_vocab, sequence_logprob
+from conftest import make_corpus, make_vocab, row_probs, sequence_logprob
 
 SOS, EOS = Vocabulary.sos, Vocabulary.eos
 
@@ -60,7 +62,7 @@ def test_constructor_validates_hyperparameters(abc_vocab):
 
 def test_untrained_kappa_floor_is_uniform_over_non_sos(abc_vocab):
     model = NGramCopyModel(abc_vocab, order=2, kappa=1.0, lambda_copy=0.0)
-    probs = model.next_probs([3], [SOS])
+    probs = row_probs(model, [3], [SOS])
     assert probs[SOS] == 0.0
     rest = np.delete(probs, SOS)
     assert np.allclose(rest, 1.0 / (len(abc_vocab) - 1))
@@ -70,7 +72,7 @@ def test_untrained_kappa_floor_is_uniform_over_non_sos(abc_vocab):
 def test_pure_copy_distribution(abc_vocab):
     model = NGramCopyModel(abc_vocab, lambda_copy=1.0)
     a, b, c = (abc_vocab.id_of(t) for t in "abc")
-    probs = model.next_probs([a, a, b], [SOS])
+    probs = row_probs(model, [a, a, b], [SOS])
     assert math.isclose(probs[a], 2 / 3, abs_tol=1e-12)
     assert math.isclose(probs[b], 1 / 3, abs_tol=1e-12)
     assert probs[c] == 0.0 and probs[EOS] == 0.0
@@ -82,7 +84,7 @@ def test_half_mixture_matches_hand_arithmetic(ab_corpus, abc_vocab):
     # copy for source [a, a, b] -> a=2/3, b=1/3
     model = train_generator(ab_corpus, order=1, kappa=1.0, lambda_copy=0.5)
     a, b = abc_vocab.id_of("a"), abc_vocab.id_of("b")
-    probs = model.next_probs([a, a, b], [SOS])
+    probs = row_probs(model, [a, a, b], [SOS])
     expected = 0.5 * np.array([0, 2, 1, 2, 2, 1]) / 8.0
     expected[a] += 0.5 * 2 / 3
     expected[b] += 0.5 * 1 / 3
@@ -92,18 +94,17 @@ def test_half_mixture_matches_hand_arithmetic(ab_corpus, abc_vocab):
 def test_mixture_is_linear_in_lambda(ab_corpus, abc_vocab):
     a, b = abc_vocab.id_of("a"), abc_vocab.id_of("b")
     source, prefix = [a, a, b], [SOS, a]
-    p0 = train_generator(ab_corpus, lambda_copy=0.0).next_probs(source, prefix)
-    p1 = train_generator(ab_corpus, lambda_copy=1.0).next_probs(source, prefix)
-    p_half = train_generator(ab_corpus, lambda_copy=0.5).next_probs(source, prefix)
+    p0, p1, p_half = (row_probs(train_generator(ab_corpus, lambda_copy=lam), source, prefix)
+                      for lam in (0.0, 1.0, 0.5))
     assert np.allclose(p_half, 0.5 * p0 + 0.5 * p1, atol=1e-12)
 
 
 def test_next_probs_input_validation(ab_corpus):
     model = train_generator(ab_corpus)
     with pytest.raises(GeneratorError):
-        model.next_probs([], [SOS])
+        model.next_logprobs([], [SOS])
     with pytest.raises(GeneratorError):
-        model.next_probs([3], [3])
+        model.next_logprobs([3], [3])
 
 
 # --- sequence log-probability ---------------------------------------------------
@@ -168,7 +169,7 @@ def test_partial_scores_strictly_decrease(synth_corpus, synth_generator):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data())
 def test_normalization_over_random_contexts(data, synth_corpus):
-    """next_probs rows sum to 1 and SOS gets exactly 0."""
+    """Row probabilities sum to 1 and SOS gets exactly 0."""
     model = train_generator(synth_corpus, order=data.draw(st.integers(1, 4), label="order"),
                             kappa=data.draw(st.sampled_from([0.01, 1.0, 5.0]), label="kappa"),
                             lambda_copy=data.draw(st.sampled_from([0.0, 0.3, 0.75, 1.0]),
@@ -184,7 +185,7 @@ def test_normalization_over_random_contexts(data, synth_corpus):
         content_prefix = pair.reference[:data.draw(st.integers(0, 10), label="t")]
     else:
         content_prefix = tuple(data.draw(st.lists(content, max_size=8), label="prefix"))
-    probs = model.next_probs(source, (SOS,) + tuple(content_prefix))
+    probs = row_probs(model, source, (SOS,) + tuple(content_prefix))
     assert abs(math.fsum(probs.tolist()) - 1.0) <= 1e-12
     assert probs[SOS] == 0.0
 
@@ -197,7 +198,7 @@ def test_high_copy_weight_keeps_modal_token_in_source(synth_corpus):
     for _ in range(100):
         p = rng.choice(synth_corpus.pairs)
         prefix = (SOS,) + tuple(rng.randrange(3, nv) for _ in range(rng.randint(0, 4)))
-        modal = int(np.argmax(model.next_probs(p.source, prefix)))
+        modal = int(np.argmax(row_probs(model, p.source, prefix)))
         hits += int(modal in p.source)
     assert hits >= 90
 
@@ -207,7 +208,9 @@ def test_deterministic_scoring(synth_corpus, synth_generator):
     prefix = (SOS,) + tuple(p.reference[:4])
     first = synth_generator.next_logprobs(p.source, prefix)
     second = synth_generator.next_logprobs(p.source, prefix)
-    assert np.array_equal(first, second)
+    nv = len(synth_corpus.vocab)
+    assert [first[tok] for tok in range(nv)] == [second[tok] for tok in range(nv)]
+    assert first.top(nv) == second.top(nv)
 
 
 def test_train_generator_refuses_an_empty_corpus(abc_vocab):
@@ -217,62 +220,73 @@ def test_train_generator_refuses_an_empty_corpus(abc_vocab):
 
 def test_copy_cache_keeps_only_the_last_source(ab_corpus):
     model = train_generator(ab_corpus, order=2)
-    model.next_probs((3, 4, 5), (SOS, 3))
-    second = model.next_probs((5, 5), (SOS, 3))
+    row_probs(model, (3, 4, 5), (SOS, 3))
+    second = row_probs(model, (5, 5), (SOS, 3))
     assert model._copy_cache[0] == (5, 5)
     fresh = train_generator(ab_corpus, order=2)
-    assert np.array_equal(second, fresh.next_probs((5, 5), (SOS, 3)))
-    assert np.array_equal(model.next_probs((3, 4, 5), (SOS, 3)),
-                          fresh.next_probs((3, 4, 5), (SOS, 3)))
+    assert np.array_equal(second, row_probs(fresh, (5, 5), (SOS, 3)))
+    assert np.array_equal(row_probs(model, (3, 4, 5), (SOS, 3)),
+                          row_probs(fresh, (3, 4, 5), (SOS, 3)))
     assert model._copy_cache[0] == (3, 4, 5)
 
 
-def cached_arrays(model):
-    """Every array the model's caches hold."""
-    return [*model._lm_cache.values(), *([model._copy_cache[1]] if model._copy_cache[0] else [])]
+def row_state(model, source, prefix):
+    """A row's probability bits, its log-probabilities and its full ranking."""
+    row, nv = model.next_logprobs(source, prefix), len(model.vocab)
+    return (row_probs(model, source, prefix).tobytes(), [row[tok] for tok in range(nv)],
+            row.top(nv))
+
+
+def cached_lists(model):
+    """Every list the model's caches hold."""
+    copy = model._copy_cache[1]  # (counts, the term of each count, the plans of top)
+    return [*(x for term in model._lm_cache.values() for x in term),
+            *([model._unigram] if model._unigram is not None else []),
+            *([copy[1], *(whole for whole, _ in copy[2].values())] if copy is not None else [])]
 
 
 @pytest.mark.parametrize("lambda_copy", [0.0, 0.75, 1.0])
 def test_every_row_is_a_new_writable_array(synth_corpus, lambda_copy):
-    """next_probs and next_logprobs return a new writable array at every
-    lambda_copy, sharing no memory with a cached term, so a write into one
-    changes no later row."""
+    """next_logprobs returns a new Row at every lambda_copy, and the ranking
+    its top returns is a list of its own, no list a cache holds, so a write
+    into one changes no later row."""
     model = train_generator(synth_corpus, order=3, lambda_copy=lambda_copy)
     source, prefixes = synth_corpus.pairs[0].source, [(SOS,), (SOS, 3), (SOS, 3, 4)]
-    before = [(model.next_probs(source, prefix).tobytes(),
-               model.next_logprobs(source, prefix).tobytes()) for prefix in prefixes]
+    nv = len(synth_corpus.vocab)
+    before = [row_state(model, source, prefix) for prefix in prefixes]
     for prefix in prefixes * 2:
-        for row in (model.next_probs(source, prefix), model.next_logprobs(source, prefix)):
-            assert row.flags.writeable and row.flags.owndata
-            assert model._lm_cache and not any(np.shares_memory(row, cached)
-                                               for cached in cached_arrays(model))
-            row[:] = 0.5
-    assert [(model.next_probs(source, prefix).tobytes(),
-             model.next_logprobs(source, prefix).tobytes()) for prefix in prefixes] == before
+        row = model.next_logprobs(source, prefix)
+        assert row is not model.next_logprobs(source, prefix)
+        top = row.top(nv)
+        assert model._lm_cache and not any(top is cached for cached in cached_lists(model))
+        top[:] = [(SOS, 0.0)] * nv
+    assert [row_state(model, source, prefix) for prefix in prefixes] == before
 
 
 @pytest.mark.parametrize("lambda_copy", [0.0, 0.75, 1.0])
 def test_a_pickled_model_keeps_its_caches(synth_corpus, lambda_copy):
     """A model pickled after it cached rows (as decode_corpus sends one to
     its workers) unpickles with those caches, and its rows are the same
-    bytes as the model's; after new counts, they are the mixture computed
+    bits as the model's; after new counts, they are the mixture computed
     from scratch."""
     model = train_generator(synth_corpus, order=3, lambda_copy=lambda_copy)
     source, rng = synth_corpus.pairs[0].source, random.Random(0)
     nv = len(synth_corpus.vocab)
     prefixes = [(SOS,) + tuple(rng.randrange(2, nv) for _ in range(rng.randint(0, 4)))
                 for _ in range(40)]
-    rows = [model.next_logprobs(source, prefix).tobytes() for prefix in prefixes]
+    rows = [row_state(model, source, prefix) for prefix in prefixes]
     copy = pickle.loads(pickle.dumps(model))
     assert copy._lm_cache.keys() == model._lm_cache.keys()
     assert copy._context_of_tail == model._context_of_tail
     assert copy._copy_cache[0] == model._copy_cache[0]
-    assert [a.tobytes() for a in cached_arrays(copy)] == \
-        [a.tobytes() for a in cached_arrays(model)]
-    assert [copy.next_logprobs(source, prefix).tobytes() for prefix in prefixes] == rows
+    assert [(array("d", term).tobytes(), order, neg) for term, order, neg
+            in copy._lm_cache.values()] == [(array("d", term).tobytes(), order, neg) for
+                                            term, order, neg in model._lm_cache.values()]
+    assert copy._copy_cache == model._copy_cache and copy._unigram == model._unigram
+    assert [row_state(copy, source, prefix) for prefix in prefixes] == rows
     copy.add_sequence(prefixes[-1][1:])  # new counts clear what was cached before them
     for prefix in prefixes:
-        assert copy.next_probs(source, prefix).tobytes() == \
+        assert row_probs(copy, source, prefix).tobytes() == \
             row_reference(copy, source, prefix).tobytes()
 
 
@@ -285,8 +299,8 @@ def test_a_source_id_outside_the_vocabulary_is_refused(ab_corpus, bad):
         model = train_generator(ab_corpus, order=2, lambda_copy=lambda_copy)
         with pytest.raises(GeneratorError, match=re.escape(
                 f"source token id {bad} is outside the 6-token vocabulary")):
-            model.next_probs((3, bad, 4), (SOS,))
-        assert model.next_probs((3, 4), (SOS,)).tobytes() == \
+            row_probs(model, (3, bad, 4), (SOS,))
+        assert row_probs(model, (3, 4), (SOS,)).tobytes() == \
             row_reference(model, (3, 4), (SOS,)).tobytes()
 
 
@@ -349,7 +363,7 @@ def test_lm_cache_is_bounded_by_the_model_not_by_the_prefixes_asked(synth_corpus
         for _ in range(3000):
             prefix = (SOS,) + tuple(rng.randrange(2, nv) for _ in range(rng.randint(0, 5)))
             tails.add(prefix[-(order - 1):] if order > 1 else ())
-            got = model.next_probs((3,), prefix)
+            got = row_probs(model, (3,), prefix)
             assert got.tobytes() == row_reference(trained, (3,), prefix).tobytes()
             memo_sizes.add(len(model._context_of_tail))
         assert len(model._lm_cache) <= bound
@@ -359,23 +373,38 @@ def test_lm_cache_is_bounded_by_the_model_not_by_the_prefixes_asked(synth_corpus
             assert max(memo_sizes) == bound  # and this one filled, and was cleared
 
 
+@pytest.fixture(scope="module")
+def wide_corpus():
+    """A corpus over 300 words (303 ids, so numpy's sum splits the row
+    twice), references drawn so that the unigram counts differ."""
+    words = [f"w{i}" for i in range(300)]
+    rng = random.Random(5)
+    return make_corpus(make_vocab(*words), [
+        (f"r{i}", rng.choices(words, k=rng.randint(1, 30)),
+         rng.choices(words, weights=range(300, 0, -1), k=rng.randint(1, 12)))
+        for i in range(200)])
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data())
-def test_rows_equal_the_mixture_computed_from_scratch_bit_for_bit(data, synth_corpus):
-    """next_probs and next_logprobs bytes equal the three-op mixture with
-    nothing cached, and its np.log, whatever sources (lists or tuples,
-    changed in place or interleaved) and prefixes (shorter than the order
-    too) were asked before, and after add_sequence gives a prefix's tail a
-    new continuation; next_logprobs warns of no zero, whether the row is zero
-    at SOS only, at every token not in the source (lambda_copy 1), or where
+def test_rows_equal_the_mixture_computed_from_scratch_bit_for_bit(data, synth_corpus,
+                                                                  wide_corpus):
+    """A row's probabilities are the bits of numpy's three-op mixture with
+    nothing cached, and row[tok] is their math.log (-inf at a zero), over
+    vocabularies below and above numpy's 128-value sum block, whatever
+    sources (lists or tuples, changed in place or interleaved) and prefixes
+    (shorter than the order too) were asked before, and after add_sequence
+    gives a prefix's tail a new continuation; whether the row is zero at SOS
+    only, at every token not in the source (lambda_copy 1), or where
     (1 - lambda_copy) * NGram underflows (kappa 5e-324)."""
-    model = train_generator(synth_corpus, order=data.draw(st.integers(1, 4), label="order"),
+    corpus = data.draw(st.sampled_from([synth_corpus, wide_corpus]), label="corpus")
+    model = train_generator(corpus, order=data.draw(st.integers(1, 4), label="order"),
                             kappa=data.draw(st.sampled_from([1.0, 1e-3, 5e-324]), label="kappa"),
                             lambda_copy=data.draw(st.sampled_from([0.0, 0.3, 0.75, 1.0]),
                                                   label="lambda_copy"))
-    nv = len(synth_corpus.vocab)
+    nv = len(corpus.vocab)
     content = st.integers(Vocabulary.unk, nv - 1)
-    corpus_sources = st.sampled_from([p.source for p in synth_corpus.pairs])
+    corpus_sources = st.sampled_from([p.source for p in corpus.pairs])
     sources = [list(s) if data.draw(st.booleans(), label="as_list") else tuple(s)
                for s in data.draw(st.lists(corpus_sources | st.lists(content, min_size=1,
                                                                      max_size=12),
@@ -386,13 +415,11 @@ def test_rows_equal_the_mixture_computed_from_scratch_bit_for_bit(data, synth_co
                                min_size=1, max_size=12), label="calls")
 
     def check(source, prefix):
-        row = row_reference(model, source, prefix)
-        assert model.next_probs(source, prefix).tobytes() == row.tobytes()
-        with np.errstate(divide="ignore"):
-            logprobs = np.log(row)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a log of zero would warn
-            assert model.next_logprobs(source, prefix).tobytes() == logprobs.tobytes()
+        probs = row_reference(model, source, prefix)
+        assert row_probs(model, source, prefix).tobytes() == probs.tobytes()
+        row = model.next_logprobs(source, prefix)
+        assert [row[tok] for tok in range(nv)] == [math.log(p) if p > 0.0 else -math.inf
+                                                   for p in probs.tolist()]
 
     for which, prefix, change, add, token in calls:
         source, prefix = sources[which], (SOS, *prefix)
@@ -402,6 +429,85 @@ def test_rows_equal_the_mixture_computed_from_scratch_bit_for_bit(data, synth_co
         if add:  # the prefix's tail now has an observed continuation
             model.add_sequence(prefix[1:] + (token,))
             check(source, prefix)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_top_is_the_stable_argsort_of_the_probabilities(data, synth_corpus, wide_corpus):
+    """row.top(n) is np.argsort(-p, kind="stable")[:n], with the math.log of
+    each probability: by probability, ties by id, whatever n was asked
+    before (top is memoised per row), zeros last, at n up to the
+    vocabulary's size and beyond. Sources that repeat ids and kappa 1e-3
+    make ties between source and non-source tokens."""
+    corpus = data.draw(st.sampled_from([synth_corpus, wide_corpus]), label="corpus")
+    model = train_generator(corpus, order=data.draw(st.integers(1, 3), label="order"),
+                            kappa=data.draw(st.sampled_from([1.0, 1e-3, 5e-324]), label="kappa"),
+                            lambda_copy=data.draw(st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+                                                  label="lambda_copy"))
+    nv = len(corpus.vocab)
+    content = st.integers(Vocabulary.unk, nv - 1)
+    source = data.draw(st.sampled_from([p.source for p in corpus.pairs])
+                       | st.lists(content, min_size=1, max_size=12), label="source")
+    prefix = (SOS, *data.draw(st.lists(content, max_size=4), label="prefix"))
+    row = model.next_logprobs(source, prefix)
+    probs = row_reference(model, source, prefix)
+    ranking = np.argsort(-probs, kind="stable").tolist()
+    for n in data.draw(st.lists(st.integers(0, nv + 2), min_size=1, max_size=4), label="n"):
+        assert row.top(n) == [(tok, math.log(probs[tok]) if probs[tok] > 0.0 else -math.inf)
+                              for tok in ranking[:n]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_top_ranks_ties_and_near_ties_as_a_stable_argsort(data):
+    """Row.top over hand-made terms: n-gram terms that tie, that differ by
+    less than a copy term's last bit (so their sums tie while the n-gram
+    order does not), zeros and subnormals, and copy groups of every size
+    against every n. It equals np.argsort(-p, kind="stable")[:n] of
+    p = copy + n-gram term (the n-gram term off the source), with the
+    math.log of each p, for every n in any order."""
+    tiny = [0.0, 5e-324, 1e-300, 1e-17, 2e-17, 3e-17]
+    term = data.draw(st.lists(st.sampled_from(tiny + [0.01, 0.01 + 2.0 ** -58, 0.02, 0.05, 0.1]),
+                              min_size=2, max_size=40), label="term")
+    nv = len(term)
+    counts = Counter(data.draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=30),
+                               label="source"))
+    lambda_copy = data.draw(st.sampled_from([0.0, 0.25, 0.75, 1.0]), label="lambda_copy")
+    row = Row(ngram_terms(term), copy_terms(Counter(counts), lambda_copy))
+    total = sum(count for tok, count in counts.items() if tok not in (SOS, EOS))
+    copy = {tok: lambda_copy * (count / total) for tok, count in counts.items()
+            if tok not in (SOS, EOS)}
+    probs = np.array([copy.get(tok, 0.0) + term[tok] for tok in range(nv)])
+    ranking = np.argsort(-probs, kind="stable").tolist()
+    for n in data.draw(st.lists(st.integers(0, nv + 1), min_size=1, max_size=5), label="n"):
+        assert row.top(n) == [(tok, math.log(probs[tok]) if probs[tok] > 0.0 else -math.inf)
+                              for tok in ranking[:n]]
+
+
+def test_top_finds_a_lower_copy_group_sum_that_rounds_up_to_the_floor():
+    """Copy terms 0.3 (id 5), 0.2 (ids 3, 4) and 0.1 (ids 2, 6, 7), n-gram
+    terms 0.0 but id 2's, which is just below 0.1: 0.1 + that rounds up to
+    0.2, a tie with ids 3 and 4 that id 2 wins. Its n-gram term falls short
+    of the floor 0.2 less its copy term 0.1, so top must allow for rounding
+    to find it."""
+    term = [0.0] * 8
+    term[2] = math.nextafter(0.1, 0.0)
+    assert 0.1 + term[2] == 0.2 and term[2] < 0.2 - 0.1
+    row = Row(ngram_terms(term), copy_terms(Counter([5, 5, 5, 3, 3, 4, 4, 2, 6, 7]), 1.0))
+    assert [tok for tok, _ in row.top(2)] == [5, 2]
+
+
+def test_pairwise_sum_is_numpys_sum():
+    """pairwise_sum adds as np.add.reduce does on a float64 array, bit for
+    bit, at every length from 0 to 1000 (7 and 8 on either side of one
+    running sum, 128, 129 and 136 on either side of the first split), on
+    values of mixed sign and magnitude, and on negative zeros."""
+    rng = random.Random(0)
+    for n in range(1001):
+        values = [rng.choice([-1.0, 1.0]) * rng.random() * 10.0 ** rng.randint(-8, 8)
+                  for _ in range(n)]
+        for case in (values, [-0.0] * n):
+            assert pairwise_sum(case).hex() == float(np.add.reduce(np.array(case))).hex(), n
 
 
 def test_context_is_the_overlaid_contexts_even_with_gaps(abc_vocab, tmp_path):
@@ -415,7 +521,7 @@ def test_context_is_the_overlaid_contexts_even_with_gaps(abc_vocab, tmp_path):
     assert model.context((SOS, b, a, c)) == ((a, c),)
     assert model.context((SOS, b, b)) == model.context((SOS, a, b))
     for prefix in [(SOS,), (SOS, a, b), (SOS, a, c), (SOS, b, c), (SOS, c, b), (SOS, b, b)]:
-        assert model.next_probs((a,), prefix).tobytes() == \
+        assert row_probs(model, (a,), prefix).tobytes() == \
             backoff_reference(model, prefix).tobytes()
 
 
@@ -427,8 +533,8 @@ def test_model_save_load_roundtrip(ab_corpus, abc_vocab, tmp_path):
     path = tmp_path / "gen.model"
     model.save(path)
     reloaded = NGramCopyModel.load(path, abc_vocab)
-    probs = model.next_probs([3, 4], [SOS, 3])
-    assert np.allclose(reloaded.next_probs([3, 4], [SOS, 3]), probs, atol=0)
+    probs = row_probs(model, [3, 4], [SOS, 3])
+    assert np.allclose(row_probs(reloaded, [3, 4], [SOS, 3]), probs, atol=0)
 
 
 def test_model_load_rejects_wrong_vocabulary(ab_corpus, tmp_path):
@@ -507,5 +613,5 @@ def test_save_load_save_is_byte_identical_and_scores_the_same(data):
     prefixes = data.draw(st.lists(st.lists(st.integers(3, 6), max_size=5), min_size=1,
                                   max_size=5), label="prefixes")
     for prefix in prefixes:
-        assert loaded.next_probs(source, (SOS, *prefix)).tobytes() == \
-            model.next_probs(source, (SOS, *prefix)).tobytes()
+        assert row_probs(loaded, source, (SOS, *prefix)).tobytes() == \
+            row_probs(model, source, (SOS, *prefix)).tobytes()
