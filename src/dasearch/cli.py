@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from dasearch import metrics as metrics_mod
 from dasearch.corpus import (
     Corpus,
     CorpusError,
@@ -42,10 +41,9 @@ from dasearch.corpus import (
     save_corpus,
     write_records,
 )
-from dasearch.metrics import evaluate_system
 
-# The model modules are imported by the commands that use them, so --help,
-# make-corpus and evaluate start without them; only training the discriminator
+# The model and metric modules are imported by the commands that use them, so
+# --help and make-corpus start without them; only training the discriminator
 # imports numpy. Functions are called through their modules, whose attributes
 # tests and the benchmark rebind.
 if TYPE_CHECKING:
@@ -489,6 +487,7 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
+    from dasearch import metrics
     for key in ("zipf_k", "hist_buckets"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"[metrics] {key} must be >= 1, got {getattr(cfg, key)}")
@@ -506,8 +505,8 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
     for path in args.systems:
         name = Path(path).stem
         gens = load_generations(path, vocab)
-        reports.append(evaluate_system(gens, corpus, system=name,
-                                       bleu_micro=cfg.bleu_micro, pooled=cfg.pooled))
+        reports.append(metrics.evaluate_system(gens, corpus, system=name,
+                                               bleu_micro=cfg.bleu_micro, pooled=cfg.pooled))
         systems[name] = [gens[p.id] for p in corpus.pairs]
     csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
     zipf_path, rep3_path = out_dir / "zipf.csv", out_dir / "rep3_positions.csv"
@@ -519,8 +518,8 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
     zipf_rows, rep3_rows = [], []
     for name, texts in systems.items():
         zipf_rows += [(name, rank, vocab.token_of(tok), freq)
-                      for rank, tok, freq in metrics_mod.zipf_report(texts, cfg.zipf_k)]
-        edges, dens = metrics_mod.repetition_position_hist(texts, n=3, buckets=cfg.hist_buckets)
+                      for rank, tok, freq in metrics.zipf_report(texts, cfg.zipf_k)]
+        edges, dens = metrics.repetition_position_hist(texts, n=3, buckets=cfg.hist_buckets)
         rep3_rows += [(name, lo, hi, d) for lo, hi, d in zip(edges, edges[1:], dens)]
     _write_rows(zipf_path, zipf_rows, ("system", "rank", "token", "frequency"))
     _write_rows(rep3_path, rep3_rows, ("system", "bucket_low", "bucket_high", "density"))
@@ -530,7 +529,7 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
 
 
 def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
-    from dasearch import decoder
+    from dasearch import decoder, metrics
     # every cell's search settings, checked before anything is loaded or decoded
     for flag, values in (("--k-rerank", args.k_rerank), ("--alphas", args.alphas)):
         for i, value in enumerate(values):
@@ -562,7 +561,7 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path):
     rows = []
     for rep, sub in enumerate(subsets):
         for (k, alpha, _), gens in zip(cells, cell_gens):
-            row = evaluate_system(gens, sub, system=f"K{k}-a{alpha}").as_dict()
+            row = metrics.evaluate_system(gens, sub, system=f"K{k}-a{alpha}").as_dict()
             row.update({"k_rerank": k, "alpha": alpha, "repetition": rep})
             rows.append(row)
     sweep_path = out_dir / "sweep.csv"
@@ -691,5 +690,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The process entry of `dasearch` and `python -m dasearch.cli`: runs
+    main, flushes stdout and stderr, and exits with main's code without
+    tearing the interpreter down (os._exit), as freeing every object costs
+    time and the OS reclaims them anyway. Every command has closed its files
+    by the time main returns. In-process callers use main, which returns."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

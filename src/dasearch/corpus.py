@@ -9,6 +9,7 @@ clauses and paraphrase part of their tokens, so they are abstractive
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -131,7 +132,7 @@ class Vocabulary:
         return self._tokens[idx]
 
     def encode(self, tokens: list[str]) -> tuple[int, ...]:
-        return tuple(self._ids.get(t, self.unk) for t in tokens)
+        return tuple(map(self._ids.get, tokens, itertools.repeat(self.unk)))
 
     def decode(self, ids) -> list[str]:
         return [self._tokens[i] for i in ids]

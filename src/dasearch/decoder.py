@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from bisect import insort
 from dataclasses import dataclass, replace
 
@@ -333,8 +334,18 @@ def plain_beam_search(generator, source, config: SearchConfig):
                    replace(config, **plain_settings(config.beam_size)))
 
 
+# decode_corpus starts a worker per PAIRS_PER_WORKER pairs, up to jobs and the usable CPUs
+PAIRS_PER_WORKER = 500
+
 # the search a decode_corpus worker process runs, installed once per worker
 _worker_search = None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _install_search(search_one) -> None:
@@ -349,13 +360,29 @@ def _worker_decode(source):
 def decode_corpus(corpus: Corpus, search_one, jobs: int = 1) -> dict:
     """The best hypothesis per pair id; `search_one(source)` returns ended
     hypotheses best first, as the searches do, and only the first is kept.
-    jobs > 1 searches in a pool of at most one worker process per pair, which
-    receives `search_one` (and the models it holds) once, at start-up."""
+
+    It searches in a pool of min(jobs, usable CPUs, pairs // PAIRS_PER_WORKER)
+    worker processes, each of which receives `search_one` (and the models it
+    holds) once, at start-up, and in this process when that is below 2: a
+    pool's start-up costs more than a second worker saves on fewer pairs.
+    Measured with the quick-start models, decoding the first N train pairs of
+    a 3,000-pair corpus as `dasearch decode` processes (2 CPUs, medians of 7
+    alternating runs, process wall / manifest wall_time_s, in ms):
+
+        pairs  mode   jobs 1     jobs 2
+          300  plain  217 / 135  258 / 175
+          300  das    213 / 135  253 / 172
+          500  plain  309 / 231  365 / 271
+          500  das    281 / 207  333 / 251
+        1,000  plain  513 / 422  415 / 317
+        1,000  das    484 / 409  382 / 298
+
+    so 2 workers start from 1,000 pairs, where they win in both modes."""
     if jobs < 1:
         raise DecoderError(f"jobs must be >= 1, got {jobs}")
     sources = [p.source for p in corpus.pairs]
-    workers = min(jobs, len(sources))
-    if workers <= 1:
+    workers = min(jobs, _usable_cpus(), len(sources) // PAIRS_PER_WORKER)
+    if workers < 2:
         beams = map(search_one, sources)
     else:
         from concurrent.futures import ProcessPoolExecutor

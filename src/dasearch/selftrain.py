@@ -263,7 +263,9 @@ def run_until_convergence(state: SelfTrainState, generator, corpus: Corpus,
                           tau_delta: float | None = None,
                           on_iteration=None) -> SelfTrainState:
     """Iterate until the discriminator stops separating fresh generations
-    (accuracy < tau_acc), the metric-delta sum plateaus, or max_iters.
+    (accuracy < tau_acc), the metric-delta sum falls by less than tau_delta,
+    or max_iters. A round whose sum fell by less stops as delta_plateau, or
+    as regressed when the sum rose by more than tau_delta.
     on_iteration, if given, is called with the new state after each round."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -278,8 +280,9 @@ def run_until_convergence(state: SelfTrainState, generator, corpus: Corpus,
         if entry["val_accuracy"] < tau_acc:
             state.stopped_reason = "accuracy_floor"
             return state
-        if prev_delta - _delta_sum(entry) < tau_delta:
-            state.stopped_reason = "delta_plateau"
+        fall = prev_delta - _delta_sum(entry)
+        if fall < tau_delta:
+            state.stopped_reason = "regressed" if -fall > tau_delta else "delta_plateau"
             return state
     state.stopped_reason = "max_iters"
     return state

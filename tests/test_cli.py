@@ -1,7 +1,9 @@
 import csv
+import gc
 import hashlib
 import importlib
 import json
+import logging
 import operator
 import os
 import random
@@ -9,7 +11,9 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -1317,16 +1321,20 @@ SWEEP_FLAGS = ["--k-rerank", "1,3", "--alphas", "0,1", "--subset-size", "2",
                "--repetitions", "1", "--split", "validation"]
 # decoding loads the generator, the decoder and the discriminator's inference half
 DECODE_NOT_LOADED = {"numpy", "dasearch.selftrain"}
+METRICS = {"dasearch.metrics"}
 
 
 @pytest.mark.parametrize("command, not_loaded", [
-    ("--help", MODEL_MODULES),
-    ("make-corpus", MODEL_MODULES),
+    ("--help", MODEL_MODULES | METRICS),
+    ("make-corpus", MODEL_MODULES | METRICS),
     ("evaluate", MODEL_MODULES),
-    ("train-generator", MODEL_MODULES - {"dasearch.generator"}),
-    ("decode --mode plain --split test", DECODE_NOT_LOADED),
-    ("decode --mode das --split test", DECODE_NOT_LOADED),
+    ("train-generator", MODEL_MODULES - {"dasearch.generator"} | METRICS),
+    ("decode --mode plain --split test", DECODE_NOT_LOADED | METRICS),
+    ("decode --mode das --split test", DECODE_NOT_LOADED | METRICS),
     (" ".join(["sweep", *SWEEP_FLAGS]), DECODE_NOT_LOADED),
+    # the fixture's 30-pair split: too few pairs for a second worker
+    ("decode --mode das --split train --jobs 2",
+     DECODE_NOT_LOADED | METRICS | {"concurrent.futures"}),
 ])
 def test_a_command_loads_only_the_modules_it_runs(pipeline, tmp_path, command, not_loaded):
     root, cfg = pipeline
@@ -1408,3 +1416,87 @@ def test_package_names_are_those_of_their_defining_modules():
             assert getattr(dasearch, name) is getattr(module, name)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         dasearch.no_such_name  # noqa: B018
+
+
+# --- the process entry ------------------------------------------------------------
+
+# the quick-start commands, each after "--config cfg.ini"; paths are relative
+# to the directory a command runs in
+QUICKSTART = [
+    ["make-corpus"],
+    ["train-generator"],
+    ["train-discriminator"],
+    ["decode", "--mode", "plain", "--split", "test"],
+    ["decode", "--mode", "das", "--split", "test"],
+    ["evaluate", "--split", "test", "--systems", "out/generations-plain-test.jsonl",
+     "out/generations-das-test.jsonl"],
+    ["self-train"],
+    ["sweep", *SWEEP_FLAGS],
+]
+
+
+def _written(directory: Path) -> dict:
+    """Every file under `directory` by relative path: its bytes, or for a
+    manifest its JSON without the wall time."""
+    files = {}
+    for path in sorted(directory.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name.startswith("manifest-"):
+                data = {k: v for k, v in json.loads(data).items() if k != "wall_time_s"}
+            files[str(path.relative_to(directory))] = data
+    return files
+
+
+@contextmanager
+def logging_as_in_a_process():
+    """Logging as a fresh process has it: nothing disabled, and no handler,
+    so warnings go to stderr."""
+    disabled, handlers = logging.root.manager.disable, logging.root.handlers
+    logging.disable(logging.NOTSET)
+    logging.root.handlers = []
+    try:
+        yield
+    finally:
+        logging.root.handlers = handlers
+        logging.disable(disabled)
+
+
+def test_a_process_writes_and_prints_what_main_does(tmp_path, capsys, monkeypatch):
+    """`python -m dasearch.cli` leaves with os._exit, which would cut short a
+    file still open: each quick-start command, --help and a command that exits
+    1 write the same files, print the same and exit with the same code as
+    main in this process, and main leaves no file object open."""
+    in_process, processes = tmp_path / "in-process", tmp_path / "processes"
+    for directory in (in_process, processes):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        write_config(Path("."))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered output, which a missed flush loses
+    steps = [([name, "--config", "cfg.ini", *flags], 0) for name, *flags in QUICKSTART]
+    steps += [(["--help"], 0), (["decode", "--config", "cfg.ini", "--mode", "das"], 1)]
+    for argv, expected in steps:
+        if expected == 1:  # cut the discriminator model short in both directories
+            for directory in (in_process, processes):
+                model = directory / "out" / "discriminator.model"
+                model.write_bytes(model.read_bytes()[:60])
+        monkeypatch.chdir(in_process)
+        with warnings.catch_warnings(record=True) as caught, logging_as_in_a_process():
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(argv)
+            gc.collect()
+        out, err = capsys.readouterr()
+        assert code == expected, err
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+        proc = subprocess.run([sys.executable, "-m", "dasearch.cli", *argv], cwd=processes,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+        assert _written(processes) == _written(in_process), argv
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"dasearch": "dasearch.cli:entry"}

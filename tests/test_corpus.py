@@ -3,9 +3,11 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dasearch import corpus as corpus_mod
 from dasearch.corpus import (
+    RESERVED,
     Corpus,
     CorpusError,
     DocumentPair,
@@ -73,6 +75,19 @@ def test_encode_decode_identity():
 def test_out_of_vocabulary_encodes_to_unk():
     vocab = make_vocab("a")
     assert vocab.encode(["a", "zebra"]) == (3, Vocabulary.unk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(known=st.lists(st.text(min_size=1, max_size=3), unique=True, max_size=8),
+       extra=st.lists(st.text(max_size=3), max_size=8), data=st.data())
+def test_encode_gives_the_ids_of_the_per_token_lookup(known, extra, data):
+    """One map over the tokens gives the ids a lookup per token gives,
+    unknown tokens as UNK and the reserved tokens as their own ids."""
+    vocab = Vocabulary([t for t in known if t not in RESERVED])
+    pool = known + extra + list(RESERVED)
+    tokens = data.draw(st.lists(st.sampled_from(pool), max_size=20))
+    assert vocab.encode(tokens) == tuple(vocab.id_of(t) for t in tokens)
+    assert vocab.encode(list(RESERVED)) == (Vocabulary.sos, Vocabulary.eos, Vocabulary.unk)
 
 
 def test_vocabulary_save_load_roundtrip(tmp_path):

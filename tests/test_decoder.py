@@ -1,8 +1,10 @@
 import concurrent.futures
+import functools
 import hashlib
 import itertools
 import logging
 import math
+import os
 import pickle
 import random
 from collections import Counter
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dasearch import decoder
 from dasearch.corpus import Corpus, Vocabulary, generate_synthetic_corpus
 from dasearch.decoder import (
     EPS_DIS,
@@ -849,13 +852,10 @@ def test_hypothesis_content_strips_only_a_final_eos():
     assert hypothesis_content(Hypothesis(tokens=(SOS,), s_gen=0.0)) == ()
 
 
-@pytest.mark.parametrize("jobs, pools", [(1, []), (2, [2]), (50, [3])])
-def test_decode_corpus_starts_at_most_one_worker_per_pair(monkeypatch, jobs, pools):
-    started = []
+def recording_pool(started):
+    """Stands in for the process pool: records its size, maps in this process."""
 
     class RecordingPool:
-        """Stands in for the process pool: records its size, maps in this process."""
-
         def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
             if initializer is not None:
@@ -870,16 +870,65 @@ def test_decode_corpus_starts_at_most_one_worker_per_pair(monkeypatch, jobs, poo
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+# pairs are given as (multiple of PAIRS_PER_WORKER, extra pairs)
+@pytest.mark.parametrize("cpus, pairs, jobs, pools", [
+    (2, (0, 30), 2, []),  # the test split: far below the break-even
+    (2, (2, -1), 2, []),  # one pair short of a second worker's share
+    (2, (2, 0), 2, [2]),
+    (2, (2, 0), 1, []),  # jobs caps the workers
+    (2, (3, 0), 4, [2]),  # so do the usable CPUs
+    (1, (4, 0), 4, []),
+    (8, (3, 1), 50, [3]),  # and the pairs
+    (4, (4, 0), 3, [3]),
+], ids=["30-pairs", "below", "at", "one-job", "two-cpus", "one-cpu", "by-pairs", "by-jobs"])
+def test_decode_corpus_starts_a_worker_per_share_of_pairs(monkeypatch, cpus, pairs, jobs, pools):
+    """min(jobs, usable CPUs, pairs // PAIRS_PER_WORKER) workers, none below 2."""
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
     monkeypatch.setattr("dasearch.decoder._worker_search", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    multiple, extra = pairs
+    n = multiple * decoder.PAIRS_PER_WORKER + extra
     vocab = make_vocab("a", "b", "c")
-    corpus = make_corpus(vocab, [("z", ["c"], ["c"]), ("x", ["a", "b"], ["a"]),
-                                 ("y", ["b"], ["b"])])
-    hyps = decode_corpus(corpus, echo_search, jobs=jobs)
+    records = [(f"p{i}", [("a", "b", "c")[i % 3]], ["a"]) for i in range(n)]
+    hyps = decode_corpus(make_corpus(vocab, records), echo_search, jobs=jobs)
     assert started == pools
-    assert {i: hypothesis_content(h) for i, h in hyps.items()} == {
-        "z": (5,), "x": (3, 4), "y": (4,)}
-    assert list(hyps) == ["z", "x", "y"]
+    assert list(hyps) == [i for i, _, _ in records]
+    assert all(hypothesis_content(hyps[i]) == vocab.encode(src) for i, src, _ in records)
+
+
+def test_usable_cpus_are_the_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert decoder._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert decoder._usable_cpus() == 1
+
+
+def test_a_forced_pool_decodes_the_serial_winners_byte_for_byte(monkeypatch, synth_corpus,
+                                                                 synth_generator, trained_disc):
+    """A real pool of 2 worker processes, started on 60 pairs by lowering the
+    share, returns the hypotheses a serial decode returns, bit for bit."""
+    search = functools.partial(das_beam_search, synth_generator, trained_disc,
+                               config=SearchConfig(beam_size=3, k_rerank=10, alpha=1.0,
+                                                   t_max=60))
+    serial = decode_corpus(synth_corpus, search, jobs=1)
+    started = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counted_pool(max_workers, **kwargs):
+        started.append(max_workers)
+        return real_pool(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(decoder, "PAIRS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = decode_corpus(synth_corpus, search, jobs=2)
+    assert started == [2]
+    assert pickle.dumps(pooled) == pickle.dumps(serial)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

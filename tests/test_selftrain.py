@@ -175,14 +175,11 @@ def test_convergence_accuracy_floor_one_is_degenerate(state0, loop_corpus,
     assert accs[-1] < 1.0 and all(a == 1.0 for a in accs[:-1])
 
 
-@pytest.mark.parametrize("tau_delta, rounds", [(1.0, 2), (None, 3)], ids=["given", "default"])
-def test_convergence_stops_when_the_delta_sum_plateaus(state0, loop_corpus, loop_generator,
-                                                      monkeypatch, tau_delta, rounds):
-    """It stops with delta_plateau after the first round whose |d_len| +
-    |d_nov1| + |d_rep3| falls by less than tau_delta (0.01 * t_max = 0.4 by
-    default) from the round before's; a fall of exactly tau_delta goes on."""
-    deltas = iter([(-8.0, 1.0, 2.0), (6.0, 0.0, -4.5), (6.0, 0.0, -4.2), (0.0, 0.0, 0.0)])
-    # sums 12 (bootstrap), 11, 10.5, 10.2, 0: falls of 1, 0.5, 0.3
+def run_scripted_rounds(monkeypatch, state0, loop_corpus, loop_generator, deltas, tau_delta):
+    """run_until_convergence over rounds whose (d_len, d_nov1, d_rep3) are
+    `deltas`, in order, from a bootstrap whose delta sum is 12; returns the
+    final state and the iterations on_iteration saw."""
+    deltas = iter(deltas)
 
     def scripted_step(state, *args):
         d_len, d_nov1, d_rep3 = next(deltas)
@@ -196,8 +193,37 @@ def test_convergence_stops_when_the_delta_sum_plateaus(state0, loop_corpus, loop
     seen = []
     out = run_until_convergence(start, loop_generator, loop_corpus, SEARCH, HPARAMS,
                                 max_iters=5, tau_delta=tau_delta, on_iteration=seen.append)
+    return out, [s.iteration for s in seen]
+
+
+@pytest.mark.parametrize("tau_delta, rounds", [(1.0, 2), (None, 3)], ids=["given", "default"])
+def test_convergence_stops_when_the_delta_sum_plateaus(state0, loop_corpus, loop_generator,
+                                                      monkeypatch, tau_delta, rounds):
+    """It stops with delta_plateau after the first round whose |d_len| +
+    |d_nov1| + |d_rep3| falls by less than tau_delta (0.01 * t_max = 0.4 by
+    default) from the round before's; a fall of exactly tau_delta goes on."""
+    # sums 12 (bootstrap), 11, 10.5, 10.2, 0: falls of 1, 0.5, 0.3
+    deltas = [(-8.0, 1.0, 2.0), (6.0, 0.0, -4.5), (6.0, 0.0, -4.2), (0.0, 0.0, 0.0)]
+    out, seen = run_scripted_rounds(monkeypatch, state0, loop_corpus, loop_generator, deltas,
+                                    tau_delta)
     assert out.stopped_reason == "delta_plateau"
-    assert out.iteration == rounds and [s.iteration for s in seen] == list(range(1, rounds + 1))
+    assert out.iteration == rounds and seen == list(range(1, rounds + 1))
+
+
+@pytest.mark.parametrize("rise, reason", [(0.75, "regressed"), (0.5, "delta_plateau"),
+                                          (0.25, "delta_plateau")])
+def test_convergence_stops_as_regressed_when_the_delta_sum_rose(state0, loop_corpus,
+                                                                loop_generator, monkeypatch,
+                                                                rise, reason):
+    """A round whose |d_len| + |d_nov1| + |d_rep3| rose by more than tau_delta
+    (0.5 here) stops as regressed, at the round a plateau stops at; a rise of
+    tau_delta or less is a plateau."""
+    # sums 12 (bootstrap), 11, 11 + rise: a fall of 1, then a rise
+    deltas = [(-8.0, 1.0, 2.0), (-8.0, 1.0, 2.0 + rise), (0.0, 0.0, 0.0)]
+    out, seen = run_scripted_rounds(monkeypatch, state0, loop_corpus, loop_generator, deltas,
+                                    0.5)
+    assert out.stopped_reason == reason
+    assert out.iteration == 2 and seen == [1, 2]
 
 
 def test_convergence_validates_max_iters(state0, loop_corpus, loop_generator):
