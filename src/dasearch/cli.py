@@ -208,17 +208,8 @@ def _load_models(cfg: RunConfig, need_disc: bool = False):
     from dasearch.generator import NGramCopyModel
     vocab = Vocabulary.load(_required_path(cfg, "vocab_path"))
     generator = NGramCopyModel.load(_required_path(cfg, "generator_model"), vocab)
-    disc = None
-    if need_disc:
-        path = _required_path(cfg, "discriminator_model")
-        disc = DiscriminatorModel.load(path)
-        n_logfreq = len(disc.config.logfreq)
-        if n_logfreq and n_logfreq != len(vocab):
-            raise ConfigError(f"discriminator model {path} was built for a {n_logfreq}-token "
-                              f"vocabulary, but the vocabulary has {len(vocab)} tokens")
-        if disc.config.vocab_hash and disc.config.vocab_hash != vocab.digest():
-            raise ConfigError(f"discriminator model {path} was built for another vocabulary "
-                              f"than {cfg.vocab_path}")
+    disc = (DiscriminatorModel.load(_required_path(cfg, "discriminator_model"), vocab)
+            if need_disc else None)
     return vocab, generator, disc
 
 

@@ -39,33 +39,73 @@ def finite_float(text: str) -> float:
     return value
 
 
-def read_header(f, key: str, many: bool = False):
-    """The value on the next line of model file `f`, which must read
-    `key value`; with `many`, the list of values of a `key value ...` line."""
-    name, *values = f.readline().split() or ("",)
-    if name != key:
-        raise ValueError(f"no {key!r} line where one belongs")
-    if not many and len(values) != 1:
-        raise ValueError(f"the {key!r} line holds {len(values)} values, not 1")
-    return values if many else values[0]
+def write_model_file(path, version: str, header: dict, body) -> None:
+    """Write the model file `path` in the frame read_model_file reads: the
+    line `version`; a `<n> <sha256>` line, the number of lines after it and
+    the sha256 of their bytes; a `key value` line per `header` item, in
+    order; then the `body` lines, each ending in a newline."""
+    lines = [*(f"{key} {value}\n" for key, value in header.items()), *body]
+    text = "".join(lines)
+    with atomic_write(path, newline="") as f:
+        f.write(f"{version}\n{len(lines)} {hashlib.sha256(text.encode()).hexdigest()}\n{text}")
 
 
-def read_body(f, lineno: int, parse) -> dict:
-    """{key: value} of the lines left in model file `f`, whose next line is
-    line `lineno`: `parse` maps a line's fields to its (key, value). A line
-    that `parse` refuses, or whose key an earlier line holds, raises
-    ValueError naming the line."""
-    body, first_line = {}, {}
-    for n, line in enumerate(f, start=lineno):
-        try:
-            key, value = parse(line.split())
-        except ValueError as e:
-            raise ValueError(f"line {n}: {line.strip()!r}: {e}") from None
-        first = first_line.setdefault(key, n)
-        if first != n:
-            raise ValueError(f"line {n}: {line.strip()!r} repeats the key of line {first}")
-        body[key] = value
-    return body
+def read_model_file(path, kind: str, version: str, error, header: dict, parse,
+                    vocab: "Vocabulary | None" = None, many=()) -> tuple[dict, dict]:
+    """(header, body) of the `kind` model file `path` that write_model_file
+    wrote as `version`, checked before anything is parsed: its first line,
+    UTF-8, and line 2's count and sha256 of the lines after it. `header`
+    maps each key, in order, to the parser of its one value (of its list of
+    values for a key in `many`); `parse` maps a body line's fields to its
+    (key, value). With a `vocab`, the file's vocab_hash and the length of its
+    logfreq, where set, must be that vocabulary's. Raises `error`."""
+    with open(path, "rb") as f:
+        first, _, rest = f.read().partition(b"\n")
+    try:
+        first = first.decode()
+    except UnicodeDecodeError as e:
+        raise error(f"not a {kind} model file: {path}: {e}") from None
+    if first != version:
+        raise error(f"not a {kind} model file: {path}: its first line is {first!r}, not "
+                    f"{version!r}; re-run train-{kind} to write one")
+    try:
+        stamp, _, data = rest.partition(b"\n")
+        recorded, _, digest = stamp.decode().partition(" ")
+        *lines, cut = data.decode().split("\n")
+        if cut or recorded != str(len(lines)):
+            raise ValueError(f"line 2 counts {recorded!r} lines after it, but {len(lines)} "
+                             f"whole ones follow")
+        if digest != hashlib.sha256(data).hexdigest():
+            raise ValueError("the lines after line 2 do not have the sha256 it records")
+        rows, values = iter(lines), {}
+        for key, convert in header.items():
+            name, *fields = next(rows, "").split() or ("",)
+            if name != key:
+                raise ValueError(f"no {key!r} line where one belongs")
+            if key not in many and len(fields) != 1:
+                raise ValueError(f"the {key!r} line holds {len(fields)} values, not 1")
+            values[key] = convert(fields if key in many else fields[0])
+        body, first_line = {}, {}
+        for n, line in enumerate(rows, start=3 + len(header)):
+            try:
+                key, value = parse(line.split())
+            except ValueError as e:
+                raise ValueError(f"line {n}: {line.strip()!r}: {e}") from None
+            if first_line.setdefault(key, n) != n:
+                raise ValueError(f"line {n}: {line.strip()!r} repeats the key of line "
+                                 f"{first_line[key]}")
+            body[key] = value
+    except ValueError as e:
+        raise error(f"truncated or malformed {kind} model file: {path}: {e}") from None
+    if vocab is not None:
+        n = len(values.get("logfreq", ()))
+        if n and n != len(vocab):
+            raise error(f"{kind} model {path} was built for a {n}-token vocabulary, but the "
+                        f"vocabulary has {len(vocab)} tokens")
+        if values.get("vocab_hash") not in ("", None, vocab.digest()):
+            raise error(f"{kind} model {path} was built for another vocabulary than "
+                        f"{vocab.path or 'the one given'}")
+    return values, body
 
 
 @contextmanager
@@ -102,7 +142,7 @@ def tokenize(text: str) -> list[str]:
 class Vocabulary:
     """Bidirectional token<->id map with reserved SOS/EOS/UNK ids 0/1/2."""
 
-    def __init__(self, tokens: list[str]):
+    def __init__(self, tokens: list[str], path=None):
         for t in tokens:
             if t in RESERVED:
                 raise CorpusError(f"reserved token {t!r} passed as corpus token")
@@ -110,6 +150,7 @@ class Vocabulary:
             raise CorpusError("duplicate tokens in vocabulary")
         self._tokens = list(RESERVED) + list(tokens)
         self._ids = {t: i for i, t in enumerate(self._tokens)}
+        self.path = path  # the file it was read from, which model-file errors name
 
     sos = 0
     eos = 1
@@ -171,7 +212,7 @@ class Vocabulary:
                 first[token] = n
                 continue
             raise CorpusError(f"vocabulary file {path}: line {n}: {problem}")
-        return cls(lines[3:])
+        return cls(lines[3:], path)
 
 
 @dataclass(frozen=True)

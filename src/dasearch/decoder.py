@@ -26,21 +26,21 @@ the final key can rise with length, and the search runs as long as ever.
 
 A candidate is light: a tuple of its scores, its parent's rank in the pool's
 token order and its token, which order candidates as their token tuples would.
-The search's own PrefixFeaturizer gives its D and step from its parent's
-prefix state in O(1) (score_next, under the weights as the search began,
-with the hashed feature indices the model memoises across searches), and
-apply_das_score its s_dis and s_das. Pool members are tuples too, and only
-the returned beam becomes Hypothesis objects. Each live survivor takes over
-its parent's prefix state and trigram-block index (copies them when a
-sibling survives too) and commits its scored step to the state and its token
-to the index. Expansions are memoised by the prefix's generator tail and
-blocked set, and so is the row the forced EOS of a member still live at
-t_max reads. A memo miss asks the generator for a row once per distinct
-context and takes the k best of it (Row.top), which ranks tokens by
-probability and breaks a tie at equal probability by token id, and so by
-log-probability except where two probabilities share a logarithm. So the
-only per-step work that grows with the prefix is the survivors' token tuples
-and their siblings' copies."""
+The search's own PrefixFeaturizer gives its logit and step from its
+parent's prefix state in O(1) (score_next, under the weights as the search
+began, with the hashed feature indices the model memoises across searches),
+and apply_das_score its s_dis and s_das from D, the logit's _sigmoid. Pool
+members are tuples too, and only the returned beam becomes Hypothesis
+objects. Each live survivor takes over its parent's prefix state and
+trigram-block index (copies them when a sibling survives too) and commits
+its scored step to the state and its token to the index. Expansions are
+memoised by the prefix's generator tail and blocked set, and so is the row
+the forced EOS of a member still live at t_max reads. A memo miss asks the
+generator for a row once per distinct context and takes the k best of it
+(Row.top), which ranks tokens by probability and breaks a tie at equal
+probability by token id, and so by log-probability except where two
+probabilities share a logarithm. So the only per-step work that grows with
+the prefix is the survivors' token tuples and their siblings' copies."""
 
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from bisect import insort
 from dataclasses import dataclass, replace
 
 from dasearch.corpus import Corpus, Vocabulary
-from dasearch.discriminator import PrefixFeaturizer
+from dasearch.discriminator import PrefixFeaturizer, _sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -220,7 +220,8 @@ def _search(generator, discriminator, source, config: SearchConfig):
     if rerank:
         featurizer = PrefixFeaturizer(discriminator.config, discriminator)
         states[0] = featurizer.state_of(source)
-        score_next, das_score, alpha = featurizer.score_next, apply_das_score, config.alpha
+        score_next, sigmoid, das_score = featurizer.score_next, _sigmoid, apply_das_score
+        alpha = config.alpha
     clamps = 0
 
     for _ in range(config.t_max):
@@ -253,7 +254,8 @@ def _search(generator, discriminator, source, config: SearchConfig):
                 if tok < 0:
                     s_dis, s_das, step = *pool[rank][2:4], None
                 else:
-                    dis_prob, step = score_next(states[rank], tok)
+                    z, step = score_next(states[rank], tok)
+                    dis_prob = sigmoid(z)
                     clamps += dis_prob < EPS_DIS
                     s_dis, s_das = das_score(-neg_gen, alpha, dis_prob)
                 insort(ranked, (-s_das, neg_gen, rank, tok, s_dis, step))
@@ -301,7 +303,7 @@ def _search(generator, discriminator, source, config: SearchConfig):
             s_gen += row(tokens)[eos]
             s_dis, s_das = None, s_gen
             if rerank:
-                dis_prob = score_next(states[rank], eos)[0]
+                dis_prob = sigmoid(score_next(states[rank], eos)[0])
                 clamps += dis_prob < EPS_DIS
                 s_dis, s_das = das_score(s_gen, alpha, dis_prob)
             tokens += (eos,)

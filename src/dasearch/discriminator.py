@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
-from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_body, read_header
+from dasearch.corpus import Corpus, Vocabulary, finite_float, read_model_file, write_model_file
 
 DENSE_FEATURES = (
     "rel_length",      # t / T_max
@@ -37,6 +37,7 @@ DENSE_FEATURES = (
     "eos_flag",        # last token is EOS
 )
 N_DENSE = len(DENSE_FEATURES)
+VERSION = "discriminator v3"  # the first line of a model file
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,15 +151,16 @@ class PrefixState:
 
 class PrefixFeaturizer:
     """Prefix features built one token at a time. `score_next`, the one token
-    step, gives D of a PrefixState plus one token and the step, in one
-    straight-line pass over the state's fields that leaves the state as it is:
-    the new (t, in_source, logfreq_sum, distinct, S), the token's hits (the
-    column of its unigram, then that of its bigram if it has a predecessor)
-    and the new dense values. `commit` applies a step to the state it was
-    taken from. A hit is a column: the featurizer numbers the hashed
-    indices in the order it meets them, and `columns` lists them. D is under
-    the model's weights as they are when the featurizer is made (a zero bias
-    and zero weights without a model). It memoises the column of every
+    step, gives the logit of a PrefixState plus one token (D is its
+    _sigmoid) and the step, in one straight-line pass over the state's
+    fields that leaves the state as it is: the new (t, in_source,
+    logfreq_sum, distinct, S), the token's hits (the column of its unigram,
+    then that of its bigram if it has a predecessor) and the new dense
+    values. `commit` applies a step to the state it was taken from. A hit is
+    a column: the featurizer numbers the hashed indices in the order it
+    meets them, and `columns` lists them. The logit is under the model's
+    weights as they are when the featurizer is made (a zero bias and zero
+    weights without a model). It memoises the column of every
     (token, bit) unigram and (a, b, bit) bigram key it meets, and the model's
     weight of every column, so make one per search or per training set. The
     model memoises each key's hashed index for all its featurizers, up to
@@ -197,8 +199,8 @@ class PrefixFeaturizer:
         return PrefixState(frozenset(source) if self.config.use_source else frozenset())
 
     def score_next(self, state: PrefixState, token: int) -> tuple[float, tuple]:
-        """(D, step) of the state's prefix plus `token`, leaving `state` as it
-        is, in O(1) through the one `logit`."""
+        """(logit, step) of the state's prefix plus `token`, leaving `state` as
+        it is, in O(1) through the one `logit`; D is its _sigmoid."""
         src, grams, last, column = state.source_set, state.grams, state.last, self._column
         bit = 1 if token in src else 0
         u = column.get((token, bit))
@@ -226,7 +228,7 @@ class PrefixFeaturizer:
                  (100.0 * (1.0 - d2 / (t - 1))) / 100.0 if t >= 2 else 0.0,
                  (100.0 * (1.0 - d3 / (t - 2))) / 100.0 if t >= 3 else 0.0,
                  logfreq_sum / t if logfreq else 0.0, 1.0 if token == Vocabulary.eos else 0.0]
-        return (_sigmoid(logit(self._bias, self._dense_w, dense, S, t)),
+        return (logit(self._bias, self._dense_w, dense, S, t),
                 (t, in_source, logfreq_sum, (d1, d2, d3), S, hits, dense))
 
     @staticmethod
@@ -323,86 +325,79 @@ class DiscriminatorModel:
         return list(map(_sigmoid, _logits(self, batch).tolist()))
 
     def score(self, source, prefix) -> float:
-        """D of one prefix: commit all but its last token by their steps, then score_next."""
+        """D of one prefix: commit all but its last token by their steps, then
+        _sigmoid of score_next's logit."""
         if not prefix:
             raise DiscriminatorError("empty prefix")
         featurizer = PrefixFeaturizer(self.config, self)
         state = featurizer.state_of(source)
         for token in prefix[:-1]:
             featurizer.commit(state, token, featurizer.score_next(state, token)[1])
-        return featurizer.score_next(state, prefix[-1])[0]
+        return _sigmoid(featurizer.score_next(state, prefix[-1])[0])
 
     def save(self, path) -> None:
-        """Write a `discriminator v2` file: the version line and 9 header
-        lines, then one `index weight` line per nonzero sparse weight."""
+        """Write a `discriminator v3` file: 9 header lines, then one `index
+        weight` line per nonzero sparse weight."""
         config = self.config
-        with atomic_write(path) as f:
-            f.write("discriminator v2\n")
-            f.write(f"d_hash {config.d_hash}\n")
-            f.write(f"use_source {int(config.use_source)}\n")
-            f.write(f"t_max {config.t_max}\n")
-            f.write(f"vocab_hash {config.vocab_hash}\n")
-            f.write(f"final_objective {float(self.final_objective)!r}\n")
-            f.write("logfreq " + " ".join(repr(float(v)) for v in config.logfreq) + "\n")
-            f.write(f"bias {float(self.bias)!r}\n")
-            f.write("dense " + " ".join(repr(float(v)) for v in self.dense_w) + "\n")
-            f.write("provenance " + " ".join(f"{key}={value}" for key, value
-                                             in self.provenance.items()) + "\n")
-            for i in itertools.compress(itertools.count(), self.sparse_w):
-                f.write(f"{i} {float(self.sparse_w[i])!r}\n")
+        write_model_file(path, VERSION, {
+            "d_hash": config.d_hash, "use_source": int(config.use_source), "t_max": config.t_max,
+            "vocab_hash": config.vocab_hash, "final_objective": float(self.final_objective),
+            "logfreq": " ".join(str(float(v)) for v in config.logfreq),
+            "bias": float(self.bias), "dense": " ".join(str(float(v)) for v in self.dense_w),
+            "provenance": " ".join(f"{key}={value}" for key, value in self.provenance.items()),
+        }, (f"{i} {float(self.sparse_w[i])}\n"
+            for i in itertools.compress(itertools.count(), self.sparse_w)))
 
     @classmethod
-    def load(cls, path) -> "DiscriminatorModel":
-        """Read a `discriminator v2` file; any other version line, an older
-        file's too, is refused with a hint to write the file again."""
-        with open(path, encoding="utf-8") as f:
-            try:
-                version = f.readline().strip()
-            except UnicodeDecodeError as e:
-                raise DiscriminatorError(f"not a discriminator model file: {path}: {e}") from None
-            if version != "discriminator v2":
-                raise DiscriminatorError(
-                    f"not a discriminator model file: {path}: its first line is {version!r}, "
-                    f"not 'discriminator v2'; re-run train-discriminator to write one")
-            try:
-                d_hash = int(read_header(f, "d_hash"))
-                use_source = read_header(f, "use_source")
-                if use_source not in ("0", "1"):
-                    raise ValueError(f"use_source must be 0 or 1, got {use_source!r}")
-                t_max = int(read_header(f, "t_max"))
-                vocab_hash = read_header(f, "vocab_hash", many=True)
-                if len(vocab_hash) > 1:
-                    raise ValueError(f"the 'vocab_hash' line holds {len(vocab_hash)} values, "
-                                     f"not 0 or 1")
-                final_objective = finite_float(read_header(f, "final_objective"))
-                logfreq = tuple(map(finite_float, read_header(f, "logfreq", many=True)))
-                bias = finite_float(read_header(f, "bias"))
-                dense = array("d", map(finite_float, read_header(f, "dense", many=True)))
-                if len(dense) != N_DENSE:
-                    raise ValueError(f"{len(dense)} dense weights, not {N_DENSE}")
-                provenance = {}
-                for entry in read_header(f, "provenance", many=True):
-                    key, sep, value = entry.partition("=")
-                    if not key or not sep:
-                        raise ValueError(f"provenance entry {entry!r} is not key=value")
-                    provenance[key] = value
-                sparse_entries = read_body(f, 11, _sparse_entry)  # after the 10 header lines
-            except ValueError as e:
-                raise DiscriminatorError(
-                    f"truncated or malformed discriminator model file: {path}: {e}") from None
+    def load(cls, path, vocab: Vocabulary | None = None) -> "DiscriminatorModel":
+        """Read a `discriminator v3` file, written for `vocab` if one is given."""
+        header, sparse_entries = read_model_file(
+            path, "discriminator", VERSION, DiscriminatorError, _HEADER, _sparse_entry, vocab,
+            many=("vocab_hash", "logfreq", "dense", "provenance"))
         try:
-            config = FeatureConfig(d_hash=d_hash, use_source=use_source == "1", t_max=t_max,
-                                   logfreq=logfreq, vocab_hash="".join(vocab_hash))
+            config = FeatureConfig(**{f.name: header[f.name] for f in fields(FeatureConfig)})
         except DiscriminatorError as e:
             raise DiscriminatorError(f"discriminator model file {path}: {e}") from None
-        sparse = array("d", [0.0]) * d_hash
+        sparse = array("d", [0.0]) * config.d_hash
         for i, w in sparse_entries.items():
-            if not 0 <= i < d_hash:
+            if not 0 <= i < config.d_hash:
                 raise DiscriminatorError(f"discriminator model file {path}: sparse index {i} "
-                                         f"is outside [0, {d_hash})")
+                                         f"is outside [0, {config.d_hash})")
             sparse[i] = w
-        return cls(config, dense, sparse, bias, final_objective=final_objective,
-                   provenance=provenance)
+        return cls(config, header["dense"], sparse, header["bias"],
+                   final_objective=header["final_objective"], provenance=header["provenance"])
+
+
+def _use_source(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"use_source must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _vocab_hash(values: list) -> str:
+    if len(values) > 1:
+        raise ValueError(f"the 'vocab_hash' line holds {len(values)} values, not 0 or 1")
+    return "".join(values)
+
+
+def _dense(values: list) -> array:
+    dense = array("d", map(finite_float, values))
+    if len(dense) != N_DENSE:
+        raise ValueError(f"{len(dense)} dense weights, not {N_DENSE}")
+    return dense
+
+
+def _provenance(entries: list) -> dict[str, str]:
+    for entry in entries:
+        if entry.find("=") < 1:  # no "=", or nothing before it
+            raise ValueError(f"provenance entry {entry!r} is not key=value")
+    return dict(entry.split("=", 1) for entry in entries)
+
+
+# how a model file's header lines parse, by key, in file order
+_HEADER = {"d_hash": int, "use_source": _use_source, "t_max": int, "vocab_hash": _vocab_hash,
+           "final_objective": finite_float, "logfreq": lambda v: tuple(map(finite_float, v)),
+           "bias": finite_float, "dense": _dense, "provenance": _provenance}
 
 
 def _sparse_entry(fields) -> tuple[int, float]:

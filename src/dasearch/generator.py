@@ -27,9 +27,12 @@ from collections import Counter
 from itertools import filterfalse, islice
 from math import log
 
-from dasearch.corpus import Corpus, Vocabulary, atomic_write, finite_float, read_body, read_header
+from dasearch.corpus import Corpus, Vocabulary, finite_float, read_model_file, write_model_file
 
 BACKOFF = 0.4
+VERSION = "ngram-copy v2"  # the first line of a model file
+# how a model file's header lines parse, by key, in file order
+_HEADER = {"order": int, "kappa": finite_float, "lambda_copy": finite_float, "vocab_hash": str}
 
 
 class GeneratorError(ValueError):
@@ -322,41 +325,22 @@ class NGramCopyModel:
     # -- persistence -------------------------------------------------------------
 
     def save(self, path) -> None:
-        with atomic_write(path) as f:
-            f.write("ngram-copy v1\n")
-            f.write(f"order {self.order}\n")
-            f.write(f"kappa {self.kappa!r}\n")
-            f.write(f"lambda_copy {self.lambda_copy!r}\n")
-            f.write(f"vocab_hash {self.vocab.digest()}\n")
-            for k in range(1, self.order + 1):
-                for ctx in sorted(self.counts[k]):
-                    table = self.counts[k][ctx]
-                    for tok in sorted(table):
-                        ids = " ".join(map(str, ctx + (tok,)))
-                        f.write(f"{ids} {table[tok]}\n")
+        write_model_file(path, VERSION, {"order": self.order, "kappa": self.kappa,
+                                         "lambda_copy": self.lambda_copy,
+                                         "vocab_hash": self.vocab.digest()},
+                         (" ".join(map(str, (*ctx, tok, table[tok]))) + "\n"
+                          for counts in self.counts[1:] for ctx, table in sorted(counts.items())
+                          for tok in sorted(table)))
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "NGramCopyModel":
-        with open(path, encoding="utf-8") as f:
-            try:
-                header = f.readline().strip()
-            except UnicodeDecodeError as e:
-                raise GeneratorError(f"not a generator model file: {path}: {e}") from None
-            if header != "ngram-copy v1":
-                raise GeneratorError(
-                    f"not a generator model file: {path}: its first line is {header!r}, "
-                    f"not 'ngram-copy v1'; re-run train-generator to write one")
-            try:
-                order, kappa, lambda_copy, vhash = (
-                    read_header(f, key) for key in ("order", "kappa", "lambda_copy", "vocab_hash"))
-                model = cls(vocab, order=int(order), kappa=finite_float(kappa),
-                            lambda_copy=finite_float(lambda_copy))
-                ngrams = read_body(f, 6, _ngram_entry)  # after the 5 header lines
-            except ValueError as e:
-                raise GeneratorError(
-                    f"truncated or malformed generator model file: {path}: {e}") from None
-        if vocab.digest() != vhash:
-            raise GeneratorError(f"vocabulary does not match the model file {path}")
+        header, ngrams = read_model_file(path, "generator", VERSION, GeneratorError, _HEADER,
+                                         _ngram_entry, vocab)
+        try:
+            model = cls(vocab, header["order"], header["kappa"], header["lambda_copy"])
+        except GeneratorError as e:
+            raise GeneratorError(
+                f"truncated or malformed generator model file: {path}: {e}") from None
         for key, count in ngrams.items():
             ids = list(key)
             if not 1 <= len(ids) <= model.order:

@@ -278,18 +278,12 @@ def evaluate_system(generations: dict, corpus, system: str = "model",
         system=system,
         n_pairs=len(corpus.pairs),
         len_mean=model["len"],
-        nov1=model["nov1"],
-        nov3=model["nov3"],
-        rep1=model["rep1"],
-        rep3=model["rep3"],
+        **{key: model[key] for key in ("nov1", "nov3", "rep1", "rep3")},
         bleu1=100.0 * b1,
         rouge1_recall=100.0 * _mean([r for r, _, _ in r1]),
         rouge1_f=100.0 * _mean([f for _, _, f in r1]),
         rougeL_recall=100.0 * _mean([r for r, _, _ in rl]),
         rougeL_f=100.0 * _mean([f for _, _, f in rl]),
-        d_len=delta(human["len"], model["len"]),
-        d_nov1=delta(human["nov1"], model["nov1"]),
-        d_nov3=delta(human["nov3"], model["nov3"]),
-        d_rep1=delta(human["rep1"], model["rep1"]),
-        d_rep3=delta(human["rep3"], model["rep3"]),
+        **{f"d_{key}": delta(human[key], model[key])
+           for key in ("len", "nov1", "nov3", "rep1", "rep3")},
     )

@@ -77,20 +77,12 @@ HISTORY_KEYS = ("iteration", "val_accuracy", "final_objective", "d_len", "d_nov1
 
 def _history_entry(iteration, val_accuracy, final_objective, generations, corpus, G):
     report = evaluate_system(generations, corpus)
-    return {
-        "iteration": iteration,
-        "val_accuracy": val_accuracy,
-        "final_objective": final_objective,
-        "d_len": report.d_len,
-        "d_nov1": report.d_nov1,
-        "d_nov3": report.d_nov3,
-        "d_rep1": report.d_rep1,
-        "d_rep3": report.d_rep3,
-        "bleu1": report.bleu1,
-        "rouge1": report.rouge1_f,
-        "rougeL": report.rougeL_f,
-        "distinct_G": len({tokens for _, tokens in G}),  # distinct sequences trained on
-    }
+    return {"iteration": iteration, "val_accuracy": val_accuracy,
+            "final_objective": final_objective,
+            **{key: getattr(report, key)
+               for key in ("d_len", "d_nov1", "d_nov3", "d_rep1", "d_rep3", "bleu1")},
+            "rouge1": report.rouge1_f, "rougeL": report.rougeL_f,
+            "distinct_G": len({tokens for _, tokens in G})}  # distinct sequences trained on
 
 
 def _round(corpus: Corpus, search_one, config: FeatureConfig,

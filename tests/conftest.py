@@ -5,8 +5,10 @@ search that builds every candidate in full, which the search must equal bit
 for bit (and, run on to t_max, whose winner the search's must equal), the
 classic longest-common-subsequence table that the bit-parallel
 `metrics.lcs_length` must equal, the analytic gradient of the
-discriminator's objective, and the corpus files load_corpus refuses."""
+discriminator's objective, the corpus files load_corpus refuses, and an
+edited model file's text with its count-and-digest line made to match."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from dasearch.corpus import Corpus, DocumentPair, Vocabulary, generate_synthetic_corpus
 from dasearch.decoder import (DecoderError, EPS_DIS, Hypothesis, SearchConfig, _expansion,
                               apply_das_score, length_penalty)
-from dasearch.discriminator import DiscriminatorModel, FeatureBatch, PrefixFeaturizer
+from dasearch.discriminator import DiscriminatorModel, FeatureBatch, PrefixFeaturizer, _sigmoid
 from dasearch.generator import GeneratorError, train_generator
 
 
@@ -30,6 +32,16 @@ CORPUS_FILE_REFUSALS = {
     "empty-file": ("", "empty file: {path}"),
     "blank-lines": ("\n  \n", "empty file: {path}"),
 }
+
+
+def reframed(text: str) -> str:
+    """Model-file text with line 2 made the count and sha256 of the lines
+    after it, as write_model_file writes it: an edit that the frame lets
+    through to the loader's own checks."""
+    version, _, rest = text.partition("\n")
+    lines = rest.partition("\n")[2]
+    n, digest = lines.count("\n"), hashlib.sha256(lines.encode()).hexdigest()
+    return f"{version}\n{n} {digest}\n{lines}"
 
 
 def make_vocab(*tokens):
@@ -173,7 +185,8 @@ def reference_search(generator, discriminator, source, config: SearchConfig,
             return h  # already scored (ended hypotheses keep their scores)
         if rerank:
             parent, token = states[h.tokens[:-1]], h.tokens[-1]
-            dis_prob, step = featurizer.score_next(parent, token)
+            z, step = featurizer.score_next(parent, token)
+            dis_prob = _sigmoid(z)
             states[h.tokens] = state = parent.copy()
             featurizer.commit(state, token, step)
             clamps += dis_prob < EPS_DIS

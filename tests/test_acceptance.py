@@ -1,7 +1,7 @@
 """Acceptance suite: end-to-end properties and directional results.
 
 Each test prints one PASS line describing what was established; the heavy
-pipeline runs are shared through session fixtures.
+pipeline runs are shared through module fixtures.
 """
 
 import hashlib
@@ -35,10 +35,18 @@ from dasearch.selftrain import (
 
 from conftest import eq2_gradient, exhaustive_oracle, make_corpus, make_vocab
 
-logging.disable(logging.WARNING)  # silence clamp warnings in bulk decoding
+
+@pytest.fixture(scope="module", autouse=True)
+def quiet_decoding():
+    """Clamp warnings silenced in this module's bulk decoding, and only here:
+    the module's other fixtures start after this one, and later modules log
+    as before."""
+    logging.disable(logging.WARNING)
+    yield
+    logging.disable(logging.NOTSET)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def five_seed_setups():
     """Five 40-pair corpora (200 sources total) with trained generators."""
     setups = []
@@ -48,7 +56,7 @@ def five_seed_setups():
     return setups
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def retrain_run():
     """Bootstrap plus two self-training rounds on a 500-pair corpus."""
     corpus = generate_synthetic_corpus(1, 500)
@@ -62,7 +70,7 @@ def retrain_run():
     return corpus, generator, state
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def accuracy_curves():
     """Held-out (t, right, n) counts by prefix length, with and without source
     features."""
@@ -85,7 +93,7 @@ def accuracy_curves():
     return curves
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
     """A full small CLI pipeline including one self-training round."""
     root = tmp_path_factory.mktemp("acceptance-cli")

@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import importlib
+import io
 import json
 import logging
 import operator
@@ -11,23 +12,26 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dasearch import cli, decoder, discriminator, selftrain
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
 from dasearch.corpus import Vocabulary, build_vocabulary, load_corpus
 from dasearch.decoder import SearchConfig
 from dasearch.discriminator import DiscriminatorModel
-from dasearch.generator import train_generator
+from dasearch.generator import NGramCopyModel, train_generator
 from dasearch.selftrain import DiscriminatorHparams
 
-from conftest import CORPUS_FILE_REFUSALS
+from conftest import CORPUS_FILE_REFUSALS, reframed
 
 
 def write_config(directory: Path, **overrides) -> Path:
@@ -463,6 +467,119 @@ def test_truncated_model_file_exits_one(pipeline, tmp_path, capsys, kind, keep):
     path = derive_config(cfg, tmp_path, **{f"{kind}_model": str(cut)})
     assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
     assert f"truncated or malformed {kind} model file: {cut}" in capsys.readouterr().err
+    # and a cut at every line boundary after the version line, header and body alike
+    lines = data.splitlines(keepends=True)
+    for n in range(1, len(lines)):
+        cut.write_bytes(b"".join(lines[:n]))
+        assert main(["decode", "--config", str(path), "--mode", "das"]) == 1, n
+        counted = repr(str(len(lines) - 2) if n > 1 else "")  # line 2 is gone at n = 1
+        assert capsys.readouterr().err == (
+            f"error: truncated or malformed {kind} model file: {cut}: line 2 counts "
+            f"{counted} lines after it, but {max(n - 2, 0)} whole ones follow\n"), n
+
+
+def _edited_model_files(data: bytes) -> dict[str, bytes]:
+    """A model file's bytes with one edit after its version line, by name."""
+    lines = data.splitlines(keepends=True)
+    # the index of line 4, a header line, and of a body line in the middle
+    header, body = 3, len(lines) // 2 + 1
+    key, value = lines[2].split()  # d_hash or order: an int
+    *fields, last = lines[-1].split()
+    return {
+        "cut-inside-a-header-line": b"".join(lines[:header]) + lines[header][:3],
+        "cut-inside-a-body-line": b"".join(lines[:-1]) + lines[-1][:-3],
+        "deleted-header-line": b"".join(lines[:header] + lines[header + 1:]),
+        "deleted-body-line": b"".join(lines[:body] + lines[body + 1:]),
+        "edited-header-value": b"".join([*lines[:2], key + b" " + str(int(value) + 1).encode()
+                                         + b"\n", *lines[3:]]),
+        "edited-body-value": b"".join([*lines[:-1], b" ".join([*fields, last + b"1"]) + b"\n"]),
+    }
+
+
+@pytest.mark.parametrize("edit", ["cut-inside-a-header-line", "cut-inside-a-body-line",
+                                  "deleted-header-line", "deleted-body-line",
+                                  "edited-header-value", "edited-body-value"])
+@pytest.mark.parametrize("kind", ["discriminator", "generator"])
+def test_a_model_file_edited_after_its_version_exits_one(pipeline, tmp_path, capsys, kind,
+                                                         edit):
+    root, cfg = pipeline
+    data = (root / "out" / f"{kind}.model").read_bytes()
+    edited = tmp_path / f"{kind}.model"
+    edited.write_bytes(_edited_model_files(data)[edit])
+    assert edited.read_bytes() != data
+    path = derive_config(cfg, tmp_path, **{f"{kind}_model": str(edited)})
+    assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: truncated or malformed {kind} model file: {edited}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "generations-das-test.jsonl").exists()
+
+
+def _same_model(kind: str, a, b) -> bool:
+    if kind == "discriminator":
+        return a == b
+    return (a.order, a.kappa, a.lambda_copy, a.counts) == (b.order, b.kappa, b.lambda_copy,
+                                                           b.counts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_a_mutated_model_file_decodes_only_as_the_written_model(pipeline, data):
+    """Random byte and line edits of either model file, the version line
+    included: decode exits 1 with one error line naming the file, or 0, and
+    then the file loads as the model that was written."""
+    root, cfg = pipeline
+    kind = data.draw(st.sampled_from(["discriminator", "generator"]), label="kind")
+    written = (root / "out" / f"{kind}.model").read_bytes()
+    lines = written.splitlines(keepends=True)
+    how = data.draw(st.sampled_from(["set-byte", "delete-byte", "insert-byte", "cut",
+                                     "delete-line", "repeat-line", "swap-lines"]), label="how")
+    at = data.draw(st.integers(0, len(written) - 1), label="byte")
+    line = data.draw(st.integers(0, len(lines) - 2), label="line")
+    byte = bytes([data.draw(st.sampled_from([written[at], *b"\n 0179.-e=\xff"]), label="value")])
+    mutated = {
+        "set-byte": written[:at] + byte + written[at + 1:],
+        "delete-byte": written[:at] + written[at + 1:],
+        "insert-byte": written[:at] + byte + written[at:],
+        "cut": written[:at],
+        "delete-line": b"".join(lines[:line] + lines[line + 1:]),
+        "repeat-line": b"".join(lines[:line + 1] + lines[line:]),
+        "swap-lines": b"".join(lines[:line] + [lines[line + 1], lines[line]] + lines[line + 2:]),
+    }[how]
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / f"{kind}.model"
+        model.write_bytes(mutated)
+        path = derive_config(cfg, Path(tmp), **{f"{kind}_model": str(model)})
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["decode", "--config", str(path), "--mode", "das"])
+        err = err.getvalue()
+        assert code in (0, 1), err
+        if code == 1:
+            assert err.startswith("error: ") and str(model) in err and err.count("\n") == 1, err
+        else:
+            vocab = Vocabulary.load(root / "out" / "vocab.txt")
+            load = (DiscriminatorModel.load if kind == "discriminator"
+                    else partial(NGramCopyModel.load, vocab=vocab))
+            assert _same_model(kind, load(model), load(root / "out" / f"{kind}.model"))
+
+
+@pytest.mark.parametrize("kind, old, new, stage", [
+    ("discriminator", "discriminator v2", "discriminator v3", "train-discriminator"),
+    ("generator", "ngram-copy v1", "ngram-copy v2", "train-generator"),
+])
+def test_a_model_file_of_the_previous_version_names_the_stage_that_writes_one(
+        pipeline, tmp_path, capsys, kind, old, new, stage):
+    root, cfg = pipeline
+    lines = (root / "out" / f"{kind}.model").read_text().splitlines(keepends=True)
+    assert lines[0] == new + "\n"
+    previous = tmp_path / f"{kind}.model"  # as the previous version wrote it: no line 2
+    previous.write_text("".join([old + "\n", *lines[2:]]))
+    path = derive_config(cfg, tmp_path, **{f"{kind}_model": str(previous)})
+    assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: not a {kind} model file: {previous}: its first line is {old!r}, not {new!r}; "
+        f"re-run {stage} to write one\n")
 
 
 @pytest.mark.parametrize("kind", ["discriminator", "generator"])
@@ -475,7 +592,7 @@ def test_out_of_range_model_file_exits_one(pipeline, tmp_path, capsys, kind):
     else:
         text = text.replace("t_max 40\n", "t_max 0\n")
     bad = tmp_path / f"{kind}.model"
-    bad.write_text(text)
+    bad.write_text(reframed(text))
     path = derive_config(cfg, tmp_path, **{f"{kind}_model": str(bad)})
     assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
     assert f"error: {kind} model file {bad}: " in capsys.readouterr().err
@@ -688,16 +805,16 @@ def test_self_train_retrains_the_bootstrap_when_an_input_differs(pipeline, tmp_p
                      "generator_model": str(tmp_path / "generator.model")}
         path = derive_config(cfg, tmp_path, **overrides)
         assert main(["train-generator", "--config", str(path), "--lambda-copy", "0.5"]) == 0
-    elif change == "no-provenance":  # a v2 file as a self-training round writes it
+    elif change == "no-provenance":  # a file as a self-training round writes it
         text = (root / "out" / "discriminator.model").read_text()
-        (tmp_path / "later.model").write_text(re.sub(r"\nprovenance .*\n", "\nprovenance \n",
-                                                     text))
+        (tmp_path / "later.model").write_text(
+            reframed(re.sub(r"\nprovenance .*\n", "\nprovenance \n", text)))
         overrides = {"discriminator_model": str(tmp_path / "later.model")}
     elif change == "revision":  # a file the bootstrap revision just retired wrote
         text = (root / "out" / "discriminator.model").read_text()
         retired = f"bootstrap_revision={selftrain.BOOTSTRAP_REVISION - 1} "
-        (tmp_path / "old.model").write_text(re.sub(r"\bbootstrap_revision=\d+ ", retired,
-                                                   text))
+        (tmp_path / "old.model").write_text(
+            reframed(re.sub(r"\bbootstrap_revision=\d+ ", retired, text)))
         overrides = {"discriminator_model": str(tmp_path / "old.model")}
     else:
         overrides = {"discriminator_model": ""}
@@ -872,6 +989,19 @@ def test_self_train_exits_one_on_a_malformed_discriminator_file(pipeline, tmp_pa
     assert not (tmp_path / "iter_0").exists()
 
 
+def test_self_train_exits_one_on_a_body_cut_bootstrap_model(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
+    lines = (root / "out" / "discriminator.model").read_bytes().splitlines(keepends=True)
+    cut = tmp_path / "discriminator.model"
+    cut.write_bytes(b"".join(lines[:-1]))  # every line but the last sparse weight
+    path = derive_config(cfg, tmp_path, discriminator_model=str(cut))
+    assert main(["self-train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: truncated or malformed discriminator model file: {cut}: line 2 counts "
+        f"'{len(lines) - 2}' lines after it, but {len(lines) - 3} whole ones follow\n")
+    assert not list(tmp_path.glob("iter_*"))
+
+
 @pytest.mark.parametrize("key", ["vocab_path", "generator_model", "discriminator_model",
                                  "config"])
 def test_a_file_that_is_not_utf8_is_named_in_the_error(pipeline, tmp_path, capsys, key):
@@ -892,7 +1022,7 @@ def test_a_v1_discriminator_file_exits_one_for_decode_and_self_train(pipeline, t
                                                                      capsys):
     root, cfg = pipeline
     text = (root / "out" / "discriminator.model").read_text()
-    text = text.replace("discriminator v2\n", "discriminator v1\n", 1)
+    text = re.sub(r"\Adiscriminator v3\n.*\n", "discriminator v1\n", text)
     v1 = tmp_path / "v1.model"
     v1.write_text(re.sub(r"\nprovenance .*\n", "\n", re.sub(r"\nvocab_hash \S+\n", "\n", text)))
     for command, extra in (("decode", ["--mode", "das"]), ("self-train", [])):
@@ -900,7 +1030,7 @@ def test_a_v1_discriminator_file_exits_one_for_decode_and_self_train(pipeline, t
         assert main([command, "--config", str(path), *extra]) == 1
         assert capsys.readouterr().err == (
             f"error: not a discriminator model file: {v1}: its first line is 'discriminator v1', "
-            f"not 'discriminator v2'; re-run train-discriminator to write one\n")
+            f"not 'discriminator v3'; re-run train-discriminator to write one\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "v1.model"]
 
 
@@ -909,7 +1039,7 @@ def test_a_file_that_is_not_a_generator_model_names_its_first_line(pipeline, tmp
                                                                     found):
     root, cfg = pipeline
     if found == "discriminator":
-        model, first = root / "out" / "discriminator.model", "discriminator v2"
+        model, first = root / "out" / "discriminator.model", "discriminator v3"
     else:
         model, first = tmp_path / "empty.model", ""
         model.write_text("")
@@ -917,7 +1047,7 @@ def test_a_file_that_is_not_a_generator_model_names_its_first_line(pipeline, tmp
     assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
     assert capsys.readouterr().err == (
         f"error: not a generator model file: {model}: its first line is {first!r}, "
-        f"not 'ngram-copy v1'; re-run train-generator to write one\n")
+        f"not 'ngram-copy v2'; re-run train-generator to write one\n")
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])
@@ -1450,16 +1580,14 @@ def _written(directory: Path) -> dict:
 
 @contextmanager
 def logging_as_in_a_process():
-    """Logging as a fresh process has it: nothing disabled, and no handler,
-    so warnings go to stderr."""
-    disabled, handlers = logging.root.manager.disable, logging.root.handlers
-    logging.disable(logging.NOTSET)
+    """Logging as a fresh process has it: no handler, so warnings go to
+    stderr."""
+    handlers = logging.root.handlers
     logging.root.handlers = []
     try:
         yield
     finally:
         logging.root.handlers = handlers
-        logging.disable(disabled)
 
 
 def test_a_process_writes_and_prints_what_main_does(tmp_path, capsys, monkeypatch):

@@ -672,9 +672,9 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generat
         key = (id(state), state.t, token)
         assert key not in scorings
         scorings[key] = state
-        D, step = score_next(self, state, token)
+        z, step = score_next(self, state, token)
         uncommitted[id(step)] = step
-        return D, step
+        return z, step
 
     def counting_commit(state, token, step):
         counts.update(["commit"])

@@ -34,7 +34,7 @@ from dasearch.discriminator import (
 )
 from dasearch.metrics import repetition_n
 
-from conftest import eq2_gradient, make_corpus, make_vocab
+from conftest import eq2_gradient, make_corpus, make_vocab, reframed
 
 EOS = Vocabulary.eos
 
@@ -263,10 +263,12 @@ def test_incremental_features_equal_the_reference_bitwise(data):
     state, scored, hits = featurizer.state_of(source), scorer.state_of(source), []
 
     def check(state, scored, hits, token, p):
-        """The step of `token` from each state gives the features and the D
-        of the prefix `p` it ends; returns both steps and the prefix's hits."""
+        """The step of `token` from each state gives the features and the
+        logit, whose _sigmoid is D, of the prefix `p` it ends; returns both
+        steps and the prefix's hits."""
         _, step = featurizer.score_next(state, token)
-        D, scored_step = scorer.score_next(scored, token)
+        z, scored_step = scorer.score_next(scored, token)
+        D = _sigmoid(z)
         *_, step_hits, dense = step
         hits = hits + [featurizer.columns[c] for c in step_hits]
         ref = reference_features(source, p, config)
@@ -312,13 +314,13 @@ def test_score_next_leaves_the_state_and_commit_applies_its_step(data):
         scorer.commit(state, token, scorer.score_next(state, token)[1])
     for token in range(n_vocab):
         before = state_fields(state)
-        D, step = scorer.score_next(state, token)
+        z, step = scorer.score_next(state, token)
         assert state_fields(state) == before
         committed, rescored = state.copy(), state.copy()
         scorer.commit(committed, token, step)
         scorer.commit(rescored, token, scorer.score_next(rescored, token)[1])
         assert state_fields(committed) == state_fields(rescored)
-        assert D.hex() == model.score(source, prefix + (token,)).hex()
+        assert _sigmoid(z).hex() == model.score(source, prefix + (token,)).hex()
 
 
 def key_name(key):
@@ -680,9 +682,9 @@ def test_packed_training_equals_the_per_example_reference_bitwise(data):
         scorer = PrefixFeaturizer(config, packed)
         state = scorer.state_of(source)
         for token in prefix:
-            D, step = scorer.score_next(state, token)
+            z, step = scorer.score_next(state, token)
             scorer.commit(state, token, step)
-        carried.append(D)
+        carried.append(_sigmoid(z))
     assert carried == want
 
 
@@ -984,7 +986,7 @@ def test_model_load_rejects_out_of_range_content(tmp_path, old, new, problem):
     path = tmp_path / "disc.model"
     train_discriminator(H, G, config, epochs=2, seed=3).save(path)
     text = path.read_text()
-    path.write_text(text.replace(old, new) if old else text + new)
+    path.write_text(reframed(text.replace(old, new) if old else text + new))
     with pytest.raises(DiscriminatorError,
                        match=re.escape(f"discriminator model file {path}: {problem}")):
         DiscriminatorModel.load(path)
@@ -998,9 +1000,9 @@ def test_model_load_rejects_out_of_range_content(tmp_path, old, new, problem):
     (lambda t: re.sub(r"\nfinal_objective \S+\n", "\nfinal_objective -inf\n", t),
      "not a finite number: '-inf'"),
     (lambda t: re.sub(r"(\nprovenance .*\n)", r"\g<1>3 inf\n", t),
-     "line 11: '3 inf': not a finite number: 'inf'"),
+     "line 12: '3 inf': not a finite number: 'inf'"),
     (lambda t: re.sub(r"(\nprovenance .*\n)", r"\g<1>3\n", t),
-     "line 11: '3': not enough values to unpack (expected 2, got 1)"),
+     "line 12: '3': not enough values to unpack (expected 2, got 1)"),
     (lambda t: re.sub(r"\ndense \S+", "\ndense nan", t), "not a finite number: 'nan'"),
     (lambda t: re.sub(r"\ndense \S+ ", "\ndense ", t),
      f"{N_DENSE - 1} dense weights, not {N_DENSE}"),
@@ -1020,7 +1022,7 @@ def test_model_load_checks_each_header_line_by_key(tmp_path, edit, problem):
     train_discriminator(H, G, config, epochs=2, seed=3).save(path)
     text = path.read_text()
     assert edit(text) != text
-    path.write_text(edit(text))
+    path.write_text(reframed(edit(text)))
     with pytest.raises(DiscriminatorError, match=re.escape(
             f"truncated or malformed discriminator model file: {path}: {problem}")):
         DiscriminatorModel.load(path)
@@ -1035,9 +1037,10 @@ def test_model_load_rejects_a_repeated_sparse_index(tmp_path):
     train_discriminator(H, G, config, epochs=2, seed=3).save(path)
     text = path.read_text()
     lines = text.splitlines(keepends=True)
-    first = next(n for n, line in enumerate(lines, start=1) if line[0].isdigit())
+    # the first body line: below the count-and-digest line 2, an `index weight` line
+    first = next(n for n, line in enumerate(lines, start=1) if n > 2 and line[0].isdigit())
     index = lines[first - 1].split()[0]
-    path.write_text(text + f"{index} 5.0\n")
+    path.write_text(reframed(text + f"{index} 5.0\n"))
     with pytest.raises(DiscriminatorError, match=re.escape(
             f"truncated or malformed discriminator model file: {path}: line {len(lines) + 1}: "
             f"'{index} 5.0' repeats the key of line {first}")):

@@ -15,7 +15,7 @@ from dasearch.corpus import Corpus, Vocabulary
 from dasearch.generator import (BACKOFF, GeneratorError, NGramCopyModel, Row, copy_terms,
                                 ngram_terms, pairwise_sum, train_generator)
 
-from conftest import make_corpus, make_vocab, row_probs, sequence_logprob
+from conftest import make_corpus, make_vocab, reframed, row_probs, sequence_logprob
 
 SOS, EOS = Vocabulary.sos, Vocabulary.eos
 
@@ -555,8 +555,7 @@ def test_model_load_rejects_out_of_range_content(ab_corpus, abc_vocab, tmp_path,
                                                  problem):
     path = tmp_path / "gen.model"
     train_generator(ab_corpus).save(path)
-    with open(path, "a", encoding="utf-8") as f:
-        f.write(line + "\n")
+    path.write_text(reframed(path.read_text() + line + "\n"))
     with pytest.raises(GeneratorError, match=re.escape(f"generator model file {path}: {problem}")):
         NGramCopyModel.load(path, abc_vocab)
 
@@ -566,7 +565,7 @@ def test_model_load_rejects_a_repeated_ngram(ab_corpus, abc_vocab, tmp_path):
     train_generator(ab_corpus).save(path)
     lines = path.read_text().splitlines(keepends=True)
     n = next(i for i, line in enumerate(lines, start=1) if line.startswith("0 3 "))
-    path.write_text("".join(lines) + "0 3 7\n")
+    path.write_text(reframed("".join(lines) + "0 3 7\n"))
     with pytest.raises(GeneratorError, match=re.escape(
             f"truncated or malformed generator model file: {path}: line {len(lines) + 1}: "
             f"'0 3 7' repeats the key of line {n}")):
@@ -580,13 +579,13 @@ def test_model_load_rejects_a_repeated_ngram(ab_corpus, abc_vocab, tmp_path):
     ("lambda_copy 0.75\n", "lambda_copy inf\n", "not a finite number: 'inf'"),
     ("kappa 1.0\n", "kappa -1.0\n", "kappa must be > 0 and finite, got -1.0"),
     ("order 3\n", "order 3 2\n", "the 'order' line holds 2 values, not 1"),
-    ("\n0 3 1\n", "\n0 3 x\n", "line 9: '0 3 x': invalid literal for int() with base 10: 'x'"),
+    ("\n0 3 1\n", "\n0 3 x\n", "line 10: '0 3 x': invalid literal for int() with base 10: 'x'"),
 ], ids=["swapped", "kappa-nan", "lambda-inf", "kappa-negative", "two-values", "ngram-count-x"])
 def test_model_load_checks_each_header_line_by_key(ab_corpus, abc_vocab, tmp_path, old, new,
                                                    problem):
     path = tmp_path / "gen.model"
     train_generator(ab_corpus).save(path)
-    path.write_text(path.read_text().replace(old, new, 1))
+    path.write_text(reframed(path.read_text().replace(old, new, 1)))
     with pytest.raises(GeneratorError, match=re.escape(
             f"truncated or malformed generator model file: {path}: {problem}")):
         NGramCopyModel.load(path, abc_vocab)
