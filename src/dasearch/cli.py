@@ -222,34 +222,30 @@ def _provenance(cfg: RunConfig) -> dict[str, str]:
                                           cfg.disc_hparams(), cfg.search_config("plain"))
 
 
-def _reusable_bootstrap(path: str, provenance: dict[str, str]):
-    """(the discriminator at `path`, None) if it records `provenance`, else
-    (None, why not). A malformed file raises the loader's error."""
-    from dasearch.discriminator import DiscriminatorModel
-    if not path:
-        return None, "[paths] discriminator_model is not set"
-    if not Path(path).is_file():
-        return None, f"no file at {path}"
-    model = DiscriminatorModel.load(path)
-    if not model.provenance:
-        return None, f"{path} records no provenance"
-    for key in {**provenance, **model.provenance}:
-        if model.provenance.get(key) != provenance.get(key):
-            return None, f"{key} differs"
-    return model, None
-
-
 def _round_record_path(model_path) -> Path:
     """Where train-discriminator writes the record of the bootstrap round
     that trained the model at `model_path`: beside it."""
     return Path(f"{model_path}.bootstrap.json")
 
 
-def _resumed_bootstrap(model_path: str, model, corpus: Corpus, hparams: DiscriminatorHparams):
-    """(the bootstrap state the round record beside `model_path` holds, None)
-    when it records the round that trained that file, `model`, on `corpus`;
-    else (None, why not)."""
+def _resumed_bootstrap(model_path: str, provenance: dict[str, str], corpus: Corpus,
+                       hparams: DiscriminatorHparams):
+    """(the bootstrap state that train-discriminator left at `model_path`,
+    None) when that model records `provenance` and the round record beside it
+    records the round that trained it on `corpus`; else (None, why not). A
+    malformed model file raises the loader's error."""
     from dasearch import selftrain
+    from dasearch.discriminator import DiscriminatorModel
+    if not model_path:
+        return None, "[paths] discriminator_model is not set"
+    if not Path(model_path).is_file():
+        return None, f"no file at {model_path}"
+    model = DiscriminatorModel.load(model_path)
+    if not model.provenance:
+        return None, f"{model_path} records no provenance"
+    for key in {**provenance, **model.provenance}:
+        if model.provenance.get(key) != provenance.get(key):
+            return None, f"{key} differs"
     path = _round_record_path(model_path)
     try:
         with open(path, encoding="utf-8") as f:
@@ -395,7 +391,7 @@ def cmd_train_discriminator(cfg: RunConfig, args, out_dir: Path):
     # the round itself, so that self-train need not run it again (_resumed_bootstrap)
     record_path = _round_record_path(model_path)
     with atomic_write(record_path) as f:
-        json.dump(selftrain.round_record(state, _hash_file(model_path)), f)
+        json.dump(selftrain.round_record(state, _hash_file(model_path)), f, allow_nan=False)
         f.write("\n")
     # accuracy curve on the held-out pairs, from the bootstrap's counts by length
     buckets = {1, 5, 10, 20, 30, 40, 60, 80, 100, 120, cfg.t_max}
@@ -444,23 +440,18 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
         _write_rows(history, state.history)
 
     provenance = _provenance(cfg)
-    reused, why_not = _reusable_bootstrap(cfg.discriminator_model, provenance)
-    record = _round_record_path(cfg.discriminator_model)
-    resumed = None
-    if reused is None:
+    inputs = [cfg.train_path, cfg.vocab_path, cfg.generator_model]
+    state, why_not = _resumed_bootstrap(cfg.discriminator_model, provenance, corpus, hparams)
+    if state is None:
         print(f"bootstrap: trained ({why_not})")
+        state = selftrain.bootstrap(corpus, generator, hparams, search)
+        # as train-discriminator's does, so iter_0 is one file either way
+        state.discriminator.provenance = provenance
     else:
-        resumed, why_not = _resumed_bootstrap(cfg.discriminator_model, reused, corpus, hparams)
-        if resumed is None:
-            print(f"bootstrap: reused {cfg.discriminator_model}; round record not used "
-                  f"({why_not})")
-        else:
-            print(f"bootstrap: reused {cfg.discriminator_model}\n"
-                  f"bootstrap: round 0 read from {record}")
-    state = resumed if resumed is not None else selftrain.bootstrap(
-        corpus, generator, hparams, search, model=reused)
-    # reused or trained, the bootstrap records its provenance: one iter_0 file
-    state.discriminator.provenance = provenance
+        record = _round_record_path(cfg.discriminator_model)
+        print(f"bootstrap: reused {cfg.discriminator_model}\n"
+              f"bootstrap: round 0 read from {record}")
+        inputs += [cfg.discriminator_model, record]
     snapshot(state)
     state = selftrain.run_until_convergence(
         state, generator, corpus, search, hparams, max_iters=cfg.max_iters,
@@ -469,11 +460,6 @@ def cmd_self_train(cfg: RunConfig, args, out_dir: Path):
     print(f"self-training stopped after iteration {state.iteration} "
           f"({state.stopped_reason})")
     _remove_stale_iterations(out_dir, state.iteration)
-    inputs = [cfg.train_path, cfg.vocab_path, cfg.generator_model]
-    if reused is not None:
-        inputs.append(cfg.discriminator_model)
-    if resumed is not None:
-        inputs.append(record)
     return ("self-train", inputs, [out_dir / f"iter_{state.iteration}" / "generations.jsonl"])
 
 

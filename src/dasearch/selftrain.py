@@ -1,18 +1,19 @@
 """Discriminator self-training loop.
 
-Iteration 0 trains a bootstrap discriminator on plain beam-search outputs,
-or takes one that an earlier bootstrap trained from the same inputs (see
-bootstrap_provenance); each following iteration decodes with the current discriminator, rebuilds the
+Iteration 0 trains a bootstrap discriminator on plain beam-search outputs;
+each following iteration decodes with the current discriminator, rebuilds the
 generated prefix set from those outputs and retrains. Every round counts its
 model's right calls on the held-out pairs' prefixes once, by length
 (`held_out`); its `val_accuracy` is their share. The generator is never
 modified. A bootstrap round's state, but for its model, is a JSON-able
-record (round_record), from which resumed_bootstrap rebuilds it without
-decoding anything; no function here reads or writes a file.
+record (round_record), from which resumed_bootstrap rebuilds it, given the
+model that round trained (see bootstrap_provenance), without decoding
+anything; no function here reads or writes a file.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -87,13 +88,11 @@ def _history_entry(iteration, val_accuracy, final_objective, generations, corpus
 
 def _round(corpus: Corpus, search_one, config: FeatureConfig,
            hparams: DiscriminatorHparams, iteration: int, seed: int, val_ids,
-           history=(), past=(), init=None, lr_scale: float = 1.0,
-           model: DiscriminatorModel | None = None) -> SelfTrainState:
+           history=(), past=(), init=None, lr_scale: float = 1.0) -> SelfTrainState:
     """Decode every pair with `search_one`, train a discriminator on the
     prefixes of the non-validation pairs (plus the `past` generated sets when
     hparams.replay is on), count its right calls on the held-out pairs' prefixes
-    by length and record the round's metrics. Given `model`, the round takes
-    it as the trained discriminator and trains none."""
+    by length and record the round's metrics."""
     generations = {i: hypothesis_content(h)
                    for i, h in decode_corpus(corpus, search_one).items()}
     train = corpus.subset({p.id for p in corpus.pairs} - val_ids)
@@ -101,10 +100,9 @@ def _round(corpus: Corpus, search_one, config: FeatureConfig,
     if hparams.replay:
         for old in past:
             G_tr += build_prefix_sets(train, old, t_max=config.t_max)[1]
-    if model is None:
-        model = train_discriminator(H_tr, G_tr, config, epochs=hparams.epochs,
-                                    learning_rate=hparams.learning_rate * lr_scale,
-                                    seed=seed, init=init, ratio=hparams.ratio)
+    model = train_discriminator(H_tr, G_tr, config, epochs=hparams.epochs,
+                                learning_rate=hparams.learning_rate * lr_scale,
+                                seed=seed, init=init, ratio=hparams.ratio)
     H_val, G_val = build_prefix_sets(corpus.subset(val_ids), generations,
                                      t_max=config.t_max)
     held_out = accuracy_by_length(model, H_val, G_val, range(1, config.t_max + 1))
@@ -118,22 +116,14 @@ def _round(corpus: Corpus, search_one, config: FeatureConfig,
 
 
 def bootstrap(corpus: Corpus, generator, disc_hparams: DiscriminatorHparams,
-              search_config: SearchConfig,
-              model: DiscriminatorModel | None = None) -> SelfTrainState:
-    """Iteration 0: plain beam-search outputs seed the first discriminator.
-
-    `model`, if given, is a discriminator that an earlier bootstrap trained
-    from these same inputs (its bootstrap_provenance matches): the round
-    uses it instead of training one, and still decodes and counts."""
+              search_config: SearchConfig) -> SelfTrainState:
+    """Iteration 0: plain beam-search outputs seed the first discriminator."""
     feature_config = FeatureConfig.from_corpus(
         corpus, d_hash=disc_hparams.d_hash, use_source=disc_hparams.use_source,
         t_max=search_config.t_max)
-    if model is not None and model.config != feature_config:
-        raise DiscriminatorError("the given bootstrap discriminator was built with other "
-                                 "feature settings than this corpus and these settings give")
     return _round(corpus, partial(plain_beam_search, generator, config=search_config),
                   feature_config, disc_hparams, iteration=0, seed=disc_hparams.seed,
-                  val_ids=validation_ids(corpus, disc_hparams), model=model)
+                  val_ids=validation_ids(corpus, disc_hparams))
 
 
 def validation_ids(corpus: Corpus, disc_hparams: DiscriminatorHparams) -> frozenset:
@@ -162,15 +152,15 @@ def round_record(state: SelfTrainState, model_sha256: str) -> dict:
 
 def resumed_bootstrap(record, model_sha256: str, corpus: Corpus, model: DiscriminatorModel,
                       disc_hparams: DiscriminatorHparams) -> SelfTrainState:
-    """The state bootstrap returns, given `model`, on these inputs, rebuilt
-    from `record`, the round_record of a bootstrap that trained `model`, whose
-    file has sha256 `model_sha256`, on `corpus`; it decodes, featurises and
-    evaluates nothing. A record that is not one raises ValueError naming what
-    does not hold: it must name that sha256; its generations must cover
-    exactly the corpus's pair ids, each a non-empty list of ids of the corpus
-    vocabulary other than SOS and EOS; its held-out counts must be those of
-    t = 1..t_max, and its history entry must have HISTORY_KEYS's keys, in
-    order, with iteration 0."""
+    """The state bootstrap returned when it trained `model` on `corpus`,
+    rebuilt from `record`, that round's round_record, where `model`'s file
+    has sha256 `model_sha256`; it decodes, featurises and evaluates nothing.
+    A record that is not one raises ValueError naming what does not hold: it
+    must name that sha256; its generations must cover exactly the corpus's
+    pair ids, each a non-empty list of ids of the corpus vocabulary other
+    than SOS and EOS; its held-out counts must be those of t = 1..t_max, and
+    its history entry must have HISTORY_KEYS's keys, in order, with
+    iteration 0 and every value a finite number."""
     if not isinstance(record, dict) or record.get("model_sha256") != model_sha256:
         raise ValueError("it records another model file")
     generations, held_out, entry = (record.get(key) for key in
@@ -200,6 +190,9 @@ def resumed_bootstrap(record, model_sha256: str, corpus: Corpus, model: Discrimi
             and all(type(value) in (int, float) for value in entry.values())
             and type(entry["iteration"]) is int and entry["iteration"] == 0):
         raise ValueError("its history entry is not that of a bootstrap round")
+    for key, value in entry.items():  # json.load reads NaN and Infinity
+        if not math.isfinite(value):
+            raise ValueError(f"its history entry's {key} is {value}, not a finite number")
     return SelfTrainState(iteration=0, discriminator=model,
                           last_generations={i: tuple(generations[i]) for i in ids},
                           history=[entry], val_ids=validation_ids(corpus, disc_hparams),

@@ -922,6 +922,10 @@ NOT_A_HISTORY = "{record}: its history entry is not that of a bootstrap round"
     ("history-key", lambda data, first: data["history"].pop("distinct_G"), NOT_A_HISTORY),
     ("history-iteration", lambda data, first: data["history"].update(iteration=1),
      NOT_A_HISTORY),
+    ("history-inf", lambda data, first: data["history"].update(d_len=float("inf")),
+     "{record}: its history entry's d_len is inf, not a finite number"),
+    ("history-nan", lambda data, first: data["history"].update(rouge1=float("nan")),
+     "{record}: its history entry's rouge1 is nan, not a finite number"),
 ])
 def test_self_train_recomputes_the_round_without_a_valid_record(pipeline, tmp_path, capsys,
                                                                 monkeypatch, case, edit, reason):
@@ -942,10 +946,10 @@ def test_self_train_recomputes_the_round_without_a_valid_record(pipeline, tmp_pa
     out, recomputed = _self_train(cfg, tmp_path / "run", capsys, discriminator_model=str(model))
     n_vocab = len(Vocabulary.load(root / "out" / "vocab.txt"))
     why = reason.format(record=record, first=first, n_vocab=n_vocab)
-    assert out.startswith(f"bootstrap: reused {model}; round record not used ({why}")
+    assert out.startswith(f"bootstrap: trained ({why}")
     assert counts["bootstrap"] == 1
     manifest = json.loads((tmp_path / "run" / "manifest-self-train.json").read_text())
-    assert str(record) not in manifest["inputs"]
+    assert not {str(model), str(record)} & manifest["inputs"].keys()
     assert recomputed == resumed
 
 
@@ -1120,27 +1124,34 @@ NUMPY_BASELINE_DISPATCH = ("X86_V3 X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX51
 
 
 def test_model_files_do_not_depend_on_numpys_cpu_dispatch(pipeline, tmp_path):
-    """train-discriminator writes the same bytes, model and round record,
-    with numpy's SIMD kernels above X86_V2 turned off, whose np.exp and np.log
-    return other bits: a model file must be what training gives on any
-    machine."""
+    """train-discriminator writes the same bytes, model and round record, and
+    self-train the same iter_* files over two rounds, with numpy's SIMD
+    kernels above X86_V2 turned off, whose np.exp and np.log return other
+    bits, and OpenBLAS on its Prescott kernels: a model file must be what
+    training gives on any machine."""
     from numpy._core._multiarray_umath import __cpu_features__
     if not __cpu_features__.get("X86_V3"):
         pytest.skip("the CPU lacks X86_V3, so numpy has no dispatch above X86_V2 to turn off")
     _, cfg = pipeline
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    models = []
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = []
     for name, disabled in (("default", None), ("reduced", NUMPY_BASELINE_DISPATCH)):
-        (tmp_path / name).mkdir()
-        model = tmp_path / name / "discriminator.model"
-        path = derive_config(cfg, tmp_path / name, discriminator_model=str(model))
-        run_env = dict(env, NPY_DISABLE_CPU_FEATURES=disabled) if disabled else env
-        subprocess.run([sys.executable, "-m", "dasearch.cli", "train-discriminator",
-                        "--config", str(path)], env=run_env, check=True, timeout=300,
-                       capture_output=True)
-        models.append((model.read_bytes(), Path(f"{model}.bootstrap.json").read_bytes()))
-    assert models[0] == models[1]
+        out = tmp_path / name
+        out.mkdir()
+        model = out / "discriminator.model"
+        path = derive_config(cfg, out, discriminator_model=str(model))
+        run_env = (dict(env, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_CORETYPE="Prescott")
+                   if disabled else env)
+        for command in (["train-discriminator"], ["self-train", "--max-iters", "2"]):
+            subprocess.run([sys.executable, "-m", "dasearch.cli", *command, "--config", str(path)],
+                           env=run_env, check=True, timeout=300, capture_output=True)
+        runs.append({p.relative_to(out).as_posix(): p.read_bytes() for p in
+                     [model, Path(f"{model}.bootstrap.json"), *sorted(out.glob("iter_*/*"))]})
+    assert [k for k in runs[0] if k.startswith("iter_")] == [
+        f"iter_{k}/{name}" for k in (0, 1, 2) for name in sorted(cli.SNAPSHOT_FILES)]
+    assert runs[0] == runs[1]
 
 
 def test_output_dir_env_override(pipeline, tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ import pytest
 from dasearch.corpus import generate_synthetic_corpus
 from dasearch import selftrain
 from dasearch.decoder import Hypothesis, SearchConfig, plain_beam_search
-from dasearch.discriminator import DiscriminatorError
 from dasearch.generator import train_generator
 from dasearch.selftrain import (
     DiscriminatorHparams,
@@ -106,17 +105,6 @@ def test_val_accuracy_is_the_held_out_counts(state0, loop_corpus, loop_generator
                 n_at[t] += 1
                 right_at[t] += (model.score(p.source, tokens[:t]) > 0.5) == human
     assert state.held_out == [(t, right_at[t], n_at[t]) for t in range(1, SEARCH.t_max + 1)]
-
-
-def test_bootstrap_refuses_a_model_of_other_feature_settings(state0, loop_corpus,
-                                                            loop_generator, monkeypatch):
-    def no_decode(*args, **kwargs):
-        raise AssertionError("decoded before the model was checked")
-
-    monkeypatch.setattr(selftrain, "decode_corpus", no_decode)
-    with pytest.raises(DiscriminatorError, match="other feature settings"):
-        bootstrap(loop_corpus, loop_generator, replace(HPARAMS, d_hash=1024), SEARCH,
-                  model=state0.discriminator)
 
 
 def test_step_increments_and_appends_history(state0, loop_corpus, loop_generator):
