@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 from dasearch.corpus import (
     Corpus,
     CorpusError,
+    InputError,
     Vocabulary,
     atomic_write,
     build_vocabulary,
@@ -51,7 +52,7 @@ if TYPE_CHECKING:
     from dasearch.selftrain import DiscriminatorHparams
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -311,7 +312,7 @@ def _write_generations(path, corpus: Corpus, hyps: dict) -> None:
 def load_generations(path, vocab: Vocabulary) -> dict:
     """Pair id -> tokens of a generations file, whose records (see
     corpus.read_records) each hold a list of int "tokens", ids of `vocab`
-    other than SOS and EOS."""
+    other than SOS and EOS, and, if they hold a "text", the text of those."""
     out = {}
     for where, rec in read_records(path):
         tokens = rec.get("tokens")
@@ -323,6 +324,8 @@ def load_generations(path, vocab: Vocabulary) -> dict:
             if not 0 <= tok < len(vocab):
                 raise CorpusError(f"{where}: token id {tok} in pair {rec['id']!r} "
                                   f"is not in the {len(vocab)}-token vocabulary")
+        if "text" in rec and rec["text"] != " ".join(vocab.decode(tokens)):
+            raise CorpusError(f"{where}: the \"text\" of pair {rec['id']!r} is not its tokens'")
         out[rec["id"]] = tuple(tokens)
     return out
 
@@ -659,10 +662,10 @@ def main(argv=None) -> int:
         command, inputs, outputs = args.func(cfg, args, out_dir)
         write_manifest(out_dir, command, cfg, inputs, outputs, started)
         return 0
-    except (ConfigError, ValueError, OSError) as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # runtime failure
+    except Exception as e:  # a fault of the program, a bare ValueError too
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
 

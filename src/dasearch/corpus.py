@@ -27,7 +27,12 @@ RESERVED = (SOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 
-class CorpusError(ValueError):
+class InputError(ValueError):
+    """Input the program refuses: a file, a setting or an argument. Each
+    module's error is one; the CLI exits 1 on it and 2 on any other error."""
+
+
+class CorpusError(InputError):
     pass
 
 

@@ -50,7 +50,7 @@ import os
 from bisect import insort
 from dataclasses import dataclass, replace
 
-from dasearch.corpus import Corpus, Vocabulary
+from dasearch.corpus import Corpus, InputError, Vocabulary
 from dasearch.discriminator import PrefixFeaturizer, _sigmoid
 
 log = logging.getLogger(__name__)
@@ -58,7 +58,7 @@ log = logging.getLogger(__name__)
 EPS_DIS = 1e-9
 
 
-class DecoderError(ValueError):
+class DecoderError(InputError):
     pass
 
 

@@ -25,7 +25,8 @@ from array import array
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
-from dasearch.corpus import Corpus, Vocabulary, finite_float, read_model_file, write_model_file
+from dasearch.corpus import (Corpus, InputError, Vocabulary, finite_float, read_model_file,
+                             write_model_file)
 
 DENSE_FEATURES = (
     "rel_length",      # t / T_max
@@ -43,7 +44,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class DiscriminatorError(ValueError):
+class DiscriminatorError(InputError):
     pass
 
 

@@ -6,12 +6,6 @@ where Copy(t|x) = count(t in x)/|x| (no mass on EOS or SOS) and NGram is a
 stupid-backoff model (backoff factor 0.4, additive kappa floor at the
 unigram level) normalized over vocabulary + EOS. SOS is never predicted.
 
-Rows are Python floats with the bits numpy gives the same expression on
-float64 arrays: each element is the same IEEE operation, and every sum that
-normalises a distribution adds in numpy's pairwise order (pairwise_sum), so
-the model imports no numpy. The builtin sum is not used on floats: since
-Python 3.12 it compensates, so its bits differ.
-
 A row (Row) builds no vocabulary-long vector. The n-gram term is cached per
 context together with its token ids best first (ngram_terms); the copy term
 is non-zero only on the source's distinct ids, and an id's term depends on
@@ -27,7 +21,8 @@ from collections import Counter
 from itertools import filterfalse, islice
 from math import log
 
-from dasearch.corpus import Corpus, Vocabulary, finite_float, read_model_file, write_model_file
+from dasearch.corpus import (Corpus, InputError, Vocabulary, finite_float, read_model_file,
+                             write_model_file)
 
 BACKOFF = 0.4
 VERSION = "ngram-copy v2"  # the first line of a model file
@@ -35,51 +30,14 @@ VERSION = "ngram-copy v2"  # the first line of a model file
 _HEADER = {"order": int, "kappa": finite_float, "lambda_copy": finite_float, "vocab_hash": str}
 
 
-class GeneratorError(ValueError):
+class GeneratorError(InputError):
     pass
 
 
-def pairwise_sum(values) -> float:
-    """The sum of a list of floats in the order np.add.reduce adds a
-    contiguous float64 array: from 0.0 plus _pairwise over all of it."""
-    return 0.0 + _pairwise(values, 0, len(values))
-
-
-def _pairwise(values, lo: int, hi: int) -> float:
-    """numpy's pairwise_sum of values[lo:hi]: below 8 values one running sum
-    from 0.0; up to 128, eight running sums over the multiples of eight, added
-    as a tree, then the rest one by one; above that the two halves, split at
-    a multiple of eight."""
-    n = hi - lo
-    if n < 8:
-        total = 0.0
-        for i in range(lo, hi):
-            total += values[i]
-        return total
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[lo:lo + 8]
-        end = hi - n % 8
-        for i in range(lo + 8, end, 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, hi):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise(values, lo, lo + half) + _pairwise(values, lo + half, hi)
-
-
 def _normalised(values: list) -> list:
-    """values / values.sum(), element by element, as numpy divides them."""
-    total = pairwise_sum(values)
+    """Each value divided by the correctly rounded sum of all of them, which
+    math.fsum gives whatever their order and Python's version."""
+    total = math.fsum(values)
     return [v / total for v in values]
 
 
@@ -94,10 +52,10 @@ def ngram_terms(term: list) -> tuple[list, list, list]:
 def copy_terms(counts: Counter, lambda_copy: float) -> tuple:
     """A source's copy term as Row takes it, from the count of each of its
     ids, the Counter `counts`, which loses SOS and EOS (and every id at
-    lambda_copy 0). The term of an id is lambda_copy * (count / total), as
-    numpy divides the counts by their sum (total counts the ids left, an
-    exact integer), and zero off them. Returns `counts`, the term of each
-    count (0.0 at count 0) and a memo of Row.top's plan for each n."""
+    lambda_copy 0). The term of an id is lambda_copy * (count / total),
+    where total counts the ids left (an exact integer), and zero off them.
+    Returns `counts`, the term of each count (0.0 at count 0) and a memo of
+    Row.top's plan for each n."""
     total = sum(counts.values()) - counts.pop(Vocabulary.sos, 0) - counts.pop(Vocabulary.eos, 0)
     if not lambda_copy:
         counts.clear()
@@ -131,7 +89,7 @@ class Row:
     """The next-token distribution after one prefix of one source.
 
     row.prob(tok) is tok's probability, lambda_copy * Copy + (1 - lambda_copy)
-    * NGram as numpy adds the two terms (0.0 + the n-gram term off the
+    * NGram as the sum of the two terms (0.0 + the n-gram term off the
     source's ids, which is that term), and row[tok] its math.log, -inf where
     it is zero. row.top(n) is the n most probable (token, log-probability)
     pairs, by probability, then by token id, memoised for the largest n
@@ -313,8 +271,8 @@ class NGramCopyModel:
 
     def next_logprobs(self, source, prefix) -> Row:
         """The Row of the next token after `prefix` given `source`: the
-        mixture lambda_copy * Copy + (1 - lambda_copy) * NGram, with the bits
-        numpy computes for it as the two products and their sum."""
+        mixture lambda_copy * Copy + (1 - lambda_copy) * NGram, computed as
+        the two products and their sum."""
         if len(source) == 0:
             raise GeneratorError("empty source")
         if len(prefix) == 0 or prefix[0] != Vocabulary.sos:

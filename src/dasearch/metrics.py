@@ -20,8 +20,10 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 
+from dasearch.corpus import InputError
 
-class MetricsError(ValueError):
+
+class MetricsError(InputError):
     pass
 
 

@@ -142,11 +142,9 @@ def validation_ids(corpus: Corpus, disc_hparams: DiscriminatorHparams) -> frozen
 def round_record(state: SelfTrainState, model_sha256: str) -> dict:
     """What resumed_bootstrap needs of bootstrap round `state` besides its
     model, as JSON values: the sha256 of the model's file, every pair's
-    generated tokens by id, the held-out counts (t, right, n) and the round's
-    history entry."""
+    generated tokens by id and the round's history entry."""
     return {"model_sha256": model_sha256,
             "generations": {i: list(tokens) for i, tokens in state.last_generations.items()},
-            "held_out": [list(row) for row in state.held_out],
             "history": state.history[0]}
 
 
@@ -158,13 +156,12 @@ def resumed_bootstrap(record, model_sha256: str, corpus: Corpus, model: Discrimi
     A record that is not one raises ValueError naming what does not hold: it
     must name that sha256; its generations must cover exactly the corpus's
     pair ids, each a non-empty list of ids of the corpus vocabulary other
-    than SOS and EOS; its held-out counts must be those of t = 1..t_max, and
-    its history entry must have HISTORY_KEYS's keys, in order, with
-    iteration 0 and every value a finite number."""
+    than SOS and EOS; and its history entry must have HISTORY_KEYS's keys, in
+    order, with iteration 0 and every value a finite number. Other keys, such
+    as an older record's held-out counts, are ignored, and held_out is empty."""
     if not isinstance(record, dict) or record.get("model_sha256") != model_sha256:
         raise ValueError("it records another model file")
-    generations, held_out, entry = (record.get(key) for key in
-                                    ("generations", "held_out", "history"))
+    generations, entry = record.get("generations"), record.get("history")
     if not isinstance(generations, dict):
         raise ValueError("it holds no generations")
     ids = [p.id for p in corpus.pairs]
@@ -181,11 +178,6 @@ def resumed_bootstrap(record, model_sha256: str, corpus: Corpus, model: Discrimi
                 for tok in tokens)):
             raise ValueError(f"the generation of pair {i!r} is not a non-empty list of ids of "
                              f"the {n_vocab}-token vocabulary other than SOS and EOS")
-    t_max = model.config.t_max
-    if not (isinstance(held_out, list) and len(held_out) == t_max and all(
-            isinstance(row, list) and len(row) == 3 and all(type(v) is int for v in row)
-            and row[0] == t and 0 <= row[1] <= row[2] for t, row in enumerate(held_out, 1))):
-        raise ValueError(f"its held-out counts are not (t, right, n) for t = 1..{t_max}")
     if not (isinstance(entry, dict) and tuple(entry) == HISTORY_KEYS
             and all(type(value) in (int, float) for value in entry.values())
             and type(entry["iteration"]) is int and entry["iteration"] == 0):
@@ -195,8 +187,7 @@ def resumed_bootstrap(record, model_sha256: str, corpus: Corpus, model: Discrimi
             raise ValueError(f"its history entry's {key} is {value}, not a finite number")
     return SelfTrainState(iteration=0, discriminator=model,
                           last_generations={i: tuple(generations[i]) for i in ids},
-                          history=[entry], val_ids=validation_ids(corpus, disc_hparams),
-                          held_out=[tuple(row) for row in held_out])
+                          history=[entry], val_ids=validation_ids(corpus, disc_hparams))
 
 
 def bootstrap_provenance(train_sha256: str, generator_sha256: str,

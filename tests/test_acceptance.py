@@ -310,6 +310,29 @@ def test_command_reruns_are_byte_identical(cli_run):
     print(f"\nPASS {len(artifacts)} artifacts byte-identical across reruns")
 
 
+# the sha256 of the files cli_run writes and of its fused decode, the same on every
+# Python version CI runs: rows and search scores are Python float arithmetic, so a
+# change that moves one bit of a row or a model weight shows here
+PINNED = {
+    "generator.model":
+        "64c3dc557145b7f2d34c87c65f3005836bd3464529c60536262a2339552834b2",
+    "discriminator.model":
+        "19cb75ccaaeba09977a4be7f39c5db1cd716227a0ba9155e5a5e283405a127a1",
+    "generations-plain-test.jsonl":
+        "97315bafc0c6ee431876c517f628490384244873efa48ad297d8629a3596437c",
+    "generations-das-test.jsonl":
+        "f0bff71dc8c47ac0ff3ee0b0490c1988123cff476b3669d068a8a1729004a79c",
+}
+
+
+def test_cli_outputs_are_pinned(cli_run):
+    root, cfg_path = cli_run
+    out = root / "out"
+    assert main(["decode", "--config", str(cfg_path), "--mode", "das", "--split", "test"]) == 0
+    assert {name: _sha(out / name) for name in PINNED} == PINNED
+    print(f"\nPASS {len(PINNED)} files hold their pinned sha256")
+
+
 # --- 10: the reranker substitutes for hard filtering rules ----------------------------------
 
 

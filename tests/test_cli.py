@@ -5,7 +5,6 @@ import importlib
 import io
 import json
 import logging
-import operator
 import os
 import random
 import re
@@ -856,11 +855,10 @@ def test_train_discriminator_writes_the_record_of_its_round(pipeline):
     out = root / "out"
     model, record_path = out / "discriminator.model", out / "discriminator.model.bootstrap.json"
     record = json.loads(record_path.read_text())
-    assert list(record) == ["model_sha256", "generations", "held_out", "history"]
+    assert list(record) == ["model_sha256", "generations", "history"]
     assert record["model_sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
     corpus = load_corpus(out / "train.jsonl", Vocabulary.load(out / "vocab.txt"))
     assert list(record["generations"]) == [p.id for p in corpus.pairs]
-    assert [row[0] for row in record["held_out"]] == list(range(1, 41))
     assert tuple(record["history"]) == selftrain.HISTORY_KEYS
     assert record["history"]["iteration"] == 0
     manifest = json.loads((out / "manifest-train-discriminator.json").read_text())
@@ -894,9 +892,23 @@ def test_self_train_resumes_from_the_round_record(pipeline, tmp_path, capsys, mo
     assert resumed == recomputed
 
 
+def test_self_train_resumes_from_a_record_that_holds_held_out_counts(pipeline, tmp_path,
+                                                                     capsys):
+    """A record written before round records dropped their held-out counts
+    still resumes round 0, and the run writes what it writes without them."""
+    _, cfg = pipeline
+    model = _model_copy(pipeline, tmp_path)
+    record = Path(f"{model}.bootstrap.json")
+    _, plain = _self_train(cfg, tmp_path / "plain", capsys, discriminator_model=str(model))
+    data = json.loads(record.read_text())
+    record.write_text(json.dumps({**data, "held_out": [[t, 0, 0] for t in range(1, 41)]}))
+    out, old = _self_train(cfg, tmp_path / "old", capsys, discriminator_model=str(model))
+    assert out.startswith(f"bootstrap: reused {model}\nbootstrap: round 0 read from {record}\n")
+    assert old == plain
+
+
 NOT_A_GENERATION = ("{record}: the generation of pair {first!r} is not a non-empty list of ids "
                     "of the {n_vocab}-token vocabulary other than SOS and EOS")
-NOT_HELD_OUT = "{record}: its held-out counts are not (t, right, n) for t = 1..40"
 NOT_A_HISTORY = "{record}: its history entry is not that of a bootstrap round"
 
 
@@ -915,10 +927,6 @@ NOT_A_HISTORY = "{record}: its history entry is not that of a bootstrap round"
     ("token", lambda data, first: data["generations"][first].append(10 ** 6), NOT_A_GENERATION),
     ("eos", lambda data, first: data["generations"][first].append(1), NOT_A_GENERATION),
     ("empty", lambda data, first: data["generations"][first].clear(), NOT_A_GENERATION),
-    ("held-out-short", lambda data, first: data["held_out"].pop(), NOT_HELD_OUT),
-    ("held-out-right", lambda data, first: operator.setitem(data["held_out"][0], 1,
-                                                            data["held_out"][0][2] + 1),
-     NOT_HELD_OUT),
     ("history-key", lambda data, first: data["history"].pop("distinct_G"), NOT_A_HISTORY),
     ("history-iteration", lambda data, first: data["history"].update(iteration=1),
      NOT_A_HISTORY),
@@ -1251,7 +1259,7 @@ def test_a_refused_corpus_file_exits_one_before_any_output(tmp_path, capsys, nam
 
 
 def test_a_runtime_failure_exits_two_and_writes_no_manifest(tmp_path, capsys, monkeypatch):
-    """An error other than ValueError or OSError is a runtime failure: exit 2,
+    """An error other than InputError or OSError is a runtime failure: exit 2,
     its message after "runtime error:", and no manifest of the command."""
     from dasearch import generator
 
@@ -1320,6 +1328,46 @@ def test_evaluate_rejects_token_ids_outside_the_vocabulary(pipeline, tmp_path, c
             in capsys.readouterr().err)
     assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
                 if (tmp_path / p).exists()]
+
+
+@pytest.mark.parametrize("edit", ["none", "no-text", "text"])
+def test_evaluate_checks_each_text_against_its_tokens(pipeline, tmp_path, capsys, edit):
+    """A decode file evaluates as written, and so does one without "text";
+    a record whose "text" is not its tokens' text exits 1, naming its line,
+    before any report is written."""
+    _, cfg = pipeline
+    path = derive_config(cfg, tmp_path)
+    assert main(["decode", "--config", str(path), "--mode", "plain", "--split", "test"]) == 0
+    gens = tmp_path / "generations-plain-test.jsonl"
+    records = [json.loads(line) for line in gens.read_text().splitlines()]
+    if edit == "no-text":
+        for rec in records:
+            del rec["text"]
+    elif edit == "text":
+        records[-1]["text"] += " x"
+    gens.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    code = main(["evaluate", "--config", str(path), "--split", "test", "--systems", str(gens)])
+    reports = [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
+               if (tmp_path / p).exists()]
+    if edit == "text":
+        assert code == 1
+        assert (f"error: {gens} line {len(records)}: the \"text\" of pair "
+                f"{records[-1]['id']!r} is not its tokens'\n") in capsys.readouterr().err
+        assert reports == []
+    else:
+        assert code == 0
+        assert len(reports) == 4
+
+
+def test_a_bare_value_error_is_a_program_fault_and_exits_two(tmp_path, capsys, monkeypatch):
+    """Only refused input (InputError) and OSError exit 1: a ValueError of
+    any other kind, such as a failed unpacking, exits 2 as a runtime error."""
+    def unpack(cfg, args, out_dir):
+        a, b = (1, 2, 3)
+
+    monkeypatch.setattr(cli, "cmd_make_corpus", unpack)
+    assert main(["make-corpus", "--config", str(write_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == "runtime error: too many values to unpack (expected 2)\n"
 
 
 def test_evaluate_scores_unk_tokens(pipeline, tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dasearch.corpus import Corpus, Vocabulary
 from dasearch.generator import (BACKOFF, GeneratorError, NGramCopyModel, Row, copy_terms,
-                                ngram_terms, pairwise_sum, train_generator)
+                                _normalised, ngram_terms, train_generator)
 
 from conftest import make_corpus, make_vocab, reframed, row_probs, sequence_logprob
 
@@ -312,7 +312,7 @@ def backoff_reference(model, prefix):
     for tok, c in model.counts[1].get((), {}).items():
         probs[tok] += c
     probs[SOS] = 0.0
-    probs /= probs.sum()
+    probs /= math.fsum(probs)
     for k in range(2, model.order + 1):
         if len(tail) < k - 1:
             break
@@ -324,7 +324,7 @@ def backoff_reference(model, prefix):
         for tok, c in table.items():
             overlaid[tok] = c / total
         overlaid[SOS] = 0.0
-        probs = overlaid / overlaid.sum()
+        probs = overlaid / math.fsum(overlaid)
     return probs
 
 
@@ -375,8 +375,8 @@ def test_lm_cache_is_bounded_by_the_model_not_by_the_prefixes_asked(synth_corpus
 
 @pytest.fixture(scope="module")
 def wide_corpus():
-    """A corpus over 300 words (303 ids, so numpy's sum splits the row
-    twice), references drawn so that the unigram counts differ."""
+    """A corpus over 300 words (303 ids), references drawn so that the
+    unigram counts differ."""
     words = [f"w{i}" for i in range(300)]
     rng = random.Random(5)
     return make_corpus(make_vocab(*words), [
@@ -391,7 +391,7 @@ def test_rows_equal_the_mixture_computed_from_scratch_bit_for_bit(data, synth_co
                                                                   wide_corpus):
     """A row's probabilities are the bits of numpy's three-op mixture with
     nothing cached, and row[tok] is their math.log (-inf at a zero), over
-    vocabularies below and above numpy's 128-value sum block, whatever
+    vocabularies of 80 and 303 ids, whatever
     sources (lists or tuples, changed in place or interleaved) and prefixes
     (shorter than the order too) were asked before, and after add_sequence
     gives a prefix's tail a new continuation; whether the row is zero at SOS
@@ -497,17 +497,18 @@ def test_top_finds_a_lower_copy_group_sum_that_rounds_up_to_the_floor():
     assert [tok for tok, _ in row.top(2)] == [5, 2]
 
 
-def test_pairwise_sum_is_numpys_sum():
-    """pairwise_sum adds as np.add.reduce does on a float64 array, bit for
-    bit, at every length from 0 to 1000 (7 and 8 on either side of one
-    running sum, 128, 129 and 136 on either side of the first split), on
-    values of mixed sign and magnitude, and on negative zeros."""
-    rng = random.Random(0)
-    for n in range(1001):
-        values = [rng.choice([-1.0, 1.0]) * rng.random() * 10.0 ** rng.randint(-8, 8)
-                  for _ in range(n)]
-        for case in (values, [-0.0] * n):
-            assert pairwise_sum(case).hex() == float(np.add.reduce(np.array(case))).hex(), n
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_normalised_rows_do_not_depend_on_the_order_of_their_values(data):
+    """_normalised of any permutation of finite non-negative floats (with a
+    positive sum) is the same permutation of _normalised of the list, bit for
+    bit: each value is divided by the one correctly rounded sum."""
+    values = data.draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=300)
+                       .filter(any), label="values")
+    order = data.draw(st.permutations(range(len(values))), label="order")
+    row = _normalised(values)
+    assert [p.hex() for p in _normalised([values[i] for i in order])] == \
+        [row[i].hex() for i in order]
 
 
 def test_context_is_the_overlaid_contexts_even_with_gaps(abc_vocab, tmp_path):
