@@ -236,7 +236,7 @@ def _resumed_bootstrap(model_path: str, provenance: dict[str, str], corpus: Corp
     records the round that trained it on `corpus`; else (None, why not). A
     malformed model file raises the loader's error."""
     from dasearch import selftrain
-    from dasearch.discriminator import DiscriminatorModel
+    from dasearch.discriminator import DiscriminatorError, DiscriminatorModel
     if not model_path:
         return None, "[paths] discriminator_model is not set"
     if not Path(model_path).is_file():
@@ -260,7 +260,7 @@ def _resumed_bootstrap(model_path: str, provenance: dict[str, str], corpus: Corp
     try:
         return selftrain.resumed_bootstrap(record, _hash_file(model_path), corpus, model,
                                            hparams), None
-    except ValueError as e:
+    except DiscriminatorError as e:  # the record is refused
         return None, f"{path}: {e}"
 
 

@@ -35,12 +35,16 @@ objects. Each live survivor takes over its parent's prefix state and
 trigram-block index (copies them when a sibling survives too) and commits
 its scored step to the state and its token to the index. Expansions are
 memoised by the prefix's generator tail and blocked set, and so is the row
-the forced EOS of a member still live at t_max reads. A memo miss asks the
-generator for a row once per distinct context and takes the k best of it
-(Row.top), which ranks tokens by probability and breaks a tie at equal
-probability by token id, and so by log-probability except where two
-probabilities share a logarithm. So the only per-step work that grows with
-the prefix is the survivors' token tuples and their siblings' copies."""
+the forced EOS of a member still live at t_max reads. A memo miss reads the
+row of the prefix's context from those the generator keeps for the source
+(NGramCopyModel.rows), asks next_logprobs only for a context the source has
+no row for yet, and takes the k best of the row (Row.top), which ranks
+tokens by probability and breaks a tie at equal probability by token id, and
+so by log-probability except where two probabilities share a logarithm. The
+generator keeps a source's rows, with their rankings, across the searches
+that revisit it, such as a sweep's cells. So the only per-step work that
+grows with the prefix is the survivors' token tuples and their siblings'
+copies."""
 
 from __future__ import annotations
 
@@ -144,19 +148,20 @@ def _expansion(generator, source, k: int):
     generator's context of the prefix (and the blocked set), and the context
     only on the prefix's tail, its last order - 1 tokens. So each is kept by
     tail (and blocked set) for as long as the search lasts; the context is
-    asked once per distinct tail, and the row is made once per distinct
-    context."""
+    asked once per distinct tail, and the row is read from those the
+    generator keeps for the source (generator.rows), which next_logprobs
+    makes once per distinct context, in this search or an earlier one."""
     order = generator.order
-    by_tail, row_of_tail, row_of_context = {}, {}, {}
+    rows = generator.rows(source)
+    by_tail, row_of_tail = {}, {}
 
     def row(tokens):
         tail = tokens[1 - order:] if order > 1 else ()
         found = row_of_tail.get(tail)
         if found is None:
-            context = generator.context(tokens)
-            found = row_of_context.get(context)
+            found = rows.get(generator.context(tokens))
             if found is None:
-                found = row_of_context[context] = generator.next_logprobs(source, tokens)
+                found = generator.next_logprobs(source, tokens)
             row_of_tail[tail] = found
         return found
 

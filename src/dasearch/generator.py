@@ -11,6 +11,23 @@ context together with its token ids best first (ngram_terms); the copy term
 is non-zero only on the source's distinct ids, and an id's term depends on
 its count alone (copy_terms). Row.top reads the two only as far as the n
 best can reach.
+
+A model keeps the Rows it makes, by source and context (rows). The source it
+was last asked about keeps its copy term and its Row of each context, so
+next_logprobs returns the same Row for that source and context, and that
+Row's top memo serves every later call. A source asked about again after
+another one keeps them across searches, until the store is cleared, so a
+K x alpha sweep's cells after the first reuse each pair's Rows; a source
+asked about once keeps nothing after the next source, so a decode holds one
+source's Rows at a time. The set of sources asked about and the store (the
+kept sources) are cleared by add_sequence, and when the set would hold more
+sources than 1 + the model's table keys, the bound of the context memo. So
+at most that many sources keep Rows, each at most one per context, and there
+are at most that many contexts too: (1 + table keys)^2 Rows at worst, each
+with its top memo of at most the largest n asked. In practice a source has a few Rows: the bench model has
+297 table keys, and a pass of the bench's sweep keeps 368 Rows for its 40
+pairs, at most 13 for one. A Row is a function of the counts and the source
+alone, so a pickled model's store stays valid.
 """
 
 from __future__ import annotations
@@ -93,7 +110,7 @@ class Row:
     source's ids, which is that term), and row[tok] its math.log, -inf where
     it is zero. row.top(n) is the n most probable (token, log-probability)
     pairs, by probability, then by token id, memoised for the largest n
-    asked.
+    asked, as a new list at every call.
 
     top sums and sorts only the tokens that can be among them. The source's
     ids of one count have one copy term, and among them, as among the other
@@ -121,8 +138,8 @@ class Row:
         return log(p) if p > 0.0 else -math.inf
 
     def top(self, n: int) -> list:
-        if n <= self._asked:
-            return self._top if n == self._asked else self._top[:n]
+        if n <= self._asked:  # a list of the caller's own: the model keeps the row
+            return self._top[:n]
         term, order, neg_term = self._ngram
         counts, terms, plans = self._copy
         plan = plans.get(n)
@@ -165,7 +182,7 @@ class Row:
         for q, tok in best[:n]:
             top.append((tok, log(-q) if q < 0.0 else -math.inf))
         self._top, self._asked = top, n
-        return top
+        return top[:]
 
 
 class NGramCopyModel:
@@ -189,12 +206,16 @@ class NGramCopyModel:
 
     def _clear_caches(self) -> None:
         # context() per tail and the n-gram term with its order per context(), each
-        # at most 1 + the model's table keys; the unigram level; the copy term of
-        # the last source
+        # at most 1 + the model's table keys; the unigram level; the last source with
+        # its copy term and its Rows by context; the sources asked about, and the
+        # copy term and Rows of each one asked about again (the store)
         self._context_of_tail: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self._lm_cache: dict[tuple[tuple[int, ...], ...], tuple[list, list, list]] = {}
         self._unigram: list | None = None
-        self._copy_cache: tuple[tuple[int, ...], tuple | None] = ((), None)
+        self._copy_cache: tuple[tuple[int, ...] | None, tuple | None] = (None, None)
+        self._rows: dict[tuple[tuple[int, ...], ...], Row] = {}
+        self._seen: set[tuple[int, ...]] = set()
+        self._kept: dict[tuple[int, ...], tuple[tuple, dict]] = {}
 
     # -- training ------------------------------------------------------------
 
@@ -255,30 +276,47 @@ class NGramCopyModel:
         cached = self._lm_cache[context] = ngram_terms([scale * p for p in probs])
         return cached
 
-    def _copy_term(self, source) -> tuple:
-        """copy_terms of the source, checked against the vocabulary; the last
-        source's are kept."""
-        key, (last, term) = tuple(source), self._copy_cache
+    def rows(self, source) -> dict:
+        """The Rows the model keeps for `source`, by context(): the dict that
+        next_logprobs(source, ...) fills. It is kept while `source` is the
+        last source asked about and, once `source` is asked about again after
+        another one, until the store is cleared (see the module docstring).
+        A new source's ids are checked against the vocabulary here."""
+        key, (last, _) = tuple(source), self._copy_cache
         if key is last or key == last:
-            return term
-        nv, counts = len(self.vocab), Counter(key)
-        if min(counts) < 0 or max(counts) >= nv:
-            bad = next(tok for tok in key if not 0 <= tok < nv)
-            raise GeneratorError(f"source token id {bad} is outside the {nv}-token vocabulary")
-        term = copy_terms(counts, self.lambda_copy)
-        self._copy_cache = (key, term)  # a search asks about one source: keep the last only
-        return term
+            return self._rows
+        kept = self._kept.get(key)
+        if kept is None:
+            if not key:
+                raise GeneratorError("empty source")
+            nv, counts = len(self.vocab), Counter(key)
+            if min(counts) < 0 or max(counts) >= nv:
+                bad = next(tok for tok in key if not 0 <= tok < nv)
+                raise GeneratorError(f"source token id {bad} is outside the {nv}-token "
+                                     f"vocabulary")
+            kept = (copy_terms(counts, self.lambda_copy), {})
+            if len(self._seen) > sum(map(len, self.counts)):  # full: 1 + table keys
+                self._seen.clear()
+                self._kept.clear()
+            if key in self._seen:  # asked about again after another source: keep it
+                self._kept[key] = kept
+            else:
+                self._seen.add(key)
+        self._copy_cache, self._rows = (key, kept[0]), kept[1]
+        return kept[1]
 
     def next_logprobs(self, source, prefix) -> Row:
         """The Row of the next token after `prefix` given `source`: the
         mixture lambda_copy * Copy + (1 - lambda_copy) * NGram, computed as
-        the two products and their sum."""
-        if len(source) == 0:
-            raise GeneratorError("empty source")
+        the two products and their sum. The Row is kept for the source and
+        the prefix's context (rows), and returned again for both."""
         if len(prefix) == 0 or prefix[0] != Vocabulary.sos:
             raise GeneratorError("prefix must begin with SOS")
-        ngram = self._ngram_term(self.context(prefix))
-        return Row(ngram, self._copy_term(source))  # checks each new source's ids
+        rows, context = self.rows(source), self.context(prefix)  # checks a new source
+        row = rows.get(context)
+        if row is None:
+            row = rows[context] = Row(self._ngram_term(context), self._copy_cache[1])
+        return row
 
     # -- persistence -------------------------------------------------------------
 

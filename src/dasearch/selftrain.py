@@ -153,22 +153,23 @@ def resumed_bootstrap(record, model_sha256: str, corpus: Corpus, model: Discrimi
     """The state bootstrap returned when it trained `model` on `corpus`,
     rebuilt from `record`, that round's round_record, where `model`'s file
     has sha256 `model_sha256`; it decodes, featurises and evaluates nothing.
-    A record that is not one raises ValueError naming what does not hold: it
-    must name that sha256; its generations must cover exactly the corpus's
-    pair ids, each a non-empty list of ids of the corpus vocabulary other
-    than SOS and EOS; and its history entry must have HISTORY_KEYS's keys, in
-    order, with iteration 0 and every value a finite number. Other keys, such
-    as an older record's held-out counts, are ignored, and held_out is empty."""
+    A record that is not one raises DiscriminatorError naming what does not
+    hold: it must name that sha256; its generations must cover exactly the
+    corpus's pair ids, each a non-empty list of ids of the corpus vocabulary
+    other than SOS and EOS; and its history entry must have HISTORY_KEYS's
+    keys, in order, with iteration 0 and every value a finite number. Other
+    keys, such as an older record's held-out counts, are ignored, and
+    held_out is empty."""
     if not isinstance(record, dict) or record.get("model_sha256") != model_sha256:
-        raise ValueError("it records another model file")
+        raise DiscriminatorError("it records another model file")
     generations, entry = record.get("generations"), record.get("history")
     if not isinstance(generations, dict):
-        raise ValueError("it holds no generations")
+        raise DiscriminatorError("it holds no generations")
     ids = [p.id for p in corpus.pairs]
     if missing := set(ids) - generations.keys():
-        raise ValueError(f"it has no generation of pair {min(missing)!r}")
+        raise DiscriminatorError(f"it has no generation of pair {min(missing)!r}")
     if extra := generations.keys() - set(ids):
-        raise ValueError(f"its pair {min(extra)!r} is not in the train split")
+        raise DiscriminatorError(f"its pair {min(extra)!r} is not in the train split")
     n_vocab = len(corpus.vocab)
     for i in ids:
         tokens = generations[i]
@@ -176,15 +177,15 @@ def resumed_bootstrap(record, model_sha256: str, corpus: Corpus, model: Discrimi
                 type(tok) is int and 0 <= tok < n_vocab and tok not in (Vocabulary.sos,
                                                                         Vocabulary.eos)
                 for tok in tokens)):
-            raise ValueError(f"the generation of pair {i!r} is not a non-empty list of ids of "
+            raise DiscriminatorError(f"the generation of pair {i!r} is not a non-empty list of ids of "
                              f"the {n_vocab}-token vocabulary other than SOS and EOS")
     if not (isinstance(entry, dict) and tuple(entry) == HISTORY_KEYS
             and all(type(value) in (int, float) for value in entry.values())
             and type(entry["iteration"]) is int and entry["iteration"] == 0):
-        raise ValueError("its history entry is not that of a bootstrap round")
+        raise DiscriminatorError("its history entry is not that of a bootstrap round")
     for key, value in entry.items():  # json.load reads NaN and Infinity
         if not math.isfinite(value):
-            raise ValueError(f"its history entry's {key} is {value}, not a finite number")
+            raise DiscriminatorError(f"its history entry's {key} is {value}, not a finite number")
     return SelfTrainState(iteration=0, discriminator=model,
                           last_generations={i: tuple(generations[i]) for i in ids},
                           history=[entry], val_ids=validation_ids(corpus, disc_hparams))

@@ -310,9 +310,11 @@ def test_command_reruns_are_byte_identical(cli_run):
     print(f"\nPASS {len(artifacts)} artifacts byte-identical across reruns")
 
 
-# the sha256 of the files cli_run writes and of its fused decode, the same on every
-# Python version CI runs: rows and search scores are Python float arithmetic, so a
-# change that moves one bit of a row or a model weight shows here
+# the sha256 of the files cli_run writes, of its fused decode, of a K x alpha sweep
+# (whose cells search every drawn pair again) and of a two-round self-train (whose
+# rounds decode the train split again), the same on every Python version CI runs:
+# rows and search scores are Python float arithmetic, so a change that moves one bit
+# of a row or a model weight shows here
 PINNED = {
     "generator.model":
         "64c3dc557145b7f2d34c87c65f3005836bd3464529c60536262a2339552834b2",
@@ -322,6 +324,22 @@ PINNED = {
         "97315bafc0c6ee431876c517f628490384244873efa48ad297d8629a3596437c",
     "generations-das-test.jsonl":
         "f0bff71dc8c47ac0ff3ee0b0490c1988123cff476b3669d068a8a1729004a79c",
+    "sweep.csv": "9216c5205552627182a40feb6b54f238a13b721ddc84a5b352b12538397a93c6",
+    "iter_0/generations.jsonl":
+        "a2045d4ded7e975a2d5d864478074f5ec9e2080cbba64a45210580c27ce3cf52",
+    "iter_0/discriminator.model":
+        "19cb75ccaaeba09977a4be7f39c5db1cd716227a0ba9155e5a5e283405a127a1",
+    "iter_0/history.csv": "d24a46c484b982919c94999df2f1f1355b01eb7e4a6bb627552b60b8d8f6f7ec",
+    "iter_1/generations.jsonl":
+        "433cece3099caee47a6c6549b397934b59050fcbaff0a9b81a68cf94702233f5",
+    "iter_1/discriminator.model":
+        "e963a1d452548eff18478bd8edfc8a279c6046e10984b6e5d99e9b1754fbb476",
+    "iter_1/history.csv": "bd04a62ff09c7a5ba52db2682aacffb357b17a0a27f4bfe27af2c198b6a008c5",
+    "iter_2/generations.jsonl":
+        "8ddd5e2d47ba0639d7391cd5ab339a4dab7dd8d2e17c4fb317d16c1f75d28acd",
+    "iter_2/discriminator.model":
+        "e841ee1dc05bde2f7fbc0c0c7a76ea01db230fab74853f2c597ebb470231c4e6",
+    "iter_2/history.csv": "ae2ce312d231fa6c2d636aef09854cb6600011355f1ef47eabf5211b34d094b8",
 }
 
 
@@ -329,6 +347,9 @@ def test_cli_outputs_are_pinned(cli_run):
     root, cfg_path = cli_run
     out = root / "out"
     assert main(["decode", "--config", str(cfg_path), "--mode", "das", "--split", "test"]) == 0
+    assert main(["sweep", "--config", str(cfg_path), "--k-rerank", "1,2,5",
+                 "--alphas", "0,0.5,1,5", "--subset-size", "2", "--repetitions", "2"]) == 0
+    assert main(["self-train", "--config", str(cfg_path), "--max-iters", "2"]) == 0
     assert {name: _sha(out / name) for name in PINNED} == PINNED
     print(f"\nPASS {len(PINNED)} files hold their pinned sha256")
 

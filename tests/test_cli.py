@@ -961,6 +961,27 @@ def test_self_train_recomputes_the_round_without_a_valid_record(pipeline, tmp_pa
     assert recomputed == resumed
 
 
+def test_a_fault_inside_resumed_bootstrap_exits_two(pipeline, tmp_path, capsys, monkeypatch):
+    """Only a refused record (DiscriminatorError) makes self-train train round
+    0: a bare ValueError raised while checking a record is a program fault,
+    which exits 2 as a runtime error and trains nothing."""
+    _, cfg = pipeline
+    model = _model_copy(pipeline, tmp_path)
+
+    def unpack(*args, **kwargs):
+        a, b = (1, 2, 3)
+
+    monkeypatch.setattr(selftrain, "resumed_bootstrap", unpack)
+    counts = _count_round_work(monkeypatch)
+    (tmp_path / "run").mkdir()
+    path = derive_config(cfg, tmp_path / "run", discriminator_model=str(model))
+    assert main(["self-train", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "bootstrap: trained" not in captured.out
+    assert captured.err == "runtime error: too many values to unpack (expected 2)\n"
+    assert not counts
+
+
 @pytest.mark.parametrize("foreign", [False, True], ids=["ours", "foreign"])
 def test_a_shorter_self_train_run_removes_the_later_iterations_of_an_earlier_one(
         pipeline, tmp_path, capsys, foreign):

@@ -768,6 +768,160 @@ def test_search_asks_the_generator_once_per_context(synth_corpus):
     assert truncated
 
 
+# --- rows the generator keeps across searches ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def blank_generator(synth_corpus):
+    """synth_generator's model with nothing cached, pickled."""
+    return pickle.dumps(train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75))
+
+
+def recorded_next_logprobs(monkeypatch, generator) -> list:
+    """The (source, context) of every next_logprobs call `generator` answers."""
+    calls, next_logprobs = [], generator.next_logprobs
+
+    def recording(source, prefix):
+        calls.append((tuple(source), generator.context(prefix)))
+        return next_logprobs(source, prefix)
+
+    monkeypatch.setattr(generator, "next_logprobs", recording)
+    return calls
+
+
+def revisited(order) -> set:
+    """The sources of `order`, a list of searched sources, that were searched
+    again after another one."""
+    seen, out = set(), set()
+    for last, source in zip([None, *order], order):
+        if source != last and source in seen:
+            out.add(source)
+        seen.add(source)
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_generator_that_keeps_rows_searches_as_a_fresh_one(synth_corpus, blank_generator,
+                                                             trained_disc, data):
+    """One generator that searches sources again between searches of others,
+    so that it keeps their rows and rankings, returns every beam bit for bit
+    as a search with a fresh generator does, across K, alpha, trigram
+    blocking, a length penalty and a t_max cut."""
+    sources = [p.source for p in synth_corpus.pairs[:4]]
+    searches = data.draw(st.lists(st.tuples(
+        st.sampled_from(sources), st.sampled_from([1, 3, 5, 10]),
+        st.sampled_from([0.0, 0.5, 1.0, 5.0]), st.booleans(), st.sampled_from([0.0, 0.6]),
+        st.sampled_from([4, 60])), min_size=2, max_size=10), label="searches")
+    generator = pickle.loads(blank_generator)
+    for source, k, alpha, block, beta, t_max in searches:
+        config = SearchConfig(beam_size=min(3, k), k_rerank=k, alpha=alpha, t_max=t_max,
+                              length_penalty_beta=beta, block_repeated_trigrams=block)
+        disc = trained_disc if alpha > 0 else None
+        assert (beam_bits(das_beam_search(generator, disc, source, config))
+                == beam_bits(das_beam_search(pickle.loads(blank_generator), disc, source,
+                                             config)))
+    assert generator._kept.keys() == revisited([source for source, *_ in searches])
+
+
+def test_only_a_source_searched_again_after_another_keeps_its_rows(synth_corpus, monkeypatch):
+    """A source searched once keeps no rows after the next source; searched
+    again after another one, it keeps them, and a third search with the same
+    settings asks the generator for no row."""
+    generator = train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75)
+    calls = recorded_next_logprobs(monkeypatch, generator)
+    config = SearchConfig(beam_size=3, k_rerank=10, alpha=0.0, t_max=60)
+    a, b = (p.source for p in synth_corpus.pairs[:2])
+
+    def search(source):
+        calls.clear()
+        return beam_bits(plain_beam_search(generator, source, config)), list(calls)
+
+    first, asked = search(a)
+    assert asked and len(asked) == len(set(asked))
+    search(b)
+    assert generator._copy_cache[0] == b and not generator._kept
+    assert search(a) == (first, asked)  # it kept nothing, so it asks again
+    assert generator._kept.keys() == {a}
+    search(b)
+    assert generator._kept.keys() == {a, b}
+    assert search(a) == (first, [])
+    assert generator._rows is generator._kept[a][1]
+    assert {context for _, context in asked} == generator._rows.keys()
+
+
+def test_clearing_the_store_at_its_bound_changes_no_bit():
+    """The sources asked about and the store are cleared when the set would
+    hold more sources than 1 + the model's table keys; the searches before
+    and after return the beams a fresh generator does."""
+    vocab = make_vocab("a", "b", "c", "d", "e")
+    corpus = make_corpus(vocab, [("r0", ["a"], ["a", "b", "c"]), ("r1", ["b"], ["c", "d"])])
+    generator = train_generator(corpus, order=2)
+    blank = pickle.dumps(generator)
+    bound = 1 + sum(map(len, generator.counts))
+    sources = [tuple(p) for p in itertools.permutations(range(2, len(vocab)), 3)][:bound + 2]
+    order = [sources[0], sources[1], sources[0], sources[1], *sources[2:], sources[0]]
+    config = SearchConfig(beam_size=2, k_rerank=4, alpha=0.0, t_max=8)
+    kept = []
+    for source in order:
+        assert (beam_bits(plain_beam_search(generator, source, config))
+                == beam_bits(plain_beam_search(pickle.loads(blank), source, config)))
+        assert len(generator._seen) <= bound
+        kept.append(set(generator._kept))
+    assert kept[3] == {sources[0], sources[1]}
+    assert kept[-2] == set() and sources[0] not in generator._kept  # cleared on the way
+
+
+def test_add_sequence_empties_the_store(synth_corpus, blank_generator):
+    """New counts clear the sources asked about and every kept row, and the
+    next search is the search of a model trained with those counts."""
+    generator = pickle.loads(blank_generator)
+    config = SearchConfig(beam_size=3, k_rerank=10, alpha=0.0, t_max=60)
+    a, b = (p.source for p in synth_corpus.pairs[:2])
+    for source in (a, b, a, b):
+        plain_beam_search(generator, source, config)
+    assert generator._kept.keys() == {a, b}
+    extra = synth_corpus.pairs[5].reference
+    generator.add_sequence(extra)
+    assert not generator._kept and not generator._seen and not generator._rows
+    fresh = pickle.loads(blank_generator)
+    fresh.add_sequence(extra)
+    assert (beam_bits(plain_beam_search(generator, a, config))
+            == beam_bits(plain_beam_search(fresh, a, config)))
+
+
+def test_a_forced_pool_sweep_equals_the_serial_one(monkeypatch, synth_corpus, blank_generator,
+                                                   trained_disc):
+    """Sweep cells decoded in a pool of 2 worker processes, each sent the
+    generator with the rows it kept from the serial cells, return the serial
+    cells' hypotheses bit for bit."""
+    generator = pickle.loads(blank_generator)
+    pairs = Corpus(synth_corpus.pairs[:12], synth_corpus.vocab, "validation")
+    cells = [SearchConfig(beam_size=min(3, k), k_rerank=k, alpha=alpha, t_max=60)
+             for k, alpha in ((1, 0.5), (5, 0.0), (10, 1.0))]
+
+    def sweep(jobs):
+        return [decode_corpus(pairs, functools.partial(
+            das_beam_search, generator, trained_disc if cfg.alpha > 0 else None, config=cfg),
+            jobs=jobs) for cfg in cells]
+
+    serial = sweep(1)
+    assert generator._kept.keys() == {p.source for p in pairs.pairs}
+    started = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counted_pool(max_workers, **kwargs):
+        started.append(max_workers)
+        return real_pool(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(decoder, "PAIRS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = sweep(2)
+    assert started == [2] * len(cells)
+    assert pickle.dumps(pooled) == pickle.dumps(serial)
+
+
 # --- exhaustive oracle --------------------------------------------------------------------
 
 

@@ -238,25 +238,28 @@ def row_state(model, source, prefix):
 
 
 def cached_lists(model):
-    """Every list the model's caches hold."""
+    """Every list the model's caches hold, the kept rows' rankings among them."""
     copy = model._copy_cache[1]  # (counts, the term of each count, the plans of top)
     return [*(x for term in model._lm_cache.values() for x in term),
             *([model._unigram] if model._unigram is not None else []),
-            *([copy[1], *(whole for whole, _ in copy[2].values())] if copy is not None else [])]
+            *([copy[1], *(whole for whole, _ in copy[2].values())] if copy is not None else []),
+            *(row._top for rows in (model._rows, *(r for _, r in model._kept.values()))
+              for row in rows.values())]
 
 
 @pytest.mark.parametrize("lambda_copy", [0.0, 0.75, 1.0])
 def test_every_row_is_a_new_writable_array(synth_corpus, lambda_copy):
-    """next_logprobs returns a new Row at every lambda_copy, and the ranking
-    its top returns is a list of its own, no list a cache holds, so a write
-    into one changes no later row."""
+    """next_logprobs returns the Row it keeps for the source and the prefix's
+    context at every lambda_copy, and the ranking its top returns is a list
+    of its own, no list a cache holds, so a write into one changes no later
+    row."""
     model = train_generator(synth_corpus, order=3, lambda_copy=lambda_copy)
     source, prefixes = synth_corpus.pairs[0].source, [(SOS,), (SOS, 3), (SOS, 3, 4)]
     nv = len(synth_corpus.vocab)
     before = [row_state(model, source, prefix) for prefix in prefixes]
     for prefix in prefixes * 2:
         row = model.next_logprobs(source, prefix)
-        assert row is not model.next_logprobs(source, prefix)
+        assert row is model.next_logprobs(source, prefix)
         top = row.top(nv)
         assert model._lm_cache and not any(top is cached for cached in cached_lists(model))
         top[:] = [(SOS, 0.0)] * nv
@@ -266,9 +269,9 @@ def test_every_row_is_a_new_writable_array(synth_corpus, lambda_copy):
 @pytest.mark.parametrize("lambda_copy", [0.0, 0.75, 1.0])
 def test_a_pickled_model_keeps_its_caches(synth_corpus, lambda_copy):
     """A model pickled after it cached rows (as decode_corpus sends one to
-    its workers) unpickles with those caches, and its rows are the same
-    bits as the model's; after new counts, they are the mixture computed
-    from scratch."""
+    its workers) unpickles with those caches and the rows it keeps, and its
+    rows are the same bits as the model's; after new counts, they are the
+    mixture computed from scratch."""
     model = train_generator(synth_corpus, order=3, lambda_copy=lambda_copy)
     source, rng = synth_corpus.pairs[0].source, random.Random(0)
     nv = len(synth_corpus.vocab)
@@ -283,6 +286,7 @@ def test_a_pickled_model_keeps_its_caches(synth_corpus, lambda_copy):
             in copy._lm_cache.values()] == [(array("d", term).tobytes(), order, neg) for
                                             term, order, neg in model._lm_cache.values()]
     assert copy._copy_cache == model._copy_cache and copy._unigram == model._unigram
+    assert copy._rows.keys() == model._rows.keys() and copy._seen == model._seen
     assert [row_state(copy, source, prefix) for prefix in prefixes] == rows
     copy.add_sequence(prefixes[-1][1:])  # new counts clear what was cached before them
     for prefix in prefixes:
