@@ -33,18 +33,18 @@ and apply_das_score its s_dis and s_das from D, the logit's _sigmoid. Pool
 members are tuples too, and only the returned beam becomes Hypothesis
 objects. Each live survivor takes over its parent's prefix state and
 trigram-block index (copies them when a sibling survives too) and commits
-its scored step to the state and its token to the index. Expansions are
-memoised by the prefix's generator tail and blocked set, and so is the row
-the forced EOS of a member still live at t_max reads. A memo miss reads the
-row of the prefix's context from those the generator keeps for the source
-(NGramCopyModel.rows), asks next_logprobs only for a context the source has
-no row for yet, and takes the k best of the row (Row.top), which ranks
-tokens by probability and breaks a tie at equal probability by token id, and
-so by log-probability except where two probabilities share a logarithm. The
-generator keeps a source's rows, with their rankings, across the searches
-that revisit it, such as a sweep's cells. So the only per-step work that
-grows with the prefix is the survivors' token tuples and their siblings'
-copies."""
+its scored step to the state and its token to the index. An expansion reads
+one chain of memos: the search's own, by the prefix's generator tail and
+blocked set (by_tail); on a miss, next_logprobs, which maps the tail to its
+context and returns the Row the generator keeps for the source and context;
+and that Row's n best (Row.top, memoised for the largest n asked), which
+ranks tokens by probability and breaks a tie at equal probability by token
+id, and so by log-probability except where two probabilities share a
+logarithm. The forced EOS of a member still live at t_max reads its Row from
+next_logprobs too. The generator keeps a source's Rows, with their
+rankings, across the searches that revisit it, such as a sweep's cells. So
+the only per-step work that grows with the prefix is the survivors' token
+tuples and their siblings' copies."""
 
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ import math
 import os
 from bisect import insort
 from dataclasses import dataclass, replace
+from functools import partial
 
 from dasearch.corpus import Corpus, InputError, Vocabulary
 from dasearch.discriminator import PrefixFeaturizer, _sigmoid
@@ -141,29 +142,16 @@ def _extend_block_index(index: dict, tokens, token: int) -> None:
 
 
 def _expansion(generator, source, k: int):
-    """`(expand, row)`, memoised for one search. `row(tokens)` is the
-    generator's Row after `tokens`; `expand(tokens, blocked)` is the finite
-    (token, logp) pairs among the k best of that row's ranking once the
-    `blocked` tokens leave it. Given the source both depend only on the
-    generator's context of the prefix (and the blocked set), and the context
-    only on the prefix's tail, its last order - 1 tokens. So each is kept by
-    tail (and blocked set) for as long as the search lasts; the context is
-    asked once per distinct tail, and the row is read from those the
-    generator keeps for the source (generator.rows), which next_logprobs
-    makes once per distinct context, in this search or an earlier one."""
+    """`(expand, row)` for one search. `row(tokens)` is the generator's Row
+    after `tokens`, which next_logprobs keeps for the source and the prefix's
+    context; `expand(tokens, blocked)` is the finite (token, logp) pairs
+    among the k best of that Row's ranking once the `blocked` tokens leave
+    it. Given the source, the Row depends only on the prefix's tail, its last
+    order - 1 tokens, so the pairs are kept by tail and blocked set for as
+    long as the search lasts."""
     order = generator.order
-    rows = generator.rows(source)
-    by_tail, row_of_tail = {}, {}
-
-    def row(tokens):
-        tail = tokens[1 - order:] if order > 1 else ()
-        found = row_of_tail.get(tail)
-        if found is None:
-            found = rows.get(generator.context(tokens))
-            if found is None:
-                found = generator.next_logprobs(source, tokens)
-            row_of_tail[tail] = found
-        return found
+    row = partial(generator.next_logprobs, source)
+    by_tail = {}
 
     def expand(tokens, blocked: frozenset[int]) -> list[tuple[int, float]]:
         key = (tokens[1 - order:] if order > 1 else (), blocked)

@@ -12,22 +12,21 @@ is non-zero only on the source's distinct ids, and an id's term depends on
 its count alone (copy_terms). Row.top reads the two only as far as the n
 best can reach.
 
-A model keeps the Rows it makes, by source and context (rows). The source it
-was last asked about keeps its copy term and its Row of each context, so
-next_logprobs returns the same Row for that source and context, and that
-Row's top memo serves every later call. A source asked about again after
-another one keeps them across searches, until the store is cleared, so a
-K x alpha sweep's cells after the first reuse each pair's Rows; a source
-asked about once keeps nothing after the next source, so a decode holds one
-source's Rows at a time. The set of sources asked about and the store (the
-kept sources) are cleared by add_sequence, and when the set would hold more
+next_logprobs(source, prefix) is the one way to a Row, through a chain of
+memos: the prefix's tail to its context, the source's Rows by context, and
+each Row's top memo of the largest n asked. The source last asked about
+keeps its copy term and Rows, so next_logprobs returns the same Row for that
+source and context. A source asked about again after another one keeps them
+across searches, so a K x alpha sweep's cells after the first reuse each
+pair's Rows; a source asked about once keeps nothing after the next source,
+so a decode holds one source's Rows at a time. The sources asked about and
+the kept ones are cleared by add_sequence, and when the set would hold more
 sources than 1 + the model's table keys, the bound of the context memo. So
-at most that many sources keep Rows, each at most one per context, and there
-are at most that many contexts too: (1 + table keys)^2 Rows at worst, each
-with its top memo of at most the largest n asked. In practice a source has a few Rows: the bench model has
+there are at most that many sources with Rows and contexts: (1 + table
+keys)^2 Rows at worst. In practice a source has a few: the bench model has
 297 table keys, and a pass of the bench's sweep keeps 368 Rows for its 40
 pairs, at most 13 for one. A Row is a function of the counts and the source
-alone, so a pickled model's store stays valid.
+alone, so a pickled model's Rows stay valid.
 """
 
 from __future__ import annotations
@@ -212,8 +211,7 @@ class NGramCopyModel:
         self._context_of_tail: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self._lm_cache: dict[tuple[tuple[int, ...], ...], tuple[list, list, list]] = {}
         self._unigram: list | None = None
-        self._copy_cache: tuple[tuple[int, ...] | None, tuple | None] = (None, None)
-        self._rows: dict[tuple[tuple[int, ...], ...], Row] = {}
+        self._last: tuple[tuple[int, ...] | None, tuple | None, dict] = (None, None, {})
         self._seen: set[tuple[int, ...]] = set()
         self._kept: dict[tuple[int, ...], tuple[tuple, dict]] = {}
 
@@ -276,15 +274,10 @@ class NGramCopyModel:
         cached = self._lm_cache[context] = ngram_terms([scale * p for p in probs])
         return cached
 
-    def rows(self, source) -> dict:
-        """The Rows the model keeps for `source`, by context(): the dict that
-        next_logprobs(source, ...) fills. It is kept while `source` is the
-        last source asked about and, once `source` is asked about again after
-        another one, until the store is cleared (see the module docstring).
-        A new source's ids are checked against the vocabulary here."""
-        key, (last, _) = tuple(source), self._copy_cache
-        if key is last or key == last:
-            return self._rows
+    def _source(self, key: tuple[int, ...]) -> tuple:
+        """`(copy term, Rows by context)` of a source other than the last one
+        asked about, which becomes the last: kept ones, or new ones once its
+        ids are checked against the vocabulary (see the module docstring)."""
         kept = self._kept.get(key)
         if kept is None:
             if not key:
@@ -302,20 +295,23 @@ class NGramCopyModel:
                 self._kept[key] = kept
             else:
                 self._seen.add(key)
-        self._copy_cache, self._rows = (key, kept[0]), kept[1]
-        return kept[1]
+        self._last = (key, *kept)
+        return kept
 
     def next_logprobs(self, source, prefix) -> Row:
         """The Row of the next token after `prefix` given `source`: the
         mixture lambda_copy * Copy + (1 - lambda_copy) * NGram, computed as
         the two products and their sum. The Row is kept for the source and
-        the prefix's context (rows), and returned again for both."""
+        the prefix's context, and returned again for both."""
         if len(prefix) == 0 or prefix[0] != Vocabulary.sos:
             raise GeneratorError("prefix must begin with SOS")
-        rows, context = self.rows(source), self.context(prefix)  # checks a new source
+        key, (last, copy, rows) = tuple(source), self._last
+        if key is not last and key != last:
+            copy, rows = self._source(key)
+        context = self.context(prefix)
         row = rows.get(context)
         if row is None:
-            row = rows[context] = Row(self._ngram_term(context), self._copy_cache[1])
+            row = rows[context] = Row(self._ngram_term(context), copy)
         return row
 
     # -- persistence -------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dasearch import decoder
+from dasearch import decoder, generator as generator_module
 from dasearch.corpus import Corpus, Vocabulary, generate_synthetic_corpus
 from dasearch.decoder import (
     EPS_DIS,
@@ -685,32 +685,17 @@ def test_search_work_per_step_is_bounded_by_the_beam(synth_corpus, synth_generat
     monkeypatch.setattr(PrefixFeaturizer, "commit", staticmethod(counting_commit))
     monkeypatch.setattr(PrefixState, "copy", lambda self: counts.update(["copy"]) or copy(self))
     generator = train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75)
-    context, next_logprobs = generator.context, generator.next_logprobs
-    tails, inside = [], []
-
-    def counting_context(prefix):
-        if not inside:  # next_logprobs asks for the context too
-            tails.append(tuple(prefix[1 - generator.order:]))
-        return context(prefix)
-
-    def marked_next_logprobs(source, prefix):
-        inside.append(True)
-        try:
-            return next_logprobs(source, prefix)
-        finally:
-            inside.pop()
-
-    generator.context, generator.next_logprobs = counting_context, marked_next_logprobs
+    rows, contexts = counted_rows(monkeypatch), recorded_contexts(monkeypatch, generator)
     config = SearchConfig(beam_size=3, k_rerank=10, alpha=1.0, t_max=60)
     for p in synth_corpus.pairs[:10]:
-        for seen in (counts, tails, lengths, scorings, uncommitted):
+        for seen in (counts, rows, contexts, lengths, scorings, uncommitted):
             seen.clear()
         beam = das_beam_search(generator, disc, p.source, config)
         # a step is a prefix length below t_max the search scores candidates at
         steps = len({t for t in lengths if t < config.t_max})
         assert counts["commit"] <= config.beam_size * steps
         assert counts["copy"] <= config.beam_size * steps
-        assert tails and len(tails) == len(set(tails))
+        assert rows and len(rows) == len(set(contexts))  # one Row per context
         if all_human:
             # one more for the forced EOS of each member live at t_max
             truncated = sum(h.truncated for h in beam)
@@ -747,25 +732,56 @@ def test_a_search_builds_hypothesis_objects_only_for_the_returned_beam(
     assert bool(truncated) == (t_max == 4)
 
 
-def test_search_asks_the_generator_once_per_context(synth_corpus):
-    """The forced EOS of a member still live at t_max reads the expansion
-    memo, so a search asks next_logprobs once per distinct context."""
+def counted_rows(monkeypatch) -> list:
+    """Every Row the generator module builds, in order."""
+    built = []
+
+    class CountedRow(generator_module.Row):
+        __slots__ = ()
+
+        def __init__(self, ngram, copy):
+            built.append(self)
+            super().__init__(ngram, copy)
+
+    monkeypatch.setattr(generator_module, "Row", CountedRow)
+    return built
+
+
+def recorded_contexts(monkeypatch, generator) -> list:
+    """The context of every prefix `generator` is asked about."""
+    contexts, context = [], generator.context
+    monkeypatch.setattr(generator, "context",
+                        lambda prefix: contexts.append(context(prefix)) or contexts[-1])
+    return contexts
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["unblocked", "blocked"])
+def test_search_builds_one_row_per_context(synth_corpus, monkeypatch, block):
+    """A search builds one Row per context of a source it has not searched:
+    the forced EOS of a member still live at t_max and a tail that comes
+    back with another blocked set read the Row next_logprobs keeps."""
     generator = train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75)
-    next_logprobs, contexts = generator.next_logprobs, []
+    rows, contexts = counted_rows(monkeypatch), recorded_contexts(monkeypatch, generator)
+    blocked_sets, blocked = set(), decoder._blocked
 
-    def recording_next_logprobs(source, prefix):
-        contexts.append(generator.context(prefix))
-        return next_logprobs(source, prefix)
+    def recording_blocked(index, tokens):
+        found = blocked(index, tokens)
+        blocked_sets.add((tokens[-2:], found))
+        return found
 
-    generator.next_logprobs = recording_next_logprobs
-    config = SearchConfig(beam_size=3, k_rerank=3, alpha=0.0, t_max=20)
-    truncated = 0
+    monkeypatch.setattr(decoder, "_blocked", recording_blocked)
+    config = SearchConfig(beam_size=3, k_rerank=3, alpha=0.0, t_max=20,
+                          block_repeated_trigrams=block)
+    truncated = returned = 0
     for p in synth_corpus.pairs[:10]:
-        contexts.clear()
+        for seen in (rows, contexts, blocked_sets):
+            seen.clear()
         beam = plain_beam_search(generator, p.source, config)
         truncated += sum(h.truncated for h in beam)
-        assert len(contexts) == len(set(contexts))
-    assert truncated
+        assert rows and len(rows) == len(set(contexts))
+        # a tail that came back with another blocked set
+        returned += len({tail for tail, _ in blocked_sets}) < len(blocked_sets)
+    assert truncated and bool(returned) == block
 
 
 # --- rows the generator keeps across searches ---------------------------------------------
@@ -775,18 +791,6 @@ def test_search_asks_the_generator_once_per_context(synth_corpus):
 def blank_generator(synth_corpus):
     """synth_generator's model with nothing cached, pickled."""
     return pickle.dumps(train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75))
-
-
-def recorded_next_logprobs(monkeypatch, generator) -> list:
-    """The (source, context) of every next_logprobs call `generator` answers."""
-    calls, next_logprobs = [], generator.next_logprobs
-
-    def recording(source, prefix):
-        calls.append((tuple(source), generator.context(prefix)))
-        return next_logprobs(source, prefix)
-
-    monkeypatch.setattr(generator, "next_logprobs", recording)
-    return calls
 
 
 def revisited(order) -> set:
@@ -827,27 +831,29 @@ def test_a_generator_that_keeps_rows_searches_as_a_fresh_one(synth_corpus, blank
 def test_only_a_source_searched_again_after_another_keeps_its_rows(synth_corpus, monkeypatch):
     """A source searched once keeps no rows after the next source; searched
     again after another one, it keeps them, and a third search with the same
-    settings asks the generator for no row."""
+    settings builds no Row."""
     generator = train_generator(synth_corpus, order=3, kappa=1.0, lambda_copy=0.75)
-    calls = recorded_next_logprobs(monkeypatch, generator)
+    rows, contexts = counted_rows(monkeypatch), recorded_contexts(monkeypatch, generator)
     config = SearchConfig(beam_size=3, k_rerank=10, alpha=0.0, t_max=60)
     a, b = (p.source for p in synth_corpus.pairs[:2])
 
     def search(source):
-        calls.clear()
-        return beam_bits(plain_beam_search(generator, source, config)), list(calls)
+        rows.clear()
+        contexts.clear()
+        return beam_bits(plain_beam_search(generator, source, config)), len(rows)
 
-    first, asked = search(a)
-    assert asked and len(asked) == len(set(asked))
+    first, built = search(a)
+    asked = set(contexts)
+    assert built and built == len(asked)
     search(b)
-    assert generator._copy_cache[0] == b and not generator._kept
-    assert search(a) == (first, asked)  # it kept nothing, so it asks again
+    assert generator._last[0] == b and not generator._kept
+    assert search(a) == (first, built)  # it kept nothing, so it builds them again
     assert generator._kept.keys() == {a}
     search(b)
     assert generator._kept.keys() == {a, b}
-    assert search(a) == (first, [])
-    assert generator._rows is generator._kept[a][1]
-    assert {context for _, context in asked} == generator._rows.keys()
+    assert search(a) == (first, 0)
+    assert generator._last[2] is generator._kept[a][1]
+    assert asked == generator._last[2].keys()
 
 
 def test_clearing_the_store_at_its_bound_changes_no_bit():
@@ -872,9 +878,10 @@ def test_clearing_the_store_at_its_bound_changes_no_bit():
     assert kept[-2] == set() and sources[0] not in generator._kept  # cleared on the way
 
 
-def test_add_sequence_empties_the_store(synth_corpus, blank_generator):
-    """New counts clear the sources asked about and every kept row, and the
-    next search is the search of a model trained with those counts."""
+def test_add_sequence_empties_the_store(synth_corpus, blank_generator, monkeypatch):
+    """New counts clear the sources asked about and every kept row, so the
+    next search of a revisited source builds a Row per context, and it is
+    the search of a model trained with those counts."""
     generator = pickle.loads(blank_generator)
     config = SearchConfig(beam_size=3, k_rerank=10, alpha=0.0, t_max=60)
     a, b = (p.source for p in synth_corpus.pairs[:2])
@@ -883,11 +890,13 @@ def test_add_sequence_empties_the_store(synth_corpus, blank_generator):
     assert generator._kept.keys() == {a, b}
     extra = synth_corpus.pairs[5].reference
     generator.add_sequence(extra)
-    assert not generator._kept and not generator._seen and not generator._rows
+    assert not generator._kept and not generator._seen and not generator._last[2]
     fresh = pickle.loads(blank_generator)
     fresh.add_sequence(extra)
-    assert (beam_bits(plain_beam_search(generator, a, config))
-            == beam_bits(plain_beam_search(fresh, a, config)))
+    expected = beam_bits(plain_beam_search(fresh, a, config))
+    rows, contexts = counted_rows(monkeypatch), recorded_contexts(monkeypatch, generator)
+    assert beam_bits(plain_beam_search(generator, a, config)) == expected
+    assert rows and len(rows) == len(set(contexts))
 
 
 def test_a_forced_pool_sweep_equals_the_serial_one(monkeypatch, synth_corpus, blank_generator,

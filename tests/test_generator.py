@@ -222,12 +222,12 @@ def test_copy_cache_keeps_only_the_last_source(ab_corpus):
     model = train_generator(ab_corpus, order=2)
     row_probs(model, (3, 4, 5), (SOS, 3))
     second = row_probs(model, (5, 5), (SOS, 3))
-    assert model._copy_cache[0] == (5, 5)
+    assert model._last[0] == (5, 5)
     fresh = train_generator(ab_corpus, order=2)
     assert np.array_equal(second, row_probs(fresh, (5, 5), (SOS, 3)))
     assert np.array_equal(row_probs(model, (3, 4, 5), (SOS, 3)),
                           row_probs(fresh, (3, 4, 5), (SOS, 3)))
-    assert model._copy_cache[0] == (3, 4, 5)
+    assert model._last[0] == (3, 4, 5)
 
 
 def row_state(model, source, prefix):
@@ -239,11 +239,11 @@ def row_state(model, source, prefix):
 
 def cached_lists(model):
     """Every list the model's caches hold, the kept rows' rankings among them."""
-    copy = model._copy_cache[1]  # (counts, the term of each count, the plans of top)
+    copy = model._last[1]  # (counts, the term of each count, the plans of top)
     return [*(x for term in model._lm_cache.values() for x in term),
             *([model._unigram] if model._unigram is not None else []),
             *([copy[1], *(whole for whole, _ in copy[2].values())] if copy is not None else []),
-            *(row._top for rows in (model._rows, *(r for _, r in model._kept.values()))
+            *(row._top for rows in (model._last[2], *(r for _, r in model._kept.values()))
               for row in rows.values())]
 
 
@@ -281,12 +281,11 @@ def test_a_pickled_model_keeps_its_caches(synth_corpus, lambda_copy):
     copy = pickle.loads(pickle.dumps(model))
     assert copy._lm_cache.keys() == model._lm_cache.keys()
     assert copy._context_of_tail == model._context_of_tail
-    assert copy._copy_cache[0] == model._copy_cache[0]
     assert [(array("d", term).tobytes(), order, neg) for term, order, neg
             in copy._lm_cache.values()] == [(array("d", term).tobytes(), order, neg) for
                                             term, order, neg in model._lm_cache.values()]
-    assert copy._copy_cache == model._copy_cache and copy._unigram == model._unigram
-    assert copy._rows.keys() == model._rows.keys() and copy._seen == model._seen
+    assert copy._last[:2] == model._last[:2] and copy._unigram == model._unigram
+    assert copy._last[2].keys() == model._last[2].keys() and copy._seen == model._seen
     assert [row_state(copy, source, prefix) for prefix in prefixes] == rows
     copy.add_sequence(prefixes[-1][1:])  # new counts clear what was cached before them
     for prefix in prefixes:
