@@ -7,9 +7,15 @@ s_gen + alpha * log D) and keeps the best B. Ties break on higher s_gen, then
 lexicographic token ids. The pool is scored best s_gen first until no
 candidate left can enter the beam: log D <= 0, so no fused score is above its
 s_gen, and once B scored candidates rank above the next one's s_gen the rest
-of the pool is never scored. Plain beam search is the same search with no
-discriminator and K_rerank = B: the pool is then never re-scored and every
-result has s_das == s_gen.
+of the pool is never scored.
+
+A search that does not rerank (no discriminator, or alpha = 0) is plain beam
+search at any K_rerank: no member has more than B children among the best B
+candidates, so it expands each live hypothesis by its B best tokens, and every
+result has s_das == s_gen. That is the K_rerank-wide search bit for bit but in
+one tie: two tokens of one member with different probabilities and the same
+rounded s_gen + logp, at rank B and past it, where the wider search keeps the
+one past rank B if its id is the smaller.
 
 Without a length penalty a search stops as soon as its winner is settled:
 once the pool's best ended member by the final key has an s_das above every
@@ -146,9 +152,10 @@ def _expansion(generator, source, k: int):
     after `tokens`, which next_logprobs keeps for the source and the prefix's
     context; `expand(tokens, blocked)` is the finite (token, logp) pairs
     among the k best of that Row's ranking once the `blocked` tokens leave
-    it. Given the source, the Row depends only on the prefix's tail, its last
-    order - 1 tokens, so the pairs are kept by tail and blocked set for as
-    long as the search lasts."""
+    it. k is the search's width: K_rerank for a search that reranks, B for
+    one that does not (see the module docstring). Given the source, the Row
+    depends only on the prefix's tail, its last order - 1 tokens, so the
+    pairs are kept by tail and blocked set for as long as the search lasts."""
     order = generator.order
     row = partial(generator.next_logprobs, source)
     by_tail = {}
@@ -200,7 +207,8 @@ def _search(generator, discriminator, source, config: SearchConfig):
         raise DecoderError("discriminator required unless alpha == 0")
     rerank = discriminator is not None and config.alpha > 0.0
     block = config.block_repeated_trigrams
-    expand, row = _expansion(generator, source, config.k_rerank)
+    expand, row = _expansion(generator, source,
+                             config.k_rerank if rerank else config.beam_size)
     eos = Vocabulary.eos
     beam_size = config.beam_size
 
@@ -317,7 +325,9 @@ def das_beam_search(generator, discriminator, source, config: SearchConfig):
 
 def plain_settings(beam_size: int) -> dict:
     """The settings plain search fixes itself: a rerank pool of beam_size and
-    alpha = 0, whatever the config says."""
+    alpha = 0, whatever the config says. A search without reranking expands
+    by beam_size at any k_rerank; k_rerank is set only so that a config with
+    beam_size above its k_rerank, which SearchConfig refuses, validates."""
     return {"k_rerank": beam_size, "alpha": 0.0}
 
 

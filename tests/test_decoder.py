@@ -314,21 +314,24 @@ def test_alpha_zero_matches_plain_search(synth_corpus, synth_generator):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(data=st.data())
-def test_plain_search_is_fused_search_without_discriminator(synth_corpus,
-                                                            synth_generator, data):
-    k_rerank = data.draw(st.integers(1, 8), label="k_rerank")
+def test_a_search_that_does_not_rerank_is_plain_search(synth_corpus, synth_generator,
+                                                       trained_disc, data):
+    """A fused search at alpha = 0, with or without a discriminator, returns
+    plain search's full beam bit for bit at any k_rerank from beam_size up,
+    with trigram blocking on and off, a length penalty and a t_max cut."""
+    beam_size = data.draw(st.integers(1, 5), label="beam_size")
     config = SearchConfig(
-        beam_size=data.draw(st.integers(1, k_rerank), label="beam_size"),
-        k_rerank=k_rerank,
+        beam_size=beam_size,
+        k_rerank=beam_size + data.draw(st.integers(0, 7), label="k_rerank - beam_size"),
+        alpha=0.0,
         t_max=data.draw(st.integers(1, 30), label="t_max"),
         length_penalty_beta=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
                                       label="length_penalty_beta"),
         block_repeated_trigrams=data.draw(st.booleans(), label="block_repeated_trigrams"))
+    disc = data.draw(st.sampled_from([None, trained_disc]), label="discriminator")
     source = data.draw(st.sampled_from(synth_corpus.pairs), label="pair").source
-    plain = plain_beam_search(synth_generator, source, config)
-    fused = das_beam_search(synth_generator, None, source, replace(config, alpha=0.0))
-    assert [h.tokens for h in fused] == [h.tokens for h in plain]
-    assert [h.s_gen for h in fused] == [h.s_gen for h in plain]
+    assert (beam_bits(das_beam_search(synth_generator, disc, source, config))
+            == beam_bits(plain_beam_search(synth_generator, source, config)))
 
 
 def test_k_rerank_one_is_greedy(synth_corpus, synth_generator, trained_disc):
@@ -782,6 +785,43 @@ def test_search_builds_one_row_per_context(synth_corpus, monkeypatch, block):
         # a tail that came back with another blocked set
         returned += len({tail for tail, _ in blocked_sets}) < len(blocked_sets)
     assert truncated and bool(returned) == block
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["unblocked", "blocked"])
+@pytest.mark.parametrize("alpha, disc", [(0.0, False), (0.0, True), (1.0, True)],
+                         ids=["alpha-0", "alpha-0-with-discriminator", "alpha-1"])
+def test_a_search_asks_a_row_for_no_more_tokens_than_its_width(
+        synth_corpus, synth_generator, trained_disc, monkeypatch, alpha, disc, block):
+    """A search that does not rerank asks Row.top for at most beam_size
+    tokens past the prefix's blocked ones, whatever its k_rerank; one that
+    reranks asks for at most k_rerank past them, and does ask for that many."""
+    asked, blocked, top = [], decoder._blocked, generator_module.Row.top
+
+    def recording_blocked(index, tokens):
+        found = blocked(index, tokens)
+        asked.append(("blocked", len(found)))
+        return found
+
+    def recording_top(self, n):
+        asked.append(("top", n))
+        return top(self, n)
+
+    monkeypatch.setattr(decoder, "_blocked", recording_blocked)
+    monkeypatch.setattr(generator_module.Row, "top", recording_top)
+    config = SearchConfig(beam_size=3, k_rerank=10, alpha=alpha, t_max=30,
+                          block_repeated_trigrams=block)
+    width = config.k_rerank if alpha > 0 else config.beam_size
+    extra = []  # each request's tokens past the blocked ones of its prefix
+    for p in synth_corpus.pairs[:10]:
+        asked.clear()
+        das_beam_search(synth_generator, trained_disc if disc else None, p.source, config)
+        n_blocked = 0
+        for kind, n in asked:
+            if kind == "blocked":
+                n_blocked = n
+            else:
+                extra.append(n - n_blocked)
+    assert extra and max(extra) == width
 
 
 # --- rows the generator keeps across searches ---------------------------------------------
