@@ -28,6 +28,8 @@ from typing import TYPE_CHECKING
 from dasearch.corpus import (Corpus, InputError, Vocabulary, finite_float, read_model_file,
                              write_model_file)
 
+# H and G hold no EOS (references refuse it, generations are stripped of it), so no dense
+# feature marks an ended prefix: D sees an EOS candidate only by its unigram and bigram keys
 DENSE_FEATURES = (
     "rel_length",      # t / T_max
     "source_overlap",  # fraction of prefix tokens present in the source
@@ -35,10 +37,9 @@ DENSE_FEATURES = (
     "rep2",
     "rep3",
     "mean_logfreq",    # mean background-unigram log-frequency (scaled)
-    "eos_flag",        # last token is EOS
 )
 N_DENSE = len(DENSE_FEATURES)
-VERSION = "discriminator v3"  # the first line of a model file
+VERSION = "discriminator v4"  # the first line of a model file
 
 if TYPE_CHECKING:
     import numpy as np
@@ -117,10 +118,9 @@ def logit(bias: float, dense_w, dense, S: float, t: int) -> float:
     sums c * w per distinct index instead for a prefix with fewer distinct
     indices than tokens, equal up to rounding; none takes a dot product,
     whose result depends on the BLAS kernel."""
-    w0, w1, w2, w3, w4, w5, w6 = dense_w
-    d0, d1, d2, d3, d4, d5, d6 = dense
-    return (bias + (0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5
-                    + w6 * d6)) + S / t
+    w0, w1, w2, w3, w4, w5 = dense_w
+    d0, d1, d2, d3, d4, d5 = dense
+    return (bias + (0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5)) + S / t
 
 
 class PrefixState:
@@ -228,7 +228,7 @@ class PrefixFeaturizer:
         dense = [min(t, self._t_max) / self._t_max, in_source / t, (100.0 * (1.0 - d1 / t)) / 100.0,
                  (100.0 * (1.0 - d2 / (t - 1))) / 100.0 if t >= 2 else 0.0,
                  (100.0 * (1.0 - d3 / (t - 2))) / 100.0 if t >= 3 else 0.0,
-                 logfreq_sum / t if logfreq else 0.0, 1.0 if token == Vocabulary.eos else 0.0]
+                 logfreq_sum / t if logfreq else 0.0]
         return (logit(self._bias, self._dense_w, dense, S, t),
                 (t, in_source, logfreq_sum, (d1, d2, d3), S, hits, dense))
 
@@ -337,7 +337,7 @@ class DiscriminatorModel:
         return _sigmoid(featurizer.score_next(state, prefix[-1])[0])
 
     def save(self, path) -> None:
-        """Write a `discriminator v3` file: 9 header lines, then one `index
+        """Write a `discriminator v4` file: 9 header lines, then one `index
         weight` line per nonzero sparse weight."""
         config = self.config
         write_model_file(path, VERSION, {
@@ -351,7 +351,7 @@ class DiscriminatorModel:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary | None = None) -> "DiscriminatorModel":
-        """Read a `discriminator v3` file, written for `vocab` if one is given."""
+        """Read a `discriminator v4` file, written for `vocab` if one is given."""
         header, sparse_entries = read_model_file(
             path, "discriminator", VERSION, DiscriminatorError, _HEADER, _sparse_entry, vocab,
             many=("vocab_hash", "logfreq", "dense", "provenance"))
@@ -528,7 +528,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     # row used, all from the row's step record, which every example of the row shares
     examples = np.fromiter(map(_step_records(batch).__getitem__, row_of), object, n_total)
     hits, exp = batch.hits.tolist(), math.exp
-    w0, w1, w2, w3, w4, w5, w6 = model.dense_w
+    w0, w1, w2, w3, w4, w5 = model.dense_w
     sparse_w = np.frombuffer(model.sparse_w)  # a view: writes reach the model
     w, bias = sparse_w[batch.columns].tolist(), float(model.bias)
     rng, order = np.random.default_rng(seed), np.arange(n_total)
@@ -536,7 +536,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         rng.shuffle(order)
         lr = learning_rate / math.sqrt(epoch + 1)
         rate_H, rate_G = lr * scale_H, lr * scale_G
-        for (n, pairs, a, d0, d1, d2, d3, d4, d5, d6), human in zip(
+        for (n, pairs, a, d0, d1, d2, d3, d4, d5), human in zip(
                 examples[order].tolist(), (order < n_H).tolist()):
             S = 0.0
             if pairs is None:
@@ -546,8 +546,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
             else:
                 for k, c in pairs:
                     S += c * w[k]
-            z = (bias + (0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5
-                         + w6 * d6)) + S / n
+            z = (bias + (0.0 + w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5)) + S / n
             if z >= 0:  # _sigmoid
                 p = 1.0 / (1.0 + exp(-z))
             else:
@@ -560,7 +559,6 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
             w3 += step * d3
             w4 += step * d4
             w5 += step * d5
-            w6 += step * d6
             share = step / n
             if pairs is None:
                 for k in row:
@@ -569,7 +567,7 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
                 for k, c in pairs:
                     w[k] += share * c
             bias += step
-        model.dense_w = array("d", (w0, w1, w2, w3, w4, w5, w6))
+        model.dense_w = array("d", (w0, w1, w2, w3, w4, w5))
         sparse_w[batch.columns] = w
         model.bias = bias
     del examples, hits  # the objective reads the batch, not the step records

@@ -245,7 +245,7 @@ def run_until_convergence(state: SelfTrainState, generator, corpus: Corpus,
     as regressed when the sum rose by more than tau_delta.
     on_iteration, if given, is called with the new state after each round."""
     if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+        raise DiscriminatorError(f"max_iters must be >= 1, got {max_iters}")
     if tau_delta is None:
         tau_delta = 0.01 * search_config.t_max
     for _ in range(max_iters):

@@ -319,7 +319,7 @@ PINNED = {
     "generator.model":
         "64c3dc557145b7f2d34c87c65f3005836bd3464529c60536262a2339552834b2",
     "discriminator.model":
-        "19cb75ccaaeba09977a4be7f39c5db1cd716227a0ba9155e5a5e283405a127a1",
+        "79a192d97f918344690c6be86e7c94455b56d1dd3cafd8622128f7e49c6da141",
     "generations-plain-test.jsonl":
         "97315bafc0c6ee431876c517f628490384244873efa48ad297d8629a3596437c",
     "generations-das-test.jsonl":
@@ -328,17 +328,17 @@ PINNED = {
     "iter_0/generations.jsonl":
         "a2045d4ded7e975a2d5d864478074f5ec9e2080cbba64a45210580c27ce3cf52",
     "iter_0/discriminator.model":
-        "19cb75ccaaeba09977a4be7f39c5db1cd716227a0ba9155e5a5e283405a127a1",
+        "79a192d97f918344690c6be86e7c94455b56d1dd3cafd8622128f7e49c6da141",
     "iter_0/history.csv": "d24a46c484b982919c94999df2f1f1355b01eb7e4a6bb627552b60b8d8f6f7ec",
     "iter_1/generations.jsonl":
         "433cece3099caee47a6c6549b397934b59050fcbaff0a9b81a68cf94702233f5",
     "iter_1/discriminator.model":
-        "e963a1d452548eff18478bd8edfc8a279c6046e10984b6e5d99e9b1754fbb476",
+        "dc4389ec48e48410a617259347ee30f946a34db888d4a87d77c3cde010239451",
     "iter_1/history.csv": "bd04a62ff09c7a5ba52db2682aacffb357b17a0a27f4bfe27af2c198b6a008c5",
     "iter_2/generations.jsonl":
         "8ddd5e2d47ba0639d7391cd5ab339a4dab7dd8d2e17c4fb317d16c1f75d28acd",
     "iter_2/discriminator.model":
-        "e841ee1dc05bde2f7fbc0c0c7a76ea01db230fab74853f2c597ebb470231c4e6",
+        "31120d7fa0b835939dd66c5ef1c4ad1198b67f073aa3ae852803e106a0d11b15",
     "iter_2/history.csv": "ae2ce312d231fa6c2d636aef09854cb6600011355f1ef47eabf5211b34d094b8",
 }
 

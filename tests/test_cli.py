@@ -564,21 +564,27 @@ def test_a_mutated_model_file_decodes_only_as_the_written_model(pipeline, data):
 
 
 @pytest.mark.parametrize("kind, old, new, stage", [
-    ("discriminator", "discriminator v2", "discriminator v3", "train-discriminator"),
+    ("discriminator", "discriminator v3", "discriminator v4", "train-discriminator"),
     ("generator", "ngram-copy v1", "ngram-copy v2", "train-generator"),
 ])
 def test_a_model_file_of_the_previous_version_names_the_stage_that_writes_one(
         pipeline, tmp_path, capsys, kind, old, new, stage):
     root, cfg = pipeline
-    lines = (root / "out" / f"{kind}.model").read_text().splitlines(keepends=True)
-    assert lines[0] == new + "\n"
-    previous = tmp_path / f"{kind}.model"  # as the previous version wrote it: no line 2
-    previous.write_text("".join([old + "\n", *lines[2:]]))
+    text = (root / "out" / f"{kind}.model").read_text()
+    assert text.startswith(new + "\n")
+    previous = tmp_path / f"{kind}.model"  # as the previous version wrote it
+    if kind == "discriminator":  # the same frame, with a seventh dense weight
+        previous.write_text(reframed(re.sub(r"^dense .*", r"\g<0> 0.0", old + text[len(new):],
+                                            count=1, flags=re.M)))
+    else:  # no line 2
+        previous.write_text(old + "\n" + text.split("\n", 2)[2])
     path = derive_config(cfg, tmp_path, **{f"{kind}_model": str(previous)})
-    assert main(["decode", "--config", str(path), "--mode", "das"]) == 1
-    assert capsys.readouterr().err == (
-        f"error: not a {kind} model file: {previous}: its first line is {old!r}, not {new!r}; "
-        f"re-run {stage} to write one\n")
+    for command, extra in (("decode", ["--mode", "das"]), ("sweep", []), ("self-train", [])):
+        assert main([command, "--config", str(path), *extra]) == 1
+        assert capsys.readouterr().err == (
+            f"error: not a {kind} model file: {previous}: its first line is {old!r}, "
+            f"not {new!r}; re-run {stage} to write one\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", previous.name]
 
 
 @pytest.mark.parametrize("kind", ["discriminator", "generator"])
@@ -913,13 +919,17 @@ NOT_A_HISTORY = "{record}: its history entry is not that of a bootstrap round"
 
 
 @pytest.mark.parametrize("case, edit, reason", [
-    # edit: None deletes the record, bytes replace it, and a function changes
-    # the parsed record, given the id of the train split's first pair
+    # edit: None deletes the record, "directory" puts a directory in its place,
+    # bytes replace it, and a function changes the parsed record, given the id
+    # of the train split's first pair
     ("none", None, "no file at {record}"),
+    ("directory", "directory", "cannot read {record}: [Errno 21] Is a directory"),
     ("json", b'{"model_sha256": ', "{record} does not parse: Expecting value: line 1 column 18"),
     ("not-utf8", b"\xff{}", "{record} does not parse: 'utf-8' codec can't decode byte 0xff"),
     ("other-model", lambda data, first: data.update(model_sha256="0" * 64),
      "{record}: it records another model file"),
+    ("no-generations", lambda data, first: data.update(generations=list(data["generations"])),
+     "{record}: it holds no generations"),
     ("missing-id", lambda data, first: data["generations"].pop(first),
      "{record}: it has no generation of pair {first!r}"),
     ("extra-id", lambda data, first: data["generations"].update(extra=[3]),
@@ -942,8 +952,10 @@ def test_self_train_recomputes_the_round_without_a_valid_record(pipeline, tmp_pa
     record = Path(f"{model}.bootstrap.json")
     _, resumed = _self_train(cfg, tmp_path / "resumed", capsys, discriminator_model=str(model))
     first = load_corpus(root / "out" / "train.jsonl").pairs[0].id
-    if edit is None:
+    if edit in (None, "directory"):
         record.unlink()
+        if edit:
+            record.mkdir()
     elif isinstance(edit, bytes):
         record.write_bytes(edit)
     else:
@@ -1055,7 +1067,7 @@ def test_a_v1_discriminator_file_exits_one_for_decode_and_self_train(pipeline, t
                                                                      capsys):
     root, cfg = pipeline
     text = (root / "out" / "discriminator.model").read_text()
-    text = re.sub(r"\Adiscriminator v3\n.*\n", "discriminator v1\n", text)
+    text = re.sub(r"\Adiscriminator v4\n.*\n", "discriminator v1\n", text)
     v1 = tmp_path / "v1.model"
     v1.write_text(re.sub(r"\nprovenance .*\n", "\n", re.sub(r"\nvocab_hash \S+\n", "\n", text)))
     for command, extra in (("decode", ["--mode", "das"]), ("self-train", [])):
@@ -1063,7 +1075,7 @@ def test_a_v1_discriminator_file_exits_one_for_decode_and_self_train(pipeline, t
         assert main([command, "--config", str(path), *extra]) == 1
         assert capsys.readouterr().err == (
             f"error: not a discriminator model file: {v1}: its first line is 'discriminator v1', "
-            f"not 'discriminator v3'; re-run train-discriminator to write one\n")
+            f"not 'discriminator v4'; re-run train-discriminator to write one\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "v1.model"]
 
 
@@ -1072,7 +1084,7 @@ def test_a_file_that_is_not_a_generator_model_names_its_first_line(pipeline, tmp
                                                                     found):
     root, cfg = pipeline
     if found == "discriminator":
-        model, first = root / "out" / "discriminator.model", "discriminator v3"
+        model, first = root / "out" / "discriminator.model", "discriminator v4"
     else:
         model, first = tmp_path / "empty.model", ""
         model.write_text("")

@@ -137,9 +137,9 @@ def test_use_source_false_zeroes_source_features():
 def test_relative_length_and_eos_flag(config):
     dense, _ = extract_features((3,), (3, 4, 5), config)
     assert math.isclose(dense[0], 3 / config.t_max, abs_tol=1e-12)
-    assert dense[6] == 0.0
+    # no dense feature marks an ended prefix: H and G hold no EOS
     dense_end, _ = extract_features((3,), (3, EOS), config)
-    assert dense_end[6] == 1.0
+    assert len(dense) == len(dense_end) == N_DENSE
 
 
 def test_feature_extraction_deterministic(config):
@@ -151,6 +151,8 @@ def test_feature_extraction_deterministic(config):
 def test_empty_prefix_rejected(config):
     with pytest.raises(DiscriminatorError):
         extract_features((3,), (), config)
+    with pytest.raises(DiscriminatorError, match="^empty prefix$"):
+        DiscriminatorModel.zeros(config).score((3,), ())
 
 
 def test_background_logfreq_feature_uses_reference_counts():
@@ -190,7 +192,6 @@ def reference_features(source, prefix, config: FeatureConfig):
         for t in prefix:  # left to right, as the featurizer adds them
             total += config.logfreq[t]
         dense[5] = total / len(prefix)
-    dense[6] = 1.0 if prefix[-1] == Vocabulary.eos else 0.0
 
     hits = []
     for i, b in enumerate(prefix):
@@ -436,7 +437,7 @@ def test_score_matches_manual_recomputation(config):
     for i in hits:
         S += model.sparse_w[i]
     z = (0.3 + zd) + S / 4
-    assert model.score((3, 4, 5), (3, 9, 3, EOS)) == 1.0 / (1.0 + math.exp(-z))
+    assert model.score((3, 4, 5), (3, 9, 3, EOS)) == _sigmoid(z)
 
 
 # --- training -------------------------------------------------------------------

@@ -223,6 +223,22 @@ def test_position_histogram_clean_summaries_contribute_nothing():
     assert sum(dens) == 0.0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bleu1([], ["a"]), "bleu1 requires non-empty sequences"),
+    (lambda: bleu1(["a"], []), "bleu1 requires non-empty sequences"),
+    (lambda: rouge1([], ["a"]), "rouge1 requires non-empty sequences"),
+    (lambda: rouge1(["a"], []), "rouge1 requires non-empty sequences"),
+    (lambda: rougeL([], ["a"]), "rougeL requires non-empty sequences"),
+    (lambda: rougeL(["a"], []), "rougeL requires non-empty sequences"),
+    (lambda: zipf_report([], 5), "no generations"),
+    (lambda: repetition_position_hist([]), "no generations"),
+], ids=["bleu1-hyp", "bleu1-ref", "rouge1-hyp", "rouge1-ref", "rougeL-hyp", "rougeL-ref",
+        "zipf", "position-hist"])
+def test_an_empty_side_is_refused(call, message):
+    with pytest.raises(MetricsError, match=f"^{message}$"):
+        call()
+
+
 def test_relabeling_invariance():
     rng = random.Random(6)
     mapping = {i: 100 + i for i in range(6)}

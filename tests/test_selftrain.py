@@ -11,6 +11,7 @@ import pytest
 from dasearch.corpus import generate_synthetic_corpus
 from dasearch import selftrain
 from dasearch.decoder import Hypothesis, SearchConfig, plain_beam_search
+from dasearch.discriminator import DiscriminatorError
 from dasearch.generator import train_generator
 from dasearch.selftrain import (
     DiscriminatorHparams,
@@ -218,7 +219,7 @@ def test_convergence_stops_as_regressed_when_the_delta_sum_rose(state0, loop_cor
 
 
 def test_convergence_validates_max_iters(state0, loop_corpus, loop_generator):
-    with pytest.raises(ValueError):
+    with pytest.raises(DiscriminatorError, match=r"^max_iters must be >= 1, got 0$"):
         run_until_convergence(state0, loop_generator, loop_corpus, SEARCH, HPARAMS,
                               max_iters=0)
 
