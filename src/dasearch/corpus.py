@@ -44,13 +44,25 @@ def finite_float(text: str) -> float:
     return value
 
 
-def write_model_file(path, version: str, header: dict, body) -> None:
+# a float field that finite_float refuses, as str(float) writes it
+_NON_FINITE_FIELD = re.compile(r"(?<!\S)-?(?:nan|inf)(?!\S)")
+
+
+def write_model_file(path, version: str, error, header: dict, body) -> None:
     """Write the model file `path` in the frame read_model_file reads: the
     line `version`; a `<n> <sha256>` line, the number of lines after it and
     the sha256 of their bytes; a `key value` line per `header` item, in
-    order; then the `body` lines, each ending in a newline."""
+    order; then the `body` lines, each ending in a newline. A nan or
+    infinite field, which read_model_file would refuse, raises `error`
+    before anything is written."""
     lines = [*(f"{key} {value}\n" for key, value in header.items()), *body]
     text = "".join(lines)
+    bad = _NON_FINITE_FIELD.search(text)
+    if bad:
+        start = text.rfind("\n", 0, bad.start()) + 1
+        n, key = text.count("\n", 0, start) + 3, text[start:].split(None, 1)[0]
+        raise error(f"not writing model file {path}: line {n} ({key} ...) holds "
+                    f"{bad.group()}, not a finite number")
     with atomic_write(path, newline="") as f:
         f.write(f"{version}\n{len(lines)} {hashlib.sha256(text.encode()).hexdigest()}\n{text}")
 

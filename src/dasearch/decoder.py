@@ -7,7 +7,14 @@ s_gen + alpha * log D) and keeps the best B. Ties break on higher s_gen, then
 lexicographic token ids. The pool is scored best s_gen first until no
 candidate left can enter the beam: log D <= 0, so no fused score is above its
 s_gen, and once B scored candidates rank above the next one's s_gen the rest
-of the pool is never scored.
+of the pool is never scored. At K_rerank = B the pool survives whole
+whatever D says, so only its EOS candidates are scored. A live one takes
+its prefix step alone (score_next with scored=False) and plain search's
+s_dis = None and s_das = s_gen: only the rerank at the step that made a
+live member reads its fused scores, _settled reads its s_gen, and one still
+live at t_max is scored again with its forced EOS. So every returned
+hypothesis keeps its bits, and K_rerank = 1 is greedy search by
+construction.
 
 A search that does not rerank (no discriminator, or alpha = 0) is plain beam
 search at any K_rerank: no member has more than B children among the best B
@@ -110,6 +117,19 @@ class SearchConfig:
                                f"{self.length_penalty_beta}")
         if self.t_max < 1:
             raise DecoderError("t_max must be >= 1")
+        # the final sort divides by the penalty of every output length, 1 to
+        # t_max + 1 (a forced EOS); the penalty's numerator is monotone in the
+        # length, so the longest fails whenever any length does
+        beta = self.length_penalty_beta
+        if beta != 0.0:
+            try:
+                divisor = length_penalty(self.t_max + 1, beta)
+            except (OverflowError, ZeroDivisionError):  # or 6.0 ** beta is 0.0
+                divisor = math.nan
+            if not (math.isfinite(divisor) and divisor != 0.0):
+                raise DecoderError(f"length_penalty_beta {beta} with t_max {self.t_max} gives "
+                                   f"a {self.t_max + 1}-token output the length penalty "
+                                   f"{divisor}, not a finite nonzero number")
 
 
 def apply_das_score(s_gen: float, alpha: float, dis_prob: float) -> tuple[float, float]:
@@ -241,7 +261,22 @@ def _search(generator, discriminator, source, config: SearchConfig):
                 candidates.append((-(s_gen + logp), rank, tok))
         candidates.sort()
         # survivors as (parent rank, token, s_gen, s_dis, s_das, prefix step)
-        if rerank:
+        if rerank and config.k_rerank == beam_size:
+            # a rerank pool as large as the beam survives whole: only an
+            # EOS candidate, whose s_das no later step recomputes, is scored;
+            # a live one takes its step and plain search's scores, and an
+            # ended member carries itself
+            survivors = []
+            for neg_gen, rank, tok in candidates[:beam_size]:
+                s_dis, s_das, step = None, -neg_gen, None
+                if tok == eos:
+                    dis_prob = sigmoid(score_next(states[rank], tok)[0])
+                    clamps += dis_prob < EPS_DIS
+                    s_dis, s_das = das_score(-neg_gen, alpha, dis_prob)
+                elif tok >= 0:
+                    step = score_next(states[rank], tok, scored=False)[1]
+                survivors.append((rank, tok, -neg_gen, s_dis, s_das, step))
+        elif rerank:
             # log D <= 0 makes s_das <= s_gen, in floats too, for a candidate
             # and for an ended member alike: (neg_gen, neg_gen, rank, tok) is
             # the best key it can reach, and that grows along the pool. Once

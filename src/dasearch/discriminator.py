@@ -49,6 +49,10 @@ class DiscriminatorError(InputError):
     pass
 
 
+# the largest d_hash: a model holds d_hash sparse weights of 8 bytes each
+D_HASH_MAX = 2 ** 24
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     d_hash: int = 2 ** 16
@@ -62,6 +66,9 @@ class FeatureConfig:
         if self.d_hash < 1 or self.t_max < 1:
             raise DiscriminatorError(f"d_hash and t_max must be >= 1, got {self.d_hash} "
                                      f"and {self.t_max}")
+        if self.d_hash > D_HASH_MAX:
+            raise DiscriminatorError(f"d_hash must be at most 2**24 = {D_HASH_MAX}, got "
+                                     f"{self.d_hash}")
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, d_hash: int = 2 ** 16,
@@ -199,9 +206,12 @@ class PrefixFeaturizer:
         """The state of the empty prefix of `source`."""
         return PrefixState(frozenset(source) if self.config.use_source else frozenset())
 
-    def score_next(self, state: PrefixState, token: int) -> tuple[float, tuple]:
+    def score_next(self, state: PrefixState, token: int,
+                   scored: bool = True) -> tuple[float | None, tuple]:
         """(logit, step) of the state's prefix plus `token`, leaving `state` as
-        it is, in O(1) through the one `logit`; D is its _sigmoid."""
+        it is, in O(1) through the one `logit`; D is its _sigmoid. With
+        scored=False only the step that `commit` reads is taken: the logit
+        and the step's dense values are None."""
         src, grams, last, column = state.source_set, state.grams, state.last, self._column
         bit = 1 if token in src else 0
         u = column.get((token, bit))
@@ -224,6 +234,8 @@ class PrefixFeaturizer:
             hits = (u,)
         t, in_source, logfreq = state.t + 1, state.in_source + bit, self._logfreq
         logfreq_sum = state.logfreq_sum + logfreq[token] if logfreq else 0
+        if not scored:
+            return None, (t, in_source, logfreq_sum, (d1, d2, d3), S, hits, None)
         # the dense values, in DENSE_FEATURES order; rep<n> is metrics.repetition_n / 100
         dense = [min(t, self._t_max) / self._t_max, in_source / t, (100.0 * (1.0 - d1 / t)) / 100.0,
                  (100.0 * (1.0 - d2 / (t - 1))) / 100.0 if t >= 2 else 0.0,
@@ -340,7 +352,7 @@ class DiscriminatorModel:
         """Write a `discriminator v4` file: 9 header lines, then one `index
         weight` line per nonzero sparse weight."""
         config = self.config
-        write_model_file(path, VERSION, {
+        write_model_file(path, VERSION, DiscriminatorError, {
             "d_hash": config.d_hash, "use_source": int(config.use_source), "t_max": config.t_max,
             "vocab_hash": config.vocab_hash, "final_objective": float(self.final_objective),
             "logfreq": " ".join(str(float(v)) for v in config.logfreq),
@@ -367,6 +379,15 @@ class DiscriminatorModel:
             sparse[i] = w
         return cls(config, header["dense"], sparse, header["bias"],
                    final_objective=header["final_objective"], provenance=header["provenance"])
+
+
+def _non_finite(named) -> tuple[str, float] | None:
+    """(name, value) of the first value that is not finite among the
+    (name, values) pairs `named`, or None."""
+    for name, values in named:
+        for value in itertools.filterfalse(math.isfinite, values):
+            return name, value
+    return None
 
 
 def _use_source(text: str) -> bool:
@@ -498,7 +519,9 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     its hits as `logit` does and moves each by step / t: equal up to
     rounding, the same bits if every c is 1. The model's weights are
     array('d'); training steps a list of the batch's sparse weights and
-    writes it back through a numpy view of sparse_w."""
+    writes it back through a numpy view of sparse_w. Training that leaves
+    the bias, a weight or final_objective not finite raises
+    DiscriminatorError naming learning_rate and ratio."""
     import numpy as np
     n_H = sum(len(tokens) for _, tokens in H)
     if not n_H or not any(tokens for _, tokens in G):
@@ -571,7 +594,14 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
         sparse_w[batch.columns] = w
         model.bias = bias
     del examples, hits  # the objective reads the batch, not the step records
-    model.final_objective = eq2_objective(model, batch, n_H, row_of)
+    bad = _non_finite((("the bias", (model.bias,)), ("a dense weight", model.dense_w),
+                       ("a sparse weight", w)))
+    if not bad:
+        model.final_objective = eq2_objective(model, batch, n_H, row_of)
+        bad = _non_finite((("final_objective", (model.final_objective,)),))
+    if bad:
+        raise DiscriminatorError(f"training diverged at learning_rate {learning_rate} and "
+                                 f"ratio {ratio}: {bad[0]} is {bad[1]}")
     return model
 
 

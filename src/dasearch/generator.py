@@ -317,9 +317,9 @@ class NGramCopyModel:
     # -- persistence -------------------------------------------------------------
 
     def save(self, path) -> None:
-        write_model_file(path, VERSION, {"order": self.order, "kappa": self.kappa,
-                                         "lambda_copy": self.lambda_copy,
-                                         "vocab_hash": self.vocab.digest()},
+        write_model_file(path, VERSION, GeneratorError,
+                         {"order": self.order, "kappa": self.kappa,
+                          "lambda_copy": self.lambda_copy, "vocab_hash": self.vocab.digest()},
                          (" ".join(map(str, (*ctx, tok, table[tok]))) + "\n"
                           for counts in self.counts[1:] for ctx, table in sorted(counts.items())
                           for tok in sorted(table)))

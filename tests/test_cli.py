@@ -623,8 +623,10 @@ def test_self_train_rejects_zero_iterations(pipeline, tmp_path, capsys, monkeypa
     ("train-discriminator", [], {"ratio": 0.0}, "ratio must be > 0"),
     ("train-discriminator", [], {"learning_rate": 0.0}, "learning_rate must be > 0"),
     ("self-train", [], {"learning_rate": -2.0}, "learning_rate must be > 0"),
+    ("train-discriminator", [], {"d_hash": 2 ** 24 + 1},
+     "d_hash must be at most 2**24 = 16777216, got 16777217"),
 ], ids=["flag", "config", "self-train", "ratio", "learning-rate-zero",
-        "learning-rate-negative"])
+        "learning-rate-negative", "d-hash-above-the-cap"])
 def test_train_discriminator_rejects_epochs_below_one(pipeline, tmp_path, capsys, monkeypatch,
                                                       command, extra, setting, message):
     def no_decode(*args, **kwargs):
@@ -638,6 +640,20 @@ def test_train_discriminator_rejects_epochs_below_one(pipeline, tmp_path, capsys
     assert f"error: {message}" in capsys.readouterr().err
     assert not [p for p in (model, tmp_path / "accuracy_by_length.csv", tmp_path / "iter_0")
                 if p.exists()]
+
+
+@pytest.mark.parametrize("command", ["train-discriminator", "self-train"])
+def test_training_that_diverges_exits_one_and_leaves_the_output_directory_as_it_was(
+        pipeline, tmp_path, capsys, command):
+    root, cfg = pipeline
+    model = tmp_path / "discriminator.model"
+    shutil.copy(root / "out" / "discriminator.model", model)
+    path = derive_config(cfg, tmp_path, discriminator_model=str(model), learning_rate=1e308)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: training diverged at learning_rate 1e+308 and ratio 1.0: ")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["train-discriminator", "self-train"])
@@ -1231,6 +1247,21 @@ def test_parallel_decode_matches_serial(pipeline):
     assert main(["decode", "--config", str(cfg), "--mode", "plain",
                  "--split", "test", "--jobs", "2"]) == 0
     assert (out / "generations-plain-test.jsonl").read_bytes() == serial
+
+
+@pytest.mark.parametrize("mode", ["plain", "das"])
+@pytest.mark.parametrize("beta", [400.0, -400.0])
+def test_decode_refuses_a_beta_whose_length_penalty_breaks_the_final_sort(
+        pipeline, tmp_path, capsys, beta, mode):
+    """At 400 the penalty overflows and at -400 it is 0.0 for a 41-token
+    output, so the final sort would fail after decoding: refused first."""
+    _, cfg = pipeline
+    out = tmp_path / "out"
+    path = derive_config(cfg, tmp_path, output_dir=str(out), length_penalty_beta=beta)
+    assert main(["decode", "--config", str(path), "--mode", mode]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: length_penalty_beta {beta} with t_max 40 gives a ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

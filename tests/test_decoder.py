@@ -7,6 +7,7 @@ import math
 import os
 import pickle
 import random
+import re
 from collections import Counter
 
 from dataclasses import astuple, replace
@@ -126,6 +127,49 @@ def test_one_clamp_warning_per_search_that_clamped(synth_corpus, synth_generator
                    "to 1e-09 in one search" for rec in caplog.records)
 
 
+@pytest.mark.parametrize("beam_size", [1, 2, 3])
+def test_a_pool_as_large_as_the_beam_asks_the_discriminator_only_about_eos(
+        monkeypatch, caplog, beam_size):
+    """At k_rerank = beam_size every pool survives whole, so the search calls
+    apply_das_score only for its EOS candidates and forced EOS, each after
+    one scored score_next: as often as the reference search, which scores
+    every candidate, scores an EOS one. Each search's WARNING counts their
+    clamps. References of one to three tokens put EOS candidates in the
+    pools, not only forced EOS at t_max."""
+    calls, asked = [], []
+    monkeypatch.setattr(decoder, "apply_das_score",
+                        lambda s_gen, alpha, p: calls.append(p) or apply_das_score(s_gen, alpha, p))
+    score_next = PrefixFeaturizer.score_next
+    monkeypatch.setattr(PrefixFeaturizer, "score_next", lambda self, state, token, scored=True: (
+        asked.append((token, scored)) or score_next(self, state, token, scored)))
+    vocab = make_vocab("a", "b", "c")
+    corpus = make_corpus(vocab, [("r0", ["a", "b"], ["a"]), ("r1", ["b", "c"], ["b", "c"]),
+                                 ("r2", ["c"], ["c", "a", "b"])])
+    generator = train_generator(corpus, order=2, lambda_copy=0.25)
+    config = SearchConfig(beam_size=beam_size, k_rerank=beam_size, t_max=8)
+    disc = random_discriminator(FeatureConfig.from_corpus(corpus, d_hash=64, t_max=8), seed=1,
+                                scale=0.5)
+    eos_candidates = 0
+    for bias in (disc.bias, -50.0):  # at -50 every D is clamped
+        disc.bias = bias
+        for source in [p.source for p in corpus.pairs] + [vocab.encode(["a", "c"])]:
+            calls.clear()
+            asked.clear()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="dasearch.decoder"):
+                beam = das_beam_search(generator, disc, source, config)
+            assert [token for token, scored in asked if scored] == [EOS] * len(calls)
+            eos_candidates += len(calls) - sum(h.truncated for h in beam)
+            clamped = sum(p < EPS_DIS for p in calls)
+            assert [rec.args[0] for rec in caplog.records] == ([clamped] if clamped else [])
+            if bias == -50.0:
+                assert clamped == len(calls)
+            asked.clear()
+            assert beam_bits(beam) == beam_bits(reference_search(generator, disc, source, config))
+            assert asked.count((EOS, True)) == len(calls)
+    assert eos_candidates > 0
+
+
 # --- rules ------------------------------------------------------------------------
 
 
@@ -236,6 +280,26 @@ def test_search_config_validation():
             SearchConfig(alpha=value)
         with pytest.raises(DecoderError, match="length_penalty_beta must be finite"):
             SearchConfig(length_penalty_beta=value)
+
+
+@pytest.mark.parametrize("beta, t_max, divisor", [
+    (400.0, 140, "nan"),     # 146.0 ** 400 overflows
+    (-400.0, 140, "0.0"),    # 146.0 ** -400 underflows to 0
+    (-1000.0, 1, "nan"),     # 6.0 ** -1000 is 0, and the divisor divides by it
+    (200.0, 140, "nan"),     # 146.0 ** 200 overflows, where 7.0 ** 200 does not
+])
+def test_search_config_refuses_a_beta_whose_length_penalty_breaks_the_final_sort(
+        beta, t_max, divisor):
+    with pytest.raises(DecoderError, match=re.escape(
+            f"length_penalty_beta {beta} with t_max {t_max} gives a {t_max + 1}-token output "
+            f"the length penalty {divisor}, not a finite nonzero number")):
+        SearchConfig(t_max=t_max, length_penalty_beta=beta)
+    # the penalty's numerator is monotone in the length, so t_max + 1 bounds it
+    assert SearchConfig(t_max=1, length_penalty_beta=200.0).t_max == 1
+    for ok in (0.6, -0.6, 50.0, -50.0):
+        config = SearchConfig(length_penalty_beta=ok)
+        for n in range(1, config.t_max + 2):
+            assert 0.0 < length_penalty(n, ok) < math.inf
 
 
 def test_search_requires_source_and_discriminator(synth_generator, trained_disc):
@@ -475,7 +539,7 @@ REFERENCE_SETTINGS = [
 
 @pytest.mark.parametrize("rules, final_by_s_gen, t_max", REFERENCE_SETTINGS)
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 5.0])
-@pytest.mark.parametrize("k_rerank", [1, 3, 5, 10])
+@pytest.mark.parametrize("k_rerank", [1, 2, 3, 5, 10])
 def test_search_equals_the_reference_search(seed1_models, k_rerank, alpha, rules,
                                             final_by_s_gen, t_max):
     pairs, generator, disc = seed1_models

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from dasearch import discriminator
 from dasearch.corpus import Vocabulary, generate_synthetic_corpus
 from dasearch.discriminator import (
+    D_HASH_MAX,
     DiscriminatorError,
     DiscriminatorModel,
     FeatureConfig,
@@ -321,6 +322,13 @@ def test_score_next_leaves_the_state_and_commit_applies_its_step(data):
         scorer.commit(committed, token, step)
         scorer.commit(rescored, token, scorer.score_next(rescored, token)[1])
         assert state_fields(committed) == state_fields(rescored)
+        # the unscored step is the scored one without its dense values, and
+        # commits as it does
+        z_unscored, unscored = scorer.score_next(state, token, scored=False)
+        assert state_fields(state) == before
+        assert z_unscored is None and unscored == (*step[:-1], None)
+        scorer.commit(rescored := state.copy(), token, unscored)
+        assert state_fields(committed) == state_fields(rescored)
         assert _sigmoid(z).hex() == model.score(source, prefix + (token,)).hex()
 
 
@@ -503,6 +511,16 @@ def test_training_validates_inputs(config):
     for epochs in (0, -2):
         with pytest.raises(DiscriminatorError, match=f"epochs must be >= 1, got {epochs}"):
             train_discriminator(H, G, config, epochs=epochs)
+
+
+def test_training_that_diverges_raises_naming_its_settings(config):
+    # one human prefix against 20 generated ones: the human side's steps are
+    # rescaled by 21 / 2, so at 1e308 they are inf, and the weights go to nan
+    H, G = [((3, 4), (3,))], [((3, 4), (5, 6, 7, 8, 9))] * 4
+    assert math.isfinite(train_discriminator(H, G, config).bias)
+    with pytest.raises(DiscriminatorError, match=re.escape(
+            "training diverged at learning_rate 1e+308 and ratio 1.0: the bias is nan")):
+        train_discriminator(H, G, config, learning_rate=1e308)
 
 
 def test_training_rejects_a_side_without_prefixes(config):
@@ -973,11 +991,49 @@ def test_feature_config_rejects_sizes_below_one(d_hash, t_max):
         FeatureConfig(d_hash=d_hash, t_max=t_max)
 
 
+def test_feature_config_caps_d_hash():
+    assert D_HASH_MAX == 2 ** 24 and FeatureConfig(d_hash=D_HASH_MAX).d_hash == D_HASH_MAX
+    with pytest.raises(DiscriminatorError, match=re.escape(
+            f"d_hash must be at most 2**24 = {D_HASH_MAX}, got {D_HASH_MAX + 1}")):
+        FeatureConfig(d_hash=D_HASH_MAX + 1)
+
+
+@pytest.mark.parametrize("field, value, line", [
+    ("bias", math.nan, 9), ("final_objective", -math.inf, 7), ("dense", math.nan, 10),
+    ("sparse", math.inf, None), ("logfreq", math.nan, 8)])
+def test_save_refuses_a_value_that_load_refuses(tmp_path, field, value, line):
+    """write_model_file refuses a nan or infinite field, naming its line
+    and the line's first field, before anything is written."""
+    vocab = make_vocab("a", "b", "c")
+    corpus = make_corpus(vocab, [("p", ["a", "b"], ["a", "c"])])
+    config = FeatureConfig.from_corpus(corpus, d_hash=128, t_max=60)
+    H, G = build_prefix_sets(corpus, {"p": (4, 5)}, t_max=60)
+    model = train_discriminator(H, G, config, epochs=2, seed=3)
+    if field in ("bias", "final_objective"):
+        setattr(model, field, value)
+    elif field == "logfreq":
+        model.config = dataclasses.replace(config, logfreq=(*config.logfreq[:-1], value))
+    else:
+        getattr(model, f"{field}_w")[-1] = value
+    if field == "sparse":  # the last index's line, after the 9 header lines
+        line, key = 12 + sum(map(bool, model.sparse_w[:-1])), str(config.d_hash - 1)
+    else:
+        key = field
+    path = tmp_path / "disc.model"
+    with pytest.raises(DiscriminatorError, match=re.escape(
+            f"not writing model file {path}: line {line} ({key} ...) holds {value}, not a "
+            f"finite number")):
+        model.save(path)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("old, new, problem", [
     ("", "-2 0.5\n", "sparse index -2 is outside [0, 128)"),
     ("", "128 0.5\n", "sparse index 128 is outside [0, 128)"),
     ("d_hash 128\n", "d_hash 0\n", "d_hash and t_max must be >= 1, got 0 and 60"),
     ("t_max 60\n", "t_max 0\n", "d_hash and t_max must be >= 1, got 128 and 0"),
+    ("d_hash 128\n", f"d_hash {D_HASH_MAX + 1}\n",
+     f"d_hash must be at most 2**24 = {D_HASH_MAX}, got {D_HASH_MAX + 1}"),
 ])
 def test_model_load_rejects_out_of_range_content(tmp_path, old, new, problem):
     vocab = make_vocab("a", "b", "c")
