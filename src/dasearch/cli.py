@@ -156,11 +156,13 @@ class RunConfig:
 
     def search_config(self, mode: str = "das") -> SearchConfig:
         """The search `dasearch decode --mode <mode>` runs: plain search is the
-        fused search with the decoder's plain_settings."""
-        from dasearch.decoder import SearchConfig, plain_settings
+        fused search at alpha = 0. A search without a discriminator does not
+        read k_rerank, so plain mode sets it to beam_size: SearchConfig
+        refuses a beam_size above k_rerank, which this config may hold."""
+        from dasearch.decoder import SearchConfig
         if mode == "das":
             return self._view(SearchConfig)
-        return self._view(SearchConfig, **plain_settings(self.beam_size))
+        return self._view(SearchConfig, k_rerank=self.beam_size, alpha=0.0)
 
     def disc_hparams(self) -> DiscriminatorHparams:
         from dasearch.selftrain import DiscriminatorHparams

@@ -4,25 +4,28 @@ Each step expands every live hypothesis by its K_rerank best tokens, carries
 ended hypotheses unchanged, pre-filters the K_rerank best candidates by
 generator score, re-scores that pool with the discriminator (fused score =
 s_gen + alpha * log D) and keeps the best B. Ties break on higher s_gen, then
-lexicographic token ids. The pool is scored best s_gen first until no
-candidate left can enter the beam: log D <= 0, so no fused score is above its
-s_gen, and once B scored candidates rank above the next one's s_gen the rest
-of the pool is never scored. At K_rerank = B the pool survives whole
-whatever D says, so only its EOS candidates are scored. A live one takes
-its prefix step alone (score_next with scored=False) and plain search's
-s_dis = None and s_das = s_gen: only the rerank at the step that made a
-live member reads its fused scores, _settled reads its s_gen, and one still
-live at t_max is scored again with its forced EOS. So every returned
-hypothesis keeps its bits, and K_rerank = 1 is greedy search by
-construction.
+lexicographic token ids. After t_max steps a last step ends each member still
+live by its one candidate, a forced EOS, and its hypothesis is truncated.
 
-A search that does not rerank (no discriminator, or alpha = 0) is plain beam
-search at any K_rerank: no member has more than B children among the best B
-candidates, so it expands each live hypothesis by its B best tokens, and every
-result has s_das == s_gen. That is the K_rerank-wide search bit for bit but in
-one tie: two tokens of one member with different probabilities and the same
-rounded s_gen + logp, at rank B and past it, where the wider search keeps the
-one past rank B if its id is the smaller.
+A step keeps its survivors by one of two rules, chosen by the pool's width. A
+pool wider than B is scored best s_gen first until no candidate left can
+enter the beam: log D <= 0, so no fused score is above its s_gen, and once B
+scored candidates rank above the next one's s_gen the rest is never scored.
+A pool of B survives whole whatever D says, so only its EOS candidates are
+scored. A live one takes its prefix step alone (score_next with scored=False)
+and plain search's s_dis = None and s_das = s_gen: only the rerank at the
+step that made a live member reads its fused scores, _settled reads its
+s_gen, and the step that ends it scores it again. So every returned
+hypothesis keeps its bits, and K_rerank = 1 is greedy search by construction.
+
+The width is K_rerank for a search that reranks and B for one that does not
+(no discriminator, or alpha = 0), which is then plain beam search at any
+K_rerank: no member has more than B children among the best B candidates, so
+it expands each live hypothesis by its B best tokens, and every result has
+s_das == s_gen. That is the K_rerank-wide search bit for bit but in one tie:
+two tokens of one member with different probabilities and the same rounded
+s_gen + logp, at rank B and past it, where the wider search keeps the one
+past rank B if its id is the smaller.
 
 Without a length penalty a search stops as soon as its winner is settled:
 once the pool's best ended member by the final key has an s_das above every
@@ -53,11 +56,11 @@ context and returns the Row the generator keeps for the source and context;
 and that Row's n best (Row.top, memoised for the largest n asked), which
 ranks tokens by probability and breaks a tie at equal probability by token
 id, and so by log-probability except where two probabilities share a
-logarithm. The forced EOS of a member still live at t_max reads its Row from
-next_logprobs too. The generator keeps a source's Rows, with their
-rankings, across the searches that revisit it, such as a sweep's cells. So
-the only per-step work that grows with the prefix is the survivors' token
-tuples and their siblings' copies."""
+logarithm. A forced EOS reads its Row from next_logprobs too. The
+generator keeps a source's Rows, with their rankings, across the searches
+that revisit it, such as a sweep's cells. So the only per-step work that
+grows with the prefix is the survivors' token tuples and their siblings'
+copies."""
 
 from __future__ import annotations
 
@@ -65,7 +68,7 @@ import logging
 import math
 import os
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from dasearch.corpus import Corpus, InputError, Vocabulary
@@ -223,14 +226,12 @@ def _search(generator, discriminator, source, config: SearchConfig):
     source = tuple(source)
     if not source:
         raise DecoderError("empty source")
-    if discriminator is None and config.alpha != 0.0:
-        raise DecoderError("discriminator required unless alpha == 0")
     rerank = discriminator is not None and config.alpha > 0.0
     block = config.block_repeated_trigrams
-    expand, row = _expansion(generator, source,
-                             config.k_rerank if rerank else config.beam_size)
-    eos = Vocabulary.eos
     beam_size = config.beam_size
+    width = config.k_rerank if rerank else beam_size
+    expand, row = _expansion(generator, source, width)
+    eos = Vocabulary.eos
 
     # The pool of (tokens, s_gen, s_dis, s_das, ended) members in token
     # order, so a member's rank is its index, and beside each live member its
@@ -245,45 +246,49 @@ def _search(generator, discriminator, source, config: SearchConfig):
         alpha = config.alpha
     clamps = 0
 
-    for _ in range(config.t_max):
+    for t in range(config.t_max + 1):
         # A candidate is (-s_gen, parent rank, token); an ended member
-        # carries itself as token -1. Live members all have the same length
-        # and no EOS, and an ended one has EOS where no live member does, so
-        # any two members differ inside both, and (parent rank, token) orders
-        # candidates exactly as their token tuples would.
+        # carries itself as token -1, and after t_max steps a live one has
+        # one candidate, its forced EOS. Live members all have the same
+        # length and no EOS, and an ended one has EOS where no live member
+        # does, so any two members differ inside both, and (parent rank,
+        # token) orders candidates exactly as their token tuples would.
         candidates = []
         for rank, (tokens, s_gen, _, _, ended) in enumerate(pool):
             if ended:
                 candidates.append((-s_gen, rank, -1))
-                continue
-            blocked = _blocked(indexes[rank], tokens) if block else _UNBLOCKED
-            for tok, logp in expand(tokens, blocked):
-                candidates.append((-(s_gen + logp), rank, tok))
+            elif t == config.t_max:
+                candidates.append((-(s_gen + row(tokens)[eos]), rank, eos))
+            else:
+                blocked = _blocked(indexes[rank], tokens) if block else _UNBLOCKED
+                for tok, logp in expand(tokens, blocked):
+                    candidates.append((-(s_gen + logp), rank, tok))
         candidates.sort()
         # survivors as (parent rank, token, s_gen, s_dis, s_das, prefix step)
-        if rerank and config.k_rerank == beam_size:
-            # a rerank pool as large as the beam survives whole: only an
-            # EOS candidate, whose s_das no later step recomputes, is scored;
-            # a live one takes its step and plain search's scores, and an
-            # ended member carries itself
+        if width == beam_size:
+            # a pool as large as the beam survives whole: a reranking search
+            # scores only an EOS candidate, whose s_das no later step
+            # recomputes; a live one takes its step and plain search's
+            # scores, and an ended member carries itself
             survivors = []
             for neg_gen, rank, tok in candidates[:beam_size]:
                 s_dis, s_das, step = None, -neg_gen, None
-                if tok == eos:
-                    dis_prob = sigmoid(score_next(states[rank], tok)[0])
-                    clamps += dis_prob < EPS_DIS
-                    s_dis, s_das = das_score(-neg_gen, alpha, dis_prob)
-                elif tok >= 0:
-                    step = score_next(states[rank], tok, scored=False)[1]
+                if rerank and tok >= 0:
+                    if tok == eos:
+                        dis_prob = sigmoid(score_next(states[rank], tok)[0])
+                        clamps += dis_prob < EPS_DIS
+                        s_dis, s_das = das_score(-neg_gen, alpha, dis_prob)
+                    else:
+                        step = score_next(states[rank], tok, scored=False)[1]
                 survivors.append((rank, tok, -neg_gen, s_dis, s_das, step))
-        elif rerank:
+        else:
             # log D <= 0 makes s_das <= s_gen, in floats too, for a candidate
             # and for an ended member alike: (neg_gen, neg_gen, rank, tok) is
             # the best key it can reach, and that grows along the pool. Once
             # beam_size ranked keys are below it, nothing left can survive,
             # and the rest of the pool is not scored.
             ranked = []
-            for neg_gen, rank, tok in candidates[: config.k_rerank]:
+            for neg_gen, rank, tok in candidates[:width]:
                 if len(ranked) >= beam_size and ranked[beam_size - 1] < (neg_gen, neg_gen,
                                                                          rank, tok):
                     break
@@ -297,9 +302,6 @@ def _search(generator, discriminator, source, config: SearchConfig):
                 insort(ranked, (-s_das, neg_gen, rank, tok, s_dis, step))
             survivors = [(rank, tok, -neg_gen, s_dis, -neg_das, step)
                          for neg_das, neg_gen, rank, tok, s_dis, step in ranked[:beam_size]]
-        else:
-            survivors = [(rank, tok, -neg_gen, None, -neg_gen, None)
-                         for neg_gen, rank, tok in candidates[: config.beam_size]]
         survivors.sort()
 
         next_pool, next_states, next_indexes, live, ended = [], [], [], False, False
@@ -332,46 +334,31 @@ def _search(generator, discriminator, source, config: SearchConfig):
             pool = [m for m in pool if m[4]]
             break
 
-    # the members as Hypothesis fields; one still live ends by a forced EOS
-    final = []
-    for rank, (tokens, s_gen, s_dis, s_das, ended) in enumerate(pool):
-        if not ended:
-            s_gen += row(tokens)[eos]
-            s_dis, s_das = None, s_gen
-            if rerank:
-                dis_prob = sigmoid(score_next(states[rank], eos)[0])
-                clamps += dis_prob < EPS_DIS
-                s_dis, s_das = das_score(s_gen, alpha, dis_prob)
-            tokens += (eos,)
-        final.append((tokens, s_gen, s_dis, s_das, True, not ended))
     if clamps:
         log.warning("%d discriminator probabilities clamped to %g in one search",
                     clamps, EPS_DIS)
-    return [Hypothesis(*m) for m in _final_sort(final, config)]
+    # a member t_max + 2 tokens long, SOS and EOS included, ended by its forced EOS
+    return [Hypothesis(*m, truncated=len(m[0]) == config.t_max + 2)
+            for m in _final_sort(pool, config)]
 
 
 def das_beam_search(generator, discriminator, source, config: SearchConfig):
     """Discriminator-reranked beam search; returns ended hypotheses, best
     first. The first is the winner. Without a length penalty the search stops
     once the winner is settled, and the rest are the pool's other ended
-    members at that step; with one, the rest are the final pool."""
+    members at that step; with one, the rest are the final pool. It reads
+    k_rerank and alpha; without a discriminator alpha must be 0, and then it
+    is plain search."""
+    if discriminator is None and config.alpha != 0.0:
+        raise DecoderError("discriminator required unless alpha == 0")
     return _search(generator, discriminator, source, config)
 
 
-def plain_settings(beam_size: int) -> dict:
-    """The settings plain search fixes itself: a rerank pool of beam_size and
-    alpha = 0, whatever the config says. A search without reranking expands
-    by beam_size at any k_rerank; k_rerank is set only so that a config with
-    beam_size above its k_rerank, which SearchConfig refuses, validates."""
-    return {"k_rerank": beam_size, "alpha": 0.0}
-
-
 def plain_beam_search(generator, source, config: SearchConfig):
-    """Standard beam search on generator score alone (plus optional rules): the
-    fused search with no discriminator and the plain_settings, so it too
-    stops once its winner is settled."""
-    return _search(generator, None, source,
-                   replace(config, **plain_settings(config.beam_size)))
+    """Standard beam search on generator score alone (plus optional rules):
+    the fused search without a discriminator, so it too stops once its winner
+    is settled. It reads neither k_rerank nor alpha."""
+    return _search(generator, None, source, config)
 
 
 # decode_corpus starts a worker per PAIRS_PER_WORKER pairs, up to jobs and the usable CPUs

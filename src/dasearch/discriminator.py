@@ -520,8 +520,8 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     rounding, the same bits if every c is 1. The model's weights are
     array('d'); training steps a list of the batch's sparse weights and
     writes it back through a numpy view of sparse_w. Training that leaves
-    the bias, a weight or final_objective not finite raises
-    DiscriminatorError naming learning_rate and ratio."""
+    the bias, a weight, a training row's logit or final_objective not finite
+    raises DiscriminatorError naming learning_rate and ratio."""
     import numpy as np
     n_H = sum(len(tokens) for _, tokens in H)
     if not n_H or not any(tokens for _, tokens in G):
@@ -596,6 +596,10 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     del examples, hits  # the objective reads the batch, not the step records
     bad = _non_finite((("the bias", (model.bias,)), ("a dense weight", model.dense_w),
                        ("a sparse weight", w)))
+    if not bad:  # finite weights can still sum past the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _logits(model, batch)
+        bad = _non_finite((("a training row's logit", z[~np.isfinite(z)].tolist()),))
     if not bad:
         model.final_objective = eq2_objective(model, batch, n_H, row_of)
         bad = _non_finite((("final_objective", (model.final_objective,)),))

@@ -141,6 +141,7 @@ class Row:
             return self._top[:n]
         term, order, neg_term = self._ngram
         counts, terms, plans = self._copy
+        asked, n = n, min(n, len(term))  # no more to rank; islice refuses n > sys.maxsize
         plan = plans.get(n)
         if plan is None:
             plan = plans[n] = _plan(counts, terms, n)
@@ -180,7 +181,7 @@ class Row:
         top = []
         for q, tok in best[:n]:
             top.append((tok, log(-q) if q < 0.0 else -math.inf))
-        self._top, self._asked = top, n
+        self._top, self._asked = top, asked
         return top[:]
 
 

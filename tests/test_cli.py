@@ -1486,6 +1486,87 @@ def test_corpus_and_generations_files_share_one_reader(pipeline, tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "records.jsonl"]
 
 
+# the commands that read each RunConfig field, but output_dir, which every command reads
+_READERS = {
+    "train_path": ["train-generator"], "validation_path": ["sweep"], "test_path": ["decode"],
+    "vocab_path": ["decode"], "generator_model": ["decode"], "discriminator_model": ["decode"],
+    "synth_seed": ["make-corpus"], "synth_n_pairs": ["make-corpus"],
+    **dict.fromkeys(["order", "kappa", "lambda_copy", "min_count"], ["train-generator"]),
+    **dict.fromkeys(["d_hash", "epochs", "learning_rate", "use_source", "ratio"],
+                    ["train-discriminator"]),
+    **dict.fromkeys(["beam_size", "k_rerank", "length_penalty_beta"],
+                    ["decode", "decode-plain", "sweep"]),
+    "alpha": ["decode", "sweep"], "t_max": ["decode", "decode-plain", "train-discriminator"],
+    "block_repeated_trigrams": ["decode", "decode-plain"], "final_by_s_gen": ["decode"],
+    **dict.fromkeys(["max_iters", "tau_acc", "tau_delta", "warm_start", "replay"], ["self-train"]),
+    **dict.fromkeys(["zipf_k", "hist_buckets", "bleu_micro", "pooled"], ["evaluate"]),
+    "master_seed": ["train-discriminator", "sweep"], "jobs": ["decode"],
+}
+_ARGV = {"decode": ["decode", "--mode", "das"], "decode-plain": ["decode", "--mode", "plain"],
+         "sweep": ["sweep", "--subset-size", "4", "--repetitions", "1"],
+         "evaluate": ["evaluate", "--systems", "{out}/generations-plain-test.jsonl"]}
+# the int fields whose huge values ask for a long run or a large allocation
+_ONLY_SMALL = {"synth_n_pairs", "order", "epochs", "beam_size", "t_max", "max_iters",
+               "hist_buckets"}
+_EDGE_SETUP = {"synth_n_pairs": 20, "t_max": 12, "k_rerank": 4, "epochs": 1}
+
+
+def _edges(f) -> list:
+    """The edge values of RunConfig field `f`: both for a bool; unset and a
+    file that is not there for a path; else 0, +-1, the default +- 1, +-1e308
+    (10 ** 308 for an int) and, for a float, 1e-308."""
+    if f.type == "bool":
+        return [False, True]
+    if f.type == "str":
+        return ["", "{out}/missing"]
+    kind = int if f.type == "int" else float
+    huge = kind(10 ** 308)
+    values = [0, 1, -1, f.default - 1, f.default + 1, -huge]
+    values += [] if f.name in _ONLY_SMALL else [huge]
+    values += [1e-308] if kind is float else []
+    return list(dict.fromkeys(map(kind, values)))
+
+
+_EDGE_CASES = [(f.name, value, command) for f in fields(RunConfig) if f.name != "output_dir"
+               for value in _edges(f) for command in _READERS[f.name]]
+
+
+@pytest.fixture(scope="module")
+def edge_setup(tmp_path_factory):
+    """The output directory of a tiny trained setup with plain generations."""
+    root = tmp_path_factory.mktemp("edges")
+    cfg = write_config(root, **_EDGE_SETUP)
+    for argv in (["make-corpus"], ["train-generator"], ["train-discriminator"],
+                 ["decode", "--mode", "plain"]):
+        assert main([*argv, "--config", str(cfg)]) == 0
+    return root / "out"
+
+
+@settings(derandomize=True, deadline=None, max_examples=len(_EDGE_CASES))
+@given(case=st.sampled_from(_EDGE_CASES))
+def test_every_edge_setting_runs_or_exits_one_leaving_the_output_directory_as_it_was(
+        edge_setup, case):
+    """A RunConfig field at an edge value of its type, through a command that
+    reads it, on a copy of a tiny setup: exit 0, or exit 1 with every file
+    under the output directory as it was; never a runtime error. Huge values
+    that ask for a long run or a large allocation are not drawn, nor is
+    output_dir, which holds the copy."""
+    assert set(_READERS) == {f.name for f in fields(RunConfig)} - {"output_dir"}
+    name, value, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(edge_setup, out)
+        path = write_config(Path(tmp), **{
+            **_EDGE_SETUP, name: value.format(out=out) if type(value) is str else value})
+        before, err = _written(out), io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([arg.format(out=out) for arg in _ARGV.get(command, [command])]
+                        + ["--config", str(path)])
+        assert code in (0, 1) and "runtime error:" not in err.getvalue(), err.getvalue()
+        if code == 1:
+            assert _written(out) == before
+
+
 def test_a_command_that_fails_its_checks_leaves_no_output_directory(pipeline, tmp_path,
                                                                    capsys):
     root, cfg = pipeline

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -515,12 +516,18 @@ def test_training_validates_inputs(config):
 
 def test_training_that_diverges_raises_naming_its_settings(config):
     # one human prefix against 20 generated ones: the human side's steps are
-    # rescaled by 21 / 2, so at 1e308 they are inf, and the weights go to nan
-    H, G = [((3, 4), (3,))], [((3, 4), (5, 6, 7, 8, 9))] * 4
-    assert math.isfinite(train_discriminator(H, G, config).bias)
-    with pytest.raises(DiscriminatorError, match=re.escape(
-            "training diverged at learning_rate 1e+308 and ratio 1.0: the bias is nan")):
-        train_discriminator(H, G, config, learning_rate=1e308)
+    # rescaled by 21 / 2, so at 1e308 they are inf, and the weights go to nan.
+    # On the separable sets the weights stay finite near the float limit, but
+    # the logits they sum to overflow, and numpy warns of nothing
+    for (H, G), what in (
+            (([((3, 4), (3,))], [((3, 4), (5, 6, 7, 8, 9))] * 4), "the bias is nan"),
+            (_separable_sets(), "a training row's logit is inf")):
+        assert math.isfinite(train_discriminator(H, G, config).bias)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DiscriminatorError, match=re.escape(
+                    f"training diverged at learning_rate 1e+308 and ratio 1.0: {what}")):
+                train_discriminator(H, G, config, learning_rate=1e308)
 
 
 def test_training_rejects_a_side_without_prefixes(config):
