@@ -473,6 +473,9 @@ def cmd_evaluate(cfg: RunConfig, args, out_dir: Path):
     for key in ("zipf_k", "hist_buckets"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"[metrics] {key} must be >= 1, got {getattr(cfg, key)}")
+    if cfg.hist_buckets > metrics.HIST_BUCKETS_MAX:
+        raise ConfigError(f"[metrics] hist_buckets must be at most {metrics.HIST_BUCKETS_MAX}, "
+                          f"got {cfg.hist_buckets}")
     # a system is named by its file stem, and names key the rows of every report
     seen = {"human": "the references"}
     for path in args.systems:

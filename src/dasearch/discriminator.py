@@ -22,6 +22,7 @@ import math
 import struct
 import zlib
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -172,19 +173,22 @@ class PrefixFeaturizer:
     (token, bit) unigram and (a, b, bit) bigram key it meets, and the model's
     weight of every column, so make one per search or per training set. The
     model memoises each key's hashed index for all its featurizers, up to
-    d_hash keys (a model-less featurizer gets a model of its own)."""
+    d_hash keys (a model-less featurizer keeps a memo of its own and reads
+    every weight as 0.0 without allocating d_hash of them)."""
 
     def __init__(self, config: FeatureConfig, model: "DiscriminatorModel | None" = None):
-        if model is None:
-            model = DiscriminatorModel.zeros(config)
         self.config = config
         self.columns: list[int] = []
         self._column_of: dict[int, int] = {}
         self._column: dict[tuple[int, ...], int] = {}
-        self._index_of = model.index_of
         self._logfreq, self._t_max = config.logfreq, config.t_max
-        self._bias, self._dense_w = float(model.bias), model.dense_w.tolist()
-        self._sparse_w, self._weights = model.sparse_w, []
+        if model is None:  # zero weights, none allocated: a Counter reads 0 and holds nothing
+            self._index_of, self._bias, self._dense_w = {}, 0.0, [0.0] * N_DENSE
+            self._sparse_w = Counter()
+        else:
+            self._index_of, self._sparse_w = model.index_of, model.sparse_w
+            self._bias, self._dense_w = float(model.bias), model.dense_w.tolist()
+        self._weights = []
 
     def _new_column(self, key: tuple) -> int:
         """Number the column of a unigram (token, bit) or bigram (a, b, bit) key new here."""
@@ -381,15 +385,6 @@ class DiscriminatorModel:
                    final_objective=header["final_objective"], provenance=header["provenance"])
 
 
-def _non_finite(named) -> tuple[str, float] | None:
-    """(name, value) of the first value that is not finite among the
-    (name, values) pairs `named`, or None."""
-    for name, values in named:
-        for value in itertools.filterfalse(math.isfinite, values):
-            return name, value
-    return None
-
-
 def _use_source(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"use_source must be 0 or 1, got {text!r}")
@@ -519,9 +514,10 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
     its hits as `logit` does and moves each by step / t: equal up to
     rounding, the same bits if every c is 1. The model's weights are
     array('d'); training steps a list of the batch's sparse weights and
-    writes it back through a numpy view of sparse_w. Training that leaves
-    the bias, a weight, a training row's logit or final_objective not finite
-    raises DiscriminatorError naming learning_rate and ratio."""
+    writes it back through a numpy view of sparse_w after the last epoch.
+    Training that leaves a training row's logit not finite, as finite
+    weights can and any other weight does (inf * 0.0 is nan), raises
+    DiscriminatorError naming learning_rate and ratio."""
     import numpy as np
     n_H = sum(len(tokens) for _, tokens in H)
     if not n_H or not any(tokens for _, tokens in G):
@@ -590,22 +586,17 @@ def train_discriminator(H, G, config: FeatureConfig, epochs: int = 10,
                 for k, c in pairs:
                     w[k] += share * c
             bias += step
-        model.dense_w = array("d", (w0, w1, w2, w3, w4, w5))
-        sparse_w[batch.columns] = w
-        model.bias = bias
+    model.dense_w = array("d", (w0, w1, w2, w3, w4, w5))
+    sparse_w[batch.columns] = w
+    model.bias = bias
     del examples, hits  # the objective reads the batch, not the step records
-    bad = _non_finite((("the bias", (model.bias,)), ("a dense weight", model.dense_w),
-                       ("a sparse weight", w)))
-    if not bad:  # finite weights can still sum past the float range
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = _logits(model, batch)
-        bad = _non_finite((("a training row's logit", z[~np.isfinite(z)].tolist()),))
-    if not bad:
-        model.final_objective = eq2_objective(model, batch, n_H, row_of)
-        bad = _non_finite((("final_objective", (model.final_objective,)),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _logits(model, batch)
+    bad = z[~np.isfinite(z)].tolist()
     if bad:
         raise DiscriminatorError(f"training diverged at learning_rate {learning_rate} and "
-                                 f"ratio {ratio}: {bad[0]} is {bad[1]}")
+                                 f"ratio {ratio}: a training row's logit is {bad[0]}")
+    model.final_objective = eq2_objective(model, batch, n_H, row_of)
     return model
 
 

@@ -21,12 +21,12 @@ across searches, so a K x alpha sweep's cells after the first reuse each
 pair's Rows; a source asked about once keeps nothing after the next source,
 so a decode holds one source's Rows at a time. The sources asked about and
 the kept ones are cleared by add_sequence, and when the set would hold more
-sources than 1 + the model's table keys, the bound of the context memo. So
-there are at most that many sources with Rows and contexts: (1 + table
-keys)^2 Rows at worst. In practice a source has a few: the bench model has
-297 table keys, and a pass of the bench's sweep keeps 368 Rows for its 40
-pairs, at most 13 for one. A Row is a function of the counts and the source
-alone, so a pickled model's Rows stay valid.
+sources than 1 + the model's contexts (the keys of counts), the bound of
+the context memo. So there are at most that many sources with Rows and
+contexts: (1 + contexts)^2 Rows at worst. In practice a source has a few:
+the bench model has 297 contexts, and a pass of the bench's sweep keeps 368
+Rows for its 40 pairs, at most 13 for one. A Row is a function of the counts
+and the source alone, so a pickled model's Rows stay valid.
 """
 
 from __future__ import annotations
@@ -198,17 +198,16 @@ class NGramCopyModel:
         self.order = order
         self.kappa = kappa
         self.lambda_copy = lambda_copy
-        # counts[k] maps a (k-1)-token context tuple to {token_id: count}
-        self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-            {} for _ in range(order + 1)
-        ]
+        # counts maps each context tuple, () for the unigram level, to {token_id: count};
+        # order only bounds a context's length, so it sizes nothing
+        self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self._clear_caches()
 
     def _clear_caches(self) -> None:
         # context() per tail and the n-gram term with its order per context(), each
-        # at most 1 + the model's table keys; the unigram level; the last source with
-        # its copy term and its Rows by context; the sources asked about, and the
-        # copy term and Rows of each one asked about again (the store)
+        # at most 1 + len(counts), the model's contexts; the unigram level; the last
+        # source with its copy term and its Rows by context; the sources asked about,
+        # and the copy term and Rows of each one asked about again (the store)
         self._context_of_tail: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self._lm_cache: dict[tuple[tuple[int, ...], ...], tuple[list, list, list]] = {}
         self._unigram: list | None = None
@@ -221,11 +220,8 @@ class NGramCopyModel:
     def add_sequence(self, reference: tuple[int, ...]) -> None:
         seq = (Vocabulary.sos,) + tuple(reference) + (Vocabulary.eos,)
         for i in range(1, len(seq)):
-            for k in range(1, self.order + 1):
-                if i - (k - 1) < 0:
-                    break
-                ctx = seq[i - (k - 1) : i]
-                table = self.counts[k].setdefault(ctx, {})
+            for n in range(min(self.order, i + 1)):  # each context of at most order - 1 tokens
+                table = self.counts.setdefault(seq[i - n : i], {})
                 table[seq[i]] = table.get(seq[i], 0) + 1
         self._clear_caches()
 
@@ -233,20 +229,17 @@ class NGramCopyModel:
 
     def context(self, prefix) -> tuple[tuple[int, ...], ...]:
         """What the n-gram distribution after `prefix` depends on: the
-        prefix's last k-1 tokens for each order k whose context table holds
-        them, shortest first. Prefixes with one context get one distribution."""
+        prefix's last n tokens, for each n below the order whose context the
+        counts hold, shortest first. Prefixes with one context get one
+        distribution."""
         tail = tuple(prefix[1 - self.order :]) if self.order > 1 else ()
         found = self._context_of_tail.get(tail)
         if found is not None:
             return found
-        context = []
-        for k in range(2, min(self.order, len(tail) + 1) + 1):
-            ctx = tail[1 - k :]
-            if self.counts[k].get(ctx):
-                context.append(ctx)
-        if len(self._context_of_tail) > sum(map(len, self.counts)):  # full: 1 + table keys
+        if len(self._context_of_tail) > len(self.counts):  # full: 1 + contexts
             self._context_of_tail.clear()
-        context = self._context_of_tail[tail] = tuple(context)
+        context = self._context_of_tail[tail] = tuple(
+            filter(self.counts.get, (tail[-n:] for n in range(1, len(tail) + 1))))
         return context
 
     def _ngram_term(self, context: tuple[tuple[int, ...], ...]) -> tuple[list, list, list]:
@@ -257,13 +250,13 @@ class NGramCopyModel:
         probs = self._unigram
         if probs is None:  # unigram level with additive floor
             probs = [self.kappa] * len(self.vocab)
-            for tok, c in self.counts[1].get((), {}).items():
+            for tok, c in self.counts.get((), {}).items():
                 probs[tok] += c
             probs[Vocabulary.sos] = 0.0
             probs = self._unigram = _normalised(probs)
         # stupid backoff: overlay observed higher-order continuations
         for ctx in context:
-            table = self.counts[len(ctx) + 1][ctx]
+            table = self.counts[ctx]
             total = sum(table.values())  # of ints: exact
             overlaid = [BACKOFF * p for p in probs]
             for tok, c in table.items():
@@ -289,7 +282,7 @@ class NGramCopyModel:
                 raise GeneratorError(f"source token id {bad} is outside the {nv}-token "
                                      f"vocabulary")
             kept = (copy_terms(counts, self.lambda_copy), {})
-            if len(self._seen) > sum(map(len, self.counts)):  # full: 1 + table keys
+            if len(self._seen) > len(self.counts):  # full: 1 + contexts
                 self._seen.clear()
                 self._kept.clear()
             if key in self._seen:  # asked about again after another source: keep it
@@ -321,9 +314,9 @@ class NGramCopyModel:
         write_model_file(path, VERSION, GeneratorError,
                          {"order": self.order, "kappa": self.kappa,
                           "lambda_copy": self.lambda_copy, "vocab_hash": self.vocab.digest()},
-                         (" ".join(map(str, (*ctx, tok, table[tok]))) + "\n"
-                          for counts in self.counts[1:] for ctx, table in sorted(counts.items())
-                          for tok in sorted(table)))
+                         (" ".join(map(str, (*ctx, tok, self.counts[ctx][tok]))) + "\n"
+                          for ctx in sorted(self.counts, key=lambda ctx: (len(ctx), ctx))
+                          for tok in sorted(self.counts[ctx])))
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "NGramCopyModel":
@@ -345,7 +338,7 @@ class NGramCopyModel:
             if count < 1:
                 raise GeneratorError(f"generator model file {path}: n-gram {ids} has "
                                      f"count {count}")
-            model.counts[len(ids)].setdefault(key[:-1], {})[key[-1]] = count
+            model.counts.setdefault(key[:-1], {})[key[-1]] = count
         return model
 
 

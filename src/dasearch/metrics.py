@@ -22,6 +22,9 @@ from dataclasses import asdict, dataclass
 
 from dasearch.corpus import InputError
 
+# evaluate's cap on [metrics] hist_buckets: rep3_positions.csv holds a row per bucket and system
+HIST_BUCKETS_MAX = 10_000
+
 
 class MetricsError(InputError):
     pass

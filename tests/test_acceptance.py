@@ -310,7 +310,8 @@ def test_command_reruns_are_byte_identical(cli_run):
     print(f"\nPASS {len(artifacts)} artifacts byte-identical across reruns")
 
 
-# the sha256 of the files cli_run writes, of its fused decode, of a K x alpha sweep
+# the sha256 of the files cli_run writes, of its fused decode, of the reports of an
+# evaluate of both decodes (at the default 10 histogram buckets), of a K x alpha sweep
 # (whose cells search every drawn pair again) and of a two-round self-train (whose
 # rounds decode the train split again), the same on every Python version CI runs:
 # rows and search scores are Python float arithmetic, so a change that moves one bit
@@ -324,6 +325,10 @@ PINNED = {
         "97315bafc0c6ee431876c517f628490384244873efa48ad297d8629a3596437c",
     "generations-das-test.jsonl":
         "f0bff71dc8c47ac0ff3ee0b0490c1988123cff476b3669d068a8a1729004a79c",
+    "report.csv": "5cc9d5685203a92c2db47056270182403830b36e997c8e0d7c29f8517b641e5a",
+    "report.json": "a7b63fdb00b4c6babcb814b67d70811c66d10eef0bfed65700d9732b62592515",
+    "zipf.csv": "9b42b077835b9621f2b70d4015572479778ada78a82f43072c981f9742e228da",
+    "rep3_positions.csv": "d1aa1608ad585d7cf42ff75fe898611e9273718b78d0d47e31e4635200911008",
     "sweep.csv": "9216c5205552627182a40feb6b54f238a13b721ddc84a5b352b12538397a93c6",
     "iter_0/generations.jsonl":
         "a2045d4ded7e975a2d5d864478074f5ec9e2080cbba64a45210580c27ce3cf52",
@@ -347,6 +352,8 @@ def test_cli_outputs_are_pinned(cli_run):
     root, cfg_path = cli_run
     out = root / "out"
     assert main(["decode", "--config", str(cfg_path), "--mode", "das", "--split", "test"]) == 0
+    assert main(["evaluate", "--config", str(cfg_path), "--split", "test", "--systems",
+                 *(str(out / f"generations-{mode}-test.jsonl") for mode in ("plain", "das"))]) == 0
     assert main(["sweep", "--config", str(cfg_path), "--k-rerank", "1,2,5",
                  "--alphas", "0,0.5,1,5", "--subset-size", "2", "--repetitions", "2"]) == 0
     assert main(["self-train", "--config", str(cfg_path), "--max-iters", "2"]) == 0

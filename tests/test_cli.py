@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dasearch import cli, decoder, discriminator, selftrain
+from dasearch import cli, decoder, discriminator, metrics, selftrain
 from dasearch.cli import ConfigError, RunConfig, component_seed, main
 from dasearch.corpus import Vocabulary, build_vocabulary, load_corpus
 from dasearch.decoder import SearchConfig
@@ -1158,6 +1158,32 @@ def test_train_generator_reads_the_train_split_once(pipeline, tmp_path, monkeypa
         assert (tmp_path / name).read_bytes() == (tmp_path / f"two-reads-{name}").read_bytes()
 
 
+def test_a_generator_of_any_order_past_its_longest_n_gram_is_the_same_model(pipeline, tmp_path):
+    """The counts are one table keyed by context, so an order of 10**308
+    sizes nothing: train-generator writes the n-gram lines of the order that
+    holds every n-gram of the train split (its longest reference + SOS and
+    EOS), and plain and fused decodes with either model write the same
+    bytes."""
+    root, cfg = pipeline
+    vocab = Vocabulary.load(root / "out" / "vocab.txt")
+    longest = max(len(p.reference) for p in load_corpus(root / "out" / "train.jsonl", vocab).pairs)
+    written = []
+    for order in (10 ** 308, longest + 2):
+        out = tmp_path / str(order)[:8]
+        out.mkdir()
+        path = derive_config(cfg, out, order=order, vocab_path=str(out / "vocab.txt"),
+                             generator_model=str(out / "generator.model"))
+        assert main(["train-generator", "--config", str(path)]) == 0
+        for mode in ("plain", "das"):
+            assert main(["decode", "--config", str(path), "--mode", mode, "--split", "test"]) == 0
+        lines = (out / "generator.model").read_text().splitlines()
+        assert f"order {order}" in lines
+        written.append(([line for line in lines[2:] if not line.startswith("order ")],
+                        *((out / f"generations-{mode}-test.jsonl").read_bytes()
+                          for mode in ("plain", "das"))))
+    assert written[0] == written[1]
+
+
 def test_decode_rejects_a_discriminator_of_an_equal_sized_vocabulary(pipeline, tmp_path,
                                                                       capsys):
     root, cfg = pipeline
@@ -1506,8 +1532,7 @@ _ARGV = {"decode": ["decode", "--mode", "das"], "decode-plain": ["decode", "--mo
          "sweep": ["sweep", "--subset-size", "4", "--repetitions", "1"],
          "evaluate": ["evaluate", "--systems", "{out}/generations-plain-test.jsonl"]}
 # the int fields whose huge values ask for a long run or a large allocation
-_ONLY_SMALL = {"synth_n_pairs", "order", "epochs", "beam_size", "t_max", "max_iters",
-               "hist_buckets"}
+_ONLY_SMALL = {"synth_n_pairs", "epochs", "beam_size", "t_max", "max_iters"}
 _EDGE_SETUP = {"synth_n_pairs": 20, "t_max": 12, "k_rerank": 4, "epochs": 1}
 
 
@@ -1590,6 +1615,25 @@ def test_evaluate_rejects_metrics_settings_below_one(pipeline, tmp_path, capsys,
     assert f"error: [metrics] {key} must be >= 1, got {value}" in capsys.readouterr().err
     assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
                 if (tmp_path / p).exists()]
+
+
+def test_evaluate_rejects_hist_buckets_above_its_cap(pipeline, tmp_path, capsys):
+    """rep3_positions.csv holds a row per bucket and system, so a bucket count
+    past HIST_BUCKETS_MAX exits 1 before any report is written; the cap itself
+    runs."""
+    root, cfg = pipeline
+    gens = str(root / "out" / "generations-plain-test.jsonl")
+    assert main(["decode", "--config", str(cfg), "--mode", "plain", "--split", "test"]) == 0
+    path = derive_config(cfg, tmp_path, hist_buckets=metrics.HIST_BUCKETS_MAX + 1)
+    assert main(["evaluate", "--config", str(path), "--split", "test", "--systems", gens]) == 1
+    assert (f"error: [metrics] hist_buckets must be at most {metrics.HIST_BUCKETS_MAX}, got "
+            f"{metrics.HIST_BUCKETS_MAX + 1}") in capsys.readouterr().err
+    assert not [p for p in ("report.csv", "report.json", "zipf.csv", "rep3_positions.csv")
+                if (tmp_path / p).exists()]
+    path = derive_config(cfg, tmp_path, hist_buckets=metrics.HIST_BUCKETS_MAX)
+    assert main(["evaluate", "--config", str(path), "--split", "test", "--systems", gens]) == 0
+    with open(tmp_path / "rep3_positions.csv", newline="") as f:
+        assert len(list(csv.DictReader(f))) == 2 * metrics.HIST_BUCKETS_MAX  # human and plain
 
 
 @pytest.mark.parametrize("systems, message", [

@@ -968,7 +968,7 @@ def test_clearing_the_store_at_its_bound_changes_no_bit():
     corpus = make_corpus(vocab, [("r0", ["a"], ["a", "b", "c"]), ("r1", ["b"], ["c", "d"])])
     generator = train_generator(corpus, order=2)
     blank = pickle.dumps(generator)
-    bound = 1 + sum(map(len, generator.counts))
+    bound = 1 + len(generator.counts)
     sources = [tuple(p) for p in itertools.permutations(range(2, len(vocab)), 3)][:bound + 2]
     order = [sources[0], sources[1], sources[0], sources[1], *sources[2:], sources[0]]
     config = SearchConfig(beam_size=2, k_rerank=4, alpha=0.0, t_max=8)

@@ -516,11 +516,13 @@ def test_training_validates_inputs(config):
 
 def test_training_that_diverges_raises_naming_its_settings(config):
     # one human prefix against 20 generated ones: the human side's steps are
-    # rescaled by 21 / 2, so at 1e308 they are inf, and the weights go to nan.
-    # On the separable sets the weights stay finite near the float limit, but
-    # the logits they sum to overflow, and numpy warns of nothing
+    # rescaled by 21 / 2, so at 1e308 they are inf, the weights go to nan, and
+    # so does every logit. On the separable sets the weights stay finite near
+    # the float limit, but the logits they sum to overflow, and numpy warns of
+    # nothing
     for (H, G), what in (
-            (([((3, 4), (3,))], [((3, 4), (5, 6, 7, 8, 9))] * 4), "the bias is nan"),
+            (([((3, 4), (3,))], [((3, 4), (5, 6, 7, 8, 9))] * 4),
+             "a training row's logit is nan"),
             (_separable_sets(), "a training row's logit is inf")):
         assert math.isfinite(train_discriminator(H, G, config).bias)
         with warnings.catch_warnings():

@@ -36,9 +36,9 @@ def ab_corpus(abc_vocab):
 def test_bigram_counts_from_single_reference(ab_corpus, abc_vocab):
     model = train_generator(ab_corpus, order=2)
     a, b = abc_vocab.id_of("a"), abc_vocab.id_of("b")
-    assert model.counts[2][(SOS,)] == {a: 1}
-    assert model.counts[2][(a,)] == {b: 1}
-    assert model.counts[2][(b,)] == {EOS: 1}
+    assert model.counts[(SOS,)] == {a: 1}
+    assert model.counts[(a,)] == {b: 1}
+    assert model.counts[(b,)] == {EOS: 1}
 
 
 def test_retrain_writes_identical_model_file(ab_corpus, tmp_path):
@@ -312,14 +312,14 @@ def backoff_reference(model, prefix):
     tail with nothing cached."""
     tail = tuple(prefix[-(model.order - 1):]) if model.order > 1 else ()
     probs = np.full(len(model.vocab), model.kappa)
-    for tok, c in model.counts[1].get((), {}).items():
+    for tok, c in model.counts.get((), {}).items():
         probs[tok] += c
     probs[SOS] = 0.0
     probs /= math.fsum(probs)
     for k in range(2, model.order + 1):
         if len(tail) < k - 1:
             break
-        table = model.counts[k].get(tail[-(k - 1):])
+        table = model.counts.get(tail[-(k - 1):])
         if not table:
             continue
         total = sum(table.values())
@@ -359,7 +359,7 @@ def test_lm_cache_is_bounded_by_the_model_not_by_the_prefixes_asked(synth_corpus
         trained = train_generator(synth_corpus, order=order, lambda_copy=lambda_copy)
         trained.save(path)
         model = NGramCopyModel.load(path, synth_corpus.vocab)
-        bound = 1 + sum(len(model.counts[k]) for k in range(1, order + 1))
+        bound = 1 + len(model.counts)
         rng = random.Random(order)
         nv = len(synth_corpus.vocab)
         tails, memo_sizes = set(), set()
@@ -517,9 +517,9 @@ def test_normalised_rows_do_not_depend_on_the_order_of_their_values(data):
 def test_context_is_the_overlaid_contexts_even_with_gaps(abc_vocab, tmp_path):
     a, b, c = 3, 4, 5
     model = NGramCopyModel(abc_vocab, order=3, lambda_copy=0.0)
-    model.counts[1][()] = {a: 2, b: 1}
-    model.counts[2][(b,)] = {c: 1}
-    model.counts[3][(a, c)] = {b: 3}  # no bigram context (c,): a file may hold this
+    model.counts[()] = {a: 2, b: 1}
+    model.counts[(b,)] = {c: 1}
+    model.counts[(a, c)] = {b: 3}  # no bigram context (c,): a file may hold this
     assert model.context((SOS,)) == ()
     assert model.context((SOS, a, b)) == ((b,),)
     assert model.context((SOS, b, a, c)) == ((a, c),)
